@@ -13,6 +13,7 @@
 
 use std::time::Instant;
 
+use rprism_bench::cold_views_diff;
 use rprism_bench::measure::{sample_env, sizes_env, summarize, Sample};
 use rprism_diff::{lcs_diff, LcsDiffOptions, ViewsDiffOptions};
 use rprism_lang::parser::parse_program;
@@ -85,10 +86,9 @@ fn main() {
         // Both sides are measured *cold* on purpose — this bench compares the scaling
         // of the two one-shot pipelines end to end, preparation included exactly as the
         // one-shot entry point performs it (the amortized, prepared-handle path is
-        // measured by `perf_smoke`). The deprecated shim IS that cold pipeline.
-        #[allow(deprecated)]
+        // measured by `perf_smoke`).
         bench("views", old.len(), samples, || {
-            let r = rprism_diff::views_diff(&old, &new, &ViewsDiffOptions::default());
+            let r = cold_views_diff(&old, &new, &ViewsDiffOptions::default());
             std::hint::black_box(&r);
         });
         bench("lcs", old.len(), samples, || {

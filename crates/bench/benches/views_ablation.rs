@@ -3,7 +3,9 @@
 //! binary. `harness = false` with a built-in measurement loop (see `diff_scaling.rs` for
 //! the measurement conventions).
 //!
-//! Run with `cargo bench -p rprism-bench --bench views_ablation`.
+//! Run with `cargo bench -p rprism-bench --bench views_ablation`. Thread-pair scans and
+//! correlation fan out over the host's cores; to time the same configurations on one
+//! thread, run the bench under `taskset -c 0`.
 
 use std::time::Instant;
 
@@ -23,8 +25,8 @@ fn scenario_traces() -> (PreparedTrace, PreparedTrace) {
     let traces = bug.scenario.trace_all().expect("traces");
     // Prepared handles: keys and webs are built once up front and shared by every
     // configuration. The timed window covers correlation + differencing — correlation
-    // must stay inside it because the `sequential` row exists precisely to measure the
-    // cost of running that (parallelizable) stage on one thread.
+    // stays inside it so a run pinned to one core (`taskset -c 0`) measures the cost
+    // of running that fanned-out stage on one thread.
     (traces.traces.old_regressing, traces.traces.new_regressing)
 }
 
@@ -50,10 +52,6 @@ fn main() {
         (
             "strict_correlation",
             ViewsDiffOptions::builder().relaxed_correlation(false).build(),
-        ),
-        (
-            "sequential",
-            ViewsDiffOptions::builder().parallel(false).build(),
         ),
     ];
     let run = |options: &ViewsDiffOptions| {

@@ -56,7 +56,7 @@ fn main() {
         .map(|traces| {
             let old = traces.traces.old_regressing;
             let new = traces.traces.new_regressing;
-            let correlation = Correlation::build_with(old.web(), new.web(), true);
+            let correlation = Correlation::build(old.web(), new.web());
             (old, new, correlation)
         })
         .collect();

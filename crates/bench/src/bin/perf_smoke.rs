@@ -65,6 +65,7 @@
 use std::time::Duration;
 
 use rprism::Engine;
+use rprism_bench::cold_views_diff;
 use rprism_bench::measure::{sample_env, TrackingAllocator};
 use rprism_bench::seed_baseline::seed_views_diff;
 use rprism_diff::{TraceDiffResult, ViewsDiffOptions};
@@ -134,14 +135,6 @@ fn measure(samples: usize, mut f: impl FnMut() -> TraceDiffResult) -> Measured {
         }
     }
     best.expect("at least one sample")
-}
-
-/// One-shot differencing including artifact preparation, exactly what a pre-session
-/// caller pays on every call. This *is* the deprecated path — measured on purpose as the
-/// cold baseline of the reuse comparison.
-#[allow(deprecated)]
-fn cold_views_diff(left: &Trace, right: &Trace, options: &ViewsDiffOptions) -> TraceDiffResult {
-    rprism_diff::views_diff(left, right, options)
 }
 
 struct ReuseMeasured {
@@ -421,7 +414,7 @@ fn measure_server_throughput(samples: usize, old: &Trace, new: &Trace) -> Server
     // diff). A single-core host pins the ratio at ~1x by construction, so the gate
     // would only measure the scheduler there; the artifact records host_cores so the
     // recorded ratio is interpretable either way.
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let cores = rprism_trace::par::workers();
     if cores >= 4 {
         let speedup = one_client_wall.as_secs_f64() / four_client_wall.as_secs_f64().max(1e-12);
         assert!(
@@ -906,7 +899,7 @@ fn main() {
             "  \"server_throughput\": {{ \"total_requests\": {}, \"server_threads\": {}, \"host_cores\": {}, \"one_client\": {{ \"wall_seconds\": {:.6}, \"requests_per_second\": {:.1} }}, \"four_clients\": {{ \"wall_seconds\": {:.6}, \"requests_per_second\": {:.1} }}, \"concurrency_speedup\": {:.2}, \"cold_cache\": {{ \"wall_seconds\": {:.6}, \"requests_per_second\": {:.1} }}, \"prepared_cache_speedup\": {:.2} }},",
             server.total_requests,
             server.threads,
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+            rprism_trace::par::workers(),
             server.one_client_wall.as_secs_f64(),
             server.requests_per_second(server.one_client_wall),
             server.four_client_wall.as_secs_f64(),
@@ -1008,7 +1001,7 @@ fn main() {
             "\n  server throughput ({} repeated remote diffs, {} worker threads, {} host cores):",
             server.total_requests,
             server.threads,
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+            rprism_trace::par::workers()
         );
         println!(
             "    1 client:  wall {:>10.3?}  {:>8.1} requests/s",

@@ -21,10 +21,23 @@ pub mod seed_baseline;
 use std::collections::BTreeMap;
 
 use rprism::Engine;
-use rprism_diff::{LcsDiffOptions, MemoryBudget, ViewsDiffOptions};
+use rprism_diff::{views_diff_keyed, LcsDiffOptions, MemoryBudget, TraceDiffResult, ViewsDiffOptions};
 use rprism_regress::{evaluate, QualityMetrics, RegressionReport};
+use rprism_trace::{par, KeyedTrace, Trace};
+use rprism_views::ViewWeb;
 use rprism_workloads::scenario::{suspected_trace_entries, Scenario, ScenarioTraces};
 use rprism_workloads::{dataset, InjectedBug, RhinoConfig};
+
+/// One-shot views differencing: both traces' view webs and keys are built from scratch
+/// (the two sides as a [`par::join`]) and then diffed with [`views_diff_keyed`]. This is
+/// the cold pipeline a caller without prepared handles pays on every call, and the
+/// keyed side every comparison against the frozen seed baseline runs.
+pub fn cold_views_diff(left: &Trace, right: &Trace, options: &ViewsDiffOptions) -> TraceDiffResult {
+    let prepare = |trace: &Trace| (ViewWeb::build(trace), KeyedTrace::build(trace));
+    let ((left_web, left_keyed), (right_web, right_keyed)) =
+        par::join(|| prepare(left), || prepare(right));
+    views_diff_keyed(left, right, &left_web, &right_web, &left_keyed, &right_keyed, options)
+}
 
 /// Renders a simple fixed-width text table.
 pub fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {

@@ -327,12 +327,10 @@ impl SeedDiffer<'_> {
 
 #[cfg(test)]
 mod tests {
-    // Comparing against the deprecated one-shot shim is the point here: the seed
-    // replica must match the current cold pipeline bit for bit.
-    #![allow(deprecated)]
-
+    // Comparing against the one-shot cold pipeline is the point here: the seed
+    // replica must match it bit for bit.
     use super::*;
-    use rprism_diff::views_diff;
+    use crate::cold_views_diff;
     use rprism_lang::parser::parse_program;
     use rprism_trace::TraceMeta;
     use rprism_vm::{run_traced, VmConfig};
@@ -368,7 +366,7 @@ mod tests {
         let old = trace_of(&src(32), "old");
         let new = trace_of(&src(1), "new");
         let seed = seed_views_diff(&old, &new, &ViewsDiffOptions::default());
-        let keyed = views_diff(&old, &new, &ViewsDiffOptions::default());
+        let keyed = cold_views_diff(&old, &new, &ViewsDiffOptions::default());
         assert_eq!(
             seed.matching.normalized_pairs(),
             keyed.matching.normalized_pairs(),

@@ -4,14 +4,14 @@
 //! while the compare-op count may only shrink (prefix/suffix stripping now happens
 //! inside `lcs_dp`). The regression analysis itself must be deterministic run-to-run.
 
-// The keyed-pipeline side is driven through the deprecated one-shot shim on purpose:
+// The keyed-pipeline side is driven through the one-shot `cold_views_diff` on purpose:
 // this suite pins the *algorithm* against the frozen seed baseline, independent of the
 // session API (whose own equivalence suite lives at the workspace root).
-#![allow(deprecated)]
 
 use rprism::Engine;
+use rprism_bench::cold_views_diff;
 use rprism_bench::seed_baseline::seed_views_diff;
-use rprism_diff::{lcs_diff, views_diff, LcsDiffOptions, LcsKernel, ViewsDiffOptions};
+use rprism_diff::{lcs_diff, LcsDiffOptions, LcsKernel, ViewsDiffOptions};
 use rprism_regress::DiffAlgorithm;
 use rprism_workloads::casestudies;
 
@@ -30,7 +30,7 @@ fn keyed_pipeline_matches_seed_baseline_on_all_case_studies() {
         // DP-equivalent compare counts, so it is indistinguishable from `Dp` here.
         for kernel in [LcsKernel::Dp, LcsKernel::BitParallel] {
             let options = ViewsDiffOptions::builder().secondary_kernel(kernel).build();
-            let keyed = views_diff(old, new, &options);
+            let keyed = cold_views_diff(old, new, &options);
 
             assert_eq!(
                 seed.matching.normalized_pairs(),

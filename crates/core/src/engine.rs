@@ -20,7 +20,7 @@
 //! lock-step scan (the `prepared_reuse_speedup` metric of `BENCH_2.json`).
 //!
 //! Batch entry points ([`Engine::diff_many`], [`Engine::analyze_many`]) fan independent
-//! jobs out over a bounded scoped-thread worker pool; results come back in input order
+//! jobs out over [`rprism_trace::par`]; results come back in input order
 //! and each job carries its own deterministic cost meter, so batch runs are
 //! reproducible down to the compare-operation counts.
 
@@ -44,7 +44,7 @@ use rprism_regress::{
     analyze_prepared_with, AnalysisComparison, AnalysisMode, DiffAlgorithm, PreparedInput,
     PreparedTraceRef, RegressionReport, RenderOptions,
 };
-use rprism_trace::{KeyedTrace, LeanTrace, Trace, TraceMeta};
+use rprism_trace::{par, KeyedTrace, LeanTrace, Trace, TraceMeta};
 use rprism_views::{Correlation, ViewWeb};
 use rprism_vm::{run_traced, RunOutcome, RuntimeError, VmConfig};
 
@@ -105,10 +105,7 @@ struct CorrelationSlot {
 /// served a cached correlation built under *different* options than the request's.
 type CorrelationKey = ((u64, u64), u64);
 
-/// Fingerprint of the views options a correlation is (or would be) built under. Covers
-/// every semantic knob but deliberately **excludes** `parallel`: worker threads change
-/// scheduling, never results, and batch fan-out runs the engine's own options with
-/// `parallel` flipped off — those must keep hitting the entry a plain `diff` built.
+/// Fingerprint of the views options a correlation is (or would be) built under.
 fn views_options_fingerprint(options: &ViewsDiffOptions) -> u64 {
     use std::hash::{Hash, Hasher};
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
@@ -574,7 +571,6 @@ pub struct Engine {
     algorithm: DiffAlgorithm,
     mode: AnalysisMode,
     render: RenderOptions,
-    parallel: bool,
     encoding: Encoding,
     ingest_check: Option<IngestCheck>,
     /// The observability domain pipeline spans and phase timers record into
@@ -607,7 +603,7 @@ impl Default for Engine {
 
 impl Engine {
     /// An engine with the default configuration: views-based differencing with the
-    /// paper's evaluation parameters, `Intersect` analysis mode, parallel batch fan-out.
+    /// paper's evaluation parameters, `Intersect` analysis mode.
     pub fn new() -> Self {
         Engine::default()
     }
@@ -619,7 +615,6 @@ impl Engine {
             algorithm: DiffAlgorithm::Views(ViewsDiffOptions::default()),
             mode: AnalysisMode::default(),
             render: RenderOptions::default(),
-            parallel: true,
             encoding: Encoding::default(),
             ingest_check: None,
             obs: Obs::disabled(),
@@ -726,8 +721,8 @@ impl Engine {
     /// storage abstraction, a network peer streaming an upload straight into
     /// preparation, or a test harness wrapping the source in a fault-injection shim.
     ///
-    /// `Send` is required because the parallel ingest pipeline moves the reader onto
-    /// a decode thread.
+    /// `Send` is required because on a multi-core host the ingest pipeline runs its
+    /// stages on scoped threads (see [`crate::ingest`]).
     ///
     /// # Errors
     ///
@@ -737,13 +732,13 @@ impl Engine {
         let _load = self.obs.span("engine.load");
         let reader = TraceReader::new(BufReader::new(input))?;
         let (artifacts, phases) = match &self.ingest_check {
-            None => stream_prepare_timed(reader, self.parallel, |_| {})?,
+            None => stream_prepare_timed(reader, |_| {})?,
             Some(gate) => {
                 // The checker rides the ingest pass as its entry observer: one decode,
                 // both the artifacts and the report, same memory bound.
                 let mut checker = Checker::with_config(gate.config.clone());
                 let (artifacts, phases) =
-                    stream_prepare_timed(reader, self.parallel, |entry| checker.observe(entry))?;
+                    stream_prepare_timed(reader, |entry| checker.observe(entry))?;
                 let mut report = checker.finish();
                 report.trace_name = artifacts.meta.name.clone();
                 if report.count_at_least(gate.deny) > 0 {
@@ -1005,7 +1000,7 @@ impl Engine {
         Ok(self.diff_with(left, right, algorithm)?)
     }
 
-    /// Differences many pairs, fanned out over a bounded scoped-thread worker pool.
+    /// Differences many pairs, fanned out over the host's cores ([`par::map_ordered`]).
     ///
     /// Results are returned in input order; each pair's cost meter is computed
     /// independently and deterministically (per-pair numbers are identical to a
@@ -1021,10 +1016,9 @@ impl Engine {
     ) -> Result<Vec<TraceDiffResult>> {
         let handles: Vec<&PreparedTrace> = pairs.iter().flat_map(|(a, b)| [a, b]).collect();
         self.warm(&handles, self.needs_webs());
-        // Inner diffs run single-threaded while the batch pool is active (the results
-        // are identical either way; nesting pools would oversubscribe the cores).
-        let inner = self.sequential_algorithm();
-        Ok(self.fan_out(pairs, |(left, right)| self.diff_with(left, right, &inner))?)
+        // Each diff runs inline inside its batch worker (`par` never nests fan-outs).
+        let diffs = par::map_ordered(pairs, |(left, right)| self.diff_with(left, right, &self.algorithm));
+        Ok(diffs.into_iter().collect::<std::result::Result<_, _>>()?)
     }
 
     /// Runs the full §4.1 regression-cause analysis over four prepared handles: three
@@ -1057,7 +1051,7 @@ impl Engine {
         Ok(self.analyze_with(input, algorithm)?)
     }
 
-    /// Runs many regression analyses, fanned out over the scoped-thread worker pool.
+    /// Runs many regression analyses, fanned out like [`Engine::diff_many`].
     /// Results are returned in input order (deterministic, like [`Engine::diff_many`]);
     /// each input's `mode` override is honored.
     ///
@@ -1067,8 +1061,8 @@ impl Engine {
     pub fn analyze_many(&self, inputs: &[RegressionInput]) -> Result<Vec<RegressionReport>> {
         let handles: Vec<&PreparedTrace> = inputs.iter().flat_map(|i| i.handles()).collect();
         self.warm(&handles, self.needs_webs());
-        let inner = self.sequential_algorithm();
-        Ok(self.fan_out(inputs, |input| self.analyze_with(input, &inner))?)
+        let reports = par::map_ordered(inputs, |input| self.analyze_with(input, &self.algorithm));
+        Ok(reports.into_iter().collect::<std::result::Result<_, _>>()?)
     }
 
     /// Renders a regression report (candidate sequences with dynamic state, then the
@@ -1092,8 +1086,9 @@ impl Engine {
     ///
     /// The cache is keyed on the **unordered** handle pair: the first query of a pair
     /// builds the correlation in *its* orientation (so a cold diff matches the one-shot
-    /// `views_diff` path exactly — the equivalence the deprecated shims pin down), and
-    /// the opposite orientation is then served as the exact transpose of that build.
+    /// `views_diff_keyed` path exactly — the equivalence `tests/engine_equivalence.rs`
+    /// pins down), and the opposite orientation is then served as the exact transpose
+    /// of that build.
     /// Correlation is a cross-execution heuristic whose greedy construction is not
     /// orientation-invariant; sharing one build across both directions of a pair is the
     /// point — `analyze` after a reversed `diff` reuses it instead of deriving a
@@ -1106,7 +1101,6 @@ impl Engine {
         options: &ViewsDiffOptions,
     ) -> Arc<Correlation> {
         let key = (left.inner.id, right.inner.id);
-        let parallel = options.parallel;
         let left_views = left.web().total_views();
         let slot = self.correlations.lock().expect("cache poisoned").slot((
             CorrelationCache::canonical(key),
@@ -1120,7 +1114,7 @@ impl Engine {
             built_here = true;
             CachedCorrelation {
                 built_left_id: key.0,
-                built: Arc::new(Correlation::build_with(left.web(), right.web(), parallel)),
+                built: Arc::new(Correlation::build(left.web(), right.web())),
                 flipped: OnceLock::new(),
             }
         });
@@ -1142,25 +1136,6 @@ impl Engine {
     /// the same pair all leave it unchanged.
     pub fn correlation_builds(&self) -> u64 {
         self.correlations.lock().expect("cache poisoned").builds
-    }
-
-    /// A copy of the engine algorithm with intra-diff parallelism disabled, used inside
-    /// batch fan-out. Views results (matchings, sequences, cost meters) are identical
-    /// with and without worker threads, so this changes scheduling only.
-    fn sequential_algorithm(&self) -> DiffAlgorithm {
-        match &self.algorithm {
-            DiffAlgorithm::Views(options) => {
-                let mut options = options.clone();
-                options.parallel = false;
-                DiffAlgorithm::Views(options)
-            }
-            lcs @ DiffAlgorithm::Lcs(_) => lcs.clone(),
-            DiffAlgorithm::Anchored(options) => {
-                let mut options = options.clone();
-                options.parallel = false;
-                DiffAlgorithm::Anchored(options)
-            }
-        }
     }
 
     fn diff_with(
@@ -1230,12 +1205,9 @@ impl Engine {
         )
     }
 
-    /// Builds the missing artifacts of the given handles, deduplicated, in parallel when
-    /// the engine allows it. Already-warm handles cost nothing; `OnceLock` guarantees
-    /// each artifact is built exactly once even under concurrent warming. Like
-    /// [`Engine::fan_out`], the cold handles are strided over a bounded pool (at most
-    /// `available_parallelism` workers) — a large batch must not spawn one OS thread per
-    /// trace.
+    /// Builds the missing artifacts of the given handles, deduplicated, fanned out over
+    /// [`par::map_ordered`]. Already-warm handles cost nothing; `OnceLock` guarantees
+    /// each artifact is built exactly once even under concurrent warming.
     fn warm(&self, handles: &[&PreparedTrace], with_webs: bool) {
         let mut seen = std::collections::HashSet::new();
         let mut cold: Vec<&PreparedTrace> = Vec::new();
@@ -1244,81 +1216,12 @@ impl Engine {
                 cold.push(handle);
             }
         }
-        let build = |handle: &PreparedTrace| {
+        par::map_ordered(&cold, |handle| {
             handle.keyed();
             if with_webs {
                 handle.web();
             }
-        };
-        if self.parallel && cold.len() > 1 {
-            let workers = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(cold.len());
-            std::thread::scope(|scope| {
-                let cold = &cold;
-                let build = &build;
-                for w in 0..workers {
-                    scope.spawn(move || {
-                        for handle in cold.iter().skip(w).step_by(workers) {
-                            build(handle);
-                        }
-                    });
-                }
-            });
-        } else {
-            for handle in cold {
-                build(handle);
-            }
-        }
-    }
-
-    /// Runs one closure per item on a bounded scoped-thread pool (at most
-    /// `available_parallelism` workers), returning results in input order; errors are
-    /// reported in input order too, so batch runs fail deterministically.
-    fn fan_out<T: Sync, R: Send, E: Send>(
-        &self,
-        items: &[T],
-        job: impl Fn(&T) -> std::result::Result<R, E> + Sync,
-    ) -> std::result::Result<Vec<R>, E> {
-        if !self.parallel || items.len() < 2 {
-            return items.iter().map(&job).collect();
-        }
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(items.len());
-        let chunks: Vec<Vec<(usize, std::result::Result<R, E>)>> = std::thread::scope(|scope| {
-            let job = &job;
-            let spawned: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        items
-                            .iter()
-                            .enumerate()
-                            .skip(w)
-                            .step_by(workers)
-                            .map(|(i, item)| (i, job(item)))
-                            .collect()
-                    })
-                })
-                .collect();
-            spawned
-                .into_iter()
-                .map(|h| h.join().expect("batch worker panicked"))
-                .collect()
         });
-        let mut slots: Vec<Option<std::result::Result<R, E>>> =
-            (0..items.len()).map(|_| None).collect();
-        for chunk in chunks {
-            for (i, result) in chunk {
-                slots[i] = Some(result);
-            }
-        }
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every batch slot filled"))
-            .collect()
     }
 }
 
@@ -1329,7 +1232,6 @@ pub struct EngineBuilder {
     algorithm: DiffAlgorithm,
     mode: AnalysisMode,
     render: RenderOptions,
-    parallel: bool,
     encoding: Encoding,
     ingest_check: Option<IngestCheck>,
     obs: Obs,
@@ -1379,14 +1281,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Toggles the engine's worker threads: batch fan-out, concurrent artifact warming,
-    /// and intra-diff parallelism inherit this switch's spirit — `false` keeps every
-    /// engine call on the calling thread. Results are identical either way.
-    pub fn parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
-        self
-    }
-
     /// The on-disk encoding [`Engine::store_trace`] writes: the compact binary form
     /// (default) or the human-authorable JSONL text form. Loading always sniffs the
     /// encoding from content, so this only affects stores.
@@ -1426,19 +1320,11 @@ impl EngineBuilder {
 
     /// Finishes the builder.
     pub fn build(self) -> Engine {
-        let mut algorithm = self.algorithm;
-        if !self.parallel {
-            // A sequential engine must not parallelize inside single diffs either.
-            if let DiffAlgorithm::Views(options) = &mut algorithm {
-                options.parallel = false;
-            }
-        }
         Engine {
             vm_config: self.vm_config,
-            algorithm,
+            algorithm: self.algorithm,
             mode: self.mode,
             render: self.render,
-            parallel: self.parallel,
             encoding: self.encoding,
             ingest_check: self.ingest_check,
             obs: self.obs,
@@ -1593,12 +1479,12 @@ mod tests {
 
     #[test]
     fn sequential_engine_agrees_with_parallel_engine() {
-        let par = Engine::new();
-        let seq = Engine::builder().parallel(false).build();
-        let a = par.trace_source(&regression_sources(32, 20), "a").unwrap();
-        let b = par.trace_source(&regression_sources(1, 20), "b").unwrap();
-        let p = par.diff(&a, &b).unwrap();
-        let s = seq.diff(&a, &b).unwrap();
+        // Two sessions, so each builds its own correlation on its own side of `par`.
+        let (par_engine, seq_engine) = (Engine::new(), Engine::new());
+        let a = par_engine.trace_source(&regression_sources(32, 20), "a").unwrap();
+        let b = par_engine.trace_source(&regression_sources(1, 20), "b").unwrap();
+        let p = par::with_workers(4, || par_engine.diff(&a, &b)).unwrap();
+        let s = par::inline(|| seq_engine.diff(&a, &b)).unwrap();
         assert_eq!(
             p.matching.normalized_pairs(),
             s.matching.normalized_pairs()
@@ -1704,11 +1590,9 @@ mod tests {
             .unwrap();
         assert_eq!(engine.correlation_builds(), 2);
 
-        // The same options with `parallel` flipped share the entry (scheduling is not
-        // semantics — this is what keeps diff/diff_many at one build per pair).
-        let sequential = ViewsDiffOptions::builder().parallel(false).build();
-        engine
-            .diff_with_algorithm(&a, &b, &DiffAlgorithm::Views(sequential))
+        // A batch fanned out over workers shares the entry a plain `diff` built
+        // (scheduling is not semantics — diff/diff_many stay at one build per pair).
+        par::with_workers(4, || engine.diff_many(&[(a.clone(), b.clone()), (b.clone(), a.clone())]))
             .unwrap();
         assert_eq!(engine.correlation_builds(), 2);
 

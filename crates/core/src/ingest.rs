@@ -14,8 +14,9 @@
 //! and reduced to its [`LeanTrace`] context — then dropped. At no point does more than
 //! a bounded window of decoded entries exist:
 //!
-//! * sequentially, one batch of [`BATCH_ENTRIES`] entries is alive at a time;
-//! * in parallel mode, the decoder feeds a scoped-thread pipeline over bounded
+//! * on a one-worker host (see [`rprism_trace::par::workers`]), everything runs on the
+//!   calling thread and one batch of [`BATCH_ENTRIES`] entries is alive at a time;
+//! * otherwise the decoder feeds a two-stage scoped-thread pipeline over bounded
 //!   channels of entry batches — stage one builds the keyed trace and the lean
 //!   context, then forwards the batch; stage two extends the web, then drops it — so
 //!   at most `(2 × channel capacity + 3) × batch size` decoded entries are in flight
@@ -44,7 +45,7 @@ use std::sync::mpsc::sync_channel;
 use std::time::{Duration, Instant};
 
 use rprism_format::{FormatError, TraceReader};
-use rprism_trace::{KeyedTrace, LeanTrace, TraceEntry, TraceMeta};
+use rprism_trace::{par, KeyedTrace, LeanTrace, TraceEntry, TraceMeta};
 use rprism_views::ViewWeb;
 
 /// Entries decoded per batch. Batching amortizes channel traffic; the value bounds the
@@ -82,7 +83,7 @@ impl StreamedArtifacts {
 
 /// Wall time the three ingest phases accumulated over one streaming pass. Timing is
 /// per batch (two `Instant` reads per phase per 256 entries), so the cost of always
-/// collecting it is noise; in parallel mode the phases overlap, so the components can
+/// collecting it is noise; in the pipeline the phases overlap, so the components can
 /// legitimately sum to more than the pass's elapsed wall time.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PhaseTimes {
@@ -95,9 +96,9 @@ pub struct PhaseTimes {
 }
 
 /// Drives a [`TraceReader`] to completion, building the prepared artifacts in one
-/// bounded-memory pass. With `parallel` set, keyed/web/lean construction runs on
-/// scoped worker threads fed by bounded channels of entry batches, overlapping with
-/// decoding; the results are identical either way.
+/// bounded-memory pass. When the host has more than one worker, keyed/web/lean
+/// construction runs on scoped threads fed by bounded channels of entry batches,
+/// overlapping with decoding; the results are identical either way.
 ///
 /// # Errors
 ///
@@ -105,11 +106,8 @@ pub struct PhaseTimes {
 /// checksum mismatch, …). Nothing is retained on error — the partial artifacts are
 /// dropped with the call frame, so a failed ingest leaves no residue beyond interned
 /// name strings (see the module docs).
-pub fn stream_prepare<R: BufRead>(
-    reader: TraceReader<R>,
-    parallel: bool,
-) -> Result<StreamedArtifacts, FormatError> {
-    stream_prepare_observed(reader, parallel, |_| {})
+pub fn stream_prepare<R: BufRead>(reader: TraceReader<R>) -> Result<StreamedArtifacts, FormatError> {
+    stream_prepare_observed(reader, |_| {})
 }
 
 /// [`stream_prepare`] with a per-entry observer: `observe` is called once for every
@@ -127,10 +125,9 @@ pub fn stream_prepare<R: BufRead>(
 /// Propagates the first [`FormatError`] of the stream, like [`stream_prepare`].
 pub fn stream_prepare_observed<R: BufRead>(
     reader: TraceReader<R>,
-    parallel: bool,
     observe: impl FnMut(&TraceEntry),
 ) -> Result<StreamedArtifacts, FormatError> {
-    stream_prepare_timed(reader, parallel, observe).map(|(artifacts, _)| artifacts)
+    stream_prepare_timed(reader, observe).map(|(artifacts, _)| artifacts)
 }
 
 /// [`stream_prepare_observed`], additionally reporting how long each ingest phase
@@ -141,13 +138,22 @@ pub fn stream_prepare_observed<R: BufRead>(
 ///
 /// Propagates the first [`FormatError`] of the stream, like [`stream_prepare`].
 pub fn stream_prepare_timed<R: BufRead>(
+    reader: TraceReader<R>,
+    observe: impl FnMut(&TraceEntry),
+) -> Result<(StreamedArtifacts, PhaseTimes), FormatError> {
+    stream_on(reader, par::workers() > 1, observe)
+}
+
+/// The pass itself, with the choice between the two-stage pipeline and the calling
+/// thread made explicit.
+fn stream_on<R: BufRead>(
     mut reader: TraceReader<R>,
-    parallel: bool,
+    pipelined: bool,
     mut observe: impl FnMut(&TraceEntry),
 ) -> Result<(StreamedArtifacts, PhaseTimes), FormatError> {
     let meta = reader.meta().clone();
-    if parallel {
-        stream_parallel(reader, meta, &mut observe)
+    if pipelined {
+        stream_pipelined(reader, meta, &mut observe)
     } else {
         stream_sequential(&mut reader, meta, &mut observe)
     }
@@ -203,7 +209,7 @@ fn stream_sequential<R: BufRead>(
 /// drops it, reclaiming its memory.
 type Batch = (usize, Vec<TraceEntry>);
 
-fn stream_parallel<R: BufRead>(
+fn stream_pipelined<R: BufRead>(
     mut reader: TraceReader<R>,
     meta: TraceMeta,
     observe: &mut impl FnMut(&TraceEntry),
@@ -302,10 +308,10 @@ mod tests {
     use rprism_trace::testgen::{arbitrary_trace, Rng};
     use std::io::BufReader;
 
-    fn streamed(trace: &rprism_trace::Trace, parallel: bool) -> StreamedArtifacts {
+    fn streamed(trace: &rprism_trace::Trace, pipelined: bool) -> StreamedArtifacts {
         let bytes = trace_to_bytes(trace, Encoding::Binary).unwrap();
         let reader = TraceReader::new(BufReader::new(bytes.as_slice())).unwrap();
-        stream_prepare(reader, parallel).unwrap()
+        stream_on(reader, pipelined, |_| {}).unwrap().0
     }
 
     #[test]
@@ -314,15 +320,15 @@ mod tests {
         let trace = arbitrary_trace(&mut rng, 1500);
         let reference_keyed = KeyedTrace::build(&trace);
         let reference_web = ViewWeb::build(&trace);
-        for parallel in [false, true] {
-            let artifacts = streamed(&trace, parallel);
+        for pipelined in [false, true] {
+            let artifacts = streamed(&trace, pipelined);
             assert_eq!(artifacts.meta, trace.meta);
             assert_eq!(artifacts.len(), trace.len());
             assert_eq!(artifacts.keyed.len(), reference_keyed.len());
             for i in 0..trace.len() {
                 assert!(
                     artifacts.keyed.key_eq(i, &reference_keyed, i),
-                    "key {i} diverged (parallel={parallel})"
+                    "key {i} diverged (pipelined={pipelined})"
                 );
             }
             assert_eq!(artifacts.web.total_views(), reference_web.total_views());
@@ -330,7 +336,7 @@ mod tests {
                 assert_eq!(
                     artifacts.web.view_by_id(id).entries,
                     view.entries,
-                    "view {id:?} diverged (parallel={parallel})"
+                    "view {id:?} diverged (pipelined={pipelined})"
                 );
             }
         }
@@ -341,10 +347,10 @@ mod tests {
         let mut rng = Rng::new(0xdead);
         let trace = arbitrary_trace(&mut rng, 300);
         let bytes = trace_to_bytes(&trace, Encoding::Binary).unwrap();
-        for parallel in [false, true] {
+        for pipelined in [false, true] {
             let cut = &bytes[..bytes.len() * 2 / 3];
             let reader = TraceReader::new(BufReader::new(cut)).unwrap();
-            assert!(stream_prepare(reader, parallel).is_err());
+            assert!(stream_on(reader, pipelined, |_| {}).is_err());
         }
     }
 }

@@ -50,9 +50,7 @@
 //! All errors of the stack (language, VM, differencing) unify into [`enum@Error`], with
 //! [`Result`] as the crate-wide alias. The individual layers are available as
 //! re-exported modules: [`lang`], [`trace`], [`vm`], [`views`], [`diff`], [`regress`].
-//! See `MIGRATION.md` at the workspace root for the mapping from the deprecated
-//! free-function API ([`Rprism`], `views_diff`, `rprism_regress::analyze`) to the
-//! engine.
+//! See `MIGRATION.md` at the workspace root for a guide to the current API.
 //!
 //! An [`Engine`] is `Send + Sync` (asserted at compile time) and is designed to be
 //! shared across threads: artifacts build at most once even under concurrent use, and
@@ -87,15 +85,6 @@ pub use rprism_format::{Encoding, FormatError};
 pub use rprism_obs::Obs;
 pub use rprism_regress::{AnalysisMode, DiffAlgorithm, RegressionReport, RenderOptions};
 
-#[allow(deprecated)]
-use rprism_diff::views_diff;
-use rprism_lang::parser::parse_program;
-use rprism_lang::Program;
-#[allow(deprecated)]
-use rprism_regress::analyze;
-use rprism_regress::RegressionTraces;
-use rprism_trace::{Trace, TraceMeta};
-use rprism_vm::{run_traced, RunOutcome, VmConfig};
 
 /// Errors surfaced by the high-level API: the union of every layer's failure modes.
 #[derive(Debug)]
@@ -176,156 +165,5 @@ impl From<rprism_vm::RuntimeError> for Error {
 impl From<rprism_format::FormatError> for Error {
     fn from(e: rprism_format::FormatError) -> Self {
         Error::Format(e)
-    }
-}
-
-/// The pre-session high-level entry point: a bundle of tracing and differencing
-/// configuration whose every call re-derives keys and webs from scratch.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Engine` (see MIGRATION.md): it caches each trace's keys and view web \
-            in `PreparedTrace` handles instead of re-deriving them per call"
-)]
-#[derive(Clone, Debug, Default)]
-pub struct Rprism {
-    /// Tracing configuration used by [`Rprism::trace`] / [`Rprism::trace_source`].
-    pub vm_config: VmConfig,
-    /// Views-based differencing options used by [`Rprism::diff`] and the regression
-    /// analysis.
-    pub diff_options: ViewsDiffOptions,
-}
-
-#[allow(deprecated)]
-impl Rprism {
-    /// Creates an instance with default configuration.
-    pub fn new() -> Self {
-        Rprism::default()
-    }
-
-    /// Traces a parsed program.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Lang`] when the program fails validation.
-    pub fn trace(&self, program: &Program, label: &str) -> Result<RunOutcome> {
-        Ok(run_traced(
-            program,
-            TraceMeta::new(label, "", ""),
-            self.vm_config.clone(),
-        )?)
-    }
-
-    /// Parses and traces a program given in concrete syntax.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Lang`] when the source does not parse or validate.
-    pub fn trace_source(&self, source: &str, label: &str) -> Result<RunOutcome> {
-        let program = parse_program(source)?;
-        self.trace(&program, label)
-    }
-
-    /// Differences two traces with the views-based semantics.
-    pub fn diff(&self, left: &Trace, right: &Trace) -> TraceDiffResult {
-        views_diff(left, right, &self.diff_options)
-    }
-
-    /// Runs the full regression-cause analysis over four traces.
-    ///
-    /// # Errors
-    ///
-    /// Never fails for the views-based algorithm; the error type accommodates callers
-    /// that switch to the LCS baseline.
-    pub fn analyze_regression(
-        &self,
-        traces: &RegressionTraces,
-        mode: AnalysisMode,
-    ) -> Result<RegressionReport> {
-        Ok(analyze(
-            traces,
-            &DiffAlgorithm::Views(self.diff_options.clone()),
-            mode,
-        )?)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    // The deprecated `Rprism` shim must keep compiling and producing the same results
-    // as before the Engine redesign; its behaviour is pinned here, while the Engine
-    // itself is tested in `engine.rs` and in the workspace-level equivalence suite.
-    #![allow(deprecated)]
-
-    use super::*;
-
-    const SRC: &str = r#"
-        class Counter extends Object {
-            Int count;
-            Int bump(Int by) { this.count = this.count + by; return this.count; }
-        }
-        main { let c = new Counter(0); c.bump(2); c.bump(3); }
-    "#;
-
-    #[test]
-    fn shim_trace_source_produces_a_trace() {
-        let rprism = Rprism::new();
-        let outcome = rprism.trace_source(SRC, "demo").unwrap();
-        assert!(outcome.succeeded());
-        assert!(outcome.trace.len() >= 10);
-    }
-
-    #[test]
-    fn shim_diff_matches_engine_diff() {
-        let rprism = Rprism::new();
-        let engine = Engine::new();
-        let a = rprism.trace_source(SRC, "a").unwrap();
-        let b = rprism
-            .trace_source(&SRC.replace("c.bump(3)", "c.bump(9)"), "b")
-            .unwrap();
-        let old_way = rprism.diff(&a.trace, &b.trace);
-
-        let (pa, pb) = (
-            engine.prepare(a.trace.clone()),
-            engine.prepare(b.trace.clone()),
-        );
-        let new_way = engine.diff(&pa, &pb).unwrap();
-        assert_eq!(
-            old_way.matching.normalized_pairs(),
-            new_way.matching.normalized_pairs()
-        );
-        assert_eq!(old_way.sequences, new_way.sequences);
-        assert_eq!(old_way.cost.compare_ops, new_way.cost.compare_ops);
-    }
-
-    #[test]
-    fn shim_regression_analysis_end_to_end() {
-        let rprism = Rprism::new();
-        let src = |min: i64, probe: i64| {
-            format!(
-                r#"
-                class Range extends Object {{ Int min; Int max; }}
-                class App extends Object {{
-                    Range r;
-                    Int hits;
-                    Unit setup() {{ this.r = new Range({min}, 127); }}
-                    Unit check(Int c) {{
-                        if ((c >= this.r.min) && (c <= this.r.max)) {{ this.hits = this.hits + 1; }}
-                    }}
-                }}
-                main {{ let a = new App(null, 0); a.setup(); a.check({probe}); a.check(64); }}
-                "#
-            )
-        };
-        let traces = RegressionTraces {
-            old_regressing: rprism.trace_source(&src(32, 20), "or").unwrap().trace,
-            new_regressing: rprism.trace_source(&src(1, 20), "nr").unwrap().trace,
-            old_passing: rprism.trace_source(&src(32, 64), "op").unwrap().trace,
-            new_passing: rprism.trace_source(&src(1, 64), "np").unwrap().trace,
-        };
-        let report = rprism
-            .analyze_regression(&traces, AnalysisMode::Intersect)
-            .unwrap();
-        assert!(!report.suspected.is_empty());
-        assert!(report.candidates.len() <= report.suspected.len());
     }
 }

@@ -9,12 +9,25 @@
 //! * truncation or corruption mid-stream surfaces as an error and leaves the engine
 //!   clean and reusable: subsequent loads and diffs work, and the failed load retains
 //!   no live memory beyond interner growth.
+//!
+//! The counters are process-global and also count the ingest pipeline's own threads,
+//! so every measuring test holds [`MEASURE`] for its whole run: a sibling test
+//! allocating concurrently would otherwise show up in the measured window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 static LIVE: AtomicU64 = AtomicU64::new(0);
 static PEAK: AtomicU64 = AtomicU64::new(0);
+
+/// Serializes the tests that read [`LIVE`] / [`PEAK`].
+static MEASURE: Mutex<()> = Mutex::new(());
+
+/// Takes [`MEASURE`]; a test that failed while holding it does not block the others.
+fn measuring() -> MutexGuard<'static, ()> {
+    MEASURE.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 struct TrackingAllocator;
 
@@ -79,6 +92,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 #[test]
 fn streaming_ingest_allocates_artifacts_not_the_trace() {
+    let _measure = measuring();
     let dir = temp_dir("bound");
     let path = dir.join("large.rtr");
     {
@@ -126,6 +140,7 @@ fn streaming_ingest_allocates_artifacts_not_the_trace() {
 
 #[test]
 fn failed_streaming_loads_leave_the_engine_clean_and_reusable() {
+    let _measure = measuring();
     let dir = temp_dir("clean");
     let good = dir.join("good.rtr");
     let truncated = dir.join("truncated.rtr");

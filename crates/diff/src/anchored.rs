@@ -9,8 +9,8 @@
 //! (a balanced split at the common key nearest the range midpoint) when no unique
 //! key exists. Leaf segments small
 //! enough for the exact kernels are diffed exactly (bit-parallel with DP fallback, and
-//! Hirschberg when the per-segment memory budget is exceeded) and fan out across a
-//! bounded `std::thread::scope` worker pool.
+//! Hirschberg when the per-segment memory budget is exceeded) and fan out over
+//! [`rprism_trace::par`].
 //!
 //! The result is a *valid* matching — every pair is `=e`-equal and monotone — but not
 //! necessarily the maximal one the exact modes compute: an anchor choice can shadow a
@@ -24,7 +24,7 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use rprism_trace::{KeyRef, KeyedTrace, Trace};
+use rprism_trace::{par, KeyRef, KeyedTrace, Trace};
 
 use crate::cost::{CostMeter, DiffError, MemoryBudget};
 use crate::lcs::{lcs_hirschberg, lcs_with_kernel, LcsKernel};
@@ -52,10 +52,6 @@ pub struct AnchoredDiffOptions {
     pub segment_budget: MemoryBudget,
     /// Exact kernel used on leaf segments.
     pub kernel: LcsKernel,
-    /// Fan leaf segments out across a bounded `std::thread::scope` worker pool. The
-    /// result is identical either way; per-worker cost meters are merged in worker
-    /// order, so the accounting is deterministic too.
-    pub parallel: bool,
 }
 
 impl Default for AnchoredDiffOptions {
@@ -65,7 +61,6 @@ impl Default for AnchoredDiffOptions {
             max_segment: 512,
             segment_budget: MemoryBudget::bytes(256 << 20),
             kernel: LcsKernel::BitParallel,
-            parallel: true,
         }
     }
 }
@@ -113,12 +108,6 @@ impl AnchoredDiffOptionsBuilder {
     /// Exact kernel used on leaf segments.
     pub fn kernel(mut self, kernel: LcsKernel) -> Self {
         self.options.kernel = kernel;
-        self
-    }
-
-    /// Toggle the worker pool for leaf segments.
-    pub fn parallel(mut self, parallel: bool) -> Self {
-        self.options.parallel = parallel;
         self
     }
 
@@ -178,46 +167,15 @@ pub fn anchored_diff_prepared(
         ..
     } = anchoring;
 
-    // Leaf segments are independent sub-problems: deal them round-robin to a bounded
-    // worker pool (deterministic assignment, meters merged in worker order).
-    if options.parallel && segments.len() > 1 {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(segments.len());
-        let results: Vec<(Vec<(usize, usize)>, CostMeter)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let lkeys = &lkeys;
-                    let rkeys = &rkeys;
-                    let segments = &segments;
-                    scope.spawn(move || {
-                        let mut worker_pairs = Vec::new();
-                        let mut worker_meter = CostMeter::new();
-                        for seg in segments.iter().skip(w).step_by(workers) {
-                            diff_segment(lkeys, rkeys, seg, options, &mut worker_pairs, &mut worker_meter);
-                        }
-                        (worker_pairs, worker_meter)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                // Invariant, not a reachable panic: segment differencing only runs the
-                // panic-free kernels, so a worker can only unwind on OOM aborts.
-                .map(|h| h.join().expect("anchored diff worker panicked"))
-                .collect()
-        });
-        for (worker_pairs, worker_meter) in results {
-            pairs.extend(worker_pairs);
-            meter.merge(&worker_meter);
-        }
-    } else {
-        let mut seq_pairs = Vec::new();
-        for seg in &segments {
-            diff_segment(&lkeys, &rkeys, seg, options, &mut seq_pairs, &mut meter);
-        }
-        pairs.extend(seq_pairs);
+    // Leaf segments are independent sub-problems: fan them out, then merge their pairs
+    // and meters in segment order.
+    let leaves = par::map_ordered(&segments, |seg| {
+        let mut leaf_meter = CostMeter::new();
+        (diff_segment(&lkeys, &rkeys, seg, options, &mut leaf_meter), leaf_meter)
+    });
+    for (leaf_pairs, leaf_meter) in leaves {
+        pairs.extend(leaf_pairs);
+        meter.merge(&leaf_meter);
     }
 
     meter.release(key_bytes);
@@ -241,22 +199,25 @@ struct Segment {
 }
 
 /// Diffs one leaf segment with the exact kernel, degrading to Hirschberg when the
-/// segment budget is exceeded, and appends globally-indexed pairs.
+/// segment budget is exceeded, and returns its globally-indexed pairs.
 fn diff_segment(
     lkeys: &[KeyRef<'_>],
     rkeys: &[KeyRef<'_>],
     seg: &Segment,
     options: &AnchoredDiffOptions,
-    pairs: &mut Vec<(usize, usize)>,
     meter: &mut CostMeter,
-) {
+) -> Vec<(usize, usize)> {
     let l = &lkeys[seg.l0..seg.l1];
     let r = &rkeys[seg.r0..seg.r1];
-    let local = match lcs_with_kernel(options.kernel, l, r, meter, options.segment_budget) {
+    let mut pairs = match lcs_with_kernel(options.kernel, l, r, meter, options.segment_budget) {
         Ok(local) => local,
         Err(DiffError::OutOfMemory { .. }) => lcs_hirschberg(l, r, meter),
     };
-    pairs.extend(local.into_iter().map(|(i, j)| (i + seg.l0, j + seg.r0)));
+    for (i, j) in &mut pairs {
+        *i += seg.l0;
+        *j += seg.r0;
+    }
+    pairs
 }
 
 /// The recursive anchor discovery over index ranges of the two key sequences.
@@ -571,10 +532,9 @@ mod tests {
         let b = trace_of(&BASE.replace("sp.config(32)", "sp.config(1)"), "new");
         let ka = KeyedTrace::build(&a);
         let kb = KeyedTrace::build(&b);
-        let par = AnchoredDiffOptions::builder().max_segment(1).parallel(true).build();
-        let seq = AnchoredDiffOptions::builder().max_segment(1).parallel(false).build();
-        let rp = anchored_diff_prepared(&ka, &kb, &par);
-        let rs = anchored_diff_prepared(&ka, &kb, &seq);
+        let options = AnchoredDiffOptions::builder().max_segment(1).build();
+        let rp = par::with_workers(4, || anchored_diff_prepared(&ka, &kb, &options));
+        let rs = par::inline(|| anchored_diff_prepared(&ka, &kb, &options));
         assert_eq!(rp.matching.normalized_pairs(), rs.matching.normalized_pairs());
         assert_eq!(rp.sequences, rs.sequences);
         assert_eq!(rp.cost.compare_ops, rs.cost.compare_ops);

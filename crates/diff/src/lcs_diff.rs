@@ -4,7 +4,7 @@
 //! [`KeyedTrace`] holding the information `=e` compares) and an LCS over the two key
 //! sequences determines the similarity set Π. The two weaknesses the paper identifies —
 //! blind long-distance correlation of common values and Θ(n²) cost — are inherent to this
-//! baseline and are exactly what the views-based differencer (see [`crate::views_diff()`])
+//! baseline and are exactly what the views-based differencer (see [`crate::views_diff_keyed`])
 //! addresses; the keyed representation merely makes each of the Θ(n²) comparisons an
 //! integer operation instead of a string/vector traversal.
 

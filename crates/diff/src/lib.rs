@@ -11,7 +11,7 @@
 //!   the two traces under event equality `=e`, with the common-prefix/suffix optimization,
 //!   an explicit memory budget (the quadratic table fails on long traces exactly as in the
 //!   paper) and a Hirschberg linear-space variant;
-//! * [`views_diff`](views_diff::views_diff) — the §3.3 contribution: lock-step scanning of
+//! * [`views_diff_keyed`] — the §3.3 contribution: lock-step scanning of
 //!   correlated thread views, with windowed LCS over correlated *secondary* views
 //!   (method/object views) at mismatch points, yielding linear time and space.
 //!
@@ -71,8 +71,6 @@ pub use lcs_diff::{lcs_diff, lcs_diff_keyed, lcs_diff_prepared, LcsDiffOptions, 
 pub use matching::{DiffKind, DiffSequence, Matching};
 pub use result::TraceDiffResult;
 pub use session::{DiffSession, ProvisionalEvent, SessionArtifacts, SessionFinish};
-#[allow(deprecated)]
-pub use views_diff::{views_diff, views_diff_with_webs};
 pub use views_diff::{
     views_diff_correlated, views_diff_keyed, views_diff_sides, views_diff_sides_correlated,
     DiffSide, ViewsDiffOptions, ViewsDiffOptionsBuilder,

@@ -49,7 +49,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use rprism_trace::{KeyedTrace, LeanTrace, ThreadId, TraceEntry, TraceMeta};
+use rprism_trace::{par, KeyedTrace, LeanTrace, ThreadId, TraceEntry, TraceMeta};
 use rprism_views::{Correlation, ViewKind, ViewWeb};
 
 use crate::cost::CostMeter;
@@ -197,9 +197,9 @@ fn mismatch_is_stable(differ: &Differ<'_>, rv: &[usize], j: usize) -> bool {
 
 /// The complete scan over every correlated thread-view pair — the single lock-step
 /// scan implementation behind both the batch `views_diff_sides*` entry points and
-/// [`DiffSession::finish`]. Thread pairs are independent; with `options.parallel` they
-/// are dealt round-robin to a bounded pool of scoped workers whose matchings and cost
-/// meters are merged in worker order, so the result is deterministic either way.
+/// [`DiffSession::finish`]. Thread pairs are independent, so they fan out over
+/// [`par::map_ordered`]; each pair's matching and cost meter are merged in pair order,
+/// so the result is the same whether or not the pairs ran concurrently.
 pub(crate) fn scan_sides(
     left: &DiffSide<'_>,
     right: &DiffSide<'_>,
@@ -225,65 +225,25 @@ pub(crate) fn scan_sides(
         })
         .collect();
 
+    let scans = par::map_ordered(&pairs, |&(lv, rv)| {
+        let mut pair_matching = Matching::new(left.len(), right.len());
+        let mut pair_meter = CostMeter::new();
+        PairScan::default().run(
+            &differ,
+            lv,
+            rv,
+            true,
+            &mut pair_matching,
+            &mut pair_meter,
+            &mut Scratch::default(),
+            None,
+        );
+        (pair_matching, pair_meter)
+    });
     let mut matching = Matching::new(left.len(), right.len());
-    if options.parallel && pairs.len() > 1 {
-        // Bounded worker pool: thread pairs are dealt round-robin to at most
-        // `available_parallelism` workers (a trace with hundreds of threads must not
-        // spawn hundreds of OS threads). Chunk assignment is deterministic and workers
-        // are merged in worker order, so the cost accounting is deterministic too.
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(pairs.len());
-        let results: Vec<(Matching, CostMeter)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let differ = &differ;
-                    let pairs = &pairs;
-                    scope.spawn(move || {
-                        let mut worker_matching =
-                            Matching::new(differ.left.len(), differ.right.len());
-                        let mut worker_meter = CostMeter::new();
-                        let mut scratch = Scratch::default();
-                        for (lv, rv) in pairs.iter().skip(w).step_by(workers) {
-                            PairScan::default().run(
-                                differ,
-                                lv,
-                                rv,
-                                true,
-                                &mut worker_matching,
-                                &mut worker_meter,
-                                &mut scratch,
-                                None,
-                            );
-                        }
-                        (worker_matching, worker_meter)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("diff worker panicked"))
-                .collect()
-        });
-        for (worker_matching, worker_meter) in results {
-            matching.extend(&worker_matching);
-            meter.merge(&worker_meter);
-        }
-    } else {
-        let mut scratch = Scratch::default();
-        for (lv, rv) in pairs {
-            PairScan::default().run(
-                &differ,
-                lv,
-                rv,
-                true,
-                &mut matching,
-                meter,
-                &mut scratch,
-                None,
-            );
-        }
+    for (pair_matching, pair_meter) in scans {
+        matching.extend(&pair_matching);
+        meter.merge(&pair_meter);
     }
     matching
 }
@@ -397,7 +357,8 @@ impl DiffSession {
     /// they stand, retract pairs whose thread pairing was revised, and advance every
     /// pair's suspended scan as far as the data allows.
     fn provisional_scan(&mut self, left: &DiffSide<'_>) -> Vec<ProvisionalEvent> {
-        let correlation = Correlation::build_with(left.web(), &self.web, false);
+        // Re-correlation runs on every push: too frequent to be worth a thread.
+        let correlation = par::inline(|| Correlation::build(left.web(), &self.web));
         let right = DiffSide::lean(&self.lean, &self.keyed, &self.web);
         let mut events = Vec::new();
 
@@ -484,7 +445,7 @@ impl DiffSession {
     /// differ over the same sides; the events reconcile the provisional stream with it
     /// (respecting the tombstone set — see the module docs).
     pub fn finish(self, left: &DiffSide<'_>) -> SessionFinish {
-        let correlation = Correlation::build_with(left.web(), &self.web, self.options.parallel);
+        let correlation = Correlation::build(left.web(), &self.web);
         let right = DiffSide::lean(&self.lean, &self.keyed, &self.web);
         let result = views_diff_sides_correlated(left, &right, &correlation, &self.options);
 

@@ -27,15 +27,15 @@
 //! the mismatch path are per-*mismatch*, not per-comparison, and bounded by the window
 //! size: the windowed secondary LCS reuses scratch key buffers but its DP table (at most
 //! `(2·window+2)²` cells) and matched-pair output are allocated per call. Thread-view
-//! pairs are differenced concurrently on a bounded pool of scoped worker threads, each
-//! with its own [`CostMeter`], merged deterministically at the end.
+//! pairs are independent, so they fan out over [`rprism_trace::par`]; each pair keeps
+//! its own [`CostMeter`], and the meters are merged in pair order at the end.
 
 use std::collections::HashSet;
 use std::time::Instant;
 
 use rprism_trace::{KeyRef, KeyedTrace, LeanEntry, LeanTrace, ObjIdent, ObjRep, ThreadId, Trace, TraceEntry};
 use rprism_views::correlate::relaxed::same_distance_from_anchor;
-use rprism_views::{build_web_pair, Correlation, ViewId, ViewKind, ViewWeb};
+use rprism_views::{Correlation, ViewId, ViewKind, ViewWeb};
 
 use crate::cost::{CostMeter, MemoryBudget};
 use crate::lcs::{lcs_with_kernel, LcsKernel};
@@ -64,11 +64,6 @@ pub struct ViewsDiffOptions {
     /// Enable the context-sensitive correlation relaxation of §5 (tolerates method/class
     /// renames by correlating views at equal distances from the mismatch anchor).
     pub relaxed_correlation: bool,
-    /// Use worker threads for every parallelizable stage: web/key preparation, view
-    /// correlation, and per-thread-pair differencing. `false` keeps the entire run on
-    /// the calling thread. The result is identical either way; per-worker cost meters
-    /// are merged deterministically.
-    pub parallel: bool,
     /// Exact-LCS kernel for the windowed secondary passes. Both kernels produce
     /// byte-identical matchings and compare counts (see [`LcsKernel`]); the bit-parallel
     /// default wins wall-clock on wide windows and falls back to the DP per sub-problem
@@ -83,7 +78,6 @@ impl Default for ViewsDiffOptions {
             window: 8,
             max_scan_ahead: 96,
             relaxed_correlation: true,
-            parallel: true,
             secondary_kernel: LcsKernel::BitParallel,
         }
     }
@@ -94,7 +88,7 @@ impl ViewsDiffOptions {
     ///
     /// ```
     /// use rprism_diff::ViewsDiffOptions;
-    /// let options = ViewsDiffOptions::builder().delta(2).parallel(true).build();
+    /// let options = ViewsDiffOptions::builder().delta(2).build();
     /// assert_eq!(options.delta, 2);
     /// ```
     pub fn builder() -> ViewsDiffOptionsBuilder {
@@ -133,12 +127,6 @@ impl ViewsDiffOptionsBuilder {
     /// Toggle the §5 context-sensitive correlation relaxation.
     pub fn relaxed_correlation(mut self, relaxed: bool) -> Self {
         self.options.relaxed_correlation = relaxed;
-        self
-    }
-
-    /// Toggle worker threads for preparation, correlation and per-thread differencing.
-    pub fn parallel(mut self, parallel: bool) -> Self {
-        self.options.parallel = parallel;
         self
     }
 
@@ -263,61 +251,6 @@ fn obj_correlates(left: ObjCtx<'_>, right: ObjCtx<'_>) -> bool {
     }
 }
 
-/// Differences two traces using the views-based semantics, building the view webs and
-/// keyed traces internally (both sides are prepared concurrently unless
-/// `options.parallel` is off).
-#[deprecated(
-    since = "0.2.0",
-    note = "prepare traces once and diff through `rprism::Engine` (or call \
-            `views_diff_keyed` with cached artifacts); this shim re-derives webs and \
-            keys on every call"
-)]
-#[allow(deprecated)]
-pub fn views_diff(left: &Trace, right: &Trace, options: &ViewsDiffOptions) -> TraceDiffResult {
-    let (left_web, right_web) = if options.parallel {
-        build_web_pair(left, right)
-    } else {
-        (ViewWeb::build(left), ViewWeb::build(right))
-    };
-    views_diff_with_webs(left, right, &left_web, &right_web, options)
-}
-
-/// Differences two traces using pre-built view webs (avoids rebuilding them when the same
-/// trace participates in several comparisons, as in the regression-cause analysis). The
-/// keyed traces are built here; callers that already hold them should use
-/// [`views_diff_keyed`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `rprism::Engine` with `PreparedTrace` handles (which cache keys too), or \
-            `views_diff_keyed` directly"
-)]
-pub fn views_diff_with_webs(
-    left: &Trace,
-    right: &Trace,
-    left_web: &ViewWeb,
-    right_web: &ViewWeb,
-    options: &ViewsDiffOptions,
-) -> TraceDiffResult {
-    let (left_keyed, right_keyed) = if options.parallel {
-        std::thread::scope(|scope| {
-            let lk = scope.spawn(|| KeyedTrace::build(left));
-            let rk = KeyedTrace::build(right);
-            (lk.join().expect("left key build panicked"), rk)
-        })
-    } else {
-        (KeyedTrace::build(left), KeyedTrace::build(right))
-    };
-    views_diff_keyed(
-        left,
-        right,
-        left_web,
-        right_web,
-        &left_keyed,
-        &right_keyed,
-        options,
-    )
-}
-
 /// The fully precomputed entry point: traces, webs and keyed traces all supplied by the
 /// caller; the pair's view [`Correlation`] is built here. This is the form the
 /// regression-cause analysis uses — each trace participates in many comparisons, and its
@@ -348,7 +281,7 @@ pub fn views_diff_sides(
     // The clock starts before the correlation build: this entry point's `elapsed` covers
     // everything it derives, keeping its timings comparable with the seed baseline's.
     let start = Instant::now();
-    let correlation = Correlation::build_with(left.web, right.web, options.parallel);
+    let correlation = Correlation::build(left.web, right.web);
     views_diff_sides_from(start, left, right, &correlation, options)
 }
 
@@ -418,8 +351,8 @@ fn keyed_bytes(keyed: &KeyedTrace) -> u64 {
     keyed.estimated_bytes()
 }
 
-/// Reusable per-worker buffers so the mismatch exploration allocates nothing after
-/// warm-up.
+/// Reusable buffers of one thread-pair scan, so the mismatch exploration allocates
+/// nothing after warm-up.
 #[derive(Default)]
 pub(crate) struct Scratch<'a> {
     explored: HashSet<(u32, u32)>,
@@ -615,15 +548,19 @@ impl<'a> Differ<'a> {
 
 #[cfg(test)]
 mod tests {
-    // These unit tests pin down the behaviour of the one-shot entry points, deprecated
-    // shims included: they must keep working unchanged underneath the session API.
-    #![allow(deprecated)]
-
     use super::*;
     use crate::lcs_diff::{lcs_diff, LcsDiffOptions};
     use rprism_lang::parser::parse_program;
     use rprism_trace::TraceMeta;
     use rprism_vm::{run_traced, VmConfig};
+
+    /// The one-shot views diff: fresh webs and keys for both traces, then
+    /// [`views_diff_keyed`].
+    fn fresh_views_diff(left: &Trace, right: &Trace, options: &ViewsDiffOptions) -> TraceDiffResult {
+        let (left_web, right_web) = (ViewWeb::build(left), ViewWeb::build(right));
+        let (left_keyed, right_keyed) = (KeyedTrace::build(left), KeyedTrace::build(right));
+        views_diff_keyed(left, right, &left_web, &right_web, &left_keyed, &right_keyed, options)
+    }
 
     fn trace_of(src: &str, name: &str) -> Trace {
         let program = parse_program(src).unwrap();
@@ -673,7 +610,7 @@ mod tests {
     fn identical_traces_are_fully_similar() {
         let a = trace_of(ORIGINAL, "a");
         let b = trace_of(ORIGINAL, "b");
-        let result = views_diff(&a, &b, &ViewsDiffOptions::default());
+        let result = fresh_views_diff(&a, &b, &ViewsDiffOptions::default());
         assert_eq!(result.num_differences(), 0);
         assert_eq!(result.num_similar(), a.len());
     }
@@ -682,7 +619,7 @@ mod tests {
     fn regression_produces_localized_differences() {
         let a = trace_of(ORIGINAL, "old");
         let b = trace_of(&regressing(), "new");
-        let result = views_diff(&a, &b, &ViewsDiffOptions::default());
+        let result = fresh_views_diff(&a, &b, &ViewsDiffOptions::default());
         assert!(result.num_differences() > 0);
         // The differences mention the changed range initialization or the downstream
         // comparison difference, not the unrelated logging.
@@ -747,7 +684,7 @@ mod tests {
         "#;
         let old = trace_of(old_src, "old");
         let new = trace_of(new_src, "new");
-        let views = views_diff(&old, &new, &ViewsDiffOptions::default());
+        let views = fresh_views_diff(&old, &new, &ViewsDiffOptions::default());
         let lcs = lcs_diff(&old, &new, &LcsDiffOptions::default()).unwrap();
         assert!(
             views.num_differences() <= lcs.num_differences(),
@@ -777,8 +714,8 @@ mod tests {
         let large_old = trace_of(&sized_src(90, 0), "lo");
         let large_new = trace_of(&sized_src(90, 1), "ln");
 
-        let small = views_diff(&small_old, &small_new, &ViewsDiffOptions::default());
-        let large = views_diff(&large_old, &large_new, &ViewsDiffOptions::default());
+        let small = fresh_views_diff(&small_old, &small_new, &ViewsDiffOptions::default());
+        let large = fresh_views_diff(&large_old, &large_new, &ViewsDiffOptions::default());
         let ratio = large.cost.compare_ops as f64 / small.cost.compare_ops.max(1) as f64;
         // Trace length ratio is ~3; a quadratic algorithm would be ~9.
         assert!(
@@ -808,7 +745,7 @@ mod tests {
         };
         let old = trace_of(&src(1), "old");
         let new = trace_of(&src(99), "new");
-        let result = views_diff(&old, &new, &ViewsDiffOptions::default());
+        let result = fresh_views_diff(&old, &new, &ViewsDiffOptions::default());
         assert!(result.num_differences() > 0);
         // Only the first worker's changed call should differ; the second worker's thread
         // and the main thread still match almost entirely.
@@ -837,15 +774,9 @@ mod tests {
         };
         let old = trace_of(&src(1), "old");
         let new = trace_of(&src(99), "new");
-        let par = views_diff(&old, &new, &ViewsDiffOptions::default());
-        let seq = views_diff(
-            &old,
-            &new,
-            &ViewsDiffOptions {
-                parallel: false,
-                ..ViewsDiffOptions::default()
-            },
-        );
+        let options = ViewsDiffOptions::default();
+        let par = rprism_trace::par::with_workers(4, || fresh_views_diff(&old, &new, &options));
+        let seq = rprism_trace::par::inline(|| fresh_views_diff(&old, &new, &options));
         assert_eq!(par.matching.normalized_pairs(), seq.matching.normalized_pairs());
         assert_eq!(par.sequences, seq.sequences);
         assert_eq!(par.cost.compare_ops, seq.cost.compare_ops);
@@ -855,7 +786,7 @@ mod tests {
     fn options_control_exploration_extent() {
         let a = trace_of(ORIGINAL, "old");
         let b = trace_of(&regressing(), "new");
-        let narrow = views_diff(
+        let narrow = fresh_views_diff(
             &a,
             &b,
             &ViewsDiffOptions::builder()
@@ -865,7 +796,7 @@ mod tests {
                 .relaxed_correlation(false)
                 .build(),
         );
-        let wide = views_diff(&a, &b, &ViewsDiffOptions::default());
+        let wide = fresh_views_diff(&a, &b, &ViewsDiffOptions::default());
         assert!(wide.cost.compare_ops >= narrow.cost.compare_ops);
         assert!(wide.num_differences() <= narrow.num_differences() + a.len());
     }

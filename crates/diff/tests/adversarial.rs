@@ -5,14 +5,13 @@
 //! backend, the two kernels of an exact backend must stay matching-identical, and
 //! every produced matching must be structurally valid.
 
-#![allow(deprecated)] // views_diff: the one-shot shim is the convenient fuzz harness.
-
 use rprism_diff::{
-    anchored_diff, lcs_diff, views_diff, AnchoredDiffOptions, LcsDiffOptions, LcsKernel,
+    anchored_diff, lcs_diff, views_diff_keyed, AnchoredDiffOptions, LcsDiffOptions, LcsKernel,
     TraceDiffResult, ViewsDiffOptions,
 };
 use rprism_trace::testgen::{GenProfile, Rng};
 use rprism_trace::{KeyedTrace, Trace};
+use rprism_views::ViewWeb;
 
 /// Structural validity of a *subsequence* matching (LCS, anchored): both sides
 /// strictly increasing (monotone, no index reuse), in range, and every pair
@@ -109,12 +108,18 @@ fn hostile_gen_profiles_never_panic_any_backend() {
         let context = format!("{left_profile:?} vs {right_profile:?}");
 
         // Views: both secondary kernels, matching-identical.
+        let (left_web, right_web) = (ViewWeb::build(&left), ViewWeb::build(&right));
+        let (left_keyed, right_keyed) = (KeyedTrace::build(&left), KeyedTrace::build(&right));
         let views: Vec<TraceDiffResult> = [LcsKernel::Dp, LcsKernel::BitParallel]
             .iter()
             .map(|&kernel| {
-                views_diff(
+                views_diff_keyed(
                     &left,
                     &right,
+                    &left_web,
+                    &right_web,
+                    &left_keyed,
+                    &right_keyed,
                     &ViewsDiffOptions::builder().secondary_kernel(kernel).build(),
                 )
             })

@@ -257,72 +257,6 @@ impl RegressionReport {
     }
 }
 
-/// Runs the full regression-cause analysis, deriving keys (and, for the views algorithm,
-/// view webs) for all four traces on every call.
-///
-/// # Errors
-///
-/// Returns a [`DiffError`] when the LCS baseline exhausts its memory budget on any of the
-/// three comparisons (the views-based algorithm never fails).
-#[deprecated(
-    since = "0.2.0",
-    note = "prepare traces once and analyze through `rprism::Engine` (or call \
-            `analyze_prepared` with cached artifacts); this shim re-derives keys and \
-            webs on every call"
-)]
-pub fn analyze(
-    traces: &RegressionTraces,
-    algorithm: &DiffAlgorithm,
-    mode: AnalysisMode,
-) -> Result<RegressionReport, DiffError> {
-    // Pre-build keyed traces once per trace: each trace participates in up to two
-    // comparisons and in difference-set construction, and all of those consume the same
-    // precomputed keys. View webs are only consumed by the views algorithm, so the LCS
-    // baseline skips building them (its timings must not be inflated by unused work).
-    // The four traces are independent, so their preparation runs on scoped worker
-    // threads.
-    struct Prepared {
-        web: Option<ViewWeb>,
-        keyed: KeyedTrace,
-    }
-    let needs_webs = matches!(algorithm, DiffAlgorithm::Views(_));
-    let prepare = move |trace: &Trace| Prepared {
-        web: needs_webs.then(|| ViewWeb::build(trace)),
-        keyed: KeyedTrace::build(trace),
-    };
-    let four = [
-        &traces.old_regressing,
-        &traces.new_regressing,
-        &traces.old_passing,
-        &traces.new_passing,
-    ];
-    let mut prepared: Vec<Prepared> = std::thread::scope(|scope| {
-        let handles: Vec<_> = four.iter().map(|t| scope.spawn(move || prepare(t))).collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("trace preparation panicked"))
-            .collect()
-    });
-    let new_pass = prepared.pop().unwrap();
-    let old_pass = prepared.pop().unwrap();
-    let new_reg = prepared.pop().unwrap();
-    let old_reg = prepared.pop().unwrap();
-
-    fn as_ref<'a>(trace: &'a Trace, prep: &'a Prepared) -> PreparedTraceRef<'a> {
-        PreparedTraceRef::new(trace, &prep.keyed, prep.web.as_ref())
-    }
-    analyze_prepared(
-        &PreparedInput {
-            old_regressing: as_ref(&traces.old_regressing, &old_reg),
-            new_regressing: as_ref(&traces.new_regressing, &new_reg),
-            old_passing: as_ref(&traces.old_passing, &old_pass),
-            new_passing: as_ref(&traces.new_passing, &new_pass),
-        },
-        algorithm,
-        mode,
-    )
-}
-
 /// Which of the three §4.1 comparisons is being differenced — passed to the pluggable
 /// differ of [`analyze_prepared_with`] so callers with pair-level caches (such as
 /// `rprism::Engine`) know which trace pair a diff belongs to.
@@ -479,7 +413,7 @@ pub fn analyze_prepared_with(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rprism_lang::parser::parse_program;
     use rprism_trace::TraceMeta;
@@ -487,7 +421,7 @@ mod tests {
 
     /// Prepares keys and webs for the four traces and runs [`analyze_prepared`] — the
     /// borrowed-artifact path every caller now goes through.
-    fn run(
+    pub(crate) fn run(
         traces: &RegressionTraces,
         algorithm: &DiffAlgorithm,
         mode: AnalysisMode,
@@ -663,31 +597,5 @@ mod tests {
         // C; sanity-check the algebra: D_subtract ∩ C = ∅.
         assert!(report.candidates.intersect(&report.regression).is_empty());
         assert_eq!(report.mode, AnalysisMode::SubtractRegressionSet);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_analyze_shim_matches_prepared_path() {
-        let traces = scenario();
-        let algorithm = DiffAlgorithm::Views(ViewsDiffOptions::default());
-        let shim = analyze(&traces, &algorithm, AnalysisMode::Intersect).unwrap();
-        let prepared = run(&traces, &algorithm, AnalysisMode::Intersect).unwrap();
-        assert_eq!(shim.suspected, prepared.suspected);
-        assert_eq!(shim.expected, prepared.expected);
-        assert_eq!(shim.regression, prepared.regression);
-        assert_eq!(shim.candidates, prepared.candidates);
-        assert_eq!(shim.compare_ops, prepared.compare_ops);
-        assert_eq!(shim.peak_bytes, prepared.peak_bytes);
-        assert_eq!(
-            shim.sequences
-                .iter()
-                .map(|s| s.regression_related)
-                .collect::<Vec<_>>(),
-            prepared
-                .sequences
-                .iter()
-                .map(|s| s.regression_related)
-                .collect::<Vec<_>>()
-        );
     }
 }

@@ -18,8 +18,6 @@ pub mod metrics;
 pub mod report;
 pub mod sets;
 
-#[allow(deprecated)]
-pub use analysis::analyze;
 pub use analysis::{
     analyze_prepared, analyze_prepared_with, AnalysisComparison, AnalysisMode, DiffAlgorithm,
     PreparedInput, PreparedTraceRef, RegressionReport, RegressionTraces, SequenceVerdict,

@@ -130,12 +130,9 @@ pub fn render_report_with(
 
 #[cfg(test)]
 mod tests {
-    // The rendering test drives the whole pipeline through the one-shot shim for
-    // brevity; the prepared path is covered by the analysis tests.
-    #![allow(deprecated)]
-
     use super::*;
-    use crate::analysis::{analyze, AnalysisMode, DiffAlgorithm, RegressionTraces};
+    use crate::analysis::tests::run;
+    use crate::analysis::{AnalysisMode, DiffAlgorithm, RegressionTraces};
     use rprism_diff::ViewsDiffOptions;
     use rprism_lang::parser::parse_program;
     use rprism_trace::TraceMeta;
@@ -169,7 +166,7 @@ mod tests {
             old_passing: trace(32, "text"),
             new_passing: trace(1, "text"),
         };
-        let report = analyze(
+        let report = run(
             &traces,
             &DiffAlgorithm::Views(ViewsDiffOptions::default()),
             AnalysisMode::Intersect,

@@ -89,7 +89,7 @@ pub struct ServerConfig {
     pub addr: String,
     /// The repository directory (must exist and be writable).
     pub repo_dir: std::path::PathBuf,
-    /// Worker threads serving connections (defaults to `available_parallelism`,
+    /// Worker threads serving connections (defaults to [`rprism_trace::par::workers`],
     /// minimum 2 so a long request cannot starve the shutdown path). Each open
     /// connection occupies one worker for its lifetime, so size the pool for the
     /// expected peak of *concurrent connections* — further connections queue (with
@@ -137,10 +137,7 @@ impl ServerConfig {
     /// prepared-cache budget, 64 MiB frames, a `2 × threads` backlog, durable
     /// puts, a 60 s request deadline, and a default [`Engine`].
     pub fn new(addr: impl Into<String>, repo_dir: impl Into<std::path::PathBuf>) -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(2)
-            .max(2);
+        let threads = rprism_trace::par::workers().max(2);
         ServerConfig {
             addr: addr.into(),
             repo_dir: repo_dir.into(),

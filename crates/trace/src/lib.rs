@@ -23,6 +23,8 @@
 //! * [`lean`] — [`LeanTrace`]: the bounded-memory per-entry context retained by
 //!   streaming ingestion (thread id, interned method/class names, object correlation
 //!   identities) in place of full entries;
+//! * [`par`] — the fan-out helper every concurrent stage of the workspace runs on:
+//!   independent items spread over the host's workers, results merged in input order;
 //! * [`testgen`] — deterministic pseudo-random generators used by the workspace's
 //!   property-style tests (the workspace carries no external test dependencies).
 //!
@@ -36,6 +38,7 @@ pub mod intern;
 pub mod keyed;
 pub mod lean;
 pub mod objrep;
+pub mod par;
 pub mod stack;
 pub mod testgen;
 pub mod trace;

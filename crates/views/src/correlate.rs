@@ -15,8 +15,8 @@
 //! The correlation is materialized *dense*: object-view correspondences are stored as a
 //! `Vec<u32>` indexed by left [`ViewId`], so the per-entry correlation test on the diff
 //! hot path is two membership lookups plus one array read — no hashing, no `ViewName`
-//! clones. The two object-view kinds are correlated concurrently ([`Correlation::build`]
-//! runs them on scoped worker threads).
+//! clones. Thread and object-view correlation run concurrently ([`Correlation::build`]
+//! is a [`par::join`] of the two).
 //!
 //! Because correlations relate abstractions across *different executions* using only view
 //! structure, they are heuristics (§3.1); [`relaxed`] additionally provides the
@@ -26,6 +26,7 @@
 
 use std::collections::HashMap;
 
+use rprism_trace::par;
 use rprism_trace::stack::ancestry_similarity;
 use rprism_trace::{ObjRep, ThreadId, TraceEntry};
 
@@ -46,35 +47,17 @@ pub struct Correlation {
 
 impl Correlation {
     /// Builds the full correlation between two webs. Thread correlation and the two
-    /// object-view correlations are independent, so they run concurrently.
+    /// object-view correlations are independent, so they run as a [`par::join`].
     pub fn build(left: &ViewWeb, right: &ViewWeb) -> Self {
-        Self::build_with(left, right, true)
-    }
-
-    /// [`Correlation::build`] with explicit control over worker-thread use (`false`
-    /// keeps everything on the calling thread, for thread-restricted callers and
-    /// sequential baselines).
-    pub fn build_with(left: &ViewWeb, right: &ViewWeb, parallel: bool) -> Self {
-        let (threads, (to_pairs, ao_pairs)) = if parallel {
-            std::thread::scope(|scope| {
-                let threads = scope.spawn(|| correlate_threads(left, right));
-                let to =
-                    scope.spawn(|| correlate_objects_ids(left, right, ViewKind::TargetObject));
-                let ao = correlate_objects_ids(left, right, ViewKind::ActiveObject);
-                (
-                    threads.join().expect("thread correlation panicked"),
-                    (to.join().expect("object correlation panicked"), ao),
-                )
-            })
-        } else {
-            (
-                correlate_threads(left, right),
+        let (threads, (to_pairs, ao_pairs)) = par::join(
+            || correlate_threads(left, right),
+            || {
                 (
                     correlate_objects_ids(left, right, ViewKind::TargetObject),
                     correlate_objects_ids(left, right, ViewKind::ActiveObject),
-                ),
-            )
-        };
+                )
+            },
+        );
 
         let mut objects = vec![NO_MATCH; left.total_views()];
         for (l, r) in to_pairs.into_iter().chain(ao_pairs) {
@@ -515,5 +498,14 @@ mod tests {
         let mut sorted = pairs.clone();
         sorted.sort();
         assert_eq!(pairs, sorted);
+    }
+
+    #[test]
+    fn concurrent_and_inline_builds_agree() {
+        let (lw, rw) = (ViewWeb::build(&trace_of(LEFT, "L")), ViewWeb::build(&trace_of(RIGHT, "R")));
+        let concurrent = par::with_workers(4, || Correlation::build(&lw, &rw));
+        let inline = par::inline(|| Correlation::build(&lw, &rw));
+        assert_eq!(concurrent.threads, inline.threads);
+        assert_eq!(concurrent.objects, inline.objects);
     }
 }

@@ -40,4 +40,4 @@ pub use correlate::{
 };
 pub use protocol::{ClassProtocol, ProtocolDrift, ProtocolModel};
 pub use view::{view_names, ObjectId, View, ViewKey, ViewKind, ViewName};
-pub use web::{build_web_pair, EntryViews, ViewCounts, ViewId, ViewWeb};
+pub use web::{EntryViews, ViewCounts, ViewId, ViewWeb};

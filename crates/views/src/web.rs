@@ -14,7 +14,7 @@
 
 use std::collections::HashMap;
 
-use rprism_trace::{intern, StackSnapshot, ThreadId, Trace, TraceEntry};
+use rprism_trace::{StackSnapshot, ThreadId, Trace, TraceEntry};
 
 use crate::view::{View, ViewKey, ViewKind, ViewName};
 
@@ -275,19 +275,6 @@ impl ViewCounts {
     }
 }
 
-/// Builds the webs of two traces concurrently (the common shape in differencing, where
-/// both sides are needed before correlation can start).
-pub fn build_web_pair(left: &Trace, right: &Trace) -> (ViewWeb, ViewWeb) {
-    // Touch the interner once up front so the scoped threads race less on first-time
-    // interning of the shared vocabulary.
-    let _ = intern("<main>");
-    std::thread::scope(|scope| {
-        let lhandle = scope.spawn(|| ViewWeb::build(left));
-        let rweb = ViewWeb::build(right);
-        (lhandle.join().expect("left web build panicked"), rweb)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -440,18 +427,5 @@ mod tests {
         let web = ViewWeb::build(&trace);
         assert_eq!(web.total_views(), 0);
         assert!(web.views_of_entry(0).iter().next().is_none());
-    }
-
-    #[test]
-    fn parallel_pair_build_matches_sequential_build() {
-        let trace = trace_of(SAMPLE);
-        let (lweb, rweb) = build_web_pair(&trace, &trace);
-        let seq = ViewWeb::build(&trace);
-        assert_eq!(lweb.total_views(), seq.total_views());
-        assert_eq!(rweb.total_views(), seq.total_views());
-        for (id, view) in seq.views_with_ids() {
-            assert_eq!(lweb.view_by_id(id).entries, view.entries);
-            assert_eq!(rweb.view(&view.name).unwrap().entries, view.entries);
-        }
     }
 }

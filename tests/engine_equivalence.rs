@@ -1,17 +1,24 @@
-//! Equivalence of the session-oriented `Engine` API with the deprecated free-function
-//! entry points on the four §5.2 case studies: same matchings, same difference
-//! sequences, same analysis sets, same deterministic cost accounting (everything except
-//! wall-clock timestamps is identical). Also proves the caching contract: a
+//! Equivalence of the session-oriented `Engine` API with the free-function entry points
+//! over freshly built artifacts (`views_diff_keyed`, `analyze_prepared`) on the four
+//! §5.2 case studies: same matchings, same difference sequences, same analysis sets,
+//! same deterministic cost accounting (everything except wall-clock timestamps is
+//! identical). Also proves the caching contract: a
 //! `PreparedTrace`'s artifacts are built exactly once no matter how many queries touch
 //! them, and the batch entry points reproduce the single-call results in input order.
 
-// The deprecated one-shot functions are the comparison baseline here, used on purpose.
-#![allow(deprecated)]
-
 use rprism::{Engine, PreparedTrace, RegressionInput};
-use rprism_diff::{views_diff, TraceDiffResult, ViewsDiffOptions};
-use rprism_regress::{analyze, DiffAlgorithm, RegressionReport, RegressionTraces};
+use rprism_diff::{views_diff_keyed, TraceDiffResult, ViewsDiffOptions};
+use rprism_regress::{
+    analyze_prepared, DiffAlgorithm, PreparedInput, PreparedTraceRef, RegressionReport,
+};
+use rprism_trace::{KeyedTrace, Trace};
+use rprism_views::ViewWeb;
 use rprism_workloads::casestudies;
+
+/// Keys and web of one trace, built from scratch (nothing shared with the engine).
+fn fresh(trace: &Trace) -> (KeyedTrace, ViewWeb) {
+    (KeyedTrace::build(trace), ViewWeb::build(trace))
+}
 
 fn assert_same_diff(name: &str, a: &TraceDiffResult, b: &TraceDiffResult) {
     assert_eq!(
@@ -56,7 +63,16 @@ fn engine_diff_matches_deprecated_views_diff_on_all_case_studies() {
         let old = &traces.traces.old_regressing;
         let new = &traces.traces.new_regressing;
 
-        let free = views_diff(old, new, &ViewsDiffOptions::default());
+        let ((old_keyed, old_web), (new_keyed, new_web)) = (fresh(old), fresh(new));
+        let free = views_diff_keyed(
+            old,
+            new,
+            &old_web,
+            &new_web,
+            &old_keyed,
+            &new_keyed,
+            &ViewsDiffOptions::default(),
+        );
         let session = engine.diff(old, new).expect("views never fails");
         assert_same_diff(&scenario.name, &free, &session);
     }
@@ -67,16 +83,22 @@ fn engine_analysis_matches_deprecated_analyze_on_all_case_studies() {
     let engine = Engine::new();
     for scenario in casestudies::all() {
         let traces = scenario.trace_all().unwrap();
-        // The deprecated path owns its four traces; clone them out of the handles
-        // (test-only — the engine path below copies nothing).
-        let owned = RegressionTraces {
-            old_regressing: traces.traces.old_regressing.trace().clone(),
-            new_regressing: traces.traces.new_regressing.trace().clone(),
-            old_passing: traces.traces.old_passing.trace().clone(),
-            new_passing: traces.traces.new_passing.trace().clone(),
+        let four = [
+            traces.traces.old_regressing.trace(),
+            traces.traces.new_regressing.trace(),
+            traces.traces.old_passing.trace(),
+            traces.traces.new_passing.trace(),
+        ];
+        let built: Vec<(KeyedTrace, ViewWeb)> = four.iter().map(|t| fresh(t)).collect();
+        let prepared = |i: usize| PreparedTraceRef::new(four[i], &built[i].0, Some(&built[i].1));
+        let input = PreparedInput {
+            old_regressing: prepared(0),
+            new_regressing: prepared(1),
+            old_passing: prepared(2),
+            new_passing: prepared(3),
         };
         let algorithm = DiffAlgorithm::Views(ViewsDiffOptions::default());
-        let free = analyze(&owned, &algorithm, scenario.analysis_mode()).unwrap();
+        let free = analyze_prepared(&input, &algorithm, scenario.analysis_mode()).unwrap();
         // The scenario's prepared input carries its analysis mode.
         let session = engine.analyze(&traces.traces).unwrap();
         assert_same_report(&scenario.name, &free, &session);

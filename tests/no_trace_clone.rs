@@ -2,9 +2,9 @@
 //! pattern of `crates/diff/tests/no_alloc_hot_path.rs`: instead of a counting allocator,
 //! `Trace`'s `Clone` impl counts every deep copy process-wide, and this test asserts that
 //! the entire analysis path — engine diffs, batch diffs and the full regression-cause
-//! analysis over `PreparedTrace` handles — performs **zero** trace copies. (The
-//! deprecated by-value API forced callers to clone traces to reuse them; the session API
-//! exists to make that structurally unnecessary.)
+//! analysis over `PreparedTrace` handles — performs **zero** trace copies. (The old
+//! by-value API forced callers to clone traces to reuse them; the session API exists
+//! to make that structurally unnecessary.)
 //!
 //! This file deliberately contains a single `#[test]`: the counter is process-global,
 //! and a sibling test cloning traces concurrently would pollute the measured window.
