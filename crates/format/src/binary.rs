@@ -17,9 +17,9 @@
 //! All integers are LEB128 varints (see [`crate::varint`]) except the fixed-width header
 //! and checksum fields. Strings are deduplicated through a define-before-use symbol
 //! table: the first record mentioning a string is preceded by a `sym` record, and every
-//! mention is a varint id into the table. The writer keys its deduplication off the
-//! process-global [`Interner`](mod@rprism_trace::intern), so repeated names cost one hash
-//! lookup and one varint.
+//! mention is a varint id into the table. The writer deduplicates through a table of
+//! its own, so repeated names cost one hash lookup and one varint, and encoding a
+//! stream never touches the process-global [`Interner`](mod@rprism_trace::intern).
 //!
 //! ```text
 //! objrep   ::= flags u8            -- bit0: has loc, bit1: has creation seq
@@ -45,17 +45,17 @@
 //! or single-byte damage surfaces as a structured [`FormatError`], never a panic and
 //! never a silently different trace.
 
+use std::collections::HashMap;
 use std::io::{Read, Write};
 
 use rprism_lang::{FieldName, MethodName};
-use rprism_trace::{
-    intern, Event, ObjRep, StackFrame, StackSnapshot, ThreadId, TraceEntry, TraceMeta,
-    ValueFingerprint,
-};
 use rprism_trace::{CreationSeq, EntryId, Loc};
+use rprism_trace::{
+    Event, ObjRep, StackFrame, StackSnapshot, ThreadId, TraceEntry, TraceMeta, ValueFingerprint,
+};
 
 use crate::error::{FormatError, Result};
-use crate::varint::{self, ByteSource};
+use crate::varint::{self, ByteSource as _, SliceSource};
 use crate::TailEntry;
 
 /// The four magic bytes opening every binary trace.
@@ -119,9 +119,10 @@ impl Default for Fnv64 {
 pub struct BinaryTraceWriter<W: Write> {
     out: W,
     hash: Fnv64,
-    /// Interner symbol index → file-local string id, the deduplication table.
-    sym_to_id: Vec<Option<u32>>,
-    next_string_id: u32,
+    /// String → file-local string id, the deduplication table. It stays local to the
+    /// writer (and keyed with std's `RandomState`): the strings may come from an
+    /// unverified upload, which must not grow the process-global interner.
+    string_ids: HashMap<Box<str>, u32>,
     entries: u64,
     scratch: Vec<u8>,
 }
@@ -132,8 +133,7 @@ impl<W: Write> BinaryTraceWriter<W> {
         let mut writer = BinaryTraceWriter {
             out,
             hash: Fnv64::new(),
-            sym_to_id: Vec::new(),
-            next_string_id: 0,
+            string_ids: HashMap::new(),
             entries: 0,
             scratch: Vec::new(),
         };
@@ -156,20 +156,14 @@ impl<W: Write> BinaryTraceWriter<W> {
     }
 
     /// The file-local id of a string, defining it (one `sym` record) on first use.
-    /// Deduplication goes through the process-global interner: one hash lookup per
-    /// mention, then a dense-vector hit.
+    /// Ids are assigned in first-mention order; each mention costs one lookup in the
+    /// writer's own table.
     fn string_id(&mut self, s: &str) -> Result<u64> {
-        let sym = intern(s);
-        let index = sym.index();
-        if index >= self.sym_to_id.len() {
-            self.sym_to_id.resize(index + 1, None);
-        }
-        if let Some(id) = self.sym_to_id[index] {
+        if let Some(&id) = self.string_ids.get(s) {
             return Ok(u64::from(id));
         }
-        let id = self.next_string_id;
-        self.next_string_id += 1;
-        self.sym_to_id[index] = Some(id);
+        let id = u32::try_from(self.string_ids.len()).expect("string table overflow");
+        self.string_ids.insert(s.into(), id);
         let mut record = Vec::with_capacity(s.len() + 6);
         record.push(TAG_SYM);
         varint::write_u64(&mut record, s.len() as u64);
@@ -319,7 +313,7 @@ impl<W: Write> BinaryTraceWriter<W> {
 }
 
 /// Streaming reader of the binary encoding: one entry is decoded (and handed out) at a
-/// time; memory use is bounded by the string table plus a single entry.
+/// time; memory use is bounded by the string table, one input chunk and one record.
 ///
 /// The string table is **file-local** (`Vec<Box<str>>`), deliberately not the
 /// process-global interner: interned strings are leaked for the process lifetime, so
@@ -327,9 +321,24 @@ impl<W: Write> BinaryTraceWriter<W> {
 /// corrupt file (whose checksum is only verified at the footer) permanently grow
 /// process memory. Interning happens later, lazily, when a loaded trace is prepared
 /// for analysis — at that point the trace has been fully validated.
+///
+/// Input is read a chunk at a time into a byte window. Decoding indexes the window
+/// directly; the bytes of the record being decoded stay in it until the record is
+/// complete, so a record cut short by the current end of input can be re-decoded
+/// after the source grows (a tailed file or a byte stream that ends mid-record is a
+/// *state*, not necessarily an error).
 pub struct BinaryTraceReader<R: Read> {
     input: R,
-    offset: u64,
+    /// The byte window: `buf[start..pos]` is the record being decoded and
+    /// `buf[pos..end]` is read ahead. Everything before `start` is committed and
+    /// already in `hash`; `buf[end..]` is room for the next read.
+    buf: Vec<u8>,
+    start: usize,
+    pos: usize,
+    end: usize,
+    /// Absolute stream offset of `buf[0]`.
+    base: u64,
+    /// FNV-1a 64 of every committed byte.
     hash: Fnv64,
     meta: TraceMeta,
     /// File-local string id → string (dropped with the reader).
@@ -339,32 +348,37 @@ pub struct BinaryTraceReader<R: Read> {
     fields: Vec<Option<FieldName>>,
     entries_read: u64,
     done: bool,
-    /// Bytes consumed from `input` since the last committed record boundary, retained
-    /// so an incomplete record can be re-decoded after the source grows (a tailed file
-    /// or a byte stream that ends mid-record is a *state*, not necessarily an error).
-    replay: Vec<u8>,
-    replay_pos: usize,
     /// Where the last incomplete read ran dry, for strict-mode truncation reports.
     dry_offset: u64,
 }
 
-/// Rollback point for one record decode: everything a partial decode may have mutated.
-/// The replay buffer itself is not part of the checkpoint — restoring simply rewinds
-/// `replay_pos` to serve the same bytes again.
+/// Rollback point for one record decode: the table state a partial decode may have
+/// mutated. The record's bytes stay in the window, so restoring rewinds `pos` to
+/// `start` to serve the same bytes again.
 #[derive(Clone, Copy)]
 struct Checkpoint {
-    offset: u64,
-    hash: Fnv64,
     strings: usize,
     entries_read: u64,
 }
+
+/// The least room one [`BinaryTraceReader::fill`] offers the input: one read of a
+/// default-sized `BufReader`.
+const CHUNK: usize = 8 * 1024;
+
+/// The most bytes [`varint::read_u64`] examines before it decides: ten payload bytes
+/// plus the eleventh that proves an encoding overlong.
+const VARINT_WINDOW: usize = 11;
 
 impl<R: Read> BinaryTraceReader<R> {
     /// Opens a binary trace stream, parsing and validating the header.
     pub fn new(input: R) -> Result<Self> {
         let mut reader = BinaryTraceReader {
             input,
-            offset: 0,
+            buf: Vec::new(),
+            start: 0,
+            pos: 0,
+            end: 0,
+            base: 0,
             hash: Fnv64::new(),
             meta: TraceMeta::default(),
             strings: Vec::new(),
@@ -372,17 +386,15 @@ impl<R: Read> BinaryTraceReader<R> {
             fields: Vec::new(),
             entries_read: 0,
             done: false,
-            replay: Vec::new(),
-            replay_pos: 0,
             dry_offset: 0,
         };
         let mut magic = [0u8; 4];
-        reader.read_hashed(&mut magic)?;
+        reader.read_raw(&mut magic)?;
         if magic != MAGIC {
             return Err(FormatError::BadMagic { found: magic });
         }
         let mut word = [0u8; 2];
-        reader.read_hashed(&mut word)?;
+        reader.read_raw(&mut word)?;
         let version = u16::from_le_bytes(word);
         if version != FORMAT_VERSION {
             return Err(FormatError::UnsupportedVersion {
@@ -390,7 +402,7 @@ impl<R: Read> BinaryTraceReader<R> {
                 supported: FORMAT_VERSION,
             });
         }
-        reader.read_hashed(&mut word)?;
+        reader.read_raw(&mut word)?;
         let flags = u16::from_le_bytes(word);
         if flags != 0 {
             return Err(FormatError::Corrupt {
@@ -411,23 +423,31 @@ impl<R: Read> BinaryTraceReader<R> {
         &self.meta
     }
 
-    /// The next byte, served from the replay buffer first, then from the input (and
-    /// recorded for replay). `None` means the input has no byte *right now* — a clean
-    /// end for a complete stream, a wait state for a growing one.
-    fn pull_byte(&mut self) -> Result<Option<u8>> {
-        if self.replay_pos < self.replay.len() {
-            let b = self.replay[self.replay_pos];
-            self.replay_pos += 1;
-            return Ok(Some(b));
+    /// Absolute offset of the next byte to decode.
+    fn offset(&self) -> u64 {
+        self.base + self.pos as u64
+    }
+
+    /// Reads one chunk from the input onto the end of the window, first moving the
+    /// uncommitted bytes to the front. Returns the number of bytes read; `0` means the
+    /// input has no byte *right now* — a clean end for a complete stream, a wait
+    /// state for a growing one.
+    fn fill(&mut self) -> Result<usize> {
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.base += self.start as u64;
+            self.pos -= self.start;
+            self.end -= self.start;
+            self.start = 0;
         }
-        let mut byte = [0u8; 1];
+        if self.buf.len() - self.end < CHUNK {
+            self.buf.resize(self.end + CHUNK, 0);
+        }
         loop {
-            match self.input.read(&mut byte) {
-                Ok(0) => return Ok(None),
-                Ok(_) => {
-                    self.replay.push(byte[0]);
-                    self.replay_pos = self.replay.len();
-                    return Ok(Some(byte[0]));
+            match self.input.read(&mut self.buf[self.end..]) {
+                Ok(n) => {
+                    self.end += n;
+                    return Ok(n);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(FormatError::Io(e)),
@@ -435,85 +455,92 @@ impl<R: Read> BinaryTraceReader<R> {
         }
     }
 
+    /// Makes `n` bytes available at `pos` if the input can supply them; `false` when
+    /// it runs dry first. The window only ever grows by bytes actually read, so a
+    /// forged length cannot trigger a huge allocation.
+    fn ensure(&mut self, n: usize) -> Result<bool> {
+        while self.end - self.pos < n {
+            if self.fill()? == 0 {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
     fn checkpoint(&self) -> Checkpoint {
         Checkpoint {
-            offset: self.offset,
-            hash: self.hash,
             strings: self.strings.len(),
             entries_read: self.entries_read,
         }
     }
 
-    /// Rewinds to `cp`: decode state rolls back and the bytes consumed since then are
-    /// queued for replay on the next attempt.
+    /// Rewinds to `cp`: decode state rolls back and the record's bytes are served
+    /// again on the next attempt.
     fn restore(&mut self, cp: Checkpoint) {
-        self.offset = cp.offset;
-        self.hash = cp.hash;
+        self.pos = self.start;
         self.strings.truncate(cp.strings);
         self.methods.truncate(cp.strings);
         self.fields.truncate(cp.strings);
         self.entries_read = cp.entries_read;
-        self.replay_pos = 0;
     }
 
-    /// Declares every replayed byte consumed for good: the stream is at a record
-    /// boundary and this record can never be re-decoded.
+    /// Declares the decoded record consumed for good: its bytes go into the running
+    /// checksum and the stream is at a record boundary again.
     fn commit(&mut self) {
-        self.replay.drain(..self.replay_pos);
-        self.replay_pos = 0;
+        self.hash.update(&self.buf[self.start..self.pos]);
+        self.start = self.pos;
     }
 
-    /// Reads exactly `buf.len()` bytes, feeding them into the running checksum.
-    fn read_hashed(&mut self, buf: &mut [u8]) -> Result<()> {
-        self.read_raw(buf)?;
-        self.hash.update(buf);
-        Ok(())
-    }
-
-    fn read_raw(&mut self, buf: &mut [u8]) -> Result<()> {
-        for slot in buf.iter_mut() {
-            let Some(b) = self.pull_byte()? else {
-                return Err(FormatError::Truncated { offset: self.offset });
-            };
-            *slot = b;
-            self.offset += 1;
+    /// Consumes the next `n` bytes, or reports truncation where the input runs dry.
+    fn take(&mut self, n: usize) -> Result<&[u8]> {
+        if !self.ensure(n)? {
+            return Err(FormatError::Truncated {
+                offset: self.base + self.end as u64,
+            });
         }
+        self.pos += n;
+        Ok(&self.buf[self.pos - n..self.pos])
+    }
+
+    /// Reads exactly `out.len()` bytes.
+    fn read_raw(&mut self, out: &mut [u8]) -> Result<()> {
+        out.copy_from_slice(self.take(out.len())?);
         Ok(())
     }
 
     /// Reads one byte, or `None` at a clean end of input.
     fn read_optional_byte(&mut self) -> Result<Option<u8>> {
-        match self.pull_byte()? {
-            Some(b) => {
-                self.offset += 1;
-                self.hash.update(&[b]);
-                Ok(Some(b))
-            }
-            None => Ok(None),
+        if self.pos == self.end && self.fill()? == 0 {
+            return Ok(None);
         }
+        let b = self.buf[self.pos];
+        self.pos += 1;
+        Ok(Some(b))
     }
 
     fn read_varint(&mut self) -> Result<u64> {
-        varint::read_u64(self)
+        // With the whole varint (or everything the input has) in the window, decoding
+        // the slice gives the same value, error and offset as decoding the stream.
+        self.ensure(VARINT_WINDOW)?;
+        let base = self.offset();
+        let mut src = SliceSource::new(&self.buf[self.pos..self.end], base);
+        let value = varint::read_u64(&mut src);
+        self.pos += (src.offset() - base) as usize;
+        value
     }
 
-    /// Reads a length-prefixed UTF-8 string. Bytes arrive through the bounded
-    /// byte-at-a-time path, so a forged length cannot trigger a huge allocation: the
-    /// stream runs out first and reports truncation.
+    /// Reads a length-prefixed UTF-8 string. The bytes must be in the window before
+    /// anything is allocated, so a forged length runs the input dry and reports
+    /// truncation instead.
     fn read_string(&mut self) -> Result<String> {
-        let start = self.offset;
+        let start = self.offset();
         let len = self.read_varint()?;
-        let mut bytes = Vec::new();
-        for _ in 0..len {
-            let Some(b) = self.read_optional_byte()? else {
-                return Err(FormatError::Truncated { offset: self.offset });
-            };
-            bytes.push(b);
-        }
-        String::from_utf8(bytes).map_err(|_| FormatError::Corrupt {
+        let bytes = self.take(usize::try_from(len).unwrap_or(usize::MAX))?;
+        let s = std::str::from_utf8(bytes).map_err(|_| FormatError::Corrupt {
             offset: start,
             detail: "string is not valid UTF-8".into(),
-        })
+        })?;
+        Ok(s.to_owned())
     }
 
     /// Validates a string id against the table, returning the index.
@@ -523,7 +550,7 @@ impl<R: Read> BinaryTraceReader<R> {
             Ok(index)
         } else {
             Err(FormatError::Corrupt {
-                offset: self.offset,
+                offset: self.offset(),
                 detail: format!(
                     "string id {id} out of range (table has {} entries)",
                     self.strings.len()
@@ -553,9 +580,11 @@ impl<R: Read> BinaryTraceReader<R> {
     }
 
     fn read_objrep(&mut self) -> Result<ObjRep> {
-        let start = self.offset;
+        let start = self.offset();
         let Some(flags) = self.read_optional_byte()? else {
-            return Err(FormatError::Truncated { offset: self.offset });
+            return Err(FormatError::Truncated {
+                offset: self.offset(),
+            });
         };
         if flags & !(OBJ_HAS_LOC | OBJ_HAS_SEQ) != 0 {
             return Err(FormatError::Corrupt {
@@ -601,9 +630,11 @@ impl<R: Read> BinaryTraceReader<R> {
     }
 
     fn read_event(&mut self) -> Result<Event> {
-        let start = self.offset;
+        let start = self.offset();
         let Some(kind) = self.read_optional_byte()? else {
-            return Err(FormatError::Truncated { offset: self.offset });
+            return Err(FormatError::Truncated {
+                offset: self.offset(),
+            });
         };
         Ok(match kind {
             KIND_GET | KIND_SET => {
@@ -688,7 +719,7 @@ impl<R: Read> BinaryTraceReader<R> {
     }
 
     fn read_footer(&mut self) -> Result<()> {
-        let footer_offset = self.offset - 1;
+        let footer_offset = self.offset() - 1;
         let declared = self.read_varint()?;
         if declared != self.entries_read {
             return Err(FormatError::Corrupt {
@@ -699,8 +730,11 @@ impl<R: Read> BinaryTraceReader<R> {
                 ),
             });
         }
-        // Snapshot the running hash before consuming the (unhashed) checksum field.
-        let computed = self.hash.finish();
+        // The checksum covers every byte before its own field: the committed stream
+        // plus this record's bytes so far.
+        let mut pending = self.hash;
+        pending.update(&self.buf[self.start..self.pos]);
+        let computed = pending.finish();
         let mut checksum = [0u8; 8];
         self.read_raw(&mut checksum)?;
         let expected = u64::from_le_bytes(checksum);
@@ -712,7 +746,7 @@ impl<R: Read> BinaryTraceReader<R> {
         }
         if self.read_optional_byte()?.is_some() {
             return Err(FormatError::Corrupt {
-                offset: self.offset - 1,
+                offset: self.offset() - 1,
                 detail: "trailing bytes after the trace footer".into(),
             });
         }
@@ -728,8 +762,8 @@ impl<R: Read> BinaryTraceReader<R> {
         };
         match tag {
             TAG_SYM => {
-                let s = self.read_string()?;
-                self.strings.push(s.into_boxed_str());
+                let s = self.read_string()?.into_boxed_str();
+                self.strings.push(s);
                 self.methods.push(None);
                 self.fields.push(None);
                 Ok(Some(Record::Sym))
@@ -751,7 +785,7 @@ impl<R: Read> BinaryTraceReader<R> {
                 Ok(Some(Record::End))
             }
             other => Err(FormatError::Corrupt {
-                offset: self.offset - 1,
+                offset: self.offset() - 1,
                 detail: format!("unknown record tag {other:#04x}"),
             }),
         }
@@ -779,7 +813,7 @@ impl<R: Read> BinaryTraceReader<R> {
                     return Ok(TailEntry::End);
                 }
                 Ok(None) => {
-                    self.dry_offset = self.offset;
+                    self.dry_offset = self.offset();
                     self.restore(cp);
                     return Ok(TailEntry::Pending);
                 }
@@ -819,16 +853,6 @@ enum Record {
     Sym,
     Entry(TraceEntry),
     End,
-}
-
-impl<R: Read> ByteSource for BinaryTraceReader<R> {
-    fn next_byte(&mut self) -> Result<Option<u8>> {
-        self.read_optional_byte()
-    }
-
-    fn offset(&self) -> u64 {
-        self.offset
-    }
 }
 
 #[cfg(test)]
@@ -935,6 +959,83 @@ mod tests {
             decode(&bytes).unwrap_err(),
             FormatError::Corrupt { .. }
         ));
+    }
+
+    /// A `Read` that hands out at most `step` bytes per call.
+    struct ShortReads<'a> {
+        bytes: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for ShortReads<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            let n = out.len().min(self.step).min(self.bytes.len());
+            out[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    /// A trace with one `sym` record (a ~100 KB printed string) larger than a refill.
+    fn trace_with_a_record_larger_than_a_chunk() -> Trace {
+        let mut rng = Rng::new(41);
+        let mut t = Trace::new(TraceMeta::new("window", "v1", "t1"));
+        for i in 0..120 {
+            let mut entry = arbitrary_entry(&mut rng);
+            if i == 60 {
+                entry.active.printed = "0123456789".repeat(10_000);
+            }
+            t.push(entry);
+        }
+        t
+    }
+
+    /// Read sizes that straddle the reader's window: single bytes, and one refill
+    /// minus one, exactly, plus one.
+    const STEPS: [usize; 4] = [1, CHUNK - 1, CHUNK, CHUNK + 1];
+
+    #[test]
+    fn short_reads_at_the_window_boundaries_decode_identically() {
+        let trace = trace_with_a_record_larger_than_a_chunk();
+        let bytes = encode(&trace);
+        let expected = crate::trace_from_bytes(&bytes).unwrap();
+        assert_eq!(expected, trace);
+        for step in STEPS {
+            let mut r = BinaryTraceReader::new(ShortReads {
+                bytes: &bytes,
+                step,
+            })
+            .unwrap();
+            let mut got = Trace::new(r.meta().clone());
+            while let Some(entry) = r.next_entry().unwrap() {
+                got.push(entry);
+            }
+            assert_eq!(got, expected, "read size {step}");
+        }
+    }
+
+    #[test]
+    fn tail_decoder_drip_feed_at_the_window_boundaries_decodes_identically() {
+        let trace = trace_with_a_record_larger_than_a_chunk();
+        let bytes = encode(&trace);
+        let expected = crate::trace_from_bytes(&bytes).unwrap();
+        for step in STEPS {
+            let mut decoder = crate::TailDecoder::new();
+            let mut got = Vec::new();
+            let mut batch = Vec::new();
+            for piece in bytes.chunks(step) {
+                decoder.push_bytes(piece).unwrap();
+                while let crate::TailBatch::Entries(_) = decoder.read_batch(&mut batch, 16).unwrap()
+                {
+                    got.append(&mut batch);
+                }
+            }
+            decoder.finish(&mut got).unwrap();
+            assert_eq!(got.len(), expected.len(), "chunk size {step}");
+            for (a, b) in got.iter().zip(expected.iter()) {
+                assert_eq!(a, b, "chunk size {step}");
+            }
+        }
     }
 
     #[test]

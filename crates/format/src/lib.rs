@@ -9,10 +9,9 @@
 //! ## Encodings
 //!
 //! * [`Encoding::Binary`] (`.rtr`) — the compact interchange form: a `RPTR` magic +
-//!   version header, a deduplicated define-before-use string table keyed off the
-//!   process-global [`Interner`](mod@rprism_trace::intern), varint-packed entry records,
-//!   and a footer with the entry count and an FNV-1a 64 checksum of the whole stream.
-//!   The full byte-level grammar is documented in [`binary`].
+//!   version header, a deduplicated define-before-use string table, varint-packed
+//!   entry records, and a footer with the entry count and an FNV-1a 64 checksum of the
+//!   whole stream. The full byte-level grammar is documented in [`binary`].
 //! * [`Encoding::Jsonl`] (`.jsonl`) — a line-oriented JSON text form for human
 //!   authoring and external tooling: a header line, one self-describing object per
 //!   entry, and an optional trailer (strict schema; unknown keys are rejected).
@@ -462,8 +461,9 @@ impl Write for HashSink {
 /// encoding the client happened to send.
 ///
 /// The stream is fully validated on the way through (footer checksum, trailer count,
-/// schema), so a corrupt stream yields its decode error, never a hash. Like the
-/// streaming ingest pipeline, hashing interns the stream's names as they arrive.
+/// schema), so a corrupt stream yields its decode error, never a hash. Hashing never
+/// interns: the names of a rejected upload leave nothing behind in the process-global
+/// interner.
 ///
 /// # Errors
 ///

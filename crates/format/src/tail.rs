@@ -21,8 +21,9 @@
 //!    stream still pending reports truncation; a JSONL stream gets the
 //!    unterminated-final-line grace and its implicit trailer-less end.
 //!
-//! The decoder never copies bytes more than once: chunks go into a shared queue the
-//! inner reader consumes directly.
+//! Bytes move in slices, never one at a time: a chunk is appended to a shared queue
+//! in one copy, and each read of the inner reader takes as much of the queue as its
+//! window has room for in one copy out.
 
 use std::collections::VecDeque;
 use std::io::{BufReader, Read};
@@ -45,12 +46,9 @@ pub struct QueueReader {
 
 impl Read for QueueReader {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let mut queue = self.queue.lock().expect("tail queue poisoned");
-        let n = buf.len().min(queue.len());
-        for slot in buf.iter_mut().take(n) {
-            *slot = queue.pop_front().expect("queue length checked");
-        }
-        Ok(n)
+        // std's `Read for VecDeque<u8>` copies out of the queue's front slice and
+        // drains what it copied.
+        self.queue.lock().expect("tail queue poisoned").read(buf)
     }
 }
 
@@ -87,7 +85,7 @@ impl TailDecoder {
         match &self.inner {
             Some(inner) => {
                 let mut queue = inner.queue.lock().expect("tail queue poisoned");
-                queue.extend(bytes.iter().copied());
+                queue.extend(bytes);
                 Ok(())
             }
             None => {
@@ -106,7 +104,7 @@ impl TailDecoder {
         let queue: SharedBytes = Arc::new(Mutex::new(VecDeque::new()));
         {
             let mut q = queue.lock().expect("tail queue poisoned");
-            q.extend(self.stash.iter().copied());
+            q.extend(&self.stash);
         }
         match TraceReader::new(BufReader::new(QueueReader {
             queue: Arc::clone(&queue),

@@ -8,7 +8,7 @@
 //!   checksummed footer is what makes the flip property hold even for bytes the
 //!   structural checks cannot pin down (string contents, fingerprints).
 
-use rprism_format::{trace_from_bytes, trace_to_bytes, Encoding, FormatError};
+use rprism_format::{trace_from_bytes, trace_to_bytes, Encoding, Fnv64, FormatError};
 use rprism_trace::testgen::{arbitrary_trace, Rng};
 use rprism_trace::{event_eq, Trace};
 
@@ -151,4 +151,42 @@ fn binary_error_taxonomy_is_stable() {
         trace_from_bytes(&truncated).unwrap_err(),
         FormatError::Truncated { .. } | FormatError::Corrupt { .. }
     ));
+}
+
+/// Every diagnostic a fixed binary trace yields under each truncation length and each
+/// single-byte xor, one `Debug` line per case.
+fn damage_diagnostics(bytes: &[u8]) -> String {
+    let describe = |input: &[u8]| match trace_from_bytes(input) {
+        Ok(decoded) => format!("Ok({} entries)", decoded.len()),
+        Err(e) => format!("{e:?}"),
+    };
+    let mut lines = String::new();
+    for len in 0..bytes.len() {
+        lines += &format!("cut {len}: {}\n", describe(&bytes[..len]));
+    }
+    for pos in 0..bytes.len() {
+        for pattern in [0x01u8, 0xff, 0x80] {
+            let mut damaged = bytes.to_vec();
+            damaged[pos] ^= pattern;
+            lines += &format!("xor {pos} {pattern:#04x}: {}\n", describe(&damaged));
+        }
+    }
+    lines
+}
+
+#[test]
+fn binary_damage_diagnostics_are_pinned() {
+    // The properties above only require *some* error. This pins the exact variant,
+    // offset and detail text of every truncation and single-byte flip of one seeded
+    // trace, so a reader rewrite cannot shift a diagnostic unnoticed.
+    let trace = arbitrary_trace(&mut Rng::new(0xd1a9), 40);
+    let bytes = trace_to_bytes(&trace, Encoding::Binary).unwrap();
+    let lines = damage_diagnostics(&bytes);
+    let mut digest = Fnv64::new();
+    digest.update(lines.as_bytes());
+    assert_eq!(
+        (bytes.len(), lines.lines().count(), digest.finish()),
+        (1961, 7844, 6394115963829962188),
+        "damage diagnostics drifted:\n{lines}"
+    );
 }
