@@ -37,6 +37,23 @@
 //! Entry ids are implicit: the n-th `entry` record has id n, mirroring the [`Trace`](rprism_trace::Trace)
 //! invariant that entry ids equal positions.
 //!
+//! # Canonical layout
+//!
+//! The reader accepts any define-before-use string table, but [`BinaryTraceWriter`]
+//! emits exactly one layout for a given trace, the *canonical* one:
+//!
+//! 1. all `sym` strings are pairwise distinct;
+//! 2. within an entry, the first mention of an id no entry has mentioned yet is always
+//!    the lowest such id — strings are defined in first-mention order;
+//! 3. after every entry, and at the footer, every defined `sym` has been mentioned —
+//!    each string is defined just before the entry that first uses it.
+//!
+//! Everything else about the bytes is already fixed by the reader's checks: header
+//! version and flags, minimal varints, object representation flags, the footer's
+//! count and checksum, and nothing after the footer. A canonical stream is therefore
+//! byte for byte the writer's encoding of the trace it decodes to, and its FNV-1a 64
+//! is the trace's content hash ([`crate::content_hash`]) with no re-encode.
+//!
 //! # Integrity
 //!
 //! The footer carries the entry count and an FNV-1a 64 checksum of every preceding byte
@@ -843,6 +860,174 @@ impl<R: Read> BinaryTraceReader<R> {
             }),
         }
     }
+
+    /// Validates the rest of the stream without decoding it: every record is walked
+    /// in the decoder's order through the decoder's primitives, so every check runs
+    /// and a damaged stream fails with exactly the error [`Self::next_entry`] would
+    /// report. Nothing is built — no [`ObjRep`], no names, no argument lists.
+    ///
+    /// Returns the entry count and, when the stream has the canonical layout (see the
+    /// module docs), the FNV-1a 64 of the whole stream, checksum field included: the
+    /// bytes [`BinaryTraceWriter`] would produce for the decoded trace, so their hash
+    /// is the content hash without a re-encode.
+    pub(crate) fn validate(mut self) -> Result<(u64, Option<u64>)> {
+        let mut layout = Layout {
+            mentioned: 0,
+            canonical: true,
+        };
+        loop {
+            let Some(tag) = self.read_optional_byte()? else {
+                return Err(FormatError::Truncated {
+                    offset: self.offset(),
+                });
+            };
+            match tag {
+                TAG_SYM => {
+                    let s = self.read_string()?.into_boxed_str();
+                    self.strings.push(s);
+                }
+                TAG_ENTRY => {
+                    self.read_varint()?;
+                    self.walk_id(&mut layout)?;
+                    self.walk_objrep(&mut layout)?;
+                    self.walk_event(&mut layout)?;
+                    self.entries_read += 1;
+                    layout.canonical &= layout.mentioned == self.strings.len();
+                }
+                TAG_END => {
+                    self.read_footer()?;
+                    self.commit();
+                    layout.canonical &= layout.mentioned == self.strings.len();
+                    let hash = (layout.canonical && self.strings_are_distinct())
+                        .then(|| self.hash.finish());
+                    return Ok((self.entries_read, hash));
+                }
+                other => {
+                    return Err(FormatError::Corrupt {
+                        offset: self.offset() - 1,
+                        detail: format!("unknown record tag {other:#04x}"),
+                    })
+                }
+            }
+            self.commit();
+        }
+    }
+
+    /// Canonical layout rule 1: no string is defined twice. Sorted rather than hashed,
+    /// since the strings come from an unverified upload.
+    fn strings_are_distinct(&self) -> bool {
+        let mut sorted: Vec<&str> = self.strings.iter().map(|s| &**s).collect();
+        sorted.sort_unstable();
+        sorted.windows(2).all(|pair| pair[0] != pair[1])
+    }
+
+    /// Reads and checks one string id, tracking canonical layout rule 2: the first
+    /// mention of an id not yet mentioned must be the lowest such id.
+    fn walk_id(&mut self, layout: &mut Layout) -> Result<()> {
+        let id = self.read_varint()?;
+        let index = self.lookup(id)?;
+        if index == layout.mentioned {
+            layout.mentioned += 1;
+        } else if index > layout.mentioned {
+            layout.canonical = false;
+        }
+        Ok(())
+    }
+
+    /// [`Self::read_objrep`] without the [`ObjRep`].
+    fn walk_objrep(&mut self, layout: &mut Layout) -> Result<()> {
+        let start = self.offset();
+        let Some(flags) = self.read_optional_byte()? else {
+            return Err(FormatError::Truncated {
+                offset: self.offset(),
+            });
+        };
+        if flags & !(OBJ_HAS_LOC | OBJ_HAS_SEQ) != 0 {
+            return Err(FormatError::Corrupt {
+                offset: start,
+                detail: format!("unknown object representation flags {flags:#04x}"),
+            });
+        }
+        self.walk_id(layout)?;
+        self.read_varint()?;
+        self.walk_id(layout)?;
+        if flags & OBJ_HAS_LOC != 0 {
+            self.read_varint()?;
+        }
+        if flags & OBJ_HAS_SEQ != 0 {
+            self.read_varint()?;
+        }
+        Ok(())
+    }
+
+    fn walk_objreps(&mut self, layout: &mut Layout) -> Result<()> {
+        let count = self.read_varint()?;
+        for _ in 0..count {
+            self.walk_objrep(layout)?;
+        }
+        Ok(())
+    }
+
+    /// [`Self::read_snapshot`] without the [`StackSnapshot`].
+    fn walk_snapshot(&mut self, layout: &mut Layout) -> Result<()> {
+        let count = self.read_varint()?;
+        for _ in 0..count {
+            self.walk_id(layout)?;
+            self.walk_objrep(layout)?;
+            self.walk_objrep(layout)?;
+        }
+        Ok(())
+    }
+
+    /// [`Self::read_event`] without the [`Event`].
+    fn walk_event(&mut self, layout: &mut Layout) -> Result<()> {
+        let start = self.offset();
+        let Some(kind) = self.read_optional_byte()? else {
+            return Err(FormatError::Truncated {
+                offset: self.offset(),
+            });
+        };
+        match kind {
+            KIND_GET | KIND_SET | KIND_RETURN => {
+                self.walk_objrep(layout)?;
+                self.walk_id(layout)?;
+                self.walk_objrep(layout)?;
+            }
+            KIND_CALL => {
+                self.walk_objrep(layout)?;
+                self.walk_id(layout)?;
+                self.walk_objreps(layout)?;
+            }
+            KIND_INIT => {
+                self.walk_id(layout)?;
+                self.walk_objreps(layout)?;
+                self.walk_objrep(layout)?;
+            }
+            KIND_FORK => {
+                self.read_varint()?;
+                let depth = self.read_varint()?;
+                for _ in 0..depth {
+                    self.walk_snapshot(layout)?;
+                }
+            }
+            KIND_END => self.walk_snapshot(layout)?,
+            other => {
+                return Err(FormatError::Corrupt {
+                    offset: start,
+                    detail: format!("unknown event kind {other:#04x}"),
+                })
+            }
+        }
+        Ok(())
+    }
+}
+
+/// What [`BinaryTraceReader::validate`] tracks of the canonical layout.
+struct Layout {
+    /// Ids `0..mentioned` have been mentioned by an entry.
+    mentioned: usize,
+    /// Whether every mention so far kept rules 2 and 3.
+    canonical: bool,
 }
 
 /// One decoded record of the binary stream (see [`BinaryTraceReader::read_record`]).

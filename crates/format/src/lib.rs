@@ -86,6 +86,9 @@ pub use error::{FormatError, Result};
 pub use jsonl::{JsonlTraceReader, JsonlTraceWriter, JSONL_VERSION};
 pub use tail::TailDecoder;
 
+/// The UTF-8 byte-order mark a stream may open with; it is not part of the trace.
+const BOM: [u8; 3] = [0xef, 0xbb, 0xbf];
+
 /// One step of reading a trace stream that may still be growing (see
 /// [`TraceReader::next_entry_tail`]).
 // The Entry payload is moved straight out to the caller; boxing it would cost an
@@ -229,7 +232,6 @@ impl<R: BufRead> TraceReader<R> {
     /// Returns a [`FormatError`] when the stream is empty, ends inside a binary
     /// header, or the header of the sniffed encoding is invalid.
     pub fn new(mut input: R) -> Result<TraceReader<ChainedReader<R>>> {
-        const BOM: [u8; 3] = [0xef, 0xbb, 0xbf];
         // Peek enough bytes to see a BOM plus the four magic bytes.
         let mut head = Vec::with_capacity(BOM.len() + MAGIC.len());
         let mut eof = false;
@@ -419,7 +421,7 @@ pub fn trace_from_bytes(bytes: &[u8]) -> Result<Trace> {
     read_trace(bytes)
 }
 
-/// What [`content_summary`] learns about a trace stream in one bounded-memory pass.
+/// What [`content_summary`] learns about a trace stream.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ContentSummary {
     /// The encoding-independent content hash (see [`content_hash`]).
@@ -433,7 +435,7 @@ pub struct ContentSummary {
 }
 
 /// An `io::Write` that discards its bytes into a running [`Fnv64`] — the sink behind
-/// the content hash.
+/// the re-encoding content hash.
 struct HashSink {
     hash: Fnv64,
 }
@@ -449,10 +451,8 @@ impl Write for HashSink {
     }
 }
 
-/// The **encoding-independent content hash** of a trace stream: the FNV-1a 64 of the
-/// canonical *binary* encoding of the trace the stream decodes to, computed in one
-/// streaming pass (entries are decoded one at a time and immediately re-encoded into
-/// the hash — the trace is never materialized).
+/// The **encoding-independent content hash** of a serialized trace: the FNV-1a 64 of
+/// the canonical *binary* encoding of the trace the bytes decode to.
 ///
 /// Because the binary encoding is deterministic and byte-stable, two streams that
 /// decode to the same trace — a `.rtr` file and its JSONL conversion, or the same
@@ -460,26 +460,61 @@ impl Write for HashSink {
 /// `rprism-server` trace repository: re-uploads deduplicate regardless of which
 /// encoding the client happened to send.
 ///
-/// The stream is fully validated on the way through (footer checksum, trailer count,
-/// schema), so a corrupt stream yields its decode error, never a hash. Hashing never
-/// interns: the names of a rejected upload leave nothing behind in the process-global
-/// interner.
+/// The input itself picks how the hash is computed:
+///
+/// * **Binary in the canonical layout** (see [`binary`]) — every stream
+///   [`BinaryTraceWriter`] produced — *is* its canonical encoding. One validating
+///   walk over the bytes runs every check the decoder runs, without building an
+///   entry, and the hash is the FNV-1a 64 of the stream itself.
+/// * **Anything else** — JSONL, or binary laid out differently (a string defined
+///   early, twice, or never used) — is decoded one entry at a time and each entry is
+///   re-encoded into the hash; the trace is never materialized.
+///
+/// A leading UTF-8 byte-order mark is not part of the trace: a stream hashes like its
+/// BOM-less form.
+///
+/// The input is fully validated either way (footer checksum, trailer count, schema),
+/// so a corrupt stream yields exactly the error [`trace_from_bytes`] reports, never a
+/// hash. Hashing never interns: the names of a rejected upload leave nothing behind
+/// in the process-global interner.
 ///
 /// # Errors
 ///
-/// Returns the stream's first [`FormatError`] (empty/truncated/corrupt input, an
-/// unsupported version, or I/O failure).
-pub fn content_hash(input: impl Read) -> Result<u64> {
-    content_summary(input).map(|summary| summary.hash)
+/// Returns the stream's first [`FormatError`] (empty/truncated/corrupt input or an
+/// unsupported version).
+pub fn content_hash(bytes: &[u8]) -> Result<u64> {
+    content_summary(bytes).map(|summary| summary.hash)
 }
 
 /// [`content_hash`] plus the entry count, metadata and detected encoding — everything a
-/// trace repository records about a blob without materializing it.
+/// trace repository records about a blob without materializing it. Canonical binary
+/// input takes the validating walk, everything else the decode-and-re-encode pass
+/// (see [`content_hash`]).
 ///
 /// # Errors
 ///
-/// Returns the stream's first [`FormatError`].
-pub fn content_summary(input: impl Read) -> Result<ContentSummary> {
+/// Returns the stream's first [`FormatError`], the same one [`trace_from_bytes`]
+/// reports.
+pub fn content_summary(bytes: &[u8]) -> Result<ContentSummary> {
+    let body = bytes.strip_prefix(&BOM).unwrap_or(bytes);
+    if body.starts_with(&MAGIC) {
+        let reader = BinaryTraceReader::new(body)?;
+        let meta = reader.meta().clone();
+        if let (entries, Some(hash)) = reader.validate()? {
+            return Ok(ContentSummary {
+                hash,
+                entries,
+                meta,
+                encoding: Encoding::Binary,
+            });
+        }
+    }
+    reencoded_summary(bytes)
+}
+
+/// [`content_summary`] by decoding every entry and re-encoding it canonically into
+/// the hash: the path for JSONL and non-canonical binary input.
+fn reencoded_summary(input: &[u8]) -> Result<ContentSummary> {
     let mut reader = TraceReader::new(BufReader::new(input))?;
     let meta = reader.meta().clone();
     let encoding = reader.encoding();
@@ -502,13 +537,13 @@ pub fn content_summary(input: impl Read) -> Result<ContentSummary> {
     })
 }
 
-/// [`content_summary`] over a file.
+/// [`content_summary`] over a file, read into memory first.
 ///
 /// # Errors
 ///
 /// Returns the file's first [`FormatError`].
 pub fn content_summary_path(path: impl AsRef<Path>) -> Result<ContentSummary> {
-    content_summary(File::open(path.as_ref())?)
+    content_summary(&std::fs::read(path.as_ref())?)
 }
 
 /// [`content_hash`] over a file.

@@ -8,8 +8,10 @@
 //!   checksummed footer is what makes the flip property hold even for bytes the
 //!   structural checks cannot pin down (string contents, fingerprints).
 
-use rprism_format::{trace_from_bytes, trace_to_bytes, Encoding, Fnv64, FormatError};
-use rprism_trace::testgen::{arbitrary_trace, Rng};
+use rprism_format::{
+    content_summary, trace_from_bytes, trace_to_bytes, Encoding, Fnv64, FormatError,
+};
+use rprism_trace::testgen::{arbitrary_trace, GenProfile, Rng};
 use rprism_trace::{event_eq, Trace};
 
 fn generated_traces() -> Vec<Trace> {
@@ -188,5 +190,52 @@ fn binary_damage_diagnostics_are_pinned() {
         (bytes.len(), lines.lines().count(), digest.finish()),
         (1961, 7844, 6394115963829962188),
         "damage diagnostics drifted:\n{lines}"
+    );
+}
+
+#[test]
+fn a_summary_fails_exactly_like_a_decode() {
+    // `content_summary` validates canonical binary without decoding it. On every
+    // truncation and byte flip of the pinned trace, and on one clean trace per
+    // generator profile, it must fail with the decoder's exact error, or agree with
+    // the decoder on the entry count and metadata.
+    let pinned = trace_to_bytes(
+        &arbitrary_trace(&mut Rng::new(0xd1a9), 40),
+        Encoding::Binary,
+    )
+    .unwrap();
+    let mut inputs: Vec<Vec<u8>> = (0..pinned.len())
+        .map(|len| pinned[..len].to_vec())
+        .collect();
+    for pos in 0..pinned.len() {
+        for pattern in [0x01u8, 0xff, 0x80] {
+            let mut damaged = pinned.clone();
+            damaged[pos] ^= pattern;
+            inputs.push(damaged);
+        }
+    }
+    for (i, &profile) in GenProfile::ALL.iter().enumerate() {
+        let trace = profile.generate(&mut Rng::new(0x5a + i as u64), 60);
+        inputs.push(trace_to_bytes(&trace, Encoding::Binary).unwrap());
+    }
+    let mut decoded = 0;
+    for (i, input) in inputs.iter().enumerate() {
+        match (content_summary(input), trace_from_bytes(input)) {
+            (Ok(summary), Ok(trace)) => {
+                assert_eq!(summary.entries, trace.len() as u64, "input {i}");
+                assert_eq!(summary.meta, trace.meta, "input {i}");
+                decoded += 1;
+            }
+            (Err(a), Err(b)) => assert_eq!(format!("{a:?}"), format!("{b:?}"), "input {i}"),
+            (a, b) => panic!(
+                "input {i}: summary {a:?} but decode {:?}",
+                b.map(|t| t.len())
+            ),
+        }
+    }
+    assert_eq!(
+        decoded,
+        GenProfile::ALL.len(),
+        "only the clean traces decode"
     );
 }

@@ -55,9 +55,6 @@ pub trait RepoFs: Send + Sync + std::fmt::Debug {
     /// Opens `path` for streaming reads.
     fn open_read(&self, path: &Path) -> std::io::Result<Box<dyn Read + Send>>;
 
-    /// The byte length of `path`.
-    fn len(&self, path: &Path) -> std::io::Result<u64>;
-
     /// Reads all of `path` into memory.
     fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
         let mut out = Vec::new();
@@ -105,10 +102,6 @@ impl RepoFs for StdFs {
 
     fn open_read(&self, path: &Path) -> std::io::Result<Box<dyn Read + Send>> {
         Ok(Box::new(File::open(path)?))
-    }
-
-    fn len(&self, path: &Path) -> std::io::Result<u64> {
-        Ok(std::fs::metadata(path)?.len())
     }
 }
 
@@ -201,9 +194,5 @@ impl<F: RepoFs> RepoFs for FaultyFs<F> {
     fn open_read(&self, path: &Path) -> std::io::Result<Box<dyn Read + Send>> {
         self.gate("fs:open")?;
         self.inner.open_read(path)
-    }
-
-    fn len(&self, path: &Path) -> std::io::Result<u64> {
-        self.inner.len(path)
     }
 }

@@ -271,11 +271,11 @@ impl TraceRepo {
                 .and_then(|s| s.to_str())
                 .and_then(|s| u64::from_str_radix(s, 16).ok());
             let verified = fs
-                .open_read(&path)
+                .read(&path)
                 .map_err(rprism_format::FormatError::Io)
-                .and_then(content_summary);
-            let summary = match verified {
-                Ok(summary) if declared == Some(summary.hash) => summary,
+                .and_then(|bytes| Ok((content_summary(&bytes)?, bytes.len() as u64)));
+            let (summary, bytes) = match verified {
+                Ok((summary, bytes)) if declared == Some(summary.hash) => (summary, bytes),
                 // Undecodable or misnamed: preserve the bytes for forensics, keep
                 // the repository up.
                 Ok(_) | Err(_) => {
@@ -285,11 +285,10 @@ impl TraceRepo {
                     continue;
                 }
             };
-            let bytes = fs.len(&path).unwrap_or(0);
             index.insert(
                 summary.hash,
                 BlobInfo {
-                    name: summary.meta.name.clone(),
+                    name: summary.meta.name,
                     entries: summary.entries,
                     bytes,
                 },
@@ -356,8 +355,10 @@ impl TraceRepo {
     }
 
     /// Stores a serialized trace, deduplicating by content: the upload is validated
-    /// and hashed in one streaming pass, and when the repository already holds the
-    /// content — regardless of which encoding either upload used — nothing is written.
+    /// and hashed in one pass (a validating walk over a canonical binary upload, a
+    /// decode-and-re-encode otherwise — see [`rprism_format::content_hash`]), and when
+    /// the repository already holds the content — regardless of which encoding either
+    /// upload used — nothing is written.
     /// Returns `(hash, deduped, entries)`.
     ///
     /// # Errors
@@ -366,8 +367,8 @@ impl TraceRepo {
     /// when the blob cannot be written.
     pub fn put_bytes(&self, bytes: &[u8]) -> Result<(u64, bool, u64)> {
         let _put = self.obs.span("repo.put");
-        // Hash/validate outside the lock — this is the expensive part of a put.
-        let summary = rprism_format::content_summary(bytes).map_err(ServerError::Format)?;
+        // Hash/validate outside the lock, so concurrent requests never wait on it.
+        let summary = content_summary(bytes).map_err(ServerError::Format)?;
         if self
             .index
             .lock()
@@ -783,6 +784,45 @@ mod tests {
         assert!(dir.join("quarantine/0123456789abcdef.trace").is_file());
         assert!(dir.join("quarantine/00000000000000aa.trace").is_file());
         assert!(!dir.join("deadbeefdeadbeef-3.tmp").exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn reopen_reverifies_both_encodings_and_quarantines_damage() {
+        let dir = temp_repo("reopen");
+        let uploads = [
+            sample_bytes(0x81, 50, Encoding::Binary),
+            sample_bytes(0x82, 50, Encoding::Jsonl),
+            sample_bytes(0x83, 50, Encoding::Binary),
+        ];
+        let (damaged, listed, blob_bytes) = {
+            let repo = TraceRepo::open(&dir, Engine::new(), DEFAULT_CACHE_BUDGET).unwrap();
+            let hashes = uploads
+                .each_ref()
+                .map(|bytes| repo.put_bytes(bytes).unwrap().0);
+            (hashes[2], repo.list(), repo.stats().blob_bytes)
+        };
+        assert_eq!(listed.len(), 3);
+        // Flip one byte of the third blob behind the repository's back.
+        let blob = dir.join(format!("{damaged:016x}.trace"));
+        let mut bytes = std::fs::read(&blob).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x01;
+        std::fs::write(&blob, &bytes).unwrap();
+
+        let repo = TraceRepo::open(&dir, Engine::new(), DEFAULT_CACHE_BUDGET).unwrap();
+        let survivors: Vec<RepoEntry> = listed.into_iter().filter(|e| e.hash != damaged).collect();
+        assert_eq!(
+            repo.list(),
+            survivors,
+            "same hashes, names, entries and bytes"
+        );
+        let stats = repo.stats();
+        assert_eq!(stats.blob_bytes, blob_bytes - uploads[2].len() as u64);
+        assert_eq!(stats.quarantined, 1);
+        assert!(dir
+            .join(format!("quarantine/{damaged:016x}.trace"))
+            .is_file());
         std::fs::remove_dir_all(&dir).ok();
     }
 
