@@ -47,7 +47,7 @@ fn main() {
     );
     for view in web.views_of_kind(ViewKind::TargetObject) {
         if let Some(rep) = &view.representative {
-            if rep.class == "NumericEntityUtil" {
+            if rep.class.as_str() == "NumericEntityUtil" {
                 println!("  target object view for {rep}: {} entries", view.len());
             }
         }

@@ -15,8 +15,8 @@
 use std::collections::{HashMap, HashSet};
 
 use rprism_trace::{
-    intern, CreationSeq, Event, Loc, ObjRep, StackSnapshot, Symbol, ThreadId, Trace,
-    TraceEntry,
+    intern, CreationSeq, EntryBatch, EntryRef, EventKind, Loc, ObjAt, StackSnapshot, Symbol,
+    ThreadId, Trace,
 };
 
 use crate::diag::{CheckReport, Diagnostic, Severity};
@@ -79,11 +79,11 @@ struct Ident {
 }
 
 impl Ident {
-    fn of(rep: &ObjRep) -> Ident {
+    fn of(obj: ObjAt) -> Ident {
         Ident {
-            class: intern(&rep.class),
-            loc: rep.loc,
-            seq: rep.creation_seq,
+            class: obj.ident.class,
+            loc: obj.loc,
+            seq: obj.ident.creation_seq,
         }
     }
 
@@ -184,6 +184,7 @@ pub struct Checker {
     eid_disorder_reported: bool,
     empty_name_reported: bool,
     sym_main: Symbol,
+    sym_empty: Symbol,
 }
 
 impl Default for Checker {
@@ -218,6 +219,7 @@ impl Checker {
             eid_disorder_reported: false,
             empty_name_reported: false,
             sym_main: intern("<main>"),
+            sym_empty: intern(""),
         }
     }
 
@@ -253,7 +255,7 @@ impl Checker {
     }
 
     /// Feeds one entry to the engine. Entries must arrive in trace order.
-    pub fn observe(&mut self, entry: &TraceEntry) {
+    pub fn observe(&mut self, entry: EntryRef<'_>) {
         let idx = self.index;
         self.index += 1;
 
@@ -291,23 +293,23 @@ impl Checker {
             state.last_entry = idx;
         }
 
-        match &entry.event {
-            Event::Call { target, method, args } => {
+        let operands = entry.operands;
+        match entry.kind {
+            EventKind::Call => {
                 self.check_context(entry, idx);
-                self.check_use(target, idx);
-                for arg in args {
-                    self.check_use(arg, idx);
+                for &operand in operands {
+                    self.check_use(operand, idx);
                 }
                 let call = OpenCall {
-                    method: intern(method.as_str()),
-                    active: Ident::of(target),
+                    method: entry.name.expect("calls name a method"),
+                    active: Ident::of(operands[0]),
                     entry_index: idx,
                     context_reported: false,
                 };
                 self.threads.get_mut(&tid).expect("thread exists").stack.push(call);
             }
-            Event::Return { target, method, value } => {
-                let method = intern(method.as_str());
+            EventKind::Return => {
+                let method = entry.name.expect("returns name a method");
                 let popped = {
                     let state = self.threads.get_mut(&tid).expect("thread exists");
                     state.stack.pop()
@@ -325,8 +327,8 @@ impl Checker {
                                 method.as_str()
                             ),
                         );
-                        self.check_use(target, idx);
-                        self.check_use(value, idx);
+                        self.check_use(operands[0], idx);
+                        self.check_use(operands[1], idx);
                         return;
                     }
                     Some(open) => {
@@ -347,37 +349,33 @@ impl Checker {
                 // RETURN-E emits the return in the *caller's* context (after the pop),
                 // so the context check runs against the post-pop stack.
                 self.check_context(entry, idx);
-                self.check_use(target, idx);
-                self.check_use(value, idx);
+                self.check_use(operands[0], idx);
+                self.check_use(operands[1], idx);
             }
-            Event::Get { target, field, value } => {
+            EventKind::Get | EventKind::Set => {
+                let field = entry.name.expect("field events name a field");
                 self.check_context(entry, idx);
-                self.check_use(target, idx);
-                self.check_use(value, idx);
-                self.check_access(target, field.as_str(), false, tid, idx);
+                self.check_use(operands[0], idx);
+                self.check_use(operands[1], idx);
+                self.check_access(operands[0], field, entry.kind == EventKind::Set, tid, idx);
             }
-            Event::Set { target, field, value } => {
+            EventKind::Init => {
                 self.check_context(entry, idx);
-                self.check_use(target, idx);
-                self.check_use(value, idx);
-                self.check_access(target, field.as_str(), true, tid, idx);
-            }
-            Event::Init { args, result, .. } => {
-                self.check_context(entry, idx);
-                for arg in args {
+                for &arg in entry.args() {
                     self.check_use(arg, idx);
                 }
-                self.check_define(result, idx);
+                self.check_define(entry.target.expect("inits create an object"), idx);
             }
-            Event::Fork { child, parentage } => {
+            EventKind::Fork => {
                 self.check_context(entry, idx);
-                self.check_fork(tid, *child, parentage, idx);
+                let child = entry.child.expect("forks name a child thread");
+                self.check_fork(tid, child, entry.parentage, idx);
             }
-            Event::End { stack } => {
+            EventKind::End => {
                 // END-E is exempt from context checks: on an aborted run the recorded
                 // stack legitimately diverges from the reconstruction (the run unwound
                 // without emitting returns).
-                self.check_end(tid, stack, idx);
+                self.check_end(tid, entry.stack.expect("ends record a stack"), idx);
             }
         }
     }
@@ -462,24 +460,25 @@ impl Checker {
 
     /// name-wellformed: names are interned symbols and must be non-empty. Reported once
     /// per trace — a recorder that drops one name usually drops them all.
-    fn check_names(&mut self, entry: &TraceEntry, idx: usize) {
+    fn check_names(&mut self, entry: EntryRef<'_>, idx: usize) {
         if self.empty_name_reported {
             return;
         }
-        let offending = if entry.method.as_str().is_empty() {
+        let empty = self.sym_empty;
+        let names_event_member = matches!(
+            entry.kind,
+            EventKind::Call | EventKind::Return | EventKind::Get | EventKind::Set
+        );
+        let offending = if entry.method == empty {
             Some("context method")
-        } else if entry.active.class.is_empty() {
+        } else if entry.active.ident.class == empty {
             Some("active object class")
-        } else if entry.event.method().is_some_and(|m| m.as_str().is_empty()) {
-            Some("event method")
-        } else if entry.event.field().is_some_and(|f| f.as_str().is_empty()) {
-            Some("event field")
-        } else if entry
-            .event
-            .operands()
-            .iter()
-            .any(|rep| rep.class.is_empty())
-        {
+        } else if names_event_member && entry.name == Some(empty) {
+            Some(match entry.kind {
+                EventKind::Call | EventKind::Return => "event method",
+                _ => "event field",
+            })
+        } else if entry.operands.iter().any(|op| op.ident.class == empty) {
             Some("operand class")
         } else {
             None
@@ -498,9 +497,9 @@ impl Checker {
     /// method-context / active-context: the entry's recorded context must match the
     /// reconstructed innermost frame (`<main>` with the thread's root receiver when no
     /// call is open). One report per frame occurrence.
-    fn check_context(&mut self, entry: &TraceEntry, idx: usize) {
-        let method = intern(entry.method.as_str());
-        let active = Ident::of(&entry.active);
+    fn check_context(&mut self, entry: EntryRef<'_>, idx: usize) {
+        let method = entry.method;
+        let active = Ident::of(entry.active);
         let sym_main = self.sym_main;
         let mut finding: Option<(&'static str, String, Vec<usize>)> = None;
         {
@@ -567,8 +566,8 @@ impl Checker {
     }
 
     /// define-before-use / use-after-death / identity-confusion for one operand.
-    fn check_use(&mut self, rep: &ObjRep, idx: usize) {
-        let ident = Ident::of(rep);
+    fn check_use(&mut self, obj: ObjAt, idx: usize) {
+        let ident = Ident::of(obj);
         let Some(key) = ident.key() else { return };
         match self.objects.get_mut(&key) {
             None => {
@@ -622,7 +621,7 @@ impl Checker {
 
     /// init handling: duplicate-init, init-order, and location-reuse bookkeeping for
     /// use-after-death.
-    fn check_define(&mut self, result: &ObjRep, idx: usize) {
+    fn check_define(&mut self, result: ObjAt, idx: usize) {
         let ident = Ident::of(result);
         let Some(key) = ident.key() else {
             // Inits of primitive values (trace_prim_init recorders) carry no identity.
@@ -833,11 +832,10 @@ impl Checker {
 
     /// data-race: FastTrack-style per-variable metadata against per-thread vector
     /// clocks. One report per variable.
-    fn check_access(&mut self, target: &ObjRep, field: &str, is_write: bool, tid: ThreadId, idx: usize) {
+    fn check_access(&mut self, target: ObjAt, field: Symbol, is_write: bool, tid: ThreadId, idx: usize) {
         let Some(key) = Ident::of(target).key() else {
             return;
         };
-        let field = intern(field);
         let slot = self.threads[&tid].slot;
         let my_clock = clock_component(&self.clocks[slot], slot);
         let var = self
@@ -948,8 +946,9 @@ fn join_clock(into: &mut Vec<u64>, other: &[u64]) {
     }
 }
 
-/// Checks a fully materialized trace (tests, fixtures, small inputs). Streaming callers
-/// should drive [`Checker`] directly from their decode loop instead.
+/// Checks a fully materialized trace (tests, fixtures, small inputs) through the
+/// [`EntryBatch`] adapter. Streaming callers should drive [`Checker`] directly from
+/// their decode loop instead.
 pub fn check_trace(trace: &Trace) -> CheckReport {
     check_trace_with(trace, CheckConfig::default())
 }
@@ -957,9 +956,7 @@ pub fn check_trace(trace: &Trace) -> CheckReport {
 /// [`check_trace`] with an explicit configuration.
 pub fn check_trace_with(trace: &Trace, config: CheckConfig) -> CheckReport {
     let mut checker = Checker::with_config(config);
-    for entry in trace.iter() {
-        checker.observe(entry);
-    }
+    EntryBatch::visit(&trace.entries, |entry| checker.observe(entry));
     let mut report = checker.finish();
     report.trace_name = trace.meta.name.clone();
     report

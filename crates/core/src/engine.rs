@@ -44,7 +44,7 @@ use rprism_regress::{
     analyze_prepared_with, AnalysisComparison, AnalysisMode, DiffAlgorithm, PreparedInput,
     PreparedTraceRef, RegressionReport, RenderOptions,
 };
-use rprism_trace::{par, KeyedTrace, LeanTrace, Trace, TraceMeta};
+use rprism_trace::{par, EntryBatch, KeyedTrace, LeanTrace, Trace, TraceMeta};
 use rprism_views::{Correlation, ViewWeb};
 use rprism_vm::{run_traced, RunOutcome, RuntimeError, VmConfig};
 
@@ -807,11 +807,11 @@ impl Engine {
         mut wait: impl FnMut() -> bool,
     ) -> Result<WatchOutcome> {
         let mut watch = self.watch(old, reader.meta().clone());
-        let mut batch = Vec::with_capacity(crate::ingest::BATCH_ENTRIES);
+        let mut batch = EntryBatch::new();
         loop {
-            match reader.read_batch_tail(&mut batch, crate::ingest::BATCH_ENTRIES)? {
+            match reader.read_refs_tail(&mut batch, crate::ingest::BATCH_ENTRIES)? {
                 TailBatch::Entries(_) => {
-                    for event in watch.push_entries(&batch)? {
+                    for event in watch.push_batch(&batch)? {
                         on_event(&event);
                     }
                 }
@@ -820,8 +820,8 @@ impl Engine {
                     if wait() {
                         continue;
                     }
-                    while reader.read_batch(&mut batch, crate::ingest::BATCH_ENTRIES)? > 0 {
-                        for event in watch.push_entries(&batch)? {
+                    while reader.read_refs(&mut batch, crate::ingest::BATCH_ENTRIES)? > 0 {
+                        for event in watch.push_batch(&batch)? {
                             on_event(&event);
                         }
                     }
@@ -874,11 +874,9 @@ impl Engine {
     ) -> Result<CheckReport> {
         let mut reader = TraceReader::new(BufReader::new(input))?;
         let mut checker = Checker::with_config(config);
-        let mut batch = Vec::with_capacity(crate::ingest::BATCH_ENTRIES);
-        while reader.read_batch(&mut batch, crate::ingest::BATCH_ENTRIES)? > 0 {
-            for entry in &batch {
-                checker.observe(entry);
-            }
+        let mut batch = EntryBatch::new();
+        while reader.read_refs(&mut batch, crate::ingest::BATCH_ENTRIES)? > 0 {
+            batch.iter().for_each(|entry| checker.observe(entry));
         }
         let mut report = checker.finish();
         report.trace_name = reader.meta().name.clone();

@@ -9,34 +9,45 @@
 //! trace resident for the lifetime of the handle.
 //!
 //! [`stream_prepare`] instead drives the [`TraceReader`] batch by batch and folds
-//! **abstraction into ingestion** (the tracer-driver/TAAF design): as each entry is
-//! decoded it is interned and keyed, appended to the incrementally extended view web,
-//! and reduced to its [`LeanTrace`] context — then dropped. At no point does more than
-//! a bounded window of decoded entries exist:
+//! **abstraction into ingestion** (the tracer-driver/TAAF design: produce only the
+//! attributes the consumer asks for). Entries are decoded **at the level of symbols**
+//! into an [`EntryBatch`]: each borrowed [`EntryRef`] holds interned names, object
+//! identities and locations, never a string. Binary input never builds a
+//! [`TraceEntry`](rprism_trace::TraceEntry) at all; JSONL entries are decoded and pass
+//! through the batch's adapter. Each entry is keyed, appended to the incrementally
+//! extended view web and reduced to its [`LeanTrace`] context — then dropped with its
+//! batch. At no point does more than a bounded window of entries exist:
 //!
 //! * on a one-worker host (see [`rprism_trace::par::workers`]), everything runs on the
 //!   calling thread and one batch of [`BATCH_ENTRIES`] entries is alive at a time;
 //! * otherwise the decoder feeds a two-stage scoped-thread pipeline over bounded
 //!   channels of entry batches — stage one builds the keyed trace and the lean
 //!   context, then forwards the batch; stage two extends the web, then drops it — so
-//!   at most `(2 × channel capacity + 3) × batch size` decoded entries are in flight
-//!   while decoding overlaps artifact construction.
+//!   at most `(2 × channel capacity + 3) × batch size` entries are in flight while
+//!   decoding overlaps artifact construction.
 //!
 //! Peak memory is therefore O(accumulated artifacts) — lean contexts, keys, web —
 //! rather than O(decoded trace); the `streaming_ingest` measurement of `perf_smoke`
 //! (BENCH_4.json) and the counting-allocator test in `crates/core/tests` pin the
 //! resulting ≥2× peak reduction down.
 //!
-//! Both builders produce artifacts *identical* to the load-then-prepare path: the web
-//! is extended in entry order ([`ViewWeb::extend`]), keys are pushed in entry order,
-//! and the lean context captures exactly the fields the differencer and the regression
-//! analysis read. The workspace-level `streaming_equivalence` suite asserts identical
-//! matchings, difference signatures and compare counts on all four case studies.
+//! Both builders produce artifacts *identical* to the load-then-prepare path: every
+//! builder consumes [`EntryRef`]s, the web is extended in entry order
+//! ([`ViewWeb::extend`]), keys are pushed in entry order, and the lean context
+//! captures exactly the fields the differencer and the regression analysis read. The
+//! workspace-level `streaming_equivalence` suite asserts identical matchings,
+//! difference signatures and compare counts on all four case studies, and
+//! `entryref_equivalence` asserts identical artifacts against the owned-entry
+//! adapter on generated and corpus traces.
 //!
-//! One deliberate trade-off: the load-then-prepare path defers interning until after
-//! the checksum footer has validated the whole stream, whereas streaming ingestion
-//! interns names *as they arrive* — a corrupt file that fails late can leave already
-//! interned strings behind (bounded by the bytes read). Callers ingesting wholly
+//! **Interning.** Only names are interned — the strings in class, method, field and
+//! init-class positions — and each one once per string id per stream: the decoder
+//! resolves an id to its [`Symbol`](rprism_trace::Symbol) on its first mention in a
+//! name position and reuses it after that. Printed values are never interned. One
+//! deliberate trade-off remains: the load-then-prepare path defers interning until
+//! after the checksum footer has validated the whole stream, whereas streaming
+//! ingestion interns names *as they arrive* — a corrupt file that fails late can leave
+//! the names read so far behind (bounded by the bytes read). Callers ingesting wholly
 //! untrusted data who cannot accept that should use
 //! [`Engine::load_trace`](crate::Engine::load_trace).
 
@@ -45,11 +56,11 @@ use std::sync::mpsc::sync_channel;
 use std::time::{Duration, Instant};
 
 use rprism_format::{FormatError, TraceReader};
-use rprism_trace::{par, KeyedTrace, LeanTrace, TraceEntry, TraceMeta};
+use rprism_trace::{par, EntryBatch, EntryRef, KeyedTrace, LeanTrace, TraceMeta};
 use rprism_views::ViewWeb;
 
 /// Entries decoded per batch. Batching amortizes channel traffic; the value bounds the
-/// number of fully decoded entries alive at any instant.
+/// number of decoded entries alive at any instant.
 pub const BATCH_ENTRIES: usize = 256;
 
 /// Batches buffered per pipeline channel before the sender blocks (back-pressure).
@@ -87,7 +98,7 @@ impl StreamedArtifacts {
 /// legitimately sum to more than the pass's elapsed wall time.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PhaseTimes {
-    /// Decoding batches off the reader (checksums, varints, string heap).
+    /// Decoding batches off the reader (checksums, varints, string table, symbols).
     pub decode: Duration,
     /// Keyed-trace and lean-context construction.
     pub key: Duration,
@@ -111,8 +122,8 @@ pub fn stream_prepare<R: BufRead>(reader: TraceReader<R>) -> Result<StreamedArti
 }
 
 /// [`stream_prepare`] with a per-entry observer: `observe` is called once for every
-/// decoded entry, in entry order, on the calling thread, while the entry is still
-/// alive — before the pipeline consumes and drops it. This is how ingest-time
+/// decoded entry, as a borrowed [`EntryRef`], in entry order, on the calling thread —
+/// before the pipeline consumes and drops its batch. This is how ingest-time
 /// analyses (the `rprism-check` streaming checker behind
 /// `EngineBuilder::check_on_ingest`) see every entry without a second decode pass and
 /// without the ingest layer depending on them.
@@ -125,7 +136,7 @@ pub fn stream_prepare<R: BufRead>(reader: TraceReader<R>) -> Result<StreamedArti
 /// Propagates the first [`FormatError`] of the stream, like [`stream_prepare`].
 pub fn stream_prepare_observed<R: BufRead>(
     reader: TraceReader<R>,
-    observe: impl FnMut(&TraceEntry),
+    observe: impl FnMut(EntryRef<'_>),
 ) -> Result<StreamedArtifacts, FormatError> {
     stream_prepare_timed(reader, observe).map(|(artifacts, _)| artifacts)
 }
@@ -139,7 +150,7 @@ pub fn stream_prepare_observed<R: BufRead>(
 /// Propagates the first [`FormatError`] of the stream, like [`stream_prepare`].
 pub fn stream_prepare_timed<R: BufRead>(
     reader: TraceReader<R>,
-    observe: impl FnMut(&TraceEntry),
+    observe: impl FnMut(EntryRef<'_>),
 ) -> Result<(StreamedArtifacts, PhaseTimes), FormatError> {
     stream_on(reader, par::workers() > 1, observe)
 }
@@ -149,7 +160,7 @@ pub fn stream_prepare_timed<R: BufRead>(
 fn stream_on<R: BufRead>(
     mut reader: TraceReader<R>,
     pipelined: bool,
-    mut observe: impl FnMut(&TraceEntry),
+    mut observe: impl FnMut(EntryRef<'_>),
 ) -> Result<(StreamedArtifacts, PhaseTimes), FormatError> {
     let meta = reader.meta().clone();
     if pipelined {
@@ -162,32 +173,30 @@ fn stream_on<R: BufRead>(
 fn stream_sequential<R: BufRead>(
     reader: &mut TraceReader<R>,
     meta: TraceMeta,
-    observe: &mut impl FnMut(&TraceEntry),
+    observe: &mut impl FnMut(EntryRef<'_>),
 ) -> Result<(StreamedArtifacts, PhaseTimes), FormatError> {
     let mut lean = LeanTrace::new(meta.clone());
     let mut keyed = KeyedTrace::default();
     let mut web = ViewWeb::empty();
-    let mut batch = Vec::with_capacity(BATCH_ENTRIES);
+    let mut batch = EntryBatch::new();
     let mut index = 0usize;
     let mut times = PhaseTimes::default();
     loop {
         let decode_start = Instant::now();
-        let n = reader.read_batch(&mut batch, BATCH_ENTRIES)?;
+        let n = reader.read_refs(&mut batch, BATCH_ENTRIES)?;
         times.decode += decode_start.elapsed();
         if n == 0 {
             break;
         }
-        for entry in &batch {
-            observe(entry);
-        }
+        batch.iter().for_each(&mut *observe);
         let key_start = Instant::now();
-        for entry in &batch {
+        for entry in batch.iter() {
             lean.push(entry);
-            keyed.push_entry(entry);
+            keyed.push(entry);
         }
         times.key += key_start.elapsed();
         let web_start = Instant::now();
-        for entry in &batch {
+        for entry in batch.iter() {
             web.extend(index, entry);
             index += 1;
         }
@@ -205,14 +214,14 @@ fn stream_sequential<R: BufRead>(
 }
 
 /// One decoded batch moving through the pipeline: the base entry index plus the
-/// entries themselves. Each stage owns the batch while working on it; the last stage
-/// drops it, reclaiming its memory.
-type Batch = (usize, Vec<TraceEntry>);
+/// entries themselves, at the level of symbols. Each stage owns the batch while
+/// working on it; the last stage drops it, reclaiming its memory.
+type Batch = (usize, EntryBatch);
 
 fn stream_pipelined<R: BufRead>(
     mut reader: TraceReader<R>,
     meta: TraceMeta,
-    observe: &mut impl FnMut(&TraceEntry),
+    observe: &mut impl FnMut(EntryRef<'_>),
 ) -> Result<(StreamedArtifacts, PhaseTimes), FormatError> {
     let (stage1_tx, stage1_rx) = sync_channel::<Batch>(CHANNEL_BATCHES);
     let (stage2_tx, stage2_rx) = sync_channel::<Batch>(CHANNEL_BATCHES);
@@ -225,8 +234,8 @@ fn stream_pipelined<R: BufRead>(
             let mut busy = Duration::ZERO;
             while let Ok(batch) = stage1_rx.recv() {
                 let start = Instant::now();
-                for entry in &batch.1 {
-                    keyed.push_entry(entry);
+                for entry in batch.1.iter() {
+                    keyed.push(entry);
                     lean.push(entry);
                 }
                 busy += start.elapsed();
@@ -254,18 +263,16 @@ fn stream_pipelined<R: BufRead>(
         let mut decode = Duration::ZERO;
         let mut outcome: Result<(), FormatError> = Ok(());
         loop {
-            let mut batch = Vec::with_capacity(BATCH_ENTRIES);
+            let mut batch = EntryBatch::new();
             let decode_start = Instant::now();
-            let read = reader.read_batch(&mut batch, BATCH_ENTRIES);
+            let read = reader.read_refs(&mut batch, BATCH_ENTRIES);
             decode += decode_start.elapsed();
             match read {
                 Ok(0) => break,
                 Ok(n) => {
                     // The observer runs on the decode thread, in entry order, before
                     // the batch enters the pipeline.
-                    for entry in &batch {
-                        observe(entry);
-                    }
+                    batch.iter().for_each(&mut *observe);
                     // A send only fails when a builder panicked; the join below
                     // propagates that panic.
                     if stage1_tx.send((base, batch)).is_err() {

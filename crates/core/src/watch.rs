@@ -19,7 +19,7 @@
 
 use rprism_check::{Checker, Severity};
 use rprism_diff::{DiffSession, ProvisionalEvent, SessionArtifacts, TraceDiffResult};
-use rprism_trace::{TraceEntry, TraceMeta};
+use rprism_trace::{EntryBatch, TraceEntry, TraceMeta};
 
 use crate::ingest::StreamedArtifacts;
 use crate::{Error, PreparedTrace, Result};
@@ -82,10 +82,19 @@ impl Watch {
     /// instead of diffing a trace the session is configured to reject. The report
     /// carries every diagnostic raised up to that point.
     pub fn push_entries(&mut self, entries: &[TraceEntry]) -> Result<Vec<ProvisionalEvent>> {
+        self.push_batch(&EntryBatch::of(entries))
+    }
+
+    /// [`Watch::push_entries`] for a batch already at the level of symbols — what
+    /// [`TraceReader::read_refs_tail`](rprism_format::TraceReader::read_refs_tail) and
+    /// the server's tail decoder produce.
+    ///
+    /// # Errors
+    ///
+    /// Exactly [`Watch::push_entries`]'s.
+    pub fn push_batch(&mut self, batch: &EntryBatch) -> Result<Vec<ProvisionalEvent>> {
         if let Some((mut checker, deny)) = self.gate.take() {
-            for entry in entries {
-                checker.observe(entry);
-            }
+            batch.iter().for_each(|entry| checker.observe(entry));
             if checker.raised_at_least(deny) > 0 {
                 let mut report = checker.finish();
                 report.trace_name = self.name.clone();
@@ -93,7 +102,7 @@ impl Watch {
             }
             self.gate = Some((checker, deny));
         }
-        Ok(self.session.push_entries(&self.old.side(), entries))
+        Ok(self.session.push_batch(&self.old.side(), batch))
     }
 
     /// Ends the stream: runs the checker's end-of-trace rules, then computes the

@@ -9,7 +9,7 @@
 //! * the lock-step scan of one correlated thread-view pair (paper §3.3, Fig. 12) is an
 //!   explicit cursor pair (`PairScan`) that can stop at any step and resume when the
 //!   right side has grown;
-//! * [`DiffSession::push_entries`] appends a chunk of new-trace entries (incrementally
+//! * [`DiffSession::push_batch`] appends a batch of new-trace entries (incrementally
 //!   extending the right side's keys, view web and lean context — the same artifacts
 //!   streaming ingestion builds), advances every pair as far as the data allows, and
 //!   returns the [`ProvisionalEvent`]s that advance produced;
@@ -49,7 +49,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use rprism_trace::{par, KeyedTrace, LeanTrace, ThreadId, TraceEntry, TraceMeta};
+use rprism_trace::{par, EntryBatch, KeyedTrace, LeanTrace, ThreadId, TraceMeta};
 use rprism_views::{Correlation, ViewKind, ViewWeb};
 
 use crate::cost::CostMeter;
@@ -336,17 +336,13 @@ impl DiffSession {
         self.len
     }
 
-    /// Appends a chunk of new-trace entries (in trace order, any chunk boundaries) and
-    /// advances the incremental scan, returning the provisional events the chunk
+    /// Appends a batch of new-trace entries (in trace order, any batch boundaries) and
+    /// advances the incremental scan, returning the provisional events the batch
     /// produced. `left` is the prepared old side and must be the same on every call.
-    pub fn push_entries(
-        &mut self,
-        left: &DiffSide<'_>,
-        entries: &[TraceEntry],
-    ) -> Vec<ProvisionalEvent> {
-        for entry in entries {
+    pub fn push_batch(&mut self, left: &DiffSide<'_>, batch: &EntryBatch) -> Vec<ProvisionalEvent> {
+        for entry in batch.iter() {
             self.lean.push(entry);
-            self.keyed.push_entry(entry);
+            self.keyed.push(entry);
             self.web.extend(self.len, entry);
             self.len += 1;
         }
@@ -541,7 +537,7 @@ mod tests {
         let mut session = DiffSession::new(new.meta.clone(), options.clone());
         let mut events = Vec::new();
         for chunk in new.entries.chunks(chunk.max(1)) {
-            events.extend(session.push_entries(&left, chunk));
+            events.extend(session.push_batch(&left, &EntryBatch::of(chunk)));
         }
         let finish = session.finish(&left);
         events.extend(finish.events.iter().cloned());
@@ -612,7 +608,7 @@ mod tests {
         let mut pre_finish = 0usize;
         for chunk in new.entries.chunks(4) {
             pre_finish += session
-                .push_entries(&left, chunk)
+                .push_batch(&left, &EntryBatch::of(chunk))
                 .iter()
                 .filter(|e| matches!(e, ProvisionalEvent::Match { .. }))
                 .count();

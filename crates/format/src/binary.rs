@@ -54,6 +54,23 @@
 //! byte for byte the writer's encoding of the trace it decodes to, and its FNV-1a 64
 //! is the trace's content hash ([`crate::content_hash`]) with no re-encode.
 //!
+//! # Reading: one decoder, one id-level walk
+//!
+//! [`BinaryTraceReader`] reads the record grammar two ways, through the same private
+//! primitives (`read_varint`, `lookup`, `read_string`, `read_footer`, …) and in the
+//! same order, so both report every damage with the same error:
+//!
+//! * the **decoder** (`read_*`, behind [`BinaryTraceReader::next_entry`]) builds owned
+//!   [`TraceEntry`]s — the `--full` path, and the oracle the other is tested against;
+//! * the **id-level walk** (`walk_*`) builds nothing itself. It hands each string id
+//!   and each object representation, as ids, to a *sink*. There are two sinks. The
+//!   validate sink builds nothing and tracks the canonical layout below
+//!   (`content_summary` hashes a canonical upload from its own bytes). The
+//!   [`EntryBatch`] sink ([`BinaryTraceReader::read_refs`]) resolves ids to
+//!   [`Symbol`]s through a lazy per-stream table — an id in a name position (class,
+//!   method, field, init class) is interned on its first mention, a printed string
+//!   never — and is what ingest, check and watch consume.
+//!
 //! # Integrity
 //!
 //! The footer carries the entry count and an FNV-1a 64 checksum of every preceding byte
@@ -66,14 +83,15 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 
 use rprism_lang::{FieldName, MethodName};
-use rprism_trace::{CreationSeq, EntryId, Loc};
+use rprism_trace::{intern, CreationSeq, EntryId, Loc, Symbol};
 use rprism_trace::{
-    Event, ObjRep, StackFrame, StackSnapshot, ThreadId, TraceEntry, TraceMeta, ValueFingerprint,
+    EntryBatch, EntryHead, Event, EventKind, ObjAt, ObjIdent, ObjRep, StackFrame, StackSnapshot,
+    ThreadId, TraceEntry, TraceMeta, ValueFingerprint,
 };
 
 use crate::error::{FormatError, Result};
 use crate::varint::{self, ByteSource as _, SliceSource};
-use crate::TailEntry;
+use crate::{TailBatch, TailEntry};
 
 /// The four magic bytes opening every binary trace.
 pub const MAGIC: [u8; 4] = *b"RPTR";
@@ -336,8 +354,10 @@ impl<W: Write> BinaryTraceWriter<W> {
 /// process-global interner: interned strings are leaked for the process lifetime, so
 /// routing untrusted input through the interner would let a single adversarial or
 /// corrupt file (whose checksum is only verified at the footer) permanently grow
-/// process memory. Interning happens later, lazily, when a loaded trace is prepared
-/// for analysis — at that point the trace has been fully validated.
+/// process memory. [`Self::next_entry`] and validation never intern. Only
+/// [`Self::read_refs`] does, and only names, once per id (see the module docs): the
+/// streaming ingest that calls it accepts that a stream failing late leaves the names
+/// read so far behind.
 ///
 /// Input is read a chunk at a time into a byte window. Decoding indexes the window
 /// directly; the bytes of the record being decoded stay in it until the record is
@@ -363,6 +383,9 @@ pub struct BinaryTraceReader<R: Read> {
     /// Lazily built per-id name values, so repeated mentions share one `Arc` each.
     methods: Vec<Option<MethodName>>,
     fields: Vec<Option<FieldName>>,
+    /// Lazily interned per-id symbols for [`Self::read_refs_tail`]: each id in a name
+    /// position is interned on its first mention and never again.
+    symbols: Vec<Option<Symbol>>,
     entries_read: u64,
     done: bool,
     /// Where the last incomplete read ran dry, for strict-mode truncation reports.
@@ -401,6 +424,7 @@ impl<R: Read> BinaryTraceReader<R> {
             strings: Vec::new(),
             methods: Vec::new(),
             fields: Vec::new(),
+            symbols: Vec::new(),
             entries_read: 0,
             done: false,
             dry_offset: 0,
@@ -498,6 +522,7 @@ impl<R: Read> BinaryTraceReader<R> {
         self.strings.truncate(cp.strings);
         self.methods.truncate(cp.strings);
         self.fields.truncate(cp.strings);
+        self.symbols.truncate(cp.strings);
         self.entries_read = cp.entries_read;
     }
 
@@ -771,6 +796,15 @@ impl<R: Read> BinaryTraceReader<R> {
         Ok(())
     }
 
+    /// Reads the body of a `sym` record: defines the next string id.
+    fn read_sym(&mut self) -> Result<()> {
+        let s = self.read_string()?.into_boxed_str();
+        self.strings.push(s);
+        self.methods.push(None);
+        self.fields.push(None);
+        Ok(())
+    }
+
     /// Decodes one record starting at the current boundary. `Ok(None)` means no tag
     /// byte is available right now.
     fn read_record(&mut self) -> Result<Option<Record>> {
@@ -779,10 +813,7 @@ impl<R: Read> BinaryTraceReader<R> {
         };
         match tag {
             TAG_SYM => {
-                let s = self.read_string()?.into_boxed_str();
-                self.strings.push(s);
-                self.methods.push(None);
-                self.fields.push(None);
+                self.read_sym()?;
                 Ok(Some(Record::Sym))
             }
             TAG_ENTRY => {
@@ -861,10 +892,80 @@ impl<R: Read> BinaryTraceReader<R> {
         }
     }
 
-    /// Validates the rest of the stream without decoding it: every record is walked
-    /// in the decoder's order through the decoder's primitives, so every check runs
-    /// and a damaged stream fails with exactly the error [`Self::next_entry`] would
-    /// report. Nothing is built — no [`ObjRep`], no names, no argument lists.
+    /// Decodes up to `max` further entries into `batch` (appending) at the level of
+    /// symbols: the id-level walk with the [`EntryBatch`] sink. No [`TraceEntry`] is
+    /// built, and no string is copied except into the owned stack snapshots of thread
+    /// events; each id in a name position (class, method, field, init class) is
+    /// interned on its first mention in the stream and resolved from a per-stream
+    /// table after that. Printed strings are never interned.
+    ///
+    /// The tail semantics are [`Self::next_entry_tail`]'s: a stream that currently
+    /// ends mid-record yields the entries before the cut, then [`TailBatch::Pending`]
+    /// with the partial record retained. Errors are exactly the decoder's.
+    pub fn read_refs_tail(&mut self, batch: &mut EntryBatch, max: usize) -> Result<TailBatch> {
+        let mut sink = RefSink {
+            batch,
+            symbols: std::mem::take(&mut self.symbols),
+            frames: Vec::new(),
+        };
+        let outcome = self.refs_into(&mut sink, max);
+        self.symbols = sink.symbols;
+        outcome
+    }
+
+    /// The strict form of [`Self::read_refs_tail`], as [`Self::next_entry`] is of
+    /// [`Self::next_entry_tail`]: returns how many entries arrived, `0` only after a
+    /// verified footer, and reports truncation where the input runs dry.
+    pub fn read_refs(&mut self, batch: &mut EntryBatch, max: usize) -> Result<usize> {
+        match self.read_refs_tail(batch, max)? {
+            TailBatch::Entries(n) => Ok(n),
+            TailBatch::End => Ok(0),
+            TailBatch::Pending => Err(FormatError::Truncated {
+                offset: self.dry_offset,
+            }),
+        }
+    }
+
+    fn refs_into(&mut self, sink: &mut RefSink<'_>, max: usize) -> Result<TailBatch> {
+        let mut read = 0;
+        while read < max && !self.done {
+            let cp = self.checkpoint();
+            let dry_offset = match self.walk_record(sink) {
+                Ok(Some(record)) => {
+                    self.commit();
+                    if let Record::Entry(()) = record {
+                        read += 1;
+                    }
+                    continue;
+                }
+                Ok(None) => self.offset(),
+                Err(FormatError::Truncated { offset }) => offset,
+                Err(e) => {
+                    sink.batch.discard_open();
+                    return Err(e);
+                }
+            };
+            self.dry_offset = dry_offset;
+            self.restore(cp);
+            sink.symbols.truncate(cp.strings);
+            sink.batch.discard_open();
+            return Ok(if read == 0 {
+                TailBatch::Pending
+            } else {
+                TailBatch::Entries(read)
+            });
+        }
+        Ok(if read == 0 && self.done {
+            TailBatch::End
+        } else {
+            TailBatch::Entries(read)
+        })
+    }
+
+    /// Validates the rest of the stream without decoding it: the id-level walk with
+    /// the layout sink, which builds nothing — no [`ObjRep`], no names, no argument
+    /// lists. Every check of the decoder runs, so a damaged stream fails with exactly
+    /// the error [`Self::next_entry`] would report.
     ///
     /// Returns the entry count and, when the stream has the canonical layout (see the
     /// module docs), the FNV-1a 64 of the whole stream, checksum field included: the
@@ -876,40 +977,21 @@ impl<R: Read> BinaryTraceReader<R> {
             canonical: true,
         };
         loop {
-            let Some(tag) = self.read_optional_byte()? else {
-                return Err(FormatError::Truncated {
-                    offset: self.offset(),
-                });
-            };
-            match tag {
-                TAG_SYM => {
-                    let s = self.read_string()?.into_boxed_str();
-                    self.strings.push(s);
+            match self.walk_record(&mut layout)? {
+                None => {
+                    return Err(FormatError::Truncated {
+                        offset: self.offset(),
+                    })
                 }
-                TAG_ENTRY => {
-                    self.read_varint()?;
-                    self.walk_id(&mut layout)?;
-                    self.walk_objrep(&mut layout)?;
-                    self.walk_event(&mut layout)?;
-                    self.entries_read += 1;
-                    layout.canonical &= layout.mentioned == self.strings.len();
-                }
-                TAG_END => {
-                    self.read_footer()?;
+                Some(Record::End) => {
                     self.commit();
                     layout.canonical &= layout.mentioned == self.strings.len();
                     let hash = (layout.canonical && self.strings_are_distinct())
                         .then(|| self.hash.finish());
                     return Ok((self.entries_read, hash));
                 }
-                other => {
-                    return Err(FormatError::Corrupt {
-                        offset: self.offset() - 1,
-                        detail: format!("unknown record tag {other:#04x}"),
-                    })
-                }
+                Some(_) => self.commit(),
             }
-            self.commit();
         }
     }
 
@@ -921,21 +1003,60 @@ impl<R: Read> BinaryTraceReader<R> {
         sorted.windows(2).all(|pair| pair[0] != pair[1])
     }
 
-    /// Reads and checks one string id, tracking canonical layout rule 2: the first
-    /// mention of an id not yet mentioned must be the lowest such id.
-    fn walk_id(&mut self, layout: &mut Layout) -> Result<()> {
-        let id = self.read_varint()?;
-        let index = self.lookup(id)?;
-        if index == layout.mentioned {
-            layout.mentioned += 1;
-        } else if index > layout.mentioned {
-            layout.canonical = false;
+    /// The id-level walk of one record starting at the current boundary: the record
+    /// grammar read through the decoder's primitives, in the decoder's order, with
+    /// every string id and object representation handed to `sink` instead of being
+    /// built. `Ok(None)` means no tag byte is available right now.
+    fn walk_record<S: Sink>(&mut self, sink: &mut S) -> Result<Option<Record<()>>> {
+        let Some(tag) = self.read_optional_byte()? else {
+            return Ok(None);
+        };
+        match tag {
+            TAG_SYM => {
+                self.read_sym()?;
+                Ok(Some(Record::Sym))
+            }
+            TAG_ENTRY => {
+                let tid = ThreadId(self.read_varint()?);
+                let method = self.walk_id(sink)?;
+                let active = self.walk_objrep(sink)?;
+                let (kind, name, child) = self.walk_event(sink)?;
+                sink.entry(
+                    &self.strings,
+                    RawEntry {
+                        eid: EntryId(self.entries_read),
+                        tid,
+                        method,
+                        active,
+                        kind,
+                        name,
+                        child,
+                    },
+                );
+                self.entries_read += 1;
+                Ok(Some(Record::Entry(())))
+            }
+            TAG_END => {
+                self.read_footer()?;
+                Ok(Some(Record::End))
+            }
+            other => Err(FormatError::Corrupt {
+                offset: self.offset() - 1,
+                detail: format!("unknown record tag {other:#04x}"),
+            }),
         }
-        Ok(())
     }
 
-    /// [`Self::read_objrep`] without the [`ObjRep`].
-    fn walk_objrep(&mut self, layout: &mut Layout) -> Result<()> {
+    /// Reads and checks one string id, reporting the mention to `sink`.
+    fn walk_id<S: Sink>(&mut self, sink: &mut S) -> Result<usize> {
+        let id = self.read_varint()?;
+        let index = self.lookup(id)?;
+        sink.mention(index);
+        Ok(index)
+    }
+
+    /// [`Self::read_objrep`] at the level of ids.
+    fn walk_objrep<S: Sink>(&mut self, sink: &mut S) -> Result<RawObj> {
         let start = self.offset();
         let Some(flags) = self.read_optional_byte()? else {
             return Err(FormatError::Truncated {
@@ -948,81 +1069,153 @@ impl<R: Read> BinaryTraceReader<R> {
                 detail: format!("unknown object representation flags {flags:#04x}"),
             });
         }
-        self.walk_id(layout)?;
-        self.read_varint()?;
-        self.walk_id(layout)?;
-        if flags & OBJ_HAS_LOC != 0 {
-            self.read_varint()?;
-        }
-        if flags & OBJ_HAS_SEQ != 0 {
-            self.read_varint()?;
-        }
+        let class = self.walk_id(sink)?;
+        let fingerprint = ValueFingerprint(self.read_varint()?);
+        let printed = self.walk_id(sink)?;
+        let loc = if flags & OBJ_HAS_LOC != 0 {
+            Some(Loc(self.read_varint()?))
+        } else {
+            None
+        };
+        let creation_seq = if flags & OBJ_HAS_SEQ != 0 {
+            Some(CreationSeq(self.read_varint()?))
+        } else {
+            None
+        };
+        Ok(RawObj {
+            class,
+            fingerprint,
+            printed,
+            loc,
+            creation_seq,
+        })
+    }
+
+    /// One event operand: walked, then handed to `sink`.
+    fn walk_operand<S: Sink>(&mut self, sink: &mut S) -> Result<()> {
+        let obj = self.walk_objrep(sink)?;
+        sink.operand(&self.strings, obj);
         Ok(())
     }
 
-    fn walk_objreps(&mut self, layout: &mut Layout) -> Result<()> {
+    /// A counted list of event operands (call and init arguments).
+    fn walk_operands<S: Sink>(&mut self, sink: &mut S) -> Result<()> {
         let count = self.read_varint()?;
         for _ in 0..count {
-            self.walk_objrep(layout)?;
+            self.walk_operand(sink)?;
         }
         Ok(())
     }
 
-    /// [`Self::read_snapshot`] without the [`StackSnapshot`].
-    fn walk_snapshot(&mut self, layout: &mut Layout) -> Result<()> {
+    /// [`Self::read_snapshot`] at the level of ids.
+    fn walk_snapshot<S: Sink>(&mut self, sink: &mut S) -> Result<()> {
         let count = self.read_varint()?;
         for _ in 0..count {
-            self.walk_id(layout)?;
-            self.walk_objrep(layout)?;
-            self.walk_objrep(layout)?;
+            let method = self.walk_id(sink)?;
+            let caller = self.walk_objrep(sink)?;
+            let callee = self.walk_objrep(sink)?;
+            sink.frame(&self.strings, method, caller, callee);
         }
+        sink.snapshot();
         Ok(())
     }
 
-    /// [`Self::read_event`] without the [`Event`].
-    fn walk_event(&mut self, layout: &mut Layout) -> Result<()> {
+    /// [`Self::read_event`] at the level of ids: the operands go to `sink` in
+    /// [`Event::operands`] order; returns the kind, the named id and a fork's child.
+    fn walk_event<S: Sink>(
+        &mut self,
+        sink: &mut S,
+    ) -> Result<(EventKind, Option<usize>, Option<ThreadId>)> {
         let start = self.offset();
         let Some(kind) = self.read_optional_byte()? else {
             return Err(FormatError::Truncated {
                 offset: self.offset(),
             });
         };
-        match kind {
+        Ok(match kind {
             KIND_GET | KIND_SET | KIND_RETURN => {
-                self.walk_objrep(layout)?;
-                self.walk_id(layout)?;
-                self.walk_objrep(layout)?;
+                self.walk_operand(sink)?;
+                let name = self.walk_id(sink)?;
+                self.walk_operand(sink)?;
+                let kind = match kind {
+                    KIND_GET => EventKind::Get,
+                    KIND_SET => EventKind::Set,
+                    _ => EventKind::Return,
+                };
+                (kind, Some(name), None)
             }
             KIND_CALL => {
-                self.walk_objrep(layout)?;
-                self.walk_id(layout)?;
-                self.walk_objreps(layout)?;
+                self.walk_operand(sink)?;
+                let name = self.walk_id(sink)?;
+                self.walk_operands(sink)?;
+                (EventKind::Call, Some(name), None)
             }
             KIND_INIT => {
-                self.walk_id(layout)?;
-                self.walk_objreps(layout)?;
-                self.walk_objrep(layout)?;
+                let name = self.walk_id(sink)?;
+                self.walk_operands(sink)?;
+                self.walk_operand(sink)?;
+                (EventKind::Init, Some(name), None)
             }
             KIND_FORK => {
-                self.read_varint()?;
+                let child = ThreadId(self.read_varint()?);
                 let depth = self.read_varint()?;
                 for _ in 0..depth {
-                    self.walk_snapshot(layout)?;
+                    self.walk_snapshot(sink)?;
                 }
+                (EventKind::Fork, None, Some(child))
             }
-            KIND_END => self.walk_snapshot(layout)?,
+            KIND_END => {
+                self.walk_snapshot(sink)?;
+                (EventKind::End, None, None)
+            }
             other => {
                 return Err(FormatError::Corrupt {
                     offset: start,
                     detail: format!("unknown event kind {other:#04x}"),
                 })
             }
-        }
-        Ok(())
+        })
     }
 }
 
-/// What [`BinaryTraceReader::validate`] tracks of the canonical layout.
+/// One object representation at the level of string ids.
+#[derive(Clone, Copy)]
+struct RawObj {
+    class: usize,
+    fingerprint: ValueFingerprint,
+    printed: usize,
+    loc: Option<Loc>,
+    creation_seq: Option<CreationSeq>,
+}
+
+/// One entry at the level of string ids, less its operands and stacks (which the
+/// walk has already handed over).
+struct RawEntry {
+    eid: EntryId,
+    tid: ThreadId,
+    method: usize,
+    active: RawObj,
+    kind: EventKind,
+    name: Option<usize>,
+    child: Option<ThreadId>,
+}
+
+/// What the id-level walk reports, in stream order. `strings` is the stream's
+/// string table as it stands.
+trait Sink {
+    /// A string id was mentioned (every mention, in stream order).
+    fn mention(&mut self, index: usize);
+    /// One event operand, in [`Event::operands`] order.
+    fn operand(&mut self, strings: &[Box<str>], obj: RawObj);
+    /// One frame of the stack snapshot being walked.
+    fn frame(&mut self, strings: &[Box<str>], method: usize, caller: RawObj, callee: RawObj);
+    /// The stack snapshot being walked is complete.
+    fn snapshot(&mut self);
+    /// The entry is complete.
+    fn entry(&mut self, strings: &[Box<str>], entry: RawEntry);
+}
+
+/// The validate sink: builds nothing, tracks the canonical layout.
 struct Layout {
     /// Ids `0..mentioned` have been mentioned by an entry.
     mentioned: usize,
@@ -1030,13 +1223,112 @@ struct Layout {
     canonical: bool,
 }
 
-/// One decoded record of the binary stream (see [`BinaryTraceReader::read_record`]).
+impl Sink for Layout {
+    /// Canonical layout rule 2: the first mention of an id not yet mentioned must be
+    /// the lowest such id.
+    fn mention(&mut self, index: usize) {
+        if index == self.mentioned {
+            self.mentioned += 1;
+        } else if index > self.mentioned {
+            self.canonical = false;
+        }
+    }
+
+    fn operand(&mut self, _: &[Box<str>], _: RawObj) {}
+
+    fn frame(&mut self, _: &[Box<str>], _: usize, _: RawObj, _: RawObj) {}
+
+    fn snapshot(&mut self) {}
+
+    /// Canonical layout rule 3: after every entry, every defined string was mentioned.
+    fn entry(&mut self, strings: &[Box<str>], _: RawEntry) {
+        self.canonical &= self.mentioned == strings.len();
+    }
+}
+
+/// The [`EntryBatch`] sink: resolves name ids to symbols through the stream's lazy
+/// per-id table. Printed strings are never interned; only the rare stack snapshots of
+/// thread events copy strings, into owned [`StackSnapshot`]s.
+struct RefSink<'a> {
+    batch: &'a mut EntryBatch,
+    symbols: Vec<Option<Symbol>>,
+    frames: Vec<StackFrame>,
+}
+
+impl RefSink<'_> {
+    fn symbol(&mut self, strings: &[Box<str>], index: usize) -> Symbol {
+        if index >= self.symbols.len() {
+            self.symbols.resize(strings.len(), None);
+        }
+        *self.symbols[index].get_or_insert_with(|| intern(&strings[index]))
+    }
+
+    fn obj_at(&mut self, strings: &[Box<str>], obj: RawObj) -> ObjAt {
+        ObjAt {
+            ident: ObjIdent {
+                class: self.symbol(strings, obj.class),
+                fingerprint: obj.fingerprint,
+                creation_seq: obj.creation_seq,
+            },
+            loc: obj.loc,
+        }
+    }
+}
+
+/// The owned [`ObjRep`] of an id-level object (stack snapshot frames only).
+fn owned_objrep(strings: &[Box<str>], obj: RawObj) -> ObjRep {
+    ObjRep {
+        loc: obj.loc,
+        class: strings[obj.class].to_string(),
+        fingerprint: obj.fingerprint,
+        printed: strings[obj.printed].to_string(),
+        creation_seq: obj.creation_seq,
+    }
+}
+
+impl Sink for RefSink<'_> {
+    fn mention(&mut self, _: usize) {}
+
+    fn operand(&mut self, strings: &[Box<str>], obj: RawObj) {
+        let operand = self.obj_at(strings, obj);
+        self.batch.push_operand(operand);
+    }
+
+    fn frame(&mut self, strings: &[Box<str>], method: usize, caller: RawObj, callee: RawObj) {
+        self.frames.push(StackFrame::new(
+            MethodName::new(&*strings[method]),
+            owned_objrep(strings, caller),
+            owned_objrep(strings, callee),
+        ));
+    }
+
+    fn snapshot(&mut self) {
+        let frames = std::mem::take(&mut self.frames);
+        self.batch.push_stack(StackSnapshot::new(frames));
+    }
+
+    fn entry(&mut self, strings: &[Box<str>], entry: RawEntry) {
+        let head = EntryHead {
+            eid: entry.eid,
+            tid: entry.tid,
+            method: self.symbol(strings, entry.method),
+            active: self.obj_at(strings, entry.active),
+            kind: entry.kind,
+            name: entry.name.map(|name| self.symbol(strings, name)),
+            child: entry.child,
+        };
+        self.batch.close_entry(head);
+    }
+}
+
+/// One record of the binary stream: a decoded entry ([`BinaryTraceReader::read_record`])
+/// or `()` for the id-level walk ([`BinaryTraceReader::walk_record`]).
 // The Entry payload is moved straight out to the caller; boxing it would cost an
 // allocation per decoded entry on the ingest hot path.
 #[allow(clippy::large_enum_variant)]
-enum Record {
+enum Record<T = TraceEntry> {
     Sym,
-    Entry(TraceEntry),
+    Entry(T),
     End,
 }
 

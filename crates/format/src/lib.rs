@@ -79,7 +79,7 @@ use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-use rprism_trace::{Trace, TraceEntry, TraceMeta};
+use rprism_trace::{EntryBatch, Trace, TraceEntry, TraceMeta};
 
 pub use binary::{BinaryTraceReader, BinaryTraceWriter, Fnv64, FORMAT_VERSION, MAGIC};
 pub use error::{FormatError, Result};
@@ -345,26 +345,68 @@ impl<R: BufRead> TraceReader<R> {
     /// schema violations); running out of bytes is never an error in this mode.
     pub fn read_batch_tail(&mut self, out: &mut Vec<TraceEntry>, max: usize) -> Result<TailBatch> {
         out.clear();
-        while out.len() < max {
-            match self.next_entry_tail()? {
-                TailEntry::Entry(entry) => out.push(entry),
-                TailEntry::Pending => {
-                    return Ok(if out.is_empty() {
-                        TailBatch::Pending
-                    } else {
-                        TailBatch::Entries(out.len())
-                    });
+        self.fill_tail(max, |entry| out.push(entry))
+    }
+
+    /// Decodes up to `max` further entries into `out` (cleared first) at the level of
+    /// symbols — the form ingest, check and watch consume — returning how many
+    /// arrived, `0` only after the verified end of the stream. Binary input never
+    /// builds a [`TraceEntry`] (see [`BinaryTraceReader::read_refs`]); JSONL entries
+    /// are decoded and go through the [`EntryBatch::push`] adapter.
+    ///
+    /// # Errors
+    ///
+    /// Exactly [`Self::read_batch`]'s.
+    pub fn read_refs(&mut self, out: &mut EntryBatch, max: usize) -> Result<usize> {
+        out.clear();
+        self.append_refs(out, max)
+    }
+
+    /// [`Self::read_refs`] without clearing `out` first.
+    pub(crate) fn append_refs(&mut self, out: &mut EntryBatch, max: usize) -> Result<usize> {
+        match self {
+            TraceReader::Binary(r) => r.read_refs(out, max),
+            TraceReader::Jsonl(r) => {
+                let mut read = 0;
+                while read < max {
+                    let Some(entry) = r.next_entry()? else { break };
+                    out.push(&entry);
+                    read += 1;
                 }
-                TailEntry::End => {
-                    return Ok(if out.is_empty() {
-                        TailBatch::End
-                    } else {
-                        TailBatch::Entries(out.len())
-                    });
-                }
+                Ok(read)
             }
         }
-        Ok(TailBatch::Entries(out.len()))
+    }
+
+    /// The tail-mode form of [`Self::read_refs`], with [`Self::read_batch_tail`]'s
+    /// semantics.
+    ///
+    /// # Errors
+    ///
+    /// Exactly [`Self::read_batch_tail`]'s.
+    pub fn read_refs_tail(&mut self, out: &mut EntryBatch, max: usize) -> Result<TailBatch> {
+        out.clear();
+        match self {
+            TraceReader::Binary(r) => r.read_refs_tail(out, max),
+            TraceReader::Jsonl(_) => self.fill_tail(max, |entry| out.push(&entry)),
+        }
+    }
+
+    /// Hands up to `max` tail-decoded entries to `put`.
+    fn fill_tail(&mut self, max: usize, mut put: impl FnMut(TraceEntry)) -> Result<TailBatch> {
+        let mut read = 0;
+        while read < max {
+            match self.next_entry_tail()? {
+                TailEntry::Entry(entry) => {
+                    put(entry);
+                    read += 1;
+                }
+                TailEntry::Pending if read == 0 => return Ok(TailBatch::Pending),
+                TailEntry::End if read == 0 => return Ok(TailBatch::End),
+                TailEntry::Pending | TailEntry::End => break,
+            }
+        }
+        Ok(TailBatch::Entries(read))
     }
 
     /// Reads all remaining entries into a [`Trace`], validating the stream end.

@@ -29,7 +29,7 @@ use std::collections::VecDeque;
 use std::io::{BufReader, Read};
 use std::sync::{Arc, Mutex};
 
-use rprism_trace::{TraceEntry, TraceMeta};
+use rprism_trace::{EntryBatch, TraceEntry, TraceMeta};
 
 use crate::error::{FormatError, Result};
 use crate::{ChainedReader, Encoding, TailBatch, TraceReader, MAGIC};
@@ -181,6 +181,21 @@ impl TailDecoder {
         }
     }
 
+    /// [`Self::read_batch`] at the level of symbols: decodes up to `max`
+    /// currently-available entries into `out` (cleared first) without building any
+    /// [`TraceEntry`] from binary input (see [`TraceReader::read_refs_tail`]).
+    ///
+    /// # Errors
+    ///
+    /// Exactly [`Self::read_batch`]'s.
+    pub fn read_refs(&mut self, out: &mut EntryBatch, max: usize) -> Result<TailBatch> {
+        out.clear();
+        match &mut self.inner {
+            Some(inner) => inner.reader.read_refs_tail(out, max),
+            None => Ok(TailBatch::Pending),
+        }
+    }
+
     /// Declares the stream complete and drains everything that remains under the
     /// encoding's strict end-of-stream semantics, appending to `out` (NOT cleared:
     /// this is the final flush after a `read_batch` loop).
@@ -191,27 +206,41 @@ impl TailDecoder {
     /// stream applies the unterminated-final-line grace and the trailer checks; a
     /// stream too short to even parse a header reports what `TraceReader::new` would.
     pub fn finish(&mut self, out: &mut Vec<TraceEntry>) -> Result<()> {
-        let inner = match self.inner.take() {
-            Some(inner) => inner,
-            None => {
-                // The header never opened in tail mode (e.g. an unterminated JSONL
-                // header line, or a binary header cut short). Strict semantics decide:
-                // parse the stash as a complete stream and drain it — a truncated
-                // binary header errors here, a graced JSONL fragment reads through.
-                let mut reader = TraceReader::new(BufReader::new(self.stash.as_slice()))?;
-                self.finished_meta = Some(reader.meta().clone());
-                while let Some(entry) = reader.next_entry()? {
-                    out.push(entry);
-                }
-                return Ok(());
-            }
-        };
-        let mut reader = inner.reader;
-        self.finished_meta = Some(reader.meta().clone());
+        let mut reader = self.strict_reader()?;
         while let Some(entry) = reader.next_entry()? {
             out.push(entry);
         }
         Ok(())
+    }
+
+    /// [`Self::finish`] at the level of symbols, appending to `out` (NOT cleared: this
+    /// is the final flush after a [`Self::read_refs`] loop).
+    ///
+    /// # Errors
+    ///
+    /// Exactly [`Self::finish`]'s.
+    pub fn finish_refs(&mut self, out: &mut EntryBatch) -> Result<()> {
+        let mut reader = self.strict_reader()?;
+        while reader.append_refs(out, usize::MAX)? > 0 {}
+        Ok(())
+    }
+
+    /// Takes the reader [`Self::finish`] drains under strict end-of-stream semantics,
+    /// keeping its metadata.
+    fn strict_reader(&mut self) -> Result<TraceReader<ChainedReader<BufReader<QueueReader>>>> {
+        let reader = match self.inner.take() {
+            Some(inner) => inner.reader,
+            None => {
+                // The header never opened in tail mode (e.g. an unterminated JSONL
+                // header line, or a binary header cut short). Strict semantics decide:
+                // parse the stash as a complete stream — a truncated binary header
+                // errors here, a graced JSONL fragment reads through.
+                let queue = Arc::new(Mutex::new(VecDeque::from(std::mem::take(&mut self.stash))));
+                TraceReader::new(BufReader::new(QueueReader { queue }))?
+            }
+        };
+        self.finished_meta = Some(reader.meta().clone());
+        Ok(reader)
     }
 }
 

@@ -13,7 +13,7 @@
 
 use std::collections::HashSet;
 
-use rprism_trace::{intern, EventKind, KeyedTrace, OperandId, Symbol, Trace, TraceEntry};
+use rprism_trace::{intern, EntryBatch, EventKind, KeyedTrace, OperandId, Symbol, Trace, TraceEntry};
 
 use rprism_diff::TraceDiffResult;
 
@@ -39,7 +39,7 @@ impl DiffSignature {
     /// Builds the signature of a trace entry (non-keyed path: interns on the fly).
     pub fn of(entry: &TraceEntry) -> Self {
         let mut keyed = KeyedTrace::default();
-        keyed.push_entry(entry);
+        EntryBatch::visit(std::slice::from_ref(entry), |entry| keyed.push(entry));
         Self::of_keyed(&keyed, 0, entry)
     }
 

@@ -50,6 +50,7 @@ use rprism::{
 };
 use rprism_format::frame::{read_frame, write_frame};
 use rprism_format::{TailBatch, TailDecoder};
+use rprism_trace::EntryBatch;
 use rprism_obs::{Counter, Obs};
 
 use crate::proto::{
@@ -666,7 +667,7 @@ impl Worker {
         let engine = self.repo.engine();
         state.decoder.push_bytes(bytes).map_err(ServerError::Format)?;
         let mut events: Vec<WireWatchEvent> = Vec::new();
-        let mut batch = Vec::new();
+        let mut batch = EntryBatch::new();
         loop {
             // The session exists only once the stream header has arrived and named
             // the trace; until then every chunk is Pending with no events.
@@ -678,12 +679,12 @@ impl Worker {
             }
             match state
                 .decoder
-                .read_batch(&mut batch, WATCH_BATCH)
+                .read_refs(&mut batch, WATCH_BATCH)
                 .map_err(ServerError::Format)?
             {
                 TailBatch::Entries(_) => {
                     let session = state.watch.as_mut().expect("session exists past header");
-                    for event in session.push_entries(&batch)? {
+                    for event in session.push_batch(&batch)? {
                         events.push(WireWatchEvent::from_event(&event));
                     }
                 }
@@ -697,7 +698,7 @@ impl Worker {
         // truncation *now*; JSONL gets its final-line grace), then the authoritative
         // verdict, rendered exactly as a batch Diff of the same pair would be.
         batch.clear();
-        state.decoder.finish(&mut batch).map_err(ServerError::Format)?;
+        state.decoder.finish_refs(&mut batch).map_err(ServerError::Format)?;
         if state.watch.is_none() {
             let meta = state
                 .decoder
@@ -708,7 +709,7 @@ impl Worker {
         }
         let mut session = state.watch.take().expect("session exists at finish");
         if !batch.is_empty() {
-            for event in session.push_entries(&batch)? {
+            for event in session.push_batch(&batch)? {
                 events.push(WireWatchEvent::from_event(&event));
             }
         }

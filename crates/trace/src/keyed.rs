@@ -11,9 +11,9 @@
 //! string traversal, `Copy`-cheap keys that can cross thread — and eventually shard —
 //! boundaries.
 
-use crate::entry::TraceEntry;
-use crate::event::{Event, EventKind};
-use crate::intern::{intern, Symbol};
+use crate::batch::{EntryBatch, EntryRef};
+use crate::event::EventKind;
+use crate::intern::Symbol;
 use crate::objrep::ValueFingerprint;
 use crate::trace::Trace;
 
@@ -56,49 +56,41 @@ pub struct KeyedTrace {
 }
 
 impl KeyedTrace {
-    /// Builds the keyed form of a trace in one pass. This is the only place where names
-    /// are interned and hashes computed; everything downstream reuses the result.
+    /// Builds the keyed form of a trace in one pass (through the [`EntryBatch`]
+    /// adapter). This and [`KeyedTrace::push`] are the only places keys are computed;
+    /// everything downstream reuses the result.
     pub fn build(trace: &Trace) -> Self {
         let mut keyed = KeyedTrace {
             keys: Vec::with_capacity(trace.len()),
             operands: Vec::with_capacity(trace.len() * 2),
         };
-        for entry in trace.iter() {
-            keyed.push_entry(entry);
-        }
+        EntryBatch::visit(&trace.entries, |entry| keyed.push(entry));
         keyed
     }
 
-    /// Appends the key of one entry (exposed for incremental/streaming construction).
-    pub fn push_entry(&mut self, entry: &TraceEntry) {
-        let event = &entry.event;
-        let (kind, name) = match event {
-            Event::Get { field, .. } => (EventKind::Get, Some(intern(field.as_str()))),
-            Event::Set { field, .. } => (EventKind::Set, Some(intern(field.as_str()))),
-            Event::Call { method, .. } => (EventKind::Call, Some(intern(method.as_str()))),
-            Event::Return { method, .. } => (EventKind::Return, Some(intern(method.as_str()))),
-            Event::Init { class, .. } => (EventKind::Init, Some(intern(class))),
-            Event::Fork { .. } => (EventKind::Fork, None),
-            Event::End { .. } => (EventKind::End, None),
-        };
+    /// Appends the key of one entry (incremental and streaming construction).
+    pub fn push(&mut self, entry: EntryRef<'_>) {
         let ops_start = u32::try_from(self.operands.len()).expect("operand arena overflow");
-        for op in event.operands() {
-            self.operands.push((intern(&op.class), op.fingerprint));
-        }
+        self.operands.extend(
+            entry
+                .operands
+                .iter()
+                .map(|op| (op.ident.class, op.ident.fingerprint)),
+        );
         let ops_len = u32::try_from(self.operands.len()).expect("operand arena overflow")
             - ops_start;
 
         let mut h = KeyHasher::new();
-        h.write_u64(kind as u64 + 1);
-        h.write_u64(name.map_or(u64::MAX, |s| s.index() as u64));
+        h.write_u64(entry.kind as u64 + 1);
+        h.write_u64(entry.name.map_or(u64::MAX, |s| s.index() as u64));
         for (class, fp) in &self.operands[ops_start as usize..(ops_start + ops_len) as usize] {
             h.write_u64(class.index() as u64);
             h.write_u64(fp.0);
         }
         self.keys.push(CompactEventKey {
             hash: h.finish(),
-            kind,
-            name,
+            kind: entry.kind,
+            name: entry.name,
             ops_start,
             ops_len,
         });
@@ -210,8 +202,9 @@ impl KeyHasher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::entry::{EntryId, ThreadId};
+    use crate::entry::{EntryId, ThreadId, TraceEntry};
     use crate::eq::{event_eq, EventKey};
+    use crate::event::Event;
     use crate::objrep::{CreationSeq, Loc, ObjRep};
     use crate::testgen::{arbitrary_entry, Rng};
     use rprism_lang::{FieldName, MethodName};

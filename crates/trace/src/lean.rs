@@ -1,7 +1,7 @@
 //! Lean per-entry context: the bounded-memory companion of
 //! [`KeyedTrace`](crate::keyed::KeyedTrace).
 //!
-//! A full [`TraceEntry`] is expensive to hold for multi-hundred-MB traces: each entry
+//! A full [`TraceEntry`](crate::TraceEntry) is expensive to hold for multi-hundred-MB traces: each entry
 //! carries owned strings (class names, printed values) and nested object
 //! representations. The differencing and regression pipelines, however, only consult a
 //! small slice of that data once a [`KeyedTrace`](crate::keyed::KeyedTrace) and a view
@@ -15,11 +15,13 @@
 //!
 //! [`LeanEntry`] captures exactly that, with every name interned to a [`Symbol`]: a
 //! plain-data struct a fraction of the size of a decoded entry, held in one flat `Vec`.
+//! It is built from an [`EntryRef`], so a streamed entry never exists in full.
 //! Streaming ingestion (`rprism_core::ingest`) builds a [`LeanTrace`] instead of a
 //! [`Trace`](crate::trace::Trace), which is what lets two large on-disk traces be
 //! differenced without ever materializing either one.
 
-use crate::entry::{ThreadId, TraceEntry};
+use crate::batch::EntryRef;
+use crate::entry::ThreadId;
 use crate::intern::{intern, Symbol};
 use crate::objrep::{CreationSeq, ObjRep, ValueFingerprint};
 use crate::trace::TraceMeta;
@@ -85,6 +87,17 @@ impl ObjIdent {
     }
 }
 
+/// Renders like [`ObjRep`] renders a heap object — `Class-N`, the class plus the
+/// one-based creation sequence number — and as the bare class name otherwise.
+impl std::fmt::Display for ObjIdent {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.creation_seq {
+            Some(seq) => write!(f, "{}-{}", self.class, seq.0 + 1),
+            None => write!(f, "{}", self.class),
+        }
+    }
+}
+
 /// The lean context of one trace entry — everything the analysis pipeline reads from an
 /// entry besides its precomputed event key and view memberships.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -101,13 +114,13 @@ pub struct LeanEntry {
 }
 
 impl LeanEntry {
-    /// Reduces a full entry to its lean context (interning the names it mentions).
-    pub fn of(entry: &TraceEntry) -> Self {
+    /// Reduces an entry to its lean context.
+    pub fn of(entry: EntryRef<'_>) -> Self {
         LeanEntry {
             tid: entry.tid,
-            method: intern(entry.method.as_str()),
-            active: ObjIdent::of(&entry.active),
-            target: entry.event.target_object().map(ObjIdent::of),
+            method: entry.method,
+            active: entry.active.ident,
+            target: entry.target.map(|target| target.ident),
         }
     }
 }
@@ -133,7 +146,7 @@ impl LeanTrace {
 
     /// Appends the lean context of one entry (exposed for incremental/streaming
     /// construction).
-    pub fn push(&mut self, entry: &TraceEntry) {
+    pub fn push(&mut self, entry: EntryRef<'_>) {
         self.entries.push(LeanEntry::of(entry));
     }
 
@@ -161,6 +174,8 @@ impl LeanTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::EntryBatch;
+    use crate::entry::TraceEntry;
     use crate::testgen::{arbitrary_entry, Rng};
 
     #[test]
@@ -191,12 +206,8 @@ mod tests {
     fn lean_entries_capture_context() {
         let mut rng = Rng::new(7);
         let mut lean = LeanTrace::new(TraceMeta::new("lean", "v", "t"));
-        let mut entries = Vec::new();
-        for _ in 0..40 {
-            let e = arbitrary_entry(&mut rng);
-            lean.push(&e);
-            entries.push(e);
-        }
+        let entries: Vec<TraceEntry> = (0..40).map(|_| arbitrary_entry(&mut rng)).collect();
+        EntryBatch::visit(&entries, |entry| lean.push(entry));
         assert_eq!(lean.len(), entries.len());
         for (le, e) in lean.entries().iter().zip(&entries) {
             assert_eq!(le.tid, e.tid);

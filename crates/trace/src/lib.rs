@@ -14,6 +14,8 @@
 //!   events (thread parentage);
 //! * [`trace`] — trace containers, including segmented storage mimicking RPrism's
 //!   "smart trace segmentation" (§5);
+//! * [`batch`] — [`EntryBatch`] / [`EntryRef`]: entries reduced to interned names,
+//!   object identities and locations, the one form every artifact builder consumes;
 //! * [`eq`] — the event-equality relation `=e` on which all differencing is built;
 //! * [`mod@intern`] — process-global string interning: names become dense `u32`
 //!   [`Symbol`]s that compare and hash as integers;
@@ -31,6 +33,7 @@
 //! The crate is deliberately independent of the interpreter: traces can be constructed by
 //! `rprism-vm`, loaded from serialized form, or synthesized directly in tests.
 
+pub mod batch;
 pub mod entry;
 pub mod eq;
 pub mod event;
@@ -43,6 +46,7 @@ pub mod stack;
 pub mod testgen;
 pub mod trace;
 
+pub use batch::{EntryBatch, EntryHead, EntryRef, ObjAt};
 pub use entry::{EntryId, ThreadId, TraceEntry};
 pub use eq::{event_eq, events_eq, EventKey};
 pub use event::{Event, EventKind};

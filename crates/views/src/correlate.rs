@@ -204,7 +204,7 @@ pub fn correlate_objects_ids(
     let mut result = Vec::new();
 
     for (lid, lview) in left.views_of_kind_with_ids(kind) {
-        let Some(lrep) = lview.representative.as_ref() else {
+        let Some(lrep) = lview.representative else {
             continue;
         };
         // Prefer a value-representation match; fall back to creation-sequence match.
@@ -213,7 +213,7 @@ pub fn correlate_objects_ids(
             if taken[i] {
                 continue;
             }
-            let Some(rrep) = rview.representative.as_ref() else {
+            let Some(rrep) = rview.representative else {
                 continue;
             };
             if lrep.class == rrep.class
@@ -223,7 +223,7 @@ pub fn correlate_objects_ids(
                 chosen = Some(i);
                 break;
             }
-            if chosen.is_none() && lrep.correlates_with(rrep) {
+            if chosen.is_none() && lrep.correlates_with(&rrep) {
                 chosen = Some(i);
             }
         }
@@ -397,8 +397,8 @@ mod tests {
         let pairs = corr.object_pairs(&lw, &rw, ViewKind::TargetObject);
         assert!(!pairs.is_empty());
         for (l, r) in &pairs {
-            let lrep = lw.view(l).unwrap().representative.as_ref().unwrap();
-            let rrep = rw.view(r).unwrap().representative.as_ref().unwrap();
+            let lrep = lw.view(l).unwrap().representative.unwrap();
+            let rrep = rw.view(r).unwrap().representative.unwrap();
             assert_eq!(lrep.class, rrep.class, "correlated views must agree on class");
         }
     }

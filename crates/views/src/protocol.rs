@@ -50,7 +50,7 @@ impl ProtocolModel {
     pub fn infer(trace: &Trace, web: &ViewWeb) -> Self {
         let mut classes: BTreeMap<String, ClassProtocol> = BTreeMap::new();
         for view in web.views_of_kind(ViewKind::TargetObject) {
-            let Some(rep) = view.representative.as_ref() else {
+            let Some(rep) = view.representative else {
                 continue;
             };
             // The per-object call sequence: the methods of the call events in this
@@ -66,7 +66,7 @@ impl ProtocolModel {
             if calls.is_empty() {
                 continue;
             }
-            let protocol = classes.entry(rep.class.clone()).or_default();
+            let protocol = classes.entry(rep.class.as_str().to_owned()).or_default();
             protocol.instances += 1;
             protocol.initial.insert(calls[0].clone());
             protocol.r#final.insert(calls[calls.len() - 1].clone());

@@ -14,7 +14,7 @@
 //! The mapping functions compute, for a given trace entry, the name of the view of each
 //! type the entry belongs to (or `None`, e.g. thread events have no target object view).
 
-use rprism_trace::{intern, CreationSeq, Loc, ObjRep, Symbol, ThreadId, TraceEntry};
+use rprism_trace::{intern, CreationSeq, EntryRef, Loc, ObjIdent, Symbol, ThreadId, TraceEntry};
 
 /// The four view types of the paper.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -57,7 +57,7 @@ impl std::fmt::Display for ViewKind {
 
 /// An object identity *within one trace*: the heap location. Object views are named by
 /// location (as in Fig. 7, `⟨TO, l#(θ)⟩`); correlation across traces never uses the
-/// location itself but the view's representative [`ObjRep`].
+/// location itself but the view's representative [`ObjIdent`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ObjectId(pub Loc);
 
@@ -121,15 +121,12 @@ impl ViewKey {
     }
 
     /// `σ_τ` in compact form: the key of the entry's view of the given kind, if any.
-    pub fn of_entry(kind: ViewKind, entry: &TraceEntry) -> Option<ViewKey> {
+    pub fn of_entry(kind: ViewKind, entry: EntryRef<'_>) -> Option<ViewKey> {
         match kind {
             ViewKind::Thread => Some(ViewKey::Thread(entry.tid)),
-            ViewKind::Method => Some(ViewKey::Method(
-                intern(&entry.active.class),
-                intern(entry.method.as_str()),
-            )),
+            ViewKind::Method => Some(ViewKey::Method(entry.active.ident.class, entry.method)),
             ViewKind::TargetObject => {
-                let loc = entry.event.target_object()?.loc?;
+                let loc = entry.target?.loc?;
                 Some(ViewKey::TargetObject(ObjectId(loc)))
             }
             ViewKind::ActiveObject => {
@@ -176,12 +173,32 @@ impl std::fmt::Display for ViewName {
     }
 }
 
+/// `σ_τ` over an owned entry, for the name-based mappers below: the same membership
+/// as [`ViewKey::of_entry`], which the `entry_keys_agree_with_the_owned_mapping` test
+/// pins. The mappers serve the frozen seed differencer (`rprism-bench`), the
+/// baseline the keyed pipeline's speedups are measured against, so their cost must
+/// not move with the ingest path; the view web never takes this path.
+fn key_of_owned(kind: ViewKind, entry: &TraceEntry) -> Option<ViewKey> {
+    match kind {
+        ViewKind::Thread => Some(ViewKey::Thread(entry.tid)),
+        ViewKind::Method => Some(ViewKey::Method(
+            intern(&entry.active.class),
+            intern(entry.method.as_str()),
+        )),
+        ViewKind::TargetObject => {
+            let loc = entry.event.target_object()?.loc?;
+            Some(ViewKey::TargetObject(ObjectId(loc)))
+        }
+        ViewKind::ActiveObject => {
+            let loc = entry.active.loc?;
+            Some(ViewKey::ActiveObject(ObjectId(loc)))
+        }
+    }
+}
+
 /// `σ_TH`: every entry belongs to the thread view of its thread.
-///
-/// The name-based mappers are thin views over [`ViewKey::of_entry`] — the single source
-/// of truth for view membership.
 pub fn thread_view_name(entry: &TraceEntry) -> ViewName {
-    ViewKey::of_entry(ViewKind::Thread, entry)
+    key_of_owned(ViewKind::Thread, entry)
         .expect("every entry has a thread view")
         .to_name()
 }
@@ -189,7 +206,7 @@ pub fn thread_view_name(entry: &TraceEntry) -> ViewName {
 /// `σ_CM`: every entry belongs to the method view of the method under execution,
 /// qualified by the class of the active object.
 pub fn method_view_name(entry: &TraceEntry) -> ViewName {
-    ViewKey::of_entry(ViewKind::Method, entry)
+    key_of_owned(ViewKind::Method, entry)
         .expect("every entry has a method view")
         .to_name()
 }
@@ -197,13 +214,13 @@ pub fn method_view_name(entry: &TraceEntry) -> ViewName {
 /// `σ_TO`: entries whose event has a target heap object belong to that object's
 /// target-object view; thread events (and events targeting primitives) have none.
 pub fn target_object_view_name(entry: &TraceEntry) -> Option<ViewName> {
-    Some(ViewKey::of_entry(ViewKind::TargetObject, entry)?.to_name())
+    Some(key_of_owned(ViewKind::TargetObject, entry)?.to_name())
 }
 
 /// `σ_AO`: entries whose active object is a heap object belong to that object's
 /// active-object view.
 pub fn active_object_view_name(entry: &TraceEntry) -> Option<ViewName> {
-    Some(ViewKey::of_entry(ViewKind::ActiveObject, entry)?.to_name())
+    Some(key_of_owned(ViewKind::ActiveObject, entry)?.to_name())
 }
 
 /// The union of all mapping functions: every view the entry is a member of.
@@ -229,9 +246,10 @@ pub struct View {
     pub key: ViewKey,
     /// Member entry indices into the base trace, strictly increasing.
     pub entries: Vec<usize>,
-    /// For object views: the representation of the object this view is about, captured
-    /// from the first member entry. `None` for thread and method views.
-    pub representative: Option<ObjRep>,
+    /// For object views: the correlation identity (class, value fingerprint, creation
+    /// sequence) of the object this view is about, captured from the first member
+    /// entry. `None` for thread and method views.
+    pub representative: Option<ObjIdent>,
 }
 
 impl View {
@@ -265,7 +283,7 @@ impl View {
     /// The class + creation sequence identity of the object this view is about, when that
     /// is derivable (object views only).
     pub fn object_identity(&self) -> Option<(&str, CreationSeq)> {
-        let rep = self.representative.as_ref()?;
+        let rep = self.representative?;
         Some((rep.class.as_str(), rep.creation_seq?))
     }
 }
@@ -329,6 +347,20 @@ mod tests {
     }
 
     #[test]
+    fn entry_keys_agree_with_the_owned_mapping() {
+        use rprism_trace::testgen::{arbitrary_entry, Rng};
+        use rprism_trace::EntryBatch;
+        let mut rng = Rng::new(0x5e7a);
+        let entries: Vec<TraceEntry> = (0..400).map(|_| arbitrary_entry(&mut rng)).collect();
+        let batch = EntryBatch::of(&entries);
+        for (entry, got) in entries.iter().zip(batch.iter()) {
+            for kind in ViewKind::ALL {
+                assert_eq!(ViewKey::of_entry(kind, got), key_of_owned(kind, entry));
+            }
+        }
+    }
+
+    #[test]
     fn view_window_and_position() {
         let v = View {
             name: ViewName::Thread(ThreadId(0)),
@@ -364,7 +396,7 @@ mod tests {
             name: ViewName::TargetObject(ObjectId(Loc(5))),
             key: ViewKey::TargetObject(ObjectId(Loc(5))),
             entries: vec![0],
-            representative: Some(obj("NUM", 5, 3)),
+            representative: Some(ObjIdent::of(&obj("NUM", 5, 3))),
         };
         assert_eq!(v.object_identity(), Some(("NUM", CreationSeq(3))));
         v.representative = None;

@@ -14,7 +14,7 @@
 
 use std::collections::HashMap;
 
-use rprism_trace::{StackSnapshot, ThreadId, Trace, TraceEntry};
+use rprism_trace::{EntryBatch, EntryRef, ObjIdent, StackSnapshot, ThreadId, Trace};
 
 use crate::view::{View, ViewKey, ViewKind, ViewName};
 
@@ -89,13 +89,16 @@ impl ViewWeb {
         web
     }
 
-    /// Builds the full view web of a trace in a single pass.
+    /// Builds the full view web of a trace in a single pass (through the
+    /// [`EntryBatch`] adapter).
     pub fn build(trace: &Trace) -> Self {
         let mut web = ViewWeb::empty();
         web.memberships.reserve(trace.len());
-        for (index, entry) in trace.iter().enumerate() {
+        let mut index = 0;
+        EntryBatch::visit(&trace.entries, |entry| {
             web.extend(index, entry);
-        }
+            index += 1;
+        });
         web
     }
 
@@ -107,14 +110,14 @@ impl ViewWeb {
     /// # Panics
     ///
     /// Panics when `index` is out of order.
-    pub fn extend(&mut self, index: usize, entry: &TraceEntry) {
+    pub fn extend(&mut self, index: usize, entry: EntryRef<'_>) {
         assert_eq!(
             index,
             self.memberships.len(),
             "view web must be extended in trace order"
         );
-        if let rprism_trace::Event::Fork { child, parentage } = &entry.event {
-            self.thread_ancestry.insert(*child, parentage.clone());
+        if let Some(child) = entry.child {
+            self.thread_ancestry.insert(child, entry.parentage.to_vec());
         }
         let mut membership = EntryViews::empty();
         for kind in ViewKind::ALL {
@@ -128,7 +131,7 @@ impl ViewWeb {
         self.memberships.push(membership);
     }
 
-    fn view_id_or_insert(&mut self, key: ViewKey, entry: &TraceEntry) -> ViewId {
+    fn view_id_or_insert(&mut self, key: ViewKey, entry: EntryRef<'_>) -> ViewId {
         if let Some(&id) = self.index.get(&key) {
             return id;
         }
@@ -247,10 +250,10 @@ impl ViewWeb {
     }
 }
 
-fn representative_for(kind: ViewKind, entry: &TraceEntry) -> Option<rprism_trace::ObjRep> {
+fn representative_for(kind: ViewKind, entry: EntryRef<'_>) -> Option<ObjIdent> {
     match kind {
-        ViewKind::TargetObject => entry.event.target_object().cloned(),
-        ViewKind::ActiveObject => Some(entry.active.clone()),
+        ViewKind::TargetObject => entry.target.map(|target| target.ident),
+        ViewKind::ActiveObject => Some(entry.active.ident),
         _ => None,
     }
 }
@@ -342,7 +345,7 @@ mod tests {
         let logger_view = web
             .views_of_kind(ViewKind::TargetObject)
             .into_iter()
-            .find(|v| v.representative.as_ref().map(|r| r.class.as_str()) == Some("Logger"))
+            .find(|v| v.representative.map(|r| r.class.as_str()) == Some("Logger"))
             .expect("Logger target object view");
         for idx in &logger_view.entries {
             assert_eq!(

@@ -4,7 +4,7 @@
 
 use rprism_check::{check_trace, CheckConfig, Checker, Severity};
 use rprism_format::TraceReader;
-use rprism_trace::{EntryId, Event, ThreadId, Trace, TraceEntry};
+use rprism_trace::{EntryBatch, EntryId, Event, ThreadId, Trace, TraceEntry};
 use rprism_workloads::casestudies;
 use rprism_workloads::corpus::corpus_files;
 
@@ -13,11 +13,9 @@ use rprism_workloads::corpus::corpus_files;
 fn check_bytes(bytes: &[u8]) -> rprism_check::CheckReport {
     let mut reader = TraceReader::new(std::io::BufReader::new(bytes)).unwrap();
     let mut checker = Checker::new();
-    let mut batch = Vec::new();
-    while reader.read_batch(&mut batch, 256).unwrap() > 0 {
-        for entry in &batch {
-            checker.observe(entry);
-        }
+    let mut batch = EntryBatch::new();
+    while reader.read_refs(&mut batch, 256).unwrap() > 0 {
+        batch.iter().for_each(|entry| checker.observe(entry));
     }
     let mut report = checker.finish();
     report.trace_name = reader.meta().name.clone();
@@ -215,7 +213,7 @@ fn reports_are_independent_of_delivery_granularity() {
     let mut reader = TraceReader::new(std::io::BufReader::new(file.bytes.as_slice())).unwrap();
     let mut one_by_one = Checker::with_config(CheckConfig::default());
     while let Some(entry) = reader.next_entry().unwrap() {
-        one_by_one.observe(&entry);
+        one_by_one.observe(EntryBatch::of(&[entry]).get(0));
     }
     let mut single = one_by_one.finish();
     single.trace_name = reader.meta().name.clone();

@@ -1,0 +1,281 @@
+//! Symbol-level ingest ≡ the owned-entry adapter.
+//!
+//! Binary input is ingested without ever building a `TraceEntry`: the decoder hands
+//! out `EntryRef`s whose names it interned once per string id. Everything else —
+//! JSONL, VM traces, every in-memory `Trace` — reaches the same builders through
+//! `EntryBatch::push`. This suite decodes each input both ways and requires the
+//! artifacts to be identical: event keys, lean contexts, views (members, keys,
+//! representatives), thread ancestry and check reports, under the sequential and the
+//! pipelined ingest. A live watch fed the bytes at awkward chunk sizes must reach the
+//! batch diff's verdict.
+//!
+//! Inputs: every `GenProfile` at several sizes, `arbitrary_trace`, and the sixteen
+//! committed corpus files, each generated input in both encodings. The generator is
+//! seeded from the clock and the seed is printed; `RPRISM_FUZZ_SEED=<n>` replays a run.
+
+use std::io::BufReader;
+use std::path::Path;
+use std::time::{SystemTime, UNIX_EPOCH};
+
+use rprism::ingest::{stream_prepare, StreamedArtifacts};
+use rprism::{Engine, TraceDiffResult, Watch};
+use rprism_check::check_trace;
+use rprism_format::{
+    trace_from_bytes, trace_to_bytes, Encoding, TailBatch, TailDecoder, TraceReader,
+};
+use rprism_trace::testgen::{arbitrary_trace, GenProfile, Rng};
+use rprism_trace::{par, EntryBatch, Event, KeyedTrace, LeanTrace, ThreadId, Trace};
+use rprism_views::ViewWeb;
+
+/// The run's seed: `RPRISM_FUZZ_SEED` when set, the clock otherwise. Printed so a
+/// failing run can be replayed.
+fn fuzz_seed() -> u64 {
+    let seed = std::env::var("RPRISM_FUZZ_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| {
+            SystemTime::now()
+                .duration_since(UNIX_EPOCH)
+                .map_or(0, |d| d.as_nanos() as u64)
+        });
+    println!("RPRISM_FUZZ_SEED={seed}");
+    seed
+}
+
+/// One named serialized trace.
+struct Input {
+    name: String,
+    bytes: Vec<u8>,
+}
+
+/// Every generated trace, in both encodings.
+fn generated(seed: u64) -> Vec<Input> {
+    let mut rng = Rng::new(seed);
+    let mut traces: Vec<(String, Trace)> = Vec::new();
+    for &profile in GenProfile::ALL {
+        for entries in [1, 40, 700] {
+            traces.push((
+                format!("{profile}-{entries}"),
+                profile.generate(&mut rng, entries),
+            ));
+        }
+    }
+    for entries in [0, 1, 300] {
+        traces.push((
+            format!("arbitrary_trace-{entries}"),
+            arbitrary_trace(&mut rng, entries),
+        ));
+    }
+    let mut inputs = Vec::new();
+    for (name, trace) in traces {
+        for encoding in [Encoding::Binary, Encoding::Jsonl] {
+            inputs.push(Input {
+                name: format!("{name}.{}", encoding.extension()),
+                bytes: trace_to_bytes(&trace, encoding).unwrap(),
+            });
+        }
+    }
+    inputs
+}
+
+/// The sixteen committed corpus files.
+fn corpus() -> Vec<Input> {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
+    let mut inputs: Vec<Input> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let path = entry.unwrap().path();
+            Input {
+                name: path.file_name().unwrap().to_string_lossy().into_owned(),
+                bytes: std::fs::read(&path).unwrap(),
+            }
+        })
+        .collect();
+    inputs.sort_by(|a, b| a.name.cmp(&b.name));
+    assert_eq!(inputs.len(), 16);
+    inputs
+}
+
+fn streamed(bytes: &[u8], workers: usize) -> StreamedArtifacts {
+    par::with_workers(workers, || {
+        stream_prepare(TraceReader::new(BufReader::new(bytes)).unwrap()).unwrap()
+    })
+}
+
+/// Every thread a trace mentions: entry threads and forked children.
+fn threads_of(trace: &Trace) -> Vec<ThreadId> {
+    let mut tids = trace.thread_ids();
+    for entry in trace.iter() {
+        if let Event::Fork { child, .. } = entry.event {
+            tids.push(child);
+        }
+    }
+    tids
+}
+
+fn assert_same_artifacts(context: &str, trace: &Trace, got: &StreamedArtifacts) {
+    let keyed = KeyedTrace::build(trace);
+    let mut lean = LeanTrace::new(trace.meta.clone());
+    EntryBatch::visit(&trace.entries, |entry| lean.push(entry));
+    let web = ViewWeb::build(trace);
+
+    assert_eq!(got.meta, trace.meta, "{context}: metadata");
+    assert_eq!(got.keyed.len(), keyed.len(), "{context}: key count");
+    for i in 0..keyed.len() {
+        let (a, b) = (got.keyed.compact(i), keyed.compact(i));
+        assert!(got.keyed.key_eq(i, &keyed, i), "{context}: key {i}");
+        assert_eq!(
+            (a.hash, a.kind, a.name),
+            (b.hash, b.kind, b.name),
+            "{context}: key {i}"
+        );
+        assert_eq!(
+            got.keyed.operands_of(&a),
+            keyed.operands_of(&b),
+            "{context}: key {i}"
+        );
+    }
+    assert_eq!(
+        got.lean.entries(),
+        lean.entries(),
+        "{context}: lean entries"
+    );
+    assert_eq!(
+        got.web.total_views(),
+        web.total_views(),
+        "{context}: view count"
+    );
+    for (id, view) in web.views_with_ids() {
+        assert_eq!(got.web.view_by_id(id), view, "{context}: view {id:?}");
+    }
+    for i in 0..trace.len() {
+        assert_eq!(
+            got.web.views_of_entry(i),
+            web.views_of_entry(i),
+            "{context}: memberships of entry {i}"
+        );
+    }
+    for tid in threads_of(trace) {
+        assert_eq!(
+            got.web.thread_ancestry(tid),
+            web.thread_ancestry(tid),
+            "{context}: ancestry of {tid}"
+        );
+    }
+}
+
+fn assert_symbol_path_matches_adapter(engine: &Engine, input: &Input) {
+    let trace = trace_from_bytes(&input.bytes).unwrap();
+    for workers in [1, 2] {
+        let context = format!("{} (workers={workers})", input.name);
+        assert_same_artifacts(&context, &trace, &streamed(&input.bytes, workers));
+    }
+    let report = engine.check_reader(input.bytes.as_slice()).unwrap();
+    assert_eq!(report, check_trace(&trace), "{}: check report", input.name);
+}
+
+#[test]
+fn generated_traces_ingest_identically_both_ways() {
+    let engine = Engine::new();
+    for input in generated(fuzz_seed()) {
+        assert_symbol_path_matches_adapter(&engine, &input);
+    }
+}
+
+#[test]
+fn corpus_files_ingest_identically_both_ways() {
+    let engine = Engine::new();
+    for input in corpus() {
+        assert_symbol_path_matches_adapter(&engine, &input);
+    }
+}
+
+/// Byte-chunk sizes for the watch: single bytes, a prime, one reader refill minus
+/// one, exactly, plus one, and the server's 64 KiB.
+const CHUNKS: [usize; 6] = [1, 7, 8191, 8192, 8193, 64 * 1024];
+
+/// The daemon's watch loop: feed `bytes` in `chunk`-sized pieces, pushing every
+/// decodable batch, then drain strictly and finish.
+fn watched(
+    engine: &Engine,
+    old: &rprism::PreparedTrace,
+    bytes: &[u8],
+    chunk: usize,
+) -> TraceDiffResult {
+    let mut decoder = TailDecoder::new();
+    let mut watch: Option<Watch> = None;
+    let mut batch = EntryBatch::new();
+    for piece in bytes.chunks(chunk) {
+        decoder.push_bytes(piece).unwrap();
+        loop {
+            if watch.is_none() {
+                match decoder.meta() {
+                    Some(meta) => watch = Some(engine.watch(old, meta.clone())),
+                    None => break,
+                }
+            }
+            match decoder.read_refs(&mut batch, 256).unwrap() {
+                TailBatch::Entries(_) => {
+                    watch.as_mut().unwrap().push_batch(&batch).unwrap();
+                }
+                TailBatch::Pending | TailBatch::End => break,
+            }
+        }
+    }
+    batch.clear();
+    decoder.finish_refs(&mut batch).unwrap();
+    let mut watch = watch.unwrap_or_else(|| engine.watch(old, decoder.meta().unwrap().clone()));
+    if !batch.is_empty() {
+        watch.push_batch(&batch).unwrap();
+    }
+    watch.finish().unwrap().result
+}
+
+fn assert_watch_matches_batch(engine: &Engine, old: &Input, new: &Input) {
+    let old_handle = engine.load_prepared_reader(old.bytes.as_slice()).unwrap();
+    let new_handle = engine.prepare(trace_from_bytes(&new.bytes).unwrap());
+    let batch = engine.diff(&old_handle, &new_handle).unwrap();
+    for chunk in CHUNKS {
+        let got = watched(engine, &old_handle, &new.bytes, chunk);
+        let context = format!("{} → {} (chunk {chunk})", old.name, new.name);
+        assert_eq!(
+            got.matching.normalized_pairs(),
+            batch.matching.normalized_pairs(),
+            "{context}: matchings"
+        );
+        assert_eq!(got.sequences, batch.sequences, "{context}: sequences");
+        assert_eq!(
+            got.cost.compare_ops, batch.cost.compare_ops,
+            "{context}: compare ops"
+        );
+    }
+}
+
+#[test]
+fn watching_generated_traces_at_any_chunking_gives_the_batch_diff() {
+    let engine = Engine::new();
+    let seed = fuzz_seed();
+    let mut rng = Rng::new(seed ^ 0x3a7c_4000);
+    for &profile in GenProfile::ALL {
+        let old = profile.generate(&mut rng, 250);
+        let new = profile.generate(&mut rng, 250);
+        for encoding in [Encoding::Binary, Encoding::Jsonl] {
+            let input = |name: &str, trace: &Trace| Input {
+                name: format!("{profile}-{name}.{}", encoding.extension()),
+                bytes: trace_to_bytes(trace, encoding).unwrap(),
+            };
+            assert_watch_matches_batch(&engine, &input("old", &old), &input("new", &new));
+        }
+    }
+}
+
+#[test]
+fn watching_corpus_pairs_at_any_chunking_gives_the_batch_diff() {
+    let engine = Engine::new();
+    let files = corpus();
+    for old in files.iter().filter(|f| f.name.contains(".old-regressing.")) {
+        let new_name = old.name.replace(".old-regressing.", ".new-regressing.");
+        let new = files.iter().find(|f| f.name == new_name).unwrap();
+        assert_watch_matches_batch(&engine, old, new);
+    }
+}

@@ -5,6 +5,7 @@
 use rprism::Engine;
 use rprism_diff::{LcsDiffOptions, ViewsDiffOptions};
 use rprism_regress::DiffAlgorithm;
+use rprism_views::ViewKind;
 use rprism_workloads::myfaces;
 
 #[test]
@@ -72,4 +73,25 @@ fn regression_cause_analysis_reports_the_cause_with_context() {
     assert!(outcome.report.candidates.len() <= outcome.report.suspected.len());
     assert!(outcome.report.num_regression_sequences() >= 1);
     assert_eq!(outcome.quality.false_negatives, 0, "{:?}", outcome.quality);
+}
+
+/// The `motivating` binary's target-object view lines, pinned: a view's representative
+/// is an identity without printed text, and it renders exactly as the object
+/// representation of the view's first target did.
+#[test]
+fn target_object_view_lines_are_pinned() {
+    let scenario = myfaces::scenario();
+    let traces = scenario.trace_all().expect("traces");
+    let old = &traces.traces.old_regressing;
+    let web = old.web();
+    let mut lines = Vec::new();
+    for view in web.views_of_kind(ViewKind::TargetObject) {
+        let rep = view.representative.expect("object views have a representative");
+        let first = old.trace()[view.entries[0]].event.target_object().unwrap();
+        assert_eq!(rep.to_string(), first.to_string(), "view {}", view.name);
+        if rep.class.as_str() == "NumericEntityUtil" {
+            lines.push(format!("  target object view for {rep}: {} entries", view.len()));
+        }
+    }
+    assert_eq!(lines, ["  target object view for NumericEntityUtil-1: 21 entries"]);
 }
