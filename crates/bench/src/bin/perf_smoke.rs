@@ -766,7 +766,7 @@ fn measure_obs_overhead(samples: usize, old: &Trace, new: &Trace) -> ObsOverhead
             let lb = engine.load_prepared(&pb).expect("load new");
             let diff = engine.diff(&la, &lb).expect("views never fails");
             wall = wall.min(start.elapsed());
-            pairs = diff.matching.normalized_pairs();
+            pairs = diff.matching.normalized_pairs().to_vec();
         }
         (wall, pairs)
     };

@@ -111,15 +111,16 @@ pub fn seed_views_diff(
     let mut thread_pairs: Vec<_> = correlation.threads.iter().map(|(l, r)| (*l, *r)).collect();
     thread_pairs.sort();
 
-    let mut matching = Matching::new(left.len(), right.len());
+    let mut matched = Vec::new();
     for (lt, rt) in thread_pairs {
         let lview = left_web.view(&ViewName::Thread(lt));
         let rview = right_web.view(&ViewName::Thread(rt));
         if let (Some(lv), Some(rv)) = (lview, rview) {
-            differ.diff_thread_pair(&lv.entries, &rv.entries, &mut matching, &mut meter);
+            differ.diff_thread_pair(&lv.entries, &rv.entries, &mut matched, &mut meter);
         }
     }
 
+    let matching = Matching::from_pairs(left.len(), right.len(), matched);
     let sequences = matching.difference_sequences();
     TraceDiffResult {
         matching,
@@ -146,7 +147,7 @@ impl SeedDiffer<'_> {
         &self,
         lv: &[usize],
         rv: &[usize],
-        matching: &mut Matching,
+        matched: &mut Vec<(usize, usize)>,
         meter: &mut CostMeter,
     ) {
         let mut i = 0usize;
@@ -154,12 +155,12 @@ impl SeedDiffer<'_> {
         while i < lv.len() && j < rv.len() {
             meter.count_compares(1);
             if self.left_keys[lv[i]] == self.right_keys[rv[j]] {
-                matching.push(lv[i], rv[j]);
+                matched.push((lv[i], rv[j]));
                 i += 1;
                 j += 1;
                 continue;
             }
-            self.explore_secondary_views(lv, rv, i, j, matching, meter);
+            self.explore_secondary_views(lv, rv, i, j, matched, meter);
             match self.next_correspondence(lv, rv, i, j, meter) {
                 Some((a, b)) => {
                     i += a;
@@ -222,7 +223,7 @@ impl SeedDiffer<'_> {
         rv: &[usize],
         i: usize,
         j: usize,
-        matching: &mut Matching,
+        matched: &mut Vec<(usize, usize)>,
         meter: &mut CostMeter,
     ) {
         let delta = self.options.delta as i64;
@@ -264,7 +265,7 @@ impl SeedDiffer<'_> {
                         continue;
                     }
                     self.windowed_secondary_lcs(
-                        &lname, &rname, left_idx, right_idx, matching, meter,
+                        &lname, &rname, left_idx, right_idx, matched, meter,
                     );
                 }
             }
@@ -277,7 +278,7 @@ impl SeedDiffer<'_> {
         right_view: &ViewName,
         left_idx: usize,
         right_idx: usize,
-        matching: &mut Matching,
+        matched: &mut Vec<(usize, usize)>,
         meter: &mut CostMeter,
     ) {
         let (Some(lsec), Some(rsec)) =
@@ -295,7 +296,7 @@ impl SeedDiffer<'_> {
         let rkeys: Vec<&EventKey> = rwin.iter().map(|&x| &self.right_keys[x]).collect();
         if let Ok(pairs) = seed_lcs_dp(&lkeys, &rkeys, meter, MemoryBudget::unlimited()) {
             for (wi, wj) in pairs {
-                matching.push(lwin[wi], rwin[wj]);
+                matched.push((lwin[wi], rwin[wj]));
             }
         }
     }

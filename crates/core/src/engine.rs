@@ -1712,8 +1712,8 @@ mod tests {
         let mut mirrored: Vec<(usize, usize)> = reversed
             .matching
             .normalized_pairs()
-            .into_iter()
-            .map(|(l, r)| (r, l))
+            .iter()
+            .map(|&(l, r)| (r, l))
             .collect();
         mirrored.sort_unstable();
         assert_eq!(forward.matching.normalized_pairs(), mirrored);

@@ -521,7 +521,7 @@ mod tests {
         for w in pairs.windows(2) {
             assert!(w[0].0 < w[1].0 && w[0].1 < w[1].1, "matching not monotone");
         }
-        for (i, j) in pairs {
+        for &(i, j) in pairs {
             assert!(ka.key_eq(i, &kb, j), "matched pair ({i},{j}) is not =e-equal");
         }
     }

@@ -5,68 +5,60 @@
 //! the regression analysis needs — the differences on each side, and the grouping of
 //! contiguous differences into "difference sequences" (§5.1) — is derived from Π here.
 
-use std::collections::HashSet;
+use std::iter;
+use std::ops::Range;
 
-/// A set of similar-entry pairs `(left index, right index)` between two traces, together
-/// with the trace lengths it refers to.
+/// A set Π of similar-entry pairs `(left index, right index)` between two traces,
+/// together with the trace lengths it refers to.
+///
+/// A matching is **normalized once, when it is built**: its pairs are sorted by left
+/// index then right index and deduplicated, and each side's matched indices are held
+/// as a dense bitset over `0..len`. A finished matching never changes, so every derived
+/// view reads that invariant: [`normalized_pairs`](Self::normalized_pairs) and
+/// [`len`](Self::len) are a borrow and a length, and the difference views
+/// ([`unmatched_left`](Self::unmatched_left), [`num_differences`](Self::num_differences),
+/// [`difference_sequences`](Self::difference_sequences)) are linear passes over the
+/// bitsets, with no clone, sort or hashing per call. Differs that discover pairs
+/// piecemeal collect them in a plain `Vec` and build the matching with
+/// [`from_pairs`](Self::from_pairs) at the end.
+///
+/// A pair whose index lies outside its side's length is kept in the pair list but
+/// matches no index of that side.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Matching {
     pairs: Vec<(usize, usize)>,
+    matched_left: IndexBits,
+    matched_right: IndexBits,
     left_len: usize,
     right_len: usize,
 }
 
 impl Matching {
-    /// Creates a matching over traces of the given lengths.
-    pub fn new(left_len: usize, right_len: usize) -> Self {
-        Matching {
-            pairs: Vec::new(),
-            left_len,
-            right_len,
-        }
-    }
-
-    /// Creates a matching from an existing pair list.
+    /// Creates a matching over traces of the given lengths from a pair list in any
+    /// order, duplicates allowed.
     pub fn from_pairs(left_len: usize, right_len: usize, mut pairs: Vec<(usize, usize)>) -> Self {
         pairs.sort_unstable();
         pairs.dedup();
         Matching {
+            matched_left: IndexBits::of(left_len, pairs.iter().map(|&(l, _)| l)),
+            matched_right: IndexBits::of(right_len, pairs.iter().map(|&(_, r)| r)),
             pairs,
             left_len,
             right_len,
         }
     }
 
-    /// Adds a similar pair.
-    pub fn push(&mut self, left: usize, right: usize) {
-        self.pairs.push((left, right));
-    }
-
-    /// The recorded pairs in insertion order, duplicates included — the raw scan
-    /// output ([`normalized_pairs`](Self::normalized_pairs) is the canonical form).
-    pub fn raw_pairs(&self) -> &[(usize, usize)] {
-        &self.pairs
-    }
-
-    /// Merges another matching (over the same traces) into this one.
-    pub fn extend(&mut self, other: &Matching) {
-        self.pairs.extend_from_slice(&other.pairs);
-    }
-
     /// The pairs, sorted by left index then right index, deduplicated.
-    pub fn normalized_pairs(&self) -> Vec<(usize, usize)> {
-        let mut p = self.pairs.clone();
-        p.sort_unstable();
-        p.dedup();
-        p
+    pub fn normalized_pairs(&self) -> &[(usize, usize)] {
+        &self.pairs
     }
 
     /// Number of (deduplicated) similar pairs.
     pub fn len(&self) -> usize {
-        self.normalized_pairs().len()
+        self.pairs.len()
     }
 
-    /// Returns `true` when no pairs have been recorded.
+    /// Returns `true` when the matching has no pairs.
     pub fn is_empty(&self) -> bool {
         self.pairs.is_empty()
     }
@@ -81,33 +73,33 @@ impl Matching {
         self.right_len
     }
 
-    /// The set of matched left indices.
-    pub fn matched_left(&self) -> HashSet<usize> {
-        self.pairs.iter().map(|(l, _)| *l).collect()
+    /// Whether left-trace entry `index` is matched by some pair.
+    pub fn is_matched_left(&self, index: usize) -> bool {
+        self.matched_left.contains(index)
     }
 
-    /// The set of matched right indices.
-    pub fn matched_right(&self) -> HashSet<usize> {
-        self.pairs.iter().map(|(_, r)| *r).collect()
+    /// Whether right-trace entry `index` is matched by some pair.
+    pub fn is_matched_right(&self, index: usize) -> bool {
+        self.matched_right.contains(index)
     }
 
-    /// Left-trace indices *not* matched by any pair — the left differences.
+    /// Left-trace indices *not* matched by any pair — the left differences, ascending.
     pub fn unmatched_left(&self) -> Vec<usize> {
-        let matched = self.matched_left();
-        (0..self.left_len).filter(|i| !matched.contains(i)).collect()
+        let mut out = Vec::new();
+        self.matched_left.push_absent(0..self.left_len, &mut out);
+        out
     }
 
-    /// Right-trace indices *not* matched by any pair — the right differences.
+    /// Right-trace indices *not* matched by any pair — the right differences, ascending.
     pub fn unmatched_right(&self) -> Vec<usize> {
-        let matched = self.matched_right();
-        (0..self.right_len)
-            .filter(|i| !matched.contains(i))
-            .collect()
+        let mut out = Vec::new();
+        self.matched_right.push_absent(0..self.right_len, &mut out);
+        out
     }
 
     /// Total number of differences across both sides.
     pub fn num_differences(&self) -> usize {
-        self.unmatched_left().len() + self.unmatched_right().len()
+        (self.left_len - self.matched_left.count()) + (self.right_len - self.matched_right.count())
     }
 
     /// Groups the differences into contiguous *difference sequences*: maximal regions of
@@ -116,33 +108,25 @@ impl Matching {
     /// same pair of anchors — the unit the paper reports as "Diff. Seqs." and the unit on
     /// which the regression-cause analysis operates.
     pub fn difference_sequences(&self) -> Vec<DiffSequence> {
-        let matched_left = self.matched_left();
-        let matched_right = self.matched_right();
-
         // Crossing pairs would make interval boundaries ambiguous; keep a monotone subset
         // (pairs are normally monotone already for both algorithms).
-        let mut anchors: Vec<(usize, usize)> = Vec::new();
         let mut last_r = None;
-        for (l, r) in self.normalized_pairs() {
-            if last_r.is_none_or(|prev| r > prev) {
-                anchors.push((l, r));
+        let anchors = self.pairs.iter().copied().filter(move |&(_, r)| {
+            let keep = last_r.is_none_or(|prev| r > prev);
+            if keep {
                 last_r = Some(r);
             }
-        }
+            keep
+        });
 
         let mut sequences = Vec::new();
         let mut prev_l = 0usize;
         let mut prev_r = 0usize;
-        let mut boundaries = anchors.clone();
-        boundaries.push((self.left_len, self.right_len));
-
-        for (al, ar) in boundaries {
-            let left: Vec<usize> = (prev_l..al.min(self.left_len))
-                .filter(|i| !matched_left.contains(i))
-                .collect();
-            let right: Vec<usize> = (prev_r..ar.min(self.right_len))
-                .filter(|i| !matched_right.contains(i))
-                .collect();
+        for (al, ar) in anchors.chain(iter::once((self.left_len, self.right_len))) {
+            let mut left = Vec::new();
+            self.matched_left.push_absent(prev_l..al.min(self.left_len), &mut left);
+            let mut right = Vec::new();
+            self.matched_right.push_absent(prev_r..ar.min(self.right_len), &mut right);
             if !left.is_empty() || !right.is_empty() {
                 sequences.push(DiffSequence { left, right });
             }
@@ -150,6 +134,56 @@ impl Matching {
             prev_r = ar.saturating_add(1).min(self.right_len);
         }
         sequences
+    }
+}
+
+/// A dense set of indices below a fixed length, one bit per index.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+struct IndexBits {
+    words: Vec<u64>,
+}
+
+impl IndexBits {
+    /// The set of `indices` below `len`; indices at or past `len` are ignored.
+    fn of(len: usize, indices: impl Iterator<Item = usize>) -> Self {
+        let mut words = vec![0u64; len.div_ceil(64)];
+        for i in indices.filter(|&i| i < len) {
+            words[i / 64] |= 1u64 << (i % 64);
+        }
+        IndexBits { words }
+    }
+
+    fn contains(&self, index: usize) -> bool {
+        self.words
+            .get(index / 64)
+            .is_some_and(|w| w & (1u64 << (index % 64)) != 0)
+    }
+
+    fn count(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Appends the indices of `range` absent from the set, ascending. `range.end` must
+    /// not exceed the length the set was built over.
+    fn push_absent(&self, range: Range<usize>, out: &mut Vec<usize>) {
+        let Range { start, end } = range;
+        if start >= end {
+            return;
+        }
+        for w in start / 64..end.div_ceil(64) {
+            let base = w * 64;
+            let mut absent = !self.words[w];
+            if base < start {
+                absent &= u64::MAX << (start - base);
+            }
+            if end - base < 64 {
+                absent &= (1u64 << (end - base)) - 1;
+            }
+            while absent != 0 {
+                out.push(base + absent.trailing_zeros() as usize);
+                absent &= absent - 1;
+            }
+        }
     }
 }
 
@@ -213,10 +247,7 @@ mod tests {
 
     #[test]
     fn duplicate_pairs_are_collapsed() {
-        let mut m = Matching::new(3, 3);
-        m.push(1, 1);
-        m.push(1, 1);
-        m.push(0, 0);
+        let m = Matching::from_pairs(3, 3, vec![(1, 1), (1, 1), (0, 0)]);
         assert_eq!(m.len(), 2);
         assert_eq!(m.normalized_pairs(), vec![(0, 0), (1, 1)]);
     }
@@ -276,9 +307,10 @@ mod tests {
 
     #[test]
     fn extend_merges_matchings() {
-        let mut a = Matching::from_pairs(4, 4, vec![(0, 0)]);
+        // Per-thread scans are merged by concatenating their pair lists.
+        let a = Matching::from_pairs(4, 4, vec![(0, 0)]);
         let b = Matching::from_pairs(4, 4, vec![(1, 1), (0, 0)]);
-        a.extend(&b);
+        let a = Matching::from_pairs(4, 4, [a.normalized_pairs(), b.normalized_pairs()].concat());
         assert_eq!(a.len(), 2);
     }
 }

@@ -222,7 +222,7 @@ fn anchored_matchings_are_valid_and_bounded_by_exact_lcs() {
         for w in pairs.windows(2) {
             assert!(w[0].0 < w[1].0 && w[0].1 < w[1].1);
         }
-        for (i, j) in &pairs {
+        for (i, j) in pairs {
             assert!(lk.key_eq(*i, &rk, *j));
         }
         let lkeys: Vec<KeyRef<'_>> = (0..lk.len()).map(|i| lk.key(i)).collect();

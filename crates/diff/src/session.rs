@@ -110,8 +110,8 @@ impl PairScan {
     /// pair suspends with its cursors intact.
     ///
     /// `on_skip` observes the regions skipped while locating the next correspondence
-    /// (the raw material of [`ProvisionalEvent::Difference`]); matched pairs are read
-    /// back from `matching` by the caller.
+    /// (the raw material of [`ProvisionalEvent::Difference`]); matched pairs are
+    /// appended to `matched` in discovery order, duplicates included.
     #[allow(clippy::too_many_arguments)]
     fn run<'a>(
         &mut self,
@@ -119,7 +119,7 @@ impl PairScan {
         lv: &[usize],
         rv: &[usize],
         complete: bool,
-        matching: &mut Matching,
+        matched: &mut Vec<(usize, usize)>,
         meter: &mut CostMeter,
         scratch: &mut Scratch<'a>,
         mut on_skip: Option<SkipObserver<'_>>,
@@ -128,7 +128,7 @@ impl PairScan {
             meter.count_compares(1);
             if differ.entries_eq(lv[self.i], rv[self.j]) {
                 // STEP-VIEW-MATCH
-                matching.push(lv[self.i], rv[self.j]);
+                matched.push((lv[self.i], rv[self.j]));
                 self.i += 1;
                 self.j += 1;
                 continue;
@@ -139,7 +139,7 @@ impl PairScan {
                 return;
             }
             // STEP-VIEW-NOMATCH: explore linked secondary views near the mismatch …
-            differ.explore_secondary_views(lv, rv, self.i, self.j, matching, meter, scratch);
+            differ.explore_secondary_views(lv, rv, self.i, self.j, matched, meter, scratch);
             // … then skip to the next point of correspondence in the thread views.
             match differ.next_correspondence(lv, rv, self.i, self.j, meter) {
                 Some((a, b)) => {
@@ -198,7 +198,7 @@ fn mismatch_is_stable(differ: &Differ<'_>, rv: &[usize], j: usize) -> bool {
 /// The complete scan over every correlated thread-view pair — the single lock-step
 /// scan implementation behind both the batch `views_diff_sides*` entry points and
 /// [`DiffSession::finish`]. Thread pairs are independent, so they fan out over
-/// [`par::map_ordered`]; each pair's matching and cost meter are merged in pair order,
+/// [`par::map_ordered`]; each pair's pairs and cost meter are merged in pair order,
 /// so the result is the same whether or not the pairs ran concurrently.
 pub(crate) fn scan_sides(
     left: &DiffSide<'_>,
@@ -226,26 +226,26 @@ pub(crate) fn scan_sides(
         .collect();
 
     let scans = par::map_ordered(&pairs, |&(lv, rv)| {
-        let mut pair_matching = Matching::new(left.len(), right.len());
+        let mut pair_matched = Vec::new();
         let mut pair_meter = CostMeter::new();
         PairScan::default().run(
             &differ,
             lv,
             rv,
             true,
-            &mut pair_matching,
+            &mut pair_matched,
             &mut pair_meter,
             &mut Scratch::default(),
             None,
         );
-        (pair_matching, pair_meter)
+        (pair_matched, pair_meter)
     });
-    let mut matching = Matching::new(left.len(), right.len());
-    for (pair_matching, pair_meter) in scans {
-        matching.extend(&pair_matching);
+    let mut matched = Vec::new();
+    for (pair_matched, pair_meter) in scans {
+        matched.extend(pair_matched);
         meter.merge(&pair_meter);
     }
-    matching
+    Matching::from_pairs(left.len(), right.len(), matched)
 }
 
 /// Per-pair incremental state: which right thread the left thread is currently paired
@@ -397,7 +397,7 @@ impl DiffSession {
                 correlation: &correlation,
                 options: &self.options,
             };
-            let mut matching = Matching::new(left.len(), self.len);
+            let mut matched = Vec::new();
             let mut meter = CostMeter::new();
             let mut scratch = Scratch::default();
             let mut skips: Vec<(Vec<usize>, Vec<usize>)> = Vec::new();
@@ -406,12 +406,12 @@ impl DiffSession {
                 lv,
                 rv,
                 false,
-                &mut matching,
+                &mut matched,
                 &mut meter,
                 &mut scratch,
                 Some(&mut |l: &[usize], r: &[usize]| skips.push((l.to_vec(), r.to_vec()))),
             );
-            for &(l, r) in matching.raw_pairs() {
+            for &(l, r) in &matched {
                 if self.tombstones.contains(&(l, r)) || !self.emitted.insert((l, r)) {
                     continue;
                 }
@@ -445,22 +445,19 @@ impl DiffSession {
         let right = DiffSide::lean(&self.lean, &self.keyed, &self.web);
         let result = views_diff_sides_correlated(left, &right, &correlation, &self.options);
 
-        let mut events = Vec::new();
-        for pair in result.matching.normalized_pairs() {
-            if !self.emitted.contains(&pair) && !self.tombstones.contains(&pair) {
-                events.push(ProvisionalEvent::Match {
-                    left: pair.0,
-                    right: pair.1,
-                });
-            }
-        }
-        let final_pairs: HashSet<(usize, usize)> =
-            result.matching.normalized_pairs().into_iter().collect();
+        // The matching's pairs are sorted: the `Match` group comes out in order, and a
+        // provisional pair is looked up in the verdict by binary search.
+        let final_pairs = result.matching.normalized_pairs();
+        let mut events: Vec<ProvisionalEvent> = final_pairs
+            .iter()
+            .filter(|pair| !self.emitted.contains(pair) && !self.tombstones.contains(pair))
+            .map(|&(left, right)| ProvisionalEvent::Match { left, right })
+            .collect();
         let mut stale: Vec<(usize, usize)> = self
             .emitted
             .iter()
             .copied()
-            .filter(|p| !final_pairs.contains(p))
+            .filter(|p| final_pairs.binary_search(p).is_err())
             .collect();
         stale.sort_unstable();
         for (l, r) in stale {

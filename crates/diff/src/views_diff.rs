@@ -39,7 +39,6 @@ use rprism_views::{Correlation, ViewId, ViewKind, ViewWeb};
 
 use crate::cost::{CostMeter, MemoryBudget};
 use crate::lcs::{lcs_with_kernel, LcsKernel};
-use crate::matching::Matching;
 use crate::result::TraceDiffResult;
 
 /// Configuration of the views-based differencer.
@@ -415,7 +414,7 @@ impl<'a> Differ<'a> {
 
     /// `LinkedSimilarEntries`: for entries within Δ of the two mismatch positions whose
     /// views of some type correlate, run LCS over fixed-size windows of the correlated
-    /// views and add every matched pair to Π.
+    /// views and add every matched pair to Π (appended to `matched`).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn explore_secondary_views(
         &self,
@@ -423,7 +422,7 @@ impl<'a> Differ<'a> {
         rv: &[usize],
         i: usize,
         j: usize,
-        matching: &mut Matching,
+        matched: &mut Vec<(usize, usize)>,
         meter: &mut CostMeter,
         scratch: &mut Scratch<'a>,
     ) {
@@ -468,7 +467,7 @@ impl<'a> Differ<'a> {
                     if !scratch.explored.insert((lid.0, rid.0)) {
                         continue;
                     }
-                    self.windowed_secondary_lcs(lid, rid, left_idx, right_idx, matching, meter, scratch);
+                    self.windowed_secondary_lcs(lid, rid, left_idx, right_idx, matched, meter, scratch);
                 }
             }
         }
@@ -483,7 +482,7 @@ impl<'a> Differ<'a> {
         right_view: ViewId,
         left_idx: usize,
         right_idx: usize,
-        matching: &mut Matching,
+        matched: &mut Vec<(usize, usize)>,
         meter: &mut CostMeter,
         scratch: &mut Scratch<'a>,
     ) {
@@ -514,7 +513,7 @@ impl<'a> Differ<'a> {
             MemoryBudget::unlimited(),
         ) {
             for (wi, wj) in pairs {
-                matching.push(lwin[wi], rwin[wj]);
+                matched.push((lwin[wi], rwin[wj]));
             }
         }
     }
@@ -638,11 +637,10 @@ mod tests {
         }
         assert!(touches_num, "differences should involve the Num object");
         // Events unrelated to the changed range — the Log.addMsg activity — still match.
-        let matched_left = result.matching.matched_left();
         let matched_log_events = a
             .iter()
             .enumerate()
-            .filter(|(idx, e)| matched_left.contains(idx) && e.render().contains("Log"))
+            .filter(|(idx, e)| result.matching.is_matched_left(*idx) && e.render().contains("Log"))
             .count();
         assert!(
             matched_log_events >= 4,

@@ -26,7 +26,7 @@ fn assert_valid_alignment(result: &TraceDiffResult, left: &Trace, right: &Trace,
             window
         );
     }
-    for &(l, r) in &pairs {
+    for &(l, r) in pairs {
         assert!(l < left.len() && r < right.len(), "{context}: pair out of range");
         assert!(
             lk.key_eq(l, &rk, r),
@@ -38,7 +38,7 @@ fn assert_valid_alignment(result: &TraceDiffResult, left: &Trace, right: &Trace,
 /// Views matchings are per-view similarity sets, not one global alignment — their
 /// global trace indices interleave across views — so only range validity holds.
 fn assert_in_range(result: &TraceDiffResult, left: &Trace, right: &Trace, context: &str) {
-    for &(l, r) in &result.matching.normalized_pairs() {
+    for &(l, r) in result.matching.normalized_pairs() {
         assert!(l < left.len() && r < right.len(), "{context}: pair out of range");
     }
 }

@@ -336,18 +336,7 @@ pub fn analyze_prepared_with(
     let diff_set = |diff: &TraceDiffResult,
                     left: PreparedTraceRef<'_>,
                     right: PreparedTraceRef<'_>| {
-        let mut set = DiffSet::new();
-        for idx in diff.matching.unmatched_left() {
-            if let Some(signature) = left.signature_at(idx) {
-                set.insert(signature);
-            }
-        }
-        for idx in diff.matching.unmatched_right() {
-            if let Some(signature) = right.signature_at(idx) {
-                set.insert(signature);
-            }
-        }
-        set
+        DiffSet::of_unmatched(diff, |idx| left.signature_at(idx), |idx| right.signature_at(idx))
     };
 
     // Step 1: A — old vs new under the regressing test.

@@ -114,17 +114,25 @@ impl DiffSet {
         left_keyed: &KeyedTrace,
         right_keyed: &KeyedTrace,
     ) -> Self {
-        let mut signatures = HashSet::new();
-        for idx in result.matching.unmatched_left() {
-            if let Some(entry) = left.entries.get(idx) {
-                signatures.insert(DiffSignature::of_keyed(left_keyed, idx, entry));
-            }
-        }
-        for idx in result.matching.unmatched_right() {
-            if let Some(entry) = right.entries.get(idx) {
-                signatures.insert(DiffSignature::of_keyed(right_keyed, idx, entry));
-            }
-        }
+        Self::of_unmatched(
+            result,
+            |idx| left.entries.get(idx).map(|e| DiffSignature::of_keyed(left_keyed, idx, e)),
+            |idx| right.entries.get(idx).map(|e| DiffSignature::of_keyed(right_keyed, idx, e)),
+        )
+    }
+
+    /// The signatures of every unmatched entry of `result`: left differences first,
+    /// then right, each ascending. `left`/`right` give the signature of an entry index
+    /// of their side, or `None` to skip it.
+    pub(crate) fn of_unmatched(
+        result: &TraceDiffResult,
+        left: impl Fn(usize) -> Option<DiffSignature>,
+        right: impl Fn(usize) -> Option<DiffSignature>,
+    ) -> Self {
+        let matching = &result.matching;
+        let signatures = (matching.unmatched_left().into_iter().filter_map(left))
+            .chain(matching.unmatched_right().into_iter().filter_map(right))
+            .collect();
         DiffSet { signatures }
     }
 

@@ -353,8 +353,8 @@ impl WireDiff {
             pairs: result
                 .matching
                 .normalized_pairs()
-                .into_iter()
-                .map(|(l, r)| (l as u64, r as u64))
+                .iter()
+                .map(|&(l, r)| (l as u64, r as u64))
                 .collect(),
             sequences: result.sequences.iter().map(WireSequence::from_sequence).collect(),
             compare_ops: result.cost.compare_ops,
@@ -368,8 +368,8 @@ impl WireDiff {
         self.sequences.iter().map(WireSequence::to_sequence).collect()
     }
 
-    /// The matching pairs as `usize` tuples, the shape
-    /// [`Matching::normalized_pairs`](rprism_diff::Matching::normalized_pairs) returns.
+    /// The matching pairs as `usize` tuples, as
+    /// [`Matching::normalized_pairs`](rprism_diff::Matching::normalized_pairs) holds them.
     pub fn pairs_local(&self) -> Vec<(usize, usize)> {
         self.pairs.iter().map(|&(l, r)| (l as usize, r as usize)).collect()
     }

@@ -30,11 +30,10 @@ fn views_diff_localizes_the_bad_range_initialization() {
     assert!(mentions_bad_range, "the bad range init must be reported as a difference");
 
     // Events unrelated to the regression (the Logger activity) remain correlated.
-    let matched_left = result.matching.matched_left();
     let logger_matched = old
         .iter()
         .enumerate()
-        .filter(|(i, e)| matched_left.contains(i) && e.render().contains("Logger"))
+        .filter(|(i, e)| result.matching.is_matched_left(*i) && e.render().contains("Logger"))
         .count();
     assert!(logger_matched >= 4, "logger events should stay matched, got {logger_matched}");
 }

@@ -117,7 +117,7 @@ fn views_diff_bounds() {
                 <= traces.old_regressing.len().max(traces.new_regressing.len())
         );
         // Matched pairs reference valid indices.
-        for (l, r) in cross.matching.normalized_pairs() {
+        for &(l, r) in cross.matching.normalized_pairs() {
             assert!(l < traces.old_regressing.len());
             assert!(r < traces.new_regressing.len());
         }

@@ -85,7 +85,7 @@ fn push_driven_watch_chunked_at_every_boundary_matches_the_batch_differ() {
             // the authoritative matching (retraction may drop pairs, never add them).
             let surviving = assert_monotone(&context, &events);
             let authoritative: HashSet<(usize, usize)> =
-                batch.matching.normalized_pairs().into_iter().collect();
+                batch.matching.normalized_pairs().iter().copied().collect();
             assert!(
                 surviving.is_subset(&authoritative),
                 "{context}: a provisional match survived finish() without being \
