@@ -48,9 +48,38 @@ pub fn lcs_with_kernel<T: PartialEq>(
     meter: &mut CostMeter,
     budget: MemoryBudget,
 ) -> Result<Vec<(usize, usize)>, DiffError> {
+    let mut pairs = Vec::new();
+    let mut scratch = LcsScratch::default();
+    lcs_with_kernel_into(kernel, left, right, meter, budget, &mut scratch, |i, j| {
+        pairs.push((i, j))
+    })?;
+    Ok(pairs)
+}
+
+/// [`lcs_with_kernel`] over a caller-kept [`LcsScratch`], handing the pairs to `emit` in
+/// ascending order. The bit-parallel kernel then allocates nothing once the scratch has
+/// grown; the DP kernel, the reference, allocates its table and pair list per call.
+///
+/// # Errors
+///
+/// As [`lcs_with_kernel`]; on an error `emit` is never called.
+pub(crate) fn lcs_with_kernel_into<T: PartialEq>(
+    kernel: LcsKernel,
+    left: &[T],
+    right: &[T],
+    meter: &mut CostMeter,
+    budget: MemoryBudget,
+    scratch: &mut LcsScratch,
+    mut emit: impl FnMut(usize, usize),
+) -> Result<(), DiffError> {
     match kernel {
-        LcsKernel::Dp => lcs_dp(left, right, meter, budget),
-        LcsKernel::BitParallel => lcs_bitparallel(left, right, meter, budget),
+        LcsKernel::Dp => {
+            for (i, j) in lcs_dp(left, right, meter, budget)? {
+                emit(i, j);
+            }
+            Ok(())
+        }
+        LcsKernel::BitParallel => lcs_bitparallel_into(left, right, meter, budget, scratch, emit),
     }
 }
 
@@ -246,6 +275,9 @@ pub const MAX_BITPARALLEL_CLASSES: usize = 64;
 /// count (`m·n` for the fill plus one per traceback step) so cost accounting — and every
 /// invariant the equivalence suites pin on it — is unchanged; the win is wall-clock only.
 ///
+/// This entry point allocates a fresh [`LcsScratch`] per call; a caller that solves many
+/// small sub-problems keeps one scratch and calls [`lcs_bitparallel_into`] instead.
+///
 /// # Errors
 ///
 /// Returns [`DiffError::OutOfMemory`] when the retained row bit-vectors (or the DP table,
@@ -256,50 +288,100 @@ pub fn lcs_bitparallel<T: PartialEq>(
     meter: &mut CostMeter,
     budget: MemoryBudget,
 ) -> Result<Vec<(usize, usize)>, DiffError> {
-    let (prefix, suffix) = strip_common(left, right, meter);
-    let mut pairs: Vec<(usize, usize)> = (0..prefix).map(|i| (i, i)).collect();
-    let mid_left = &left[prefix..left.len() - suffix];
-    let mid_right = &right[prefix..right.len() - suffix];
-    let mid = match lcs_bitparallel_table(mid_left, mid_right, meter, budget)? {
-        Some(mid) => mid,
-        None => lcs_dp_table(mid_left, mid_right, meter, budget)?,
-    };
-    pairs.extend(mid.into_iter().map(|(i, j)| (i + prefix, j + prefix)));
-    pairs.extend(
-        (0..suffix)
-            .rev()
-            .map(|k| (left.len() - 1 - k, right.len() - 1 - k)),
-    );
+    let mut pairs = Vec::new();
+    let mut scratch = LcsScratch::default();
+    lcs_bitparallel_into(left, right, meter, budget, &mut scratch, |i, j| {
+        pairs.push((i, j))
+    })?;
     Ok(pairs)
 }
 
-/// The word-packed core of [`lcs_bitparallel`]. Returns `Ok(None)` when the alphabet of
-/// `right` exceeds [`MAX_BITPARALLEL_CLASSES`] equality classes (the caller falls back to
-/// the DP core); crate-visible so the property tests can hit the packed path directly.
+/// The working buffers of the bit-parallel kernel: the equality-class representatives,
+/// their match masks, the retained row bit-vectors and the traceback pairs. Every call
+/// clears what it reads, so one scratch serves any sequence of calls; once its buffers
+/// have grown to the largest sub-problem seen, a call allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct LcsScratch {
+    reps: Vec<usize>,
+    masks: Vec<u64>,
+    rows: Vec<u64>,
+    pairs: Vec<(usize, usize)>,
+}
+
+/// [`lcs_bitparallel`] over a caller-kept scratch: the matched pairs are handed to `emit`
+/// in ascending order instead of being collected. The middle section is solved before
+/// anything is emitted, so a budget refusal leaves `emit` uncalled.
+///
+/// # Errors
+///
+/// As [`lcs_bitparallel`].
+pub(crate) fn lcs_bitparallel_into<T: PartialEq>(
+    left: &[T],
+    right: &[T],
+    meter: &mut CostMeter,
+    budget: MemoryBudget,
+    scratch: &mut LcsScratch,
+    mut emit: impl FnMut(usize, usize),
+) -> Result<(), DiffError> {
+    let (prefix, suffix) = strip_common(left, right, meter);
+    let mid_left = &left[prefix..left.len() - suffix];
+    let mid_right = &right[prefix..right.len() - suffix];
+    let fallback;
+    let mid = if lcs_bitparallel_table(mid_left, mid_right, meter, budget, scratch)? {
+        &scratch.pairs
+    } else {
+        fallback = lcs_dp_table(mid_left, mid_right, meter, budget)?;
+        &fallback
+    };
+    for i in 0..prefix {
+        emit(i, i);
+    }
+    for &(i, j) in mid {
+        emit(i + prefix, j + prefix);
+    }
+    for k in (0..suffix).rev() {
+        emit(left.len() - 1 - k, right.len() - 1 - k);
+    }
+    Ok(())
+}
+
+/// The word-packed core of [`lcs_bitparallel`]: leaves the matched pairs of `left` and
+/// `right`, ascending, in `scratch.pairs` and returns `Ok(true)`. Returns `Ok(false)` when
+/// the alphabet of `right` exceeds [`MAX_BITPARALLEL_CLASSES`] equality classes (the
+/// caller falls back to the DP core); crate-visible so the property tests can hit the
+/// packed path directly.
 pub(crate) fn lcs_bitparallel_table<T: PartialEq>(
     left: &[T],
     right: &[T],
     meter: &mut CostMeter,
     budget: MemoryBudget,
-) -> Result<Option<Vec<(usize, usize)>>, DiffError> {
+    scratch: &mut LcsScratch,
+) -> Result<bool, DiffError> {
+    let LcsScratch {
+        reps,
+        masks,
+        rows,
+        pairs,
+    } = scratch;
+    pairs.clear();
     if left.is_empty() || right.is_empty() {
-        return Ok(Some(Vec::new()));
+        return Ok(true);
     }
     let (m, n) = (left.len(), right.len());
     let words = n.div_ceil(64);
 
     // Partition `right` into equality classes by full element equality (linear scan over
-    // representatives: the class count is capped at 64, so this is O(n·64) worst case and
-    // allocation-light). Class discovery is deliberately not metered: on fallback the DP
-    // core meters from zero, keeping the total identical to a pure-DP run.
-    let mut reps: Vec<usize> = Vec::new();
-    let mut masks: Vec<u64> = Vec::new(); // reps.len() stripes of `words` words each
+    // representatives: the class count is capped at 64, so this is O(n·64) worst case).
+    // Class discovery is deliberately not metered: on fallback the DP core meters from
+    // zero, keeping the total identical to a pure-DP run.
+    reps.clear();
+    masks.clear(); // reps.len() stripes of `words` words each
     for (j, r) in right.iter().enumerate() {
         let class = match reps.iter().position(|&rep| right[rep] == *r) {
             Some(c) => c,
             None => {
                 if reps.len() == MAX_BITPARALLEL_CLASSES {
-                    return Ok(None);
+                    return Ok(false);
                 }
                 reps.push(j);
                 masks.resize(masks.len() + words, 0);
@@ -317,7 +399,8 @@ pub(crate) fn lcs_bitparallel_table<T: PartialEq>(
     let mask_bytes = masks.len() as u64 * 8;
     budget.check(row_bytes + mask_bytes)?;
     meter.allocate(row_bytes + mask_bytes);
-    let mut rows = vec![u64::MAX; (m + 1) * words];
+    rows.clear();
+    rows.resize((m + 1) * words, u64::MAX);
     for i in 1..=m {
         let class = reps.iter().position(|&rep| right[rep] == left[i - 1]);
         let (prev_rows, cur_rows) = rows.split_at_mut(i * words);
@@ -359,7 +442,6 @@ pub(crate) fn lcs_bitparallel_table<T: PartialEq>(
 
     // Traceback replaying lcs_dp_table's exact rule: diagonal on equality, else prefer
     // moving up on ties — identical decisions, identical pair list.
-    let mut pairs = Vec::with_capacity(cell(m, n) as usize);
     let (mut i, mut j) = (m, n);
     while i > 0 && j > 0 {
         meter.count_compares(1);
@@ -375,7 +457,7 @@ pub(crate) fn lcs_bitparallel_table<T: PartialEq>(
     }
     pairs.reverse();
     meter.release(row_bytes + mask_bytes);
-    Ok(Some(pairs))
+    Ok(true)
 }
 
 /// Hirschberg's linear-space LCS.
@@ -621,9 +703,16 @@ mod tests {
         let left: Vec<u32> = (0..80).rev().collect();
         let right: Vec<u32> = (0..80).collect();
         let mut meter = CostMeter::new();
-        let packed =
-            lcs_bitparallel_table(&left, &right, &mut meter, MemoryBudget::unlimited()).unwrap();
-        assert!(packed.is_none(), "packed core must refuse >64 classes");
+        let mut scratch = LcsScratch::default();
+        let packed = lcs_bitparallel_table(
+            &left,
+            &right,
+            &mut meter,
+            MemoryBudget::unlimited(),
+            &mut scratch,
+        )
+        .unwrap();
+        assert!(!packed, "packed core must refuse >64 classes");
         let mut m_dp = CostMeter::new();
         let mut m_bp = CostMeter::new();
         let dp = lcs_dp(&left, &right, &mut m_dp, MemoryBudget::unlimited()).unwrap();

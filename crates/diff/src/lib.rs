@@ -51,6 +51,7 @@
 
 pub mod anchored;
 pub mod cost;
+mod kernel_differential;
 pub mod lcs;
 mod proptests;
 pub mod lcs_diff;

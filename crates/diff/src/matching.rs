@@ -36,8 +36,12 @@ pub struct Matching {
 impl Matching {
     /// Creates a matching over traces of the given lengths from a pair list in any
     /// order, duplicates allowed.
+    ///
+    /// The sort is the stable, run-adaptive one: differs emit long ascending runs (a
+    /// lock-step scan's head matches, each window's LCS), which it merges in near-linear
+    /// time. Pairs are totally ordered, so the result is the same as any other sort's.
     pub fn from_pairs(left_len: usize, right_len: usize, mut pairs: Vec<(usize, usize)>) -> Self {
-        pairs.sort_unstable();
+        pairs.sort();
         pairs.dedup();
         Matching {
             matched_left: IndexBits::of(left_len, pairs.iter().map(|&(l, _)| l)),
@@ -123,12 +127,16 @@ impl Matching {
         let mut prev_l = 0usize;
         let mut prev_r = 0usize;
         for (al, ar) in anchors.chain(iter::once((self.left_len, self.right_len))) {
-            let mut left = Vec::new();
-            self.matched_left.push_absent(prev_l..al.min(self.left_len), &mut left);
-            let mut right = Vec::new();
-            self.matched_right.push_absent(prev_r..ar.min(self.right_len), &mut right);
-            if !left.is_empty() || !right.is_empty() {
-                sequences.push(DiffSequence { left, right });
+            let (end_l, end_r) = (al.min(self.left_len), ar.min(self.right_len));
+            // Most anchors directly follow the previous one: nothing lies between them.
+            if prev_l < end_l || prev_r < end_r {
+                let mut left = Vec::new();
+                self.matched_left.push_absent(prev_l..end_l, &mut left);
+                let mut right = Vec::new();
+                self.matched_right.push_absent(prev_r..end_r, &mut right);
+                if !left.is_empty() || !right.is_empty() {
+                    sequences.push(DiffSequence { left, right });
+                }
             }
             prev_l = al.saturating_add(1).min(self.left_len);
             prev_r = ar.saturating_add(1).min(self.right_len);

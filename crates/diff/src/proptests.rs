@@ -12,7 +12,7 @@ use crate::anchored::{anchored_diff_prepared, AnchoredDiffOptions};
 use crate::cost::{CostMeter, MemoryBudget};
 use crate::lcs::{
     lcs_bitparallel, lcs_bitparallel_table, lcs_dp, lcs_dp_table, lcs_hirschberg, lcs_length,
-    lcs_optimized,
+    lcs_optimized, LcsScratch,
 };
 
 const CASES: usize = 64;
@@ -157,10 +157,14 @@ fn bitparallel_equals_dp_beyond_the_packing_limit() {
         let left: Vec<u16> = (0..rng.usize(80, 160)).map(|_| rng.range(0, 200) as u16).collect();
         let mut right: Vec<u16> = (0..100u16).collect();
         right.extend((0..rng.usize(0, 60)).map(|_| rng.range(0, 200) as u16));
-        let refused =
-            lcs_bitparallel_table(&left, &right, &mut CostMeter::new(), MemoryBudget::unlimited())
-                .unwrap()
-                .is_none();
+        let refused = !lcs_bitparallel_table(
+            &left,
+            &right,
+            &mut CostMeter::new(),
+            MemoryBudget::unlimited(),
+            &mut LcsScratch::default(),
+        )
+        .unwrap();
         assert!(refused, "100 distinct symbols must exceed 64 classes");
         let mut m_dp = CostMeter::new();
         let mut m_bp = CostMeter::new();

@@ -23,14 +23,17 @@
 //! [`CompactEventKey`](rprism_trace::CompactEventKey)s built once per trace. A comparison
 //! is a 64-bit hash check (plus an integer slice compare on hash equality) — no
 //! `EventKey` construction, no string traversal, and **zero heap allocation per
-//! comparison** (enforced by a counting-allocator test). The remaining allocations in
-//! the mismatch path are per-*mismatch*, not per-comparison, and bounded by the window
-//! size: the windowed secondary LCS reuses scratch key buffers but its DP table (at most
-//! `(2·window+2)²` cells) and matched-pair output are allocated per call. Thread-view
-//! pairs are independent, so they fan out over [`rprism_trace::par`]; each pair keeps
-//! its own [`CostMeter`], and the meters are merged in pair order at the end.
+//! comparison**. The mismatch step allocates nothing either once a thread-pair scan has
+//! warmed up: each scan keeps one `Scratch` whose buffers — the windows' key slices, the
+//! bit-parallel kernel's class masks, row bit-vectors and traceback pairs, and the
+//! first-seen list of explored view pairs — are cleared and reused by every
+//! exploration, and the windowed LCS emits its pairs straight into the scan's match
+//! list. Both properties are enforced by counting-allocator tests
+//! (`tests/no_alloc_hot_path.rs`). The DP kernel, kept as the reference, still
+//! allocates its table per call. Thread-view pairs are independent, so they fan out over
+//! [`rprism_trace::par`]; each pair keeps its own [`CostMeter`], and the meters are
+//! merged in pair order at the end.
 
-use std::collections::HashSet;
 use std::time::Instant;
 
 use rprism_trace::{KeyRef, KeyedTrace, LeanEntry, LeanTrace, ObjIdent, ObjRep, ThreadId, Trace, TraceEntry};
@@ -38,7 +41,7 @@ use rprism_views::correlate::relaxed::same_distance_from_anchor;
 use rprism_views::{Correlation, ViewId, ViewKind, ViewWeb};
 
 use crate::cost::{CostMeter, MemoryBudget};
-use crate::lcs::{lcs_with_kernel, LcsKernel};
+use crate::lcs::{lcs_with_kernel_into, LcsKernel, LcsScratch};
 use crate::result::TraceDiffResult;
 
 /// Configuration of the views-based differencer.
@@ -354,9 +357,13 @@ fn keyed_bytes(keyed: &KeyedTrace) -> u64 {
 /// nothing after warm-up.
 #[derive(Default)]
 pub(crate) struct Scratch<'a> {
-    explored: HashSet<(u32, u32)>,
+    /// The correlated view pairs one exploration has already compared, in first-seen
+    /// order. At most `4·(2Δ+1)²` entries (one per view kind and neighbourhood pair), so
+    /// a linear probe beats hashing at the default Δ.
+    explored: Vec<(ViewId, ViewId)>,
     lkeys: Vec<KeyRef<'a>>,
     rkeys: Vec<KeyRef<'a>>,
+    lcs: LcsScratch,
 }
 
 /// The per-comparison machinery of one differencing run: both sides, their view
@@ -464,9 +471,10 @@ impl<'a> Differ<'a> {
                     let Some((lid, rid)) = pair else {
                         continue;
                     };
-                    if !scratch.explored.insert((lid.0, rid.0)) {
+                    if scratch.explored.contains(&(lid, rid)) {
                         continue;
                     }
+                    scratch.explored.push((lid, rid));
                     self.windowed_secondary_lcs(lid, rid, left_idx, right_idx, matched, meter, scratch);
                 }
             }
@@ -505,17 +513,16 @@ impl<'a> Differ<'a> {
         // Windows are constant-sized, so the quadratic LCS here is O(1) per call. Both
         // kernels return identical pairs with identical compare accounting, so the
         // kernel knob cannot perturb the matching or any cost invariant.
-        if let Ok(pairs) = lcs_with_kernel(
+        lcs_with_kernel_into(
             self.options.secondary_kernel,
             &scratch.lkeys,
             &scratch.rkeys,
             meter,
             MemoryBudget::unlimited(),
-        ) {
-            for (wi, wj) in pairs {
-                matched.push((lwin[wi], rwin[wj]));
-            }
-        }
+            &mut scratch.lcs,
+            |wi, wj| matched.push((lwin[wi], rwin[wj])),
+        )
+        .expect("an unlimited budget refuses nothing");
     }
 
     /// Finds the closest `(a, b)` offsets such that the thread-view heads at `i + a` /

@@ -1,7 +1,8 @@
 //! Proof that the keyed diff hot path performs **zero heap allocation per comparison**:
 //! a counting global allocator wraps the system allocator, and the tests assert that
 //! millions of keyed `=e` comparisons (and the structural `event_eq` fallback) allocate
-//! nothing after the keys are built.
+//! nothing after the keys are built, and that the views scan's mismatch step allocates
+//! nothing per mismatch beyond the result's own difference sequences.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -49,8 +50,12 @@ fn allocation_count() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
+use rprism_diff::{views_diff_sides_correlated, DiffSide, TraceDiffResult, ViewsDiffOptions};
+use rprism_lang::parser::parse_program;
 use rprism_trace::testgen::{arbitrary_entry, Rng};
-use rprism_trace::{event_eq, KeyedTrace, Trace};
+use rprism_trace::{event_eq, par, KeyedTrace, Trace, TraceMeta};
+use rprism_views::{Correlation, ViewWeb};
+use rprism_vm::{run_traced, VmConfig};
 
 fn generated_trace(seed: u64, len: usize) -> Trace {
     let mut rng = Rng::new(seed);
@@ -123,4 +128,92 @@ fn structural_event_eq_fallback_does_not_allocate() {
         "structural event_eq must compare in place without allocating"
     );
     assert!(matches > 0);
+}
+
+/// A trace of `calls` calls `c.work(i)`; the calls at multiples of `every` (when set)
+/// pass a different value, so each is one scattered mismatch of the same trace length.
+fn work_trace(calls: usize, every: Option<usize>) -> Trace {
+    let mut body = String::from("let c = new C(0);\n");
+    for i in 0..calls {
+        let value = match every {
+            Some(every) if i % every == every / 2 => i + 1_000_000,
+            _ => i,
+        };
+        body.push_str(&format!("c.work({value});\n"));
+    }
+    let src = format!(
+        "class C extends Object {{ Int t; Unit work(Int v) {{ this.t = v; }} }}\nmain {{ {body} }}"
+    );
+    run_traced(
+        &parse_program(&src).unwrap(),
+        TraceMeta::new("alloc", "v", "c"),
+        VmConfig::default(),
+    )
+    .unwrap()
+    .trace
+}
+
+/// Allocations made by one views diff of prepared sides (keys, webs and correlation are
+/// built outside the count), run inline so the whole scan counts on this thread.
+fn counted_diff(left: &Trace, right: &Trace) -> (u64, TraceDiffResult) {
+    let (lk, rk) = (KeyedTrace::build(left), KeyedTrace::build(right));
+    let (lw, rw) = (ViewWeb::build(left), ViewWeb::build(right));
+    let correlation = Correlation::build(&lw, &rw);
+    let (ls, rs) = (
+        DiffSide::full(left, &lk, &lw),
+        DiffSide::full(right, &rk, &rw),
+    );
+    let options = ViewsDiffOptions::default();
+    par::inline(|| {
+        // Warm-up: any lazily initialized state is paid before counting.
+        drop(views_diff_sides_correlated(
+            &ls,
+            &rs,
+            &correlation,
+            &options,
+        ));
+        let before = allocation_count();
+        let result = views_diff_sides_correlated(&ls, &rs, &correlation, &options);
+        (allocation_count() - before, result)
+    })
+}
+
+/// The per-sequence `Vec`s a result owns: one per non-empty side of each sequence.
+fn sequence_vecs(result: &TraceDiffResult) -> u64 {
+    result
+        .sequences
+        .iter()
+        .map(|s| u64::from(!s.left.is_empty()) + u64::from(!s.right.is_empty()))
+        .sum()
+}
+
+#[test]
+fn mismatch_step_allocates_only_the_result() {
+    let base = work_trace(600, None);
+    let few = work_trace(600, Some(60));
+    let many = work_trace(600, Some(6));
+    assert_eq!(
+        few.len(),
+        many.len(),
+        "both pairs must have the same length"
+    );
+
+    let (few_allocs, few_result) = counted_diff(&base, &few);
+    let (many_allocs, many_result) = counted_diff(&base, &many);
+    assert!(
+        many_result.sequences.len() >= 90 && few_result.sequences.len() <= 20,
+        "expected ~100 and ~10 mismatches, got {} and {} sequences",
+        many_result.sequences.len(),
+        few_result.sequences.len()
+    );
+    // Ninety more mismatches may cost their own difference sequences and a few more
+    // doublings of the growing result vectors, nothing per exploration.
+    let extra = many_allocs.saturating_sub(few_allocs);
+    let result_vecs = sequence_vecs(&many_result).saturating_sub(sequence_vecs(&few_result));
+    println!("allocations: {few_allocs} (10 mismatches) vs {many_allocs} (100); sequence vecs +{result_vecs}");
+    assert!(
+        extra <= result_vecs + 16,
+        "the mismatch step allocates per mismatch: {extra} more allocations for \
+         {result_vecs} more sequence vecs ({few_allocs} vs {many_allocs})"
+    );
 }

@@ -28,21 +28,6 @@ use rprism_views::ViewWeb;
 
 use crate::sets::{DiffSet, DiffSignature};
 
-/// The four traces the analysis consumes, owned. This is the *tracing-side* bundle (what
-/// a scenario run produces); the analysis itself consumes borrowed prepared artifacts via
-/// [`PreparedInput`] so that no trace is ever copied on the analysis path.
-#[derive(Clone, Debug)]
-pub struct RegressionTraces {
-    /// Original (correct) version, regressing test case.
-    pub old_regressing: Trace,
-    /// New (regressing) version, regressing test case.
-    pub new_regressing: Trace,
-    /// Original version, similar but non-regressing test case.
-    pub old_passing: Trace,
-    /// New version, similar but non-regressing test case.
-    pub new_passing: Trace,
-}
-
 /// Borrowed prepared artifacts of one trace: its per-entry context (the full trace, or
 /// the lean reduction a streamed trace retains), its precomputed event keys, and (for
 /// the views algorithm) its view web. Produced by `rprism::PreparedTrace` handles or by
@@ -407,6 +392,14 @@ pub(crate) mod tests {
     use rprism_lang::parser::parse_program;
     use rprism_trace::TraceMeta;
     use rprism_vm::{run_traced, VmConfig};
+
+    /// The four traces of one scenario, owned, for tests that build them from source.
+    pub(crate) struct RegressionTraces {
+        pub(crate) old_regressing: Trace,
+        pub(crate) new_regressing: Trace,
+        pub(crate) old_passing: Trace,
+        pub(crate) new_passing: Trace,
+    }
 
     /// Prepares keys and webs for the four traces and runs [`analyze_prepared`] — the
     /// borrowed-artifact path every caller now goes through.

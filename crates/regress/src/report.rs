@@ -131,8 +131,8 @@ pub fn render_report_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::tests::run;
-    use crate::analysis::{AnalysisMode, DiffAlgorithm, RegressionTraces};
+    use crate::analysis::tests::{run, RegressionTraces};
+    use crate::analysis::{AnalysisMode, DiffAlgorithm};
     use rprism_diff::ViewsDiffOptions;
     use rprism_lang::parser::parse_program;
     use rprism_trace::TraceMeta;

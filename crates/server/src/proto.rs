@@ -473,7 +473,10 @@ impl WireWatchEvent {
 /// string, so the signature survives the process boundary. [`WireSignature::to_signature`]
 /// re-interns on the receiving side, producing a signature equal to what that process
 /// would derive locally from the same trace.
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// Signatures order by their fields in declaration order: `kind`, `name`, `operands`,
+/// `method`, `active_class`. That is the order of each set on the wire.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct WireSignature {
     /// The event form.
     pub kind: EventKind,
@@ -549,9 +552,10 @@ impl WireReport {
         let set = |s: &DiffSet| -> Vec<WireSignature> {
             let mut signatures: Vec<WireSignature> =
                 s.iter().map(WireSignature::from_signature).collect();
-            // Deterministic wire order regardless of hash-set iteration (cached key:
-            // one Debug rendering per signature, not two per comparison).
-            signatures.sort_by_cached_key(|s| format!("{s:?}"));
+            // Deterministic wire order regardless of hash-set iteration. A set holds
+            // distinct signatures, so no two compare equal and the unstable sort is
+            // deterministic.
+            signatures.sort_unstable();
             signatures
         };
         WireReport {
@@ -2018,6 +2022,57 @@ mod tests {
             .windows(needle.len())
             .position(|w| w == needle)
             .expect("needle present")
+    }
+
+    #[test]
+    fn analyze_wire_bytes_do_not_depend_on_set_insertion_order() {
+        let engine = rprism::Engine::new();
+        let trace = |min: i64, doc: &str| {
+            let src = format!(
+                r#"
+                class Num extends Object {{ Int min; Int max; }}
+                class SP extends Object {{
+                    Num conv; Int n;
+                    Unit setup(Str ty) {{ if (ty == "html") {{ this.conv = new Num({min}, 127); }} }}
+                    Unit work(Int v) {{ this.n = this.n + v + {min}; }}
+                }}
+                main {{ let sp = new SP(null, 0); sp.setup("{doc}"); sp.work(1); sp.work(2); }}
+                "#
+            );
+            engine.trace_source(&src, doc).unwrap()
+        };
+        let input = rprism::RegressionInput::new(
+            trace(32, "html"),
+            trace(1, "html"),
+            trace(32, "text"),
+            trace(1, "text"),
+        );
+        let report = engine.analyze(&input).unwrap();
+        assert!(
+            report.suspected.len() > 1,
+            "the scenario must differ in several entries"
+        );
+        // The same sets, each refilled in one insertion order and in its reverse.
+        let refilled = |reverse: bool| {
+            let refill = |set: &DiffSet| {
+                let mut signatures: Vec<DiffSignature> = set.iter().cloned().collect();
+                if reverse {
+                    signatures.reverse();
+                }
+                let mut out = DiffSet::new();
+                for signature in signatures {
+                    out.insert(signature);
+                }
+                out
+            };
+            let mut copy = report.clone();
+            copy.suspected = refill(&report.suspected);
+            copy.expected = refill(&report.expected);
+            copy.regression = refill(&report.regression);
+            copy.candidates = refill(&report.candidates);
+            Response::AnalyzeOk(WireReport::from_report(&copy, String::new())).encode()
+        };
+        assert_eq!(refilled(false), refilled(true));
     }
 
     #[test]
