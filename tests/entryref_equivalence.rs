@@ -7,7 +7,8 @@
 //! artifacts to be identical: event keys, lean contexts, views (members, keys,
 //! representatives), thread ancestry and check reports, under the sequential and the
 //! pipelined ingest. A live watch fed the bytes at awkward chunk sizes must reach the
-//! batch diff's verdict.
+//! batch diff's verdict. Diffs and analyses over handles prepared from the owned
+//! `Trace` must equal the same calls over handles streamed from its bytes.
 //!
 //! Inputs: every `GenProfile` at several sizes, `arbitrary_trace`, and the sixteen
 //! committed corpus files, each generated input in both encodings. The generator is
@@ -18,7 +19,7 @@ use std::path::Path;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use rprism::ingest::{stream_prepare, StreamedArtifacts};
-use rprism::{Engine, TraceDiffResult, Watch};
+use rprism::{Engine, PreparedTrace, RegressionInput, RegressionReport, TraceDiffResult, Watch};
 use rprism_check::check_trace;
 use rprism_format::{
     trace_from_bytes, trace_to_bytes, Encoding, TailBatch, TailDecoder, TraceReader,
@@ -277,5 +278,108 @@ fn watching_corpus_pairs_at_any_chunking_gives_the_batch_diff() {
         let new_name = old.name.replace(".old-regressing.", ".new-regressing.");
         let new = files.iter().find(|f| f.name == new_name).unwrap();
         assert_watch_matches_batch(&engine, old, new);
+    }
+}
+
+/// A copy of `trace` with sparse edits spread over it: dropped, duplicated and
+/// swapped-neighbour entries.
+fn mutated(rng: &mut Rng, trace: &Trace) -> Trace {
+    let mut out = Trace::new(trace.meta.clone());
+    for entry in &trace.entries {
+        match rng.usize(0, 16) {
+            0 => {}
+            1 => {
+                out.entries.push(entry.clone());
+                out.entries.push(entry.clone());
+            }
+            2 if !out.entries.is_empty() => {
+                let last = out.entries.len() - 1;
+                out.entries.insert(last, entry.clone());
+            }
+            _ => out.entries.push(entry.clone()),
+        }
+    }
+    out
+}
+
+fn assert_same_diff(context: &str, full: &TraceDiffResult, streamed: &TraceDiffResult) {
+    assert_eq!(
+        full.matching.normalized_pairs(),
+        streamed.matching.normalized_pairs(),
+        "{context}: matchings"
+    );
+    assert_eq!(full.sequences, streamed.sequences, "{context}: sequences");
+    assert_eq!(
+        full.cost.compare_ops, streamed.cost.compare_ops,
+        "{context}: compare ops"
+    );
+}
+
+fn assert_same_report(context: &str, full: &RegressionReport, streamed: &RegressionReport) {
+    assert_same_diff(context, &full.suspected_diff, &streamed.suspected_diff);
+    assert_eq!(full.suspected, streamed.suspected, "{context}: set A");
+    assert_eq!(full.expected, streamed.expected, "{context}: set B");
+    assert_eq!(full.regression, streamed.regression, "{context}: set C");
+    assert_eq!(full.candidates, streamed.candidates, "{context}: set D");
+    assert_eq!(full.compare_ops, streamed.compare_ops, "{context}: compare ops");
+    let verdicts = |report: &RegressionReport| {
+        report
+            .sequences
+            .iter()
+            .map(|v| (v.sequence.clone(), v.regression_related))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(verdicts(full), verdicts(streamed), "{context}: verdicts");
+}
+
+#[test]
+fn full_and_streamed_handles_diff_and_analyze_identically() {
+    let engine = Engine::new();
+    let mut rng = Rng::new(fuzz_seed() ^ 0x5eed_f011);
+    for &profile in GenProfile::ALL {
+        for entries in [40, 300] {
+            for independent in [false, true] {
+                let old = profile.generate(&mut rng, entries);
+                let new = if independent {
+                    profile.generate(&mut rng, entries)
+                } else {
+                    mutated(&mut rng, &old)
+                };
+                let quad = [
+                    mutated(&mut rng, &old),
+                    mutated(&mut rng, &new),
+                    old,
+                    new,
+                ];
+                let encoding = if rng.bool() { Encoding::Binary } else { Encoding::Jsonl };
+                let streamed: Vec<PreparedTrace> = quad
+                    .iter()
+                    .map(|t| {
+                        let bytes = trace_to_bytes(t, encoding).unwrap();
+                        engine.load_prepared_reader(bytes.as_slice()).unwrap()
+                    })
+                    .collect();
+                let full: Vec<PreparedTrace> =
+                    quad.into_iter().map(|t| engine.prepare(t)).collect();
+                let context = format!(
+                    "{profile}-{entries} {} ({})",
+                    if independent { "independent" } else { "mutated" },
+                    encoding.extension()
+                );
+
+                let want = engine.diff(&full[0], &full[1]).unwrap();
+                let got = engine.diff(&streamed[0], &streamed[1]).unwrap();
+                assert_same_diff(&context, &want, &got);
+                let mixed = engine.diff(&full[0], &streamed[1]).unwrap();
+                assert_same_diff(&format!("{context} mixed"), &want, &mixed);
+
+                let input = |h: &[PreparedTrace]| {
+                    RegressionInput::new(h[0].clone(), h[1].clone(), h[2].clone(), h[3].clone())
+                };
+                let want = engine.analyze(&input(&full)).unwrap();
+                let got = engine.analyze(&input(&streamed)).unwrap();
+                assert_same_report(&context, &want, &got);
+            }
+        }
     }
 }
