@@ -51,7 +51,9 @@ fn main() {
         ),
         (
             "strict_correlation",
-            ViewsDiffOptions::builder().relaxed_correlation(false).build(),
+            ViewsDiffOptions::builder()
+                .relaxed_correlation(false)
+                .build(),
         ),
     ];
     let run = |options: &ViewsDiffOptions| {

@@ -38,7 +38,9 @@ fn main() {
         ),
         (
             "no relaxed correlation",
-            ViewsDiffOptions::builder().relaxed_correlation(false).build(),
+            ViewsDiffOptions::builder()
+                .relaxed_correlation(false)
+                .build(),
         ),
         (
             "short scan-ahead (16)",

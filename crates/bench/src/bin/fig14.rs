@@ -6,7 +6,9 @@
 use std::collections::BTreeMap;
 
 use rprism::Engine;
-use rprism_bench::{accuracy_bucket, format_histogram, format_table, rhino_eval_dataset, speedup_bucket};
+use rprism_bench::{
+    accuracy_bucket, format_histogram, format_table, rhino_eval_dataset, speedup_bucket,
+};
 use rprism_diff::{LcsDiffOptions, MemoryBudget};
 
 fn main() {
@@ -106,6 +108,9 @@ fn main() {
     );
     println!(
         "{}",
-        format_histogram("Fig. 14(b) — speedup (compare operations, RPrism vs LCS)", &speedup_hist)
+        format_histogram(
+            "Fig. 14(b) — speedup (compare operations, RPrism vs LCS)",
+            &speedup_hist
+        )
     );
 }

@@ -11,7 +11,10 @@ use rprism_workloads::myfaces;
 
 fn main() {
     let scenario = myfaces::scenario();
-    println!("Motivating example: {}\n{}\n", scenario.name, scenario.description);
+    println!(
+        "Motivating example: {}\n{}\n",
+        scenario.name, scenario.description
+    );
 
     // One session drives the whole worked example: the view-count inspection, the
     // Fig. 13 semantic diff and the §4.2 analysis all reuse the same prepared handles.
@@ -29,7 +32,8 @@ fn main() {
     );
     println!(
         "outputs under the regressing test: old = {:?}, new = {:?}\n",
-        traces.old_regressing_output(), traces.new_regressing_output()
+        traces.old_regressing_output(),
+        traces.new_regressing_output()
     );
 
     // The views web of the original version (Fig. 2: thread view, method views, target

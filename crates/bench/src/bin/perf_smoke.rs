@@ -165,10 +165,7 @@ fn measure_reuse(
         }
         cold_wall = cold_wall.min(start.elapsed());
 
-        let (pold, pnew) = (
-            engine.prepare(old.clone()),
-            engine.prepare(new.clone()),
-        );
+        let (pold, pnew) = (engine.prepare(old.clone()), engine.prepare(new.clone()));
         let start = std::time::Instant::now();
         let mut prepared_last = None;
         for _ in 0..repeats {
@@ -252,8 +249,12 @@ fn measure_streaming_ingest(samples: usize, old: &Trace, new: &Trace) -> IngestM
     let engine = Engine::new();
     let pa = dir.join("old.rtr");
     let pb = dir.join("new.rtr");
-    engine.store_trace(&engine.prepare(old.clone()), &pa).unwrap();
-    engine.store_trace(&engine.prepare(new.clone()), &pb).unwrap();
+    engine
+        .store_trace(&engine.prepare(old.clone()), &pa)
+        .unwrap();
+    engine
+        .store_trace(&engine.prepare(new.clone()), &pb)
+        .unwrap();
 
     let mut measured = IngestMeasured {
         entries: old.len() + new.len(),
@@ -642,15 +643,17 @@ fn measure_check_throughput(samples: usize) -> CheckMeasured {
 
     const ENTRIES: usize = 100_000;
     let trace = GenProfile::WellFormed.generate(&mut Rng::new(6), ENTRIES);
-    let bytes =
-        rprism_format::trace_to_bytes(&trace, rprism_format::Encoding::Binary).unwrap();
+    let bytes = rprism_format::trace_to_bytes(&trace, rprism_format::Encoding::Binary).unwrap();
     let engine = Engine::new();
     let mut wall = Duration::MAX;
     for _ in 0..samples {
         let start = std::time::Instant::now();
         let report = engine.check_reader(&bytes[..]).expect("check streams");
         wall = wall.min(start.elapsed());
-        assert!(report.is_clean(), "the well-formed profile must check clean");
+        assert!(
+            report.is_clean(),
+            "the well-formed profile must check clean"
+        );
         assert_eq!(report.entries, ENTRIES);
     }
     CheckMeasured {
@@ -680,7 +683,9 @@ fn measure_watch_latency(samples: usize, old: &Trace, new: &Trace) -> WatchLaten
     let engine = Engine::new();
     let pold = engine.prepare(old.clone());
     let pnew = engine.prepare(new.clone());
-    let batch = measure(samples, || engine.diff(&pold, &pnew).expect("views never fails"));
+    let batch = measure(samples, || {
+        engine.diff(&pold, &pnew).expect("views never fails")
+    });
 
     let mut measured = WatchLatencyMeasured {
         entries: new.len(),
@@ -730,8 +735,7 @@ struct ObsOverheadMeasured {
 impl ObsOverheadMeasured {
     /// Fractional wall-time cost of full instrumentation: `instrumented/stripped - 1`.
     fn overhead_ratio(&self) -> f64 {
-        self.instrumented_wall.as_secs_f64() / self.stripped_wall.as_secs_f64().max(1e-12)
-            - 1.0
+        self.instrumented_wall.as_secs_f64() / self.stripped_wall.as_secs_f64().max(1e-12) - 1.0
     }
 }
 
@@ -786,7 +790,10 @@ fn measure_obs_overhead(samples: usize, old: &Trace, new: &Trace) -> ObsOverhead
         .entries
         .iter()
         .any(|(name, _)| name == "engine.load");
-    assert!(recorded, "instrumented engine recorded no engine.load spans");
+    assert!(
+        recorded,
+        "instrumented engine recorded no engine.load spans"
+    );
 
     let measured = ObsOverheadMeasured {
         entries: old.len() + new.len(),
@@ -1087,8 +1094,7 @@ fn main() {
         );
         println!("\n  trace i/o ({} entries):", old.len());
         for m in &io {
-            let entries_per_sec =
-                |wall: Duration| old.len() as f64 / wall.as_secs_f64().max(1e-12);
+            let entries_per_sec = |wall: Duration| old.len() as f64 / wall.as_secs_f64().max(1e-12);
             println!(
                 "    {:>6}: {:>9} bytes ({:>5.1} B/entry)  write {:>10.0} entries/s  read {:>10.0} entries/s",
                 m.encoding.to_string(),

@@ -73,7 +73,8 @@ fn main() {
             row.name,
             format!(
                 "{:.4}%",
-                (row.views.regression_seqs.max(1) as f64) / (row.trace_entries.max(1) as f64) * 100.0
+                (row.views.regression_seqs.max(1) as f64) / (row.trace_entries.max(1) as f64)
+                    * 100.0
             ),
         ]);
     }

@@ -44,5 +44,7 @@ fn main() {
             &rows
         )
     );
-    println!("A = suspected, B = expected, C = regression, D = candidate causes (D = (A − B) ∩ C).");
+    println!(
+        "A = suspected, B = expected, C = regression, D = candidate causes (D = (A − B) ∩ C)."
+    );
 }

@@ -21,7 +21,9 @@ pub mod seed_baseline;
 use std::collections::BTreeMap;
 
 use rprism::Engine;
-use rprism_diff::{views_diff_keyed, LcsDiffOptions, MemoryBudget, TraceDiffResult, ViewsDiffOptions};
+use rprism_diff::{
+    views_diff_keyed, LcsDiffOptions, MemoryBudget, TraceDiffResult, ViewsDiffOptions,
+};
 use rprism_regress::{evaluate, QualityMetrics, RegressionReport};
 use rprism_trace::{par, KeyedTrace, Trace};
 use rprism_views::ViewWeb;
@@ -36,7 +38,15 @@ pub fn cold_views_diff(left: &Trace, right: &Trace, options: &ViewsDiffOptions) 
     let prepare = |trace: &Trace| (ViewWeb::build(trace), KeyedTrace::build(trace));
     let ((left_web, left_keyed), (right_web, right_keyed)) =
         par::join(|| prepare(left), || prepare(right));
-    views_diff_keyed(left, right, &left_web, &right_web, &left_keyed, &right_keyed, options)
+    views_diff_keyed(
+        left,
+        right,
+        &left_web,
+        &right_web,
+        &left_keyed,
+        &right_keyed,
+        options,
+    )
 }
 
 /// Renders a simple fixed-width text table.
@@ -75,7 +85,10 @@ pub fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 pub fn format_histogram(title: &str, buckets: &BTreeMap<String, usize>) -> String {
     let mut out = format!("{title}\n");
     for (label, count) in buckets {
-        out.push_str(&format!("  {label:>8} | {}  ({count})\n", "#".repeat(*count)));
+        out.push_str(&format!(
+            "  {label:>8} | {}  ({count})\n",
+            "#".repeat(*count)
+        ));
     }
     out
 }
@@ -93,7 +106,9 @@ pub fn accuracy_bucket(accuracy: f64) -> String {
 
 /// Buckets a speedup value the way Fig. 14(b) does.
 pub fn speedup_bucket(speedup: f64) -> String {
-    for bound in [0.5, 1.0, 5.0, 10.0, 50.0, 100.0, 500.0, 1000.0, 2500.0, 5000.0] {
+    for bound in [
+        0.5, 1.0, 5.0, 10.0, 50.0, 100.0, 500.0, 1000.0, 2500.0, 5000.0,
+    ] {
         if speedup <= bound {
             return format!("<={bound}x");
         }
@@ -152,10 +167,7 @@ pub struct AlgoRow {
     pub compare_ops: u64,
 }
 
-fn algo_row(
-    report: &RegressionReport,
-    quality: &QualityMetrics,
-) -> AlgoRow {
+fn algo_row(report: &RegressionReport, quality: &QualityMetrics) -> AlgoRow {
     AlgoRow {
         num_diffs: report.suspected.len(),
         diff_seqs: report.sequences.len(),
@@ -198,8 +210,8 @@ pub fn table1_row(scenario: &Scenario, lcs_budget: MemoryBudget) -> Table1Row {
     let (lcs, speedup) = match lcs_result {
         Ok(report) => {
             let quality = quality_of(scenario, &traces, &report);
-            let speedup =
-                report.analysis_time.as_secs_f64() / views_report.analysis_time.as_secs_f64().max(1e-9);
+            let speedup = report.analysis_time.as_secs_f64()
+                / views_report.analysis_time.as_secs_f64().max(1e-9);
             (Some(algo_row(&report, &quality)), Some(speedup))
         }
         Err(_) => (None, None),

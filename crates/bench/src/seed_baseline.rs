@@ -11,15 +11,15 @@
 use std::collections::HashSet;
 use std::time::Instant;
 
-use rprism_diff::{CostMeter, DiffError, Matching, MemoryBudget, TraceDiffResult, ViewsDiffOptions};
+use rprism_diff::{
+    CostMeter, DiffError, Matching, MemoryBudget, TraceDiffResult, ViewsDiffOptions,
+};
 use rprism_trace::{EventKey, Trace};
 use rprism_views::correlate::relaxed::same_distance_from_anchor;
 use rprism_views::view::{
     active_object_view_name, method_view_name, target_object_view_name, thread_view_name,
 };
-use rprism_views::{
-    correlate_objects, correlate_threads, ViewKind, ViewName, ViewWeb,
-};
+use rprism_views::{correlate_objects, correlate_threads, ViewKind, ViewName, ViewWeb};
 
 /// A frozen copy of the seed-era `lcs_dp`: the full `(n+1)×(m+1)` table with **no**
 /// common-prefix/suffix stripping (the strip has since been folded into the live
@@ -78,11 +78,7 @@ struct SeedCorrelation {
 
 /// Seed-style views differencing over owned `EventKey`s. Sequential, allocating — the
 /// "pre" column of `BENCH_1.json`.
-pub fn seed_views_diff(
-    left: &Trace,
-    right: &Trace,
-    options: &ViewsDiffOptions,
-) -> TraceDiffResult {
+pub fn seed_views_diff(left: &Trace, right: &Trace, options: &ViewsDiffOptions) -> TraceDiffResult {
     let left_web = ViewWeb::build(left);
     let right_web = ViewWeb::build(right);
     let start = Instant::now();
@@ -281,9 +277,10 @@ impl SeedDiffer<'_> {
         matched: &mut Vec<(usize, usize)>,
         meter: &mut CostMeter,
     ) {
-        let (Some(lsec), Some(rsec)) =
-            (self.left_web.view(left_view), self.right_web.view(right_view))
-        else {
+        let (Some(lsec), Some(rsec)) = (
+            self.left_web.view(left_view),
+            self.right_web.view(right_view),
+        ) else {
             return;
         };
         let (Some(lpos), Some(rpos)) = (lsec.position_of(left_idx), rsec.position_of(right_idx))
@@ -338,9 +335,13 @@ mod tests {
 
     fn trace_of(src: &str, name: &str) -> Trace {
         let program = parse_program(src).unwrap();
-        run_traced(&program, TraceMeta::new(name, "v", "c"), VmConfig::default())
-            .unwrap()
-            .trace
+        run_traced(
+            &program,
+            TraceMeta::new(name, "v", "c"),
+            VmConfig::default(),
+        )
+        .unwrap()
+        .trace
     }
 
     #[test]

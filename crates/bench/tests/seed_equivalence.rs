@@ -67,12 +67,8 @@ fn lcs_backends_produce_identical_matchings_on_all_case_studies() {
         let new = &traces.traces.new_regressing;
 
         let run = |kernel: LcsKernel| {
-            lcs_diff(
-                old,
-                new,
-                &LcsDiffOptions::builder().kernel(kernel).build(),
-            )
-            .unwrap_or_else(|e| panic!("{}: {e}", scenario.name))
+            lcs_diff(old, new, &LcsDiffOptions::builder().kernel(kernel).build())
+                .unwrap_or_else(|e| panic!("{}: {e}", scenario.name))
         };
         let dp = run(LcsKernel::Dp);
         let bp = run(LcsKernel::BitParallel);
@@ -83,7 +79,11 @@ fn lcs_backends_produce_identical_matchings_on_all_case_studies() {
             scenario.name
         );
         assert_eq!(dp.sequences, bp.sequences, "{}", scenario.name);
-        assert_eq!(dp.cost.compare_ops, bp.cost.compare_ops, "{}", scenario.name);
+        assert_eq!(
+            dp.cost.compare_ops, bp.cost.compare_ops,
+            "{}",
+            scenario.name
+        );
     }
 }
 
@@ -145,10 +145,9 @@ fn analysis_set_sizes_are_stable_across_runs() {
         assert_eq!(a.regression.len(), b.regression.len(), "{}", scenario.name);
         assert_eq!(a.candidates.len(), b.candidates.len(), "{}", scenario.name);
         assert_eq!(a.compare_ops, b.compare_ops, "{}", scenario.name);
-        let verdicts =
-            |r: &rprism_regress::RegressionReport| -> Vec<bool> {
-                r.sequences.iter().map(|s| s.regression_related).collect()
-            };
+        let verdicts = |r: &rprism_regress::RegressionReport| -> Vec<bool> {
+            r.sequences.iter().map(|s| s.regression_related).collect()
+        };
         assert_eq!(verdicts(&a), verdicts(&b), "{}", scenario.name);
     }
 }

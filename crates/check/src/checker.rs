@@ -239,7 +239,13 @@ impl Checker {
             .count()
     }
 
-    fn report(&mut self, rule_id: &'static str, entry_index: usize, related: Vec<usize>, message: String) {
+    fn report(
+        &mut self,
+        rule_id: &'static str,
+        entry_index: usize,
+        related: Vec<usize>,
+        message: String,
+    ) {
         if self.diagnostics.len() >= self.config.max_diagnostics {
             self.suppressed += 1;
             return;
@@ -276,7 +282,10 @@ impl Checker {
         let tid = entry.tid;
         self.ensure_thread(tid, idx);
         {
-            let state = self.threads.get_mut(&tid).expect("thread state just ensured");
+            let state = self
+                .threads
+                .get_mut(&tid)
+                .expect("thread state just ensured");
             // thread-after-end: the thread is a zombie; report once, then ignore it.
             if let Some(end_idx) = state.ended_at {
                 if !state.after_end_reported {
@@ -306,7 +315,11 @@ impl Checker {
                     entry_index: idx,
                     context_reported: false,
                 };
-                self.threads.get_mut(&tid).expect("thread exists").stack.push(call);
+                self.threads
+                    .get_mut(&tid)
+                    .expect("thread exists")
+                    .stack
+                    .push(call);
             }
             EventKind::Return => {
                 let method = entry.name.expect("returns name a method");
@@ -410,9 +423,7 @@ impl Checker {
             }
         }
         let mut diagnostics = std::mem::take(&mut self.diagnostics);
-        diagnostics.sort_by(|a, b| {
-            (a.entry_index, a.rule_id).cmp(&(b.entry_index, b.rule_id))
-        });
+        diagnostics.sort_by(|a, b| (a.entry_index, a.rule_id).cmp(&(b.entry_index, b.rule_id)));
         CheckReport {
             trace_name: String::new(),
             entries: self.index,
@@ -690,7 +701,13 @@ impl Checker {
 
     /// fork-self / duplicate-fork / orphan registration / fork-parentage, plus the
     /// vector-clock fork edge.
-    fn check_fork(&mut self, tid: ThreadId, child: ThreadId, parentage: &[StackSnapshot], idx: usize) {
+    fn check_fork(
+        &mut self,
+        tid: ThreadId,
+        child: ThreadId,
+        parentage: &[StackSnapshot],
+        idx: usize,
+    ) {
         if child == tid {
             self.report(
                 rules::FORK_SELF.id,
@@ -781,8 +798,8 @@ impl Checker {
 
     /// end handling: end-stack shape, unclosed calls, thread termination.
     fn check_end(&mut self, tid: ThreadId, stack: &StackSnapshot, idx: usize) {
-        let root_ok = stack.depth() == 1
-            && stack.frames[0].method.as_str() == self.sym_main.as_str();
+        let root_ok =
+            stack.depth() == 1 && stack.frames[0].method.as_str() == self.sym_main.as_str();
         if !root_ok {
             let recorded: Vec<String> = stack
                 .method_names()
@@ -832,25 +849,30 @@ impl Checker {
 
     /// data-race: FastTrack-style per-variable metadata against per-thread vector
     /// clocks. One report per variable.
-    fn check_access(&mut self, target: ObjAt, field: Symbol, is_write: bool, tid: ThreadId, idx: usize) {
+    fn check_access(
+        &mut self,
+        target: ObjAt,
+        field: Symbol,
+        is_write: bool,
+        tid: ThreadId,
+        idx: usize,
+    ) {
         let Some(key) = Ident::of(target).key() else {
             return;
         };
         let slot = self.threads[&tid].slot;
         let my_clock = clock_component(&self.clocks[slot], slot);
-        let var = self
-            .vars
-            .entry((key, field))
-            .or_insert_with(|| VarState {
-                last_write: None,
-                reads: Vec::new(),
-                raced: false,
-            });
+        let var = self.vars.entry((key, field)).or_insert_with(|| VarState {
+            last_write: None,
+            reads: Vec::new(),
+            raced: false,
+        });
         if var.raced {
             return;
         }
         let clocks = &self.clocks;
-        let ordered = |a: &Access| a.slot == slot || a.clock <= clock_component(&clocks[slot], a.slot);
+        let ordered =
+            |a: &Access| a.slot == slot || a.clock <= clock_component(&clocks[slot], a.slot);
         let mut conflict: Option<Access> = None;
         if let Some(w) = var.last_write {
             if !ordered(&w) {

@@ -137,7 +137,9 @@ impl CheckReport {
 
     /// The diagnostics produced by one specific rule.
     pub fn by_rule<'a>(&'a self, rule_id: &'a str) -> impl Iterator<Item = &'a Diagnostic> {
-        self.diagnostics.iter().filter(move |d| d.rule_id == rule_id)
+        self.diagnostics
+            .iter()
+            .filter(move |d| d.rule_id == rule_id)
     }
 
     /// Renders the report for humans: a header line, one line per diagnostic, and a
@@ -154,8 +156,7 @@ impl CheckReport {
                 d.severity, d.entry_index, d.rule_id, d.message
             ));
             if !d.related_entries.is_empty() {
-                let rel: Vec<String> =
-                    d.related_entries.iter().map(|i| i.to_string()).collect();
+                let rel: Vec<String> = d.related_entries.iter().map(|i| i.to_string()).collect();
                 out.push_str(&format!(" (related: {})", rel.join(", ")));
             }
             out.push('\n');

@@ -10,7 +10,7 @@
 
 use rprism_lang::{FieldName, MethodName};
 use rprism_trace::{
-    CreationSeq, Event, EntryId, Loc, ObjRep, StackFrame, StackSnapshot, ThreadId, Trace,
+    CreationSeq, EntryId, Event, Loc, ObjRep, StackFrame, StackSnapshot, ThreadId, Trace,
     TraceEntry,
 };
 

@@ -75,9 +75,7 @@ mod tests {
         config.max_diagnostics = 1;
         // Two independent defects: an undefined object and a second undefined object.
         use rprism_lang::{FieldName, MethodName};
-        use rprism_trace::{
-            CreationSeq, EntryId, Event, Loc, ObjRep, ThreadId, Trace, TraceEntry,
-        };
+        use rprism_trace::{CreationSeq, EntryId, Event, Loc, ObjRep, ThreadId, Trace, TraceEntry};
         let mut trace = Trace::named("cap");
         for seq in 0..3u64 {
             trace.push(TraceEntry::new(

@@ -36,7 +36,10 @@ fn each_adversarial_profile_trips_exactly_its_rule() {
                 "{profile} (seed {seed}): expected the seeded defect alone, got {:#?}",
                 report.diagnostics
             );
-            assert_eq!(report.diagnostics[0].rule_id, rule, "{profile} (seed {seed})");
+            assert_eq!(
+                report.diagnostics[0].rule_id, rule,
+                "{profile} (seed {seed})"
+            );
             // Every adversarial profile must trip the default `--deny warning` gate
             // (the CI conformance job relies on a non-zero exit code).
             assert!(

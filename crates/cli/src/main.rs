@@ -163,11 +163,35 @@ struct Args {
 
 /// Flags that take a value; everything else starting with `--` is a switch.
 const VALUE_FLAGS: &[&str] = &[
-    "--out", "--label", "--encoding", "--scenario", "--dir", "--max-seqs", "--mode",
-    "--entries", "--seed", "--addr", "--repo", "--threads", "--cache-bytes",
-    "--max-frame-bytes", "--timeout", "--backlog", "--cache-low-watermark",
-    "--busy-retry-ms", "--retries", "--profile", "--deny", "--format", "--severity",
-    "--algorithm", "--poll-ms", "--idle-ms", "--slow-ms", "--obs-trace", "--interval-ms",
+    "--out",
+    "--label",
+    "--encoding",
+    "--scenario",
+    "--dir",
+    "--max-seqs",
+    "--mode",
+    "--entries",
+    "--seed",
+    "--addr",
+    "--repo",
+    "--threads",
+    "--cache-bytes",
+    "--max-frame-bytes",
+    "--timeout",
+    "--backlog",
+    "--cache-low-watermark",
+    "--busy-retry-ms",
+    "--retries",
+    "--profile",
+    "--deny",
+    "--format",
+    "--severity",
+    "--algorithm",
+    "--poll-ms",
+    "--idle-ms",
+    "--slow-ms",
+    "--obs-trace",
+    "--interval-ms",
 ];
 
 impl Args {
@@ -311,15 +335,11 @@ fn gen(args: &Args) -> Result<(), String> {
     };
     let entries = parse_num("--entries", 10_000)?;
     let seed = parse_num("--seed", 0x5eed)?;
-    let profile: rprism::trace::testgen::GenProfile = args
-        .value("--profile")
-        .unwrap_or("arbitrary")
-        .parse()?;
+    let profile: rprism::trace::testgen::GenProfile =
+        args.value("--profile").unwrap_or("arbitrary").parse()?;
     let mut rng = rprism::trace::testgen::Rng::new(seed);
     let trace = profile.generate(&mut rng, entries as usize);
-    let encoding = args
-        .encoding()?
-        .unwrap_or_else(|| Encoding::for_path(&out));
+    let encoding = args.encoding()?.unwrap_or_else(|| Encoding::for_path(&out));
     rprism_format::write_trace_path(&trace, &out, encoding)
         .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
     println!(
@@ -410,7 +430,9 @@ fn record(args: &Args) -> Result<(), String> {
     args.reject_unknown(&["--out", "--label", "--encoding", "--scenario", "--dir"])?;
     let encoding = args.encoding()?;
     if let Some(scenario) = args.value("--scenario") {
-        if !args.positional.is_empty() || args.value("--out").is_some() || args.value("--label").is_some()
+        if !args.positional.is_empty()
+            || args.value("--out").is_some()
+            || args.value("--label").is_some()
         {
             return Err(
                 "record --scenario exports a built-in case study and cannot be combined \
@@ -437,17 +459,13 @@ fn record(args: &Args) -> Result<(), String> {
     };
     let out = args.value("--out").ok_or("record expects --out <file>")?;
     let out = PathBuf::from(out);
-    let label = args
-        .value("--label")
-        .map(str::to_owned)
-        .unwrap_or_else(|| {
-            Path::new(source)
-                .file_stem()
-                .map(|s| s.to_string_lossy().into_owned())
-                .unwrap_or_else(|| "trace".to_owned())
-        });
-    let src =
-        std::fs::read_to_string(source).map_err(|e| format!("cannot read {source}: {e}"))?;
+    let label = args.value("--label").map(str::to_owned).unwrap_or_else(|| {
+        Path::new(source)
+            .file_stem()
+            .map(|s| s.to_string_lossy().into_owned())
+            .unwrap_or_else(|| "trace".to_owned())
+    });
+    let src = std::fs::read_to_string(source).map_err(|e| format!("cannot read {source}: {e}"))?;
     let engine = Engine::new();
     let prepared = engine
         .trace_source(&src, &label)
@@ -522,7 +540,10 @@ fn diff(args: &Args) -> Result<(), String> {
     let engine = builder.build();
     let mut pairs = Vec::new();
     for chunk in paths.chunks(2) {
-        pairs.push((load(&engine, &chunk[0], full)?, load(&engine, &chunk[1], full)?));
+        pairs.push((
+            load(&engine, &chunk[0], full)?,
+            load(&engine, &chunk[1], full)?,
+        ));
     }
     let results = engine
         .diff_many(&pairs)
@@ -620,8 +641,8 @@ fn convert(args: &Args) -> Result<(), String> {
     let encoding = args
         .encoding()?
         .unwrap_or_else(|| Encoding::for_path(&output));
-    let trace = rprism_format::read_trace_path(input)
-        .map_err(|e| format!("cannot load {input}: {e}"))?;
+    let trace =
+        rprism_format::read_trace_path(input).map_err(|e| format!("cannot load {input}: {e}"))?;
     rprism_format::write_trace_path(&trace, &output, encoding)
         .map_err(|e| format!("cannot write {}: {e}", output.display()))?;
     println!(
@@ -651,7 +672,9 @@ fn serve(args: &Args) -> Result<(), String> {
     if !args.positional.is_empty() {
         return Err("serve takes no positional arguments".into());
     }
-    let addr = args.value("--addr").ok_or("serve expects --addr <host:port>")?;
+    let addr = args
+        .value("--addr")
+        .ok_or("serve expects --addr <host:port>")?;
     let repo = args.value("--repo").ok_or("serve expects --repo <dir>")?;
     let mut config = rprism_server::ServerConfig::new(addr, repo);
     if let Some(threads) = args.value("--threads") {
@@ -685,9 +708,11 @@ fn serve(args: &Args) -> Result<(), String> {
             .map_err(|_| format!("--busy-retry-ms expects milliseconds, got {retry_ms:?}"))?;
     }
     if let Some(slow_ms) = args.value("--slow-ms") {
-        config.slow_request_ms = Some(slow_ms.parse().map_err(|_| {
-            format!("--slow-ms expects milliseconds, got {slow_ms:?}")
-        })?);
+        config.slow_request_ms = Some(
+            slow_ms
+                .parse()
+                .map_err(|_| format!("--slow-ms expects milliseconds, got {slow_ms:?}"))?,
+        );
     }
     if let Some(path) = args.value("--obs-trace") {
         config.obs_trace_path = Some(PathBuf::from(path));
@@ -731,9 +756,11 @@ fn remote_client(args: &Args) -> Result<rprism_server::Client, String> {
     )
     .map_err(|e| e.to_string())?;
     if let Some(max_frame) = args.value("--max-frame-bytes") {
-        client.set_max_frame(max_frame.parse().map_err(|_| {
-            format!("--max-frame-bytes expects a byte count, got {max_frame:?}")
-        })?);
+        client.set_max_frame(
+            max_frame.parse().map_err(|_| {
+                format!("--max-frame-bytes expects a byte count, got {max_frame:?}")
+            })?,
+        );
     }
     Ok(client)
 }
@@ -754,11 +781,9 @@ fn remote_trace_arg(client: &mut rprism_server::Client, arg: &str) -> Result<u64
 fn remote(args: &[String]) -> Result<ExitCode, String> {
     let Some((verb, rest)) = args.split_first() else {
         eprintln!("{USAGE}");
-        return Err(
-            "remote expects a subcommand \
+        return Err("remote expects a subcommand \
              (put|get|list|check|diff|watch|analyze|stats|metrics|obs-trace|shutdown)"
-                .into(),
-        );
+            .into());
     };
     let parsed = Args::parse(rest)?;
     let done = |result: Result<(), String>| result.map(|()| ExitCode::SUCCESS);
@@ -845,11 +870,19 @@ fn remote_put(args: &Args) -> Result<(), String> {
 }
 
 fn remote_get(args: &Args) -> Result<(), String> {
-    args.reject_unknown(&["--addr", "--max-frame-bytes", "--timeout", "--retries", "--out"])?;
+    args.reject_unknown(&[
+        "--addr",
+        "--max-frame-bytes",
+        "--timeout",
+        "--retries",
+        "--out",
+    ])?;
     let [hash] = args.positional.as_slice() else {
         return Err("remote get expects one content hash".into());
     };
-    let out = args.value("--out").ok_or("remote get expects --out <file>")?;
+    let out = args
+        .value("--out")
+        .ok_or("remote get expects --out <file>")?;
     let hash = u64::from_str_radix(hash, 16)
         .map_err(|_| format!("remote get expects a hex content hash, got {hash:?}"))?;
     let mut client = remote_client(args)?;
@@ -878,7 +911,12 @@ fn remote_list(args: &Args) -> Result<(), String> {
 
 fn remote_diff(args: &Args) -> Result<(), String> {
     args.reject_unknown(&[
-        "--addr", "--max-frame-bytes", "--timeout", "--retries", "--max-seqs", "--quiet",
+        "--addr",
+        "--max-frame-bytes",
+        "--timeout",
+        "--retries",
+        "--max-seqs",
+        "--quiet",
         "--algorithm",
     ])?;
     let [left, right] = args.positional.as_slice() else {
@@ -916,12 +954,20 @@ const WATCH_CHUNK: usize = 64 * 1024;
 
 fn remote_watch(args: &Args) -> Result<(), String> {
     args.reject_unknown(&[
-        "--addr", "--max-frame-bytes", "--timeout", "--retries", "--max-seqs", "--quiet",
-        "--follow", "--poll-ms", "--idle-ms",
+        "--addr",
+        "--max-frame-bytes",
+        "--timeout",
+        "--retries",
+        "--max-seqs",
+        "--quiet",
+        "--follow",
+        "--poll-ms",
+        "--idle-ms",
     ])?;
     let [old, source] = args.positional.as_slice() else {
-        return Err("remote watch expects an old trace (hash or file) and a source (file or -)"
-            .into());
+        return Err(
+            "remote watch expects an old trace (hash or file) and a source (file or -)".into(),
+        );
     };
     let max_seqs = args.max_seqs()?;
     let quiet = args.switch("--quiet");
@@ -980,8 +1026,8 @@ fn remote_watch(args: &Args) -> Result<(), String> {
             push(&mut client, buf)?;
         }
     } else {
-        let mut file = std::fs::File::open(source)
-            .map_err(|e| format!("cannot open {source}: {e}"))?;
+        let mut file =
+            std::fs::File::open(source).map_err(|e| format!("cannot open {source}: {e}"))?;
         let poll = std::time::Duration::from_millis(poll_ms.max(1));
         let mut idled = std::time::Duration::ZERO;
         loop {
@@ -1057,15 +1103,18 @@ fn print_watch_events(events: &[rprism_server::WireWatchEvent]) {
 
 fn remote_analyze(args: &Args) -> Result<(), String> {
     args.reject_unknown(&[
-        "--addr", "--max-frame-bytes", "--timeout", "--retries", "--mode", "--max-seqs",
+        "--addr",
+        "--max-frame-bytes",
+        "--timeout",
+        "--retries",
+        "--mode",
+        "--max-seqs",
         "--algorithm",
     ])?;
     let [or, nr, op, np] = args.positional.as_slice() else {
-        return Err(
-            "remote analyze expects four traces \
+        return Err("remote analyze expects four traces \
              (old-regressing new-regressing old-passing new-passing)"
-                .into(),
-        );
+            .into());
     };
     let mode = match args.value("--mode") {
         None => None,
@@ -1138,7 +1187,12 @@ fn remote_stats(args: &Args) -> Result<(), String> {
 
 fn remote_metrics(args: &Args) -> Result<(), String> {
     args.reject_unknown(&[
-        "--addr", "--max-frame-bytes", "--timeout", "--retries", "--watch", "--interval-ms",
+        "--addr",
+        "--max-frame-bytes",
+        "--timeout",
+        "--retries",
+        "--watch",
+        "--interval-ms",
     ])?;
     if !args.positional.is_empty() {
         return Err("remote metrics takes no positional arguments".into());

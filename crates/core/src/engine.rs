@@ -32,12 +32,12 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use rprism_check::{check_trace_with, CheckConfig, CheckReport, Checker, Severity};
-use rprism_format::{Encoding, TailBatch, TraceReader};
 use rprism_diff::{
     anchored_diff_prepared, lcs_diff_prepared, views_diff_sides_correlated, AnchoredDiffOptions,
     DiffError, DiffSession, DiffSide, LcsDiffOptions, ProvisionalEvent, TraceDiffResult,
     ViewsDiffOptions,
 };
+use rprism_format::{Encoding, TailBatch, TraceReader};
 use rprism_lang::parser::parse_program;
 use rprism_lang::Program;
 use rprism_regress::{
@@ -363,10 +363,7 @@ impl PreparedTrace {
             TraceStore::Lean(lean) => {
                 let entry = lean.entries().get(index)?;
                 let key = self.keyed().compact(index);
-                let name = key
-                    .name
-                    .map(|s| format!(" {s}"))
-                    .unwrap_or_default();
+                let name = key.name.map(|s| format!(" {s}")).unwrap_or_default();
                 Some(format!(
                     "[e{index} {} in {}.{}] {:?}{name} ({} operands)",
                     entry.tid,
@@ -1015,7 +1012,9 @@ impl Engine {
         let handles: Vec<&PreparedTrace> = pairs.iter().flat_map(|(a, b)| [a, b]).collect();
         self.warm(&handles, self.needs_webs());
         // Each diff runs inline inside its batch worker (`par` never nests fan-outs).
-        let diffs = par::map_ordered(pairs, |(left, right)| self.diff_with(left, right, &self.algorithm));
+        let diffs = par::map_ordered(pairs, |(left, right)| {
+            self.diff_with(left, right, &self.algorithm)
+        });
         Ok(diffs.into_iter().collect::<std::result::Result<_, _>>()?)
     }
 
@@ -1154,9 +1153,7 @@ impl Engine {
                     options,
                 ))
             }
-            DiffAlgorithm::Lcs(options) => {
-                lcs_diff_prepared(left.keyed(), right.keyed(), options)
-            }
+            DiffAlgorithm::Lcs(options) => lcs_diff_prepared(left.keyed(), right.keyed(), options),
             DiffAlgorithm::Anchored(options) => {
                 Ok(anchored_diff_prepared(left.keyed(), right.keyed(), options))
             }
@@ -1437,9 +1434,15 @@ mod tests {
     #[test]
     fn batch_apis_match_single_calls() {
         let engine = Engine::new();
-        let a = engine.trace_source(&regression_sources(32, 20), "a").unwrap();
-        let b = engine.trace_source(&regression_sources(1, 20), "b").unwrap();
-        let c = engine.trace_source(&regression_sources(32, 64), "c").unwrap();
+        let a = engine
+            .trace_source(&regression_sources(32, 20), "a")
+            .unwrap();
+        let b = engine
+            .trace_source(&regression_sources(1, 20), "b")
+            .unwrap();
+        let c = engine
+            .trace_source(&regression_sources(32, 64), "c")
+            .unwrap();
 
         let singles: Vec<_> = [(&a, &b), (&a, &c), (&b, &c)]
             .iter()
@@ -1479,14 +1482,15 @@ mod tests {
     fn sequential_engine_agrees_with_parallel_engine() {
         // Two sessions, so each builds its own correlation on its own side of `par`.
         let (par_engine, seq_engine) = (Engine::new(), Engine::new());
-        let a = par_engine.trace_source(&regression_sources(32, 20), "a").unwrap();
-        let b = par_engine.trace_source(&regression_sources(1, 20), "b").unwrap();
+        let a = par_engine
+            .trace_source(&regression_sources(32, 20), "a")
+            .unwrap();
+        let b = par_engine
+            .trace_source(&regression_sources(1, 20), "b")
+            .unwrap();
         let p = par::with_workers(4, || par_engine.diff(&a, &b)).unwrap();
         let s = par::inline(|| seq_engine.diff(&a, &b)).unwrap();
-        assert_eq!(
-            p.matching.normalized_pairs(),
-            s.matching.normalized_pairs()
-        );
+        assert_eq!(p.matching.normalized_pairs(), s.matching.normalized_pairs());
         assert_eq!(p.cost.compare_ops, s.cost.compare_ops);
     }
 
@@ -1554,7 +1558,10 @@ mod tests {
 
         let input = regression_input(&engine);
         let report = engine
-            .analyze_with_algorithm(&input, &DiffAlgorithm::Anchored(AnchoredDiffOptions::default()))
+            .analyze_with_algorithm(
+                &input,
+                &DiffAlgorithm::Anchored(AnchoredDiffOptions::default()),
+            )
             .unwrap();
         assert_eq!(report.algorithm, "anchored");
         assert_eq!(engine.analyze(&input).unwrap().algorithm, "views");
@@ -1574,7 +1581,9 @@ mod tests {
         assert_eq!(engine.cached_correlations(), 1);
 
         // Same pair, different views options: a distinct cache entry and a fresh build.
-        let strict = ViewsDiffOptions::builder().relaxed_correlation(false).build();
+        let strict = ViewsDiffOptions::builder()
+            .relaxed_correlation(false)
+            .build();
         engine
             .diff_with_algorithm(&a, &b, &DiffAlgorithm::Views(strict.clone()))
             .unwrap();
@@ -1590,8 +1599,10 @@ mod tests {
 
         // A batch fanned out over workers shares the entry a plain `diff` built
         // (scheduling is not semantics — diff/diff_many stay at one build per pair).
-        par::with_workers(4, || engine.diff_many(&[(a.clone(), b.clone()), (b.clone(), a.clone())]))
-            .unwrap();
+        par::with_workers(4, || {
+            engine.diff_many(&[(a.clone(), b.clone()), (b.clone(), a.clone())])
+        })
+        .unwrap();
         assert_eq!(engine.correlation_builds(), 2);
 
         // Non-views algorithms never build or consult correlations.
@@ -1615,8 +1626,12 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let engine = Engine::builder().trace_encoding(Encoding::Jsonl).build();
         assert_eq!(engine.trace_encoding(), Encoding::Jsonl);
-        let a = engine.trace_source(&regression_sources(32, 20), "a").unwrap();
-        let b = engine.trace_source(&regression_sources(1, 20), "b").unwrap();
+        let a = engine
+            .trace_source(&regression_sources(32, 20), "a")
+            .unwrap();
+        let b = engine
+            .trace_source(&regression_sources(1, 20), "b")
+            .unwrap();
 
         let pa = dir.join("a.jsonl");
         let pb = dir.join("b.rtr");
@@ -1649,8 +1664,12 @@ mod tests {
         let obs = rprism_obs::Obs::enabled();
         let engine = Engine::builder().obs(obs.clone()).build();
         assert!(engine.obs().is_enabled());
-        let a = engine.trace_source(&regression_sources(32, 20), "a").unwrap();
-        let b = engine.trace_source(&regression_sources(1, 20), "b").unwrap();
+        let a = engine
+            .trace_source(&regression_sources(32, 20), "a")
+            .unwrap();
+        let b = engine
+            .trace_source(&regression_sources(1, 20), "b")
+            .unwrap();
         let pa = dir.join("a.rtr");
         let pb = dir.join("b.rtr");
         engine.store_trace(&a, &pa).unwrap();
@@ -1661,7 +1680,12 @@ mod tests {
         engine.diff(&la, &lb).unwrap();
 
         let snapshot = obs.snapshot();
-        for metric in ["engine.load", "pipeline.decode", "pipeline.key", "pipeline.web"] {
+        for metric in [
+            "engine.load",
+            "pipeline.decode",
+            "pipeline.key",
+            "pipeline.web",
+        ] {
             let Some(crate::obs::MetricValue::Histogram(h)) = snapshot.get(metric) else {
                 panic!("missing histogram {metric}");
             };
@@ -1686,8 +1710,12 @@ mod tests {
         // The unordered cache builds once and serves the opposite orientation as an
         // exact transpose.
         let engine = Engine::new();
-        let a = engine.trace_source(&regression_sources(32, 20), "a").unwrap();
-        let b = engine.trace_source(&regression_sources(1, 20), "b").unwrap();
+        let a = engine
+            .trace_source(&regression_sources(32, 20), "a")
+            .unwrap();
+        let b = engine
+            .trace_source(&regression_sources(1, 20), "b")
+            .unwrap();
 
         let reversed = engine.diff(&b, &a).unwrap();
         assert_eq!(engine.correlation_builds(), 1);
@@ -1722,10 +1750,18 @@ mod tests {
     #[test]
     fn correlation_cache_evicts_least_recently_used_not_oldest() {
         let engine = Engine::builder().correlation_cache_capacity(2).build();
-        let a = engine.trace_source(&regression_sources(32, 20), "a").unwrap();
-        let b = engine.trace_source(&regression_sources(1, 20), "b").unwrap();
-        let c = engine.trace_source(&regression_sources(32, 64), "c").unwrap();
-        let d = engine.trace_source(&regression_sources(1, 64), "d").unwrap();
+        let a = engine
+            .trace_source(&regression_sources(32, 20), "a")
+            .unwrap();
+        let b = engine
+            .trace_source(&regression_sources(1, 20), "b")
+            .unwrap();
+        let c = engine
+            .trace_source(&regression_sources(32, 64), "c")
+            .unwrap();
+        let d = engine
+            .trace_source(&regression_sources(1, 64), "d")
+            .unwrap();
 
         engine.diff(&a, &b).unwrap(); // build 1: {ab}
         engine.diff(&a, &c).unwrap(); // build 2: {ab, ac}
@@ -1751,8 +1787,12 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("rprism-streamed-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let engine = Engine::new();
-        let a = engine.trace_source(&regression_sources(32, 20), "a").unwrap();
-        let b = engine.trace_source(&regression_sources(1, 20), "b").unwrap();
+        let a = engine
+            .trace_source(&regression_sources(32, 20), "a")
+            .unwrap();
+        let b = engine
+            .trace_source(&regression_sources(1, 20), "b")
+            .unwrap();
         let (pa, pb) = (dir.join("a.rtr"), dir.join("b.jsonl"));
         engine.store_trace(&a, &pa).unwrap();
         engine.store_trace_as(&b, &pb, Encoding::Jsonl).unwrap();
@@ -1791,7 +1831,9 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("rprism-check-eng-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let engine = Engine::new();
-        let traced = engine.trace_source(&regression_sources(32, 20), "t").unwrap();
+        let traced = engine
+            .trace_source(&regression_sources(32, 20), "t")
+            .unwrap();
         // The VM emits well-formed traces by construction; the checker must agree.
         let report = engine.check_prepared(&traced).unwrap();
         assert!(report.is_clean(), "{:#?}", report.diagnostics);
@@ -1823,7 +1865,9 @@ mod tests {
             .check_on_ingest(CheckConfig::default(), Severity::Error)
             .build();
 
-        let good = plain.trace_source(&regression_sources(32, 20), "ok").unwrap();
+        let good = plain
+            .trace_source(&regression_sources(32, 20), "ok")
+            .unwrap();
         let good_path = dir.join("good.rtr");
         plain.store_trace(&good, &good_path).unwrap();
         assert!(gated.load_trace(&good_path).is_ok());

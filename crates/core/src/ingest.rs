@@ -117,7 +117,9 @@ pub struct PhaseTimes {
 /// checksum mismatch, …). Nothing is retained on error — the partial artifacts are
 /// dropped with the call frame, so a failed ingest leaves no residue beyond interned
 /// name strings (see the module docs).
-pub fn stream_prepare<R: BufRead>(reader: TraceReader<R>) -> Result<StreamedArtifacts, FormatError> {
+pub fn stream_prepare<R: BufRead>(
+    reader: TraceReader<R>,
+) -> Result<StreamedArtifacts, FormatError> {
     stream_prepare_observed(reader, |_| {})
 }
 

@@ -75,16 +75,15 @@ mod watch;
 pub use engine::{Engine, EngineBuilder, PreparedTrace, RegressionInput};
 pub use watch::{Watch, WatchOutcome};
 // The vocabulary types an Engine user needs, re-exported at the crate root.
+pub use rprism_check::{CheckConfig, CheckReport, Severity};
 pub use rprism_diff::{
     AnchoredDiffOptions, AnchoredDiffOptionsBuilder, DiffSession, LcsDiffOptions,
     LcsDiffOptionsBuilder, LcsKernel, ProvisionalEvent, TraceDiffResult, ViewsDiffOptions,
     ViewsDiffOptionsBuilder,
 };
-pub use rprism_check::{CheckConfig, CheckReport, Severity};
 pub use rprism_format::{Encoding, FormatError};
 pub use rprism_obs::Obs;
 pub use rprism_regress::{AnalysisMode, DiffAlgorithm, RegressionReport, RenderOptions};
-
 
 /// Errors surfaced by the high-level API: the union of every layer's failure modes.
 #[derive(Debug)]

@@ -54,7 +54,10 @@ fn n_threads_hammering_one_engine_share_every_cached_artifact() {
     let reference_reversed = engine.diff(&b, &a).unwrap();
     let reference_report = engine.analyze(&input).unwrap();
     let warm_builds = engine.correlation_builds();
-    assert_eq!(warm_builds, 3, "warm-up builds exactly one correlation per pair");
+    assert_eq!(
+        warm_builds, 3,
+        "warm-up builds exactly one correlation per pair"
+    );
 
     // The storm: N threads interleave diffs (both orientations) and full analyses
     // over the same handles. Every request must be answered from the warm caches —

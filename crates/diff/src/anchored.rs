@@ -118,7 +118,11 @@ impl AnchoredDiffOptionsBuilder {
 }
 
 /// Differences two traces with the anchor-based mode.
-pub fn anchored_diff(left: &Trace, right: &Trace, options: &AnchoredDiffOptions) -> TraceDiffResult {
+pub fn anchored_diff(
+    left: &Trace,
+    right: &Trace,
+    options: &AnchoredDiffOptions,
+) -> TraceDiffResult {
     let left_keyed = KeyedTrace::build(left);
     let right_keyed = KeyedTrace::build(right);
     anchored_diff_prepared(&left_keyed, &right_keyed, options)
@@ -171,7 +175,10 @@ pub fn anchored_diff_prepared(
     // and meters in segment order.
     let leaves = par::map_ordered(&segments, |seg| {
         let mut leaf_meter = CostMeter::new();
-        (diff_segment(&lkeys, &rkeys, seg, options, &mut leaf_meter), leaf_meter)
+        (
+            diff_segment(&lkeys, &rkeys, seg, options, &mut leaf_meter),
+            leaf_meter,
+        )
     });
     for (leaf_pairs, leaf_meter) in leaves {
         pairs.extend(leaf_pairs);
@@ -329,13 +336,19 @@ impl Anchoring<'_, '_> {
         let mut probed = 0usize;
         'probe: for offset in 0..(l1 - l0) {
             let below = mid.checked_sub(offset).filter(|&li| li >= l0);
-            let above = if offset == 0 { None } else { Some(mid + offset).filter(|&li| li < l1) };
+            let above = if offset == 0 {
+                None
+            } else {
+                Some(mid + offset).filter(|&li| li < l1)
+            };
             if below.is_none() && above.is_none() {
                 break;
             }
             for li in [below, above].into_iter().flatten() {
                 let key = &self.lkeys[li];
-                let Some(ps) = rpos.get(&key.compact().hash) else { continue };
+                let Some(ps) = rpos.get(&key.compact().hash) else {
+                    continue;
+                };
                 probed += 1;
                 let target =
                     r0 + ((li - l0) as u128 * (r1 - r0) as u128 / (l1 - l0) as u128) as usize;
@@ -468,9 +481,13 @@ mod tests {
 
     fn trace_of(src: &str, name: &str) -> Trace {
         let program = parse_program(src).unwrap();
-        run_traced(&program, TraceMeta::new(name, "v", "c"), VmConfig::default())
-            .unwrap()
-            .trace
+        run_traced(
+            &program,
+            TraceMeta::new(name, "v", "c"),
+            VmConfig::default(),
+        )
+        .unwrap()
+        .trace
     }
 
     const BASE: &str = r#"
@@ -522,7 +539,10 @@ mod tests {
             assert!(w[0].0 < w[1].0 && w[0].1 < w[1].1, "matching not monotone");
         }
         for &(i, j) in pairs {
-            assert!(ka.key_eq(i, &kb, j), "matched pair ({i},{j}) is not =e-equal");
+            assert!(
+                ka.key_eq(i, &kb, j),
+                "matched pair ({i},{j}) is not =e-equal"
+            );
         }
     }
 
@@ -535,7 +555,10 @@ mod tests {
         let options = AnchoredDiffOptions::builder().max_segment(1).build();
         let rp = par::with_workers(4, || anchored_diff_prepared(&ka, &kb, &options));
         let rs = par::inline(|| anchored_diff_prepared(&ka, &kb, &options));
-        assert_eq!(rp.matching.normalized_pairs(), rs.matching.normalized_pairs());
+        assert_eq!(
+            rp.matching.normalized_pairs(),
+            rs.matching.normalized_pairs()
+        );
         assert_eq!(rp.sequences, rs.sequences);
         assert_eq!(rp.cost.compare_ops, rs.cost.compare_ops);
     }

@@ -117,9 +117,7 @@ impl CostMeter {
     /// statistics regardless of the actual parallel interleaving.
     pub fn merge(&mut self, worker: &CostMeter) {
         self.compare_ops += worker.compare_ops;
-        self.peak_bytes = self
-            .peak_bytes
-            .max(self.current_bytes + worker.peak_bytes);
+        self.peak_bytes = self.peak_bytes.max(self.current_bytes + worker.peak_bytes);
         self.current_bytes += worker.current_bytes;
     }
 

@@ -514,7 +514,14 @@ fn hirschberg_rec<T: PartialEq + Clone>(
         }
     }
 
-    hirschberg_rec(&left[..mid], &right[..best_j], left_off, right_off, meter, pairs);
+    hirschberg_rec(
+        &left[..mid],
+        &right[..best_j],
+        left_off,
+        right_off,
+        meter,
+        pairs,
+    );
     hirschberg_rec(
         &left[mid..],
         &right[best_j..],
@@ -578,9 +585,11 @@ mod tests {
     fn empty_inputs_are_handled() {
         let empty: Vec<char> = vec![];
         let mut meter = CostMeter::new();
-        assert!(lcs_dp(&empty, &empty, &mut meter, MemoryBudget::unlimited())
-            .unwrap()
-            .is_empty());
+        assert!(
+            lcs_dp(&empty, &empty, &mut meter, MemoryBudget::unlimited())
+                .unwrap()
+                .is_empty()
+        );
         assert!(lcs_hirschberg(&empty, &chars("AB"), &mut meter).is_empty());
         assert_eq!(lcs_length(&chars("AB"), &empty, &mut meter), 0);
     }
@@ -736,8 +745,14 @@ mod tests {
         let right = chars("BDCABA");
         let mut m1 = CostMeter::new();
         let mut m2 = CostMeter::new();
-        let dp = lcs_with_kernel(LcsKernel::Dp, &left, &right, &mut m1, MemoryBudget::unlimited())
-            .unwrap();
+        let dp = lcs_with_kernel(
+            LcsKernel::Dp,
+            &left,
+            &right,
+            &mut m1,
+            MemoryBudget::unlimited(),
+        )
+        .unwrap();
         let bp = lcs_with_kernel(
             LcsKernel::BitParallel,
             &left,
@@ -796,9 +811,8 @@ mod tests {
             let long: Vec<u32> = (0..50).collect();
             let short: Vec<u32> = (0..30).collect();
             let mut meter = CostMeter::new();
-            let pairs =
-                lcs_with_kernel(kernel, &long, &short, &mut meter, MemoryBudget::bytes(64))
-                    .unwrap();
+            let pairs = lcs_with_kernel(kernel, &long, &short, &mut meter, MemoryBudget::bytes(64))
+                .unwrap();
             let expected: Vec<(usize, usize)> = (0..30).map(|i| (i, i)).collect();
             assert_eq!(pairs, expected, "{kernel:?}");
         }

@@ -192,9 +192,13 @@ mod tests {
 
     fn trace_of(src: &str, name: &str) -> Trace {
         let program = parse_program(src).unwrap();
-        run_traced(&program, TraceMeta::new(name, "v", "c"), VmConfig::default())
-            .unwrap()
-            .trace
+        run_traced(
+            &program,
+            TraceMeta::new(name, "v", "c"),
+            VmConfig::default(),
+        )
+        .unwrap()
+        .trace
     }
 
     const BASE: &str = r#"
@@ -231,7 +235,11 @@ mod tests {
         assert!(result.num_sequences() >= 1);
         // Entries not touched by the changed value (object creation of SP, the thread
         // end, the probe call events on the unchanged SP object) still match.
-        assert!(result.num_similar() >= 4, "similar = {}", result.num_similar());
+        assert!(
+            result.num_similar() >= 4,
+            "similar = {}",
+            result.num_similar()
+        );
     }
 
     #[test]

@@ -53,9 +53,9 @@ pub mod anchored;
 pub mod cost;
 mod kernel_differential;
 pub mod lcs;
-mod proptests;
 pub mod lcs_diff;
 pub mod matching;
+mod proptests;
 pub mod result;
 pub mod session;
 pub mod views_diff;
@@ -65,10 +65,12 @@ pub use anchored::{
 };
 pub use cost::{CostMeter, CostStats, DiffError, MemoryBudget};
 pub use lcs::{
-    lcs_bitparallel, lcs_dp, lcs_hirschberg, lcs_length, lcs_optimized, lcs_with_kernel,
-    LcsKernel, MAX_BITPARALLEL_CLASSES,
+    lcs_bitparallel, lcs_dp, lcs_hirschberg, lcs_length, lcs_optimized, lcs_with_kernel, LcsKernel,
+    MAX_BITPARALLEL_CLASSES,
 };
-pub use lcs_diff::{lcs_diff, lcs_diff_keyed, lcs_diff_prepared, LcsDiffOptions, LcsDiffOptionsBuilder};
+pub use lcs_diff::{
+    lcs_diff, lcs_diff_keyed, lcs_diff_prepared, LcsDiffOptions, LcsDiffOptionsBuilder,
+};
 pub use matching::{DiffKind, DiffSequence, Matching};
 pub use result::TraceDiffResult;
 pub use session::{DiffSession, ProvisionalEvent, SessionArtifacts, SessionFinish};

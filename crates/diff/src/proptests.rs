@@ -19,8 +19,12 @@ const CASES: usize = 64;
 
 fn sequences(rng: &mut Rng, max_len: usize) -> (Vec<u8>, Vec<u8>) {
     // Small alphabets create many repeated symbols — the hard case for correlation.
-    let left = (0..rng.usize(0, max_len)).map(|_| rng.range(0, 6) as u8).collect();
-    let right = (0..rng.usize(0, max_len)).map(|_| rng.range(0, 6) as u8).collect();
+    let left = (0..rng.usize(0, max_len))
+        .map(|_| rng.range(0, 6) as u8)
+        .collect();
+    let right = (0..rng.usize(0, max_len))
+        .map(|_| rng.range(0, 6) as u8)
+        .collect();
     (left, right)
 }
 
@@ -36,8 +40,16 @@ fn lcs_variants_agree_on_length() {
         let hir = lcs_hirschberg(&left, &right, &mut m);
         let len = lcs_length(&left, &right, &mut m);
         assert_eq!(dp.len(), len, "dp vs length on {left:?} / {right:?}");
-        assert_eq!(opt.len(), len, "optimized vs length on {left:?} / {right:?}");
-        assert_eq!(hir.len(), len, "hirschberg vs length on {left:?} / {right:?}");
+        assert_eq!(
+            opt.len(),
+            len,
+            "optimized vs length on {left:?} / {right:?}"
+        );
+        assert_eq!(
+            hir.len(),
+            len,
+            "hirschberg vs length on {left:?} / {right:?}"
+        );
     }
 }
 
@@ -86,9 +98,15 @@ fn lcs_length_bounds() {
 fn optimization_is_sound_and_never_slower() {
     let mut rng = Rng::new(404);
     for _ in 0..CASES {
-        let shared: Vec<u8> = (0..rng.usize(0, 20)).map(|_| rng.range(0, 6) as u8).collect();
-        let mid_l: Vec<u8> = (0..rng.usize(0, 20)).map(|_| rng.range(0, 6) as u8).collect();
-        let mid_r: Vec<u8> = (0..rng.usize(0, 20)).map(|_| rng.range(0, 6) as u8).collect();
+        let shared: Vec<u8> = (0..rng.usize(0, 20))
+            .map(|_| rng.range(0, 6) as u8)
+            .collect();
+        let mid_l: Vec<u8> = (0..rng.usize(0, 20))
+            .map(|_| rng.range(0, 6) as u8)
+            .collect();
+        let mid_r: Vec<u8> = (0..rng.usize(0, 20))
+            .map(|_| rng.range(0, 6) as u8)
+            .collect();
         // Construct inputs with a guaranteed common prefix and suffix.
         let left: Vec<u8> = shared
             .iter()
@@ -154,7 +172,9 @@ fn bitparallel_equals_dp_beyond_the_packing_limit() {
         // The right side starts with 100 guaranteed-distinct symbols (then random
         // draws), so its alphabet always exceeds the 64-class packing limit and every
         // case exercises the refusal.
-        let left: Vec<u16> = (0..rng.usize(80, 160)).map(|_| rng.range(0, 200) as u16).collect();
+        let left: Vec<u16> = (0..rng.usize(80, 160))
+            .map(|_| rng.range(0, 200) as u16)
+            .collect();
         let mut right: Vec<u16> = (0..100u16).collect();
         right.extend((0..rng.usize(0, 60)).map(|_| rng.range(0, 200) as u16));
         let refused = !lcs_bitparallel_table(
@@ -231,9 +251,17 @@ fn anchored_matchings_are_valid_and_bounded_by_exact_lcs() {
         }
         let lkeys: Vec<KeyRef<'_>> = (0..lk.len()).map(|i| lk.key(i)).collect();
         let rkeys: Vec<KeyRef<'_>> = (0..rk.len()).map(|i| rk.key(i)).collect();
-        let exact = lcs_dp(&lkeys, &rkeys, &mut CostMeter::new(), MemoryBudget::unlimited())
-            .unwrap();
-        assert!(pairs.len() <= exact.len(), "anchored matched more than the LCS");
+        let exact = lcs_dp(
+            &lkeys,
+            &rkeys,
+            &mut CostMeter::new(),
+            MemoryBudget::unlimited(),
+        )
+        .unwrap();
+        assert!(
+            pairs.len() <= exact.len(),
+            "anchored matched more than the LCS"
+        );
         let identical = anchored_diff_prepared(&lk, &lk, &options);
         assert_eq!(identical.num_similar(), lk.len());
     }
@@ -262,7 +290,10 @@ fn compact_key_equality_equals_eventkey_equality_equals_event_eq() {
             let by_structural = event_eq(&left[i], &right[j]);
             assert_eq!(by_compact, by_eventkey, "compact vs EventKey at ({i},{j})");
             assert_eq!(by_keyref, by_eventkey, "KeyRef vs EventKey at ({i},{j})");
-            assert_eq!(by_structural, by_eventkey, "event_eq vs EventKey at ({i},{j})");
+            assert_eq!(
+                by_structural, by_eventkey,
+                "event_eq vs EventKey at ({i},{j})"
+            );
         }
     }
 }

@@ -50,8 +50,7 @@ impl TraceDiffResult {
     /// Values above 1.0 mean this algorithm found more semantic correlations (fewer
     /// differences) than the baseline.
     pub fn accuracy_vs(&self, baseline: &TraceDiffResult) -> f64 {
-        let total =
-            (self.matching.left_len() + self.matching.right_len()) as f64;
+        let total = (self.matching.left_len() + self.matching.right_len()) as f64;
         if total == 0.0 {
             return 1.0;
         }

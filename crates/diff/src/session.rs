@@ -489,9 +489,13 @@ mod tests {
 
     fn trace_of(src: &str, name: &str) -> Trace {
         let program = parse_program(src).unwrap();
-        run_traced(&program, TraceMeta::new(name, "v", "c"), VmConfig::default())
-            .unwrap()
-            .trace
+        run_traced(
+            &program,
+            TraceMeta::new(name, "v", "c"),
+            VmConfig::default(),
+        )
+        .unwrap()
+        .trace
     }
 
     const OLD: &str = r#"

@@ -36,7 +36,9 @@
 
 use std::time::Instant;
 
-use rprism_trace::{KeyRef, KeyedTrace, LeanEntry, LeanTrace, ObjIdent, ObjRep, ThreadId, Trace, TraceEntry};
+use rprism_trace::{
+    KeyRef, KeyedTrace, LeanEntry, LeanTrace, ObjIdent, ObjRep, ThreadId, Trace, TraceEntry,
+};
 use rprism_views::correlate::relaxed::same_distance_from_anchor;
 use rprism_views::{Correlation, ViewId, ViewKind, ViewWeb};
 
@@ -381,7 +383,9 @@ impl<'a> Differ<'a> {
     /// `=e` between base-trace entries by precomputed key: never allocates.
     #[inline]
     pub(crate) fn entries_eq(&self, left_idx: usize, right_idx: usize) -> bool {
-        self.left.keyed.key_eq(left_idx, self.right.keyed, right_idx)
+        self.left
+            .keyed
+            .key_eq(left_idx, self.right.keyed, right_idx)
     }
 
     /// The per-entry correlation function `X_τ(γ_L, γ_R)` of Fig. 9 over side contexts:
@@ -390,7 +394,12 @@ impl<'a> Differ<'a> {
     /// information `rprism_views::correlate_entry_views` reads from full entries
     /// (thread ids; object correlation identities for the uncorrelated-view fallback),
     /// so full and lean sides produce identical verdicts.
-    fn correlate_at(&self, kind: ViewKind, left_idx: usize, right_idx: usize) -> Option<(ViewId, ViewId)> {
+    fn correlate_at(
+        &self,
+        kind: ViewKind,
+        left_idx: usize,
+        right_idx: usize,
+    ) -> Option<(ViewId, ViewId)> {
         let l = self.left.web.entry_view(left_idx, kind)?;
         let r = self.right.web.entry_view(right_idx, kind)?;
         let correlated = match kind {
@@ -409,12 +418,12 @@ impl<'a> Differ<'a> {
                     .object_verdict(l, r)
                     .unwrap_or_else(|| obj_correlates(lt, rt))
             }
-            ViewKind::ActiveObject => self
-                .correlation
-                .object_verdict(l, r)
-                .unwrap_or_else(|| {
-                    obj_correlates(self.left.ctx.active(left_idx), self.right.ctx.active(right_idx))
-                }),
+            ViewKind::ActiveObject => self.correlation.object_verdict(l, r).unwrap_or_else(|| {
+                obj_correlates(
+                    self.left.ctx.active(left_idx),
+                    self.right.ctx.active(right_idx),
+                )
+            }),
         };
         correlated.then_some((l, r))
     }
@@ -475,7 +484,9 @@ impl<'a> Differ<'a> {
                         continue;
                     }
                     scratch.explored.push((lid, rid));
-                    self.windowed_secondary_lcs(lid, rid, left_idx, right_idx, matched, meter, scratch);
+                    self.windowed_secondary_lcs(
+                        lid, rid, left_idx, right_idx, matched, meter, scratch,
+                    );
                 }
             }
         }
@@ -562,17 +573,33 @@ mod tests {
 
     /// The one-shot views diff: fresh webs and keys for both traces, then
     /// [`views_diff_keyed`].
-    fn fresh_views_diff(left: &Trace, right: &Trace, options: &ViewsDiffOptions) -> TraceDiffResult {
+    fn fresh_views_diff(
+        left: &Trace,
+        right: &Trace,
+        options: &ViewsDiffOptions,
+    ) -> TraceDiffResult {
         let (left_web, right_web) = (ViewWeb::build(left), ViewWeb::build(right));
         let (left_keyed, right_keyed) = (KeyedTrace::build(left), KeyedTrace::build(right));
-        views_diff_keyed(left, right, &left_web, &right_web, &left_keyed, &right_keyed, options)
+        views_diff_keyed(
+            left,
+            right,
+            &left_web,
+            &right_web,
+            &left_keyed,
+            &right_keyed,
+            options,
+        )
     }
 
     fn trace_of(src: &str, name: &str) -> Trace {
         let program = parse_program(src).unwrap();
-        run_traced(&program, TraceMeta::new(name, "v", "c"), VmConfig::default())
-            .unwrap()
-            .trace
+        run_traced(
+            &program,
+            TraceMeta::new(name, "v", "c"),
+            VmConfig::default(),
+        )
+        .unwrap()
+        .trace
     }
 
     const ORIGINAL: &str = r#"
@@ -782,7 +809,10 @@ mod tests {
         let options = ViewsDiffOptions::default();
         let par = rprism_trace::par::with_workers(4, || fresh_views_diff(&old, &new, &options));
         let seq = rprism_trace::par::inline(|| fresh_views_diff(&old, &new, &options));
-        assert_eq!(par.matching.normalized_pairs(), seq.matching.normalized_pairs());
+        assert_eq!(
+            par.matching.normalized_pairs(),
+            seq.matching.normalized_pairs()
+        );
         assert_eq!(par.sequences, seq.sequences);
         assert_eq!(par.cost.compare_ops, seq.cost.compare_ops);
     }

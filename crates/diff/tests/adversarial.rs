@@ -27,7 +27,10 @@ fn assert_valid_alignment(result: &TraceDiffResult, left: &Trace, right: &Trace,
         );
     }
     for &(l, r) in pairs {
-        assert!(l < left.len() && r < right.len(), "{context}: pair out of range");
+        assert!(
+            l < left.len() && r < right.len(),
+            "{context}: pair out of range"
+        );
         assert!(
             lk.key_eq(l, &rk, r),
             "{context}: matched entries are not =e-equal at ({l}, {r})"
@@ -39,7 +42,10 @@ fn assert_valid_alignment(result: &TraceDiffResult, left: &Trace, right: &Trace,
 /// global trace indices interleave across views — so only range validity holds.
 fn assert_in_range(result: &TraceDiffResult, left: &Trace, right: &Trace, context: &str) {
     for &(l, r) in result.matching.normalized_pairs() {
-        assert!(l < left.len() && r < right.len(), "{context}: pair out of range");
+        assert!(
+            l < left.len() && r < right.len(),
+            "{context}: pair out of range"
+        );
     }
 }
 
@@ -96,10 +102,8 @@ fn hostile_gen_profiles_never_panic_any_backend() {
     let mut rng = Rng::new(0x5eed_f00d);
     // Every profile against itself (different seeds) and against the arbitrary soup,
     // so backends see both homogeneous hostile shapes and mixed-shape comparisons.
-    let mut pairings: Vec<(GenProfile, GenProfile)> = GenProfile::ALL
-        .iter()
-        .map(|&p| (p, p))
-        .collect();
+    let mut pairings: Vec<(GenProfile, GenProfile)> =
+        GenProfile::ALL.iter().map(|&p| (p, p)).collect();
     pairings.extend(GenProfile::ALL.iter().map(|&p| (GenProfile::Arbitrary, p)));
 
     for (left_profile, right_profile) in pairings {

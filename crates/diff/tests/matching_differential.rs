@@ -57,12 +57,16 @@ impl Reference {
 
     fn unmatched_left(&self) -> Vec<usize> {
         let matched = self.matched_left();
-        (0..self.left_len).filter(|i| !matched.contains(i)).collect()
+        (0..self.left_len)
+            .filter(|i| !matched.contains(i))
+            .collect()
     }
 
     fn unmatched_right(&self) -> Vec<usize> {
         let matched = self.matched_right();
-        (0..self.right_len).filter(|i| !matched.contains(i)).collect()
+        (0..self.right_len)
+            .filter(|i| !matched.contains(i))
+            .collect()
     }
 
     fn num_differences(&self) -> usize {
@@ -171,11 +175,23 @@ fn random_pairs(rng: &mut Rng, left_len: usize, right_len: usize) -> Vec<(usize,
 
 fn assert_views_agree(context: &str, matching: &Matching, reference: &Reference) {
     let pairs = reference.normalized_pairs();
-    assert_eq!(matching.normalized_pairs(), pairs, "{context}: normalized_pairs");
+    assert_eq!(
+        matching.normalized_pairs(),
+        pairs,
+        "{context}: normalized_pairs"
+    );
     assert_eq!(matching.len(), pairs.len(), "{context}: len");
     assert_eq!(matching.is_empty(), pairs.is_empty(), "{context}: is_empty");
-    assert_eq!(matching.left_len(), reference.left_len, "{context}: left_len");
-    assert_eq!(matching.right_len(), reference.right_len, "{context}: right_len");
+    assert_eq!(
+        matching.left_len(),
+        reference.left_len,
+        "{context}: left_len"
+    );
+    assert_eq!(
+        matching.right_len(),
+        reference.right_len,
+        "{context}: right_len"
+    );
 
     let (matched_left, matched_right) = (reference.matched_left(), reference.matched_right());
     for i in 0..reference.left_len {
@@ -192,10 +208,20 @@ fn assert_views_agree(context: &str, matching: &Matching, reference: &Reference)
             "{context}: is_matched_right({i})"
         );
     }
-    assert!(!matching.is_matched_left(reference.left_len), "{context}: past the left side");
-    assert!(!matching.is_matched_right(reference.right_len), "{context}: past the right side");
+    assert!(
+        !matching.is_matched_left(reference.left_len),
+        "{context}: past the left side"
+    );
+    assert!(
+        !matching.is_matched_right(reference.right_len),
+        "{context}: past the right side"
+    );
 
-    assert_eq!(matching.unmatched_left(), reference.unmatched_left(), "{context}: unmatched_left");
+    assert_eq!(
+        matching.unmatched_left(),
+        reference.unmatched_left(),
+        "{context}: unmatched_left"
+    );
     assert_eq!(
         matching.unmatched_right(),
         reference.unmatched_right(),
@@ -207,7 +233,11 @@ fn assert_views_agree(context: &str, matching: &Matching, reference: &Reference)
         "{context}: num_differences"
     );
     let sequences = matching.difference_sequences();
-    assert_eq!(sequences, reference.difference_sequences(), "{context}: difference_sequences");
+    assert_eq!(
+        sequences,
+        reference.difference_sequences(),
+        "{context}: difference_sequences"
+    );
     assert_eq!(
         sequences.iter().map(DiffSequence::len).sum::<usize>(),
         matching.num_differences(),

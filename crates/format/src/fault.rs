@@ -106,8 +106,11 @@ impl FaultPlan {
     /// generator has a fixed point at zero).
     pub fn seeded(seed: u64) -> Self {
         let plan = FaultPlan::new();
-        plan.state.lock().expect("fault plan poisoned").rng =
-            if seed == 0 { 0x9e37_79b9_7f4a_7c15 } else { seed };
+        plan.state.lock().expect("fault plan poisoned").rng = if seed == 0 {
+            0x9e37_79b9_7f4a_7c15
+        } else {
+            seed
+        };
         plan
     }
 
@@ -181,7 +184,11 @@ impl FaultPlan {
         }
         let mut state = self.state.lock().expect("fault plan poisoned");
         // xorshift64*; the seed is guaranteed non-zero by `seeded`.
-        let mut x = if state.rng == 0 { 0x9e37_79b9_7f4a_7c15 } else { state.rng };
+        let mut x = if state.rng == 0 {
+            0x9e37_79b9_7f4a_7c15
+        } else {
+            state.rng
+        };
         x ^= x >> 12;
         x ^= x << 25;
         x ^= x >> 27;
@@ -324,8 +331,14 @@ mod tests {
         assert_eq!(plan.next("s"), None);
         assert_eq!(plan.next("s"), Some(Fault::Interrupt));
         assert_eq!(plan.next("s"), None);
-        assert_eq!(plan.next("s"), Some(Fault::Error(std::io::ErrorKind::Other)));
-        assert_eq!(plan.next("s"), Some(Fault::Error(std::io::ErrorKind::Other)));
+        assert_eq!(
+            plan.next("s"),
+            Some(Fault::Error(std::io::ErrorKind::Other))
+        );
+        assert_eq!(
+            plan.next("s"),
+            Some(Fault::Error(std::io::ErrorKind::Other))
+        );
         // Other sites are unaffected.
         assert_eq!(plan.next("t"), None);
         assert_eq!(plan.operations("s"), 5);
@@ -361,7 +374,14 @@ mod tests {
     #[test]
     fn corruption_flips_exactly_one_byte() {
         let data = vec![0u8; 8];
-        let plan = FaultPlan::new().fail_at("in:read", 0, Fault::Corrupt { index: 3, mask: 0x80 });
+        let plan = FaultPlan::new().fail_at(
+            "in:read",
+            0,
+            Fault::Corrupt {
+                index: 3,
+                mask: 0x80,
+            },
+        );
         let mut stream = FaultyStream::new(data.as_slice(), plan, "in");
         let mut buf = [0u8; 8];
         stream.read_exact(&mut buf).unwrap();

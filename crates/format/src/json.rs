@@ -262,9 +262,7 @@ impl Parser<'_> {
                     }
                 }
                 0x00..=0x1f => {
-                    return Err(format!(
-                        "unescaped control character {byte:#04x} in string"
-                    ));
+                    return Err(format!("unescaped control character {byte:#04x} in string"));
                 }
                 _ => {
                     // Consume one UTF-8 scalar (the input is a &str, so boundaries are
@@ -308,7 +306,9 @@ mod tests {
     #[test]
     fn parses_the_schema_shapes() {
         let v = parse(r#"{"kind":"call","args":[{"class":"Int"},null,true],"tid":7}"#).unwrap();
-        let Json::Obj(pairs) = v else { panic!("not an object") };
+        let Json::Obj(pairs) = v else {
+            panic!("not an object")
+        };
         assert_eq!(pairs.len(), 3);
         assert_eq!(pairs[0].0, "kind");
         assert_eq!(pairs[2].1, Json::Num(7));
@@ -316,7 +316,13 @@ mod tests {
 
     #[test]
     fn string_escapes_round_trip() {
-        for s in ["plain", "with \"quotes\"", "tab\tnewline\n", "uni ☃ 😀", "back\\slash"] {
+        for s in [
+            "plain",
+            "with \"quotes\"",
+            "tab\tnewline\n",
+            "uni ☃ 😀",
+            "back\\slash",
+        ] {
             let mut line = String::new();
             write_escaped(&mut line, s);
             assert_eq!(parse(&line).unwrap(), Json::Str(s.to_owned()), "case {s:?}");
@@ -325,10 +331,7 @@ mod tests {
 
     #[test]
     fn surrogate_pairs_decode() {
-        assert_eq!(
-            parse(r#""😀""#).unwrap(),
-            Json::Str("😀".to_owned())
-        );
+        assert_eq!(parse(r#""😀""#).unwrap(), Json::Str("😀".to_owned()));
         assert_eq!(
             parse("\"\\ud83d\\ude00\"").unwrap(),
             Json::Str("😀".to_owned())
@@ -349,8 +352,19 @@ mod tests {
     #[test]
     fn malformed_input_is_an_error_not_a_panic() {
         for bad in [
-            "", "{", "}", "[1,", "{\"a\":}", "{\"a\" 1}", "tru", "\"unterminated",
-            "{\"a\":1}extra", "\u{7}", "\"bad \\q escape\"", "[1 2]", "\"\\u+abc\"",
+            "",
+            "{",
+            "}",
+            "[1,",
+            "{\"a\":}",
+            "{\"a\" 1}",
+            "tru",
+            "\"unterminated",
+            "{\"a\":1}extra",
+            "\u{7}",
+            "\"bad \\q escape\"",
+            "[1 2]",
+            "\"\\u+abc\"",
             "\"\\u12g4\"",
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");

@@ -392,7 +392,10 @@ impl<R: BufRead> JsonlTraceReader<R> {
         let Json::Obj(pairs) = value else {
             return Err(FormatError::Json {
                 line,
-                detail: format!("object representation must be an object, found {}", value.type_name()),
+                detail: format!(
+                    "object representation must be an object, found {}",
+                    value.type_name()
+                ),
             });
         };
         let mut fields = ObjFields::new(pairs, line);
@@ -435,7 +438,10 @@ impl<R: BufRead> JsonlTraceReader<R> {
         let Json::Arr(items) = value else {
             return Err(FormatError::Json {
                 line,
-                detail: format!("a stack snapshot must be an array, found {}", value.type_name()),
+                detail: format!(
+                    "a stack snapshot must be an array, found {}",
+                    value.type_name()
+                ),
             });
         };
         let mut frames = Vec::with_capacity(items.len());
@@ -443,7 +449,10 @@ impl<R: BufRead> JsonlTraceReader<R> {
             let Json::Obj(pairs) = item else {
                 return Err(FormatError::Json {
                     line,
-                    detail: format!("a stack frame must be an object, found {}", item.type_name()),
+                    detail: format!(
+                        "a stack frame must be an object, found {}",
+                        item.type_name()
+                    ),
                 });
             };
             let mut fields = ObjFields::new(pairs, line);
@@ -758,7 +767,11 @@ mod tests {
         assert_eq!(decode(&crlf).unwrap(), trace, "direct CRLF decode diverged");
         // Mixed endings (a hand-edited file) and blank CRLF lines are fine too.
         let mixed = encode(&trace).replacen('\n', "\r\n", 3) + "\r\n";
-        assert_eq!(decode(&mixed).unwrap(), trace, "mixed-endings decode diverged");
+        assert_eq!(
+            decode(&mixed).unwrap(),
+            trace,
+            "mixed-endings decode diverged"
+        );
     }
 
     #[test]

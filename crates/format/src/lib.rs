@@ -560,11 +560,7 @@ fn reencoded_summary(input: &[u8]) -> Result<ContentSummary> {
     let mut reader = TraceReader::new(BufReader::new(input))?;
     let meta = reader.meta().clone();
     let encoding = reader.encoding();
-    let mut writer = TraceWriter::new(
-        HashSink { hash: Fnv64::new() },
-        &meta,
-        Encoding::Binary,
-    )?;
+    let mut writer = TraceWriter::new(HashSink { hash: Fnv64::new() }, &meta, Encoding::Binary)?;
     let mut entries = 0u64;
     while let Some(entry) = reader.next_entry()? {
         writer.write_entry(&entry)?;
@@ -712,9 +708,8 @@ mod tests {
         let trace = sample_trace(31, 30);
         for encoding in [Encoding::Binary, Encoding::Jsonl] {
             let bytes = trace_to_bytes(&trace, encoding).unwrap();
-            let queue = std::rc::Rc::new(std::cell::RefCell::new(
-                std::collections::VecDeque::new(),
-            ));
+            let queue =
+                std::rc::Rc::new(std::cell::RefCell::new(std::collections::VecDeque::new()));
             let cuts = [bytes.len() / 3, 2 * bytes.len() / 3, bytes.len()];
             queue.borrow_mut().extend(bytes[..cuts[0]].iter().copied());
             let mut reader =
@@ -764,9 +759,7 @@ mod tests {
         // boundary and the retry succeeds.
         let trace = sample_trace(17, 25);
         let bytes = trace_to_bytes(&trace, Encoding::Binary).unwrap();
-        let queue = std::rc::Rc::new(std::cell::RefCell::new(
-            std::collections::VecDeque::new(),
-        ));
+        let queue = std::rc::Rc::new(std::cell::RefCell::new(std::collections::VecDeque::new()));
         let cut = bytes.len() / 2;
         queue.borrow_mut().extend(bytes[..cut].iter().copied());
         let mut reader = TraceReader::new(BufReader::new(GrowingSource(queue.clone()))).unwrap();

@@ -33,7 +33,11 @@ pub struct SliceSource<'a> {
 impl<'a> SliceSource<'a> {
     /// Wraps a slice whose first byte sits at absolute offset `base`.
     pub fn new(bytes: &'a [u8], base: u64) -> Self {
-        SliceSource { bytes, pos: 0, base }
+        SliceSource {
+            bytes,
+            pos: 0,
+            base,
+        }
     }
 }
 
@@ -76,7 +80,9 @@ pub fn read_u64(src: &mut impl ByteSource) -> Result<u64> {
     let mut shift: u32 = 0;
     loop {
         let Some(byte) = src.next_byte()? else {
-            return Err(FormatError::Truncated { offset: src.offset() });
+            return Err(FormatError::Truncated {
+                offset: src.offset(),
+            });
         };
         let payload = u64::from(byte & 0x7f);
         // The tenth byte of a u64 varint may only contribute the single remaining bit.
@@ -123,7 +129,17 @@ mod tests {
 
     #[test]
     fn round_trips_across_the_range() {
-        for v in [0, 1, 127, 128, 300, 16_383, 16_384, u32::MAX as u64, u64::MAX] {
+        for v in [
+            0,
+            1,
+            127,
+            128,
+            300,
+            16_383,
+            16_384,
+            u32::MAX as u64,
+            u64::MAX,
+        ] {
             round_trip(v);
         }
         // Every power-of-two boundary.

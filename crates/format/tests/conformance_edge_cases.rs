@@ -123,7 +123,10 @@ fn utf8_bom_is_stripped_from_both_encodings() {
         with_bom.extend_from_slice(&bytes);
         let decoded = trace_from_bytes(&with_bom)
             .unwrap_or_else(|e| panic!("BOM-prefixed {encoding} stream rejected: {e}"));
-        assert_eq!(decoded, trace, "BOM-prefixed {encoding} round trip diverged");
+        assert_eq!(
+            decoded, trace,
+            "BOM-prefixed {encoding} round trip diverged"
+        );
     }
 }
 

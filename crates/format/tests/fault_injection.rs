@@ -87,7 +87,10 @@ fn injected_corruption_is_a_structured_error_never_a_panic() {
             Ok(decoded) => assert_eq!(decoded, trace, "read op {op}: silent corruption"),
         }
     }
-    assert!(caught > 0, "the sweep must land at least one effective flip");
+    assert!(
+        caught > 0,
+        "the sweep must land at least one effective flip"
+    );
 }
 
 #[test]

@@ -19,7 +19,6 @@
 //! Extensions relative to the paper (see `DESIGN.md` §3): `let`, `if`, bounded `while`,
 //! primitive binary/unary operators, and string/unit literals.
 
-
 use crate::names::{ClassName, FieldName, MethodName, VarName};
 
 /// A static type: either a class type `C` or a primitive value type `D`.

@@ -410,17 +410,15 @@ mod tests {
     fn builder_produces_well_formed_program() {
         let p = ProgramBuilder::new()
             .class(
-                ClassBuilder::new("Logger")
-                    .field("count", int_ty())
-                    .method(
-                        MethodBuilder::new("addMsg", unit_ty())
-                            .param("msg", str_ty())
-                            .body(set_field(
-                                this(),
-                                "count",
-                                add(get_field(this(), "count"), int(1)),
-                            )),
-                    ),
+                ClassBuilder::new("Logger").field("count", int_ty()).method(
+                    MethodBuilder::new("addMsg", unit_ty())
+                        .param("msg", str_ty())
+                        .body(set_field(
+                            this(),
+                            "count",
+                            add(get_field(this(), "count"), int(1)),
+                        )),
+                ),
             )
             .main(let_(
                 "log",

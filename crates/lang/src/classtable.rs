@@ -132,16 +132,17 @@ impl ClassTable {
     /// Never panics; unknown classes yield an empty slice (validation rejects them
     /// earlier).
     pub fn fields(&self, class: &ClassName) -> &[(FieldName, Type)] {
-        self.all_fields
-            .get(class)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        self.all_fields.get(class).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// The paper's `mbody(m, C)`: resolves method `m` starting at class `C` and walking up
     /// the inheritance chain. Returns the defining class together with the method
     /// definition, or `None` when no class in the chain defines the method.
-    pub fn mbody(&self, method: &MethodName, class: &ClassName) -> Option<(&ClassName, &MethodDef)> {
+    pub fn mbody(
+        &self,
+        method: &MethodName,
+        class: &ClassName,
+    ) -> Option<(&ClassName, &MethodDef)> {
         let mut current = class.clone();
         while !current.is_object() {
             let def = self.classes.get(&current)?;

@@ -10,7 +10,6 @@ use std::borrow::Borrow;
 use std::fmt;
 use std::sync::Arc;
 
-
 macro_rules! name_type {
     ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*

@@ -327,7 +327,10 @@ fn write_lit(out: &mut String, lit: &Lit) {
             }
         }
         Lit::Str(s) => {
-            let escaped = s.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n");
+            let escaped = s
+                .replace('\\', "\\\\")
+                .replace('"', "\\\"")
+                .replace('\n', "\\n");
             let _ = write!(out, "\"{escaped}\"");
         }
         Lit::Unit => out.push_str("unit"),
@@ -353,7 +356,10 @@ mod tests {
             let t = parse_expr(src).unwrap();
             let printed = term_to_string(&t);
             let reparsed = parse_expr(&printed).unwrap();
-            assert_eq!(t, reparsed, "round-trip failed for {src}: printed {printed}");
+            assert_eq!(
+                t, reparsed,
+                "round-trip failed for {src}: printed {printed}"
+            );
         }
     }
 
@@ -384,7 +390,8 @@ mod tests {
         "#;
         let p1 = parse_program(src).unwrap();
         let printed = program_to_string(&p1);
-        let p2 = parse_program(&printed).unwrap_or_else(|e| panic!("reparse failed: {e}\n{printed}"));
+        let p2 =
+            parse_program(&printed).unwrap_or_else(|e| panic!("reparse failed: {e}\n{printed}"));
         // The reprint of the reparse must be stable (fixpoint) even if the ASTs differ in
         // benign ways (e.g. unit-padding of if-else branches).
         assert_eq!(program_to_string(&p2), program_to_string(&p1));

@@ -57,9 +57,7 @@ impl Checker<'_> {
         match term {
             Term::Var(v) => {
                 if !scope.contains(v) {
-                    return Err(Error::Invalid(format!(
-                        "variable `{v}` is not in scope"
-                    )));
+                    return Err(Error::Invalid(format!("variable `{v}` is not in scope")));
                 }
                 Ok(())
             }
@@ -75,11 +73,7 @@ impl Checker<'_> {
             Term::FieldGet { target, field } => {
                 self.check_term(target, enclosing, scope)?;
                 if let (Term::This, Some(class)) = (&**target, enclosing) {
-                    let known = self
-                        .table
-                        .fields(class)
-                        .iter()
-                        .any(|(f, _)| f == field);
+                    let known = self.table.fields(class).iter().any(|(f, _)| f == field);
                     if !known {
                         return Err(Error::Invalid(format!(
                             "class `{class}` has no field `{field}`"
@@ -96,11 +90,7 @@ impl Checker<'_> {
                 self.check_term(target, enclosing, scope)?;
                 self.check_term(value, enclosing, scope)?;
                 if let (Term::This, Some(class)) = (&**target, enclosing) {
-                    let known = self
-                        .table
-                        .fields(class)
-                        .iter()
-                        .any(|(f, _)| f == field);
+                    let known = self.table.fields(class).iter().any(|(f, _)| f == field);
                     if !known {
                         return Err(Error::Invalid(format!(
                             "class `{class}` has no field `{field}` to assign"

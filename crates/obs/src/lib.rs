@@ -157,7 +157,11 @@ impl Obs {
     /// The recent completed spans, oldest first (empty when disabled).
     pub fn recent_spans(&self) -> Vec<SpanRecord> {
         match &self.inner {
-            Some(inner) => inner.ring.lock().expect("span ring lock poisoned").records(),
+            Some(inner) => inner
+                .ring
+                .lock()
+                .expect("span ring lock poisoned")
+                .records(),
             None => Vec::new(),
         }
     }
@@ -165,7 +169,11 @@ impl Obs {
     /// How many span records the ring has evicted so far.
     pub fn spans_dropped(&self) -> u64 {
         match &self.inner {
-            Some(inner) => inner.ring.lock().expect("span ring lock poisoned").dropped(),
+            Some(inner) => inner
+                .ring
+                .lock()
+                .expect("span ring lock poisoned")
+                .dropped(),
             None => 0,
         }
     }
@@ -202,7 +210,9 @@ pub struct SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(inner) = self.inner.take() else { return };
+        let Some(inner) = self.inner.take() else {
+            return;
+        };
         let end_us = inner.epoch.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
         let record = SpanRecord {
             name: self.name,
@@ -248,7 +258,10 @@ mod tests {
         assert_eq!(phases[0].0, "pipeline.scan");
         let snap = obs.snapshot();
         let rendered = snap.render_prometheus("rprism");
-        assert!(rendered.contains("rprism_request_diff_count 1"), "{rendered}");
+        assert!(
+            rendered.contains("rprism_request_diff_count 1"),
+            "{rendered}"
+        );
     }
 
     #[test]
@@ -274,8 +287,14 @@ mod tests {
         obs.phase("pipeline.decode_us", Duration::from_micros(80));
         let snap = obs.snapshot();
         let rendered = snap.render_prometheus("rprism");
-        assert!(rendered.contains("rprism_pipeline_decode_us_count 2"), "{rendered}");
-        assert!(rendered.contains("rprism_pipeline_decode_us_sum 200"), "{rendered}");
+        assert!(
+            rendered.contains("rprism_pipeline_decode_us_count 2"),
+            "{rendered}"
+        );
+        assert!(
+            rendered.contains("rprism_pipeline_decode_us_sum 200"),
+            "{rendered}"
+        );
     }
 
     #[test]

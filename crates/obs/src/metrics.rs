@@ -276,7 +276,11 @@ pub struct Snapshot {
 fn prometheus_name(prefix: &str, name: &str) -> String {
     let mut out = String::with_capacity(prefix.len() + name.len() + 1);
     for c in prefix.chars().chain("_".chars()).chain(name.chars()) {
-        out.push(if c.is_ascii_alphanumeric() || c == '_' { c } else { '_' });
+        out.push(if c.is_ascii_alphanumeric() || c == '_' {
+            c
+        } else {
+            '_'
+        });
     }
     out
 }
@@ -383,12 +387,15 @@ mod tests {
         // p99 falls in the bucket holding 10_000 (values < 16384).
         assert_eq!(snap.quantile_us(0.99), 16_383);
         assert!(snap.quantile_us(1.0) >= 10_000);
-        assert_eq!(HistogramSnapshot {
-            count: 0,
-            sum_us: 0,
-            buckets: [0; HISTOGRAM_BUCKETS]
-        }
-        .quantile_us(0.5), 0);
+        assert_eq!(
+            HistogramSnapshot {
+                count: 0,
+                sum_us: 0,
+                buckets: [0; HISTOGRAM_BUCKETS]
+            }
+            .quantile_us(0.5),
+            0
+        );
     }
 
     #[test]

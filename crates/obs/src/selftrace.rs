@@ -73,7 +73,10 @@ pub fn build_self_trace(name: &str, records: &[SpanRecord], snapshot: &Snapshot)
         .iter()
         .enumerate()
         .map(|(i, n)| {
-            (*n, ObjRep::opaque_object(Loc(1 + i as u64), "Span", CreationSeq(i as u64)))
+            (
+                *n,
+                ObjRep::opaque_object(Loc(1 + i as u64), "Span", CreationSeq(i as u64)),
+            )
         })
         .collect();
     let metrics_object = ObjRep::opaque_object(Loc(0), "Metrics", CreationSeq(0));
@@ -163,9 +166,8 @@ pub fn build_self_trace(name: &str, records: &[SpanRecord], snapshot: &Snapshot)
             *seq += 1;
         };
         // The `emit` shape, named once: (time, seq, clock, method, active, event, out).
-        type EmitEvent<'a> =
-            dyn FnMut(u64, &mut usize, &mut u64, MethodName, ObjRep, Event, &mut Vec<Replayed>)
-                + 'a;
+        type EmitEvent<'a> = dyn FnMut(u64, &mut usize, &mut u64, MethodName, ObjRep, Event, &mut Vec<Replayed>)
+            + 'a;
         let pop = |stack: &mut Vec<(&'static str, u64, u64)>,
                    seq: &mut usize,
                    clock: &mut u64,
@@ -188,7 +190,10 @@ pub fn build_self_trace(name: &str, records: &[SpanRecord], snapshot: &Snapshot)
             );
         };
         for record in own {
-            while stack.last().is_some_and(|(_, end, _)| *end <= record.start_us) {
+            while stack
+                .last()
+                .is_some_and(|(_, end, _)| *end <= record.start_us)
+            {
                 pop(&mut stack, &mut seq, &mut clock, &mut replayed, &mut emit);
             }
             let (method, active) = context(&stack);

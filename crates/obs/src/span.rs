@@ -148,7 +148,10 @@ mod tests {
         begin_phases();
         note_phase("pipeline.decode", 10);
         note_phase("pipeline.scan", 20);
-        assert_eq!(take_phases(), vec![("pipeline.decode", 10), ("pipeline.scan", 20)]);
+        assert_eq!(
+            take_phases(),
+            vec![("pipeline.decode", 10), ("pipeline.scan", 20)]
+        );
         assert!(take_phases().is_empty());
     }
 }

@@ -318,11 +318,14 @@ pub fn analyze_prepared_with(
     // Difference sets are assembled from the unmatched entries' signatures; full and
     // lean references produce identical signatures for the same entries, so this is
     // `DiffSet::from_diff_keyed` generalized over both context forms.
-    let diff_set = |diff: &TraceDiffResult,
-                    left: PreparedTraceRef<'_>,
-                    right: PreparedTraceRef<'_>| {
-        DiffSet::of_unmatched(diff, |idx| left.signature_at(idx), |idx| right.signature_at(idx))
-    };
+    let diff_set =
+        |diff: &TraceDiffResult, left: PreparedTraceRef<'_>, right: PreparedTraceRef<'_>| {
+            DiffSet::of_unmatched(
+                diff,
+                |idx| left.signature_at(idx),
+                |idx| right.signature_at(idx),
+            )
+        };
 
     // Step 1: A — old vs new under the regressing test.
     let suspected_diff = diff_pair(AnalysisComparison::Suspected, old_reg, new_reg)?;
@@ -353,7 +356,12 @@ pub fn analyze_prepared_with(
                 .left
                 .iter()
                 .filter_map(|i| old_reg.signature_at(*i))
-                .chain(sequence.right.iter().filter_map(|i| new_reg.signature_at(*i)))
+                .chain(
+                    sequence
+                        .right
+                        .iter()
+                        .filter_map(|i| new_reg.signature_at(*i)),
+                )
                 .any(|signature| candidates.contains(&signature));
             SequenceVerdict {
                 sequence: sequence.clone(),

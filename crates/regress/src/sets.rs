@@ -13,7 +13,9 @@
 
 use std::collections::HashSet;
 
-use rprism_trace::{intern, EntryBatch, EventKind, KeyedTrace, OperandId, Symbol, Trace, TraceEntry};
+use rprism_trace::{
+    intern, EntryBatch, EventKind, KeyedTrace, OperandId, Symbol, Trace, TraceEntry,
+};
 
 use rprism_diff::TraceDiffResult;
 
@@ -116,8 +118,17 @@ impl DiffSet {
     ) -> Self {
         Self::of_unmatched(
             result,
-            |idx| left.entries.get(idx).map(|e| DiffSignature::of_keyed(left_keyed, idx, e)),
-            |idx| right.entries.get(idx).map(|e| DiffSignature::of_keyed(right_keyed, idx, e)),
+            |idx| {
+                left.entries
+                    .get(idx)
+                    .map(|e| DiffSignature::of_keyed(left_keyed, idx, e))
+            },
+            |idx| {
+                right
+                    .entries
+                    .get(idx)
+                    .map(|e| DiffSignature::of_keyed(right_keyed, idx, e))
+            },
         )
     }
 

@@ -615,12 +615,14 @@ fn next_rand(rng: &mut u64) -> u64 {
 /// Sleeps one decorrelated-jitter step and returns it: uniform in
 /// `[base, max(base, min(cap, 3 × previous))]`, floored by a server-provided
 /// `hint` (a Busy `retry_after_ms` may exceed the cap — the server knows best).
-fn backoff(policy: &RetryPolicy, rng: &mut u64, previous: Duration, hint: Option<Duration>) -> Duration {
+fn backoff(
+    policy: &RetryPolicy,
+    rng: &mut u64,
+    previous: Duration,
+    hint: Option<Duration>,
+) -> Duration {
     let base = policy.base.max(Duration::from_millis(1));
-    let upper = previous
-        .saturating_mul(3)
-        .min(policy.cap)
-        .max(base);
+    let upper = previous.saturating_mul(3).min(policy.cap).max(base);
     let span = upper.saturating_sub(base).as_nanos() as u64;
     let jitter = base + Duration::from_nanos(if span == 0 { 0 } else { next_rand(rng) % span });
     let sleep = jitter.max(hint.unwrap_or(Duration::ZERO));

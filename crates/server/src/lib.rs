@@ -53,8 +53,8 @@ mod repo;
 mod server;
 
 pub use client::{Client, PutOutcome, RetryPolicy};
-pub use proto::{WireAlgorithm, WireWatchEvent};
 pub use fs::{FaultyFs, RepoFs, StdFs};
+pub use proto::{WireAlgorithm, WireWatchEvent};
 pub use repo::{RepoOptions, RepoStats, TraceRepo, DEFAULT_CACHE_BUDGET};
 pub use server::{Conn, Server, ServerConfig};
 

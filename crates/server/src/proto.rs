@@ -94,8 +94,8 @@ const TAG_ERROR: u8 = 0xff;
 fn tag_min_version(tag: u8) -> u8 {
     match tag {
         TAG_CHECK | TAG_CHECK_OK => 3,
-        TAG_WATCH_START | TAG_PUT_STREAM | TAG_WATCH_STARTED | TAG_WATCH_EVENT
-        | TAG_WATCH_DONE | TAG_CHECK_DENIED => 4,
+        TAG_WATCH_START | TAG_PUT_STREAM | TAG_WATCH_STARTED | TAG_WATCH_EVENT | TAG_WATCH_DONE
+        | TAG_CHECK_DENIED => 4,
         TAG_METRICS | TAG_OBS_TRACE | TAG_METRICS_OK | TAG_OBS_TRACE_OK => 5,
         _ => MIN_PROTO_VERSION,
     }
@@ -356,7 +356,11 @@ impl WireDiff {
                 .iter()
                 .map(|&(l, r)| (l as u64, r as u64))
                 .collect(),
-            sequences: result.sequences.iter().map(WireSequence::from_sequence).collect(),
+            sequences: result
+                .sequences
+                .iter()
+                .map(WireSequence::from_sequence)
+                .collect(),
             compare_ops: result.cost.compare_ops,
             num_differences: result.num_differences() as u64,
             rendered,
@@ -365,13 +369,19 @@ impl WireDiff {
 
     /// The sequences as local [`DiffSequence`] values (for equivalence checks).
     pub fn sequences_local(&self) -> Vec<DiffSequence> {
-        self.sequences.iter().map(WireSequence::to_sequence).collect()
+        self.sequences
+            .iter()
+            .map(WireSequence::to_sequence)
+            .collect()
     }
 
     /// The matching pairs as `usize` tuples, as
     /// [`Matching::normalized_pairs`](rprism_diff::Matching::normalized_pairs) holds them.
     pub fn pairs_local(&self) -> Vec<(usize, usize)> {
-        self.pairs.iter().map(|&(l, r)| (l as usize, r as usize)).collect()
+        self.pairs
+            .iter()
+            .map(|&(l, r)| (l as usize, r as usize))
+            .collect()
     }
 
     /// Number of difference sequences.
@@ -568,7 +578,12 @@ impl WireReport {
             sequences: report
                 .sequences
                 .iter()
-                .map(|v| (WireSequence::from_sequence(&v.sequence), v.regression_related))
+                .map(|v| {
+                    (
+                        WireSequence::from_sequence(&v.sequence),
+                        v.regression_related,
+                    )
+                })
                 .collect(),
             compare_ops: report.compare_ops,
             rendered,
@@ -1167,7 +1182,9 @@ impl Request {
     pub fn decode(bytes: &[u8]) -> FormatResult<Request> {
         let (tag, mut dec) = open(bytes)?;
         let request = match tag {
-            TAG_PUT => Request::Put { bytes: dec.bytes()? },
+            TAG_PUT => Request::Put {
+                bytes: dec.bytes()?,
+            },
             TAG_GET => Request::Get { hash: dec.u64()? },
             TAG_LIST => Request::List,
             TAG_DIFF => {
@@ -1379,7 +1396,9 @@ impl Response {
                 deduped: dec.bool()?,
                 entries: dec.u64()?,
             },
-            TAG_GET_OK => Response::GetOk { bytes: dec.bytes()? },
+            TAG_GET_OK => Response::GetOk {
+                bytes: dec.bytes()?,
+            },
             TAG_LIST_OK => {
                 let count = dec.u64()?;
                 let mut entries = Vec::new();
@@ -1457,7 +1476,9 @@ impl Response {
                 })
             }
             TAG_METRICS_OK => Response::MetricsOk { text: dec.str()? },
-            TAG_OBS_TRACE_OK => Response::ObsTraceOk { bytes: dec.bytes()? },
+            TAG_OBS_TRACE_OK => Response::ObsTraceOk {
+                bytes: dec.bytes()?,
+            },
             TAG_SHUTDOWN_OK => Response::ShutdownOk,
             TAG_BUSY => Response::Busy {
                 retry_after_ms: u32::try_from(dec.u64()?)
@@ -1467,7 +1488,9 @@ impl Response {
                 hash: dec.u64()?,
                 message: dec.str()?,
             },
-            TAG_ERROR => Response::Error { message: dec.str()? },
+            TAG_ERROR => Response::Error {
+                message: dec.str()?,
+            },
             other => return Err(dec.corrupt(format!("unknown response tag {other:#04x}"))),
         };
         dec.finish()?;
@@ -1491,7 +1514,9 @@ mod tests {
 
     #[test]
     fn requests_round_trip() {
-        round_trip_request(Request::Put { bytes: b"blob".to_vec() });
+        round_trip_request(Request::Put {
+            bytes: b"blob".to_vec(),
+        });
         round_trip_request(Request::Get { hash: 0xdead_beef });
         round_trip_request(Request::List);
         round_trip_request(Request::Diff {
@@ -1500,7 +1525,11 @@ mod tests {
             max_sequences: 5,
             algorithm: None,
         });
-        for algorithm in [WireAlgorithm::Views, WireAlgorithm::Lcs, WireAlgorithm::Anchored] {
+        for algorithm in [
+            WireAlgorithm::Views,
+            WireAlgorithm::Lcs,
+            WireAlgorithm::Anchored,
+        ] {
             round_trip_request(Request::Diff {
                 left: 1,
                 right: u64::MAX,
@@ -1617,7 +1646,9 @@ mod tests {
             deduped: true,
             entries: 7,
         });
-        round_trip_response(Response::GetOk { bytes: vec![1, 2, 3] });
+        round_trip_response(Response::GetOk {
+            bytes: vec![1, 2, 3],
+        });
         round_trip_response(Response::ListOk {
             entries: vec![RepoEntry {
                 hash: 9,
@@ -1738,7 +1769,9 @@ mod tests {
             bytes: vec![0x52, 0x54, 0x52, 0x00],
         });
         round_trip_response(Response::ShutdownOk);
-        round_trip_response(Response::Busy { retry_after_ms: 250 });
+        round_trip_response(Response::Busy {
+            retry_after_ms: 250,
+        });
         round_trip_response(Response::Corrupt {
             hash: 0xfeed_f00d,
             message: "checksum mismatch".into(),
@@ -1761,7 +1794,10 @@ mod tests {
         // Trailing garbage.
         assert!(Request::decode(&[PROTO_VERSION, TAG_LIST, 0x00]).is_err());
         // Truncated field.
-        let mut put = Request::Put { bytes: vec![1; 100] }.encode();
+        let mut put = Request::Put {
+            bytes: vec![1; 100],
+        }
+        .encode();
         put.truncate(10);
         assert!(Request::decode(&put).is_err());
         // A request is not a response and vice versa.
@@ -1870,7 +1906,9 @@ mod tests {
                 );
             }
             for response in [
-                Response::MetricsOk { text: String::new() },
+                Response::MetricsOk {
+                    text: String::new(),
+                },
                 Response::ObsTraceOk { bytes: vec![] },
             ] {
                 let mut frame = response.encode();
@@ -1897,7 +1935,10 @@ mod tests {
         // tolerance.
         let mut v2_get = vec![2u8, 0x02];
         put_u64(&mut v2_get, 0xfeed);
-        assert_eq!(Request::decode(&v2_get).unwrap(), Request::Get { hash: 0xfeed });
+        assert_eq!(
+            Request::decode(&v2_get).unwrap(),
+            Request::Get { hash: 0xfeed }
+        );
         assert_eq!(Request::Get { hash: 0xfeed }.encode()[1..], v2_get[1..]);
 
         let v2_stats = vec![2u8, 0x06];
@@ -2014,7 +2055,10 @@ mod tests {
         assert!(bad[at] <= 3, "expected the severity byte after the rule id");
         bad[at] = 9;
         let error = Response::decode(&bad).unwrap_err();
-        assert!(error.to_string().contains("unknown severity"), "got {error}");
+        assert!(
+            error.to_string().contains("unknown severity"),
+            "got {error}"
+        );
     }
 
     fn find(haystack: &[u8], needle: &[u8]) -> usize {
@@ -2093,7 +2137,8 @@ mod tests {
             )
             .unwrap();
         let diff = engine.diff(&old, &new).unwrap();
-        let set = DiffSet::from_diff_keyed(&diff, old.trace(), new.trace(), old.keyed(), new.keyed());
+        let set =
+            DiffSet::from_diff_keyed(&diff, old.trace(), new.trace(), old.keyed(), new.keyed());
         assert!(!set.is_empty());
         let wire: Vec<WireSignature> = set.iter().map(WireSignature::from_signature).collect();
         let back = WireReport::set_local(&wire);

@@ -441,7 +441,12 @@ impl TraceRepo {
     /// Returns [`ServerError::UnknownTrace`] for hashes the repository does not hold.
     pub fn get_bytes(&self, hash: u64) -> Result<Vec<u8>> {
         let _get = self.obs.span("repo.get");
-        if !self.index.lock().expect("repo index poisoned").contains_key(&hash) {
+        if !self
+            .index
+            .lock()
+            .expect("repo index poisoned")
+            .contains_key(&hash)
+        {
             return Err(ServerError::UnknownTrace { hash });
         }
         Ok(self.fs.read(&self.blob_path(hash))?)
@@ -484,10 +489,7 @@ impl TraceRepo {
                     break;
                 }
                 self.stampede_waits.inc();
-                cache = self
-                    .load_done
-                    .wait(cache)
-                    .expect("prepared cache poisoned");
+                cache = self.load_done.wait(cache).expect("prepared cache poisoned");
             }
         }
         // Stream outside the lock — this is the expensive part.
@@ -515,7 +517,10 @@ impl TraceRepo {
                 return Err(match e {
                     rprism_format::FormatError::Io(io) => ServerError::Io(io),
                     _ => {
-                        self.index.lock().expect("repo index poisoned").remove(&hash);
+                        self.index
+                            .lock()
+                            .expect("repo index poisoned")
+                            .remove(&hash);
                         self.quarantine(&self.blob_path(hash));
                         ServerError::CorruptTrace { hash }
                     }
@@ -910,8 +915,7 @@ mod tests {
         assert_eq!(snap.gauge("repo.blob_bytes"), Some(stats.blob_bytes as i64));
         assert_eq!(snap.gauge("cache.prepared"), Some(1));
         // The repository recorded put/get/load spans by name.
-        let names: Vec<&'static str> =
-            obs.recent_spans().iter().map(|r| r.name).collect();
+        let names: Vec<&'static str> = obs.recent_spans().iter().map(|r| r.name).collect();
         assert!(names.contains(&"repo.put"));
         assert!(names.contains(&"repo.load"));
         assert!(
@@ -958,10 +962,7 @@ mod tests {
         let total: u64 = sizes.iter().sum();
         let budget = total - sizes.iter().min().unwrap() / 2;
         let repo = TraceRepo::open(&dir, Engine::new(), budget).unwrap();
-        let hashes: Vec<u64> = blobs
-            .iter()
-            .map(|b| repo.put_bytes(b).unwrap().0)
-            .collect();
+        let hashes: Vec<u64> = blobs.iter().map(|b| repo.put_bytes(b).unwrap().0).collect();
 
         repo.prepared(hashes[0]).unwrap();
         repo.prepared(hashes[1]).unwrap();

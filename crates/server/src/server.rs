@@ -50,8 +50,8 @@ use rprism::{
 };
 use rprism_format::frame::{read_frame, write_frame};
 use rprism_format::{TailBatch, TailDecoder};
-use rprism_trace::EntryBatch;
 use rprism_obs::{Counter, Obs};
+use rprism_trace::EntryBatch;
 
 use crate::proto::{
     Request, Response, WireAlgorithm, WireDiff, WireReport, WireStats, WireWatchEvent,
@@ -298,7 +298,10 @@ impl Server {
                 .map_err(std::io::Error::other)
                 .and_then(|bytes| std::fs::write(path, bytes));
             if let Err(e) = written {
-                eprintln!("rprism-server: cannot write obs trace to {}: {e}", path.display());
+                eprintln!(
+                    "rprism-server: cannot write obs trace to {}: {e}",
+                    path.display()
+                );
             }
         }
         outcome
@@ -503,9 +506,7 @@ impl Worker {
                 hash,
                 message: e.to_string(),
             },
-            Err(ServerError::Engine(rprism::Error::Check(report))) => {
-                Response::CheckDenied(report)
-            }
+            Err(ServerError::Engine(rprism::Error::Check(report))) => Response::CheckDenied(report),
             Err(e) => Response::Error {
                 message: e.to_string(),
             },
@@ -539,7 +540,9 @@ impl Worker {
                 let right = self.repo.prepared(right)?;
                 let result = match algorithm {
                     None => engine.diff(&left, &right)?,
-                    Some(wire) => engine.diff_with_algorithm(&left, &right, &algorithm_for(wire))?,
+                    Some(wire) => {
+                        engine.diff_with_algorithm(&left, &right, &algorithm_for(wire))?
+                    }
                 };
                 let rendered = render_diff(&result, &left, &right, max_sequences as usize);
                 Ok(Response::DiffOk(WireDiff::from_result(&result, rendered)))
@@ -578,7 +581,9 @@ impl Worker {
                     |idx| input.old_regressing.describe_entry(idx),
                     |idx| input.new_regressing.describe_entry(idx),
                 );
-                Ok(Response::AnalyzeOk(WireReport::from_report(&report, rendered)))
+                Ok(Response::AnalyzeOk(WireReport::from_report(
+                    &report, rendered,
+                )))
             }
             Request::Check { hash, overrides } => {
                 let mut config = rprism::CheckConfig::default();
@@ -606,7 +611,9 @@ impl Worker {
             }
             Request::PutStream { bytes, last } => {
                 let mut state = watch.take().ok_or_else(|| {
-                    ServerError::Remote("PutStream without an active watch (send WatchStart first)".into())
+                    ServerError::Remote(
+                        "PutStream without an active watch (send WatchStart first)".into(),
+                    )
                 })?;
                 // Errors (decode failures, check denials) leave the state dropped, so
                 // later chunks fail structurally instead of feeding a dead session.
@@ -646,9 +653,8 @@ impl Worker {
             }
             Request::ObsTrace => {
                 let trace = self.obs.self_trace("rprism-server");
-                let bytes =
-                    rprism_format::trace_to_bytes(&trace, rprism_format::Encoding::Binary)
-                        .map_err(ServerError::Format)?;
+                let bytes = rprism_format::trace_to_bytes(&trace, rprism_format::Encoding::Binary)
+                    .map_err(ServerError::Format)?;
                 Ok(Response::ObsTraceOk { bytes })
             }
             Request::Shutdown => {
@@ -665,7 +671,10 @@ impl Worker {
     /// [`Response::WatchDone`] with the authoritative diff.
     fn fold_chunk(&self, state: &mut WatchState, bytes: &[u8], last: bool) -> Result<Response> {
         let engine = self.repo.engine();
-        state.decoder.push_bytes(bytes).map_err(ServerError::Format)?;
+        state
+            .decoder
+            .push_bytes(bytes)
+            .map_err(ServerError::Format)?;
         let mut events: Vec<WireWatchEvent> = Vec::new();
         let mut batch = EntryBatch::new();
         loop {
@@ -698,7 +707,10 @@ impl Worker {
         // truncation *now*; JSONL gets its final-line grace), then the authoritative
         // verdict, rendered exactly as a batch Diff of the same pair would be.
         batch.clear();
-        state.decoder.finish_refs(&mut batch).map_err(ServerError::Format)?;
+        state
+            .decoder
+            .finish_refs(&mut batch)
+            .map_err(ServerError::Format)?;
         if state.watch.is_none() {
             let meta = state
                 .decoder
@@ -1157,7 +1169,10 @@ mod tests {
         // refresh ran as part of the scrape.
         assert!(text.contains("rprism_repo_blobs 1"), "{text}");
         assert!(text.contains("rprism_request_get_count 1"), "{text}");
-        assert!(text.contains("# TYPE rprism_server_requests_total counter"), "{text}");
+        assert!(
+            text.contains("# TYPE rprism_server_requests_total counter"),
+            "{text}"
+        );
         let trace_bytes = match &responses[2] {
             Response::ObsTraceOk { bytes } => bytes,
             other => panic!("expected ObsTraceOk, got {other:?}"),
@@ -1171,7 +1186,10 @@ mod tests {
         let trace = rprism_format::trace_from_bytes(trace_bytes).unwrap();
         assert_eq!(trace.meta.name, "rprism-server");
         let report = rprism_check::check_trace(&trace);
-        assert!(report.is_clean(), "self-trace must be lint-clean: {report:?}");
+        assert!(
+            report.is_clean(),
+            "self-trace must be lint-clean: {report:?}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1184,7 +1202,10 @@ mod tests {
         );
         // The request's own span is elided (it duplicates total_us); inner phases
         // appear as key=value pairs.
-        assert_eq!(line, "slow-request kind=request.get total_us=1500 repo.get_us=1200");
+        assert_eq!(
+            line,
+            "slow-request kind=request.get total_us=1500 repo.get_us=1200"
+        );
     }
 
     #[test]
@@ -1198,7 +1219,10 @@ mod tests {
         worker.serve_connection(&mut conn);
         let responses = conn.responses();
         assert_eq!(responses.len(), 1);
-        assert!(matches!(&responses[0], Response::Error { .. }), "got {responses:?}");
+        assert!(
+            matches!(&responses[0], Response::Error { .. }),
+            "got {responses:?}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

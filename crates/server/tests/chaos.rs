@@ -127,7 +127,10 @@ fn kill_point_sweep_leaves_zero_torn_state_after_restart() {
                 committed.len() as u64,
                 "{site}@{kill_at}: visible blobs after restart"
             );
-            assert_eq!(stats.quarantined, 0, "{site}@{kill_at}: a torn blob became visible");
+            assert_eq!(
+                stats.quarantined, 0,
+                "{site}@{kill_at}: a torn blob became visible"
+            );
             for &i in &committed {
                 assert_eq!(repo.get_bytes(expected[i]).unwrap(), blobs[i]);
                 repo.prepared(expected[i])
@@ -146,7 +149,11 @@ fn kill_point_sweep_leaves_zero_torn_state_after_restart() {
             for (i, bytes) in blobs.iter().enumerate() {
                 let (hash, deduped, _) = repo.put_bytes(bytes).unwrap();
                 assert_eq!(hash, expected[i]);
-                assert_eq!(deduped, committed.contains(&i), "{site}@{kill_at}: dedup state");
+                assert_eq!(
+                    deduped,
+                    committed.contains(&i),
+                    "{site}@{kill_at}: dedup state"
+                );
                 repo.prepared(hash).unwrap();
             }
             assert_eq!(repo.stats().blobs, blobs.len() as u64);
@@ -315,7 +322,10 @@ fn mixed_workload(client: &mut Client, blobs: &[Vec<u8>]) -> Vec<String> {
     for (i, bytes) in blobs.iter().enumerate() {
         let put = client.put_bytes(bytes.clone()).unwrap();
         hashes.push(put.hash);
-        transcript.push(format!("put {i}: {:016x} entries={}", put.hash, put.entries));
+        transcript.push(format!(
+            "put {i}: {:016x} entries={}",
+            put.hash, put.entries
+        ));
     }
     let mut requests = blobs.len();
     let mut i = 0usize;
@@ -480,7 +490,12 @@ fn partial_responses_are_structured_errors_not_hangs() {
         // (b) Half of a real ListOk frame, then close.
         let (mut conn, _) = listener.accept().unwrap();
         let _ = read_frame(&mut &conn, u64::MAX);
-        let full = frame_to_bytes(&Response::ListOk { entries: Vec::new() }.encode());
+        let full = frame_to_bytes(
+            &Response::ListOk {
+                entries: Vec::new(),
+            }
+            .encode(),
+        );
         conn.write_all(&full[..full.len() / 2]).unwrap();
         drop(conn);
     });
@@ -518,7 +533,10 @@ fn retry_succeeds_once_a_flaky_server_recovers() {
         while let Ok(Some(payload)) = read_frame(&mut &conn, u64::MAX) {
             assert!(matches!(Request::decode(&payload), Ok(Request::List)));
             conn.write_all(&frame_to_bytes(
-                &Response::ListOk { entries: Vec::new() }.encode(),
+                &Response::ListOk {
+                    entries: Vec::new(),
+                }
+                .encode(),
             ))
             .unwrap();
         }

@@ -158,7 +158,12 @@ fn algorithm_overrides_choose_the_backend_per_request() {
 
     // Analyze honors the override too.
     let report = client
-        .analyze_with_algorithm([left, right, left, right], None, 2, Some(WireAlgorithm::Anchored))
+        .analyze_with_algorithm(
+            [left, right, left, right],
+            None,
+            2,
+            Some(WireAlgorithm::Anchored),
+        )
         .unwrap();
     assert_eq!(report.algorithm, "anchored");
 
@@ -343,8 +348,8 @@ fn remote_check_matches_a_local_check_byte_for_byte() {
     let mut client = Client::connect(&addr.to_string(), TIMEOUT).unwrap();
 
     // A trace with a seeded defect, so the report has a diagnostic to disagree on.
-    let trace = rprism_trace::testgen::GenProfile::RacyInterleaving
-        .generate(&mut Rng::new(11), 300);
+    let trace =
+        rprism_trace::testgen::GenProfile::RacyInterleaving.generate(&mut Rng::new(11), 300);
     let bytes = trace_to_bytes(&trace, Encoding::Binary).unwrap();
     let put = client.put_bytes(bytes.clone()).unwrap();
 

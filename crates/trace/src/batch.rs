@@ -263,7 +263,10 @@ impl EntryBatch {
             } => {
                 self.push_operand(recent.obj(TARGET, target));
                 self.push_operand(recent.obj(OTHER, value));
-                (entry.event.kind(), Some(recent.intern(NAME, field.as_str())))
+                (
+                    entry.event.kind(),
+                    Some(recent.intern(NAME, field.as_str())),
+                )
             }
             Event::Call {
                 target,
@@ -283,7 +286,10 @@ impl EntryBatch {
             } => {
                 self.push_operand(recent.obj(TARGET, target));
                 self.push_operand(recent.obj(OTHER, value));
-                (EventKind::Return, Some(recent.intern(NAME, method.as_str())))
+                (
+                    EventKind::Return,
+                    Some(recent.intern(NAME, method.as_str())),
+                )
             }
             Event::Init {
                 class,
@@ -418,9 +424,7 @@ mod tests {
     #[test]
     fn visit_walks_every_entry_in_order() {
         let mut rng = Rng::new(3);
-        let entries: Vec<TraceEntry> = (0..300)
-            .map(|_| arbitrary_entry(&mut rng))
-            .collect();
+        let entries: Vec<TraceEntry> = (0..300).map(|_| arbitrary_entry(&mut rng)).collect();
         let mut tids = Vec::new();
         EntryBatch::visit(&entries, |entry| tids.push(entry.tid));
         let expected: Vec<ThreadId> = entries.iter().map(|e| e.tid).collect();

@@ -4,7 +4,6 @@
 //! the active thread, the method under execution (the frame on top of the call stack when
 //! the event occurred), and the representation of the object that method is executing on.
 
-
 use rprism_lang::MethodName;
 
 use crate::event::Event;

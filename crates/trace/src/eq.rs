@@ -11,7 +11,6 @@
 //! analysis stores in its difference sets, and what the LCS implementations hash to speed
 //! up comparisons.
 
-
 use crate::entry::TraceEntry;
 use crate::event::Event;
 use crate::objrep::{ObjRep, ValueFingerprint};

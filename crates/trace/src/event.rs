@@ -8,7 +8,6 @@
 //! thread event TE ::= fork(S̄) | end(S)
 //! ```
 
-
 use rprism_lang::{FieldName, MethodName};
 
 use crate::entry::ThreadId;
@@ -202,7 +201,11 @@ impl Event {
                 format!("new {class}({}) => {result}", rendered.join(", "))
             }
             Event::Fork { child, parentage } => {
-                format!("fork thread {} (ancestry depth {})", child.0, parentage.len())
+                format!(
+                    "fork thread {} (ancestry depth {})",
+                    child.0,
+                    parentage.len()
+                )
             }
             Event::End { .. } => "end thread".to_owned(),
         }

@@ -77,8 +77,8 @@ impl KeyedTrace {
                 .iter()
                 .map(|op| (op.ident.class, op.ident.fingerprint)),
         );
-        let ops_len = u32::try_from(self.operands.len()).expect("operand arena overflow")
-            - ops_start;
+        let ops_len =
+            u32::try_from(self.operands.len()).expect("operand arena overflow") - ops_start;
 
         let mut h = KeyHasher::new();
         h.write_u64(entry.kind as u64 + 1);

@@ -23,7 +23,6 @@
 //!   and active-object view correlation ("class-specific object creation sequence number",
 //!   §3.1).
 
-
 /// The maximum number of characters kept from a printed value representation, mirroring
 /// RPrism's truncation of `toString` output (§5).
 pub const PRINTED_REPR_MAX: usize = 128;

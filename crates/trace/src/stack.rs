@@ -6,7 +6,6 @@
 //! ancestry (spawn-point call stack, the spawner's spawn-point stack, and so on) so that
 //! thread-view correlation can find the "closest match" between executions (§2.3, §3.1).
 
-
 use rprism_lang::MethodName;
 
 use crate::objrep::ObjRep;
@@ -102,11 +101,7 @@ pub fn ancestry_similarity(a: &[StackSnapshot], b: &[StackSnapshot]) -> f64 {
     if max_len == 0 {
         return 1.0;
     }
-    let paired: f64 = a
-        .iter()
-        .zip(b.iter())
-        .map(|(x, y)| x.similarity(y))
-        .sum();
+    let paired: f64 = a.iter().zip(b.iter()).map(|(x, y)| x.similarity(y)).sum();
     paired / max_len as f64
 }
 
@@ -131,7 +126,10 @@ mod tests {
 
     #[test]
     fn empty_stacks_are_similar() {
-        assert_eq!(StackSnapshot::empty().similarity(&StackSnapshot::empty()), 1.0);
+        assert_eq!(
+            StackSnapshot::empty().similarity(&StackSnapshot::empty()),
+            1.0
+        );
         assert!(StackSnapshot::empty().is_empty());
     }
 
@@ -166,8 +164,7 @@ mod tests {
             ancestry_similarity(std::slice::from_ref(&sa), std::slice::from_ref(&sa)),
             1.0
         );
-        let partial =
-            ancestry_similarity(&[sa.clone(), sb.clone()], std::slice::from_ref(&sa));
+        let partial = ancestry_similarity(&[sa.clone(), sb.clone()], std::slice::from_ref(&sa));
         assert!(partial < 1.0 && partial > 0.0);
     }
 

@@ -103,7 +103,9 @@ pub fn arbitrary_event(rng: &mut Rng) -> Event {
             value: arbitrary_objrep(rng),
         },
         2 => {
-            let args = (0..rng.usize(0, 3)).map(|_| arbitrary_objrep(rng)).collect();
+            let args = (0..rng.usize(0, 3))
+                .map(|_| arbitrary_objrep(rng))
+                .collect();
             Event::Call {
                 target: arbitrary_objrep(rng),
                 method: MethodName::new(*rng.pick(METHODS)),
@@ -116,7 +118,9 @@ pub fn arbitrary_event(rng: &mut Rng) -> Event {
             value: arbitrary_objrep(rng),
         },
         4 => {
-            let args = (0..rng.usize(0, 3)).map(|_| arbitrary_objrep(rng)).collect();
+            let args = (0..rng.usize(0, 3))
+                .map(|_| arbitrary_objrep(rng))
+                .collect();
             Event::Init {
                 class: (*rng.pick(CLASSES)).to_owned(),
                 args,
@@ -261,7 +265,10 @@ impl std::str::FromStr for GenProfile {
             .find(|p| p.as_str() == text)
             .ok_or_else(|| {
                 let names: Vec<&str> = GenProfile::ALL.iter().map(|p| p.as_str()).collect();
-                format!("unknown profile {text:?} (expected one of: {})", names.join(", "))
+                format!(
+                    "unknown profile {text:?} (expected one of: {})",
+                    names.join(", ")
+                )
             })
     }
 }
@@ -403,7 +410,11 @@ pub fn well_formed_trace(rng: &mut Rng, entries: usize) -> Trace {
     let mut gens: Vec<ThreadGen> = (0..threads)
         .map(|t| ThreadGen {
             tid: ThreadId(t as u64),
-            budget: if t == 0 { entries - share * (threads - 1) } else { share },
+            budget: if t == 0 {
+                entries - share * (threads - 1)
+            } else {
+                share
+            },
             pool: Vec::new(),
             pool_target: pool,
             created: 0,
@@ -472,7 +483,13 @@ fn end_of(entries: &[TraceEntry], tid: ThreadId) -> usize {
 /// A root-context entry of `tid` (the mutation sites sit between the wind-down and the
 /// `End`, where the stack is empty).
 fn root_entry(tid: ThreadId, event: Event) -> TraceEntry {
-    TraceEntry::new(EntryId(0), tid, MethodName::toplevel(), ObjRep::null(), event)
+    TraceEntry::new(
+        EntryId(0),
+        tid,
+        MethodName::toplevel(),
+        ObjRep::null(),
+        event,
+    )
 }
 
 /// Well-formed except for one extra `Return` that no `Call` opened, seeded right
@@ -620,7 +637,10 @@ mod tests {
                 }
             }
         }
-        assert!(nonempty > 0, "fork parentage generation never produced frames");
+        assert!(
+            nonempty > 0,
+            "fork parentage generation never produced frames"
+        );
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! (in the real system, offloaded to disk) once full, keeping the tracing memory bounded;
 //! the analysis later walks the segments in order as one logical trace.
 
-
 use crate::entry::{EntryId, ThreadId, TraceEntry};
 use crate::eq::event_eq;
 
@@ -305,10 +304,7 @@ mod tests {
         t.push(set_entry(2, "x", 1));
         t.push(set_entry(0, "x", 1));
         t.push(set_entry(1, "x", 1));
-        assert_eq!(
-            t.thread_ids(),
-            vec![ThreadId(0), ThreadId(2), ThreadId(1)]
-        );
+        assert_eq!(t.thread_ids(), vec![ThreadId(0), ThreadId(2), ThreadId(1)]);
     }
 
     #[test]

@@ -112,7 +112,12 @@ impl Correlation {
 
     /// The correlated object-view pairs of one kind, as display names (diagnostics and
     /// tests; the hot path uses [`Correlation::object_target`]).
-    pub fn object_pairs(&self, left: &ViewWeb, right: &ViewWeb, kind: ViewKind) -> Vec<(ViewName, ViewName)> {
+    pub fn object_pairs(
+        &self,
+        left: &ViewWeb,
+        right: &ViewWeb,
+        kind: ViewKind,
+    ) -> Vec<(ViewName, ViewName)> {
         let mut pairs = Vec::new();
         for (id, view) in left.views_with_ids() {
             if view.key.kind() != kind {
@@ -127,11 +132,8 @@ impl Correlation {
 
     /// The correlated pairs of thread views, left thread first, main thread pair first.
     pub fn thread_pairs(&self) -> Vec<(ThreadId, ThreadId)> {
-        let mut pairs: Vec<(ThreadId, ThreadId)> = self
-            .threads
-            .iter()
-            .map(|(l, r)| (*l, *r))
-            .collect();
+        let mut pairs: Vec<(ThreadId, ThreadId)> =
+            self.threads.iter().map(|(l, r)| (*l, *r)).collect();
         pairs.sort();
         pairs
     }
@@ -275,9 +277,7 @@ pub fn correlate_entry_views(
     let l = left_web.entry_view(left_index, kind)?;
     let r = right_web.entry_view(right_index, kind)?;
     let correlated = match kind {
-        ViewKind::Thread => {
-            correlation.threads.get(&left_entry.tid) == Some(&right_entry.tid)
-        }
+        ViewKind::Thread => correlation.threads.get(&left_entry.tid) == Some(&right_entry.tid),
         ViewKind::Method => {
             // Signatures are interned: equal fully qualified names ⇔ equal view keys.
             left_web.view_by_id(l).key == right_web.view_by_id(r).key
@@ -289,13 +289,9 @@ pub fn correlate_entry_views(
             left_entry.event.target_object()?,
             right_entry.event.target_object()?,
         ),
-        ViewKind::ActiveObject => object_pair_correlates(
-            correlation,
-            l,
-            r,
-            &left_entry.active,
-            &right_entry.active,
-        ),
+        ViewKind::ActiveObject => {
+            object_pair_correlates(correlation, l, r, &left_entry.active, &right_entry.active)
+        }
     };
     correlated.then_some((l, r))
 }
@@ -347,9 +343,13 @@ mod tests {
 
     fn trace_of(src: &str, name: &str) -> Trace {
         let program = parse_program(src).unwrap();
-        run_traced(&program, TraceMeta::new(name, "v", "c"), VmConfig::default())
-            .unwrap()
-            .trace
+        run_traced(
+            &program,
+            TraceMeta::new(name, "v", "c"),
+            VmConfig::default(),
+        )
+        .unwrap()
+        .trace
     }
 
     const LEFT: &str = r#"
@@ -399,7 +399,10 @@ mod tests {
         for (l, r) in &pairs {
             let lrep = lw.view(l).unwrap().representative.unwrap();
             let rrep = rw.view(r).unwrap().representative.unwrap();
-            assert_eq!(lrep.class, rrep.class, "correlated views must agree on class");
+            assert_eq!(
+                lrep.class, rrep.class,
+                "correlated views must agree on class"
+            );
         }
     }
 
@@ -449,16 +452,8 @@ mod tests {
             .enumerate()
             .find(|(_, e)| e.method.as_str() == "set")
             .expect("right set entry");
-        let pair = correlate_entry_views(
-            ViewKind::Method,
-            &corr,
-            &lw,
-            &rw,
-            li,
-            ri,
-            l_entry,
-            r_entry,
-        );
+        let pair =
+            correlate_entry_views(ViewKind::Method, &corr, &lw, &rw, li, ri, l_entry, r_entry);
         assert!(pair.is_some());
 
         let (mi, r_main) = rt
@@ -466,17 +461,10 @@ mod tests {
             .enumerate()
             .find(|(_, e)| e.method.as_str() == "<main>")
             .expect("right main entry");
-        assert!(correlate_entry_views(
-            ViewKind::Method,
-            &corr,
-            &lw,
-            &rw,
-            li,
-            mi,
-            l_entry,
-            r_main
-        )
-        .is_none());
+        assert!(
+            correlate_entry_views(ViewKind::Method, &corr, &lw, &rw, li, mi, l_entry, r_main)
+                .is_none()
+        );
     }
 
     #[test]
@@ -502,7 +490,10 @@ mod tests {
 
     #[test]
     fn concurrent_and_inline_builds_agree() {
-        let (lw, rw) = (ViewWeb::build(&trace_of(LEFT, "L")), ViewWeb::build(&trace_of(RIGHT, "R")));
+        let (lw, rw) = (
+            ViewWeb::build(&trace_of(LEFT, "L")),
+            ViewWeb::build(&trace_of(RIGHT, "R")),
+        );
         let concurrent = par::with_workers(4, || Correlation::build(&lw, &rw));
         let inline = par::inline(|| Correlation::build(&lw, &rw));
         assert_eq!(concurrent.threads, inline.threads);

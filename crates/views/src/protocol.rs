@@ -93,10 +93,16 @@ impl ProtocolModel {
             let empty = ClassProtocol::default();
             let left = self.classes.get(name.as_str()).unwrap_or(&empty);
             let right = other.classes.get(name.as_str()).unwrap_or(&empty);
-            let removed: BTreeSet<(String, String)> =
-                left.transitions.difference(&right.transitions).cloned().collect();
-            let added: BTreeSet<(String, String)> =
-                right.transitions.difference(&left.transitions).cloned().collect();
+            let removed: BTreeSet<(String, String)> = left
+                .transitions
+                .difference(&right.transitions)
+                .cloned()
+                .collect();
+            let added: BTreeSet<(String, String)> = right
+                .transitions
+                .difference(&left.transitions)
+                .cloned()
+                .collect();
             if !removed.is_empty() || !added.is_empty() {
                 out.push(ProtocolDrift {
                     class: name.to_string(),

@@ -140,9 +140,7 @@ impl ViewKey {
     pub fn of_name(name: &ViewName) -> ViewKey {
         match name {
             ViewName::Thread(tid) => ViewKey::Thread(*tid),
-            ViewName::Method { class, method } => {
-                ViewKey::Method(intern(class), intern(method))
-            }
+            ViewName::Method { class, method } => ViewKey::Method(intern(class), intern(method)),
             ViewName::TargetObject(id) => ViewKey::TargetObject(*id),
             ViewName::ActiveObject(id) => ViewKey::ActiveObject(*id),
         }
@@ -299,7 +297,13 @@ mod tests {
     }
 
     fn entry(tid: u64, method: &str, active: ObjRep, event: Event) -> TraceEntry {
-        TraceEntry::new(EntryId(0), ThreadId(tid), MethodName::new(method), active, event)
+        TraceEntry::new(
+            EntryId(0),
+            ThreadId(tid),
+            MethodName::new(method),
+            active,
+            event,
+        )
     }
 
     #[test]
@@ -340,10 +344,9 @@ mod tests {
         );
         let names = view_names(&e);
         assert_eq!(names.len(), 2);
-        assert!(names.iter().all(|n| matches!(
-            n.kind(),
-            ViewKind::Thread | ViewKind::Method
-        )));
+        assert!(names
+            .iter()
+            .all(|n| matches!(n.kind(), ViewKind::Thread | ViewKind::Method)));
     }
 
     #[test]

@@ -348,10 +348,7 @@ mod tests {
             .find(|v| v.representative.map(|r| r.class.as_str()) == Some("Logger"))
             .expect("Logger target object view");
         for idx in &logger_view.entries {
-            assert_eq!(
-                trace[*idx].event.target_object().unwrap().class,
-                "Logger"
-            );
+            assert_eq!(trace[*idx].event.target_object().unwrap().class, "Logger");
         }
         // init + 2 × (call + get + set + return)  — at least 7.
         assert!(logger_view.len() >= 7, "got {}", logger_view.len());

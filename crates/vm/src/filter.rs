@@ -52,11 +52,9 @@ impl TraceFilter {
         let target_class = entry.event.target_object().map(|o| o.class.as_str());
         let active_class = entry.active.class.as_str();
 
-        if self
-            .exclude_methods
-            .iter()
-            .any(|m| entry.method.as_str() == m || entry.event.method().is_some_and(|em| em.as_str() == m))
-        {
+        if self.exclude_methods.iter().any(|m| {
+            entry.method.as_str() == m || entry.event.method().is_some_and(|em| em.as_str() == m)
+        }) {
             return false;
         }
         let class_matches = |prefixes: &[String], class: &str| {

@@ -110,10 +110,12 @@ impl Heap {
     /// Returns [`RuntimeError::UnknownField`] when the object has no such field.
     pub fn read_field(&self, loc: Loc, field: &FieldName) -> Result<Value, RuntimeError> {
         let obj = self.object(loc);
-        obj.field(field).cloned().ok_or_else(|| RuntimeError::UnknownField {
-            class: obj.class.as_str().to_owned(),
-            field: field.as_str().to_owned(),
-        })
+        obj.field(field)
+            .cloned()
+            .ok_or_else(|| RuntimeError::UnknownField {
+                class: obj.class.as_str().to_owned(),
+                field: field.as_str().to_owned(),
+            })
     }
 
     /// Writes `target.field = value`.
@@ -226,7 +228,8 @@ mod tests {
             vec![(FieldName::new("count"), int(0))],
         );
         assert_eq!(h.read_field(loc, &FieldName::new("count")).unwrap(), int(0));
-        h.write_field(loc, &FieldName::new("count"), int(7)).unwrap();
+        h.write_field(loc, &FieldName::new("count"), int(7))
+            .unwrap();
         assert_eq!(h.read_field(loc, &FieldName::new("count")).unwrap(), int(7));
         assert!(matches!(
             h.read_field(loc, &FieldName::new("ghost")),
@@ -270,7 +273,10 @@ mod tests {
     #[test]
     fn cyclic_object_graphs_do_not_diverge() {
         let mut h = heap();
-        let a = h.allocate(ClassName::new("Node"), vec![(FieldName::new("next"), Value::Null)]);
+        let a = h.allocate(
+            ClassName::new("Node"),
+            vec![(FieldName::new("next"), Value::Null)],
+        );
         let b = h.allocate(
             ClassName::new("Node"),
             vec![(
@@ -304,7 +310,10 @@ mod tests {
         let mut opaque = HashSet::new();
         opaque.insert(ClassName::new("Logger"));
         let mut h = Heap::new(opaque, 4);
-        let loc = h.allocate(ClassName::new("Logger"), vec![(FieldName::new("n"), int(3))]);
+        let loc = h.allocate(
+            ClassName::new("Logger"),
+            vec![(FieldName::new("n"), int(3))],
+        );
         let rep = h.obj_rep(&Value::Ref {
             loc,
             class: ClassName::new("Logger"),

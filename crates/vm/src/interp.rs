@@ -31,11 +31,11 @@ use std::sync::{Condvar, Mutex, MutexGuard};
 
 use rprism_lang::ast::{Lit, Program, Term};
 use rprism_lang::{ClassName, ClassTable, MethodName, VarName};
+use rprism_trace::EntryId;
 use rprism_trace::{
     Event, ObjRep, SegmentedTrace, StackFrame, StackSnapshot, ThreadId, Trace, TraceEntry,
     TraceMeta,
 };
-use rprism_trace::EntryId;
 
 use crate::config::{RunStats, VmConfig};
 use crate::error::RuntimeError;
@@ -50,7 +50,7 @@ pub const SYS_CLASS: &str = "Sys";
 /// can include it and pass validation; the VM intercepts its methods and never executes
 /// the (empty) bodies.
 pub fn sys_class_def() -> rprism_lang::ClassDef {
-    use rprism_lang::build::{unit, unit_ty, str_ty, ClassBuilder, MethodBuilder};
+    use rprism_lang::build::{str_ty, unit, unit_ty, ClassBuilder, MethodBuilder};
     ClassBuilder::new(SYS_CLASS)
         .method(
             MethodBuilder::new("print", unit_ty())
@@ -146,11 +146,8 @@ pub fn run_validated(
     }
 
     let mut st = inner.state.lock().expect("vm state poisoned");
-    let trace = std::mem::replace(
-        &mut st.trace,
-        SegmentedTrace::new(TraceMeta::default(), 1),
-    )
-    .into_trace();
+    let trace =
+        std::mem::replace(&mut st.trace, SegmentedTrace::new(TraceMeta::default(), 1)).into_trace();
     let output = std::mem::take(&mut st.output);
     let stats = st.stats.clone();
     let child_error = st.child_errors.first().cloned();
@@ -317,7 +314,9 @@ impl ThreadRun {
     }
 
     fn frame(&self) -> &Frame {
-        self.stack.last().expect("interpreter frame stack is never empty during evaluation")
+        self.stack
+            .last()
+            .expect("interpreter frame stack is never empty during evaluation")
     }
 
     fn frame_mut(&mut self) -> &mut Frame {
@@ -383,12 +382,11 @@ impl ThreadRun {
             .into());
         }
         match term {
-            Term::Var(name) => self
-                .frame()
-                .env
-                .get(name)
-                .cloned()
-                .ok_or_else(|| Flow::from(RuntimeError::UnboundVariable(name.as_str().to_owned()))),
+            Term::Var(name) => {
+                self.frame().env.get(name).cloned().ok_or_else(|| {
+                    Flow::from(RuntimeError::UnboundVariable(name.as_str().to_owned()))
+                })
+            }
             Term::This => Ok(self.frame().this_value.clone()),
             Term::Lit(lit) => {
                 let value = Value::from_lit(lit);
@@ -526,12 +524,7 @@ impl ThreadRun {
         }
     }
 
-    fn eval_call(
-        &mut self,
-        target: &Term,
-        method: &MethodName,
-        args: &[Term],
-    ) -> EvalResult {
+    fn eval_call(&mut self, target: &Term, method: &MethodName, args: &[Term]) -> EvalResult {
         let target_value = self.eval(target)?;
         let (_, class) = self.expect_ref(&target_value, method.as_str())?;
         let arg_values = self.eval_all(args)?;
@@ -746,8 +739,12 @@ mod tests {
 
     fn run_src(src: &str) -> RunOutcome {
         let program = parse_program(src).expect("parse");
-        run_traced(&program, TraceMeta::new("test", "v1", "case"), VmConfig::default())
-            .expect("validate")
+        run_traced(
+            &program,
+            TraceMeta::new("test", "v1", "case"),
+            VmConfig::default(),
+        )
+        .expect("validate")
     }
 
     const COUNTER: &str = r#"
@@ -923,11 +920,11 @@ mod tests {
     fn infinite_loops_hit_the_loop_limit() {
         let program = parse_program("main { while (true) { 1 + 1; } }").unwrap();
         let config = VmConfig::default().with_max_steps(1_000_000);
-        let outcome =
-            run_traced(&program, TraceMeta::default(), config).expect("validates");
+        let outcome = run_traced(&program, TraceMeta::default(), config).expect("validates");
         assert!(matches!(
             outcome.result,
-            Err(RuntimeError::LoopLimitExceeded { .. }) | Err(RuntimeError::StepLimitExceeded { .. })
+            Err(RuntimeError::LoopLimitExceeded { .. })
+                | Err(RuntimeError::StepLimitExceeded { .. })
         ));
     }
 
@@ -955,7 +952,9 @@ mod tests {
             }
         "#;
         // `i = i + 1` is invalid (assignment to non-field); rewrite with field counters.
-        let src = src.replace("i = i + 1; a.id;", "a.id;").replace("i = i + 1;", "this.done; ");
+        let src = src
+            .replace("i = i + 1; a.id;", "a.id;")
+            .replace("i = i + 1;", "this.done; ");
         let _ = src;
         let src2 = r#"
             class Worker extends Object {
@@ -1038,15 +1037,15 @@ mod tests {
     #[test]
     fn filters_suppress_events() {
         let program = parse_program(COUNTER).unwrap();
-        let config = VmConfig::default().with_filter(
-            crate::filter::TraceFilter::record_all().exclude_class("Counter"),
-        );
+        let config = VmConfig::default()
+            .with_filter(crate::filter::TraceFilter::record_all().exclude_class("Counter"));
         let outcome = run_traced(&program, TraceMeta::default(), config).unwrap();
         assert!(outcome.stats.events_filtered > 0);
-        assert!(outcome
-            .trace
-            .iter()
-            .all(|e| e.event.target_object().map(|o| o.class != "Counter").unwrap_or(true)));
+        assert!(outcome.trace.iter().all(|e| e
+            .event
+            .target_object()
+            .map(|o| o.class != "Counter")
+            .unwrap_or(true)));
     }
 
     #[test]

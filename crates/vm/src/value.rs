@@ -146,9 +146,7 @@ pub fn eval_binop(op: BinOp, lhs: &Value, rhs: &Value) -> Result<Value, RuntimeE
             (BinOp::Mul, P::Float(x), P::Float(y)) => Ok(V::Prim(P::Float(x * y))),
             (BinOp::Div, P::Float(x), P::Float(y)) => Ok(V::Prim(P::Float(x / y))),
             // String concatenation.
-            (BinOp::Add, P::Str(x), P::Str(y)) => {
-                Ok(V::Prim(P::Str(format!("{x}{y}"))))
-            }
+            (BinOp::Add, P::Str(x), P::Str(y)) => Ok(V::Prim(P::Str(format!("{x}{y}")))),
             // Comparisons.
             (BinOp::Eq, a, b) => Ok(V::Prim(P::Bool(prim_eq(a, b)))),
             (BinOp::Ne, a, b) => Ok(V::Prim(P::Bool(!prim_eq(a, b)))),
@@ -251,7 +249,10 @@ mod tests {
 
     #[test]
     fn string_operations() {
-        assert_eq!(eval_binop(BinOp::Add, &s("text/"), &s("html")).unwrap(), s("text/html"));
+        assert_eq!(
+            eval_binop(BinOp::Add, &s("text/"), &s("html")).unwrap(),
+            s("text/html")
+        );
         assert_eq!(
             eval_binop(BinOp::Eq, &s("text/html"), &s("text/html")).unwrap(),
             Value::Prim(PrimValue::Bool(true))

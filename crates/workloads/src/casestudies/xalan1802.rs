@@ -196,8 +196,8 @@ pub fn scenario() -> Scenario {
 
     Scenario {
         name: "xalan-1802".into(),
-        description:
-            "re-architected namespace handling mishandles nested prefix redeclarations".into(),
+        description: "re-architected namespace handling mishandles nested prefix redeclarations"
+            .into(),
         old_version: Program {
             classes: old_reg.classes.clone(),
             main: vec![],

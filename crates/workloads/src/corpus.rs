@@ -150,7 +150,11 @@ mod tests {
 
     #[test]
     fn corpus_covers_every_case_study_in_both_encodings() {
-        let names: Vec<String> = corpus_files().unwrap().into_iter().map(|f| f.name).collect();
+        let names: Vec<String> = corpus_files()
+            .unwrap()
+            .into_iter()
+            .map(|f| f.name)
+            .collect();
         for scenario in ["daikon", "xalan-1725", "xalan-1802", "derby-1633"] {
             for role in ["old-regressing", "new-regressing"] {
                 for ext in ["rtr", "jsonl"] {

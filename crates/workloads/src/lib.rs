@@ -21,10 +21,10 @@
 
 pub mod casestudies;
 pub mod corpus;
-pub mod rngcompat;
 pub mod mutate;
 pub mod myfaces;
 pub mod rhino;
+pub mod rngcompat;
 pub mod scenario;
 
 pub use corpus::{check_corpus, corpus_files, write_corpus, CorpusFile};

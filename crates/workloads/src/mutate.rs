@@ -82,7 +82,11 @@ pub struct MutationOutcome {
 /// Applies one mutation of the given category to the program (in place).
 ///
 /// Returns `None` when the program offers no applicable mutation site for the category.
-pub fn inject(program: &mut Program, cause: RootCause, rng: &mut StdRng) -> Option<MutationOutcome> {
+pub fn inject(
+    program: &mut Program,
+    cause: RootCause,
+    rng: &mut StdRng,
+) -> Option<MutationOutcome> {
     if cause == RootCause::MissingFeature {
         return inject_missing_feature(program, rng);
     }
@@ -121,7 +125,14 @@ pub fn inject(program: &mut Program, cause: RootCause, rng: &mut StdRng) -> Opti
         if description.is_some() {
             break;
         }
-        apply_at_site(term, cause, &mut remaining, &mut description, &class_fields, rng);
+        apply_at_site(
+            term,
+            cause,
+            &mut remaining,
+            &mut description,
+            &class_fields,
+            rng,
+        );
     }
 
     description.map(|description| MutationOutcome {
@@ -270,8 +281,22 @@ fn apply_at_site(
             else_branch,
         } => {
             apply_at_site(cond, cause, remaining, description, class_fields, rng);
-            apply_at_site(then_branch, cause, remaining, description, class_fields, rng);
-            apply_at_site(else_branch, cause, remaining, description, class_fields, rng);
+            apply_at_site(
+                then_branch,
+                cause,
+                remaining,
+                description,
+                class_fields,
+                rng,
+            );
+            apply_at_site(
+                else_branch,
+                cause,
+                remaining,
+                description,
+                class_fields,
+                rng,
+            );
         }
         Term::While { cond, body } => {
             apply_at_site(cond, cause, remaining, description, class_fields, rng);
@@ -347,7 +372,11 @@ fn mutate_term(
                     BinOp::Ge => BinOp::Gt,
                     other => other,
                 };
-                let desc = format!("changed comparison `{}` to `{}`", op.symbol(), new_op.symbol());
+                let desc = format!(
+                    "changed comparison `{}` to `{}`",
+                    op.symbol(),
+                    new_op.symbol()
+                );
                 *op = new_op;
                 return desc;
             }
@@ -361,7 +390,11 @@ fn mutate_term(
                     BinOp::Mul => BinOp::Add,
                     other => other,
                 };
-                let desc = format!("changed operator `{}` to `{}`", op.symbol(), new_op.symbol());
+                let desc = format!(
+                    "changed operator `{}` to `{}`",
+                    op.symbol(),
+                    new_op.symbol()
+                );
                 *op = new_op;
                 return desc;
             }
@@ -482,11 +515,7 @@ mod tests {
         assert!(outcome.description.contains("removed call"));
         // One of the two add calls in `twice` is gone.
         let twice = program.class("Acc").unwrap().method("twice").unwrap();
-        let calls = twice
-            .body
-            .iter()
-            .map(Term::size)
-            .sum::<usize>();
+        let calls = twice.body.iter().map(Term::size).sum::<usize>();
         let original = parse_program(SRC).unwrap();
         let orig_calls = original
             .class("Acc")

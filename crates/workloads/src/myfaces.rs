@@ -202,9 +202,7 @@ mod tests {
         );
         // The analysis discards at least some unrelated difference sequences relative to
         // the raw suspected diff.
-        assert!(
-            outcome.report.num_regression_sequences() <= outcome.report.sequences.len(),
-        );
+        assert!(outcome.report.num_regression_sequences() <= outcome.report.sequences.len(),);
     }
 
     #[test]

@@ -172,10 +172,7 @@ pub fn base_program(config: &RhinoConfig, rng: &mut StdRng) -> Program {
                 ))
                 .body(get_field(this(), "acc")),
         )
-        .method(
-            MethodBuilder::new("total", int_ty())
-                .body(get_field(this(), "acc")),
-        );
+        .method(MethodBuilder::new("total", int_ty()).body(get_field(this(), "acc")));
     builder = builder.class(driver);
     builder.build()
 }
@@ -198,7 +195,11 @@ pub fn driver_main(config: &RhinoConfig, mode: i64, iterations: usize) -> Vec<Te
         while_(
             lt(get_field(var("c"), "i"), int(iterations as i64)),
             seq(vec![
-                call(var("d"), "dispatch", vec![int(mode), get_field(var("c"), "i")]),
+                call(
+                    var("d"),
+                    "dispatch",
+                    vec![int(mode), get_field(var("c"), "i")],
+                ),
                 set_field(var("c"), "i", add(get_field(var("c"), "i"), int(1))),
             ]),
         ),
@@ -367,8 +368,20 @@ mod tests {
             ..small_config(3)
         };
         let long = generate_bug(&long_cfg).unwrap();
-        let short_len = short.scenario.trace_all().unwrap().traces.old_regressing.len();
-        let long_len = long.scenario.trace_all().unwrap().traces.old_regressing.len();
+        let short_len = short
+            .scenario
+            .trace_all()
+            .unwrap()
+            .traces
+            .old_regressing
+            .len();
+        let long_len = long
+            .scenario
+            .trace_all()
+            .unwrap()
+            .traces
+            .old_regressing
+            .len();
         assert!(long_len > short_len * 2);
     }
 }

@@ -267,11 +267,7 @@ impl Scenario {
     /// # Errors
     ///
     /// Returns [`ScenarioError::Invalid`] when the composed program fails validation.
-    pub fn run(
-        &self,
-        version: Version,
-        test: TestCase,
-    ) -> Result<RunOutcome, ScenarioError> {
+    pub fn run(&self, version: Version, test: TestCase) -> Result<RunOutcome, ScenarioError> {
         let program = match version {
             Version::Old => Scenario::instantiate(&self.old_version, self.main_for(version, test)),
             Version::New => Scenario::instantiate(&self.new_version, self.main_for(version, test)),
@@ -420,7 +416,11 @@ pub fn total_trace_entries(traces: &ScenarioTraces) -> usize {
 /// The number of entries of the suspected comparison (old vs new under the regressing
 /// test), the "Trace Entries" column of Table 1.
 pub fn suspected_trace_entries(traces: &ScenarioTraces) -> usize {
-    traces.traces.old_regressing.len().max(traces.traces.new_regressing.len())
+    traces
+        .traces
+        .old_regressing
+        .len()
+        .max(traces.traces.new_regressing.len())
 }
 
 #[cfg(test)]
@@ -431,42 +431,35 @@ mod tests {
     fn tiny_scenario(new_value: i64) -> Scenario {
         let version = |v: i64| {
             ProgramBuilder::new()
-                .class(
-                    ClassBuilder::new("C")
-                        .field("x", int_ty())
-                        .method(
-                            MethodBuilder::new("set", unit_ty())
-                                .body(set_field(this(), "x", int(v))),
-                        ),
-                )
+                .class(ClassBuilder::new("C").field("x", int_ty()).method(
+                    MethodBuilder::new("set", unit_ty()).body(set_field(this(), "x", int(v))),
+                ))
                 .class_def(rprism_vm::sys_class_def())
                 .build()
         };
         let main_body = |probe: i64| {
-            vec![
+            vec![let_(
+                "sys",
+                new("Sys", vec![]),
                 let_(
-                    "sys",
-                    new("Sys", vec![]),
-                    let_(
-                        "c",
-                        new("C", vec![int(0)]),
-                        seq(vec![
-                            // The passing test (probe < 0) never exercises the changed
-                            // code, so the regression differences set C can isolate it.
-                            if_(
-                                gt(int(probe), int(0)),
-                                call(var("c"), "set", vec![]),
-                                unit(),
-                            ),
-                            if_(
-                                eq(get_field(var("c"), "x"), int(probe)),
-                                call(var("sys"), "print", vec![string("match")]),
-                                call(var("sys"), "print", vec![string("nomatch")]),
-                            ),
-                        ]),
-                    ),
+                    "c",
+                    new("C", vec![int(0)]),
+                    seq(vec![
+                        // The passing test (probe < 0) never exercises the changed
+                        // code, so the regression differences set C can isolate it.
+                        if_(
+                            gt(int(probe), int(0)),
+                            call(var("c"), "set", vec![]),
+                            unit(),
+                        ),
+                        if_(
+                            eq(get_field(var("c"), "x"), int(probe)),
+                            call(var("sys"), "print", vec![string("match")]),
+                            call(var("sys"), "print", vec![string("nomatch")]),
+                        ),
+                    ]),
                 ),
-            ]
+            )]
         };
         Scenario {
             name: "tiny".into(),

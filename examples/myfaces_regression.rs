@@ -16,7 +16,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let traces = scenario.trace_all()?;
     println!(
         "outputs under the regressing request: original {:?}, new {:?}\n",
-        traces.old_regressing_output(), traces.new_regressing_output()
+        traces.old_regressing_output(),
+        traces.new_regressing_output()
     );
 
     let engine = Engine::new();

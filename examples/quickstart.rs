@@ -75,7 +75,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let new_path = dir.join("new.rtr");
     engine.store_trace(&old, &old_path)?;
     engine.store_trace(&new, &new_path)?;
-    let reloaded = engine.diff(&engine.load_trace(&old_path)?, &engine.load_trace(&new_path)?)?;
+    let reloaded = engine.diff(
+        &engine.load_trace(&old_path)?,
+        &engine.load_trace(&new_path)?,
+    )?;
     println!(
         "stored to {} and re-diffed from disk: {} differences (identical: {})",
         dir.display(),

@@ -80,7 +80,10 @@ fn benign_turbulence_does_not_change_the_report() {
         }
         let stream = FaultyStream::new(bytes.as_slice(), plan.clone(), "in");
         let turbulent = engine.check_reader(stream).unwrap();
-        assert_eq!(turbulent, clean, "{encoding}: turbulence changed the report");
+        assert_eq!(
+            turbulent, clean,
+            "{encoding}: turbulence changed the report"
+        );
         assert!(!plan.injected().is_empty(), "the plan must actually fire");
     }
 }

@@ -157,7 +157,11 @@ fn prepared_web_is_built_exactly_once_across_three_diffs() {
         engine.diff(anchor, other).expect("views never fails");
     }
     assert_eq!(anchor.web_build_count(), 1, "web rebuilt despite caching");
-    assert_eq!(anchor.keyed_build_count(), 1, "keys rebuilt despite caching");
+    assert_eq!(
+        anchor.keyed_build_count(),
+        1,
+        "keys rebuilt despite caching"
+    );
 
     // Further queries — including a full analysis over the same handles — still reuse
     // the same artifacts.

@@ -321,7 +321,10 @@ fn assert_same_report(context: &str, full: &RegressionReport, streamed: &Regress
     assert_eq!(full.expected, streamed.expected, "{context}: set B");
     assert_eq!(full.regression, streamed.regression, "{context}: set C");
     assert_eq!(full.candidates, streamed.candidates, "{context}: set D");
-    assert_eq!(full.compare_ops, streamed.compare_ops, "{context}: compare ops");
+    assert_eq!(
+        full.compare_ops, streamed.compare_ops,
+        "{context}: compare ops"
+    );
     let verdicts = |report: &RegressionReport| {
         report
             .sequences
@@ -345,13 +348,12 @@ fn full_and_streamed_handles_diff_and_analyze_identically() {
                 } else {
                     mutated(&mut rng, &old)
                 };
-                let quad = [
-                    mutated(&mut rng, &old),
-                    mutated(&mut rng, &new),
-                    old,
-                    new,
-                ];
-                let encoding = if rng.bool() { Encoding::Binary } else { Encoding::Jsonl };
+                let quad = [mutated(&mut rng, &old), mutated(&mut rng, &new), old, new];
+                let encoding = if rng.bool() {
+                    Encoding::Binary
+                } else {
+                    Encoding::Jsonl
+                };
                 let streamed: Vec<PreparedTrace> = quad
                     .iter()
                     .map(|t| {
@@ -363,7 +365,11 @@ fn full_and_streamed_handles_diff_and_analyze_identically() {
                     quad.into_iter().map(|t| engine.prepare(t)).collect();
                 let context = format!(
                     "{profile}-{entries} {} ({})",
-                    if independent { "independent" } else { "mutated" },
+                    if independent {
+                        "independent"
+                    } else {
+                        "mutated"
+                    },
                     encoding.extension()
                 );
 

@@ -114,7 +114,10 @@ fn corpus_fixtures_reencode_byte_stably_and_round_trip_event_equal() {
         for (a, b) in decoded.iter().zip(fresh.iter()) {
             assert!(event_eq(a, b), "{name}: entry {} not =e-equal", a.eid);
         }
-        assert_eq!(&decoded, fresh, "{name}: decoded trace differs structurally");
+        assert_eq!(
+            &decoded, fresh,
+            "{name}: decoded trace differs structurally"
+        );
     }
 }
 
@@ -143,7 +146,10 @@ fn bumped_format_versions_are_rejected_cleanly() {
         .find(|(name, _)| name.ends_with(".jsonl"))
         .expect("at least one jsonl fixture");
     let text = String::from_utf8(bytes.clone()).unwrap();
-    assert!(text.contains("\"version\":1"), "{name}: header shape changed");
+    assert!(
+        text.contains("\"version\":1"),
+        "{name}: header shape changed"
+    );
     let bumped = text.replacen("\"version\":1", "\"version\":2", 1);
     match trace_from_bytes(bumped.as_bytes()) {
         Err(FormatError::UnsupportedVersion { found: 2, .. }) => {}

@@ -93,8 +93,16 @@ fn loaded_traces_analyze_identically_to_originals() {
 
         assert_eq!(original.suspected, from_disk.suspected, "{}", scenario.name);
         assert_eq!(original.expected, from_disk.expected, "{}", scenario.name);
-        assert_eq!(original.regression, from_disk.regression, "{}", scenario.name);
-        assert_eq!(original.candidates, from_disk.candidates, "{}", scenario.name);
+        assert_eq!(
+            original.regression, from_disk.regression,
+            "{}",
+            scenario.name
+        );
+        assert_eq!(
+            original.candidates, from_disk.candidates,
+            "{}",
+            scenario.name
+        );
         assert_eq!(
             original.compare_ops, from_disk.compare_ops,
             "{}: analysis compare-op counts diverged",

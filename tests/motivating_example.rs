@@ -27,7 +27,10 @@ fn views_diff_localizes_the_bad_range_initialization() {
         .iter()
         .filter_map(|i| new.entries.get(*i))
         .any(|e| e.render().contains("NumericEntityUtil") && e.render().contains("Int(1)"));
-    assert!(mentions_bad_range, "the bad range init must be reported as a difference");
+    assert!(
+        mentions_bad_range,
+        "the bad range init must be reported as a difference"
+    );
 
     // Events unrelated to the regression (the Logger activity) remain correlated.
     let logger_matched = old
@@ -35,7 +38,10 @@ fn views_diff_localizes_the_bad_range_initialization() {
         .enumerate()
         .filter(|(i, e)| result.matching.is_matched_left(*i) && e.render().contains("Logger"))
         .count();
-    assert!(logger_matched >= 4, "logger events should stay matched, got {logger_matched}");
+    assert!(
+        logger_matched >= 4,
+        "logger events should stay matched, got {logger_matched}"
+    );
 }
 
 #[test]
@@ -85,12 +91,20 @@ fn target_object_view_lines_are_pinned() {
     let web = old.web();
     let mut lines = Vec::new();
     for view in web.views_of_kind(ViewKind::TargetObject) {
-        let rep = view.representative.expect("object views have a representative");
+        let rep = view
+            .representative
+            .expect("object views have a representative");
         let first = old.trace()[view.entries[0]].event.target_object().unwrap();
         assert_eq!(rep.to_string(), first.to_string(), "view {}", view.name);
         if rep.class.as_str() == "NumericEntityUtil" {
-            lines.push(format!("  target object view for {rep}: {} entries", view.len()));
+            lines.push(format!(
+                "  target object view for {rep}: {} entries",
+                view.len()
+            ));
         }
     }
-    assert_eq!(lines, ["  target object view for NumericEntityUtil-1: 21 entries"]);
+    assert_eq!(
+        lines,
+        ["  target object view for NumericEntityUtil-1: 21 entries"]
+    );
 }

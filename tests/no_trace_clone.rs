@@ -41,7 +41,9 @@ fn analysis_path_over_prepared_handles_never_clones_a_trace() {
         .unwrap();
     let batch = engine.diff_many(&pairs).unwrap();
     let report = engine.analyze(&input).unwrap();
-    let reports = engine.analyze_many(&[input.clone(), input.clone()]).unwrap();
+    let reports = engine
+        .analyze_many(&[input.clone(), input.clone()])
+        .unwrap();
 
     let after = Trace::clone_count();
     assert_eq!(

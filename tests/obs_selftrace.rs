@@ -73,5 +73,9 @@ fn self_trace_round_trips_through_the_engine_and_checks_clean() {
     let left = engine.prepare(decoded);
     let right = engine.prepare(trace);
     let diff = engine.diff(&left, &right).expect("views never fails");
-    assert_eq!(diff.num_differences(), 0, "a trace must diff clean vs itself");
+    assert_eq!(
+        diff.num_differences(),
+        0,
+        "a trace must diff clean vs itself"
+    );
 }

@@ -109,12 +109,10 @@ fn views_diff_bounds() {
             .diff(&traces.old_regressing, &traces.new_regressing)
             .unwrap();
         assert!(
-            cross.num_differences()
-                <= traces.old_regressing.len() + traces.new_regressing.len()
+            cross.num_differences() <= traces.old_regressing.len() + traces.new_regressing.len()
         );
         assert!(
-            cross.num_similar()
-                <= traces.old_regressing.len().max(traces.new_regressing.len())
+            cross.num_similar() <= traces.old_regressing.len().max(traces.new_regressing.len())
         );
         // Matched pairs reference valid indices.
         for &(l, r) in cross.matching.normalized_pairs() {

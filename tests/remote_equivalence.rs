@@ -34,7 +34,9 @@ fn remote_diff_and_analyze_match_the_local_engine_on_all_case_studies() {
         std::fs::create_dir_all(&export_dir).unwrap();
         for scenario in casestudies::all() {
             let traces = scenario.trace_all().unwrap();
-            let paths = traces.export(&export_dir, &scenario.name, encoding).unwrap();
+            let paths = traces
+                .export(&export_dir, &scenario.name, encoding)
+                .unwrap();
 
             // Upload the four roles; the binary pass stores them, the JSONL pass must
             // deduplicate against the binary blobs (same content, other encoding).
@@ -73,7 +75,10 @@ fn remote_diff_and_analyze_match_the_local_engine_on_all_case_studies() {
                 scenario.name
             );
             assert_eq!(remote.compare_ops, local_diff.cost.compare_ops);
-            assert_eq!(remote.num_differences as usize, local_diff.num_differences());
+            assert_eq!(
+                remote.num_differences as usize,
+                local_diff.num_differences()
+            );
             assert_eq!(remote.left_len as usize, local[0].len());
 
             // --- full regression-cause analysis ---------------------------------

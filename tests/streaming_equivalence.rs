@@ -28,8 +28,10 @@ fn streamed_handles_match_load_then_prepare_on_all_case_studies() {
                     let traces = scenario.trace_all().unwrap();
                     let paths = traces.export(&dir, &scenario.name, encoding).unwrap();
 
-                    let full: Vec<PreparedTrace> =
-                        paths.iter().map(|p| engine.load_trace(p).unwrap()).collect();
+                    let full: Vec<PreparedTrace> = paths
+                        .iter()
+                        .map(|p| engine.load_trace(p).unwrap())
+                        .collect();
                     let streamed: Vec<PreparedTrace> = paths
                         .iter()
                         .map(|p| engine.load_prepared(p).unwrap())
