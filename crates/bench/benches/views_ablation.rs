@@ -11,7 +11,7 @@ use std::time::Instant;
 
 use rprism::PreparedTrace;
 use rprism_bench::measure::{sample_env, summarize};
-use rprism_diff::{views_diff_keyed, ViewsDiffOptions};
+use rprism_diff::{views_diff_sides, ViewsDiffOptions};
 use rprism_workloads::{generate_bug, RhinoConfig};
 
 fn scenario_traces() -> (PreparedTrace, PreparedTrace) {
@@ -56,17 +56,7 @@ fn main() {
                 .build(),
         ),
     ];
-    let run = |options: &ViewsDiffOptions| {
-        views_diff_keyed(
-            old.trace(),
-            new.trace(),
-            old.web(),
-            new.web(),
-            old.keyed(),
-            new.keyed(),
-            options,
-        )
-    };
+    let run = |options: &ViewsDiffOptions| views_diff_sides(&old.side(), &new.side(), options);
     for (label, options) in configs {
         // Warmup (also builds the handles' cached keys/webs on the first config).
         let _ = run(&options);

@@ -8,7 +8,7 @@
 
 use rprism::PreparedTrace;
 use rprism_bench::{format_table, rhino_eval_dataset};
-use rprism_diff::{views_diff_correlated, ViewsDiffOptions};
+use rprism_diff::{views_diff_sides_correlated, ViewsDiffOptions};
 use rprism_views::Correlation;
 
 fn main() {
@@ -70,20 +70,12 @@ fn main() {
         let mut total_compare_ops = 0u64;
         let mut total_entries = 0usize;
         for (old, new, correlation) in &prepared {
-            let result = views_diff_correlated(
-                old.trace(),
-                new.trace(),
-                old.web(),
-                new.web(),
-                old.keyed(),
-                new.keyed(),
-                correlation,
-                options,
-            );
+            let result =
+                views_diff_sides_correlated(&old.side(), &new.side(), correlation, options);
             total_diffs += result.num_differences();
             total_similar += result.num_similar();
             total_compare_ops += result.cost.compare_ops;
-            total_entries += old.trace().len() + new.trace().len();
+            total_entries += old.len() + new.len();
         }
         rows.push(vec![
             (*label).to_owned(),

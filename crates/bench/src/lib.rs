@@ -22,29 +22,31 @@ use std::collections::BTreeMap;
 
 use rprism::Engine;
 use rprism_diff::{
-    views_diff_keyed, LcsDiffOptions, MemoryBudget, TraceDiffResult, ViewsDiffOptions,
+    views_diff_sides, DiffSide, LcsDiffOptions, MemoryBudget, TraceDiffResult, ViewsDiffOptions,
 };
 use rprism_regress::{evaluate, QualityMetrics, RegressionReport};
-use rprism_trace::{par, KeyedTrace, Trace};
+use rprism_trace::{par, KeyedTrace, LeanTrace, Trace};
 use rprism_views::ViewWeb;
 use rprism_workloads::scenario::{suspected_trace_entries, Scenario, ScenarioTraces};
 use rprism_workloads::{dataset, InjectedBug, RhinoConfig};
 
-/// One-shot views differencing: both traces' view webs and keys are built from scratch
-/// (the two sides as a [`par::join`]) and then diffed with [`views_diff_keyed`]. This is
-/// the cold pipeline a caller without prepared handles pays on every call, and the
-/// keyed side every comparison against the frozen seed baseline runs.
+/// One-shot views differencing: both traces' lean contexts, view webs and keys are
+/// built from scratch (the two sides as a [`par::join`]) and then diffed with
+/// [`views_diff_sides`]. This is the cold pipeline a caller without prepared handles
+/// pays on every call, and the keyed side every comparison against the frozen seed
+/// baseline runs.
 pub fn cold_views_diff(left: &Trace, right: &Trace, options: &ViewsDiffOptions) -> TraceDiffResult {
-    let prepare = |trace: &Trace| (ViewWeb::build(trace), KeyedTrace::build(trace));
-    let ((left_web, left_keyed), (right_web, right_keyed)) =
-        par::join(|| prepare(left), || prepare(right));
-    views_diff_keyed(
-        left,
-        right,
-        &left_web,
-        &right_web,
-        &left_keyed,
-        &right_keyed,
+    let prepare = |trace: &Trace| {
+        (
+            LeanTrace::build(trace),
+            KeyedTrace::build(trace),
+            ViewWeb::build(trace),
+        )
+    };
+    let ((ll, lk, lw), (rl, rk, rw)) = par::join(|| prepare(left), || prepare(right));
+    views_diff_sides(
+        &DiffSide::lean(&ll, &lk, &lw),
+        &DiffSide::lean(&rl, &rk, &rw),
         options,
     )
 }

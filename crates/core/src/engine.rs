@@ -189,25 +189,18 @@ impl CorrelationCache {
 /// and threads. The handle [`Deref`](std::ops::Deref)s to [`Trace`], so it can be passed
 /// wherever a `&Trace` is expected.
 ///
-/// Handles come in two storage forms. [`Engine::trace`], [`Engine::prepare`] and
-/// [`Engine::load_trace`] produce **full** handles backed by a materialized [`Trace`].
-/// [`Engine::load_prepared`] produces **streamed** handles: the serialized trace was
-/// ingested in one bounded-memory pass, its keys and view web are already built, and
-/// only the [`LeanTrace`] per-entry context is retained in place of the full entries.
-/// Every diff and analysis accepts both forms interchangeably (and produces identical
-/// results); only operations that need the full entries — [`PreparedTrace::trace`],
-/// `Deref`, [`Engine::store_trace`] — are restricted to full handles.
+/// Every handle carries a [`LeanTrace`] — the per-entry context every diff and
+/// analysis reads. [`Engine::trace`], [`Engine::prepare`] and [`Engine::load_trace`]
+/// produce **full** handles, which also keep the materialized [`Trace`] and build the
+/// lean context from it when the handle is made. [`Engine::load_prepared`] produces
+/// **streamed** handles: the serialized trace was ingested in one bounded-memory pass,
+/// its lean context, keys and view web are already built, and the full entries were
+/// never kept. Both forms diff and analyze through the same code; only operations that
+/// need whole entries — [`PreparedTrace::trace`], `Deref`, [`Engine::store_trace`],
+/// [`Engine::check_prepared`] — are restricted to full handles.
 #[derive(Clone, Debug)]
 pub struct PreparedTrace {
     inner: Arc<PreparedTraceInner>,
-}
-
-/// The per-entry storage behind a handle: the full trace, or the lean reduction kept
-/// by streaming ingestion.
-#[derive(Debug)]
-enum TraceStore {
-    Full(Trace),
-    Lean(LeanTrace),
 }
 
 #[derive(Debug)]
@@ -215,7 +208,9 @@ struct PreparedTraceInner {
     /// Process-unique handle identity, used as a cache key for pair-level artifacts
     /// (never reused, unlike a raw `Arc` address).
     id: u64,
-    store: TraceStore,
+    /// The full trace, kept only by full handles.
+    trace: Option<Trace>,
+    lean: LeanTrace,
     output: Vec<String>,
     run_error: Option<RuntimeError>,
     keyed: OnceLock<KeyedTrace>,
@@ -227,17 +222,23 @@ struct PreparedTraceInner {
 static NEXT_HANDLE_ID: AtomicU64 = AtomicU64::new(0);
 
 impl PreparedTraceInner {
-    fn new(trace: Trace, output: Vec<String>, run_error: Option<RuntimeError>) -> Self {
+    fn new(trace: Option<Trace>, lean: LeanTrace) -> Self {
         PreparedTraceInner {
             id: NEXT_HANDLE_ID.fetch_add(1, Ordering::Relaxed),
-            store: TraceStore::Full(trace),
-            output,
-            run_error,
+            trace,
+            lean,
+            output: Vec::new(),
+            run_error: None,
             keyed: OnceLock::new(),
             web: OnceLock::new(),
             keyed_builds: AtomicU32::new(0),
             web_builds: AtomicU32::new(0),
         }
+    }
+
+    fn full(trace: Trace) -> Self {
+        let lean = LeanTrace::build(&trace);
+        PreparedTraceInner::new(Some(trace), lean)
     }
 
     fn from_streamed(artifacts: StreamedArtifacts) -> Self {
@@ -247,16 +248,7 @@ impl PreparedTraceInner {
             keyed,
             web,
         } = artifacts;
-        let inner = PreparedTraceInner {
-            id: NEXT_HANDLE_ID.fetch_add(1, Ordering::Relaxed),
-            store: TraceStore::Lean(lean),
-            output: Vec::new(),
-            run_error: None,
-            keyed: OnceLock::new(),
-            web: OnceLock::new(),
-            keyed_builds: AtomicU32::new(0),
-            web_builds: AtomicU32::new(0),
-        };
+        let inner = PreparedTraceInner::new(None, lean);
         // Streaming ingestion built the artifacts during the read pass; pre-seeding the
         // cells preserves the "built at most once" invariant (build counts stay 0: the
         // handle never re-derives anything).
@@ -273,19 +265,18 @@ impl PreparedTrace {
     /// Wraps an existing trace into a prepared handle (no artifacts are built yet).
     pub fn new(trace: Trace) -> Self {
         PreparedTrace {
-            inner: Arc::new(PreparedTraceInner::new(trace, Vec::new(), None)),
+            inner: Arc::new(PreparedTraceInner::full(trace)),
         }
     }
 
     /// Wraps the result of a traced program run, preserving its output and runtime
     /// error (if any) alongside the trace.
     pub fn from_outcome(outcome: RunOutcome) -> Self {
+        let mut inner = PreparedTraceInner::full(outcome.trace);
+        inner.output = outcome.output;
+        inner.run_error = outcome.result.err();
         PreparedTrace {
-            inner: Arc::new(PreparedTraceInner::new(
-                outcome.trace,
-                outcome.output,
-                outcome.result.err(),
-            )),
+            inner: Arc::new(inner),
         }
     }
 
@@ -313,40 +304,29 @@ impl PreparedTrace {
     /// The underlying trace, when this handle retains one (`None` for streamed
     /// handles).
     pub fn try_trace(&self) -> Option<&Trace> {
-        match &self.inner.store {
-            TraceStore::Full(trace) => Some(trace),
-            TraceStore::Lean(_) => None,
-        }
+        self.inner.trace.as_ref()
     }
 
-    /// The lean per-entry context, when this handle is a streamed one.
+    /// The lean per-entry context. Every handle has one; the `Option` is kept for
+    /// callers written against handles that did not.
     pub fn lean(&self) -> Option<&LeanTrace> {
-        match &self.inner.store {
-            TraceStore::Full(_) => None,
-            TraceStore::Lean(lean) => Some(lean),
-        }
+        Some(&self.inner.lean)
     }
 
-    /// Returns `true` when this handle was produced by streaming ingestion and holds
-    /// only the lean per-entry context.
+    /// Returns `true` when this handle was produced by streaming ingestion and does
+    /// not retain the full trace.
     pub fn is_streamed(&self) -> bool {
-        matches!(self.inner.store, TraceStore::Lean(_))
+        self.inner.trace.is_none()
     }
 
-    /// The trace metadata (available for both storage forms).
+    /// The trace metadata.
     pub fn meta(&self) -> &TraceMeta {
-        match &self.inner.store {
-            TraceStore::Full(trace) => &trace.meta,
-            TraceStore::Lean(lean) => &lean.meta,
-        }
+        &self.inner.lean.meta
     }
 
-    /// Number of entries (available for both storage forms).
+    /// Number of entries.
     pub fn len(&self) -> usize {
-        match &self.inner.store {
-            TraceStore::Full(trace) => trace.len(),
-            TraceStore::Lean(lean) => lean.len(),
-        }
+        self.inner.lean.len()
     }
 
     /// Returns `true` when the trace has no entries.
@@ -358,22 +338,20 @@ impl PreparedTrace {
     /// when the handle retains the trace, a compact context line (thread, active
     /// class, method, event form) reconstructed from the lean artifacts otherwise.
     pub fn describe_entry(&self, index: usize) -> Option<String> {
-        match &self.inner.store {
-            TraceStore::Full(trace) => trace.entries.get(index).map(|e| e.render()),
-            TraceStore::Lean(lean) => {
-                let entry = lean.entries().get(index)?;
-                let key = self.keyed().compact(index);
-                let name = key.name.map(|s| format!(" {s}")).unwrap_or_default();
-                Some(format!(
-                    "[e{index} {} in {}.{}] {:?}{name} ({} operands)",
-                    entry.tid,
-                    entry.active.class,
-                    entry.method,
-                    key.kind,
-                    key.num_operands(),
-                ))
-            }
+        if let Some(trace) = &self.inner.trace {
+            return trace.entries.get(index).map(|e| e.render());
         }
+        let entry = self.inner.lean.entries().get(index)?;
+        let key = self.keyed().compact(index);
+        let name = key.name.map(|s| format!(" {s}")).unwrap_or_default();
+        Some(format!(
+            "[e{index} {} in {}.{}] {:?}{name} ({} operands)",
+            entry.tid,
+            entry.active.class,
+            entry.method,
+            key.kind,
+            key.num_operands(),
+        ))
     }
 
     /// The program output recorded while tracing (empty for handles made with
@@ -427,23 +405,14 @@ impl PreparedTrace {
     /// Borrowed prepared artifacts for the regression analysis, forcing the builds if
     /// they have not happened yet.
     fn prepared_ref(&self, with_web: bool) -> PreparedTraceRef<'_> {
-        let keyed = self.keyed();
         let web = with_web.then(|| self.web());
-        match &self.inner.store {
-            TraceStore::Full(trace) => PreparedTraceRef::new(trace, keyed, web),
-            TraceStore::Lean(lean) => PreparedTraceRef::lean(lean, keyed, web),
-        }
+        PreparedTraceRef::new(&self.inner.lean, self.keyed(), web)
     }
 
-    /// The handle as a [`DiffSide`], forcing the artifact builds if they have not
-    /// happened yet.
-    pub(crate) fn side(&self) -> DiffSide<'_> {
-        let keyed = self.keyed();
-        let web = self.web();
-        match &self.inner.store {
-            TraceStore::Full(trace) => DiffSide::full(trace, keyed, web),
-            TraceStore::Lean(lean) => DiffSide::lean(lean, keyed, web),
-        }
+    /// The handle as a [`DiffSide`] of the views differencer, forcing the artifact
+    /// builds if they have not happened yet.
+    pub fn side(&self) -> DiffSide<'_> {
+        DiffSide::lean(&self.inner.lean, self.keyed(), self.web())
     }
 
     fn is_warm(&self, with_web: bool) -> bool {
@@ -460,7 +429,7 @@ impl std::ops::Deref for PreparedTrace {
     ///
     /// Panics for streamed handles, like [`PreparedTrace::trace`]. Note that
     /// [`PreparedTrace::len`]/[`PreparedTrace::meta`] are inherent methods and work for
-    /// both storage forms without going through `Deref`.
+    /// every handle without going through `Deref`.
     fn deref(&self) -> &Trace {
         self.trace()
     }
@@ -1083,7 +1052,7 @@ impl Engine {
     ///
     /// The cache is keyed on the **unordered** handle pair: the first query of a pair
     /// builds the correlation in *its* orientation (so a cold diff matches the one-shot
-    /// `views_diff_keyed` path exactly — the equivalence `tests/engine_equivalence.rs`
+    /// `views_diff_sides` path exactly — the equivalence `tests/engine_equivalence.rs`
     /// pins down), and the opposite orientation is then served as the exact transpose
     /// of that build.
     /// Correlation is a cross-execution heuristic whose greedy construction is not

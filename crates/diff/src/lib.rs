@@ -11,7 +11,7 @@
 //!   the two traces under event equality `=e`, with the common-prefix/suffix optimization,
 //!   an explicit memory budget (the quadratic table fails on long traces exactly as in the
 //!   paper) and a Hirschberg linear-space variant;
-//! * [`views_diff_keyed`] — the §3.3 contribution: lock-step scanning of
+//! * [`views_diff_sides`] — the §3.3 contribution: lock-step scanning of
 //!   correlated thread views, with windowed LCS over correlated *secondary* views
 //!   (method/object views) at mismatch points, yielding linear time and space.
 //!
@@ -25,9 +25,9 @@
 //! entry points directly:
 //!
 //! ```
-//! use rprism_diff::{lcs_diff_keyed, views_diff_keyed, LcsDiffOptions, ViewsDiffOptions};
+//! use rprism_diff::{lcs_diff_keyed, views_diff_sides, DiffSide, LcsDiffOptions, ViewsDiffOptions};
 //! use rprism_lang::parser::parse_program;
-//! use rprism_trace::{KeyedTrace, TraceMeta};
+//! use rprism_trace::{KeyedTrace, LeanTrace, TraceMeta};
 //! use rprism_views::ViewWeb;
 //! use rprism_vm::{run_traced, VmConfig};
 //!
@@ -40,9 +40,14 @@
 //! // Prepare once per trace; reuse across as many comparisons as needed.
 //! let (old_keyed, new_keyed) = (KeyedTrace::build(&old), KeyedTrace::build(&new));
 //! let (old_web, new_web) = (ViewWeb::build(&old), ViewWeb::build(&new));
+//! let (old_lean, new_lean) = (LeanTrace::build(&old), LeanTrace::build(&new));
 //!
 //! let options = ViewsDiffOptions::builder().delta(2).window(8).build();
-//! let views = views_diff_keyed(&old, &new, &old_web, &new_web, &old_keyed, &new_keyed, &options);
+//! let views = views_diff_sides(
+//!     &DiffSide::lean(&old_lean, &old_keyed, &old_web),
+//!     &DiffSide::lean(&new_lean, &new_keyed, &new_web),
+//!     &options,
+//! );
 //! let lcs = lcs_diff_keyed(&old, &new, &old_keyed, &new_keyed, &LcsDiffOptions::default())?;
 //! assert!(views.num_differences() > 0);
 //! assert!(views.num_differences() <= lcs.num_differences());
@@ -75,6 +80,6 @@ pub use matching::{DiffKind, DiffSequence, Matching};
 pub use result::TraceDiffResult;
 pub use session::{DiffSession, ProvisionalEvent, SessionArtifacts, SessionFinish};
 pub use views_diff::{
-    views_diff_correlated, views_diff_keyed, views_diff_sides, views_diff_sides_correlated,
-    DiffSide, ViewsDiffOptions, ViewsDiffOptionsBuilder,
+    views_diff_sides, views_diff_sides_correlated, DiffSide, ViewsDiffOptions,
+    ViewsDiffOptionsBuilder,
 };

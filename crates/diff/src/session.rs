@@ -523,8 +523,12 @@ mod tests {
         OLD.replace("sp.handle(64)", "sp.handle(65)")
     }
 
-    fn prepared(trace: &Trace) -> (KeyedTrace, ViewWeb) {
-        (KeyedTrace::build(trace), ViewWeb::build(trace))
+    fn prepared(trace: &Trace) -> (LeanTrace, KeyedTrace, ViewWeb) {
+        (
+            LeanTrace::build(trace),
+            KeyedTrace::build(trace),
+            ViewWeb::build(trace),
+        )
     }
 
     fn session_result(
@@ -533,8 +537,8 @@ mod tests {
         chunk: usize,
         options: &ViewsDiffOptions,
     ) -> (TraceDiffResult, Vec<ProvisionalEvent>) {
-        let (keyed, web) = prepared(old);
-        let left = DiffSide::full(old, &keyed, &web);
+        let (lean, keyed, web) = prepared(old);
+        let left = DiffSide::lean(&lean, &keyed, &web);
         let mut session = DiffSession::new(new.meta.clone(), options.clone());
         let mut events = Vec::new();
         for chunk in new.entries.chunks(chunk.max(1)) {
@@ -550,11 +554,11 @@ mod tests {
         let old = trace_of(OLD, "old");
         let new = trace_of(&new_src(), "new");
         let options = ViewsDiffOptions::default();
-        let (okeyed, oweb) = prepared(&old);
-        let (nkeyed, nweb) = prepared(&new);
+        let (olean, okeyed, oweb) = prepared(&old);
+        let (nlean, nkeyed, nweb) = prepared(&new);
         let batch = views_diff_sides_correlated(
-            &DiffSide::full(&old, &okeyed, &oweb),
-            &DiffSide::full(&new, &nkeyed, &nweb),
+            &DiffSide::lean(&olean, &okeyed, &oweb),
+            &DiffSide::lean(&nlean, &nkeyed, &nweb),
             &Correlation::build(&oweb, &nweb),
             &options,
         );
@@ -603,8 +607,8 @@ mod tests {
     fn matches_stream_before_finish() {
         let old = trace_of(OLD, "old");
         let new = trace_of(&new_src(), "new");
-        let (keyed, web) = prepared(&old);
-        let left = DiffSide::full(&old, &keyed, &web);
+        let (lean, keyed, web) = prepared(&old);
+        let left = DiffSide::lean(&lean, &keyed, &web);
         let mut session = DiffSession::new(new.meta.clone(), ViewsDiffOptions::default());
         let mut pre_finish = 0usize;
         for chunk in new.entries.chunks(4) {

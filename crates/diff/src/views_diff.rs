@@ -36,9 +36,7 @@
 
 use std::time::Instant;
 
-use rprism_trace::{
-    KeyRef, KeyedTrace, LeanEntry, LeanTrace, ObjIdent, ObjRep, ThreadId, Trace, TraceEntry,
-};
+use rprism_trace::{KeyRef, KeyedTrace, LeanEntry, LeanTrace};
 use rprism_views::correlate::relaxed::same_distance_from_anchor;
 use rprism_views::{Correlation, ViewId, ViewKind, ViewWeb};
 
@@ -147,41 +145,28 @@ impl ViewsDiffOptionsBuilder {
 }
 
 /// One side of a prepared differencing run: the precomputed artifacts (keys and web)
-/// plus just enough per-entry context for the mismatch exploration — either the full
-/// trace or its [`LeanTrace`] reduction (the form streaming ingestion retains).
-///
-/// The differencer reads identical information from both forms (thread ids and object
-/// correlation identities), so a lean side produces exactly the matching, sequences and
-/// compare counts of a full side over the same trace.
+/// plus the trace's [`LeanTrace`] per-entry context — the thread ids and object
+/// correlation identities the mismatch exploration reads.
 #[derive(Clone, Copy, Debug)]
 pub struct DiffSide<'a> {
     pub(crate) keyed: &'a KeyedTrace,
     pub(crate) web: &'a ViewWeb,
-    ctx: EntryCtx<'a>,
+    entries: &'a [LeanEntry],
 }
 
 impl<'a> DiffSide<'a> {
-    /// A side backed by a fully materialized trace.
-    pub fn full(trace: &'a Trace, keyed: &'a KeyedTrace, web: &'a ViewWeb) -> Self {
-        DiffSide {
-            keyed,
-            web,
-            ctx: EntryCtx::Full(&trace.entries),
-        }
-    }
-
-    /// A side backed by a lean (streamed) trace.
+    /// Bundles one trace's lean context, keys and view web into a side.
     pub fn lean(lean: &'a LeanTrace, keyed: &'a KeyedTrace, web: &'a ViewWeb) -> Self {
         DiffSide {
             keyed,
             web,
-            ctx: EntryCtx::Lean(lean.entries()),
+            entries: lean.entries(),
         }
     }
 
     /// Number of entries on this side.
     pub fn len(&self) -> usize {
-        self.ctx.len()
+        self.entries.len()
     }
 
     /// Returns `true` when this side has no entries.
@@ -200,83 +185,8 @@ impl<'a> DiffSide<'a> {
     }
 }
 
-/// Per-entry context of one side: full entries or their lean reductions.
-#[derive(Clone, Copy, Debug)]
-enum EntryCtx<'a> {
-    Full(&'a [TraceEntry]),
-    Lean(&'a [LeanEntry]),
-}
-
-impl<'a> EntryCtx<'a> {
-    fn len(&self) -> usize {
-        match self {
-            EntryCtx::Full(entries) => entries.len(),
-            EntryCtx::Lean(entries) => entries.len(),
-        }
-    }
-
-    fn tid(&self, index: usize) -> ThreadId {
-        match self {
-            EntryCtx::Full(entries) => entries[index].tid,
-            EntryCtx::Lean(entries) => entries[index].tid,
-        }
-    }
-
-    fn active(&self, index: usize) -> ObjCtx<'a> {
-        match self {
-            EntryCtx::Full(entries) => ObjCtx::Full(&entries[index].active),
-            EntryCtx::Lean(entries) => ObjCtx::Lean(entries[index].active),
-        }
-    }
-
-    fn target(&self, index: usize) -> Option<ObjCtx<'a>> {
-        match self {
-            EntryCtx::Full(entries) => entries[index].event.target_object().map(ObjCtx::Full),
-            EntryCtx::Lean(entries) => entries[index].target.map(ObjCtx::Lean),
-        }
-    }
-}
-
-/// One object representation in full or lean form, for the direct-correlation fallback.
-#[derive(Clone, Copy, Debug)]
-enum ObjCtx<'a> {
-    Full(&'a ObjRep),
-    Lean(ObjIdent),
-}
-
-/// [`ObjRep::correlates_with`] over mixed forms; every combination reads the same three
-/// fields, so the verdict is independent of which form each side happens to be in.
-fn obj_correlates(left: ObjCtx<'_>, right: ObjCtx<'_>) -> bool {
-    match (left, right) {
-        (ObjCtx::Full(l), ObjCtx::Full(r)) => l.correlates_with(r),
-        (ObjCtx::Lean(l), ObjCtx::Lean(r)) => l.correlates_with(&r),
-        (ObjCtx::Lean(l), ObjCtx::Full(r)) => l.correlates_with_rep(r),
-        (ObjCtx::Full(l), ObjCtx::Lean(r)) => r.correlates_with_rep(l),
-    }
-}
-
-/// The fully precomputed entry point: traces, webs and keyed traces all supplied by the
-/// caller; the pair's view [`Correlation`] is built here. This is the form the
-/// regression-cause analysis uses — each trace participates in many comparisons, and its
-/// web and keys are built at most once per session and shared across all of them.
-pub fn views_diff_keyed(
-    left: &Trace,
-    right: &Trace,
-    left_web: &ViewWeb,
-    right_web: &ViewWeb,
-    left_keyed: &KeyedTrace,
-    right_keyed: &KeyedTrace,
-    options: &ViewsDiffOptions,
-) -> TraceDiffResult {
-    views_diff_sides(
-        &DiffSide::full(left, left_keyed, left_web),
-        &DiffSide::full(right, right_keyed, right_web),
-        options,
-    )
-}
-
-/// [`views_diff_keyed`] over [`DiffSide`]s — the form that accepts lean (streamed)
-/// sides as well as full ones. The pair's view [`Correlation`] is built here.
+/// Views-differences two prepared sides; the pair's view [`Correlation`] is built
+/// here.
 pub fn views_diff_sides(
     left: &DiffSide<'_>,
     right: &DiffSide<'_>,
@@ -289,32 +199,10 @@ pub fn views_diff_sides(
     views_diff_sides_from(start, left, right, &correlation, options)
 }
 
-/// The maximally precomputed entry point: everything [`views_diff_keyed`] derives —
-/// including the pair's view [`Correlation`] — supplied by the caller. This is the
-/// backend of `rprism::Engine::diff`, whose session cache holds one correlation per
-/// trace pair so that repeated diffs of the same pair skip straight to the lock-step
-/// scan.
-#[allow(clippy::too_many_arguments)]
-pub fn views_diff_correlated(
-    left: &Trace,
-    right: &Trace,
-    left_web: &ViewWeb,
-    right_web: &ViewWeb,
-    left_keyed: &KeyedTrace,
-    right_keyed: &KeyedTrace,
-    correlation: &Correlation,
-    options: &ViewsDiffOptions,
-) -> TraceDiffResult {
-    views_diff_sides_correlated(
-        &DiffSide::full(left, left_keyed, left_web),
-        &DiffSide::full(right, right_keyed, right_web),
-        correlation,
-        options,
-    )
-}
-
-/// [`views_diff_correlated`] over [`DiffSide`]s — everything supplied by the caller,
-/// either side full or lean.
+/// [`views_diff_sides`] with the pair's view [`Correlation`] supplied by the caller.
+/// This is the backend of `rprism::Engine::diff`, whose session cache holds one
+/// correlation per trace pair so that repeated diffs of the same pair skip straight to
+/// the lock-step scan.
 pub fn views_diff_sides_correlated(
     left: &DiffSide<'_>,
     right: &DiffSide<'_>,
@@ -388,12 +276,11 @@ impl<'a> Differ<'a> {
             .key_eq(left_idx, self.right.keyed, right_idx)
     }
 
-    /// The per-entry correlation function `X_τ(γ_L, γ_R)` of Fig. 9 over side contexts:
+    /// The per-entry correlation function `X_τ(γ_L, γ_R)` of Fig. 9 over lean contexts:
     /// the pair of correlated view ids of type `kind` the two entries belong to, or
     /// `None` when their views of that type do not correlate. This reads exactly the
     /// information `rprism_views::correlate_entry_views` reads from full entries
-    /// (thread ids; object correlation identities for the uncorrelated-view fallback),
-    /// so full and lean sides produce identical verdicts.
+    /// (thread ids; object correlation identities for the uncorrelated-view fallback).
     fn correlate_at(
         &self,
         kind: ViewKind,
@@ -402,28 +289,23 @@ impl<'a> Differ<'a> {
     ) -> Option<(ViewId, ViewId)> {
         let l = self.left.web.entry_view(left_idx, kind)?;
         let r = self.right.web.entry_view(right_idx, kind)?;
+        let (le, re) = (&self.left.entries[left_idx], &self.right.entries[right_idx]);
         let correlated = match kind {
-            ViewKind::Thread => {
-                self.correlation.threads.get(&self.left.ctx.tid(left_idx))
-                    == Some(&self.right.ctx.tid(right_idx))
-            }
+            ViewKind::Thread => self.correlation.threads.get(&le.tid) == Some(&re.tid),
             ViewKind::Method => {
                 // Signatures are interned: equal fully qualified names ⇔ equal view keys.
                 self.left.web.view_by_id(l).key == self.right.web.view_by_id(r).key
             }
             ViewKind::TargetObject => {
-                let lt = self.left.ctx.target(left_idx)?;
-                let rt = self.right.ctx.target(right_idx)?;
+                let (lt, rt) = (le.target?, re.target?);
                 self.correlation
                     .object_verdict(l, r)
-                    .unwrap_or_else(|| obj_correlates(lt, rt))
+                    .unwrap_or_else(|| lt.correlates_with(&rt))
             }
-            ViewKind::ActiveObject => self.correlation.object_verdict(l, r).unwrap_or_else(|| {
-                obj_correlates(
-                    self.left.ctx.active(left_idx),
-                    self.right.ctx.active(right_idx),
-                )
-            }),
+            ViewKind::ActiveObject => self
+                .correlation
+                .object_verdict(l, r)
+                .unwrap_or_else(|| le.active.correlates_with(&re.active)),
         };
         correlated.then_some((l, r))
     }
@@ -568,25 +450,22 @@ mod tests {
     use super::*;
     use crate::lcs_diff::{lcs_diff, LcsDiffOptions};
     use rprism_lang::parser::parse_program;
-    use rprism_trace::TraceMeta;
+    use rprism_trace::{Trace, TraceMeta};
     use rprism_vm::{run_traced, VmConfig};
 
-    /// The one-shot views diff: fresh webs and keys for both traces, then
-    /// [`views_diff_keyed`].
+    /// The one-shot views diff: fresh lean contexts, keys and webs for both traces, then
+    /// [`views_diff_sides`].
     fn fresh_views_diff(
         left: &Trace,
         right: &Trace,
         options: &ViewsDiffOptions,
     ) -> TraceDiffResult {
-        let (left_web, right_web) = (ViewWeb::build(left), ViewWeb::build(right));
-        let (left_keyed, right_keyed) = (KeyedTrace::build(left), KeyedTrace::build(right));
-        views_diff_keyed(
-            left,
-            right,
-            &left_web,
-            &right_web,
-            &left_keyed,
-            &right_keyed,
+        let prepare = |t: &Trace| (LeanTrace::build(t), KeyedTrace::build(t), ViewWeb::build(t));
+        let (ll, lk, lw) = prepare(left);
+        let (rl, rk, rw) = prepare(right);
+        views_diff_sides(
+            &DiffSide::lean(&ll, &lk, &lw),
+            &DiffSide::lean(&rl, &rk, &rw),
             options,
         )
     }

@@ -6,11 +6,11 @@
 //! every produced matching must be structurally valid.
 
 use rprism_diff::{
-    anchored_diff, lcs_diff, views_diff_keyed, AnchoredDiffOptions, LcsDiffOptions, LcsKernel,
-    TraceDiffResult, ViewsDiffOptions,
+    anchored_diff, lcs_diff, views_diff_sides, AnchoredDiffOptions, DiffSide, LcsDiffOptions,
+    LcsKernel, TraceDiffResult, ViewsDiffOptions,
 };
 use rprism_trace::testgen::{GenProfile, Rng};
-use rprism_trace::{KeyedTrace, Trace};
+use rprism_trace::{KeyedTrace, LeanTrace, Trace};
 use rprism_views::ViewWeb;
 
 /// Structural validity of a *subsequence* matching (LCS, anchored): both sides
@@ -114,16 +114,13 @@ fn hostile_gen_profiles_never_panic_any_backend() {
         // Views: both secondary kernels, matching-identical.
         let (left_web, right_web) = (ViewWeb::build(&left), ViewWeb::build(&right));
         let (left_keyed, right_keyed) = (KeyedTrace::build(&left), KeyedTrace::build(&right));
+        let (left_lean, right_lean) = (LeanTrace::build(&left), LeanTrace::build(&right));
         let views: Vec<TraceDiffResult> = [LcsKernel::Dp, LcsKernel::BitParallel]
             .iter()
             .map(|&kernel| {
-                views_diff_keyed(
-                    &left,
-                    &right,
-                    &left_web,
-                    &right_web,
-                    &left_keyed,
-                    &right_keyed,
+                views_diff_sides(
+                    &DiffSide::lean(&left_lean, &left_keyed, &left_web),
+                    &DiffSide::lean(&right_lean, &right_keyed, &right_web),
                     &ViewsDiffOptions::builder().secondary_kernel(kernel).build(),
                 )
             })

@@ -53,7 +53,7 @@ fn allocation_count() -> u64 {
 use rprism_diff::{views_diff_sides_correlated, DiffSide, TraceDiffResult, ViewsDiffOptions};
 use rprism_lang::parser::parse_program;
 use rprism_trace::testgen::{arbitrary_entry, Rng};
-use rprism_trace::{event_eq, par, KeyedTrace, Trace, TraceMeta};
+use rprism_trace::{event_eq, par, KeyedTrace, LeanTrace, Trace, TraceMeta};
 use rprism_views::{Correlation, ViewWeb};
 use rprism_vm::{run_traced, VmConfig};
 
@@ -158,11 +158,9 @@ fn work_trace(calls: usize, every: Option<usize>) -> Trace {
 fn counted_diff(left: &Trace, right: &Trace) -> (u64, TraceDiffResult) {
     let (lk, rk) = (KeyedTrace::build(left), KeyedTrace::build(right));
     let (lw, rw) = (ViewWeb::build(left), ViewWeb::build(right));
+    let (ll, rl) = (LeanTrace::build(left), LeanTrace::build(right));
     let correlation = Correlation::build(&lw, &rw);
-    let (ls, rs) = (
-        DiffSide::full(left, &lk, &lw),
-        DiffSide::full(right, &rk, &rw),
-    );
+    let (ls, rs) = (DiffSide::lean(&ll, &lk, &lw), DiffSide::lean(&rl, &rk, &rw));
     let options = ViewsDiffOptions::default();
     par::inline(|| {
         // Warm-up: any lazily initialized state is paid before counting.

@@ -23,15 +23,14 @@ use rprism_diff::{
     anchored_diff_prepared, lcs_diff_prepared, views_diff_sides, AnchoredDiffOptions, DiffError,
     DiffSequence, DiffSide, LcsDiffOptions, TraceDiffResult, ViewsDiffOptions,
 };
-use rprism_trace::{KeyedTrace, LeanTrace, Trace};
+use rprism_trace::{KeyedTrace, LeanTrace};
 use rprism_views::ViewWeb;
 
 use crate::sets::{DiffSet, DiffSignature};
 
-/// Borrowed prepared artifacts of one trace: its per-entry context (the full trace, or
-/// the lean reduction a streamed trace retains), its precomputed event keys, and (for
-/// the views algorithm) its view web. Produced by `rprism::PreparedTrace` handles or by
-/// any caller that manages its own caches.
+/// Borrowed prepared artifacts of one trace: its [`LeanTrace`] per-entry context, its
+/// precomputed event keys, and (for the views algorithm) its view web. Produced by
+/// `rprism::PreparedTrace` handles or by any caller that manages its own caches.
 #[derive(Clone, Copy, Debug)]
 pub struct PreparedTraceRef<'a> {
     /// Precomputed interned event keys for `=e` comparisons and difference signatures.
@@ -39,50 +38,18 @@ pub struct PreparedTraceRef<'a> {
     /// The trace's view web. Required (`Some`) when analyzing with
     /// [`DiffAlgorithm::Views`]; the LCS baseline ignores it.
     pub web: Option<&'a ViewWeb>,
-    ctx: RefCtx<'a>,
-}
-
-/// Per-entry context of one prepared reference.
-#[derive(Clone, Copy, Debug)]
-enum RefCtx<'a> {
-    Full(&'a Trace),
-    Lean(&'a LeanTrace),
+    lean: &'a LeanTrace,
 }
 
 impl<'a> PreparedTraceRef<'a> {
-    /// Bundles borrowed artifacts of a fully materialized trace into a reference.
-    pub fn new(trace: &'a Trace, keyed: &'a KeyedTrace, web: Option<&'a ViewWeb>) -> Self {
-        PreparedTraceRef {
-            keyed,
-            web,
-            ctx: RefCtx::Full(trace),
-        }
-    }
-
-    /// Bundles borrowed artifacts of a lean (streamed) trace into a reference.
-    pub fn lean(lean: &'a LeanTrace, keyed: &'a KeyedTrace, web: Option<&'a ViewWeb>) -> Self {
-        PreparedTraceRef {
-            keyed,
-            web,
-            ctx: RefCtx::Lean(lean),
-        }
-    }
-
-    /// The fully materialized trace, when this reference wraps one (`None` for lean,
-    /// streamed traces).
-    pub fn trace(&self) -> Option<&'a Trace> {
-        match self.ctx {
-            RefCtx::Full(trace) => Some(trace),
-            RefCtx::Lean(_) => None,
-        }
+    /// Bundles borrowed artifacts of one trace into a reference.
+    pub fn new(lean: &'a LeanTrace, keyed: &'a KeyedTrace, web: Option<&'a ViewWeb>) -> Self {
+        PreparedTraceRef { keyed, web, lean }
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        match self.ctx {
-            RefCtx::Full(trace) => trace.len(),
-            RefCtx::Lean(lean) => lean.len(),
-        }
+        self.lean.len()
     }
 
     /// Returns `true` when the trace has no entries.
@@ -91,30 +58,22 @@ impl<'a> PreparedTraceRef<'a> {
     }
 
     /// The [`DiffSignature`] of entry `index`, assembled from the precomputed key plus
-    /// the entry's context (method and active-object class) in whichever form this
-    /// reference holds. `None` when `index` is out of range.
+    /// the entry's method and active-object class. `None` when `index` is out of range.
     pub fn signature_at(&self, index: usize) -> Option<DiffSignature> {
-        match self.ctx {
-            RefCtx::Full(trace) => trace
-                .entries
-                .get(index)
-                .map(|e| DiffSignature::of_keyed(self.keyed, index, e)),
-            RefCtx::Lean(lean) => lean.entries().get(index).map(|le| {
-                DiffSignature::from_key_context(self.keyed, index, le.method, le.active.class)
-            }),
-        }
-    }
-
-    fn web_for_views(&self) -> &'a ViewWeb {
-        self.web
-            .expect("view web must be prepared for the views algorithm")
+        let entry = self.lean.entries().get(index)?;
+        Some(DiffSignature::from_key_context(
+            self.keyed,
+            index,
+            entry.method,
+            entry.active.class,
+        ))
     }
 
     fn diff_side_for_views(&self) -> DiffSide<'a> {
-        match self.ctx {
-            RefCtx::Full(trace) => DiffSide::full(trace, self.keyed, self.web_for_views()),
-            RefCtx::Lean(lean) => DiffSide::lean(lean, self.keyed, self.web_for_views()),
-        }
+        let web = self
+            .web
+            .expect("view web must be prepared for the views algorithm");
+        DiffSide::lean(self.lean, self.keyed, web)
     }
 }
 
@@ -315,9 +274,8 @@ pub fn analyze_prepared_with(
         input.new_passing,
     );
 
-    // Difference sets are assembled from the unmatched entries' signatures; full and
-    // lean references produce identical signatures for the same entries, so this is
-    // `DiffSet::from_diff_keyed` generalized over both context forms.
+    // Difference sets are assembled from the unmatched entries' signatures: the
+    // `DiffSet::from_diff_keyed` of a full trace, read from the lean context.
     let diff_set =
         |diff: &TraceDiffResult, left: PreparedTraceRef<'_>, right: PreparedTraceRef<'_>| {
             DiffSet::of_unmatched(
@@ -398,7 +356,7 @@ pub fn analyze_prepared_with(
 pub(crate) mod tests {
     use super::*;
     use rprism_lang::parser::parse_program;
-    use rprism_trace::TraceMeta;
+    use rprism_trace::{Trace, TraceMeta};
     use rprism_vm::{run_traced, VmConfig};
 
     /// The four traces of one scenario, owned, for tests that build them from source.
@@ -416,17 +374,17 @@ pub(crate) mod tests {
         algorithm: &DiffAlgorithm,
         mode: AnalysisMode,
     ) -> Result<RegressionReport, DiffError> {
-        let prep = |t: &Trace| (KeyedTrace::build(t), ViewWeb::build(t));
-        let (ork, orw) = prep(&traces.old_regressing);
-        let (nrk, nrw) = prep(&traces.new_regressing);
-        let (opk, opw) = prep(&traces.old_passing);
-        let (npk, npw) = prep(&traces.new_passing);
+        let prep = |t: &Trace| (LeanTrace::build(t), KeyedTrace::build(t), ViewWeb::build(t));
+        let (orl, ork, orw) = prep(&traces.old_regressing);
+        let (nrl, nrk, nrw) = prep(&traces.new_regressing);
+        let (opl, opk, opw) = prep(&traces.old_passing);
+        let (npl, npk, npw) = prep(&traces.new_passing);
         analyze_prepared(
             &PreparedInput {
-                old_regressing: PreparedTraceRef::new(&traces.old_regressing, &ork, Some(&orw)),
-                new_regressing: PreparedTraceRef::new(&traces.new_regressing, &nrk, Some(&nrw)),
-                old_passing: PreparedTraceRef::new(&traces.old_passing, &opk, Some(&opw)),
-                new_passing: PreparedTraceRef::new(&traces.new_passing, &npk, Some(&npw)),
+                old_regressing: PreparedTraceRef::new(&orl, &ork, Some(&orw)),
+                new_regressing: PreparedTraceRef::new(&nrl, &nrk, Some(&nrw)),
+                old_passing: PreparedTraceRef::new(&opl, &opk, Some(&opw)),
+                new_passing: PreparedTraceRef::new(&npl, &npk, Some(&npw)),
             },
             algorithm,
             mode,

@@ -15,16 +15,15 @@
 //!
 //! [`LeanEntry`] captures exactly that, with every name interned to a [`Symbol`]: a
 //! plain-data struct a fraction of the size of a decoded entry, held in one flat `Vec`.
-//! It is built from an [`EntryRef`], so a streamed entry never exists in full.
-//! Streaming ingestion (`rprism_core::ingest`) builds a [`LeanTrace`] instead of a
-//! [`Trace`](crate::trace::Trace), which is what lets two large on-disk traces be
-//! differenced without ever materializing either one.
-
-use crate::batch::EntryRef;
+//! It is built from an [`EntryRef`], so a streamed entry never exists in full. A
+//! [`LeanTrace`] is the only per-entry context the diff and analysis layers read:
+//! streaming ingestion (`rprism_core::ingest`) builds one instead of a [`Trace`], and
+//! an in-memory trace gets one from [`LeanTrace::build`].
+use crate::batch::{EntryBatch, EntryRef};
 use crate::entry::ThreadId;
 use crate::intern::{intern, Symbol};
 use crate::objrep::{CreationSeq, ObjRep, ValueFingerprint};
-use crate::trace::TraceMeta;
+use crate::trace::{Trace, TraceMeta};
 
 /// The cross-trace correlation identity of one object representation: the three fields
 /// [`ObjRep::correlates_with`] consults, with the class name interned.
@@ -54,24 +53,6 @@ impl ObjIdent {
     /// [`ObjRep::correlates_with`] on the underlying representations.
     pub fn correlates_with(&self, other: &ObjIdent) -> bool {
         if self.class != other.class {
-            return false;
-        }
-        if self.fingerprint.is_meaningful()
-            && other.fingerprint.is_meaningful()
-            && self.fingerprint == other.fingerprint
-        {
-            return true;
-        }
-        match (self.creation_seq, other.creation_seq) {
-            (Some(a), Some(b)) => a == b,
-            _ => false,
-        }
-    }
-
-    /// Mixed-form correlation against a full representation (one side lean, one side
-    /// full — e.g. a streamed trace differenced against a freshly traced one).
-    pub fn correlates_with_rep(&self, other: &ObjRep) -> bool {
-        if self.class.as_str() != other.class {
             return false;
         }
         if self.fingerprint.is_meaningful()
@@ -144,6 +125,17 @@ impl LeanTrace {
         }
     }
 
+    /// Builds the lean form of a trace in one pass (through the [`EntryBatch`]
+    /// adapter), like [`KeyedTrace::build`](crate::keyed::KeyedTrace::build).
+    pub fn build(trace: &Trace) -> Self {
+        let mut lean = LeanTrace {
+            meta: trace.meta.clone(),
+            entries: Vec::with_capacity(trace.len()),
+        };
+        EntryBatch::visit(&trace.entries, |entry| lean.push(entry));
+        lean
+    }
+
     /// Appends the lean context of one entry (exposed for incremental/streaming
     /// construction).
     pub fn push(&mut self, entry: EntryRef<'_>) {
@@ -174,7 +166,6 @@ impl LeanTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::EntryBatch;
     use crate::entry::TraceEntry;
     use crate::testgen::{arbitrary_entry, Rng};
 
@@ -195,9 +186,7 @@ mod tests {
             for b in &reps {
                 let full = a.correlates_with(b);
                 let lean = ObjIdent::of(a).correlates_with(&ObjIdent::of(b));
-                let mixed = ObjIdent::of(a).correlates_with_rep(b);
                 assert_eq!(full, lean, "lean correlation diverged for {a:?} vs {b:?}");
-                assert_eq!(full, mixed, "mixed correlation diverged for {a:?} vs {b:?}");
             }
         }
     }

@@ -1,5 +1,5 @@
 //! Equivalence of the session-oriented `Engine` API with the free-function entry points
-//! over freshly built artifacts (`views_diff_keyed`, `analyze_prepared`) on the four
+//! over freshly built artifacts (`views_diff_sides`, `analyze_prepared`) on the four
 //! §5.2 case studies: same matchings, same difference sequences, same analysis sets,
 //! same deterministic cost accounting (everything except wall-clock timestamps is
 //! identical). Also proves the caching contract: a
@@ -7,17 +7,22 @@
 //! them, and the batch entry points reproduce the single-call results in input order.
 
 use rprism::{Engine, PreparedTrace, RegressionInput};
-use rprism_diff::{views_diff_keyed, TraceDiffResult, ViewsDiffOptions};
+use rprism_diff::{views_diff_sides, DiffSide, TraceDiffResult, ViewsDiffOptions};
 use rprism_regress::{
     analyze_prepared, DiffAlgorithm, PreparedInput, PreparedTraceRef, RegressionReport,
 };
-use rprism_trace::{KeyedTrace, Trace};
+use rprism_trace::{KeyedTrace, LeanTrace, Trace};
 use rprism_views::ViewWeb;
 use rprism_workloads::casestudies;
 
-/// Keys and web of one trace, built from scratch (nothing shared with the engine).
-fn fresh(trace: &Trace) -> (KeyedTrace, ViewWeb) {
-    (KeyedTrace::build(trace), ViewWeb::build(trace))
+/// Lean context, keys and web of one trace, built from scratch (nothing shared with
+/// the engine).
+fn fresh(trace: &Trace) -> (LeanTrace, KeyedTrace, ViewWeb) {
+    (
+        LeanTrace::build(trace),
+        KeyedTrace::build(trace),
+        ViewWeb::build(trace),
+    )
 }
 
 fn assert_same_diff(name: &str, a: &TraceDiffResult, b: &TraceDiffResult) {
@@ -63,14 +68,10 @@ fn engine_diff_matches_deprecated_views_diff_on_all_case_studies() {
         let old = &traces.traces.old_regressing;
         let new = &traces.traces.new_regressing;
 
-        let ((old_keyed, old_web), (new_keyed, new_web)) = (fresh(old), fresh(new));
-        let free = views_diff_keyed(
-            old,
-            new,
-            &old_web,
-            &new_web,
-            &old_keyed,
-            &new_keyed,
+        let ((ol, ok, ow), (nl, nk, nw)) = (fresh(old), fresh(new));
+        let free = views_diff_sides(
+            &DiffSide::lean(&ol, &ok, &ow),
+            &DiffSide::lean(&nl, &nk, &nw),
             &ViewsDiffOptions::default(),
         );
         let session = engine.diff(old, new).expect("views never fails");
@@ -89,8 +90,9 @@ fn engine_analysis_matches_deprecated_analyze_on_all_case_studies() {
             traces.traces.old_passing.trace(),
             traces.traces.new_passing.trace(),
         ];
-        let built: Vec<(KeyedTrace, ViewWeb)> = four.iter().map(|t| fresh(t)).collect();
-        let prepared = |i: usize| PreparedTraceRef::new(four[i], &built[i].0, Some(&built[i].1));
+        let built: Vec<(LeanTrace, KeyedTrace, ViewWeb)> = four.iter().map(|t| fresh(t)).collect();
+        let prepared =
+            |i: usize| PreparedTraceRef::new(&built[i].0, &built[i].1, Some(&built[i].2));
         let input = PreparedInput {
             old_regressing: prepared(0),
             new_regressing: prepared(1),
