@@ -32,30 +32,11 @@ use rprism_regress::{DiffSet, DiffSignature};
 use rprism_trace::{intern, EventKind, Symbol, ValueFingerprint};
 
 /// The wire-protocol version; bumped on any message change. Every payload starts
-/// with this byte.
-///
-/// Version 2 added the [`Response::Busy`] load-shed frame, the
-/// [`Response::Corrupt`] quarantine answer, and the recovery counters at the end
-/// of [`WireStats`]. Version 3 added [`Request::Check`] / [`Response::CheckOk`].
-/// Version 4 added the live-watch exchange — [`Request::WatchStart`],
-/// [`Request::PutStream`], [`Response::WatchStarted`], [`Response::WatchEvent`],
-/// [`Response::WatchDone`] — and the structured [`Response::CheckDenied`] answer
-/// for a watch aborted by the server's ingest check. Version 5 added the
-/// observability pair — [`Request::Metrics`] / [`Response::MetricsOk`] (the
-/// server-rendered Prometheus exposition) and [`Request::ObsTrace`] /
-/// [`Response::ObsTraceOk`] (the server's own recent execution serialized as a
-/// canonical trace blob).
-///
-/// Encoders always stamp the current version; decoders accept every version from
-/// [`MIN_PROTO_VERSION`] up, and each message tag carries the version that
-/// introduced it — so a version-2 peer keeps working against a version-5 server
-/// for every version-2 message, while a version-2 frame carrying a newer tag
-/// is refused with a structured decode error (which the server answers with an
-/// error frame, keeping the connection alive) instead of a garbled decode.
+/// with this byte. Client and server ship in one binary, so encoders stamp it and
+/// decoders accept it alone: a frame with any other version byte is refused with
+/// [`FormatError::UnsupportedVersion`], which the server answers with an error frame
+/// while keeping the connection open.
 pub const PROTO_VERSION: u8 = 5;
-
-/// The oldest protocol version the decoders still accept (see [`PROTO_VERSION`]).
-pub const MIN_PROTO_VERSION: u8 = 2;
 
 const TAG_PUT: u8 = 0x01;
 const TAG_GET: u8 = 0x02;
@@ -87,19 +68,6 @@ const TAG_OBS_TRACE_OK: u8 = 0x8e;
 const TAG_BUSY: u8 = 0xfd;
 const TAG_CORRUPT: u8 = 0xfe;
 const TAG_ERROR: u8 = 0xff;
-
-/// The protocol version that introduced a message tag. A frame whose version byte
-/// predates its tag is a peer speaking a version it does not actually have; the
-/// decoders refuse it with a structured error naming the required version.
-fn tag_min_version(tag: u8) -> u8 {
-    match tag {
-        TAG_CHECK | TAG_CHECK_OK => 3,
-        TAG_WATCH_START | TAG_PUT_STREAM | TAG_WATCH_STARTED | TAG_WATCH_EVENT | TAG_WATCH_DONE
-        | TAG_CHECK_DENIED => 4,
-        TAG_METRICS | TAG_OBS_TRACE | TAG_METRICS_OK | TAG_OBS_TRACE_OK => 5,
-        _ => MIN_PROTO_VERSION,
-    }
-}
 
 /// The differencing algorithm a [`Request::Diff`] / [`Request::Analyze`] asks the
 /// server to use. The server applies its configured options for the chosen family;
@@ -1080,20 +1048,13 @@ fn header(tag: u8) -> Vec<u8> {
 fn open(bytes: &[u8]) -> FormatResult<(u8, Dec<'_>)> {
     let mut dec = Dec::new(bytes);
     let version = dec.u8()?;
-    if !(MIN_PROTO_VERSION..=PROTO_VERSION).contains(&version) {
+    if version != PROTO_VERSION {
         return Err(FormatError::UnsupportedVersion {
             found: u16::from(version),
             supported: u16::from(PROTO_VERSION),
         });
     }
-    let tag = dec.u8()?;
-    if version < tag_min_version(tag) {
-        return Err(dec.corrupt(format!(
-            "message tag {tag:#04x} requires protocol version {}, frame is version {version}",
-            tag_min_version(tag)
-        )));
-    }
-    Ok((tag, dec))
+    Ok((dec.u8()?, dec))
 }
 
 impl Request {
@@ -1803,181 +1764,6 @@ mod tests {
         // A request is not a response and vice versa.
         assert!(Response::decode(&Request::List.encode()).is_err());
         assert!(Request::decode(&Response::ShutdownOk.encode()).is_err());
-    }
-
-    #[test]
-    fn version_2_frames_still_decode_for_version_2_messages() {
-        for request in [
-            Request::List,
-            Request::Get { hash: 9 },
-            Request::Stats,
-            Request::Shutdown,
-        ] {
-            let mut frame = request.encode();
-            frame[0] = 2;
-            assert_eq!(Request::decode(&frame).unwrap(), request);
-        }
-        let mut frame = Response::ShutdownOk.encode();
-        frame[0] = 2;
-        assert_eq!(Response::decode(&frame).unwrap(), Response::ShutdownOk);
-        // Version 1 frames are below the window and stay refused.
-        let mut frame = Request::List.encode();
-        frame[0] = 1;
-        assert!(matches!(
-            Request::decode(&frame),
-            Err(FormatError::UnsupportedVersion { found: 1, .. })
-        ));
-    }
-
-    #[test]
-    fn version_3_tags_in_version_2_frames_are_structured_errors() {
-        let mut frame = Request::Check {
-            hash: 1,
-            overrides: vec![],
-        }
-        .encode();
-        frame[0] = 2;
-        let error = Request::decode(&frame).unwrap_err();
-        assert!(
-            error.to_string().contains("requires protocol version 3"),
-            "got {error}"
-        );
-        let mut frame = Response::CheckOk(Box::default()).encode();
-        frame[0] = 2;
-        assert!(Response::decode(&frame).is_err());
-    }
-
-    #[test]
-    fn version_4_tags_in_older_frames_are_structured_errors() {
-        // Watch messages need protocol 4: a version-2 or version-3 frame carrying
-        // one is a structured refusal, while version-3 frames of version-3 messages
-        // (and version-2 frames of version-2 messages) keep decoding byte-identically.
-        for older in [2u8, 3] {
-            let mut frame = Request::WatchStart {
-                old: 1,
-                max_sequences: 4,
-            }
-            .encode();
-            frame[0] = older;
-            let error = Request::decode(&frame).unwrap_err();
-            assert!(
-                error.to_string().contains("requires protocol version 4"),
-                "got {error}"
-            );
-            let mut frame = Request::PutStream {
-                bytes: vec![1],
-                last: true,
-            }
-            .encode();
-            frame[0] = older;
-            assert!(Request::decode(&frame).is_err());
-            for response in [
-                Response::WatchStarted,
-                Response::WatchEvent { events: vec![] },
-                Response::CheckDenied(Box::default()),
-            ] {
-                let mut frame = response.encode();
-                frame[0] = older;
-                assert!(Response::decode(&frame).is_err());
-            }
-        }
-        // Version-3 frames of version-3 messages still decode.
-        let request = Request::Check {
-            hash: 1,
-            overrides: vec![],
-        };
-        let mut frame = request.encode();
-        frame[0] = 3;
-        assert_eq!(Request::decode(&frame).unwrap(), request);
-    }
-
-    #[test]
-    fn version_5_tags_in_older_frames_are_structured_errors() {
-        // The observability messages need protocol 5; every older version in the
-        // window refuses them with a structured error naming the required version.
-        for older in [2u8, 3, 4] {
-            for request in [Request::Metrics, Request::ObsTrace] {
-                let mut frame = request.encode();
-                frame[0] = older;
-                let error = Request::decode(&frame).unwrap_err();
-                assert!(
-                    error.to_string().contains("requires protocol version 5"),
-                    "got {error}"
-                );
-            }
-            for response in [
-                Response::MetricsOk {
-                    text: String::new(),
-                },
-                Response::ObsTraceOk { bytes: vec![] },
-            ] {
-                let mut frame = response.encode();
-                frame[0] = older;
-                assert!(Response::decode(&frame).is_err());
-            }
-        }
-        // Version-4 frames of version-4 messages still decode byte-identically.
-        let request = Request::WatchStart {
-            old: 1,
-            max_sequences: 4,
-        };
-        let mut frame = request.encode();
-        frame[0] = 4;
-        assert_eq!(Request::decode(&frame).unwrap(), request);
-    }
-
-    #[test]
-    fn pre_v5_frames_are_pinned_byte_for_byte() {
-        // Hand-built frames with explicit version bytes 2/3/4 — exactly what an
-        // older peer emits — must keep decoding to the same messages after the v5
-        // bump, and a current encoder must produce the identical body (only the
-        // version byte differs). This pins the old wire format, not just decoder
-        // tolerance.
-        let mut v2_get = vec![2u8, 0x02];
-        put_u64(&mut v2_get, 0xfeed);
-        assert_eq!(
-            Request::decode(&v2_get).unwrap(),
-            Request::Get { hash: 0xfeed }
-        );
-        assert_eq!(Request::Get { hash: 0xfeed }.encode()[1..], v2_get[1..]);
-
-        let v2_stats = vec![2u8, 0x06];
-        assert_eq!(Request::decode(&v2_stats).unwrap(), Request::Stats);
-        assert_eq!(Request::Stats.encode()[1..], v2_stats[1..]);
-
-        let mut v2_stats_ok = vec![2u8, 0x86];
-        for value in 1u64..=15 {
-            put_u64(&mut v2_stats_ok, value);
-        }
-        let decoded = Response::decode(&v2_stats_ok).unwrap();
-        let Response::StatsOk(stats) = &decoded else {
-            panic!("expected StatsOk, got {decoded:?}");
-        };
-        assert_eq!(stats.blobs, 1);
-        assert_eq!(stats.cache_shrinks, 15);
-        assert_eq!(decoded.encode()[1..], v2_stats_ok[1..]);
-
-        let mut v3_check = vec![3u8, 0x08];
-        put_u64(&mut v3_check, 42);
-        put_u64(&mut v3_check, 0); // no overrides
-        assert_eq!(
-            Request::decode(&v3_check).unwrap(),
-            Request::Check {
-                hash: 42,
-                overrides: vec![],
-            }
-        );
-
-        let mut v4_watch = vec![4u8, 0x09];
-        put_u64(&mut v4_watch, 7);
-        put_u64(&mut v4_watch, 3);
-        assert_eq!(
-            Request::decode(&v4_watch).unwrap(),
-            Request::WatchStart {
-                old: 7,
-                max_sequences: 3,
-            }
-        );
     }
 
     #[test]

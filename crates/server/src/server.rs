@@ -937,34 +937,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn version_3_request_in_version_2_frame_is_answered_and_the_connection_survives() {
-        let dir = temp_repo("version-skew");
-        let worker = worker(&dir);
-        // A peer stuck on protocol version 2 somehow sending the version-3 Check
-        // tag: the decode error must come back as a structured error frame and the
-        // connection must keep serving (no hang, no poisoned stream).
-        let mut check = Request::Check {
-            hash: 42,
-            overrides: vec![],
-        }
-        .encode();
-        check[0] = 2;
-        let mut input = framed(&check);
-        input.extend(framed(&Request::List.encode()));
-        let mut conn = MemConn::new(input);
-        worker.serve_connection(&mut conn);
-        let responses = conn.responses();
-        assert_eq!(responses.len(), 2, "both frames answered: {responses:?}");
-        assert!(
-            matches!(&responses[0], Response::Error { message }
-                if message.contains("requires protocol version 3")),
-            "got {responses:?}"
-        );
-        assert!(matches!(&responses[1], Response::ListOk { entries } if entries.is_empty()));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     /// Two source programs whose traces share a long common prefix (an "ordinary
     /// evolution"): the incremental scan emits provisional matches well before the
     /// upload ends.

@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 
 use rprism::Engine;
 use rprism_format::frame::{frame_to_bytes, read_frame};
-use rprism_format::{trace_to_bytes, Encoding};
+use rprism_format::{trace_to_bytes, Encoding, FormatError};
 use rprism_server::proto::{Request, Response};
 use rprism_server::{Client, Server, ServerConfig, ServerError, WireAlgorithm};
 use rprism_trace::testgen::{arbitrary_trace, Rng};
@@ -390,41 +390,45 @@ fn remote_check_matches_a_local_check_byte_for_byte() {
 }
 
 #[test]
-fn version_2_frames_interoperate_with_a_version_3_server() {
-    let (addr, server, dir) = start("proto-compat");
+fn foreign_protocol_versions_are_refused_and_the_connection_survives() {
+    let (addr, server, dir) = start("proto-version");
 
-    // A protocol-version-2 peer: its frames decode fine for version-2 messages,
-    // and a version-3 tag inside a version-2 frame gets a structured error frame —
-    // the connection survives both, and never hangs.
+    // Only `PROTO_VERSION` decodes: older and newer version bytes are refused with
+    // the structured version error, both by the decoder and over a live connection,
+    // which keeps serving afterwards.
     let mut raw = TcpStream::connect(addr).unwrap();
     raw.set_read_timeout(Some(TIMEOUT)).unwrap();
+    for version in [2u8, 3, 4, 6] {
+        let mut frame = Request::List.encode();
+        frame[0] = version;
+        assert!(
+            matches!(
+                Request::decode(&frame),
+                Err(FormatError::UnsupportedVersion { found, .. }) if found == u16::from(version)
+            ),
+            "version {version} decoded"
+        );
+        raw.write_all(&frame_to_bytes(&frame)).unwrap();
+        let reply = read_frame(&mut &raw, u64::MAX).unwrap().unwrap();
+        match Response::decode(&reply).unwrap() {
+            Response::Error { message } => {
+                assert!(
+                    message.contains("version"),
+                    "version {version}: {message:?}"
+                )
+            }
+            other => panic!("version {version}: expected an error frame, got {other:?}"),
+        }
+    }
 
-    let mut list_v2 = Request::List.encode();
-    list_v2[0] = 2;
-    raw.write_all(&frame_to_bytes(&list_v2)).unwrap();
+    // Same connection, still alive.
+    raw.write_all(&frame_to_bytes(&Request::List.encode()))
+        .unwrap();
     let reply = read_frame(&mut &raw, u64::MAX).unwrap().unwrap();
     assert!(matches!(
         Response::decode(&reply).unwrap(),
         Response::ListOk { entries } if entries.is_empty()
     ));
-
-    let mut check_v2 = Request::Check {
-        hash: 1,
-        overrides: vec![],
-    }
-    .encode();
-    check_v2[0] = 2;
-    raw.write_all(&frame_to_bytes(&check_v2)).unwrap();
-    let reply = read_frame(&mut &raw, u64::MAX).unwrap().unwrap();
-    match Response::decode(&reply).unwrap() {
-        Response::Error { message } => assert!(
-            message.contains("requires protocol version 3"),
-            "got {message:?}"
-        ),
-        other => panic!("expected an error frame, got {other:?}"),
-    }
-
-    // Same connection, still alive.
     raw.write_all(&frame_to_bytes(&Request::Shutdown.encode()))
         .unwrap();
     let reply = read_frame(&mut &raw, u64::MAX).unwrap().unwrap();
