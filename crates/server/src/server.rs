@@ -391,10 +391,6 @@ struct WatchState {
     max_sequences: usize,
 }
 
-/// Entries drained from the tail decoder per [`Watch::push_entries`] call — the same
-/// batch quantum the engine's streaming ingest uses.
-const WATCH_BATCH: usize = 256;
-
 impl Worker {
     /// Serves one connection to completion. Panics are contained per connection.
     fn serve_connection<C: Conn>(&self, stream: &mut C) {
@@ -688,7 +684,7 @@ impl Worker {
             }
             match state
                 .decoder
-                .read_refs(&mut batch, WATCH_BATCH)
+                .read_refs(&mut batch, rprism::ingest::BATCH_ENTRIES)
                 .map_err(ServerError::Format)?
             {
                 TailBatch::Entries(_) => {
