@@ -1,75 +1,9 @@
 //! Minimal measurement utilities shared by the `harness = false` bench binaries and the
-//! `perf_smoke` binary: environment-driven sample counts/sizes, a summary statistic
-//! over a set of timed runs, and a live/peak-bytes tracking allocator for peak-memory
-//! comparisons.
+//! `perf_smoke` binary: environment-driven sample counts/sizes and a summary statistic
+//! over a set of timed runs.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-
-static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
-static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
-
-/// A global allocator wrapper that tracks live heap bytes and their peak, for
-/// peak-memory measurements (the `streaming_ingest` block of `perf_smoke`). Install it
-/// in a binary with `#[global_allocator]`; the tracking costs two relaxed atomics per
-/// allocation.
-pub struct TrackingAllocator;
-
-impl TrackingAllocator {
-    fn record_alloc(size: usize) {
-        let live = LIVE_BYTES.fetch_add(size as u64, Ordering::Relaxed) + size as u64;
-        PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
-    }
-
-    fn record_dealloc(size: usize) {
-        LIVE_BYTES.fetch_sub(size as u64, Ordering::Relaxed);
-    }
-
-    /// Currently live heap bytes (as requested from the allocator).
-    pub fn live_bytes() -> u64 {
-        LIVE_BYTES.load(Ordering::SeqCst)
-    }
-
-    /// Resets the peak to the current live size and returns a token for
-    /// [`TrackingAllocator::peak_since`].
-    pub fn reset_peak() -> u64 {
-        let live = Self::live_bytes();
-        PEAK_BYTES.store(live, Ordering::SeqCst);
-        live
-    }
-
-    /// Peak heap growth since the matching [`TrackingAllocator::reset_peak`]: the
-    /// highest live size observed minus the live size at reset.
-    pub fn peak_since(baseline: u64) -> u64 {
-        PEAK_BYTES.load(Ordering::SeqCst).saturating_sub(baseline)
-    }
-}
-
-unsafe impl GlobalAlloc for TrackingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let ptr = unsafe { System.alloc(layout) };
-        if !ptr.is_null() {
-            Self::record_alloc(layout.size());
-        }
-        ptr
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) };
-        Self::record_dealloc(layout.size());
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let new_ptr = unsafe { System.realloc(ptr, layout, new_size) };
-        if !new_ptr.is_null() {
-            Self::record_dealloc(layout.size());
-            Self::record_alloc(new_size);
-        }
-        new_ptr
-    }
-}
 
 /// Summary statistics of one benchmarked configuration.
 #[derive(Clone, Debug)]
