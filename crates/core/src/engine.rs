@@ -262,7 +262,8 @@ impl PreparedTraceInner {
 }
 
 impl PreparedTrace {
-    /// Wraps an existing trace into a prepared handle (no artifacts are built yet).
+    /// Wraps an existing trace into a prepared handle. Its lean context is built now;
+    /// keys and web are built on first use.
     pub fn new(trace: Trace) -> Self {
         PreparedTrace {
             inner: Arc::new(PreparedTraceInner::full(trace)),
@@ -307,8 +308,7 @@ impl PreparedTrace {
         self.inner.trace.as_ref()
     }
 
-    /// The lean per-entry context. Every handle has one; the `Option` is kept for
-    /// callers written against handles that did not.
+    /// The lean per-entry context; `Some` for every handle.
     pub fn lean(&self) -> Option<&LeanTrace> {
         Some(&self.inner.lean)
     }

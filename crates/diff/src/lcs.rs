@@ -275,8 +275,8 @@ pub const MAX_BITPARALLEL_CLASSES: usize = 64;
 /// count (`m·n` for the fill plus one per traceback step) so cost accounting — and every
 /// invariant the equivalence suites pin on it — is unchanged; the win is wall-clock only.
 ///
-/// This entry point allocates a fresh [`LcsScratch`] per call; a caller that solves many
-/// small sub-problems keeps one scratch and calls [`lcs_bitparallel_into`] instead.
+/// This entry point allocates a fresh `LcsScratch` per call; the views scan, which solves many
+/// small sub-problems, keeps one scratch and calls the crate-private `lcs_bitparallel_into`.
 ///
 /// # Errors
 ///

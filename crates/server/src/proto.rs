@@ -1767,6 +1767,41 @@ mod tests {
     }
 
     #[test]
+    fn current_frames_are_pinned_byte_for_byte() {
+        // Hand-built frames of the current version decode to the expected messages,
+        // and the encoders emit exactly these bytes.
+        let mut get = vec![PROTO_VERSION, 0x02];
+        put_u64(&mut get, 0xfeed);
+        let mut check = vec![PROTO_VERSION, 0x08];
+        put_u64(&mut check, 42);
+        put_u64(&mut check, 0); // no overrides
+        let mut watch = vec![PROTO_VERSION, 0x09];
+        put_u64(&mut watch, 7);
+        put_u64(&mut watch, 3);
+        for (frame, request) in [
+            (get, Request::Get { hash: 0xfeed }),
+            (vec![PROTO_VERSION, 0x06], Request::Stats),
+            (
+                check,
+                Request::Check {
+                    hash: 42,
+                    overrides: vec![],
+                },
+            ),
+            (
+                watch,
+                Request::WatchStart {
+                    old: 7,
+                    max_sequences: 3,
+                },
+            ),
+        ] {
+            assert_eq!(Request::decode(&frame).unwrap(), request);
+            assert_eq!(request.encode(), frame);
+        }
+    }
+
+    #[test]
     fn stats_ok_field_order_is_pinned() {
         // The Stats frame is 15 varints in this exact order; reordering the
         // `WireStats` fields (e.g. while re-plumbing them onto the metrics registry)

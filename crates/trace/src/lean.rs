@@ -108,7 +108,7 @@ impl LeanEntry {
 
 /// A trace reduced to lean per-entry contexts: metadata plus one flat [`LeanEntry`] per
 /// entry, in execution order (index `i` is entry id `i`, like
-/// [`Trace`](crate::trace::Trace)).
+/// [`Trace`]).
 #[derive(Clone, Debug, Default)]
 pub struct LeanTrace {
     /// Trace identification.
