@@ -39,7 +39,7 @@
 
 use std::time::Duration;
 
-use rprism::Engine;
+use rprism::{Engine, PreparedTrace};
 use rprism_bench::cold_views_diff;
 use rprism_bench::measure::sample_env;
 use rprism_bench::seed_baseline::seed_views_diff;
@@ -137,7 +137,10 @@ fn measure_reuse(
         }
         cold_wall = cold_wall.min(start.elapsed());
 
-        let (pold, pnew) = (engine.prepare(old.clone()), engine.prepare(new.clone()));
+        let (pold, pnew) = (
+            PreparedTrace::new(old.clone()),
+            PreparedTrace::new(new.clone()),
+        );
         let start = std::time::Instant::now();
         let mut prepared_last = None;
         for _ in 0..repeats {
@@ -298,8 +301,8 @@ impl ObsOverheadMeasured {
     }
 }
 
-/// The `obs_overhead` measurement (BENCH_9): the stored pair streamed in
-/// (`load_prepared`) and diffed per sample, through an engine with the disabled
+/// The `obs_overhead` measurement (BENCH_9): the serialized pair streamed in
+/// (`load_prepared_reader`) and diffed per sample, through an engine with the disabled
 /// observer vs one recording into an enabled [`rprism::Obs`] domain — the full
 /// instrumentation path: `engine.load` spans, per-phase decode/key/web timers,
 /// log-scale histograms and the bounded span ring. Best wall per side over
@@ -309,13 +312,8 @@ impl ObsOverheadMeasured {
 fn measure_obs_overhead(samples: usize, old: &Trace, new: &Trace) -> ObsOverheadMeasured {
     use rprism::Obs;
 
-    let dir = std::env::temp_dir().join(format!("rprism-perf-obs-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    let store = Engine::new();
-    let pa = dir.join("old.rtr");
-    let pb = dir.join("new.rtr");
-    store.store_trace(&store.prepare(old.clone()), &pa).unwrap();
-    store.store_trace(&store.prepare(new.clone()), &pb).unwrap();
+    let encode = |trace| rprism_format::trace_to_bytes(trace, rprism_format::Encoding::Binary);
+    let (ba, bb) = (encode(old).unwrap(), encode(new).unwrap());
 
     let obs = Obs::enabled();
     let stripped = Engine::builder().build();
@@ -325,8 +323,8 @@ fn measure_obs_overhead(samples: usize, old: &Trace, new: &Trace) -> ObsOverhead
         let mut pairs = Vec::new();
         for _ in 0..samples {
             let start = std::time::Instant::now();
-            let la = engine.load_prepared(&pa).expect("load old");
-            let lb = engine.load_prepared(&pb).expect("load new");
+            let la = engine.load_prepared_reader(&ba[..]).expect("load old");
+            let lb = engine.load_prepared_reader(&bb[..]).expect("load new");
             let diff = engine.diff(&la, &lb).expect("views never fails");
             wall = wall.min(start.elapsed());
             pairs = diff.matching.normalized_pairs().to_vec();
@@ -336,7 +334,6 @@ fn measure_obs_overhead(samples: usize, old: &Trace, new: &Trace) -> ObsOverhead
 
     let (stripped_wall, stripped_pairs) = timed(&stripped);
     let (instrumented_wall, instrumented_pairs) = timed(&instrumented);
-    std::fs::remove_dir_all(&dir).ok();
 
     assert_eq!(
         stripped_pairs, instrumented_pairs,

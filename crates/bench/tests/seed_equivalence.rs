@@ -11,9 +11,17 @@
 use rprism::Engine;
 use rprism_bench::cold_views_diff;
 use rprism_bench::seed_baseline::seed_views_diff;
-use rprism_diff::{lcs_diff, LcsDiffOptions, LcsKernel, ViewsDiffOptions};
+use rprism_diff::{
+    lcs_bitparallel, lcs_diff, lcs_dp, CostMeter, LcsDiffOptions, MemoryBudget, ViewsDiffOptions,
+};
 use rprism_regress::DiffAlgorithm;
+use rprism_trace::{KeyRef, KeyedTrace};
 use rprism_workloads::casestudies;
+
+/// The interned key sequence of a trace, as the LCS differencer compares it.
+fn keys(keyed: &KeyedTrace) -> Vec<KeyRef<'_>> {
+    (0..keyed.len()).map(|i| keyed.key(i)).collect()
+}
 
 #[test]
 fn keyed_pipeline_matches_seed_baseline_on_all_case_studies() {
@@ -24,64 +32,77 @@ fn keyed_pipeline_matches_seed_baseline_on_all_case_studies() {
         let old = &traces.traces.old_regressing;
         let new = &traces.traces.new_regressing;
 
-        let seed = seed_views_diff(old, new, &ViewsDiffOptions::default());
-        // Both secondary-LCS kernels must reproduce the seed exactly: the bit-parallel
-        // kernel (the default) replays the DP tie-breaks during traceback and meters
-        // DP-equivalent compare counts, so it is indistinguishable from `Dp` here.
-        for kernel in [LcsKernel::Dp, LcsKernel::BitParallel] {
-            let options = ViewsDiffOptions::builder().secondary_kernel(kernel).build();
-            let keyed = cold_views_diff(old, new, &options);
+        let options = ViewsDiffOptions::default();
+        let seed = seed_views_diff(old, new, &options);
+        // The secondary windows run the bit-parallel kernel, which replays the DP
+        // tie-breaks during traceback and meters DP-equivalent compare counts, so the
+        // keyed pipeline must reproduce the seed exactly.
+        let keyed = cold_views_diff(old, new, &options);
 
-            assert_eq!(
-                seed.matching.normalized_pairs(),
-                keyed.matching.normalized_pairs(),
-                "{} ({kernel:?}): similarity sets diverged",
-                scenario.name
-            );
-            assert_eq!(
-                seed.sequences, keyed.sequences,
-                "{} ({kernel:?}): difference sequences diverged",
-                scenario.name
-            );
-            // The keyed pipeline folds prefix/suffix stripping into the LCS kernel, so
-            // it may only ever do *less* comparison work than the seed, never more.
-            assert!(
-                keyed.cost.compare_ops <= seed.cost.compare_ops,
-                "{} ({kernel:?}): keyed pipeline did more compares ({}) than the seed ({})",
-                scenario.name,
-                keyed.cost.compare_ops,
-                seed.cost.compare_ops
-            );
-        }
+        assert_eq!(
+            seed.matching.normalized_pairs(),
+            keyed.matching.normalized_pairs(),
+            "{}: similarity sets diverged",
+            scenario.name
+        );
+        assert_eq!(
+            seed.sequences, keyed.sequences,
+            "{}: difference sequences diverged",
+            scenario.name
+        );
+        // The keyed pipeline folds prefix/suffix stripping into the LCS kernel, so
+        // it may only ever do *less* comparison work than the seed, never more.
+        assert!(
+            keyed.cost.compare_ops <= seed.cost.compare_ops,
+            "{}: keyed pipeline did more compares ({}) than the seed ({})",
+            scenario.name,
+            keyed.cost.compare_ops,
+            seed.cost.compare_ops
+        );
     }
 }
 
 #[test]
 fn lcs_backends_produce_identical_matchings_on_all_case_studies() {
-    // The §3.2 baseline with the bit-parallel kernel is matching-identical to the DP
-    // kernel — same pairs, same sequences, same metered compares — on every suspected
-    // comparison of the four case studies.
+    // The bit-parallel kernel is matching-identical to the DP kernel — same pairs,
+    // same metered compares — on the keyed sequences of every suspected comparison of
+    // the four case studies, and the §3.2 baseline's matching is those pairs.
     for scenario in casestudies::all() {
         let traces = scenario.trace_all().unwrap();
         let old = &traces.traces.old_regressing;
         let new = &traces.traces.new_regressing;
 
-        let run = |kernel: LcsKernel| {
-            lcs_diff(old, new, &LcsDiffOptions::builder().kernel(kernel).build())
-                .unwrap_or_else(|e| panic!("{}: {e}", scenario.name))
-        };
-        let dp = run(LcsKernel::Dp);
-        let bp = run(LcsKernel::BitParallel);
+        let (old_keyed, new_keyed) = (KeyedTrace::build(old), KeyedTrace::build(new));
+        let (old_keys, new_keys) = (keys(&old_keyed), keys(&new_keyed));
+        let (mut dp_meter, mut bp_meter) = (CostMeter::new(), CostMeter::new());
+        let dp = lcs_dp(
+            &old_keys,
+            &new_keys,
+            &mut dp_meter,
+            MemoryBudget::unlimited(),
+        )
+        .unwrap_or_else(|e| panic!("{}: {e}", scenario.name));
+        let bp = lcs_bitparallel(
+            &old_keys,
+            &new_keys,
+            &mut bp_meter,
+            MemoryBudget::unlimited(),
+        )
+        .unwrap_or_else(|e| panic!("{}: {e}", scenario.name));
+        assert_eq!(dp, bp, "{}: LCS kernels diverged", scenario.name);
         assert_eq!(
-            dp.matching.normalized_pairs(),
-            bp.matching.normalized_pairs(),
-            "{}: LCS kernels diverged",
+            dp_meter.stats().compare_ops,
+            bp_meter.stats().compare_ops,
+            "{}",
             scenario.name
         );
-        assert_eq!(dp.sequences, bp.sequences, "{}", scenario.name);
+
+        let baseline = lcs_diff(old, new, &LcsDiffOptions::default())
+            .unwrap_or_else(|e| panic!("{}: {e}", scenario.name));
         assert_eq!(
-            dp.cost.compare_ops, bp.cost.compare_ops,
-            "{}",
+            baseline.matching.normalized_pairs(),
+            dp,
+            "{}: baseline",
             scenario.name
         );
     }

@@ -223,11 +223,6 @@ impl Checker {
         }
     }
 
-    /// Number of entries observed so far.
-    pub fn entries_seen(&self) -> usize {
-        self.index
-    }
-
     /// Number of diagnostics raised **so far** at or above `floor` — the mid-stream
     /// view behind incremental deny gates (a live watch aborting on the first denied
     /// diagnostic instead of after the stream ends). [`Checker::finish`] can still add

@@ -18,14 +18,16 @@
 //!
 //! Trace files are read with content sniffing (binary `.rtr` or JSONL text, regardless
 //! of extension). `diff` and `analyze` ingest their inputs with the **streaming prepare
-//! pipeline** (`Engine::load_prepared`): keys and view webs are built in one
-//! bounded-memory pass and the full traces are never materialized, so trace files far
-//! larger than memory can be differenced. `--full` switches back to whole-trace loading,
+//! pipeline** (`Engine::load_prepared_reader` over the opened file): keys and view webs
+//! are built in one bounded-memory pass and the full traces are never materialized, so
+//! trace files far larger than memory can be differenced. `--full` switches back to
+//! whole-trace loading (`rprism_format::read_trace_path` into `PreparedTrace::new`),
 //! whose reports render complete entry text (streamed reports render compact context
-//! lines). Batch invocations — several `diff` pairs, several `analyze` quadruples — fan
+//! lines). `check` streams each file through `Engine::check_reader`. Batch invocations — several `diff` pairs, several `analyze` quadruples — fan
 //! out through the session engine's `diff_many`/`analyze_many`, so a directory of
 //! recorded traces is one command away from a full batch analysis.
 
+use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -293,13 +295,20 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     }
 }
 
+/// Opens a trace file; a failure reports like any other trace format error.
+fn open(path: &str) -> rprism::Result<File> {
+    Ok(File::open(path).map_err(rprism::FormatError::Io)?)
+}
+
 /// Loads one trace input: streamed through the bounded-memory prepare pipeline by
 /// default, as a whole in-memory trace with `full`.
 fn load(engine: &Engine, path: &str, full: bool) -> Result<PreparedTrace, String> {
     if full {
-        engine.load_trace(path)
+        rprism_format::read_trace_path(path)
+            .map(PreparedTrace::new)
+            .map_err(rprism::Error::from)
     } else {
-        engine.load_prepared(path)
+        open(path).and_then(|file| engine.load_prepared_reader(file))
     }
     .map_err(|e| format!("cannot load {path}: {e}"))
 }
@@ -401,7 +410,7 @@ fn check(args: &Args) -> Result<ExitCode, String> {
         .build();
     let mut denied = 0usize;
     for path in &args.positional {
-        let report = match engine.check_path(path) {
+        let report = match open(path).and_then(|file| engine.check_reader(file)) {
             Ok(report) => report,
             Err(e) => {
                 // Exit code 2 is pinned to "could not read or decode a trace".
@@ -474,9 +483,8 @@ fn record(args: &Args) -> Result<(), String> {
         eprintln!("note: traced run ended with a runtime error: {err}");
     }
     let encoding = encoding.unwrap_or_else(|| Encoding::for_path(&out));
-    engine
-        .store_trace_as(&prepared, &out, encoding)
-        .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
+    rprism_format::write_trace_path(prepared.trace(), &out, encoding)
+        .map_err(|e| format!("cannot write {}: {}", out.display(), rprism::Error::from(e)))?;
     println!(
         "wrote {} ({} entries, {} encoding)",
         out.display(),

@@ -25,19 +25,16 @@
 //! reproducible down to the compare-operation counts.
 
 use std::collections::{HashMap, VecDeque};
-use std::fs::File;
-use std::io::{BufRead, BufReader};
-use std::path::Path;
+use std::io::BufReader;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use rprism_check::{check_trace_with, CheckConfig, CheckReport, Checker, Severity};
+use rprism_check::{CheckConfig, CheckReport, Checker, Severity};
 use rprism_diff::{
     anchored_diff_prepared, lcs_diff_prepared, views_diff_sides_correlated, AnchoredDiffOptions,
-    DiffError, DiffSession, DiffSide, LcsDiffOptions, ProvisionalEvent, TraceDiffResult,
-    ViewsDiffOptions,
+    DiffError, DiffSession, DiffSide, LcsDiffOptions, TraceDiffResult, ViewsDiffOptions,
 };
-use rprism_format::{Encoding, TailBatch, TraceReader};
+use rprism_format::TraceReader;
 use rprism_lang::parser::parse_program;
 use rprism_lang::Program;
 use rprism_regress::{
@@ -51,7 +48,7 @@ use rprism_vm::{run_traced, RunOutcome, RuntimeError, VmConfig};
 use rprism_obs::Obs;
 
 use crate::ingest::{stream_prepare_timed, StreamedArtifacts};
-use crate::watch::{Watch, WatchOutcome};
+use crate::watch::Watch;
 use crate::{Error, Result};
 
 /// Default number of trace pairs kept in the pair-level correlation cache before
@@ -99,28 +96,13 @@ struct CorrelationSlot {
 }
 
 /// Cache key of one pair-level artifact: the two handles' process-unique ids as an
-/// unordered pair, plus the fingerprint of the algorithm options the artifact was built
-/// under. Without the fingerprint, one engine serving mixed configurations — a
-/// per-request `--algorithm` override, or two option sets sharing a session — could be
-/// served a cached correlation built under *different* options than the request's.
-type CorrelationKey = ((u64, u64), u64);
-
-/// Fingerprint of the views options a correlation is (or would be) built under.
-fn views_options_fingerprint(options: &ViewsDiffOptions) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    options.delta.hash(&mut hasher);
-    options.window.hash(&mut hasher);
-    options.max_scan_ahead.hash(&mut hasher);
-    options.relaxed_correlation.hash(&mut hasher);
-    options.secondary_kernel.hash(&mut hasher);
-    hasher.finish()
-}
+/// unordered pair. A correlation is built from the two view webs alone and reads no
+/// [`ViewsDiffOptions`], so every views option set shares the pair's one build.
+type CorrelationKey = (u64, u64);
 
 /// Bounded session cache of pair-level artifacts, keyed by the two handles'
 /// process-unique ids as an **unordered** pair (ids are never reused, so a dropped
-/// handle can never alias a cached entry) together with the options fingerprint of the
-/// requesting algorithm. Each pair holds one correlation build — in
+/// handle can never alias a cached entry). Each pair holds one correlation build — in
 /// the orientation of its first query — and serves the opposite orientation as an
 /// exact transpose, so `diff(a, b)` after `diff(b, a)` (or an `analyze` whose
 /// comparisons run opposite to earlier diffs) reuses the same build instead of
@@ -148,7 +130,7 @@ impl CorrelationCache {
         }
     }
 
-    fn canonical(key: (u64, u64)) -> (u64, u64) {
+    fn canonical(key: CorrelationKey) -> CorrelationKey {
         (key.0.min(key.1), key.0.max(key.1))
     }
 
@@ -159,9 +141,8 @@ impl CorrelationCache {
         self.order.push_back(key);
     }
 
-    /// The build slot of the (unordered pair, options fingerprint) key, inserting an
-    /// empty one — and evicting least-recently-used keys past the capacity — on first
-    /// touch.
+    /// The build slot of the unordered pair, inserting an empty one — and evicting
+    /// least-recently-used keys past the capacity — on first touch.
     fn slot(&mut self, key: CorrelationKey) -> Arc<CorrelationSlot> {
         if let Some(slot) = self.map.get(&key) {
             let slot = Arc::clone(slot);
@@ -190,14 +171,13 @@ impl CorrelationCache {
 /// wherever a `&Trace` is expected.
 ///
 /// Every handle carries a [`LeanTrace`] — the per-entry context every diff and
-/// analysis reads. [`Engine::trace`], [`Engine::prepare`] and [`Engine::load_trace`]
-/// produce **full** handles, which also keep the materialized [`Trace`] and build the
-/// lean context from it when the handle is made. [`Engine::load_prepared`] produces
-/// **streamed** handles: the serialized trace was ingested in one bounded-memory pass,
-/// its lean context, keys and view web are already built, and the full entries were
-/// never kept. Both forms diff and analyze through the same code; only operations that
-/// need whole entries — [`PreparedTrace::trace`], `Deref`, [`Engine::store_trace`],
-/// [`Engine::check_prepared`] — are restricted to full handles.
+/// analysis reads. [`Engine::trace`] and [`PreparedTrace::new`] produce **full**
+/// handles, which also keep the materialized [`Trace`] and build the lean context from
+/// it when the handle is made. [`Engine::load_prepared_reader`] produces **streamed**
+/// handles: the serialized trace was ingested in one bounded-memory pass, its lean
+/// context, keys and view web are already built, and the full entries were never kept.
+/// Both forms diff and analyze through the same code; only the whole-entry accessors —
+/// [`PreparedTrace::trace`] and `Deref` — are restricted to full handles.
 #[derive(Clone, Debug)]
 pub struct PreparedTrace {
     inner: Arc<PreparedTraceInner>,
@@ -262,8 +242,9 @@ impl PreparedTraceInner {
 }
 
 impl PreparedTrace {
-    /// Wraps an existing trace into a prepared handle. Its lean context is built now;
-    /// keys and web are built on first use.
+    /// Wraps an existing trace into a prepared handle — the in-memory load, e.g. of a
+    /// [`rprism_format::read_trace_path`] result. Its lean context is built now; keys
+    /// and web are built on first use.
     pub fn new(trace: Trace) -> Self {
         PreparedTrace {
             inner: Arc::new(PreparedTraceInner::full(trace)),
@@ -292,13 +273,14 @@ impl PreparedTrace {
     ///
     /// # Panics
     ///
-    /// Panics for streamed handles ([`Engine::load_prepared`]), which deliberately do
-    /// not retain the full trace. Use [`PreparedTrace::try_trace`] to branch, or load
-    /// with [`Engine::load_trace`] when the entries themselves are needed.
+    /// Panics for streamed handles ([`Engine::load_prepared_reader`]), which
+    /// deliberately do not retain the full trace. Use [`PreparedTrace::try_trace`] to
+    /// branch, or load with [`PreparedTrace::new`] when the entries themselves are
+    /// needed.
     pub fn trace(&self) -> &Trace {
         self.try_trace().expect(
-            "this handle was streaming-prepared (Engine::load_prepared) and does not \
-             retain the full trace; use try_trace()/Engine::load_trace for entry access",
+            "this handle was streaming-prepared (Engine::load_prepared_reader) and does \
+             not retain the full trace; use try_trace()/PreparedTrace::new for entry access",
         )
     }
 
@@ -537,7 +519,6 @@ pub struct Engine {
     algorithm: DiffAlgorithm,
     mode: AnalysisMode,
     render: RenderOptions,
-    encoding: Encoding,
     ingest_check: Option<IngestCheck>,
     /// The observability domain pipeline spans and phase timers record into
     /// ([`EngineBuilder::obs`] / [`Engine::with_obs`]); disabled (free and inert) by
@@ -581,7 +562,6 @@ impl Engine {
             algorithm: DiffAlgorithm::Views(ViewsDiffOptions::default()),
             mode: AnalysisMode::default(),
             render: RenderOptions::default(),
-            encoding: Encoding::default(),
             ingest_check: None,
             obs: Obs::disabled(),
             correlation_cache_capacity: CORRELATION_CACHE_CAP,
@@ -623,69 +603,24 @@ impl Engine {
         &self.render
     }
 
-    /// The encoding [`Engine::store_trace`] writes ([`EngineBuilder::trace_encoding`]).
-    pub fn trace_encoding(&self) -> Encoding {
-        self.encoding
-    }
-
-    /// Wraps an already-materialized trace into a prepared handle.
-    pub fn prepare(&self, trace: Trace) -> PreparedTrace {
-        PreparedTrace::new(trace)
-    }
-
-    /// Loads a serialized trace from disk into a prepared handle, sniffing the encoding
-    /// from the file content (both the binary `.rtr` and the JSONL text encodings are
-    /// accepted regardless of extension). This is the ingestion path for externally
-    /// captured traces: once loaded, a trace is indistinguishable from one produced by
-    /// [`Engine::trace`].
+    /// Streams a serialized trace straight into a prepared handle in **one
+    /// bounded-memory pass**: the encoding (binary `.rtr` or JSONL) is sniffed from the
+    /// content, and symbols are interned, event keys computed, the view web
+    /// incrementally extended and the lean per-entry context accumulated as each entry
+    /// is decoded — the full trace is never materialized. See [`crate::ingest`] for the
+    /// pipeline and its memory bound. Any byte source will do: an opened file, a trace
+    /// repository's blob, a network upload, or a fault-injection shim in a test.
     ///
-    /// # Errors
+    /// The returned handle is a *streamed* handle: its keys and web are already built
+    /// and every diff/analysis path accepts it interchangeably with full handles (with
+    /// identical results), but [`PreparedTrace::trace`] is unavailable on it. Load with
+    /// [`PreparedTrace::new`] over [`rprism_format::read_trace`] when the entries
+    /// themselves are needed.
     ///
-    /// Returns [`crate::Error::Format`] when the file is missing, truncated, corrupt, or
-    /// uses an unsupported format version.
-    pub fn load_trace(&self, path: impl AsRef<Path>) -> Result<PreparedTrace> {
-        let trace = rprism_format::read_trace_path(path)?;
-        if let Some(gate) = &self.ingest_check {
-            let report = check_trace_with(&trace, gate.config.clone());
-            if report.count_at_least(gate.deny) > 0 {
-                return Err(Error::Check(Box::new(report)));
-            }
-        }
-        Ok(PreparedTrace::new(trace))
-    }
-
-    /// Streams a serialized trace from disk straight into a prepared handle in **one
-    /// bounded-memory pass**: the reader is driven entry by entry (encoding sniffed
-    /// like [`Engine::load_trace`]), and symbols are interned, event keys computed, the
-    /// view web incrementally extended and the lean per-entry context accumulated as
-    /// each entry is decoded — the full trace is never materialized. See
-    /// [`crate::ingest`] for the pipeline and its memory bound.
-    ///
-    /// The returned handle is a *streamed* handle: its keys and web are already built,
-    /// every diff/analysis path accepts it interchangeably with full handles (with
-    /// identical results), but [`PreparedTrace::trace`] and [`Engine::store_trace`]
-    /// are unavailable on it. This is the ingestion path for traces too large to hold
-    /// in memory — two multi-hundred-MB `.rtr` files diff through handles that retain
-    /// only their analysis artifacts.
-    ///
-    /// A failed load leaves the engine untouched and reusable: partial artifacts are
+    /// With an ingest gate ([`EngineBuilder::check_on_ingest`]) the checker rides the
+    /// same pass and a denied diagnostic rejects the load with [`Error::Check`]. A
+    /// failed load leaves the engine untouched and reusable: partial artifacts are
     /// dropped, no cache entry is created.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::Error::Format`] when the file is missing, truncated, corrupt,
-    /// or uses an unsupported format version.
-    pub fn load_prepared(&self, path: impl AsRef<Path>) -> Result<PreparedTrace> {
-        let file = File::open(path.as_ref()).map_err(rprism_format::FormatError::Io)?;
-        self.load_prepared_reader(file)
-    }
-
-    /// [`Engine::load_prepared`] over any byte source instead of a file path: the
-    /// stream is sniffed, decoded and folded into a streamed handle in the same
-    /// bounded-memory pass. This is the ingestion entry point for callers that do not
-    /// own a filesystem path — a trace repository reading blobs through its own
-    /// storage abstraction, a network peer streaming an upload straight into
-    /// preparation, or a test harness wrapping the source in a fault-injection shim.
     ///
     /// `Send` is required because on a multi-core host the ingest pipeline runs its
     /// stages on scoped threads (see [`crate::ingest`]).
@@ -693,7 +628,8 @@ impl Engine {
     /// # Errors
     ///
     /// Returns [`crate::Error::Format`] when the stream is empty, truncated, corrupt,
-    /// or uses an unsupported format version.
+    /// or uses an unsupported format version, and [`crate::Error::Check`] when the
+    /// ingest gate denies the trace.
     pub fn load_prepared_reader(&self, input: impl std::io::Read + Send) -> Result<PreparedTrace> {
         let _load = self.obs.span("engine.load");
         let reader = TraceReader::new(BufReader::new(input))?;
@@ -733,8 +669,9 @@ impl Engine {
     /// streams through the checker and a denied diagnostic aborts the watch
     /// mid-stream with [`crate::Error::Check`].
     ///
-    /// `meta` identifies the watched trace (for serialized streams,
-    /// [`Engine::watch_prepared`] takes it from the stream header instead).
+    /// `meta` identifies the watched trace; for a serialized stream it is the header a
+    /// [`rprism_format::TailDecoder`] decodes first, and the decoder's batches feed
+    /// [`Watch::push_batch`].
     pub fn watch(&self, old: &PreparedTrace, meta: TraceMeta) -> Watch {
         let options = match &self.algorithm {
             DiffAlgorithm::Views(options) => options.clone(),
@@ -748,74 +685,13 @@ impl Engine {
         Watch::new(old.clone(), meta, session, gate)
     }
 
-    /// Drives a [`TraceReader`] to completion as a live watch of `old`: each decoded
-    /// batch is folded straight into key derivation, web extension and the suspended
-    /// lock-step scan ([`Engine::watch`]) — the new trace is never materialized, the
-    /// same bounded-memory property as [`Engine::load_prepared`].
-    ///
-    /// The reader is driven in tail mode, so a source that ends mid-record (a growing
-    /// file, a draining socket) does not error: `on_event` receives every provisional
-    /// event as it is produced, and whenever the source runs dry `wait` decides what
-    /// happens — return `true` to re-poll (after sleeping, typically), `false` to
-    /// declare end of input, at which point the remaining bytes must decode under
-    /// strict end-of-stream semantics (JSONL's final-line grace applies; a mid-record
-    /// binary tail is a truncation error).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::Error::Format`] on truncation or corruption, and
-    /// [`crate::Error::Check`] when the ingest gate denies the watched trace.
-    pub fn watch_prepared<R: BufRead>(
-        &self,
-        old: &PreparedTrace,
-        mut reader: TraceReader<R>,
-        mut on_event: impl FnMut(&ProvisionalEvent),
-        mut wait: impl FnMut() -> bool,
-    ) -> Result<WatchOutcome> {
-        let mut watch = self.watch(old, reader.meta().clone());
-        let mut batch = EntryBatch::new();
-        loop {
-            match reader.read_refs_tail(&mut batch, crate::ingest::BATCH_ENTRIES)? {
-                TailBatch::Entries(_) => {
-                    for event in watch.push_batch(&batch)? {
-                        on_event(&event);
-                    }
-                }
-                TailBatch::End => break,
-                TailBatch::Pending => {
-                    if wait() {
-                        continue;
-                    }
-                    while reader.read_refs(&mut batch, crate::ingest::BATCH_ENTRIES)? > 0 {
-                        for event in watch.push_batch(&batch)? {
-                            on_event(&event);
-                        }
-                    }
-                    break;
-                }
-            }
-        }
-        watch.finish()
-    }
-
-    /// Runs the `rprism-check` static analysis over a serialized trace on disk in one
-    /// bounded-memory streaming pass — the file is decoded entry by entry straight
-    /// into the checker's fold, never materializing the trace. The engine's
-    /// [`EngineBuilder::check_on_ingest`] rule configuration (severity overrides)
-    /// applies when set; the report is returned regardless of its severity — callers
-    /// decide what to deny.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::Error::Format`] when the file is missing, truncated, corrupt,
-    /// or uses an unsupported format version.
-    pub fn check_path(&self, path: impl AsRef<Path>) -> Result<CheckReport> {
-        let file = File::open(path.as_ref()).map_err(rprism_format::FormatError::Io)?;
-        self.check_reader(file)
-    }
-
-    /// [`Engine::check_path`] over any byte source instead of a file path — the entry
-    /// point for checking blobs a trace repository or network peer streams in.
+    /// Runs the `rprism-check` static analysis over a serialized trace in one
+    /// bounded-memory streaming pass — the bytes (a file, a repository blob, a network
+    /// upload) are decoded entry by entry straight into the checker's fold, never
+    /// materializing the trace. The engine's [`EngineBuilder::check_on_ingest`] rule
+    /// configuration (severity overrides) applies when set; the report is returned
+    /// regardless of its severity — callers decide what to deny. An in-memory
+    /// [`Trace`] is checked with [`rprism_check::check_trace`].
     ///
     /// # Errors
     ///
@@ -849,24 +725,6 @@ impl Engine {
         Ok(report)
     }
 
-    /// Runs the `rprism-check` static analysis over an already-prepared trace.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::Error::Streamed`] for streamed handles
-    /// ([`Engine::load_prepared`]), which no longer retain the entries a check needs —
-    /// gate those at load time with [`EngineBuilder::check_on_ingest`], or check the
-    /// serialized bytes directly with [`Engine::check_path`] /
-    /// [`Engine::check_reader`].
-    pub fn check_prepared(&self, trace: &PreparedTrace) -> Result<CheckReport> {
-        let Some(full) = trace.try_trace() else {
-            return Err(Error::Streamed {
-                operation: "check_prepared",
-            });
-        };
-        Ok(check_trace_with(full, self.check_config()))
-    }
-
     /// The rule configuration checks run under: the ingest gate's when configured, the
     /// defaults otherwise.
     fn check_config(&self) -> CheckConfig {
@@ -874,39 +732,6 @@ impl Engine {
             .as_ref()
             .map(|gate| gate.config.clone())
             .unwrap_or_default()
-    }
-
-    /// Stores a prepared trace to disk in the engine's configured encoding
-    /// ([`EngineBuilder::trace_encoding`], binary by default).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::Error::Format`] when the file cannot be created or written.
-    pub fn store_trace(&self, trace: &PreparedTrace, path: impl AsRef<Path>) -> Result<()> {
-        self.store_trace_as(trace, path, self.encoding)
-    }
-
-    /// Stores a prepared trace to disk in an explicitly chosen encoding, overriding the
-    /// engine default.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::Error::Format`] when the file cannot be created or written, and
-    /// [`crate::Error::Streamed`] for streamed handles (which no longer hold the
-    /// entries a re-serialization needs — convert with `rprism convert`, or load with
-    /// [`Engine::load_trace`]).
-    pub fn store_trace_as(
-        &self,
-        trace: &PreparedTrace,
-        path: impl AsRef<Path>,
-        encoding: Encoding,
-    ) -> Result<()> {
-        let Some(full) = trace.try_trace() else {
-            return Err(Error::Streamed {
-                operation: "store_trace",
-            });
-        };
-        Ok(rprism_format::write_trace_path(full, path, encoding)?)
     }
 
     /// Traces a parsed program under the engine's tracing configuration.
@@ -947,9 +772,8 @@ impl Engine {
     /// [`Engine::diff`] under an explicit algorithm, overriding the engine's configured
     /// one for this call only. This is how a shared session (the server, most notably)
     /// honors per-request algorithm selection without building one engine per option
-    /// set; every cached artifact is still shared where sound — the pair-correlation
-    /// cache is keyed on the options fingerprint, so an override can never be served a
-    /// correlation built under different options.
+    /// set; every cached artifact is shared — the pair correlation reads no views
+    /// options, so one build serves the engine's own options and every override.
     ///
     /// # Errors
     ///
@@ -1060,18 +884,14 @@ impl Engine {
     /// point — `analyze` after a reversed `diff` reuses it instead of deriving a
     /// possibly different one. A racing double build inserts identical content; the
     /// first insert wins and both callers share it.
-    fn correlation_for(
-        &self,
-        left: &PreparedTrace,
-        right: &PreparedTrace,
-        options: &ViewsDiffOptions,
-    ) -> Arc<Correlation> {
+    fn correlation_for(&self, left: &PreparedTrace, right: &PreparedTrace) -> Arc<Correlation> {
         let key = (left.inner.id, right.inner.id);
         let left_views = left.web().total_views();
-        let slot = self.correlations.lock().expect("cache poisoned").slot((
-            CorrelationCache::canonical(key),
-            views_options_fingerprint(options),
-        ));
+        let slot = self
+            .correlations
+            .lock()
+            .expect("cache poisoned")
+            .slot(CorrelationCache::canonical(key));
         // Build outside the lock: correlation construction is the expensive part, and
         // the per-pair slot already serializes a concurrent cold stampede on *this*
         // pair (one build, N−1 waiters) without holding up any other pair.
@@ -1114,7 +934,7 @@ impl Engine {
         match algorithm {
             DiffAlgorithm::Views(options) => {
                 self.warm(&[left, right], true);
-                let correlation = self.correlation_for(left, right, options);
+                let correlation = self.correlation_for(left, right);
                 Ok(views_diff_sides_correlated(
                     &left.side(),
                     &right.side(),
@@ -1196,7 +1016,6 @@ pub struct EngineBuilder {
     algorithm: DiffAlgorithm,
     mode: AnalysisMode,
     render: RenderOptions,
-    encoding: Encoding,
     ingest_check: Option<IngestCheck>,
     obs: Obs,
     correlation_cache_capacity: usize,
@@ -1245,21 +1064,14 @@ impl EngineBuilder {
         self
     }
 
-    /// The on-disk encoding [`Engine::store_trace`] writes: the compact binary form
-    /// (default) or the human-authorable JSONL text form. Loading always sniffs the
-    /// encoding from content, so this only affects stores.
-    pub fn trace_encoding(mut self, encoding: Encoding) -> Self {
-        self.encoding = encoding;
-        self
-    }
-
-    /// Gates every trace load behind the `rprism-check` static analysis: after this,
-    /// [`Engine::load_trace`], [`Engine::load_prepared`] and
-    /// [`Engine::load_prepared_reader`] run the streaming checker over the decoded
-    /// entries (sharing the ingest pass — no second decode) and reject traces with
-    /// diagnostics at or above `deny` with [`Error::Check`]. Traced program runs
-    /// ([`Engine::trace`]) are not gated — the VM emits well-formed traces by
-    /// construction; the gate is for externally captured input.
+    /// Gates every streamed trace load behind the `rprism-check` static analysis:
+    /// after this, [`Engine::load_prepared_reader`] and [`Engine::watch`] run the
+    /// streaming checker over the decoded entries (sharing the ingest pass — no second
+    /// decode) and reject traces with diagnostics at or above `deny` with
+    /// [`Error::Check`]. Traced program runs ([`Engine::trace`]) and in-memory
+    /// handles ([`PreparedTrace::new`]) are not gated — the VM emits well-formed traces
+    /// by construction; the gate is for externally captured input. The same rule
+    /// configuration applies to [`Engine::check_reader`].
     pub fn check_on_ingest(mut self, config: CheckConfig, deny: Severity) -> Self {
         self.ingest_check = Some(IngestCheck { config, deny });
         self
@@ -1289,7 +1101,6 @@ impl EngineBuilder {
             algorithm: self.algorithm,
             mode: self.mode,
             render: self.render,
-            encoding: self.encoding,
             ingest_check: self.ingest_check,
             obs: self.obs,
             correlations: Arc::new(Mutex::new(CorrelationCache::new(
@@ -1303,6 +1114,7 @@ impl EngineBuilder {
 mod tests {
     use super::*;
     use crate::Error;
+    use rprism_format::{read_trace_path, trace_to_bytes, write_trace_path, Encoding};
 
     const SRC: &str = r#"
         class Counter extends Object {
@@ -1537,34 +1349,37 @@ mod tests {
     }
 
     #[test]
-    fn correlation_cache_is_keyed_by_the_options_fingerprint() {
-        // Regression test: the LRU used to be keyed on the handle pair alone, so one
-        // engine serving mixed option sets could hand a request a correlation built
-        // under different options. Flipping algorithms across the same pair must hit
-        // distinct entries (and non-views algorithms must not touch the cache at all).
+    fn correlation_cache_is_shared_across_views_option_sets() {
+        // A correlation is built from the two webs alone and reads no views options, so
+        // one build per pair serves every option set — and a diff answered from the
+        // shared entry equals the same diff on a fresh engine.
         let engine = Engine::new();
-        let a = engine.trace_source(SRC, "a").unwrap();
-        let b = engine.trace_source(SRC, "b").unwrap();
+        let a = engine
+            .trace_source(&regression_sources(32, 20), "a")
+            .unwrap();
+        let b = engine
+            .trace_source(&regression_sources(1, 20), "b")
+            .unwrap();
         engine.diff(&a, &b).unwrap();
         assert_eq!(engine.correlation_builds(), 1);
         assert_eq!(engine.cached_correlations(), 1);
 
-        // Same pair, different views options: a distinct cache entry and a fresh build.
-        let strict = ViewsDiffOptions::builder()
-            .relaxed_correlation(false)
-            .build();
-        engine
-            .diff_with_algorithm(&a, &b, &DiffAlgorithm::Views(strict.clone()))
-            .unwrap();
-        assert_eq!(engine.correlation_builds(), 2);
-        assert_eq!(engine.cached_correlations(), 2);
-
-        // Re-running either option set reuses its own entry.
-        engine.diff(&a, &b).unwrap();
-        engine
-            .diff_with_algorithm(&a, &b, &DiffAlgorithm::Views(strict))
-            .unwrap();
-        assert_eq!(engine.correlation_builds(), 2);
+        // Same pair, different views options: the one entry serves it.
+        let strict = DiffAlgorithm::Views(
+            ViewsDiffOptions::builder()
+                .relaxed_correlation(false)
+                .build(),
+        );
+        let shared = engine.diff_with_algorithm(&a, &b, &strict).unwrap();
+        assert_eq!(engine.correlation_builds(), 1);
+        assert_eq!(engine.cached_correlations(), 1);
+        let fresh = Engine::new().diff_with_algorithm(&a, &b, &strict).unwrap();
+        assert_eq!(
+            shared.matching.normalized_pairs(),
+            fresh.matching.normalized_pairs()
+        );
+        assert_eq!(shared.sequences, fresh.sequences);
+        assert_eq!(shared.cost.compare_ops, fresh.cost.compare_ops);
 
         // A batch fanned out over workers shares the entry a plain `diff` built
         // (scheduling is not semantics — diff/diff_many stay at one build per pair).
@@ -1572,7 +1387,7 @@ mod tests {
             engine.diff_many(&[(a.clone(), b.clone()), (b.clone(), a.clone())])
         })
         .unwrap();
-        assert_eq!(engine.correlation_builds(), 2);
+        assert_eq!(engine.correlation_builds(), 1);
 
         // Non-views algorithms never build or consult correlations.
         engine
@@ -1585,16 +1400,15 @@ mod tests {
                 &DiffAlgorithm::Anchored(AnchoredDiffOptions::default()),
             )
             .unwrap();
-        assert_eq!(engine.correlation_builds(), 2);
-        assert_eq!(engine.cached_correlations(), 2);
+        assert_eq!(engine.correlation_builds(), 1);
+        assert_eq!(engine.cached_correlations(), 1);
     }
 
     #[test]
     fn store_and_load_round_trip_through_both_encodings() {
         let dir = std::env::temp_dir().join(format!("rprism-engine-io-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let engine = Engine::builder().trace_encoding(Encoding::Jsonl).build();
-        assert_eq!(engine.trace_encoding(), Encoding::Jsonl);
+        let engine = Engine::new();
         let a = engine
             .trace_source(&regression_sources(32, 20), "a")
             .unwrap();
@@ -1604,11 +1418,11 @@ mod tests {
 
         let pa = dir.join("a.jsonl");
         let pb = dir.join("b.rtr");
-        engine.store_trace(&a, &pa).unwrap();
-        engine.store_trace_as(&b, &pb, Encoding::Binary).unwrap();
+        write_trace_path(a.trace(), &pa, Encoding::Jsonl).unwrap();
+        write_trace_path(b.trace(), &pb, Encoding::Binary).unwrap();
 
-        let la = engine.load_trace(&pa).unwrap();
-        let lb = engine.load_trace(&pb).unwrap();
+        let la = PreparedTrace::new(read_trace_path(&pa).unwrap());
+        let lb = PreparedTrace::new(read_trace_path(&pb).unwrap());
         assert_eq!(la.trace(), a.trace());
         assert_eq!(lb.trace(), b.trace());
 
@@ -1621,15 +1435,12 @@ mod tests {
         );
         assert_eq!(original.cost.compare_ops, loaded.cost.compare_ops);
 
-        let err = engine.load_trace(dir.join("missing.rtr")).unwrap_err();
-        assert!(matches!(err, crate::Error::Format(_)));
+        assert!(read_trace_path(dir.join("missing.rtr")).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn observed_engines_record_pipeline_spans_and_phases() {
-        let dir = std::env::temp_dir().join(format!("rprism-engine-obs-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
         let obs = rprism_obs::Obs::enabled();
         let engine = Engine::builder().obs(obs.clone()).build();
         assert!(engine.obs().is_enabled());
@@ -1639,13 +1450,11 @@ mod tests {
         let b = engine
             .trace_source(&regression_sources(1, 20), "b")
             .unwrap();
-        let pa = dir.join("a.rtr");
-        let pb = dir.join("b.rtr");
-        engine.store_trace(&a, &pa).unwrap();
-        engine.store_trace(&b, &pb).unwrap();
+        let ba = trace_to_bytes(a.trace(), Encoding::Binary).unwrap();
+        let bb = trace_to_bytes(b.trace(), Encoding::Binary).unwrap();
 
-        let la = engine.load_prepared(&pa).unwrap();
-        let lb = engine.load_prepared(&pb).unwrap();
+        let la = engine.load_prepared_reader(&ba[..]).unwrap();
+        let lb = engine.load_prepared_reader(&bb[..]).unwrap();
         engine.diff(&la, &lb).unwrap();
 
         let snapshot = obs.snapshot();
@@ -1669,7 +1478,6 @@ mod tests {
         assert!(!detached.obs().is_enabled());
         detached.diff(&la, &lb).unwrap();
         assert_eq!(detached.correlation_builds(), engine.correlation_builds());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1753,8 +1561,6 @@ mod tests {
 
     #[test]
     fn streamed_handles_diff_identically_and_refuse_store() {
-        let dir = std::env::temp_dir().join(format!("rprism-streamed-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
         let engine = Engine::new();
         let a = engine
             .trace_source(&regression_sources(32, 20), "a")
@@ -1762,14 +1568,12 @@ mod tests {
         let b = engine
             .trace_source(&regression_sources(1, 20), "b")
             .unwrap();
-        let (pa, pb) = (dir.join("a.rtr"), dir.join("b.jsonl"));
-        engine.store_trace(&a, &pa).unwrap();
-        engine.store_trace_as(&b, &pb, Encoding::Jsonl).unwrap();
+        let ba = trace_to_bytes(a.trace(), Encoding::Binary).unwrap();
+        let bb = trace_to_bytes(b.trace(), Encoding::Jsonl).unwrap();
 
-        let sa = engine.load_prepared(&pa).unwrap();
-        let sb = engine.load_prepared(&pb).unwrap();
+        let sa = engine.load_prepared_reader(&ba[..]).unwrap();
+        let sb = engine.load_prepared_reader(&bb[..]).unwrap();
         assert!(sa.is_streamed() && sb.is_streamed());
-        assert!(sa.try_trace().is_none());
         assert_eq!(sa.len(), a.len());
         assert_eq!(sa.meta(), a.meta());
 
@@ -1785,72 +1589,62 @@ mod tests {
         // Mixed full/streamed pairs work too (same trace on both sides: no diffs).
         assert_eq!(engine.diff(&a, &sa).unwrap().num_differences(), 0);
 
-        // Streamed handles no longer hold entries, so re-serialization is refused.
-        assert!(matches!(
-            engine.store_trace(&sa, dir.join("again.rtr")),
-            Err(Error::Streamed { .. })
-        ));
+        // Streamed handles hold no entries, so they offer no trace to re-serialize;
+        // reports still describe their entries from the lean artifacts.
+        assert!(sa.try_trace().is_none());
         assert!(sa.describe_entry(0).is_some());
         assert!(sa.describe_entry(usize::MAX).is_none());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn check_prepared_passes_vm_traces_and_refuses_streamed_handles() {
-        let dir = std::env::temp_dir().join(format!("rprism-check-eng-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+    fn vm_traces_check_clean_in_memory_and_streamed() {
         let engine = Engine::new();
         let traced = engine
             .trace_source(&regression_sources(32, 20), "t")
             .unwrap();
         // The VM emits well-formed traces by construction; the checker must agree.
-        let report = engine.check_prepared(&traced).unwrap();
+        let report = rprism_check::check_trace(traced.trace());
         assert!(report.is_clean(), "{:#?}", report.diagnostics);
 
-        let path = dir.join("t.rtr");
-        engine.store_trace(&traced, &path).unwrap();
         // Checking the serialized bytes streams to the same report.
-        let streamed_report = engine.check_path(&path).unwrap();
+        let bytes = trace_to_bytes(traced.trace(), Encoding::Binary).unwrap();
+        let streamed_report = engine.check_reader(&bytes[..]).unwrap();
         assert_eq!(report.diagnostics, streamed_report.diagnostics);
-
-        let streamed = engine.load_prepared(&path).unwrap();
         assert!(matches!(
-            engine.check_prepared(&streamed),
-            Err(Error::Streamed { .. })
-        ));
-        assert!(matches!(
-            engine.check_path(dir.join("missing.rtr")),
+            engine.check_reader(&bytes[..bytes.len() / 2]),
             Err(Error::Format(_))
         ));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn check_on_ingest_gates_both_load_paths() {
-        let dir = std::env::temp_dir().join(format!("rprism-gate-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        // The two streamed load paths: a reader load and a live watch.
         let plain = Engine::new();
         let gated = Engine::builder()
             .check_on_ingest(CheckConfig::default(), Severity::Error)
             .build();
+        let watch_of = |engine: &Engine, old: &PreparedTrace, new: &Trace| -> Result<()> {
+            let mut watch = engine.watch(old, new.meta.clone());
+            watch.push_entries(&new.entries)?;
+            watch.finish().map(|_| ())
+        };
 
         let good = plain
             .trace_source(&regression_sources(32, 20), "ok")
             .unwrap();
-        let good_path = dir.join("good.rtr");
-        plain.store_trace(&good, &good_path).unwrap();
-        assert!(gated.load_trace(&good_path).is_ok());
-        assert!(gated.load_prepared(&good_path).is_ok());
+        let good_bytes = trace_to_bytes(good.trace(), Encoding::Binary).unwrap();
+        assert!(gated.load_prepared_reader(&good_bytes[..]).is_ok());
+        assert!(watch_of(&gated, &good, good.trace()).is_ok());
 
-        let bad_path = dir.join("bad.rtr");
         let bad = rprism_check::fixtures::violating("define-before-use");
-        rprism_format::write_trace_path(&bad, &bad_path, Encoding::Binary).unwrap();
+        let bad_bytes = trace_to_bytes(&bad, Encoding::Binary).unwrap();
         // The ungated engine loads the ill-formed trace without complaint …
-        assert!(plain.load_trace(&bad_path).is_ok());
+        assert!(plain.load_prepared_reader(&bad_bytes[..]).is_ok());
+        assert!(watch_of(&plain, &good, &bad).is_ok());
         // … the gated one rejects it on both paths, with the report attached.
         for result in [
-            gated.load_trace(&bad_path).map(|_| ()),
-            gated.load_prepared(&bad_path).map(|_| ()),
+            gated.load_prepared_reader(&bad_bytes[..]).map(|_| ()),
+            watch_of(&gated, &good, &bad),
         ] {
             match result {
                 Err(Error::Check(report)) => {
@@ -1869,8 +1663,7 @@ mod tests {
                 Severity::Warning,
             )
             .build();
-        assert!(lenient.load_trace(&bad_path).is_ok());
-        std::fs::remove_dir_all(&dir).ok();
+        assert!(lenient.load_prepared_reader(&bad_bytes[..]).is_ok());
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Streaming trace ingestion: one bounded-memory pass from serialized bytes to
 //! prepared analysis artifacts.
 //!
-//! The load-then-prepare path ([`Engine::load_trace`](crate::Engine::load_trace))
-//! materializes a full [`Trace`](rprism_trace::Trace) — every entry with its owned
-//! strings — and then re-walks it to derive the [`KeyedTrace`] and [`ViewWeb`]. For
-//! multi-hundred-MB
+//! The load-then-prepare path ([`rprism_format::read_trace`] into
+//! [`PreparedTrace::new`](crate::PreparedTrace::new)) materializes a full
+//! [`Trace`](rprism_trace::Trace) — every entry with its owned strings — and then
+//! re-walks it to derive the [`KeyedTrace`] and [`ViewWeb`]. For multi-hundred-MB
 //! traces that double-walks the data and, more importantly, keeps the whole decoded
 //! trace resident for the lifetime of the handle.
 //!
@@ -27,9 +27,8 @@
 //!   decoding overlaps artifact construction.
 //!
 //! Peak memory is therefore O(accumulated artifacts) — lean contexts, keys, web —
-//! rather than O(decoded trace); the `streaming_ingest` measurement of `perf_smoke`
-//! (BENCH_4.json) and the counting-allocator test in `crates/core/tests` pin the
-//! resulting ≥2× peak reduction down.
+//! rather than O(decoded trace); the counting-allocator test in `crates/core/tests`
+//! pins the resulting ≥2× peak reduction down.
 //!
 //! Both builders produce artifacts *identical* to the load-then-prepare path: every
 //! builder consumes [`EntryRef`]s, the web is extended in entry order
@@ -48,8 +47,9 @@
 //! after the checksum footer has validated the whole stream, whereas streaming
 //! ingestion interns names *as they arrive* — a corrupt file that fails late can leave
 //! the names read so far behind (bounded by the bytes read). Callers ingesting wholly
-//! untrusted data who cannot accept that should use
-//! [`Engine::load_trace`](crate::Engine::load_trace).
+//! untrusted data who cannot accept that should load the whole trace with
+//! [`rprism_format::read_trace`] and wrap it with
+//! [`PreparedTrace::new`](crate::PreparedTrace::new).
 
 use std::io::BufRead;
 use std::sync::mpsc::sync_channel;

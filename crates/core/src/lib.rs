@@ -11,13 +11,15 @@
 //! shared across every diff, batch run and regression analysis:
 //!
 //! 1. trace two versions of a program on two test inputs ([`Engine::trace_source`]) —
-//!    or ingest externally captured traces from disk ([`Engine::load_trace`], which
-//!    sniffs the binary `.rtr` / JSONL encodings of [`rprism_format`]),
+//!    or ingest externally captured traces ([`Engine::load_prepared_reader`], which
+//!    sniffs the binary `.rtr` / JSONL encodings of [`rprism_format`] and streams them
+//!    into a handle; [`PreparedTrace::new`] wraps a trace already in memory),
 //! 2. difference pairs of traces semantically ([`Engine::diff`], [`Engine::diff_many`]),
 //! 3. run the full regression-cause analysis ([`Engine::analyze`],
 //!    [`Engine::analyze_many`]),
-//! 4. store any trace back to disk ([`Engine::store_trace`]) for the `rprism` CLI
-//!    (`rprism diff a.rtr b.rtr`) or external tooling.
+//! 4. store any trace back to disk ([`rprism_format::write_trace_path`] of
+//!    [`PreparedTrace::trace`]) for the `rprism` CLI (`rprism diff a.rtr b.rtr`) or
+//!    external tooling.
 //!
 //! ```
 //! use rprism::Engine;
@@ -78,7 +80,7 @@ pub use watch::{Watch, WatchOutcome};
 pub use rprism_check::{CheckConfig, CheckReport, Severity};
 pub use rprism_diff::{
     AnchoredDiffOptions, AnchoredDiffOptionsBuilder, DiffSession, LcsDiffOptions,
-    LcsDiffOptionsBuilder, LcsKernel, ProvisionalEvent, TraceDiffResult, ViewsDiffOptions,
+    LcsDiffOptionsBuilder, ProvisionalEvent, TraceDiffResult, ViewsDiffOptions,
     ViewsDiffOptionsBuilder,
 };
 pub use rprism_format::{Encoding, FormatError};
@@ -99,13 +101,6 @@ pub enum Error {
     /// Loading or storing a serialized trace failed (I/O, truncation, corruption, or an
     /// unsupported format version).
     Format(rprism_format::FormatError),
-    /// An operation that needs the full trace was invoked on a streaming-prepared
-    /// handle, which retains only its analysis artifacts (see
-    /// [`Engine::load_prepared`] vs [`Engine::load_trace`]).
-    Streamed {
-        /// The operation that was refused.
-        operation: &'static str,
-    },
     /// A loaded trace was rejected by the ingest-time static analysis
     /// ([`EngineBuilder::check_on_ingest`]): the report carries every diagnostic the
     /// checker raised, including those below the deny threshold.
@@ -122,12 +117,6 @@ impl std::fmt::Display for Error {
             Error::Diff(e) => write!(f, "differencing error: {e}"),
             Error::Vm(e) => write!(f, "runtime error: {e}"),
             Error::Format(e) => write!(f, "trace format error: {e}"),
-            Error::Streamed { operation } => write!(
-                f,
-                "{operation} requires the full trace, but this handle was \
-                 streaming-prepared (Engine::load_prepared) and retains only its \
-                 analysis artifacts; load it with Engine::load_trace instead"
-            ),
             Error::Check(report) => {
                 let (errors, warnings, infos) = report.counts();
                 write!(

@@ -12,10 +12,11 @@
 //! [`PreparedTrace`] handle for the watched side so reports render exactly like the
 //! batch path's.
 //!
-//! Construction goes through [`Engine::watch`](crate::Engine::watch) (push-driven, the
-//! server's mode) or [`Engine::watch_prepared`](crate::Engine::watch_prepared) (drives
-//! a [`TraceReader`](rprism_format::TraceReader) to completion, tailing across
-//! incomplete-record boundaries).
+//! Construction goes through [`Engine::watch`](crate::Engine::watch); the caller pushes
+//! entries as they arrive. For a serialized stream that is still growing, a
+//! [`TailDecoder`](rprism_format::TailDecoder) takes the bytes in any chunks, names the
+//! trace once its header has arrived, and yields [`EntryBatch`]es for
+//! [`Watch::push_batch`] — the daemon's watch loop.
 
 use rprism_check::{Checker, Severity};
 use rprism_diff::{DiffSession, ProvisionalEvent, SessionArtifacts, TraceDiffResult};
@@ -112,7 +113,7 @@ impl Watch {
     ///
     /// Returns [`Error::Check`] when the ingest gate's end-of-trace diagnostics reach
     /// the deny threshold (mirroring the batch
-    /// [`Engine::load_prepared`](crate::Engine::load_prepared) gate).
+    /// [`Engine::load_prepared_reader`](crate::Engine::load_prepared_reader) gate).
     pub fn finish(self) -> Result<WatchOutcome> {
         if let Some((checker, deny)) = self.gate {
             let mut report = checker.finish();

@@ -1,9 +1,9 @@
 //! Bounded-memory guarantees of the streaming prepare pipeline, enforced with a
 //! live/peak-bytes tracking global allocator:
 //!
-//! * `Engine::load_prepared` allocates O(accumulated artifacts) — its peak heap growth
-//!   stays well below the load-then-prepare path, which must keep the whole decoded
-//!   trace resident next to the same artifacts;
+//! * `Engine::load_prepared_reader` allocates O(accumulated artifacts) — its peak heap
+//!   growth stays well below the load-then-prepare path, which must keep the whole
+//!   decoded trace resident next to the same artifacts;
 //! * the artifacts a streamed handle *retains* are a fraction of a full handle's
 //!   footprint;
 //! * truncation or corruption mid-stream surfaces as an error and leaves the engine
@@ -79,10 +79,16 @@ unsafe impl GlobalAlloc for TrackingAllocator {
 #[global_allocator]
 static GLOBAL: TrackingAllocator = TrackingAllocator;
 
-use rprism::{Encoding, Engine};
-use rprism_format::write_trace_path;
+use rprism::{Encoding, Engine, PreparedTrace};
+use rprism_format::{read_trace_path, write_trace_path};
 use rprism_trace::testgen::{arbitrary_trace, Rng};
-use std::path::PathBuf;
+use std::fs::File;
+use std::path::{Path, PathBuf};
+
+/// Streams the trace file at `path` into a prepared handle.
+fn stream(engine: &Engine, path: &Path) -> rprism::Result<PreparedTrace> {
+    engine.load_prepared_reader(File::open(path).unwrap())
+}
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("rprism-stream-mem-{tag}-{}", std::process::id()));
@@ -105,10 +111,10 @@ fn streaming_ingest_allocates_artifacts_not_the_trace() {
 
     // Warm the interner and the allocator once so both measured passes run on equal
     // footing (vocabulary interning is a one-time, process-level cost).
-    drop(engine.load_prepared(&path).unwrap());
+    drop(stream(&engine, &path).unwrap());
 
     let baseline = TrackingAllocator::reset_peak();
-    let full = engine.load_trace(&path).unwrap();
+    let full = PreparedTrace::new(read_trace_path(&path).unwrap());
     full.keyed();
     full.web();
     let full_peak = TrackingAllocator::peak_since(baseline);
@@ -116,7 +122,7 @@ fn streaming_ingest_allocates_artifacts_not_the_trace() {
     drop(full);
 
     let baseline = TrackingAllocator::reset_peak();
-    let streamed = engine.load_prepared(&path).unwrap();
+    let streamed = stream(&engine, &path).unwrap();
     let streamed_peak = TrackingAllocator::peak_since(baseline);
     let streamed_retained = TrackingAllocator::live() - baseline;
 
@@ -158,12 +164,12 @@ fn failed_streaming_loads_leave_the_engine_clean_and_reusable() {
     let engine = Engine::new();
     // Warm the interner with one good pass, then measure that failed loads retain
     // nothing (partial artifacts are dropped with the call frame).
-    drop(engine.load_prepared(&good).unwrap());
+    drop(stream(&engine, &good).unwrap());
 
     for bad in [&truncated, &corrupt] {
         let live_before = TrackingAllocator::live();
         assert!(
-            engine.load_prepared(bad).is_err(),
+            stream(&engine, bad).is_err(),
             "damaged stream {bad:?} must not load"
         );
         let leaked = TrackingAllocator::live().saturating_sub(live_before);
@@ -176,8 +182,8 @@ fn failed_streaming_loads_leave_the_engine_clean_and_reusable() {
     }
 
     // The engine (and its caches) remain fully usable after the failures.
-    let a = engine.load_prepared(&good).unwrap();
-    let b = engine.load_prepared(&good).unwrap();
+    let a = stream(&engine, &good).unwrap();
+    let b = stream(&engine, &good).unwrap();
     let diff = engine.diff(&a, &b).unwrap();
     assert_eq!(diff.num_differences(), 0);
     assert_eq!(engine.cached_correlations(), 1);

@@ -27,7 +27,7 @@ use std::time::Instant;
 use rprism_trace::{par, KeyRef, KeyedTrace, Trace};
 
 use crate::cost::{CostMeter, DiffError, MemoryBudget};
-use crate::lcs::{lcs_hirschberg, lcs_with_kernel, LcsKernel};
+use crate::lcs::{lcs_bitparallel, lcs_hirschberg};
 use crate::matching::Matching;
 use crate::result::TraceDiffResult;
 
@@ -50,8 +50,6 @@ pub struct AnchoredDiffOptions {
     /// Working-set cap for each leaf's exact kernel; a segment that would exceed it is
     /// diffed with Hirschberg's linear-space algorithm instead of failing.
     pub segment_budget: MemoryBudget,
-    /// Exact kernel used on leaf segments.
-    pub kernel: LcsKernel,
 }
 
 impl Default for AnchoredDiffOptions {
@@ -60,7 +58,6 @@ impl Default for AnchoredDiffOptions {
             max_depth: 32,
             max_segment: 512,
             segment_budget: MemoryBudget::bytes(256 << 20),
-            kernel: LcsKernel::BitParallel,
         }
     }
 }
@@ -102,12 +99,6 @@ impl AnchoredDiffOptionsBuilder {
     /// Working-set cap per leaf segment (Hirschberg fallback beyond it).
     pub fn segment_budget(mut self, budget: MemoryBudget) -> Self {
         self.options.segment_budget = budget;
-        self
-    }
-
-    /// Exact kernel used on leaf segments.
-    pub fn kernel(mut self, kernel: LcsKernel) -> Self {
-        self.options.kernel = kernel;
         self
     }
 
@@ -205,7 +196,7 @@ struct Segment {
     r1: usize,
 }
 
-/// Diffs one leaf segment with the exact kernel, degrading to Hirschberg when the
+/// Diffs one leaf segment with the bit-parallel kernel, degrading to Hirschberg when the
 /// segment budget is exceeded, and returns its globally-indexed pairs.
 fn diff_segment(
     lkeys: &[KeyRef<'_>],
@@ -216,7 +207,7 @@ fn diff_segment(
 ) -> Vec<(usize, usize)> {
     let l = &lkeys[seg.l0..seg.l1];
     let r = &rkeys[seg.r0..seg.r1];
-    let mut pairs = match lcs_with_kernel(options.kernel, l, r, meter, options.segment_budget) {
+    let mut pairs = match lcs_bitparallel(l, r, meter, options.segment_budget) {
         Ok(local) => local,
         Err(DiffError::OutOfMemory { .. }) => lcs_hirschberg(l, r, meter),
     };

@@ -9,79 +9,19 @@
 //! compare operations and working-set bytes through [`CostMeter`]:
 //!
 //! * [`lcs_dp`] — the textbook full-table algorithm with traceback (quadratic space;
-//!   subject to the [`MemoryBudget`]),
-//! * [`lcs_optimized`] — full-table LCS after stripping the common prefix and suffix, the
-//!   "optimized version of the LCS algorithm (common-prefix/suffix optimizations)" used as
-//!   the baseline in §5.1,
+//!   subject to the [`MemoryBudget`]), run after stripping the common prefix and suffix:
+//!   the "optimized version of the LCS algorithm (common-prefix/suffix optimizations)"
+//!   used as the baseline in §5.1, and the kernel of the §3.2 LCS differencer,
 //! * [`lcs_bitparallel`] — a bit-parallel (Myers/Hyyrö-style, u64-word) formulation that
 //!   packs one DP row into `⌈n/64⌉` machine words and advances a whole row per left
 //!   element with a handful of word operations, falling back to [`lcs_dp`] when the
 //!   alphabet exceeds the word-packing scheme. Produces *byte-identical* matchings to
-//!   [`lcs_dp`] (same traceback tie-breaks), so it is a drop-in for the exact modes,
+//!   [`lcs_dp`] (same traceback tie-breaks); the views differencer's secondary windows
+//!   and the anchored differencer's leaf segments run it,
 //! * [`lcs_hirschberg`] — Hirschberg's linear-space divide-and-conquer algorithm
 //!   (cited as \[9\] in the paper: same result, roughly twice the computation).
 
 use crate::cost::{CostMeter, DiffError, MemoryBudget};
-
-/// Selects the exact-LCS kernel used for a matching-producing pass. Both kernels return
-/// byte-identical pair lists and meter identical compare counts; they differ only in
-/// wall-clock speed and working-set shape.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum LcsKernel {
-    /// The classic full-table dynamic program ([`lcs_dp`]).
-    Dp,
-    /// The bit-parallel word-packed kernel ([`lcs_bitparallel`]), which itself falls back
-    /// to the DP when a sub-problem's alphabet exceeds [`MAX_BITPARALLEL_CLASSES`].
-    BitParallel,
-}
-
-/// Runs the selected exact kernel. Matchings and compare counts are identical across
-/// kernels; see [`LcsKernel`].
-///
-/// # Errors
-///
-/// Returns [`DiffError::OutOfMemory`] when the kernel's working set exceeds the budget.
-pub fn lcs_with_kernel<T: PartialEq>(
-    kernel: LcsKernel,
-    left: &[T],
-    right: &[T],
-    meter: &mut CostMeter,
-    budget: MemoryBudget,
-) -> Result<Vec<(usize, usize)>, DiffError> {
-    let mut pairs = Vec::new();
-    let mut scratch = LcsScratch::default();
-    lcs_with_kernel_into(kernel, left, right, meter, budget, &mut scratch, |i, j| {
-        pairs.push((i, j))
-    })?;
-    Ok(pairs)
-}
-
-/// [`lcs_with_kernel`] over a caller-kept [`LcsScratch`], handing the pairs to `emit` in
-/// ascending order. The bit-parallel kernel then allocates nothing once the scratch has
-/// grown; the DP kernel, the reference, allocates its table and pair list per call.
-///
-/// # Errors
-///
-/// As [`lcs_with_kernel`]; on an error `emit` is never called.
-pub(crate) fn lcs_with_kernel_into<T: PartialEq>(
-    kernel: LcsKernel,
-    left: &[T],
-    right: &[T],
-    meter: &mut CostMeter,
-    budget: MemoryBudget,
-    scratch: &mut LcsScratch,
-    mut emit: impl FnMut(usize, usize),
-) -> Result<(), DiffError> {
-    match kernel {
-        LcsKernel::Dp => {
-            for (i, j) in lcs_dp(left, right, meter, budget)? {
-                emit(i, j);
-            }
-            Ok(())
-        }
-        LcsKernel::BitParallel => lcs_bitparallel_into(left, right, meter, budget, scratch, emit),
-    }
-}
 
 /// Computes the length of the LCS using two rolling rows (linear space). Useful on its own
 /// and as the building block of [`lcs_hirschberg`].
@@ -233,23 +173,6 @@ pub(crate) fn lcs_dp_table<T: PartialEq>(
     pairs.reverse();
     meter.release(table_bytes);
     Ok(pairs)
-}
-
-/// LCS with the common-prefix/common-suffix optimization — the baseline configuration
-/// used in the paper's evaluation. The optimization now lives inside [`lcs_dp`] itself,
-/// so this is an alias retained for callers (and measurements) that name the optimized
-/// variant explicitly.
-///
-/// # Errors
-///
-/// Returns [`DiffError::OutOfMemory`] when the middle-section table exceeds the budget.
-pub fn lcs_optimized<T: PartialEq>(
-    left: &[T],
-    right: &[T],
-    meter: &mut CostMeter,
-    budget: MemoryBudget,
-) -> Result<Vec<(usize, usize)>, DiffError> {
-    lcs_dp(left, right, meter, budget)
 }
 
 /// Maximum number of distinct equality classes the bit-parallel word-packing scheme
@@ -575,7 +498,7 @@ mod tests {
     fn identical_sequences_match_completely() {
         let xs = chars("HELLO");
         let mut meter = CostMeter::new();
-        let pairs = lcs_optimized(&xs, &xs, &mut meter, MemoryBudget::unlimited()).unwrap();
+        let pairs = lcs_dp(&xs, &xs, &mut meter, MemoryBudget::unlimited()).unwrap();
         assert_eq!(pairs, vec![(0, 0), (1, 1), (2, 2), (3, 3), (4, 4)]);
         // Prefix optimization should avoid the quadratic cost entirely.
         assert!(meter.stats().compare_ops <= 2 * xs.len() as u64);
@@ -596,12 +519,13 @@ mod tests {
 
     #[test]
     fn optimized_matches_dp_result_length() {
+        // `lcs_dp` (prefix/suffix-stripped) against its unstripped table core.
         let left = chars("THEQUICKBROWNFOX");
         let right = chars("THELAZYBROWNDOG");
         let mut m1 = CostMeter::new();
         let mut m2 = CostMeter::new();
-        let dp = lcs_dp(&left, &right, &mut m1, MemoryBudget::unlimited()).unwrap();
-        let opt = lcs_optimized(&left, &right, &mut m2, MemoryBudget::unlimited()).unwrap();
+        let dp = lcs_dp_table(&left, &right, &mut m1, MemoryBudget::unlimited()).unwrap();
+        let opt = lcs_dp(&left, &right, &mut m2, MemoryBudget::unlimited()).unwrap();
         assert_eq!(dp.len(), opt.len());
         for (i, j) in &opt {
             assert_eq!(left[*i], right[*j]);
@@ -739,65 +663,44 @@ mod tests {
         assert!(matches!(result, Err(DiffError::OutOfMemory { .. })));
     }
 
-    #[test]
-    fn kernel_selector_routes_to_both_kernels() {
-        let left = chars("ABCBDAB");
-        let right = chars("BDCABA");
-        let mut m1 = CostMeter::new();
-        let mut m2 = CostMeter::new();
-        let dp = lcs_with_kernel(
-            LcsKernel::Dp,
-            &left,
-            &right,
-            &mut m1,
-            MemoryBudget::unlimited(),
-        )
-        .unwrap();
-        let bp = lcs_with_kernel(
-            LcsKernel::BitParallel,
-            &left,
-            &right,
-            &mut m2,
-            MemoryBudget::unlimited(),
-        )
-        .unwrap();
-        assert_eq!(dp, bp);
-    }
-
     // Degenerate-shape regressions for the stripped length arithmetic: each pins the
     // exact matching (not just its length) so any future change to the prefix/suffix
-    // bookkeeping that shifts an index trips immediately.
+    // bookkeeping that shifts an index trips immediately. Both exact kernels strip.
+
+    type Kernel =
+        fn(&[u32], &[u32], &mut CostMeter, MemoryBudget) -> Result<Vec<(usize, usize)>, DiffError>;
+
+    const KERNELS: [(&str, Kernel); 2] = [("dp", lcs_dp), ("bitparallel", lcs_bitparallel)];
 
     #[test]
     fn degenerate_all_equal_strips_to_empty_table() {
         // All-equal traces: everything is prefix, the middle is empty-after-strip.
-        for kernel in [LcsKernel::Dp, LcsKernel::BitParallel] {
+        for (kernel, lcs) in KERNELS {
             let xs: Vec<u32> = vec![7; 100];
             let mut meter = CostMeter::new();
-            let pairs =
-                lcs_with_kernel(kernel, &xs, &xs, &mut meter, MemoryBudget::bytes(64)).unwrap();
+            let pairs = lcs(&xs, &xs, &mut meter, MemoryBudget::bytes(64)).unwrap();
             let expected: Vec<(usize, usize)> = (0..100).map(|i| (i, i)).collect();
-            assert_eq!(pairs, expected, "{kernel:?}");
+            assert_eq!(pairs, expected, "{kernel}");
         }
     }
 
     #[test]
     fn degenerate_one_sided_empty_matches_nothing() {
-        for kernel in [LcsKernel::Dp, LcsKernel::BitParallel] {
+        for (kernel, lcs) in KERNELS {
             let xs: Vec<u32> = (0..10).collect();
             let empty: Vec<u32> = Vec::new();
             let mut meter = CostMeter::new();
             assert!(
-                lcs_with_kernel(kernel, &xs, &empty, &mut meter, MemoryBudget::unlimited())
+                lcs(&xs, &empty, &mut meter, MemoryBudget::unlimited())
                     .unwrap()
                     .is_empty(),
-                "{kernel:?}: left-nonempty/right-empty"
+                "{kernel}: left-nonempty/right-empty"
             );
             assert!(
-                lcs_with_kernel(kernel, &empty, &xs, &mut meter, MemoryBudget::unlimited())
+                lcs(&empty, &xs, &mut meter, MemoryBudget::unlimited())
                     .unwrap()
                     .is_empty(),
-                "{kernel:?}: left-empty/right-nonempty"
+                "{kernel}: left-empty/right-nonempty"
             );
         }
     }
@@ -807,14 +710,13 @@ mod tests {
         // One side is a strict prefix of the other: after stripping, one side is empty
         // while the other still has entries — `len - suffix` must stay subtraction-safe
         // and the matching must cover exactly the shorter side.
-        for kernel in [LcsKernel::Dp, LcsKernel::BitParallel] {
+        for (kernel, lcs) in KERNELS {
             let long: Vec<u32> = (0..50).collect();
             let short: Vec<u32> = (0..30).collect();
             let mut meter = CostMeter::new();
-            let pairs = lcs_with_kernel(kernel, &long, &short, &mut meter, MemoryBudget::bytes(64))
-                .unwrap();
+            let pairs = lcs(&long, &short, &mut meter, MemoryBudget::bytes(64)).unwrap();
             let expected: Vec<(usize, usize)> = (0..30).map(|i| (i, i)).collect();
-            assert_eq!(pairs, expected, "{kernel:?}");
+            assert_eq!(pairs, expected, "{kernel}");
         }
     }
 
@@ -822,16 +724,14 @@ mod tests {
     fn degenerate_shared_prefix_and_suffix_overlap_safely() {
         // left = right with one element removed: prefix+suffix stripping covers the
         // whole shorter side; the suffix loop must not re-claim prefix elements.
-        for kernel in [LcsKernel::Dp, LcsKernel::BitParallel] {
+        for (kernel, lcs) in KERNELS {
             let long: Vec<u32> = (0..21).collect();
             let short: Vec<u32> = (0..21).filter(|&x| x != 10).collect();
             let mut meter = CostMeter::new();
-            let pairs =
-                lcs_with_kernel(kernel, &long, &short, &mut meter, MemoryBudget::unlimited())
-                    .unwrap();
-            assert_eq!(pairs.len(), 20, "{kernel:?}");
+            let pairs = lcs(&long, &short, &mut meter, MemoryBudget::unlimited()).unwrap();
+            assert_eq!(pairs.len(), 20, "{kernel}");
             for (i, j) in &pairs {
-                assert_eq!(long[*i], short[*j], "{kernel:?}");
+                assert_eq!(long[*i], short[*j], "{kernel}");
             }
         }
     }

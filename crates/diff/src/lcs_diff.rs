@@ -13,7 +13,7 @@ use std::time::Instant;
 use rprism_trace::{KeyRef, KeyedTrace, Trace};
 
 use crate::cost::{CostMeter, DiffError, MemoryBudget};
-use crate::lcs::{lcs_hirschberg, lcs_with_kernel, LcsKernel};
+use crate::lcs::{lcs_dp, lcs_hirschberg};
 use crate::matching::Matching;
 use crate::result::TraceDiffResult;
 
@@ -31,11 +31,6 @@ pub struct LcsDiffOptions {
     /// Use Hirschberg's linear-space algorithm instead of the full table. Slower (about
     /// twice the compare operations) but immune to the memory budget.
     pub linear_space: bool,
-    /// Exact kernel for the quadratic path (ignored under `linear_space`). The default
-    /// stays [`LcsKernel::Dp`] — the paper's baseline — but [`LcsKernel::BitParallel`]
-    /// produces byte-identical matchings with a ~32× smaller working set and word-packed
-    /// row updates.
-    pub kernel: LcsKernel,
 }
 
 impl Default for LcsDiffOptions {
@@ -43,7 +38,6 @@ impl Default for LcsDiffOptions {
         LcsDiffOptions {
             memory_budget: MemoryBudget::unlimited(),
             linear_space: false,
-            kernel: LcsKernel::Dp,
         }
     }
 }
@@ -82,12 +76,6 @@ impl LcsDiffOptionsBuilder {
     /// Use Hirschberg's linear-space variant instead of the full table.
     pub fn linear_space(mut self, linear: bool) -> Self {
         self.options.linear_space = linear;
-        self
-    }
-
-    /// Select the exact kernel of the quadratic path (DP table or bit-parallel).
-    pub fn kernel(mut self, kernel: LcsKernel) -> Self {
-        self.options.kernel = kernel;
         self
     }
 
@@ -163,13 +151,7 @@ pub fn lcs_diff_prepared(
     let pairs = if options.linear_space {
         lcs_hirschberg(&left_keys, &right_keys, &mut meter)
     } else {
-        lcs_with_kernel(
-            options.kernel,
-            &left_keys,
-            &right_keys,
-            &mut meter,
-            options.memory_budget,
-        )?
+        lcs_dp(&left_keys, &right_keys, &mut meter, options.memory_budget)?
     };
 
     let matching = Matching::from_pairs(left_keyed.len(), right_keyed.len(), pairs);

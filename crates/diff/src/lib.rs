@@ -69,10 +69,7 @@ pub use anchored::{
     anchored_diff, anchored_diff_prepared, AnchoredDiffOptions, AnchoredDiffOptionsBuilder,
 };
 pub use cost::{CostMeter, CostStats, DiffError, MemoryBudget};
-pub use lcs::{
-    lcs_bitparallel, lcs_dp, lcs_hirschberg, lcs_length, lcs_optimized, lcs_with_kernel, LcsKernel,
-    MAX_BITPARALLEL_CLASSES,
-};
+pub use lcs::{lcs_bitparallel, lcs_dp, lcs_hirschberg, lcs_length, MAX_BITPARALLEL_CLASSES};
 pub use lcs_diff::{
     lcs_diff, lcs_diff_keyed, lcs_diff_prepared, LcsDiffOptions, LcsDiffOptionsBuilder,
 };

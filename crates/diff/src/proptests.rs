@@ -12,7 +12,7 @@ use crate::anchored::{anchored_diff_prepared, AnchoredDiffOptions};
 use crate::cost::{CostMeter, MemoryBudget};
 use crate::lcs::{
     lcs_bitparallel, lcs_bitparallel_table, lcs_dp, lcs_dp_table, lcs_hirschberg, lcs_length,
-    lcs_optimized, LcsScratch,
+    LcsScratch,
 };
 
 const CASES: usize = 64;
@@ -36,14 +36,14 @@ fn lcs_variants_agree_on_length() {
         let (left, right) = sequences(&mut rng, 60);
         let mut m = CostMeter::new();
         let dp = lcs_dp(&left, &right, &mut m, MemoryBudget::unlimited()).unwrap();
-        let opt = lcs_optimized(&left, &right, &mut m, MemoryBudget::unlimited()).unwrap();
+        let bp = lcs_bitparallel(&left, &right, &mut m, MemoryBudget::unlimited()).unwrap();
         let hir = lcs_hirschberg(&left, &right, &mut m);
         let len = lcs_length(&left, &right, &mut m);
         assert_eq!(dp.len(), len, "dp vs length on {left:?} / {right:?}");
         assert_eq!(
-            opt.len(),
+            bp.len(),
             len,
-            "optimized vs length on {left:?} / {right:?}"
+            "bitparallel vs length on {left:?} / {right:?}"
         );
         assert_eq!(
             hir.len(),
@@ -63,7 +63,7 @@ fn lcs_matchings_are_valid_common_subsequences() {
         let mut m = CostMeter::new();
         for pairs in [
             lcs_dp(&left, &right, &mut m, MemoryBudget::unlimited()).unwrap(),
-            lcs_optimized(&left, &right, &mut m, MemoryBudget::unlimited()).unwrap(),
+            lcs_bitparallel(&left, &right, &mut m, MemoryBudget::unlimited()).unwrap(),
             lcs_hirschberg(&left, &right, &mut m),
         ] {
             for w in pairs.windows(2) {
@@ -134,10 +134,6 @@ fn optimization_is_sound_and_never_slower() {
         for (i, j) in &stripped {
             assert_eq!(left[*i], right[*j]);
         }
-        // And `lcs_optimized` remains an exact alias of the stripped entry point.
-        let mut m_alias = CostMeter::new();
-        let alias = lcs_optimized(&left, &right, &mut m_alias, MemoryBudget::unlimited()).unwrap();
-        assert_eq!(alias, stripped);
     }
 }
 

@@ -29,8 +29,8 @@
 //! first-seen list of explored view pairs — are cleared and reused by every
 //! exploration, and the windowed LCS emits its pairs straight into the scan's match
 //! list. Both properties are enforced by counting-allocator tests
-//! (`tests/no_alloc_hot_path.rs`). The DP kernel, kept as the reference, still
-//! allocates its table per call. Thread-view pairs are independent, so they fan out over
+//! (`tests/no_alloc_hot_path.rs`). The kernel's DP fallback, taken by windows of more
+//! than 64 key classes, still allocates its table per call. Thread-view pairs are independent, so they fan out over
 //! [`rprism_trace::par`]; each pair keeps its own [`CostMeter`], and the meters are
 //! merged in pair order at the end.
 
@@ -41,7 +41,7 @@ use rprism_views::correlate::relaxed::same_distance_from_anchor;
 use rprism_views::{Correlation, ViewId, ViewKind, ViewWeb};
 
 use crate::cost::{CostMeter, MemoryBudget};
-use crate::lcs::{lcs_with_kernel_into, LcsKernel, LcsScratch};
+use crate::lcs::{lcs_bitparallel_into, LcsScratch};
 use crate::result::TraceDiffResult;
 
 /// Configuration of the views-based differencer.
@@ -66,11 +66,6 @@ pub struct ViewsDiffOptions {
     /// Enable the context-sensitive correlation relaxation of §5 (tolerates method/class
     /// renames by correlating views at equal distances from the mismatch anchor).
     pub relaxed_correlation: bool,
-    /// Exact-LCS kernel for the windowed secondary passes. Both kernels produce
-    /// byte-identical matchings and compare counts (see [`LcsKernel`]); the bit-parallel
-    /// default wins wall-clock on wide windows and falls back to the DP per sub-problem
-    /// when the window's alphabet exceeds the word-packing scheme.
-    pub secondary_kernel: LcsKernel,
 }
 
 impl Default for ViewsDiffOptions {
@@ -80,7 +75,6 @@ impl Default for ViewsDiffOptions {
             window: 8,
             max_scan_ahead: 96,
             relaxed_correlation: true,
-            secondary_kernel: LcsKernel::BitParallel,
         }
     }
 }
@@ -129,12 +123,6 @@ impl ViewsDiffOptionsBuilder {
     /// Toggle the §5 context-sensitive correlation relaxation.
     pub fn relaxed_correlation(mut self, relaxed: bool) -> Self {
         self.options.relaxed_correlation = relaxed;
-        self
-    }
-
-    /// Select the exact-LCS kernel for the windowed secondary passes.
-    pub fn secondary_kernel(mut self, kernel: LcsKernel) -> Self {
-        self.options.secondary_kernel = kernel;
         self
     }
 
@@ -403,11 +391,11 @@ impl<'a> Differ<'a> {
         scratch
             .rkeys
             .extend(rwin.iter().map(|&x| self.right.keyed.key(x)));
-        // Windows are constant-sized, so the quadratic LCS here is O(1) per call. Both
-        // kernels return identical pairs with identical compare accounting, so the
-        // kernel knob cannot perturb the matching or any cost invariant.
-        lcs_with_kernel_into(
-            self.options.secondary_kernel,
+        // Windows are constant-sized, so the quadratic LCS here is O(1) per call. The
+        // bit-parallel kernel returns the DP's pairs with the DP's compare accounting
+        // (and falls back to the DP beyond 64 key classes), so the matching and every
+        // cost invariant are the DP's.
+        lcs_bitparallel_into(
             &scratch.lkeys,
             &scratch.rkeys,
             meter,

@@ -1,17 +1,22 @@
 //! Adversarial fuzzing of every differencing backend: each `rprism gen` profile —
 //! including the four shapes that each violate one well-formedness rule — is piped
-//! through the views scan (both secondary kernels), the LCS baseline (both kernels)
-//! and the anchored mode. Hostile, semantically broken traces must never panic any
-//! backend, the two kernels of an exact backend must stay matching-identical, and
-//! every produced matching must be structurally valid.
+//! through the views scan, the LCS baseline and the anchored mode, and the two exact
+//! LCS kernels run on the keyed sequences. Hostile, semantically broken traces must
+//! never panic any backend, the DP and bit-parallel kernels must stay
+//! matching-identical, and every produced matching must be structurally valid.
 
 use rprism_diff::{
-    anchored_diff, lcs_diff, views_diff_sides, AnchoredDiffOptions, DiffSide, LcsDiffOptions,
-    LcsKernel, TraceDiffResult, ViewsDiffOptions,
+    anchored_diff, lcs_bitparallel, lcs_diff, lcs_dp, views_diff_sides, AnchoredDiffOptions,
+    CostMeter, DiffSide, LcsDiffOptions, MemoryBudget, TraceDiffResult, ViewsDiffOptions,
 };
 use rprism_trace::testgen::{GenProfile, Rng};
-use rprism_trace::{KeyedTrace, LeanTrace, Trace};
+use rprism_trace::{KeyRef, KeyedTrace, LeanTrace, Trace};
 use rprism_views::ViewWeb;
+
+/// The interned key sequence of a trace, as the LCS differencer compares it.
+fn keys(keyed: &KeyedTrace) -> Vec<KeyRef<'_>> {
+    (0..keyed.len()).map(|i| keyed.key(i)).collect()
+}
 
 /// Structural validity of a *subsequence* matching (LCS, anchored): both sides
 /// strictly increasing (monotone, no index reuse), in range, and every pair
@@ -111,49 +116,45 @@ fn hostile_gen_profiles_never_panic_any_backend() {
         let right = right_profile.generate(&mut Rng::new(rng.next_u64()), 260);
         let context = format!("{left_profile:?} vs {right_profile:?}");
 
-        // Views: both secondary kernels, matching-identical.
         let (left_web, right_web) = (ViewWeb::build(&left), ViewWeb::build(&right));
         let (left_keyed, right_keyed) = (KeyedTrace::build(&left), KeyedTrace::build(&right));
         let (left_lean, right_lean) = (LeanTrace::build(&left), LeanTrace::build(&right));
-        let views: Vec<TraceDiffResult> = [LcsKernel::Dp, LcsKernel::BitParallel]
-            .iter()
-            .map(|&kernel| {
-                views_diff_sides(
-                    &DiffSide::lean(&left_lean, &left_keyed, &left_web),
-                    &DiffSide::lean(&right_lean, &right_keyed, &right_web),
-                    &ViewsDiffOptions::builder().secondary_kernel(kernel).build(),
-                )
-            })
-            .collect();
-        assert_eq!(
-            views[0].matching.normalized_pairs(),
-            views[1].matching.normalized_pairs(),
-            "{context}: views kernels diverged"
+        let views = views_diff_sides(
+            &DiffSide::lean(&left_lean, &left_keyed, &left_web),
+            &DiffSide::lean(&right_lean, &right_keyed, &right_web),
+            &ViewsDiffOptions::default(),
         );
-        assert_eq!(
-            views[0].cost.compare_ops, views[1].cost.compare_ops,
-            "{context}: views kernels metered different compares"
-        );
-        assert_in_range(&views[0], &left, &right, &format!("{context} (views)"));
+        assert_in_range(&views, &left, &right, &format!("{context} (views)"));
 
-        // LCS baseline: both kernels, matching-identical.
-        let lcs: Vec<TraceDiffResult> = [LcsKernel::Dp, LcsKernel::BitParallel]
-            .iter()
-            .map(|&kernel| {
-                lcs_diff(
-                    &left,
-                    &right,
-                    &LcsDiffOptions::builder().kernel(kernel).build(),
-                )
-                .unwrap_or_else(|e| panic!("{context}: lcs failed: {e}"))
-            })
-            .collect();
+        // The exact kernels on the keyed sequences: same pairs, same compare count.
+        let (left_keys, right_keys) = (keys(&left_keyed), keys(&right_keyed));
+        let (mut dp_meter, mut bp_meter) = (CostMeter::new(), CostMeter::new());
+        let dp = lcs_dp(
+            &left_keys,
+            &right_keys,
+            &mut dp_meter,
+            MemoryBudget::unlimited(),
+        )
+        .unwrap_or_else(|e| panic!("{context}: lcs_dp failed: {e}"));
+        let bp = lcs_bitparallel(
+            &left_keys,
+            &right_keys,
+            &mut bp_meter,
+            MemoryBudget::unlimited(),
+        )
+        .unwrap_or_else(|e| panic!("{context}: lcs_bitparallel failed: {e}"));
+        assert_eq!(dp, bp, "{context}: LCS kernels diverged");
         assert_eq!(
-            lcs[0].matching.normalized_pairs(),
-            lcs[1].matching.normalized_pairs(),
-            "{context}: LCS kernels diverged"
+            dp_meter.stats().compare_ops,
+            bp_meter.stats().compare_ops,
+            "{context}: LCS kernels metered different compares"
         );
-        assert_valid_alignment(&lcs[0], &left, &right, &format!("{context} (lcs)"));
+
+        // LCS baseline: the DP kernel's matching, structurally valid.
+        let lcs = lcs_diff(&left, &right, &LcsDiffOptions::default())
+            .unwrap_or_else(|e| panic!("{context}: lcs failed: {e}"));
+        assert_eq!(lcs.matching.normalized_pairs(), dp, "{context}: baseline");
+        assert_valid_alignment(&lcs, &left, &right, &format!("{context} (lcs)"));
 
         // Anchored: valid (not necessarily maximal) matchings, never a panic — with
         // aggressive segmentation to exercise the recursion, not just the leaf path.
@@ -165,7 +166,7 @@ fn hostile_gen_profiles_never_panic_any_backend() {
         assert_eq!(anchored.algorithm, "anchored");
         assert_valid_alignment(&anchored, &left, &right, &format!("{context} (anchored)"));
         assert!(
-            anchored.matching.normalized_pairs().len() <= lcs[0].matching.normalized_pairs().len(),
+            anchored.matching.normalized_pairs().len() <= lcs.matching.normalized_pairs().len(),
             "{context}: anchored matched more than the exact LCS"
         );
     }

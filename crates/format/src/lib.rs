@@ -575,24 +575,6 @@ fn reencoded_summary(input: &[u8]) -> Result<ContentSummary> {
     })
 }
 
-/// [`content_summary`] over a file, read into memory first.
-///
-/// # Errors
-///
-/// Returns the file's first [`FormatError`].
-pub fn content_summary_path(path: impl AsRef<Path>) -> Result<ContentSummary> {
-    content_summary(&std::fs::read(path.as_ref())?)
-}
-
-/// [`content_hash`] over a file.
-///
-/// # Errors
-///
-/// Returns the file's first [`FormatError`].
-pub fn content_hash_path(path: impl AsRef<Path>) -> Result<u64> {
-    content_summary_path(path).map(|summary| summary.hash)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -377,14 +377,13 @@ impl Client {
     }
 
     /// [`Client::diff`] with an explicit differencing-algorithm override; `None`
-    /// uses the server engine's default and emits the exact pre-override frame, so
-    /// this also talks to servers that predate the override.
+    /// uses the server engine's default and leaves the override byte off the frame.
     ///
     /// # Errors
     ///
-    /// Returns [`ServerError::Remote`] for unknown hashes or a failed diff — and
-    /// from pre-override servers when an override is requested (they reject the
-    /// trailing byte as a malformed frame).
+    /// Returns [`ServerError::Remote`] for unknown hashes or a failed diff, and
+    /// [`ServerError::Proto`] (`UnsupportedVersion`) when the server answers in a
+    /// protocol version other than [`PROTO_VERSION`](crate::proto::PROTO_VERSION).
     pub fn diff_with_algorithm(
         &mut self,
         left: u64,
@@ -448,16 +447,15 @@ impl Client {
         }
     }
 
-    /// Runs the `rprism-check` static analysis over a stored trace on the server
-    /// (protocol version 3), with per-rule severity `overrides` applied over the
-    /// rule defaults. Returns the full structured report; rendering it locally
+    /// Runs the `rprism-check` static analysis over a stored trace on the server,
+    /// with per-rule severity `overrides` applied over the rule defaults. Returns the full structured report; rendering it locally
     /// produces byte-identical output to a local `rprism check` of the same blob.
     ///
     /// # Errors
     ///
-    /// Returns [`ServerError::Remote`] for unknown hashes, unknown rule ids, and
-    /// servers older than protocol version 3 (which answer the unknown request
-    /// tag with an error frame).
+    /// Returns [`ServerError::Remote`] for unknown hashes and unknown rule ids, and
+    /// [`ServerError::Proto`] (`UnsupportedVersion`) when the server answers in
+    /// another protocol version.
     pub fn check(&mut self, hash: u64, overrides: &[(String, Severity)]) -> Result<CheckReport> {
         match self.call(&Request::Check {
             hash,
@@ -468,10 +466,9 @@ impl Client {
         }
     }
 
-    /// Opens a live watch against the stored trace `old` (protocol version 4): the
-    /// connection enters watch mode, and [`Client::watch_chunk`] /
-    /// [`Client::watch_finish`] stream the new trace's serialized bytes up as they
-    /// are produced. `max_sequences` bounds the final report's rendering, exactly as
+    /// Opens a live watch against the stored trace `old`: the connection enters
+    /// watch mode, and [`Client::watch_chunk`] / [`Client::watch_finish`] stream the
+    /// new trace's serialized bytes up as they are produced. `max_sequences` bounds the final report's rendering, exactly as
     /// in [`Client::diff`].
     ///
     /// Watch requests are **stateful** and therefore never retried: a torn exchange
@@ -480,8 +477,9 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Returns [`ServerError::Remote`] for unknown hashes and for servers older
-    /// than protocol version 4.
+    /// Returns [`ServerError::Remote`] for unknown hashes, and
+    /// [`ServerError::Proto`] (`UnsupportedVersion`) when the server answers in
+    /// another protocol version.
     pub fn watch_start(&mut self, old: u64, max_sequences: u64) -> Result<()> {
         match self.call(&Request::WatchStart { old, max_sequences })? {
             Response::WatchStarted => Ok(()),
@@ -536,13 +534,13 @@ impl Client {
     }
 
     /// Fetches the server's metrics rendered in the Prometheus text exposition
-    /// format (protocol version 5): every counter, gauge and span-latency summary
-    /// the daemon registered, sorted by name.
+    /// format: every counter, gauge and span-latency summary the daemon registered,
+    /// sorted by name.
     ///
     /// # Errors
     ///
-    /// Returns [`ServerError::Remote`] from servers older than protocol version 5
-    /// and transport errors as [`ServerError::Io`].
+    /// Returns [`ServerError::Proto`] (`UnsupportedVersion`) when the server answers
+    /// in another protocol version, and transport errors as [`ServerError::Io`].
     pub fn metrics(&mut self) -> Result<String> {
         match self.call(&Request::Metrics)? {
             Response::MetricsOk { text } => Ok(text),
@@ -550,15 +548,15 @@ impl Client {
         }
     }
 
-    /// Fetches the server's **self-trace** (protocol version 5): its recent
-    /// execution — request spans, repository I/O, pipeline phases — replayed onto
-    /// the trace model and serialized as canonical binary `.rtr` bytes, loadable
-    /// and checkable like any stored trace.
+    /// Fetches the server's **self-trace**: its recent execution — request spans,
+    /// repository I/O, pipeline phases — replayed onto the trace model and
+    /// serialized as canonical binary `.rtr` bytes, loadable and checkable like any
+    /// stored trace.
     ///
     /// # Errors
     ///
-    /// Returns [`ServerError::Remote`] from servers older than protocol version 5
-    /// and transport errors as [`ServerError::Io`].
+    /// Returns [`ServerError::Proto`] (`UnsupportedVersion`) when the server answers
+    /// in another protocol version, and transport errors as [`ServerError::Io`].
     pub fn obs_trace(&mut self) -> Result<Vec<u8>> {
         match self.call(&Request::ObsTrace)? {
             Response::ObsTraceOk { bytes } => Ok(bytes),

@@ -13,8 +13,8 @@
 //!   stores nothing new. Hot [`PreparedTrace`](rprism::PreparedTrace) handles live in
 //!   an LRU cache with a configurable byte budget; eviction drops handles only — the
 //!   blobs stay on disk and reload on demand through
-//!   [`Engine::load_prepared`](rprism::Engine::load_prepared)'s bounded-memory
-//!   streaming pipeline.
+//!   [`Engine::load_prepared_reader`](rprism::Engine::load_prepared_reader)'s
+//!   bounded-memory streaming pipeline.
 //! * [`Server`] — a TCP daemon speaking the framed wire protocol of [`proto`]
 //!   (length-prefixed, FNV-64-checksummed frames reusing `rprism_format`'s varint and
 //!   checksum machinery). Connections are served by a bounded thread pool sharing

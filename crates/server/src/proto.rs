@@ -109,9 +109,10 @@ pub enum Request {
         max_sequences: u64,
         /// Differencing-algorithm override (`None` uses the server engine's default).
         ///
-        /// Encoded as an *optional trailing byte*: requests without an override emit
-        /// the exact pre-override frame, so old clients and old servers interoperate
-        /// unchanged (the protocol version stays 3).
+        /// Encoded as an *optional trailing byte*: a request without an override ends
+        /// after `max_sequences`. The frame carries [`PROTO_VERSION`] either way; a
+        /// peer of another version is refused with
+        /// [`FormatError::UnsupportedVersion`].
         algorithm: Option<WireAlgorithm>,
     },
     /// Run the §4.1 regression-cause analysis over four stored traces.
@@ -133,8 +134,7 @@ pub enum Request {
         /// [`Request::Diff`].
         algorithm: Option<WireAlgorithm>,
     },
-    /// Run the `rprism-check` static analysis over a stored trace (added in
-    /// protocol version 3).
+    /// Run the `rprism-check` static analysis over a stored trace.
     Check {
         /// The content hash of the trace to check.
         hash: u64,
@@ -143,10 +143,10 @@ pub enum Request {
         /// [`CheckConfig::overrides`](rprism::CheckConfig::overrides).
         overrides: Vec<(String, Severity)>,
     },
-    /// Open a live watch against a stored trace (added in protocol version 4): the
-    /// connection enters watch mode, and subsequent [`Request::PutStream`] chunks
-    /// carry the growing new trace. The strict one-request/one-response alternation
-    /// is preserved — every chunk is individually acknowledged.
+    /// Open a live watch against a stored trace: the connection enters watch mode,
+    /// and subsequent [`Request::PutStream`] chunks carry the growing new trace. The
+    /// strict one-request/one-response alternation is preserved — every chunk is
+    /// individually acknowledged.
     WatchStart {
         /// Content hash of the stored old (left) trace to diff against.
         old: u64,
@@ -166,14 +166,14 @@ pub enum Request {
     },
     /// Repository and cache statistics.
     Stats,
-    /// The server's metrics rendered in the Prometheus text exposition format (added
-    /// in protocol version 5). Rendering happens server-side from one consistent
-    /// snapshot, so what a client prints is byte-identical to what the server saw.
+    /// The server's metrics rendered in the Prometheus text exposition format.
+    /// Rendering happens server-side from one consistent snapshot, so what a client
+    /// prints is byte-identical to what the server saw.
     Metrics,
     /// The server's own recent execution — its pipeline/repo/request spans plus a
-    /// metric snapshot — serialized as a canonical binary trace blob (added in
-    /// protocol version 5). The blob loads like any stored trace: `rprism check`,
-    /// `rprism diff`, `Engine::load_prepared` all accept it.
+    /// metric snapshot — serialized as a canonical binary trace blob. The blob loads
+    /// like any stored trace: `rprism check`, `rprism diff`,
+    /// `Engine::load_prepared_reader` all accept it.
     ObsTrace,
     /// Gracefully stop the daemon: in-flight requests drain, then the listener exits.
     Shutdown,
@@ -205,15 +205,14 @@ pub enum Response {
     DiffOk(WireDiff),
     /// The result of a [`Request::Analyze`].
     AnalyzeOk(WireReport),
-    /// The result of a [`Request::Check`] (added in protocol version 3): the full
-    /// structured [`CheckReport`], not a rendering — the client renders locally with
-    /// the same code a local check uses, so `rprism remote check` output is
-    /// byte-identical to `rprism check` over the same blob. Diagnostic rule ids are
+    /// The result of a [`Request::Check`]: the full structured [`CheckReport`], not a
+    /// rendering — the client renders locally with the same code a local check uses,
+    /// so `rprism remote check` output is byte-identical to `rprism check` over the same blob. Diagnostic rule ids are
     /// spelled out as strings on the wire and mapped back through the static rule
     /// registry on decode (an unknown id is a decode error).
     CheckOk(Box<CheckReport>),
-    /// Acknowledges a [`Request::WatchStart`] (added in protocol version 4): the
-    /// old trace is loaded and the connection is in watch mode.
+    /// Acknowledges a [`Request::WatchStart`]: the old trace is loaded and the
+    /// connection is in watch mode.
     WatchStarted,
     /// Acknowledges a non-final [`Request::PutStream`] chunk with the provisional
     /// events the chunk produced (possibly none — e.g. the chunk ended mid-record).
@@ -231,21 +230,19 @@ pub enum Response {
         /// The authoritative diff, rendered with the watch's `max_sequences`.
         diff: WireDiff,
     },
-    /// The server's ingest check denied the watched trace mid-stream (added in
-    /// protocol version 4): the full structured report travels back, the watch is
-    /// torn down, and the connection stays open. Unlike [`Response::Error`], the
-    /// client can render the diagnostics exactly as a local denied check would.
+    /// The server's ingest check denied the watched trace mid-stream: the full
+    /// structured report travels back, the watch is torn down, and the connection
+    /// stays open. Unlike [`Response::Error`], the client can render the diagnostics
+    /// exactly as a local denied check would.
     CheckDenied(Box<CheckReport>),
     /// The statistics snapshot of a [`Request::Stats`].
     StatsOk(WireStats),
-    /// The Prometheus text exposition of a [`Request::Metrics`] (added in protocol
-    /// version 5).
+    /// The Prometheus text exposition of a [`Request::Metrics`].
     MetricsOk {
         /// The rendered exposition, exactly as the server would serve it.
         text: String,
     },
-    /// The serialized self-trace of a [`Request::ObsTrace`] (added in protocol
-    /// version 5).
+    /// The serialized self-trace of a [`Request::ObsTrace`].
     ObsTraceOk {
         /// The canonical binary `.rtr` bytes of the server's self-trace.
         bytes: Vec<u8>,
@@ -383,7 +380,7 @@ impl WireSequence {
     }
 }
 
-/// A [`ProvisionalEvent`] in wire form (added in protocol version 4).
+/// A [`ProvisionalEvent`] in wire form.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WireWatchEvent {
     /// The pair entered the provisional similarity set.

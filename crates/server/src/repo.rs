@@ -23,9 +23,9 @@
 //! these invariants.
 //!
 //! Above the blobs sits the hot cache: [`PreparedTrace`] handles produced by
-//! [`Engine::load_prepared`]'s bounded-memory streaming pipeline, keyed by content
-//! hash and bounded by a **byte budget** with least-recently-used eviction. The weight
-//! of a handle is its blob's on-disk size — a deliberate proxy for the prepared
+//! [`Engine::load_prepared_reader`]'s bounded-memory streaming pipeline, keyed by
+//! content hash and bounded by a **byte budget** with least-recently-used eviction. The
+//! weight of a handle is its blob's on-disk size — a deliberate proxy for the prepared
 //! artifacts' footprint that is cheap, deterministic, and proportional to the trace.
 //! Eviction drops handles only; blobs are never deleted, and an evicted trace simply
 //! streams back in on its next use. Handles are `Arc`s, so evicting one that an
@@ -453,9 +453,9 @@ impl TraceRepo {
     }
 
     /// The prepared handle of a stored trace: from the hot cache when present, else
-    /// streamed in from its blob via [`Engine::load_prepared`] (one bounded-memory
-    /// pass — the server never materializes a full `Trace` for a repository read) and
-    /// cached under the byte budget.
+    /// streamed in from its blob via [`Engine::load_prepared_reader`] (one
+    /// bounded-memory pass — the server never materializes a full `Trace` for a
+    /// repository read) and cached under the byte budget.
     ///
     /// # Errors
     ///

@@ -7,7 +7,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use rprism::Engine;
+use rprism::{Engine, PreparedTrace};
 use rprism_format::frame::{frame_to_bytes, read_frame};
 use rprism_format::{trace_to_bytes, Encoding, FormatError};
 use rprism_server::proto::{Request, Response};
@@ -75,7 +75,10 @@ fn full_request_vocabulary_round_trips() {
     let remote = client.diff(put.hash, put_new.hash, 3).unwrap();
     let engine = Engine::new();
     let local = engine
-        .diff(&engine.prepare(old.clone()), &engine.prepare(new.clone()))
+        .diff(
+            &PreparedTrace::new(old.clone()),
+            &PreparedTrace::new(new.clone()),
+        )
         .unwrap();
     assert_eq!(remote.pairs_local(), local.matching.normalized_pairs());
     assert_eq!(remote.sequences_local(), local.sequences);
@@ -151,7 +154,10 @@ fn algorithm_overrides_choose_the_backend_per_request() {
         .lcs_baseline(rprism::LcsDiffOptions::default())
         .build();
     let local = engine
-        .diff(&engine.prepare(old.clone()), &engine.prepare(new.clone()))
+        .diff(
+            &PreparedTrace::new(old.clone()),
+            &PreparedTrace::new(new.clone()),
+        )
         .unwrap();
     assert_eq!(remote_lcs.pairs_local(), local.matching.normalized_pairs());
     assert_eq!(remote_lcs.compare_ops, local.cost.compare_ops);

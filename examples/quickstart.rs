@@ -12,7 +12,10 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
-use rprism::Engine;
+use std::fs::File;
+
+use rprism::format::write_trace_path;
+use rprism::{Encoding, Engine};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let old_src = r#"
@@ -66,18 +69,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         old.web_build_count()
     );
 
-    // Traces are portable: store them in the compact binary encoding (or JSONL via
-    // `store_trace_as(.., Encoding::Jsonl)`), reload with content sniffing, and get the
+    // Traces are portable: store them in the compact binary encoding (or in JSONL
+    // with `Encoding::Jsonl`), stream them back in with content sniffing, and get the
     // exact same analysis — `rprism diff old.rtr new.rtr` does this from the shell.
     let dir = std::env::temp_dir().join(format!("rprism-quickstart-{}", std::process::id()));
     std::fs::create_dir_all(&dir).map_err(rprism::FormatError::Io)?;
     let old_path = dir.join("old.rtr");
     let new_path = dir.join("new.rtr");
-    engine.store_trace(&old, &old_path)?;
-    engine.store_trace(&new, &new_path)?;
+    write_trace_path(old.trace(), &old_path, Encoding::Binary)?;
+    write_trace_path(new.trace(), &new_path, Encoding::Binary)?;
     let reloaded = engine.diff(
-        &engine.load_trace(&old_path)?,
-        &engine.load_trace(&new_path)?,
+        &engine.load_prepared_reader(File::open(&old_path)?)?,
+        &engine.load_prepared_reader(File::open(&new_path)?)?,
     )?;
     println!(
         "stored to {} and re-diffed from disk: {} differences (identical: {})",

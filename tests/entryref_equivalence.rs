@@ -234,7 +234,7 @@ fn watched(
 
 fn assert_watch_matches_batch(engine: &Engine, old: &Input, new: &Input) {
     let old_handle = engine.load_prepared_reader(old.bytes.as_slice()).unwrap();
-    let new_handle = engine.prepare(trace_from_bytes(&new.bytes).unwrap());
+    let new_handle = PreparedTrace::new(trace_from_bytes(&new.bytes).unwrap());
     let batch = engine.diff(&old_handle, &new_handle).unwrap();
     for chunk in CHUNKS {
         let got = watched(engine, &old_handle, &new.bytes, chunk);
@@ -361,8 +361,7 @@ fn full_and_streamed_handles_diff_and_analyze_identically() {
                         engine.load_prepared_reader(bytes.as_slice()).unwrap()
                     })
                     .collect();
-                let full: Vec<PreparedTrace> =
-                    quad.into_iter().map(|t| engine.prepare(t)).collect();
+                let full: Vec<PreparedTrace> = quad.into_iter().map(PreparedTrace::new).collect();
                 let context = format!(
                     "{profile}-{entries} {} ({})",
                     if independent {

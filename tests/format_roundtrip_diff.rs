@@ -3,8 +3,8 @@
 //! — same matchings, same difference signatures, same deterministic cost-meter compare
 //! counts — on all four §5.2 case studies, under both encodings.
 
-use rprism::Engine;
-use rprism_format::Encoding;
+use rprism::{Engine, PreparedTrace};
+use rprism_format::{read_trace_path, Encoding};
 use rprism_regress::DiffSet;
 use rprism_workloads::casestudies;
 
@@ -24,8 +24,8 @@ fn loaded_traces_diff_identically_to_originals() {
             let [old_path, new_path] = traces
                 .export_suspected_pair(&dir, &scenario.name, encoding)
                 .unwrap();
-            let loaded_old = engine.load_trace(&old_path).unwrap();
-            let loaded_new = engine.load_trace(&new_path).unwrap();
+            let loaded_old = PreparedTrace::new(read_trace_path(&old_path).unwrap());
+            let loaded_new = PreparedTrace::new(read_trace_path(&new_path).unwrap());
 
             let original = engine
                 .diff(&traces.traces.old_regressing, &traces.traces.new_regressing)
@@ -78,7 +78,7 @@ fn loaded_traces_analyze_identically_to_originals() {
             .unwrap();
         let loaded: Vec<_> = paths
             .iter()
-            .map(|p| engine.load_trace(p).unwrap())
+            .map(|p| PreparedTrace::new(read_trace_path(p).unwrap()))
             .collect();
         let loaded_input = rprism::RegressionInput::new(
             loaded[0].clone(),

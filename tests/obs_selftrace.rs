@@ -3,7 +3,7 @@
 //! trace model, which must survive the same pipeline as any user trace — the
 //! semantic lint rules, binary serialization, and the engine's streaming ingest.
 
-use rprism::Engine;
+use rprism::{Engine, PreparedTrace};
 use rprism_obs::Obs;
 
 /// A workload shaped like the server's own execution: several worker threads,
@@ -57,7 +57,7 @@ fn self_trace_round_trips_through_the_engine_and_checks_clean() {
     let engine = Engine::new();
     let handle = engine
         .load_prepared_reader(&bytes[..])
-        .expect("self-trace streams through load_prepared");
+        .expect("self-trace streams through load_prepared_reader");
     assert_eq!(handle.meta().name, "rprism-selftest");
 
     let streamed = engine
@@ -70,8 +70,8 @@ fn self_trace_round_trips_through_the_engine_and_checks_clean() {
     // execution can be compared run over run".
     let decoded = rprism_format::trace_from_bytes(&bytes).expect("decode");
     assert_eq!(decoded, trace, "binary round trip must be exact");
-    let left = engine.prepare(decoded);
-    let right = engine.prepare(trace);
+    let left = PreparedTrace::new(decoded);
+    let right = PreparedTrace::new(trace);
     let diff = engine.diff(&left, &right).expect("views never fails");
     assert_eq!(
         diff.num_differences(),

@@ -56,7 +56,11 @@ fn remote_diff_and_analyze_match_the_local_engine_on_all_case_studies() {
             // The same files through the local streaming-ingest path.
             let local: Vec<PreparedTrace> = paths
                 .iter()
-                .map(|p| engine.load_prepared(p).unwrap())
+                .map(|p| {
+                    engine
+                        .load_prepared_reader(std::fs::File::open(p).unwrap())
+                        .unwrap()
+                })
                 .collect();
 
             // --- diff of the suspected pair -------------------------------------

@@ -1,10 +1,11 @@
 //! End-to-end equivalence of the streaming prepare pipeline: on all four §5.2 case
-//! studies, handles produced by `Engine::load_prepared` (one bounded-memory pass, no
-//! materialized trace) are indistinguishable from load-then-prepare handles — same
+//! studies, handles produced by `Engine::load_prepared_reader` (one bounded-memory pass,
+//! no materialized trace) are indistinguishable from load-then-prepare handles — same
 //! matchings, same difference sequences, same `DiffSignature` sets, same deterministic
 //! compare counts — for plain diffs and for the full regression-cause analysis, under
 //! both on-disk encodings, with the two-stage ingest pipeline and on the calling thread.
 
+use rprism::format::read_trace_path;
 use rprism::{Encoding, Engine, PreparedTrace, RegressionInput};
 use rprism_trace::par;
 use rprism_workloads::casestudies;
@@ -30,11 +31,15 @@ fn streamed_handles_match_load_then_prepare_on_all_case_studies() {
 
                     let full: Vec<PreparedTrace> = paths
                         .iter()
-                        .map(|p| engine.load_trace(p).unwrap())
+                        .map(|p| PreparedTrace::new(read_trace_path(p).unwrap()))
                         .collect();
                     let streamed: Vec<PreparedTrace> = paths
                         .iter()
-                        .map(|p| engine.load_prepared(p).unwrap())
+                        .map(|p| {
+                            engine
+                                .load_prepared_reader(std::fs::File::open(p).unwrap())
+                                .unwrap()
+                        })
                         .collect();
                     for (f, s) in full.iter().zip(&streamed) {
                         assert!(s.is_streamed());

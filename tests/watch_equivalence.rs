@@ -1,16 +1,18 @@
 //! Live-watch ≡ batch equivalence: on all four §5.2 case studies, a [`rprism::Watch`]
 //! fed the new trace in chunks — at every boundary in {1, 7, 256, whole} — produces a
 //! final verdict identical to the batch differ (matchings, difference sequences,
-//! deterministic compare counts), and the same holds for
-//! [`Engine::watch_prepared`](rprism::Engine::watch_prepared) tailing serialized files
-//! under both on-disk encodings with byte-level chunk boundaries. The provisional
+//! deterministic compare counts), and the same holds for the daemon's watch loop — a
+//! [`TailDecoder`] fed the serialized trace in byte-level chunks under both on-disk
+//! encodings, its batches pushed with [`rprism::Watch::push_batch`]. The provisional
 //! event stream is checked for the monotonic invalidation rule throughout: a retracted
 //! pair is never re-reported as a match, not even by the final reconciliation.
 
 use std::collections::HashSet;
 
-use rprism::{Encoding, Engine, ProvisionalEvent, TraceDiffResult};
-use rprism_format::TraceReader;
+use rprism::ingest::BATCH_ENTRIES;
+use rprism::{Encoding, Engine, PreparedTrace, ProvisionalEvent, TraceDiffResult, WatchOutcome};
+use rprism_format::{trace_to_bytes, TailBatch, TailDecoder};
+use rprism_trace::EntryBatch;
 use rprism_workloads::casestudies;
 
 /// Entry-chunk boundaries exercised by the push-driven test; `usize::MAX` stands for
@@ -95,37 +97,69 @@ fn push_driven_watch_chunked_at_every_boundary_matches_the_batch_differ() {
     }
 }
 
+/// The daemon's watch loop (`fold_chunk` in `rprism-server`): feed `bytes` in
+/// `chunk`-byte pieces through a [`TailDecoder`], open the watch once the header has
+/// named the trace, push every decodable batch, then drain strictly and finish.
+/// Every provisional event is appended to `events`.
+fn tail_watch(
+    engine: &Engine,
+    old: &PreparedTrace,
+    bytes: &[u8],
+    chunk: usize,
+    events: &mut Vec<ProvisionalEvent>,
+) -> WatchOutcome {
+    let mut decoder = TailDecoder::new();
+    let mut watch = None;
+    let mut batch = EntryBatch::new();
+    for piece in bytes.chunks(chunk) {
+        decoder.push_bytes(piece).unwrap();
+        loop {
+            if watch.is_none() {
+                match decoder.meta() {
+                    Some(meta) => watch = Some(engine.watch(old, meta.clone())),
+                    None => break,
+                }
+            }
+            match decoder.read_refs(&mut batch, BATCH_ENTRIES).unwrap() {
+                TailBatch::Entries(_) => {
+                    events.extend(watch.as_mut().unwrap().push_batch(&batch).unwrap());
+                }
+                TailBatch::Pending | TailBatch::End => break,
+            }
+        }
+    }
+    batch.clear();
+    decoder.finish_refs(&mut batch).unwrap();
+    let mut watch = watch.unwrap_or_else(|| engine.watch(old, decoder.meta().unwrap().clone()));
+    if !batch.is_empty() {
+        events.extend(watch.push_batch(&batch).unwrap());
+    }
+    watch.finish().unwrap()
+}
+
 #[test]
-fn watch_prepared_over_both_encodings_matches_the_batch_differ() {
-    let dir = std::env::temp_dir().join(format!("rprism-watch-eq-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+fn tailed_watch_over_both_encodings_matches_the_batch_differ() {
     let engine = Engine::new();
     for encoding in [Encoding::Binary, Encoding::Jsonl] {
         for scenario in casestudies::all() {
             let traces = scenario.trace_all().unwrap();
-            let [old_path, new_path] = traces
-                .export_suspected_pair(&dir, &scenario.name, encoding)
-                .unwrap();
-            let old = engine.load_prepared(&old_path).unwrap();
-            let new = engine.load_prepared(&new_path).unwrap();
+            let [old, new, ..] = traces.handles();
+            let old_bytes = trace_to_bytes(old.trace(), encoding).unwrap();
+            let new_bytes = trace_to_bytes(new.trace(), encoding).unwrap();
+            let old = engine.load_prepared_reader(&old_bytes[..]).unwrap();
+            let new = engine.load_prepared_reader(&new_bytes[..]).unwrap();
             let batch = engine.diff(&old, &new).unwrap();
 
-            // Byte-level chunk boundaries: the reader's buffer capacity caps how many
-            // bytes each fill sees, so records arrive split mid-varint and mid-line.
-            for capacity in [1usize, 7, 64 * 1024] {
-                let context = format!("{} ({encoding}, {capacity}-byte reads)", scenario.name);
-                let file = std::fs::File::open(&new_path).unwrap();
-                let reader =
-                    TraceReader::new(std::io::BufReader::with_capacity(capacity, file)).unwrap();
+            // Byte-level chunk boundaries: records arrive split mid-varint and
+            // mid-line.
+            for chunk in [1usize, 7, 64 * 1024] {
+                let context = format!("{} ({encoding}, {chunk}-byte chunks)", scenario.name);
                 let mut events = Vec::new();
-                let outcome = engine
-                    .watch_prepared(&old, reader, |event| events.push(event.clone()), || false)
-                    .unwrap();
+                let outcome = tail_watch(&engine, &old, &new_bytes, chunk, &mut events);
                 events.extend(outcome.events.iter().cloned());
                 assert_same_verdict(&context, &outcome.result, &batch);
                 assert_monotone(&context, &events);
             }
         }
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
