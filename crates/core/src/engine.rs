@@ -698,7 +698,8 @@ impl Engine {
     /// Returns [`crate::Error::Format`] when the stream is empty, truncated, corrupt,
     /// or uses an unsupported format version.
     pub fn check_reader(&self, input: impl std::io::Read) -> Result<CheckReport> {
-        self.check_reader_with(input, self.check_config())
+        let config = self.ingest_check.as_ref().map(|gate| gate.config.clone());
+        self.check_reader_with(input, config.unwrap_or_default())
     }
 
     /// [`Engine::check_reader`] under an explicit rule configuration instead of the
@@ -723,15 +724,6 @@ impl Engine {
         let mut report = checker.finish();
         report.trace_name = reader.meta().name.clone();
         Ok(report)
-    }
-
-    /// The rule configuration checks run under: the ingest gate's when configured, the
-    /// defaults otherwise.
-    fn check_config(&self) -> CheckConfig {
-        self.ingest_check
-            .as_ref()
-            .map(|gate| gate.config.clone())
-            .unwrap_or_default()
     }
 
     /// Traces a parsed program under the engine's tracing configuration.

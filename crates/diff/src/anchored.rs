@@ -196,8 +196,8 @@ struct Segment {
     r1: usize,
 }
 
-/// Diffs one leaf segment with the bit-parallel kernel, degrading to Hirschberg when the
-/// segment budget is exceeded, and returns its globally-indexed pairs.
+/// Diffs one leaf segment with the bit-parallel kernel, degrading to Hirschberg when
+/// the segment budget is exceeded, and returns its globally-indexed pairs.
 fn diff_segment(
     lkeys: &[KeyRef<'_>],
     rkeys: &[KeyRef<'_>],

@@ -30,9 +30,9 @@
 //! exploration, and the windowed LCS emits its pairs straight into the scan's match
 //! list. Both properties are enforced by counting-allocator tests
 //! (`tests/no_alloc_hot_path.rs`). The kernel's DP fallback, taken by windows of more
-//! than 64 key classes, still allocates its table per call. Thread-view pairs are independent, so they fan out over
-//! [`rprism_trace::par`]; each pair keeps its own [`CostMeter`], and the meters are
-//! merged in pair order at the end.
+//! than 64 key classes, still allocates its table per call. Thread-view pairs are
+//! independent, so they fan out over [`rprism_trace::par`]; each pair keeps its own
+//! [`CostMeter`], and the meters are merged in pair order at the end.
 
 use std::time::Instant;
 

@@ -19,14 +19,15 @@ use std::path::Path;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use rprism::ingest::{stream_prepare, StreamedArtifacts};
-use rprism::{Engine, PreparedTrace, RegressionInput, RegressionReport, TraceDiffResult, Watch};
+use rprism::{Engine, PreparedTrace, RegressionInput, RegressionReport, TraceDiffResult};
 use rprism_check::check_trace;
-use rprism_format::{
-    trace_from_bytes, trace_to_bytes, Encoding, TailBatch, TailDecoder, TraceReader,
-};
+use rprism_format::{trace_from_bytes, trace_to_bytes, Encoding, TraceReader};
 use rprism_trace::testgen::{arbitrary_trace, GenProfile, Rng};
 use rprism_trace::{par, EntryBatch, Event, KeyedTrace, LeanTrace, ThreadId, Trace};
 use rprism_views::ViewWeb;
+
+mod common;
+use common::tail_watch;
 
 /// The run's seed: `RPRISM_FUZZ_SEED` when set, the clock otherwise. Printed so a
 /// failing run can be replayed.
@@ -195,49 +196,12 @@ fn corpus_files_ingest_identically_both_ways() {
 /// one, exactly, plus one, and the server's 64 KiB.
 const CHUNKS: [usize; 6] = [1, 7, 8191, 8192, 8193, 64 * 1024];
 
-/// The daemon's watch loop: feed `bytes` in `chunk`-sized pieces, pushing every
-/// decodable batch, then drain strictly and finish.
-fn watched(
-    engine: &Engine,
-    old: &rprism::PreparedTrace,
-    bytes: &[u8],
-    chunk: usize,
-) -> TraceDiffResult {
-    let mut decoder = TailDecoder::new();
-    let mut watch: Option<Watch> = None;
-    let mut batch = EntryBatch::new();
-    for piece in bytes.chunks(chunk) {
-        decoder.push_bytes(piece).unwrap();
-        loop {
-            if watch.is_none() {
-                match decoder.meta() {
-                    Some(meta) => watch = Some(engine.watch(old, meta.clone())),
-                    None => break,
-                }
-            }
-            match decoder.read_refs(&mut batch, 256).unwrap() {
-                TailBatch::Entries(_) => {
-                    watch.as_mut().unwrap().push_batch(&batch).unwrap();
-                }
-                TailBatch::Pending | TailBatch::End => break,
-            }
-        }
-    }
-    batch.clear();
-    decoder.finish_refs(&mut batch).unwrap();
-    let mut watch = watch.unwrap_or_else(|| engine.watch(old, decoder.meta().unwrap().clone()));
-    if !batch.is_empty() {
-        watch.push_batch(&batch).unwrap();
-    }
-    watch.finish().unwrap().result
-}
-
 fn assert_watch_matches_batch(engine: &Engine, old: &Input, new: &Input) {
     let old_handle = engine.load_prepared_reader(old.bytes.as_slice()).unwrap();
     let new_handle = PreparedTrace::new(trace_from_bytes(&new.bytes).unwrap());
     let batch = engine.diff(&old_handle, &new_handle).unwrap();
     for chunk in CHUNKS {
-        let got = watched(engine, &old_handle, &new.bytes, chunk);
+        let got = tail_watch(engine, &old_handle, &new.bytes, chunk, &mut Vec::new()).result;
         let context = format!("{} → {} (chunk {chunk})", old.name, new.name);
         assert_eq!(
             got.matching.normalized_pairs(),

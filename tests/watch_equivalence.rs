@@ -2,18 +2,19 @@
 //! fed the new trace in chunks — at every boundary in {1, 7, 256, whole} — produces a
 //! final verdict identical to the batch differ (matchings, difference sequences,
 //! deterministic compare counts), and the same holds for the daemon's watch loop — a
-//! [`TailDecoder`] fed the serialized trace in byte-level chunks under both on-disk
+//! `TailDecoder` fed the serialized trace in byte-level chunks under both on-disk
 //! encodings, its batches pushed with [`rprism::Watch::push_batch`]. The provisional
 //! event stream is checked for the monotonic invalidation rule throughout: a retracted
 //! pair is never re-reported as a match, not even by the final reconciliation.
 
 use std::collections::HashSet;
 
-use rprism::ingest::BATCH_ENTRIES;
-use rprism::{Encoding, Engine, PreparedTrace, ProvisionalEvent, TraceDiffResult, WatchOutcome};
-use rprism_format::{trace_to_bytes, TailBatch, TailDecoder};
-use rprism_trace::EntryBatch;
+use rprism::{Encoding, Engine, ProvisionalEvent, TraceDiffResult};
+use rprism_format::trace_to_bytes;
 use rprism_workloads::casestudies;
+
+mod common;
+use common::tail_watch;
 
 /// Entry-chunk boundaries exercised by the push-driven test; `usize::MAX` stands for
 /// "the whole trace in one push".
@@ -95,46 +96,6 @@ fn push_driven_watch_chunked_at_every_boundary_matches_the_batch_differ() {
             );
         }
     }
-}
-
-/// The daemon's watch loop (`fold_chunk` in `rprism-server`): feed `bytes` in
-/// `chunk`-byte pieces through a [`TailDecoder`], open the watch once the header has
-/// named the trace, push every decodable batch, then drain strictly and finish.
-/// Every provisional event is appended to `events`.
-fn tail_watch(
-    engine: &Engine,
-    old: &PreparedTrace,
-    bytes: &[u8],
-    chunk: usize,
-    events: &mut Vec<ProvisionalEvent>,
-) -> WatchOutcome {
-    let mut decoder = TailDecoder::new();
-    let mut watch = None;
-    let mut batch = EntryBatch::new();
-    for piece in bytes.chunks(chunk) {
-        decoder.push_bytes(piece).unwrap();
-        loop {
-            if watch.is_none() {
-                match decoder.meta() {
-                    Some(meta) => watch = Some(engine.watch(old, meta.clone())),
-                    None => break,
-                }
-            }
-            match decoder.read_refs(&mut batch, BATCH_ENTRIES).unwrap() {
-                TailBatch::Entries(_) => {
-                    events.extend(watch.as_mut().unwrap().push_batch(&batch).unwrap());
-                }
-                TailBatch::Pending | TailBatch::End => break,
-            }
-        }
-    }
-    batch.clear();
-    decoder.finish_refs(&mut batch).unwrap();
-    let mut watch = watch.unwrap_or_else(|| engine.watch(old, decoder.meta().unwrap().clone()));
-    if !batch.is_empty() {
-        events.extend(watch.push_batch(&batch).unwrap());
-    }
-    watch.finish().unwrap()
 }
 
 #[test]
