@@ -116,9 +116,9 @@ struct ReuseMeasured {
 }
 
 /// Times `repeats` diffs of the same pair, cold (per-call preparation) vs through
-/// engine-prepared handles (preparation paid once, on the first diff). Fresh handles are
-/// created per sample so every sample's first diff pays the one-time preparation; best
-/// sample wins on both sides, and the results are asserted identical.
+/// engine-prepared handles (preparation paid once, when the handles are made). Fresh
+/// handles are made inside each sample's timer so every sample pays the one-time
+/// preparation; best sample wins on both sides, and the results are asserted identical.
 fn measure_reuse(
     samples: usize,
     repeats: usize,
@@ -129,7 +129,7 @@ fn measure_reuse(
     let engine = Engine::builder().views_options(options.clone()).build();
     let mut cold_wall = Duration::MAX;
     let mut prepared_wall = Duration::MAX;
-    for _ in 0..samples {
+    for sample in 1..=samples {
         let start = std::time::Instant::now();
         let mut cold_last = None;
         for _ in 0..repeats {
@@ -137,18 +137,20 @@ fn measure_reuse(
         }
         cold_wall = cold_wall.min(start.elapsed());
 
-        let (pold, pnew) = (
-            PreparedTrace::new(old.clone()),
-            PreparedTrace::new(new.clone()),
-        );
+        let (old_copy, new_copy) = (old.clone(), new.clone());
         let start = std::time::Instant::now();
+        let (pold, pnew) = (PreparedTrace::new(old_copy), PreparedTrace::new(new_copy));
         let mut prepared_last = None;
         for _ in 0..repeats {
             prepared_last = Some(engine.diff(&pold, &pnew).expect("views never fails"));
         }
         prepared_wall = prepared_wall.min(start.elapsed());
 
-        assert_eq!(pold.web_build_count(), 1, "web must be built exactly once");
+        assert_eq!(
+            engine.correlation_builds(),
+            sample as u64,
+            "each fresh pair's correlation must be built exactly once"
+        );
         assert_eq!(
             cold_last.unwrap().matching.normalized_pairs(),
             prepared_last.unwrap().matching.normalized_pairs(),

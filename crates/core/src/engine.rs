@@ -6,9 +6,10 @@
 //! re-difference the same traces under many option settings. An [`Engine`] is the session
 //! object that owns the configuration (differencing algorithm and options, tracing
 //! config, analysis mode, render options) and hands out [`PreparedTrace`] handles whose
-//! derived artifacts — the [`KeyedTrace`] of interned event keys and the [`ViewWeb`] —
-//! are built lazily, **at most once per trace**, and shared (via `Arc` + [`OnceLock`])
-//! across every diff, correlation and regression analysis that touches the trace.
+//! derived artifacts — the [`LeanTrace`] context, the [`KeyedTrace`] of interned event
+//! keys and the [`ViewWeb`] — are built **once per trace**, in one fold when the handle
+//! is made, and shared (via `Arc`) across every diff, correlation and regression
+//! analysis that touches the trace.
 //!
 //! Symbols inside those artifacts come from the process-global interner
 //! ([`rprism_trace::intern`]), so handles prepared by the same engine — or even by
@@ -26,20 +27,21 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io::BufReader;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use rprism_check::{CheckConfig, CheckReport, Checker, Severity};
 use rprism_diff::{
     anchored_diff_prepared, lcs_diff_prepared, views_diff_sides_correlated, AnchoredDiffOptions,
-    DiffError, DiffSession, DiffSide, LcsDiffOptions, TraceDiffResult, ViewsDiffOptions,
+    DiffError, DiffSession, DiffSide, LcsDiffOptions, SideArtifacts, TraceDiffResult,
+    ViewsDiffOptions,
 };
 use rprism_format::TraceReader;
 use rprism_lang::parser::parse_program;
 use rprism_lang::Program;
 use rprism_regress::{
     analyze_prepared_with, AnalysisComparison, AnalysisMode, DiffAlgorithm, PreparedInput,
-    PreparedTraceRef, RegressionReport, RenderOptions,
+    RegressionReport, RenderOptions,
 };
 use rprism_trace::{par, EntryBatch, KeyedTrace, LeanTrace, Trace, TraceMeta};
 use rprism_views::{Correlation, ViewWeb};
@@ -47,7 +49,7 @@ use rprism_vm::{run_traced, RunOutcome, RuntimeError, VmConfig};
 
 use rprism_obs::Obs;
 
-use crate::ingest::{stream_prepare_timed, StreamedArtifacts};
+use crate::ingest::{prepare_in_memory, stream_prepare, BATCH_ENTRIES};
 use crate::watch::Watch;
 use crate::{Error, Result};
 
@@ -161,23 +163,20 @@ impl CorrelationCache {
     }
 }
 
-/// A cheaply-clonable handle to a trace plus its lazily-built, cached analysis
-/// artifacts.
+/// A cheaply-clonable handle to a trace plus its analysis artifacts.
 ///
 /// Cloning a `PreparedTrace` copies an `Arc`, never the trace: all clones share one
-/// underlying trace, one [`KeyedTrace`] and one [`ViewWeb`], each built on first use and
-/// then reused by every subsequent query — across diffs, batch runs, regression analyses
-/// and threads. The handle [`Deref`](std::ops::Deref)s to [`Trace`], so it can be passed
-/// wherever a `&Trace` is expected.
+/// [`LeanTrace`], one [`KeyedTrace`] and one [`ViewWeb`], built in one fold over the
+/// entries when the handle is made and reused by every query — across diffs, batch
+/// runs, regression analyses and threads. The handle [`Deref`](std::ops::Deref)s to
+/// [`Trace`], so it can be passed wherever a `&Trace` is expected.
 ///
-/// Every handle carries a [`LeanTrace`] — the per-entry context every diff and
-/// analysis reads. [`Engine::trace`] and [`PreparedTrace::new`] produce **full**
-/// handles, which also keep the materialized [`Trace`] and build the lean context from
-/// it when the handle is made. [`Engine::load_prepared_reader`] produces **streamed**
-/// handles: the serialized trace was ingested in one bounded-memory pass, its lean
-/// context, keys and view web are already built, and the full entries were never kept.
-/// Both forms diff and analyze through the same code; only the whole-entry accessors —
-/// [`PreparedTrace::trace`] and `Deref` — are restricted to full handles.
+/// [`Engine::trace`] and [`PreparedTrace::new`] produce **full** handles, which also
+/// keep the materialized [`Trace`]. [`Engine::load_prepared_reader`] produces
+/// **streamed** handles: the serialized trace was ingested in one bounded-memory pass
+/// and the full entries were never kept. Both forms diff and analyze through the same
+/// code; only the whole-entry accessors — [`PreparedTrace::trace`] and `Deref` — are
+/// restricted to full handles.
 #[derive(Clone, Debug)]
 pub struct PreparedTrace {
     inner: Arc<PreparedTraceInner>,
@@ -190,71 +189,41 @@ struct PreparedTraceInner {
     id: u64,
     /// The full trace, kept only by full handles.
     trace: Option<Trace>,
-    lean: LeanTrace,
+    artifacts: SideArtifacts,
     output: Vec<String>,
     run_error: Option<RuntimeError>,
-    keyed: OnceLock<KeyedTrace>,
-    web: OnceLock<ViewWeb>,
-    keyed_builds: AtomicU32,
-    web_builds: AtomicU32,
 }
 
 static NEXT_HANDLE_ID: AtomicU64 = AtomicU64::new(0);
 
 impl PreparedTraceInner {
-    fn new(trace: Option<Trace>, lean: LeanTrace) -> Self {
+    fn from_artifacts(trace: Option<Trace>, artifacts: SideArtifacts) -> Self {
         PreparedTraceInner {
             id: NEXT_HANDLE_ID.fetch_add(1, Ordering::Relaxed),
             trace,
-            lean,
+            artifacts,
             output: Vec::new(),
             run_error: None,
-            keyed: OnceLock::new(),
-            web: OnceLock::new(),
-            keyed_builds: AtomicU32::new(0),
-            web_builds: AtomicU32::new(0),
         }
-    }
-
-    fn full(trace: Trace) -> Self {
-        let lean = LeanTrace::build(&trace);
-        PreparedTraceInner::new(Some(trace), lean)
-    }
-
-    fn from_streamed(artifacts: StreamedArtifacts) -> Self {
-        let StreamedArtifacts {
-            meta: _,
-            lean,
-            keyed,
-            web,
-        } = artifacts;
-        let inner = PreparedTraceInner::new(None, lean);
-        // Streaming ingestion built the artifacts during the read pass; pre-seeding the
-        // cells preserves the "built at most once" invariant (build counts stay 0: the
-        // handle never re-derives anything).
-        inner
-            .keyed
-            .set(keyed)
-            .expect("fresh handle has no keyed form");
-        inner.web.set(web).expect("fresh handle has no web");
-        inner
     }
 }
 
 impl PreparedTrace {
     /// Wraps an existing trace into a prepared handle — the in-memory load, e.g. of a
-    /// [`rprism_format::read_trace_path`] result. Its lean context is built now; keys
-    /// and web are built on first use.
+    /// [`rprism_format::read_trace_path`] result. Its lean context, keys and web are
+    /// built now, in one pass over the entries.
     pub fn new(trace: Trace) -> Self {
+        let artifacts = prepare_in_memory(&trace);
         PreparedTrace {
-            inner: Arc::new(PreparedTraceInner::full(trace)),
+            inner: Arc::new(PreparedTraceInner::from_artifacts(Some(trace), artifacts)),
         }
     }
 
     /// Wraps the result of a traced program run, preserving its output and runtime
     /// error (if any) alongside the trace.
     pub fn from_outcome(outcome: RunOutcome) -> Self {
-        let mut inner = PreparedTraceInner::full(outcome.trace);
+        let artifacts = prepare_in_memory(&outcome.trace);
+        let mut inner = PreparedTraceInner::from_artifacts(Some(outcome.trace), artifacts);
         inner.output = outcome.output;
         inner.run_error = outcome.result.err();
         PreparedTrace {
@@ -262,10 +231,10 @@ impl PreparedTrace {
         }
     }
 
-    /// Wraps streamed artifacts into a lean prepared handle (keys and web pre-built).
-    pub(crate) fn from_streamed(artifacts: StreamedArtifacts) -> Self {
+    /// Wraps streamed artifacts into a handle that keeps no [`Trace`].
+    pub(crate) fn from_streamed(artifacts: SideArtifacts) -> Self {
         PreparedTrace {
-            inner: Arc::new(PreparedTraceInner::from_streamed(artifacts)),
+            inner: Arc::new(PreparedTraceInner::from_artifacts(None, artifacts)),
         }
     }
 
@@ -292,7 +261,7 @@ impl PreparedTrace {
 
     /// The lean per-entry context; `Some` for every handle.
     pub fn lean(&self) -> Option<&LeanTrace> {
-        Some(&self.inner.lean)
+        Some(self.inner.artifacts.lean())
     }
 
     /// Returns `true` when this handle was produced by streaming ingestion and does
@@ -303,12 +272,12 @@ impl PreparedTrace {
 
     /// The trace metadata.
     pub fn meta(&self) -> &TraceMeta {
-        &self.inner.lean.meta
+        &self.inner.artifacts.lean().meta
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.inner.lean.len()
+        self.inner.artifacts.lean().len()
     }
 
     /// Returns `true` when the trace has no entries.
@@ -323,7 +292,7 @@ impl PreparedTrace {
         if let Some(trace) = &self.inner.trace {
             return trace.entries.get(index).map(|e| e.render());
         }
-        let entry = self.inner.lean.entries().get(index)?;
+        let entry = self.side().entries().get(index)?;
         let key = self.keyed().compact(index);
         let name = key.name.map(|s| format!(" {s}")).unwrap_or_default();
         Some(format!(
@@ -352,53 +321,19 @@ impl PreparedTrace {
         self.inner.run_error.is_none()
     }
 
-    /// The precomputed event keys of the trace, built on first call and cached for the
-    /// lifetime of the handle (all clones included). Streamed handles arrive with the
-    /// keys already built by the ingest pass.
+    /// The precomputed event keys of the trace, shared by all clones.
     pub fn keyed(&self) -> &KeyedTrace {
-        self.inner.keyed.get_or_init(|| {
-            self.inner.keyed_builds.fetch_add(1, Ordering::Relaxed);
-            KeyedTrace::build(self.trace())
-        })
+        self.side().keyed()
     }
 
-    /// The view web of the trace, built on first call and cached for the lifetime of the
-    /// handle (all clones included). Streamed handles arrive with the web already built
-    /// by the ingest pass.
+    /// The view web of the trace, shared by all clones.
     pub fn web(&self) -> &ViewWeb {
-        self.inner.web.get_or_init(|| {
-            self.inner.web_builds.fetch_add(1, Ordering::Relaxed);
-            ViewWeb::build(self.trace())
-        })
+        self.side().web()
     }
 
-    /// How many times the view web has been built for this handle — by construction at
-    /// most 1. Exposed so tests (and cache-efficiency dashboards) can prove reuse.
-    pub fn web_build_count(&self) -> u32 {
-        self.inner.web_builds.load(Ordering::Relaxed)
-    }
-
-    /// How many times the keyed form has been built for this handle — by construction at
-    /// most 1.
-    pub fn keyed_build_count(&self) -> u32 {
-        self.inner.keyed_builds.load(Ordering::Relaxed)
-    }
-
-    /// Borrowed prepared artifacts for the regression analysis, forcing the builds if
-    /// they have not happened yet.
-    fn prepared_ref(&self, with_web: bool) -> PreparedTraceRef<'_> {
-        let web = with_web.then(|| self.web());
-        PreparedTraceRef::new(&self.inner.lean, self.keyed(), web)
-    }
-
-    /// The handle as a [`DiffSide`] of the views differencer, forcing the artifact
-    /// builds if they have not happened yet.
+    /// The handle as a [`DiffSide`] of the views differencer.
     pub fn side(&self) -> DiffSide<'_> {
-        DiffSide::lean(&self.inner.lean, self.keyed(), self.web())
-    }
-
-    fn is_warm(&self, with_web: bool) -> bool {
-        self.inner.keyed.get().is_some() && (!with_web || self.inner.web.get().is_some())
+        self.inner.artifacts.side()
     }
 }
 
@@ -469,15 +404,6 @@ impl RegressionInput {
     pub fn with_mode(mut self, mode: AnalysisMode) -> Self {
         self.mode = Some(mode);
         self
-    }
-
-    fn handles(&self) -> [&PreparedTrace; 4] {
-        [
-            &self.old_regressing,
-            &self.new_regressing,
-            &self.old_passing,
-            &self.new_passing,
-        ]
     }
 }
 
@@ -607,13 +533,14 @@ impl Engine {
     /// bounded-memory pass**: the encoding (binary `.rtr` or JSONL) is sniffed from the
     /// content, and symbols are interned, event keys computed, the view web
     /// incrementally extended and the lean per-entry context accumulated as each entry
-    /// is decoded — the full trace is never materialized. See [`crate::ingest`] for the
-    /// pipeline and its memory bound. Any byte source will do: an opened file, a trace
-    /// repository's blob, a network upload, or a fault-injection shim in a test.
+    /// is decoded, on the calling thread — the full trace is never materialized, and
+    /// one batch of [`BATCH_ENTRIES`](crate::BATCH_ENTRIES) decoded entries is alive at
+    /// a time. Any byte source will do: an opened file, a trace repository's blob, a
+    /// network upload, or a fault-injection shim in a test.
     ///
-    /// The returned handle is a *streamed* handle: its keys and web are already built
-    /// and every diff/analysis path accepts it interchangeably with full handles (with
-    /// identical results), but [`PreparedTrace::trace`] is unavailable on it. Load with
+    /// The returned handle is a *streamed* handle: every diff/analysis path accepts it
+    /// interchangeably with full handles (with identical results), but
+    /// [`PreparedTrace::trace`] is unavailable on it. Load with
     /// [`PreparedTrace::new`] over [`rprism_format::read_trace`] when the entries
     /// themselves are needed.
     ///
@@ -622,27 +549,23 @@ impl Engine {
     /// failed load leaves the engine untouched and reusable: partial artifacts are
     /// dropped, no cache entry is created.
     ///
-    /// `Send` is required because on a multi-core host the ingest pipeline runs its
-    /// stages on scoped threads (see [`crate::ingest`]).
-    ///
     /// # Errors
     ///
     /// Returns [`crate::Error::Format`] when the stream is empty, truncated, corrupt,
     /// or uses an unsupported format version, and [`crate::Error::Check`] when the
     /// ingest gate denies the trace.
-    pub fn load_prepared_reader(&self, input: impl std::io::Read + Send) -> Result<PreparedTrace> {
+    pub fn load_prepared_reader(&self, input: impl std::io::Read) -> Result<PreparedTrace> {
         let _load = self.obs.span("engine.load");
         let reader = TraceReader::new(BufReader::new(input))?;
         let (artifacts, phases) = match &self.ingest_check {
-            None => stream_prepare_timed(reader, |_| {})?,
+            None => stream_prepare(reader, |_| {})?,
             Some(gate) => {
                 // The checker rides the ingest pass as its entry observer: one decode,
                 // both the artifacts and the report, same memory bound.
                 let mut checker = Checker::with_config(gate.config.clone());
-                let (artifacts, phases) =
-                    stream_prepare_timed(reader, |entry| checker.observe(entry))?;
+                let (artifacts, phases) = stream_prepare(reader, |entry| checker.observe(entry))?;
                 let mut report = checker.finish();
-                report.trace_name = artifacts.meta.name.clone();
+                report.trace_name = artifacts.lean().meta.name.clone();
                 if report.count_at_least(gate.deny) > 0 {
                     return Err(Error::Check(Box::new(report)));
                 }
@@ -718,7 +641,7 @@ impl Engine {
         let mut reader = TraceReader::new(BufReader::new(input))?;
         let mut checker = Checker::with_config(config);
         let mut batch = EntryBatch::new();
-        while reader.read_refs(&mut batch, crate::ingest::BATCH_ENTRIES)? > 0 {
+        while reader.read_refs(&mut batch, BATCH_ENTRIES)? > 0 {
             batch.iter().for_each(|entry| checker.observe(entry));
         }
         let mut report = checker.finish();
@@ -750,8 +673,7 @@ impl Engine {
         self.trace(&program, label)
     }
 
-    /// Differences two prepared traces under the engine's algorithm, building each
-    /// side's missing artifacts first (at most once per handle, ever).
+    /// Differences two prepared traces under the engine's algorithm.
     ///
     /// # Errors
     ///
@@ -785,7 +707,7 @@ impl Engine {
     /// Results are returned in input order; each pair's cost meter is computed
     /// independently and deterministically (per-pair numbers are identical to a
     /// sequential [`Engine::diff`] of that pair), so summing or comparing costs across
-    /// the batch is reproducible. Shared handles are prepared once before the fan-out.
+    /// the batch is reproducible.
     ///
     /// # Errors
     ///
@@ -794,8 +716,6 @@ impl Engine {
         &self,
         pairs: &[(PreparedTrace, PreparedTrace)],
     ) -> Result<Vec<TraceDiffResult>> {
-        let handles: Vec<&PreparedTrace> = pairs.iter().flat_map(|(a, b)| [a, b]).collect();
-        self.warm(&handles, self.needs_webs());
         // Each diff runs inline inside its batch worker (`par` never nests fan-outs).
         let diffs = par::map_ordered(pairs, |(left, right)| {
             self.diff_with(left, right, &self.algorithm)
@@ -841,8 +761,6 @@ impl Engine {
     ///
     /// Returns the first error in input order (only possible with the LCS baseline).
     pub fn analyze_many(&self, inputs: &[RegressionInput]) -> Result<Vec<RegressionReport>> {
-        let handles: Vec<&PreparedTrace> = inputs.iter().flat_map(|i| i.handles()).collect();
-        self.warm(&handles, self.needs_webs());
         let reports = par::map_ordered(inputs, |input| self.analyze_with(input, &self.algorithm));
         Ok(reports.into_iter().collect::<std::result::Result<_, _>>()?)
     }
@@ -858,10 +776,6 @@ impl Engine {
             |idx| input.old_regressing.describe_entry(idx),
             |idx| input.new_regressing.describe_entry(idx),
         )
-    }
-
-    fn needs_webs(&self) -> bool {
-        matches!(self.algorithm, DiffAlgorithm::Views(_))
     }
 
     /// The pair's view correlation, from the session cache or built (and cached) now.
@@ -925,7 +839,6 @@ impl Engine {
         let _scan = self.obs.span("pipeline.scan");
         match algorithm {
             DiffAlgorithm::Views(options) => {
-                self.warm(&[left, right], true);
                 let correlation = self.correlation_for(left, right);
                 Ok(views_diff_sides_correlated(
                     &left.side(),
@@ -946,13 +859,11 @@ impl Engine {
         input: &RegressionInput,
         algorithm: &DiffAlgorithm,
     ) -> std::result::Result<RegressionReport, DiffError> {
-        let with_webs = matches!(algorithm, DiffAlgorithm::Views(_));
-        self.warm(&input.handles(), with_webs);
         let prepared = PreparedInput {
-            old_regressing: input.old_regressing.prepared_ref(with_webs),
-            new_regressing: input.new_regressing.prepared_ref(with_webs),
-            old_passing: input.old_passing.prepared_ref(with_webs),
-            new_passing: input.new_passing.prepared_ref(with_webs),
+            old_regressing: input.old_regressing.side(),
+            new_regressing: input.new_regressing.side(),
+            old_passing: input.old_passing.side(),
+            new_passing: input.new_passing.side(),
         };
         // The three comparisons run through `diff_with`, i.e. through the same
         // pair-correlation cache as `Engine::diff` — an analysis preceded (or followed)
@@ -971,33 +882,14 @@ impl Engine {
                 // the refs it hands us must be the handles we picked, or the cached
                 // correlation would belong to a different comparison.
                 debug_assert!(
-                    std::ptr::eq(left_ref.keyed, left.keyed())
-                        && std::ptr::eq(right_ref.keyed, right.keyed()),
+                    std::ptr::eq(left_ref.keyed(), left.keyed())
+                        && std::ptr::eq(right_ref.keyed(), right.keyed()),
                     "analysis comparison {comparison:?} maps to different handles than \
                      the prepared input supplied"
                 );
                 self.diff_with(left, right, algorithm)
             },
         )
-    }
-
-    /// Builds the missing artifacts of the given handles, deduplicated, fanned out over
-    /// [`par::map_ordered`]. Already-warm handles cost nothing; `OnceLock` guarantees
-    /// each artifact is built exactly once even under concurrent warming.
-    fn warm(&self, handles: &[&PreparedTrace], with_webs: bool) {
-        let mut seen = std::collections::HashSet::new();
-        let mut cold: Vec<&PreparedTrace> = Vec::new();
-        for handle in handles {
-            if !handle.is_warm(with_webs) && seen.insert(handle.inner.id) {
-                cold.push(handle);
-            }
-        }
-        par::map_ordered(&cold, |handle| {
-            handle.keyed();
-            if with_webs {
-                handle.web();
-            }
-        });
     }
 }
 
@@ -1153,9 +1045,9 @@ mod tests {
         let prepared = engine.trace_source(SRC, "demo").unwrap();
         assert!(prepared.succeeded());
         assert!(prepared.trace().len() >= 10);
-        // Nothing is derived until a query needs it.
-        assert_eq!(prepared.keyed_build_count(), 0);
-        assert_eq!(prepared.web_build_count(), 0);
+        // Every artifact is built when the handle is made.
+        assert_eq!(prepared.keyed().len(), prepared.len());
+        assert_eq!(prepared.side().entries().len(), prepared.len());
     }
 
     #[test]
@@ -1182,16 +1074,15 @@ mod tests {
         for _ in 0..3 {
             engine.diff(&a, &b).unwrap();
         }
-        // Clones share the cache with the original handle.
+        // Clones share the artifacts of the original handle.
         let c = a.clone();
         engine.diff(&c, &b).unwrap();
-        for handle in [&a, &b, &c] {
-            assert_eq!(handle.web_build_count(), 1);
-            assert_eq!(handle.keyed_build_count(), 1);
-        }
-        // The pair-level correlation is cached too: four diffs of one pair, one entry
+        assert!(std::ptr::eq(a.keyed(), c.keyed()));
+        assert!(std::ptr::eq(a.web(), c.web()));
+        // The pair-level correlation is cached too: four diffs of one pair, one build
         // (handle clones share their original's identity).
         assert_eq!(engine.cached_correlations(), 1);
+        assert_eq!(engine.correlation_builds(), 1);
     }
 
     #[test]
@@ -1276,9 +1167,8 @@ mod tests {
         let b = engine.trace_source(SRC, "b").unwrap();
         let diff = engine.diff(&a, &b).unwrap();
         assert_eq!(diff.algorithm, "lcs");
-        // The baseline needs no webs; none were built.
-        assert_eq!(a.web_build_count(), 0);
-        assert_eq!(b.web_build_count(), 0);
+        // The baseline needs no correlation; none was built.
+        assert_eq!(engine.correlation_builds(), 0);
     }
 
     #[test]
@@ -1291,9 +1181,8 @@ mod tests {
         let diff = engine.diff(&a, &b).unwrap();
         assert_eq!(diff.algorithm, "anchored");
         assert_eq!(diff.num_differences(), 0);
-        // Anchoring consumes only the keyed traces; no webs were built.
-        assert_eq!(a.web_build_count(), 0);
-        assert_eq!(b.web_build_count(), 0);
+        // Anchoring consumes only the keyed traces; no correlation was built.
+        assert_eq!(engine.correlation_builds(), 0);
 
         let input = regression_input(&engine);
         let report = engine.analyze(&input).unwrap();

@@ -7,8 +7,9 @@
 //! This crate is the user-facing facade. The entry point is the session-oriented
 //! [`Engine`]: it owns the configuration (differencing algorithm and options, tracing
 //! config, analysis mode) and hands out [`PreparedTrace`] handles whose derived
-//! artifacts — interned event keys and the view web — are built lazily, cached, and
-//! shared across every diff, batch run and regression analysis:
+//! artifacts — the lean per-entry context, interned event keys and the view web — are
+//! built in one pass when the handle is made and shared across every diff, batch run
+//! and regression analysis:
 //!
 //! 1. trace two versions of a program on two test inputs ([`Engine::trace_source`]) —
 //!    or ingest externally captured traces ([`Engine::load_prepared_reader`], which
@@ -39,13 +40,13 @@
 //! let old = engine.trace_source(old_src, "old")?;
 //! let new = engine.trace_source(&new_src, "new")?;
 //!
-//! // The handles cache their keys and view webs: the second diff (and any regression
-//! // analysis over the same traces) reuses everything the first one built.
+//! // The handles carry their keys and view webs: every diff (and any regression
+//! // analysis over the same traces) reuses them, and the pair's view correlation.
 //! let diff = engine.diff(&old, &new)?;
 //! assert!(diff.num_differences() > 0);
 //! let again = engine.diff(&old, &new)?;
 //! assert_eq!(diff.num_differences(), again.num_differences());
-//! assert_eq!(old.web_build_count(), 1);
+//! assert_eq!(engine.correlation_builds(), 1);
 //! # Ok::<(), rprism::Error>(())
 //! ```
 //!
@@ -55,7 +56,7 @@
 //! See `MIGRATION.md` at the workspace root for a guide to the current API.
 //!
 //! An [`Engine`] is `Send + Sync` (asserted at compile time) and is designed to be
-//! shared across threads: artifacts build at most once even under concurrent use, and
+//! shared across threads: a handle's artifacts are immutable once it is made, and
 //! a cold pair correlation is built by exactly one of its concurrent requesters. The
 //! `rprism-server` crate builds on this to serve one session to many network clients
 //! (`rprism serve` / `rprism remote` on the command line).
@@ -71,10 +72,11 @@ pub use rprism_views as views;
 pub use rprism_vm as vm;
 
 mod engine;
-pub mod ingest;
+mod ingest;
 mod watch;
 
 pub use engine::{Engine, EngineBuilder, PreparedTrace, RegressionInput};
+pub use ingest::BATCH_ENTRIES;
 pub use watch::{Watch, WatchOutcome};
 // The vocabulary types an Engine user needs, re-exported at the crate root.
 pub use rprism_check::{CheckConfig, CheckReport, Severity};

@@ -2,8 +2,7 @@
 //! *new* trace that is still being produced.
 //!
 //! [`Watch`] is the engine-level wrapper around [`rprism_diff::DiffSession`]: it owns a
-//! clone of the old handle (forcing its keyed/web artifacts once, like a batch diff
-//! would), feeds every arriving entry through the optional ingest checker
+//! clone of the old handle, feeds every arriving entry through the optional ingest checker
 //! ([`crate::EngineBuilder::check_on_ingest`]), and folds key derivation, web extension
 //! and the suspended lock-step scan into each push — the new trace is never
 //! materialized. [`Watch::finish`] produces the authoritative verdict, byte-identical
@@ -19,10 +18,9 @@
 //! [`Watch::push_batch`] — the daemon's watch loop.
 
 use rprism_check::{Checker, Severity};
-use rprism_diff::{DiffSession, ProvisionalEvent, SessionArtifacts, TraceDiffResult};
+use rprism_diff::{DiffSession, ProvisionalEvent, TraceDiffResult};
 use rprism_trace::{EntryBatch, TraceEntry, TraceMeta};
 
-use crate::ingest::StreamedArtifacts;
 use crate::{Error, PreparedTrace, Result};
 
 /// An in-progress live diff: push new-trace entries as they arrive, collect
@@ -123,22 +121,10 @@ impl Watch {
             }
         }
         let finish = self.session.finish(&self.old.side());
-        let SessionArtifacts {
-            meta,
-            lean,
-            keyed,
-            web,
-        } = finish.artifacts;
-        let new_trace = PreparedTrace::from_streamed(StreamedArtifacts {
-            meta,
-            lean,
-            keyed,
-            web,
-        });
         Ok(WatchOutcome {
             result: finish.result,
             events: finish.events,
-            new_trace,
+            new_trace: PreparedTrace::from_streamed(finish.artifacts),
         })
     }
 }

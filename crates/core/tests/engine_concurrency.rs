@@ -121,10 +121,15 @@ fn n_threads_hammering_one_engine_share_every_cached_artifact() {
         warm_builds,
         "every request of the storm must be served from the correlation cache"
     );
-    // Per-trace artifacts were never rebuilt either.
-    for handle in [&a, &b, &c, &d] {
-        assert_eq!(handle.web_build_count(), 1);
-        assert_eq!(handle.keyed_build_count(), 1);
+    // Per-trace artifacts are the ones every clone the storm went through shares.
+    for (handle, clone) in [
+        (&a, &input.old_regressing),
+        (&b, &input.new_regressing),
+        (&c, &input.old_passing),
+        (&d, &input.new_passing),
+    ] {
+        assert!(std::ptr::eq(handle.keyed(), clone.keyed()));
+        assert!(std::ptr::eq(handle.web(), clone.web()));
     }
 }
 

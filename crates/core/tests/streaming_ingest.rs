@@ -1,4 +1,4 @@
-//! Bounded-memory guarantees of the streaming prepare pipeline, enforced with a
+//! Bounded-memory guarantees of streaming ingestion, enforced with a
 //! live/peak-bytes tracking global allocator:
 //!
 //! * `Engine::load_prepared_reader` allocates O(accumulated artifacts) — its peak heap
@@ -10,9 +10,9 @@
 //!   clean and reusable: subsequent loads and diffs work, and the failed load retains
 //!   no live memory beyond interner growth.
 //!
-//! The counters are process-global and also count the ingest pipeline's own threads,
-//! so every measuring test holds [`MEASURE`] for its whole run: a sibling test
-//! allocating concurrently would otherwise show up in the measured window.
+//! The counters are process-global, so every measuring test holds [`MEASURE`] for its
+//! whole run: a sibling test allocating concurrently would otherwise show up in the
+//! measured window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -115,8 +115,6 @@ fn streaming_ingest_allocates_artifacts_not_the_trace() {
 
     let baseline = TrackingAllocator::reset_peak();
     let full = PreparedTrace::new(read_trace_path(&path).unwrap());
-    full.keyed();
-    full.web();
     let full_peak = TrackingAllocator::peak_since(baseline);
     let full_retained = TrackingAllocator::live() - baseline;
     drop(full);
@@ -129,8 +127,7 @@ fn streaming_ingest_allocates_artifacts_not_the_trace() {
     assert_eq!(streamed.len(), 20_000);
     // Peak: the streaming pass must stay well under load-then-prepare, which holds the
     // decoded trace *and* the artifacts simultaneously. The 2x bound is the acceptance
-    // criterion; the pipeline's in-flight window is a small constant on top of the
-    // artifacts.
+    // criterion; the one in-flight batch is a small constant on top of the artifacts.
     assert!(
         streamed_peak * 2 <= full_peak,
         "streaming peak {streamed_peak} not at least 2x below load-then-prepare peak {full_peak}"

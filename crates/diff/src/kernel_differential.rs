@@ -15,29 +15,12 @@
 
 #![cfg(test)]
 
-use std::time::{SystemTime, UNIX_EPOCH};
-
-use rprism_trace::testgen::Rng;
+use rprism_trace::testgen::{fuzz_seed, Rng};
 
 use crate::cost::{CostMeter, MemoryBudget};
 use crate::lcs::{
     lcs_bitparallel, lcs_bitparallel_into, lcs_dp, LcsScratch, MAX_BITPARALLEL_CLASSES,
 };
-
-/// The run's seed: `RPRISM_FUZZ_SEED` when set, the clock otherwise. Printed so a
-/// failing run can be replayed.
-fn fuzz_seed() -> u64 {
-    let seed = std::env::var("RPRISM_FUZZ_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| {
-            SystemTime::now()
-                .duration_since(UNIX_EPOCH)
-                .map_or(0, |d| d.as_nanos() as u64)
-        });
-    println!("RPRISM_FUZZ_SEED={seed}");
-    seed
-}
 
 /// Side widths: empty, one, and around the word boundaries.
 const WIDTHS: &[usize] = &[0, 1, 63, 64, 65, 128];

@@ -75,8 +75,8 @@ pub use lcs_diff::{
 };
 pub use matching::{DiffKind, DiffSequence, Matching};
 pub use result::TraceDiffResult;
-pub use session::{DiffSession, ProvisionalEvent, SessionArtifacts, SessionFinish};
+pub use session::{DiffSession, ProvisionalEvent, SessionFinish};
 pub use views_diff::{
-    views_diff_sides, views_diff_sides_correlated, DiffSide, ViewsDiffOptions,
-    ViewsDiffOptionsBuilder,
+    views_diff_sides, views_diff_sides_correlated, DiffSide, PushTimes, SideArtifacts,
+    ViewsDiffOptions, ViewsDiffOptionsBuilder,
 };

@@ -10,8 +10,8 @@
 //!   explicit cursor pair (`PairScan`) that can stop at any step and resume when the
 //!   right side has grown;
 //! * [`DiffSession::push_batch`] appends a batch of new-trace entries (incrementally
-//!   extending the right side's keys, view web and lean context — the same artifacts
-//!   streaming ingestion builds), advances every pair as far as the data allows, and
+//!   extending the right side's [`SideArtifacts`] — the same fold streaming ingestion
+//!   runs), advances every pair as far as the data allows, and
 //!   returns the [`ProvisionalEvent`]s that advance produced;
 //! * [`DiffSession::finish`] runs the scan to completion against the final view
 //!   correlation and returns a [`TraceDiffResult`] **identical** (matching, sequences,
@@ -49,13 +49,15 @@
 
 use std::collections::{HashMap, HashSet};
 
-use rprism_trace::{par, EntryBatch, KeyedTrace, LeanTrace, ThreadId, TraceMeta};
-use rprism_views::{Correlation, ViewKind, ViewWeb};
+use rprism_trace::{par, EntryBatch, ThreadId, TraceMeta};
+use rprism_views::{Correlation, ViewKind};
 
 use crate::cost::CostMeter;
 use crate::matching::Matching;
 use crate::result::TraceDiffResult;
-use crate::views_diff::{views_diff_sides_correlated, DiffSide, Differ, Scratch, ViewsDiffOptions};
+use crate::views_diff::{
+    views_diff_sides_correlated, DiffSide, Differ, Scratch, SideArtifacts, ViewsDiffOptions,
+};
 
 /// Observer of skipped (divergent-looking) regions during a scan step — the raw
 /// material of [`ProvisionalEvent::Difference`].
@@ -258,22 +260,6 @@ struct PairState {
     contributed: Vec<(usize, usize)>,
 }
 
-/// The right-side artifacts a finished session hands back: exactly what streaming
-/// ingestion would have produced for the same entries, so callers can promote the
-/// watched trace to a prepared handle (e.g. to render the final report) without a
-/// second pass.
-#[derive(Debug)]
-pub struct SessionArtifacts {
-    /// Trace identification (as passed to [`DiffSession::new`]).
-    pub meta: TraceMeta,
-    /// Lean per-entry context of the streamed trace.
-    pub lean: LeanTrace,
-    /// Precomputed event keys, identical to `KeyedTrace::build` over the full trace.
-    pub keyed: KeyedTrace,
-    /// The view web, identical to `ViewWeb::build` over the full trace.
-    pub web: ViewWeb,
-}
-
 /// Everything [`DiffSession::finish`] produces: the authoritative verdict, the final
 /// reconciliation events, and the accumulated right-side artifacts.
 #[derive(Debug)]
@@ -285,8 +271,9 @@ pub struct SessionFinish {
     /// tombstoned), then `Invalidate` for provisional pairs absent from the verdict.
     /// Both groups are sorted for determinism.
     pub events: Vec<ProvisionalEvent>,
-    /// The streamed side's prepared artifacts.
-    pub artifacts: SessionArtifacts,
+    /// The streamed side's artifacts: exactly what a streamed load of the same entries
+    /// builds, so the watched trace becomes a prepared handle without a second pass.
+    pub artifacts: SideArtifacts,
 }
 
 /// An incremental views diff of one fixed, prepared *old* side against a *new* side
@@ -300,11 +287,7 @@ pub struct SessionFinish {
 #[derive(Debug)]
 pub struct DiffSession {
     options: ViewsDiffOptions,
-    meta: TraceMeta,
-    lean: LeanTrace,
-    keyed: KeyedTrace,
-    web: ViewWeb,
-    len: usize,
+    artifacts: SideArtifacts,
     pairs: HashMap<ThreadId, PairState>,
     /// Pairs currently believed matched (drives `Match` dedup and finish reconciliation).
     emitted: HashSet<(usize, usize)>,
@@ -319,11 +302,7 @@ impl DiffSession {
     pub fn new(meta: TraceMeta, options: ViewsDiffOptions) -> Self {
         DiffSession {
             options,
-            lean: LeanTrace::new(meta.clone()),
-            meta,
-            keyed: KeyedTrace::default(),
-            web: ViewWeb::empty(),
-            len: 0,
+            artifacts: SideArtifacts::new(meta),
             pairs: HashMap::new(),
             emitted: HashSet::new(),
             tombstones: HashSet::new(),
@@ -333,19 +312,14 @@ impl DiffSession {
 
     /// Number of new-trace entries consumed so far.
     pub fn right_len(&self) -> usize {
-        self.len
+        self.artifacts.lean().len()
     }
 
     /// Appends a batch of new-trace entries (in trace order, any batch boundaries) and
     /// advances the incremental scan, returning the provisional events the batch
     /// produced. `left` is the prepared old side and must be the same on every call.
     pub fn push_batch(&mut self, left: &DiffSide<'_>, batch: &EntryBatch) -> Vec<ProvisionalEvent> {
-        for entry in batch.iter() {
-            self.lean.push(entry);
-            self.keyed.push(entry);
-            self.web.extend(self.len, entry);
-            self.len += 1;
-        }
+        self.artifacts.push_batch(batch);
         self.provisional_scan(left)
     }
 
@@ -354,8 +328,8 @@ impl DiffSession {
     /// pair's suspended scan as far as the data allows.
     fn provisional_scan(&mut self, left: &DiffSide<'_>) -> Vec<ProvisionalEvent> {
         // Re-correlation runs on every push: too frequent to be worth a thread.
-        let correlation = par::inline(|| Correlation::build(left.web(), &self.web));
-        let right = DiffSide::lean(&self.lean, &self.keyed, &self.web);
+        let right = self.artifacts.side();
+        let correlation = par::inline(|| Correlation::build(left.web(), right.web()));
         let mut events = Vec::new();
 
         // Retract state for revised or vanished thread pairings.
@@ -383,7 +357,7 @@ impl DiffSession {
             let Some(lv) = left.web().thread_view_entries(lt) else {
                 continue;
             };
-            let Some(rv) = self.web.thread_view_entries(rt) else {
+            let Some(rv) = right.web().thread_view_entries(rt) else {
                 continue;
             };
             let state = self.pairs.entry(lt).or_insert_with(|| PairState {
@@ -441,8 +415,8 @@ impl DiffSession {
     /// differ over the same sides; the events reconcile the provisional stream with it
     /// (respecting the tombstone set — see the module docs).
     pub fn finish(self, left: &DiffSide<'_>) -> SessionFinish {
-        let correlation = Correlation::build(left.web(), &self.web);
-        let right = DiffSide::lean(&self.lean, &self.keyed, &self.web);
+        let right = self.artifacts.side();
+        let correlation = Correlation::build(left.web(), right.web());
         let result = views_diff_sides_correlated(left, &right, &correlation, &self.options);
 
         // The matching's pairs are sorted: the `Match` group comes out in order, and a
@@ -467,12 +441,7 @@ impl DiffSession {
         SessionFinish {
             result,
             events,
-            artifacts: SessionArtifacts {
-                meta: self.meta,
-                lean: self.lean,
-                keyed: self.keyed,
-                web: self.web,
-            },
+            artifacts: self.artifacts,
         }
     }
 }
@@ -484,7 +453,8 @@ impl DiffSession {
 mod tests {
     use super::*;
     use rprism_lang::parser::parse_program;
-    use rprism_trace::{Trace, TraceMeta};
+    use rprism_trace::{KeyedTrace, LeanTrace, Trace};
+    use rprism_views::ViewWeb;
     use rprism_vm::{run_traced, VmConfig};
 
     fn trace_of(src: &str, name: &str) -> Trace {

@@ -34,9 +34,9 @@
 //! independent, so they fan out over [`rprism_trace::par`]; each pair keeps its own
 //! [`CostMeter`], and the meters are merged in pair order at the end.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use rprism_trace::{KeyRef, KeyedTrace, LeanEntry, LeanTrace};
+use rprism_trace::{EntryBatch, KeyRef, KeyedTrace, LeanEntry, LeanTrace, TraceMeta};
 use rprism_views::correlate::relaxed::same_distance_from_anchor;
 use rprism_views::{Correlation, ViewId, ViewKind, ViewWeb};
 
@@ -170,6 +170,72 @@ impl<'a> DiffSide<'a> {
     /// The side's precomputed keys.
     pub fn keyed(&self) -> &'a KeyedTrace {
         self.keyed
+    }
+
+    /// The side's lean per-entry context, in entry order.
+    pub fn entries(&self) -> &'a [LeanEntry] {
+        self.entries
+    }
+}
+
+/// The owned artifacts of one side — lean context, keys and view web — built by one
+/// fold over [`EntryRef`](rprism_trace::EntryRef)s in entry order. Streamed loads,
+/// in-memory handles and the watched side of a [`DiffSession`](crate::DiffSession)
+/// all build through [`SideArtifacts::push_batch`], so the three are identical for the
+/// same entries.
+#[derive(Debug)]
+pub struct SideArtifacts {
+    lean: LeanTrace,
+    keyed: KeyedTrace,
+    web: ViewWeb,
+}
+
+/// Wall time one [`SideArtifacts::push_batch`] spent on each artifact: timing is per
+/// batch, so always collecting it costs four clock reads per batch.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct PushTimes {
+    /// Keys and lean context.
+    pub key: Duration,
+    /// View web.
+    pub web: Duration,
+}
+
+impl SideArtifacts {
+    /// Empty artifacts of the trace identified by `meta`.
+    pub fn new(meta: TraceMeta) -> Self {
+        SideArtifacts {
+            lean: LeanTrace::new(meta),
+            keyed: KeyedTrace::default(),
+            web: ViewWeb::empty(),
+        }
+    }
+
+    /// Appends a batch of entries, which must continue the trace in entry order.
+    pub fn push_batch(&mut self, batch: &EntryBatch) -> PushTimes {
+        let base = self.lean.len();
+        let key_start = Instant::now();
+        for entry in batch.iter() {
+            self.lean.push(entry);
+            self.keyed.push(entry);
+        }
+        let web_start = Instant::now();
+        for (offset, entry) in batch.iter().enumerate() {
+            self.web.extend(base + offset, entry);
+        }
+        PushTimes {
+            key: web_start - key_start,
+            web: web_start.elapsed(),
+        }
+    }
+
+    /// The artifacts as a [`DiffSide`].
+    pub fn side(&self) -> DiffSide<'_> {
+        DiffSide::lean(&self.lean, &self.keyed, &self.web)
+    }
+
+    /// The lean per-entry context; it carries the trace's metadata.
+    pub fn lean(&self) -> &LeanTrace {
+        &self.lean
     }
 }
 

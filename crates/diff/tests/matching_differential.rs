@@ -12,25 +12,9 @@
 //! seed is printed; `RPRISM_FUZZ_SEED=<n>` replays a run.
 
 use std::collections::HashSet;
-use std::time::{SystemTime, UNIX_EPOCH};
 
 use rprism_diff::{DiffSequence, Matching};
-use rprism_trace::testgen::Rng;
-
-/// The run's seed: `RPRISM_FUZZ_SEED` when set, the clock otherwise. Printed so a
-/// failing run can be replayed.
-fn fuzz_seed() -> u64 {
-    let seed = std::env::var("RPRISM_FUZZ_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| {
-            SystemTime::now()
-                .duration_since(UNIX_EPOCH)
-                .map_or(0, |d| d.as_nanos() as u64)
-        });
-    println!("RPRISM_FUZZ_SEED={seed}");
-    seed
-}
+use rprism_trace::testgen::{fuzz_seed, Rng};
 
 /// Every view recomputed from the raw pair list on each call.
 struct Reference {

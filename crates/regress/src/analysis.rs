@@ -19,78 +19,38 @@
 
 use std::time::{Duration, Instant};
 
+use crate::sets::{DiffSet, DiffSignature};
 use rprism_diff::{
     anchored_diff_prepared, lcs_diff_prepared, views_diff_sides, AnchoredDiffOptions, DiffError,
     DiffSequence, DiffSide, LcsDiffOptions, TraceDiffResult, ViewsDiffOptions,
 };
-use rprism_trace::{KeyedTrace, LeanTrace};
-use rprism_views::ViewWeb;
 
-use crate::sets::{DiffSet, DiffSignature};
-
-/// Borrowed prepared artifacts of one trace: its [`LeanTrace`] per-entry context, its
-/// precomputed event keys, and (for the views algorithm) its view web. Produced by
-/// `rprism::PreparedTrace` handles or by any caller that manages its own caches.
-#[derive(Clone, Copy, Debug)]
-pub struct PreparedTraceRef<'a> {
-    /// Precomputed interned event keys for `=e` comparisons and difference signatures.
-    pub keyed: &'a KeyedTrace,
-    /// The trace's view web. Required (`Some`) when analyzing with
-    /// [`DiffAlgorithm::Views`]; the LCS baseline ignores it.
-    pub web: Option<&'a ViewWeb>,
-    lean: &'a LeanTrace,
-}
-
-impl<'a> PreparedTraceRef<'a> {
-    /// Bundles borrowed artifacts of one trace into a reference.
-    pub fn new(lean: &'a LeanTrace, keyed: &'a KeyedTrace, web: Option<&'a ViewWeb>) -> Self {
-        PreparedTraceRef { keyed, web, lean }
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.lean.len()
-    }
-
-    /// Returns `true` when the trace has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The [`DiffSignature`] of entry `index`, assembled from the precomputed key plus
-    /// the entry's method and active-object class. `None` when `index` is out of range.
-    pub fn signature_at(&self, index: usize) -> Option<DiffSignature> {
-        let entry = self.lean.entries().get(index)?;
-        Some(DiffSignature::from_key_context(
-            self.keyed,
-            index,
-            entry.method,
-            entry.active.class,
-        ))
-    }
-
-    fn diff_side_for_views(&self) -> DiffSide<'a> {
-        let web = self
-            .web
-            .expect("view web must be prepared for the views algorithm");
-        DiffSide::lean(self.lean, self.keyed, web)
-    }
+/// The [`DiffSignature`] of entry `index` of `side`, assembled from the precomputed key
+/// plus the entry's method and active-object class. `None` when `index` is out of range.
+fn signature_at(side: &DiffSide<'_>, index: usize) -> Option<DiffSignature> {
+    let entry = side.entries().get(index)?;
+    Some(DiffSignature::from_key_context(
+        side.keyed(),
+        index,
+        entry.method,
+        entry.active.class,
+    ))
 }
 
 /// The borrowed input of [`analyze_prepared`]: the four traces of the regression-cause
-/// analysis with their prepared artifacts. Nothing is owned, so the same prepared traces
+/// analysis as prepared [`DiffSide`]s. Nothing is owned, so the same prepared traces
 /// can feed any number of analyses (and any number of plain diffs) without re-deriving
 /// keys or webs — the session pattern `rprism::Engine` builds on.
 #[derive(Clone, Copy, Debug)]
 pub struct PreparedInput<'a> {
     /// Original (correct) version, regressing test case.
-    pub old_regressing: PreparedTraceRef<'a>,
+    pub old_regressing: DiffSide<'a>,
     /// New (regressing) version, regressing test case.
-    pub new_regressing: PreparedTraceRef<'a>,
+    pub new_regressing: DiffSide<'a>,
     /// Original version, similar but non-regressing test case.
-    pub old_passing: PreparedTraceRef<'a>,
+    pub old_passing: DiffSide<'a>,
     /// New version, similar but non-regressing test case.
-    pub new_passing: PreparedTraceRef<'a>,
+    pub new_passing: DiffSide<'a>,
 }
 
 /// Which differencing semantics the analysis uses for all three comparisons.
@@ -159,8 +119,8 @@ pub struct RegressionReport {
     pub sequences: Vec<SequenceVerdict>,
     /// Total wall-clock time of the three differencing runs plus the set algebra.
     ///
-    /// Artifact preparation (keys, webs) is *excluded*: since the session API those are
-    /// built at most once per trace and amortized across every query, so charging them
+    /// Artifact preparation (keys, webs) is *excluded*: those are built once per trace,
+    /// when its handle is made, and amortized across every query, so charging them
     /// to one analysis would misstate both. (Before the `Engine` redesign the one-shot
     /// `analyze` folded its per-call preparation into this figure; timings recorded
     /// across that boundary are not directly comparable.)
@@ -218,10 +178,6 @@ pub enum AnalysisComparison {
 /// copied, keys and webs are consumed as supplied, and the same [`PreparedInput`] sources
 /// can feed any number of analyses.
 ///
-/// # Panics
-///
-/// Panics when [`DiffAlgorithm::Views`] is selected and any input lacks its view web.
-///
 /// # Errors
 ///
 /// Returns a [`DiffError`] when the LCS baseline exhausts its memory budget on any of the
@@ -232,14 +188,10 @@ pub fn analyze_prepared(
     mode: AnalysisMode,
 ) -> Result<RegressionReport, DiffError> {
     analyze_prepared_with(input, algorithm, mode, |_, left, right| match algorithm {
-        DiffAlgorithm::Views(options) => Ok(views_diff_sides(
-            &left.diff_side_for_views(),
-            &right.diff_side_for_views(),
-            options,
-        )),
-        DiffAlgorithm::Lcs(options) => lcs_diff_prepared(left.keyed, right.keyed, options),
+        DiffAlgorithm::Views(options) => Ok(views_diff_sides(&left, &right, options)),
+        DiffAlgorithm::Lcs(options) => lcs_diff_prepared(left.keyed(), right.keyed(), options),
         DiffAlgorithm::Anchored(options) => {
-            Ok(anchored_diff_prepared(left.keyed, right.keyed, options))
+            Ok(anchored_diff_prepared(left.keyed(), right.keyed(), options))
         }
     })
 }
@@ -262,8 +214,8 @@ pub fn analyze_prepared_with(
     mode: AnalysisMode,
     mut diff_pair: impl FnMut(
         AnalysisComparison,
-        PreparedTraceRef<'_>,
-        PreparedTraceRef<'_>,
+        DiffSide<'_>,
+        DiffSide<'_>,
     ) -> Result<TraceDiffResult, DiffError>,
 ) -> Result<RegressionReport, DiffError> {
     let start = Instant::now();
@@ -276,14 +228,13 @@ pub fn analyze_prepared_with(
 
     // Difference sets are assembled from the unmatched entries' signatures: the
     // `DiffSet::from_diff_keyed` of a full trace, read from the lean context.
-    let diff_set =
-        |diff: &TraceDiffResult, left: PreparedTraceRef<'_>, right: PreparedTraceRef<'_>| {
-            DiffSet::of_unmatched(
-                diff,
-                |idx| left.signature_at(idx),
-                |idx| right.signature_at(idx),
-            )
-        };
+    let diff_set = |diff: &TraceDiffResult, left: DiffSide<'_>, right: DiffSide<'_>| {
+        DiffSet::of_unmatched(
+            diff,
+            |idx| signature_at(&left, idx),
+            |idx| signature_at(&right, idx),
+        )
+    };
 
     // Step 1: A — old vs new under the regressing test.
     let suspected_diff = diff_pair(AnalysisComparison::Suspected, old_reg, new_reg)?;
@@ -313,12 +264,12 @@ pub fn analyze_prepared_with(
             let related = sequence
                 .left
                 .iter()
-                .filter_map(|i| old_reg.signature_at(*i))
+                .filter_map(|i| signature_at(&old_reg, *i))
                 .chain(
                     sequence
                         .right
                         .iter()
-                        .filter_map(|i| new_reg.signature_at(*i)),
+                        .filter_map(|i| signature_at(&new_reg, *i)),
                 )
                 .any(|signature| candidates.contains(&signature));
             SequenceVerdict {
@@ -356,7 +307,8 @@ pub fn analyze_prepared_with(
 pub(crate) mod tests {
     use super::*;
     use rprism_lang::parser::parse_program;
-    use rprism_trace::{Trace, TraceMeta};
+    use rprism_trace::{KeyedTrace, LeanTrace, Trace, TraceMeta};
+    use rprism_views::ViewWeb;
     use rprism_vm::{run_traced, VmConfig};
 
     /// The four traces of one scenario, owned, for tests that build them from source.
@@ -381,10 +333,10 @@ pub(crate) mod tests {
         let (npl, npk, npw) = prep(&traces.new_passing);
         analyze_prepared(
             &PreparedInput {
-                old_regressing: PreparedTraceRef::new(&orl, &ork, Some(&orw)),
-                new_regressing: PreparedTraceRef::new(&nrl, &nrk, Some(&nrw)),
-                old_passing: PreparedTraceRef::new(&opl, &opk, Some(&opw)),
-                new_passing: PreparedTraceRef::new(&npl, &npk, Some(&npw)),
+                old_regressing: DiffSide::lean(&orl, &ork, &orw),
+                new_regressing: DiffSide::lean(&nrl, &nrk, &nrw),
+                old_passing: DiffSide::lean(&opl, &opk, &opw),
+                new_passing: DiffSide::lean(&npl, &npk, &npw),
             },
             algorithm,
             mode,

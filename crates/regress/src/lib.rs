@@ -20,7 +20,7 @@ pub mod sets;
 
 pub use analysis::{
     analyze_prepared, analyze_prepared_with, AnalysisComparison, AnalysisMode, DiffAlgorithm,
-    PreparedInput, PreparedTraceRef, RegressionReport, SequenceVerdict,
+    PreparedInput, RegressionReport, SequenceVerdict,
 };
 pub use metrics::{accuracy, evaluate, speedup, GroundTruth, QualityMetrics};
 pub use report::{render_report, render_report_with, RenderOptions};

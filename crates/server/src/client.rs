@@ -16,7 +16,9 @@
 //! on the same hash with nothing written twice; diffs and analyses are pure reads),
 //! so a transport failure mid-exchange reconnects and replays. A server
 //! [`Response::Busy`] shed is retried for any request, honoring the server's
-//! `retry_after_ms` hint as the backoff floor.
+//! `retry_after_ms` hint as the backoff floor. A complete response frame that does
+//! not decode — a foreign protocol version, an unknown tag, a malformed field — is
+//! final: the peer would answer a replay the same way.
 //!
 //! Retries, Busy backoffs and deadline expiries used to be invisible — a client
 //! could be limping through three attempts per call and nothing showed it. They now
@@ -200,10 +202,11 @@ impl Client {
     }
 
     /// One operation under the retry policy: reconnect when poisoned, exchange,
-    /// and — for retryable failures of retryable requests — back off and try
-    /// again. A completed exchange that reports a server-side failure
-    /// ([`ServerError::Remote`], [`ServerError::CorruptTrace`]) is never retried:
-    /// the answer is deterministic until someone changes the repository.
+    /// and — for a torn exchange of a retryable request, or a Busy shed — back off
+    /// and try again. A completed exchange is never retried otherwise, whether it
+    /// reports a server-side failure ([`ServerError::Remote`],
+    /// [`ServerError::CorruptTrace`]) or fails to decode ([`ServerError::Proto`]):
+    /// the answer is deterministic until someone changes the repository or the peer.
     fn call(&mut self, request: &Request) -> Result<Response> {
         let mut previous = self.retry.base;
         let mut attempt = 0u32;
@@ -225,37 +228,41 @@ impl Client {
                     }
                 }
             }
-            match self.call_once(request) {
-                Ok(response) => return Ok(response),
+            let (e, hint) = match self.call_once(request) {
+                Ok(Ok(response)) => return Ok(response),
+                // A shed: any request is safe to retry — the server read nothing.
+                // Honor its backoff hint as the floor.
+                Ok(Err(ServerError::Busy { retry_after_ms })) => {
+                    rprism_obs::global().counter("client.busy_backoffs").inc();
+                    let hint = Duration::from_millis(u64::from(retry_after_ms));
+                    (ServerError::Busy { retry_after_ms }, Some(hint))
+                }
+                Ok(Err(e)) => return Err(e),
+                // A torn exchange: only idempotent requests replay.
                 Err(e) => {
                     if deadline_expired(&e) {
                         rprism_obs::global().counter("client.deadline_hits").inc();
                     }
-                    let hint = match &e {
-                        // A shed: any request is safe to retry — the server read
-                        // nothing. Honor its backoff hint as the floor.
-                        ServerError::Busy { retry_after_ms } => {
-                            rprism_obs::global().counter("client.busy_backoffs").inc();
-                            Some(Duration::from_millis(u64::from(*retry_after_ms)))
-                        }
-                        // A torn exchange: only idempotent requests replay.
-                        ServerError::Io(_) | ServerError::Proto(_) if retryable(request) => None,
-                        _ => return Err(e),
-                    };
-                    if attempt >= self.retry.max_attempts {
+                    if !retryable(request) {
                         return Err(e);
                     }
-                    rprism_obs::global().counter("client.retries").inc();
-                    previous = backoff(&self.retry, &mut self.rng, previous, hint);
+                    (e, None)
                 }
+            };
+            if attempt >= self.retry.max_attempts {
+                return Err(e);
             }
+            rprism_obs::global().counter("client.retries").inc();
+            previous = backoff(&self.retry, &mut self.rng, previous, hint);
         }
     }
 
-    /// One request/response exchange. Any transport-level failure poisons the
-    /// connection (see the `poisoned` field); a server-reported [`Response::Error`]
-    /// does not — that exchange completed, the protocol is intact.
-    fn call_once(&mut self, request: &Request) -> Result<Response> {
+    /// One request/response exchange. The outer `Err` is a torn exchange — an I/O
+    /// failure, an early EOF, or a truncated or damaged frame — and poisons the
+    /// connection (see the `poisoned` field). The inner result is the complete
+    /// answer: a response, a server-reported failure (a [`Response::Error`] does not
+    /// poison — the protocol is intact), or a frame that does not decode.
+    fn call_once(&mut self, request: &Request) -> Result<Result<Response>> {
         if self.poisoned {
             return Err(ServerError::Io(std::io::Error::other(
                 "connection poisoned by an earlier transport error; reconnect",
@@ -266,37 +273,35 @@ impl Client {
         // before reading the payload and closes, which would surface here as an
         // opaque broken pipe mid-write. Refuse locally with the real reason instead.
         if encoded.len() as u64 > self.max_frame {
-            return Err(ServerError::Remote(format!(
+            return Ok(Err(ServerError::Remote(format!(
                 "request of {} bytes exceeds the {}-byte frame limit (raise it on both \
                  sides: Client::set_max_frame / ServerConfig::max_frame, or \
                  --max-frame-bytes on the command line)",
                 encoded.len(),
                 self.max_frame
-            )));
+            ))));
         }
-        let outcome = (|| {
+        let exchange = (|| {
             let mut out = BufWriter::new(&self.stream);
             write_frame(&mut out, &encoded).map_err(proto_error)?;
             drop(out);
             let mut input = &self.stream;
-            let payload = read_frame(&mut input, self.max_frame)
+            read_frame(&mut input, self.max_frame)
                 .map_err(proto_error)?
                 .ok_or_else(|| {
                     ServerError::Io(std::io::Error::new(
                         std::io::ErrorKind::UnexpectedEof,
                         "server closed the connection before responding",
                     ))
-                })?;
-            Response::decode(&payload).map_err(ServerError::Proto)
+                })
         })();
-        let response = match outcome {
+        let decoded = exchange.map(|payload| Response::decode(&payload));
+        self.poisoned = !matches!(decoded, Ok(Ok(_)));
+        let response = match decoded? {
             Ok(response) => response,
-            Err(e) => {
-                self.poisoned = true;
-                return Err(e);
-            }
+            Err(e) => return Ok(Err(ServerError::Proto(e))),
         };
-        match response {
+        Ok(match response {
             Response::Error { message } => Err(ServerError::Remote(message)),
             // The server closes a shed connection after the Busy frame; mark the
             // stream dead so a retry dials fresh.
@@ -307,7 +312,7 @@ impl Client {
             Response::Corrupt { hash, .. } => Err(ServerError::CorruptTrace { hash }),
             Response::CheckDenied(report) => Err(ServerError::CheckDenied(report)),
             other => Ok(other),
-        }
+        })
     }
 
     /// Uploads a serialized trace (either encoding), returning its content hash and

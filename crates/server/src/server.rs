@@ -684,7 +684,7 @@ impl Worker {
             }
             match state
                 .decoder
-                .read_refs(&mut batch, rprism::ingest::BATCH_ENTRIES)
+                .read_refs(&mut batch, rprism::BATCH_ENTRIES)
                 .map_err(ServerError::Format)?
             {
                 TailBatch::Entries(_) => {

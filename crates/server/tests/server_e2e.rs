@@ -3,7 +3,7 @@
 //! timeouts, and graceful shutdown draining in-flight work.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -11,7 +11,7 @@ use rprism::{Engine, PreparedTrace};
 use rprism_format::frame::{frame_to_bytes, read_frame};
 use rprism_format::{trace_to_bytes, Encoding, FormatError};
 use rprism_server::proto::{Request, Response};
-use rprism_server::{Client, Server, ServerConfig, ServerError, WireAlgorithm};
+use rprism_server::{Client, RetryPolicy, Server, ServerConfig, ServerError, WireAlgorithm};
 use rprism_trace::testgen::{arbitrary_trace, Rng};
 use rprism_trace::Trace;
 
@@ -259,6 +259,53 @@ fn startup_fails_cleanly_without_a_usable_repo_dir() {
         Err(ServerError::Repo(_))
     ));
     std::fs::remove_file(&file).ok();
+}
+
+#[test]
+fn a_foreign_protocol_version_is_final_and_never_replayed() {
+    // A fake peer that answers every request frame with a version-6 payload, and
+    // counts the requests until a `stop` frame arrives.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let peer = std::thread::spawn(move || {
+        let mut requests = 0;
+        for stream in listener.incoming() {
+            let mut stream = stream.unwrap();
+            while let Some(payload) = read_frame(&mut stream, u64::MAX).unwrap() {
+                if payload == b"stop" {
+                    return requests;
+                }
+                requests += 1;
+                stream.write_all(&frame_to_bytes(&[6, 0])).unwrap();
+            }
+        }
+        requests
+    });
+
+    let mut client =
+        Client::connect_with_retry(&addr.to_string(), TIMEOUT, RetryPolicy::default()).unwrap();
+    let start = Instant::now();
+    let result = client.list();
+    let elapsed = start.elapsed();
+    drop(client);
+    let mut stop = TcpStream::connect(addr).unwrap();
+    stop.write_all(&frame_to_bytes(b"stop")).unwrap();
+
+    assert_eq!(peer.join().unwrap(), 1, "the request was replayed");
+    assert!(
+        matches!(
+            result,
+            Err(ServerError::Proto(FormatError::UnsupportedVersion {
+                found: 6,
+                ..
+            }))
+        ),
+        "{result:?}"
+    );
+    assert!(
+        elapsed < Duration::from_millis(100),
+        "surfaced after {elapsed:?}"
+    );
 }
 
 #[test]

@@ -6,6 +6,8 @@
 //! name/value pools are used deliberately so that generated events collide often — the
 //! hard case for equality, interning and correlation.
 
+use std::time::{SystemTime, UNIX_EPOCH};
+
 use rprism_lang::{FieldName, MethodName};
 
 use crate::entry::{EntryId, ThreadId, TraceEntry};
@@ -13,6 +15,21 @@ use crate::event::Event;
 use crate::objrep::{CreationSeq, Loc, ObjRep, ValueRepr};
 use crate::stack::{StackFrame, StackSnapshot};
 use crate::trace::{Trace, TraceMeta};
+
+/// The seed of a randomized test run: `RPRISM_FUZZ_SEED` when set, the clock
+/// otherwise. Printed so a failing run can be replayed.
+pub fn fuzz_seed() -> u64 {
+    let seed = std::env::var("RPRISM_FUZZ_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| {
+            SystemTime::now()
+                .duration_since(UNIX_EPOCH)
+                .map_or(0, |d| d.as_nanos() as u64)
+        });
+    println!("RPRISM_FUZZ_SEED={seed}");
+    seed
+}
 
 /// A SplitMix64 pseudo-random generator: tiny, fast, and deterministic across platforms.
 #[derive(Clone, Debug)]

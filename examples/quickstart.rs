@@ -61,12 +61,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     print!("{}", diff.render(old.trace(), new.trace(), 5));
 
     // A second query over the same handles is nearly free: the view webs and event keys
-    // were cached inside the handles by the first diff.
+    // were built with the handles, and the first diff cached the pair's correlation.
     let again = engine.diff(&old, &new)?;
     println!(
-        "\nre-diffed with cached artifacts: {} differences (web built {} time(s))",
+        "\nre-diffed with cached artifacts: {} differences (correlation built {} time(s))",
         again.num_differences(),
-        old.web_build_count()
+        engine.correlation_builds()
     );
 
     // Traces are portable: store them in the compact binary encoding (or in JSONL

@@ -1,7 +1,6 @@
 //! Helpers shared by the workspace test binaries (`mod common;` in each).
 
-use rprism::ingest::BATCH_ENTRIES;
-use rprism::{Engine, PreparedTrace, ProvisionalEvent, WatchOutcome};
+use rprism::{Engine, PreparedTrace, ProvisionalEvent, WatchOutcome, BATCH_ENTRIES};
 use rprism_format::{TailBatch, TailDecoder};
 use rprism_trace::EntryBatch;
 

@@ -2,15 +2,12 @@
 //! over freshly built artifacts (`views_diff_sides`, `analyze_prepared`) on the four
 //! §5.2 case studies: same matchings, same difference sequences, same analysis sets,
 //! same deterministic cost accounting (everything except wall-clock timestamps is
-//! identical). Also proves the caching contract: a
-//! `PreparedTrace`'s artifacts are built exactly once no matter how many queries touch
-//! them, and the batch entry points reproduce the single-call results in input order.
+//! identical). Also proves the sharing contract: a `PreparedTrace`'s artifacts are
+//! shared by every clone and query, and the batch entry points reproduce the single-call results in input order.
 
 use rprism::{Engine, PreparedTrace, RegressionInput};
 use rprism_diff::{views_diff_sides, DiffSide, TraceDiffResult, ViewsDiffOptions};
-use rprism_regress::{
-    analyze_prepared, DiffAlgorithm, PreparedInput, PreparedTraceRef, RegressionReport,
-};
+use rprism_regress::{analyze_prepared, DiffAlgorithm, PreparedInput, RegressionReport};
 use rprism_trace::{KeyedTrace, LeanTrace, Trace};
 use rprism_views::ViewWeb;
 use rprism_workloads::casestudies;
@@ -91,8 +88,7 @@ fn engine_analysis_matches_deprecated_analyze_on_all_case_studies() {
             traces.traces.new_passing.trace(),
         ];
         let built: Vec<(LeanTrace, KeyedTrace, ViewWeb)> = four.iter().map(|t| fresh(t)).collect();
-        let prepared =
-            |i: usize| PreparedTraceRef::new(&built[i].0, &built[i].1, Some(&built[i].2));
+        let prepared = |i: usize| DiffSide::lean(&built[i].0, &built[i].1, &built[i].2);
         let input = PreparedInput {
             old_regressing: prepared(0),
             new_regressing: prepared(1),
@@ -158,16 +154,19 @@ fn prepared_web_is_built_exactly_once_across_three_diffs() {
     ] {
         engine.diff(anchor, other).expect("views never fails");
     }
-    assert_eq!(anchor.web_build_count(), 1, "web rebuilt despite caching");
-    assert_eq!(
-        anchor.keyed_build_count(),
-        1,
-        "keys rebuilt despite caching"
+    let copy = anchor.clone();
+    assert!(std::ptr::eq(anchor.web(), copy.web()), "web not shared");
+    assert!(
+        std::ptr::eq(anchor.keyed(), copy.keyed()),
+        "keys not shared"
     );
+    assert_eq!(engine.correlation_builds(), 3, "one correlation per pair");
 
     // Further queries — including a full analysis over the same handles — still reuse
-    // the same artifacts.
+    // the same artifacts, and a repeat builds no correlation.
     engine.analyze(&traces.traces).unwrap();
-    assert_eq!(anchor.web_build_count(), 1);
-    assert_eq!(anchor.keyed_build_count(), 1);
+    let builds = engine.correlation_builds();
+    engine.analyze(&traces.traces).unwrap();
+    engine.diff(&copy, &traces.traces.new_regressing).unwrap();
+    assert_eq!(engine.correlation_builds(), builds);
 }

@@ -3,46 +3,30 @@
 //! Binary input is ingested without ever building a `TraceEntry`: the decoder hands
 //! out `EntryRef`s whose names it interned once per string id. Everything else —
 //! JSONL, VM traces, every in-memory `Trace` — reaches the same builders through
-//! `EntryBatch::push`. This suite decodes each input both ways and requires the
-//! artifacts to be identical: event keys, lean contexts, views (members, keys,
-//! representatives), thread ancestry and check reports, under the sequential and the
-//! pipelined ingest. A live watch fed the bytes at awkward chunk sizes must reach the
-//! batch diff's verdict. Diffs and analyses over handles prepared from the owned
-//! `Trace` must equal the same calls over handles streamed from its bytes.
+//! `EntryBatch::push`. This suite requires the artifacts of every handle — a
+//! streamed load of the bytes, `PreparedTrace::new` of the decoded trace, and the
+//! trace a finished watch returns — to equal the reference builders' over the owned
+//! trace: event keys, lean contexts, views (members, keys, representatives) and
+//! thread ancestry; and the streamed check report to equal the owned trace's. A live
+//! watch fed the bytes at awkward chunk sizes must reach the batch diff's verdict.
+//! Diffs and analyses over handles prepared from the owned `Trace` must equal the same
+//! calls over handles streamed from its bytes.
 //!
 //! Inputs: every `GenProfile` at several sizes, `arbitrary_trace`, and the sixteen
 //! committed corpus files, each generated input in both encodings. The generator is
 //! seeded from the clock and the seed is printed; `RPRISM_FUZZ_SEED=<n>` replays a run.
 
-use std::io::BufReader;
 use std::path::Path;
-use std::time::{SystemTime, UNIX_EPOCH};
 
-use rprism::ingest::{stream_prepare, StreamedArtifacts};
 use rprism::{Engine, PreparedTrace, RegressionInput, RegressionReport, TraceDiffResult};
 use rprism_check::check_trace;
-use rprism_format::{trace_from_bytes, trace_to_bytes, Encoding, TraceReader};
-use rprism_trace::testgen::{arbitrary_trace, GenProfile, Rng};
-use rprism_trace::{par, EntryBatch, Event, KeyedTrace, LeanTrace, ThreadId, Trace};
+use rprism_format::{trace_from_bytes, trace_to_bytes, Encoding};
+use rprism_trace::testgen::{arbitrary_trace, fuzz_seed, GenProfile, Rng};
+use rprism_trace::{EntryBatch, Event, KeyedTrace, LeanTrace, ThreadId, Trace};
 use rprism_views::ViewWeb;
 
 mod common;
 use common::tail_watch;
-
-/// The run's seed: `RPRISM_FUZZ_SEED` when set, the clock otherwise. Printed so a
-/// failing run can be replayed.
-fn fuzz_seed() -> u64 {
-    let seed = std::env::var("RPRISM_FUZZ_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| {
-            SystemTime::now()
-                .duration_since(UNIX_EPOCH)
-                .map_or(0, |d| d.as_nanos() as u64)
-        });
-    println!("RPRISM_FUZZ_SEED={seed}");
-    seed
-}
 
 /// One named serialized trace.
 struct Input {
@@ -98,12 +82,6 @@ fn corpus() -> Vec<Input> {
     inputs
 }
 
-fn streamed(bytes: &[u8], workers: usize) -> StreamedArtifacts {
-    par::with_workers(workers, || {
-        stream_prepare(TraceReader::new(BufReader::new(bytes)).unwrap()).unwrap()
-    })
-}
-
 /// Every thread a trace mentions: entry threads and forked children.
 fn threads_of(trace: &Trace) -> Vec<ThreadId> {
     let mut tids = trace.thread_ids();
@@ -115,62 +93,73 @@ fn threads_of(trace: &Trace) -> Vec<ThreadId> {
     tids
 }
 
-fn assert_same_artifacts(context: &str, trace: &Trace, got: &StreamedArtifacts) {
+fn assert_same_artifacts(context: &str, trace: &Trace, handle: &PreparedTrace) {
     let keyed = KeyedTrace::build(trace);
     let mut lean = LeanTrace::new(trace.meta.clone());
     EntryBatch::visit(&trace.entries, |entry| lean.push(entry));
     let web = ViewWeb::build(trace);
+    let got = handle.side();
 
-    assert_eq!(got.meta, trace.meta, "{context}: metadata");
-    assert_eq!(got.keyed.len(), keyed.len(), "{context}: key count");
+    assert_eq!(handle.meta(), &trace.meta, "{context}: metadata");
+    assert_eq!(got.keyed().len(), keyed.len(), "{context}: key count");
     for i in 0..keyed.len() {
-        let (a, b) = (got.keyed.compact(i), keyed.compact(i));
-        assert!(got.keyed.key_eq(i, &keyed, i), "{context}: key {i}");
+        let (a, b) = (got.keyed().compact(i), keyed.compact(i));
+        assert!(got.keyed().key_eq(i, &keyed, i), "{context}: key {i}");
         assert_eq!(
             (a.hash, a.kind, a.name),
             (b.hash, b.kind, b.name),
             "{context}: key {i}"
         );
         assert_eq!(
-            got.keyed.operands_of(&a),
+            got.keyed().operands_of(&a),
             keyed.operands_of(&b),
             "{context}: key {i}"
         );
     }
+    assert_eq!(got.entries(), lean.entries(), "{context}: lean entries");
     assert_eq!(
-        got.lean.entries(),
-        lean.entries(),
-        "{context}: lean entries"
-    );
-    assert_eq!(
-        got.web.total_views(),
+        got.web().total_views(),
         web.total_views(),
         "{context}: view count"
     );
     for (id, view) in web.views_with_ids() {
-        assert_eq!(got.web.view_by_id(id), view, "{context}: view {id:?}");
+        assert_eq!(got.web().view_by_id(id), view, "{context}: view {id:?}");
     }
     for i in 0..trace.len() {
         assert_eq!(
-            got.web.views_of_entry(i),
+            got.web().views_of_entry(i),
             web.views_of_entry(i),
             "{context}: memberships of entry {i}"
         );
     }
     for tid in threads_of(trace) {
         assert_eq!(
-            got.web.thread_ancestry(tid),
+            got.web().thread_ancestry(tid),
             web.thread_ancestry(tid),
             "{context}: ancestry of {tid}"
         );
     }
 }
 
+/// Byte-chunk size of the artifact check's watch: one reader refill minus one.
+const WATCH_CHUNK: usize = 8191;
+
 fn assert_symbol_path_matches_adapter(engine: &Engine, input: &Input) {
     let trace = trace_from_bytes(&input.bytes).unwrap();
-    for workers in [1, 2] {
-        let context = format!("{} (workers={workers})", input.name);
-        assert_same_artifacts(&context, &trace, &streamed(&input.bytes, workers));
+    let streamed = engine.load_prepared_reader(input.bytes.as_slice()).unwrap();
+    let watched = tail_watch(
+        engine,
+        &streamed,
+        &input.bytes,
+        WATCH_CHUNK,
+        &mut Vec::new(),
+    );
+    for (path, handle) in [
+        ("streamed", &streamed),
+        ("in-memory", &PreparedTrace::new(trace.clone())),
+        ("watched", &watched.new_trace),
+    ] {
+        assert_same_artifacts(&format!("{} ({path})", input.name), &trace, handle);
     }
     let report = engine.check_reader(input.bytes.as_slice()).unwrap();
     assert_eq!(report, check_trace(&trace), "{}: check report", input.name);

@@ -2,8 +2,8 @@
 //!
 //! The symbol-level decoder walks the record grammar on its own, next to the
 //! `TraceEntry` decoder behind `trace_from_bytes`. On every cut and every `0x01`,
-//! `0xff` and `0x80` xor of one pinned binary trace, the prepared load (sequential
-//! and pipelined), the streaming check and a drip-fed tail decoder must each fail
+//! `0xff` and `0x80` xor of one pinned binary trace, the prepared load, the streaming
+//! check and a drip-fed tail decoder must each fail
 //! with exactly the error `trace_from_bytes` reports — or succeed where it does.
 
 use rprism::Engine;
@@ -11,7 +11,7 @@ use rprism_format::{
     trace_from_bytes, trace_to_bytes, Encoding, FormatError, TailBatch, TailDecoder,
 };
 use rprism_trace::testgen::{arbitrary_trace, Rng};
-use rprism_trace::{par, EntryBatch};
+use rprism_trace::EntryBatch;
 
 /// `Ok(())` or the error's `Debug` rendering, for comparing outcomes across paths.
 type Outcome = Result<(), String>;
@@ -49,15 +49,11 @@ fn drip_fed(bytes: &[u8], chunk: usize) -> Outcome {
 
 fn assert_parity(engine: &Engine, bytes: &[u8], case: &str) {
     let expected = outcome(trace_from_bytes(bytes));
-    for workers in [1, 2] {
-        let load = par::with_workers(workers, || {
-            engine_outcome(engine.load_prepared_reader(bytes))
-        });
-        assert_eq!(
-            load, expected,
-            "{case}: load_prepared_reader (workers={workers})"
-        );
-    }
+    assert_eq!(
+        engine_outcome(engine.load_prepared_reader(bytes)),
+        expected,
+        "{case}: load_prepared_reader"
+    );
     assert_eq!(
         engine_outcome(engine.check_reader(bytes)),
         expected,

@@ -3,7 +3,7 @@
 //! no materialized trace) are indistinguishable from load-then-prepare handles — same
 //! matchings, same difference sequences, same `DiffSignature` sets, same deterministic
 //! compare counts — for plain diffs and for the full regression-cause analysis, under
-//! both on-disk encodings, with the two-stage ingest pipeline and on the calling thread.
+//! both on-disk encodings, with the diff fan-outs forced on and with everything inline.
 
 use rprism::format::read_trace_path;
 use rprism::{Encoding, Engine, PreparedTrace, RegressionInput};
@@ -23,8 +23,8 @@ fn streamed_handles_match_load_then_prepare_on_all_case_studies() {
         for workers in [4, 1] {
             let engine = Engine::new();
             for scenario in casestudies::all() {
-                // Forcing the worker count runs the two-stage ingest pipeline and every
-                // fan-out (4) or everything inline (1), whatever the host's core count.
+                // Forcing the worker count runs every fan-out (4) or everything inline
+                // (1), whatever the host's core count.
                 par::with_workers(workers, || {
                     let traces = scenario.trace_all().unwrap();
                     let paths = traces.export(&dir, &scenario.name, encoding).unwrap();
