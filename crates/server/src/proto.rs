@@ -1798,6 +1798,53 @@ mod tests {
         }
     }
 
+    /// The encoded `AnalyzeOk` frame of every case study: default engine, streamed
+    /// handles, no rendering.
+    fn case_study_analyze_frames() -> Vec<(String, Vec<u8>)> {
+        use rprism_format::{trace_to_bytes, Encoding};
+        let engine = rprism::Engine::new();
+        rprism_workloads::casestudies::all()
+            .into_iter()
+            .map(|scenario| {
+                let traces = scenario.trace_all().unwrap();
+                let [a, b, c, d] = traces.handles().map(|handle| {
+                    let bytes = trace_to_bytes(handle.trace(), Encoding::Binary).unwrap();
+                    engine.load_prepared_reader(bytes.as_slice()).unwrap()
+                });
+                let input =
+                    rprism::RegressionInput::new(a, b, c, d).with_mode(scenario.analysis_mode());
+                let report = engine.analyze(&input).unwrap();
+                let frame =
+                    Response::AnalyzeOk(WireReport::from_report(&report, String::new())).encode();
+                (scenario.name, frame)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn case_study_analyze_frames_are_pinned_byte_for_byte() {
+        let pinned: [(&str, usize, u64); 4] = [
+            ("daikon", 16157, 0x617a_a497_2cf6_a7b5),
+            ("xalan-1725", 12982, 0x2239_ae32_daa3_bbb8),
+            ("xalan-1802", 50324, 0xf485_92ff_9ad6_cc7d),
+            ("derby-1633", 10119, 0xbe01_47d5_0a20_f870),
+        ];
+        let frames = case_study_analyze_frames();
+        let got: Vec<(&str, usize, u64)> = frames
+            .iter()
+            .map(|(name, frame)| {
+                let mut digest = rprism_format::Fnv64::new();
+                digest.update(frame);
+                (name.as_str(), frame.len(), digest.finish())
+            })
+            .collect();
+        assert_eq!(got, pinned);
+        for (name, frame) in &frames {
+            let decoded = Response::decode(frame).unwrap();
+            assert_eq!(&decoded.encode(), frame, "{name}: decode re-encodes");
+        }
+    }
+
     #[test]
     fn stats_ok_field_order_is_pinned() {
         // The Stats frame is 15 varints in this exact order; reordering the
