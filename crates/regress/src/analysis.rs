@@ -16,26 +16,21 @@
 //! Finally, the difference sequences of the suspected comparison are classified: a
 //! sequence is reported as regression-related when it contains at least one difference
 //! whose signature survives into D.
+//!
+//! The algebra runs on signature hashes over the prepared sides (see [`crate::sets`]):
+//! A, B and C are hashed sets of unmatched entries, D is computed by merges, and each
+//! sequence entry is classified by a binary search of D. A [`DiffSignature`] is built
+//! only for the four sets the report returns, once each, in canonical order.
+//!
+//! [`DiffSignature`]: crate::sets::DiffSignature
 
 use std::time::{Duration, Instant};
 
-use crate::sets::{DiffSet, DiffSignature};
+use crate::sets::{DiffSet, SignatureSource};
 use rprism_diff::{
     anchored_diff_prepared, lcs_diff_prepared, views_diff_sides, AnchoredDiffOptions, DiffError,
     DiffSequence, DiffSide, LcsDiffOptions, TraceDiffResult, ViewsDiffOptions,
 };
-
-/// The [`DiffSignature`] of entry `index` of `side`, assembled from the precomputed key
-/// plus the entry's method and active-object class. `None` when `index` is out of range.
-fn signature_at(side: &DiffSide<'_>, index: usize) -> Option<DiffSignature> {
-    let entry = side.entries().get(index)?;
-    Some(DiffSignature::from_key_context(
-        side.keyed(),
-        index,
-        entry.method,
-        entry.active.class,
-    ))
-}
 
 /// The borrowed input of [`analyze_prepared`]: the four traces of the regression-cause
 /// analysis as prepared [`DiffSide`]s. Nothing is owned, so the same prepared traces
@@ -143,7 +138,10 @@ impl RegressionReport {
     /// Number of regression-related difference sequences (the paper's "Regression Diff.
     /// Seqs." column).
     pub fn num_regression_sequences(&self) -> usize {
-        self.regression_sequences().len()
+        self.sequences
+            .iter()
+            .filter(|s| s.regression_related)
+            .count()
     }
 
     /// The size of the reported output relative to the executed trace, as a percentage —
@@ -219,59 +217,57 @@ pub fn analyze_prepared_with(
     ) -> Result<TraceDiffResult, DiffError>,
 ) -> Result<RegressionReport, DiffError> {
     let start = Instant::now();
-    let (old_reg, new_reg, old_pass, new_pass) = (
+    // Hashed sets name entries by their side's position in `sides`.
+    const OLD_REG: usize = 0;
+    const NEW_REG: usize = 1;
+    const OLD_PASS: usize = 2;
+    const NEW_PASS: usize = 3;
+    let sides = [
         input.old_regressing,
         input.new_regressing,
         input.old_passing,
         input.new_passing,
-    );
-
-    // Difference sets are assembled from the unmatched entries' signatures: the
-    // `DiffSet::from_diff_keyed` of a full trace, read from the lean context.
-    let diff_set = |diff: &TraceDiffResult, left: DiffSide<'_>, right: DiffSide<'_>| {
-        DiffSet::of_unmatched(
-            diff,
-            |idx| signature_at(&left, idx),
-            |idx| signature_at(&right, idx),
-        )
-    };
+    ];
+    let source = SignatureSource::new(&sides);
 
     // Step 1: A — old vs new under the regressing test.
-    let suspected_diff = diff_pair(AnalysisComparison::Suspected, old_reg, new_reg)?;
-    let suspected = diff_set(&suspected_diff, old_reg, new_reg);
+    let suspected_diff = diff_pair(
+        AnalysisComparison::Suspected,
+        sides[OLD_REG],
+        sides[NEW_REG],
+    )?;
+    let suspected = source.unmatched(&suspected_diff, OLD_REG, NEW_REG);
 
     // Step 2: B — old vs new under the passing test.
-    let expected_diff = diff_pair(AnalysisComparison::Expected, old_pass, new_pass)?;
-    let expected = diff_set(&expected_diff, old_pass, new_pass);
+    let expected_diff = diff_pair(
+        AnalysisComparison::Expected,
+        sides[OLD_PASS],
+        sides[NEW_PASS],
+    )?;
+    let expected = source.unmatched(&expected_diff, OLD_PASS, NEW_PASS);
 
     // Step 3: C — passing vs regressing test on the new version.
-    let regression_diff = diff_pair(AnalysisComparison::Regression, new_pass, new_reg)?;
-    let regression = diff_set(&regression_diff, new_pass, new_reg);
+    let regression_diff = diff_pair(
+        AnalysisComparison::Regression,
+        sides[NEW_PASS],
+        sides[NEW_REG],
+    )?;
+    let regression = source.unmatched(&regression_diff, NEW_PASS, NEW_REG);
 
     // Step 4: D.
-    let a_minus_b = suspected.subtract(&expected);
+    let a_minus_b = source.subtract(&suspected, &expected);
     let candidates = match mode {
-        AnalysisMode::Intersect => a_minus_b.intersect(&regression),
-        AnalysisMode::SubtractRegressionSet => a_minus_b.subtract(&regression),
+        AnalysisMode::Intersect => source.intersect(&a_minus_b, &regression),
+        AnalysisMode::SubtractRegressionSet => source.subtract(&a_minus_b, &regression),
     };
 
-    // Classify the suspected comparison's difference sequences, reusing the precomputed
-    // keys of the two suspected-comparison traces.
+    // Classify the suspected comparison's difference sequences against D.
     let sequences = suspected_diff
         .sequences
         .iter()
         .map(|sequence| {
-            let related = sequence
-                .left
-                .iter()
-                .filter_map(|i| signature_at(&old_reg, *i))
-                .chain(
-                    sequence
-                        .right
-                        .iter()
-                        .filter_map(|i| signature_at(&new_reg, *i)),
-                )
-                .any(|signature| candidates.contains(&signature));
+            let related = (sequence.left.iter()).any(|&i| source.contains(&candidates, OLD_REG, i))
+                || (sequence.right.iter()).any(|&i| source.contains(&candidates, NEW_REG, i));
             SequenceVerdict {
                 sequence: sequence.clone(),
                 regression_related: related,
@@ -288,11 +284,13 @@ pub fn analyze_prepared_with(
         .max(expected_diff.cost.peak_bytes)
         .max(regression_diff.cost.peak_bytes);
 
+    // D's signatures are copies of A's: it was computed from A by merges.
+    let (suspected, candidates) = source.materialize_with_subset(&suspected, &candidates);
     Ok(RegressionReport {
         algorithm: algorithm.label(),
         suspected,
-        expected,
-        regression,
+        expected: source.materialize(&expected),
+        regression: source.materialize(&regression),
         candidates,
         mode,
         suspected_diff,

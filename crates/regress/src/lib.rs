@@ -17,6 +17,7 @@ pub mod analysis;
 pub mod metrics;
 pub mod report;
 pub mod sets;
+mod sets_differential;
 
 pub use analysis::{
     analyze_prepared, analyze_prepared_with, AnalysisComparison, AnalysisMode, DiffAlgorithm,

@@ -10,19 +10,37 @@
 //! context (method and active-object class). Two differences from different comparisons
 //! are "the same difference" when their signatures are equal — a handful of integer
 //! comparisons, since every name is a process-stable [`Symbol`].
+//!
+//! **Hashed algebra.** The analysis itself builds no signature until it reports one. A
+//! crate-private `HashedSet` names each difference by its entry — `(hash, side,
+//! index)` — sorted by a 64-bit signature hash that mixes the entry's precomputed key
+//! hash (which covers kind, name and operands) with its method and active-object
+//! class. Equal hashes are ordered by the signature fields themselves (symbol ids and
+//! fingerprints, read in place), so duplicates are adjacent and dropped, subtraction
+//! and intersection are merges, and membership is a binary search. A collision never
+//! merges two signatures, and colliding hashes — even crafted ones — cost logarithmic
+//! steps, not a scan.
+//!
+//! **Canonical order.** A [`DiffSet`] — the form a report returns and the wire carries
+//! — is a sorted, deduplicated vector in the canonical order of [`DiffSignature`]'s
+//! `Ord`: kind, then name, operands (class, fingerprint), method and active-object class
+//! compared by their strings, so the order does not depend on the process that interned
+//! them.
 
-use std::collections::HashSet;
+use std::cmp::Ordering;
 
 use rprism_trace::{
     intern, EntryBatch, EventKind, KeyedTrace, OperandId, Symbol, Trace, TraceEntry,
 };
 
-use rprism_diff::TraceDiffResult;
+use rprism_diff::{DiffSide, TraceDiffResult};
 
 /// A canonical, trace-independent identity for one semantic difference.
 ///
 /// All names are interned [`Symbol`]s; the only heap data is the boxed operand list, so
-/// signatures hash and compare as plain integer sequences.
+/// signatures hash and compare for equality as plain integer sequences. They *order*
+/// by the strings behind those symbols (see the module docs), which is the order of
+/// every [`DiffSet`] and of each set on the wire.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct DiffSignature {
     /// The event form of the differing event.
@@ -45,8 +63,8 @@ impl DiffSignature {
         Self::of_keyed(&keyed, 0, entry)
     }
 
-    /// Builds the signature of entry `index` from its precomputed key (the hot path of
-    /// [`DiffSet::from_diff`]: no re-canonicalization, just copies of interned ids).
+    /// Builds the signature of entry `index` from its precomputed key: no
+    /// re-canonicalization, just copies of interned ids.
     pub fn of_keyed(keyed: &KeyedTrace, index: usize, entry: &TraceEntry) -> Self {
         Self::from_key_context(
             keyed,
@@ -82,10 +100,105 @@ impl DiffSignature {
     }
 }
 
-/// A set of semantic differences (one of the paper's sets A, B, C or D).
+/// The fields of a signature with its names spelled out. The derived order — kind,
+/// name (absent first), operands, method, active-object class — is the canonical
+/// order of signatures; `prefix` only decides most comparisons early.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct Spelled<'a> {
+    /// Kind, name presence and the name's first fourteen bytes, big-endian: ordered
+    /// like (kind, name) wherever two prefixes differ.
+    prefix: u128,
+    kind: EventKind,
+    name: Option<&'static str>,
+    operands: SpelledOperands<'a>,
+    method: &'static str,
+    active_class: &'static str,
+}
+
+impl<'a> Spelled<'a> {
+    fn new(
+        kind: EventKind,
+        name: Option<Symbol>,
+        operands: &'a [OperandId],
+        method: Symbol,
+        active_class: Symbol,
+    ) -> Self {
+        let name = name.map(Symbol::as_str);
+        let mut prefix = [0u8; 16];
+        prefix[0] = kind as u8;
+        if let Some(name) = name {
+            prefix[1] = 1;
+            let len = name.len().min(14);
+            prefix[2..2 + len].copy_from_slice(&name.as_bytes()[..len]);
+        }
+        Spelled {
+            prefix: u128::from_be_bytes(prefix),
+            kind,
+            name,
+            operands: SpelledOperands(operands),
+            method: method.as_str(),
+            active_class: active_class.as_str(),
+        }
+    }
+
+    fn of(signature: &'a DiffSignature) -> Self {
+        Spelled::new(
+            signature.kind,
+            signature.name,
+            &signature.operands,
+            signature.method,
+            signature.active_class,
+        )
+    }
+}
+
+/// Operands in canonical order: (class string, fingerprint) pairs, lexicographically.
+#[derive(PartialEq, Eq)]
+struct SpelledOperands<'a>(&'a [OperandId]);
+
+impl Ord for SpelledOperands<'_> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let class = |a: Symbol, b: Symbol| {
+            // Equal symbols are equal strings: only distinct ones are resolved.
+            if a == b {
+                Ordering::Equal
+            } else {
+                a.as_str().cmp(b.as_str())
+            }
+        };
+        (self.0.iter().zip(other.0))
+            .map(|(&(ac, af), &(bc, bf))| class(ac, bc).then(af.0.cmp(&bf.0)))
+            .find(|order| order.is_ne())
+            .unwrap_or_else(|| self.0.len().cmp(&other.0.len()))
+    }
+}
+
+impl PartialOrd for SpelledOperands<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// The canonical order: kind, then name (absent first), operands as (class string,
+/// fingerprint) pairs compared lexicographically, method string and active-class
+/// string.
+impl Ord for DiffSignature {
+    fn cmp(&self, other: &Self) -> Ordering {
+        Spelled::of(self).cmp(&Spelled::of(other))
+    }
+}
+
+impl PartialOrd for DiffSignature {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// A set of semantic differences (one of the paper's sets A, B, C or D): distinct
+/// signatures in canonical order.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DiffSet {
-    signatures: HashSet<DiffSignature>,
+    signatures: Vec<DiffSignature>,
 }
 
 impl DiffSet {
@@ -95,61 +208,28 @@ impl DiffSet {
     }
 
     /// Builds the difference set of a trace comparison: the signatures of every unmatched
-    /// entry on either side. When the caller already holds the traces' precomputed keys,
-    /// prefer [`DiffSet::from_diff_keyed`].
+    /// entry on either side.
     pub fn from_diff(result: &TraceDiffResult, left: &Trace, right: &Trace) -> Self {
-        Self::from_diff_keyed(
-            result,
-            left,
-            right,
-            &KeyedTrace::build(left),
-            &KeyedTrace::build(right),
-        )
-    }
-
-    /// [`DiffSet::from_diff`] over precomputed keyed traces: signatures are assembled
-    /// from interned ids without re-canonicalizing any entry.
-    pub fn from_diff_keyed(
-        result: &TraceDiffResult,
-        left: &Trace,
-        right: &Trace,
-        left_keyed: &KeyedTrace,
-        right_keyed: &KeyedTrace,
-    ) -> Self {
-        Self::of_unmatched(
-            result,
-            |idx| {
-                left.entries
-                    .get(idx)
-                    .map(|e| DiffSignature::of_keyed(left_keyed, idx, e))
-            },
-            |idx| {
-                right
-                    .entries
-                    .get(idx)
-                    .map(|e| DiffSignature::of_keyed(right_keyed, idx, e))
-            },
-        )
-    }
-
-    /// The signatures of every unmatched entry of `result`: left differences first,
-    /// then right, each ascending. `left`/`right` give the signature of an entry index
-    /// of their side, or `None` to skip it.
-    pub(crate) fn of_unmatched(
-        result: &TraceDiffResult,
-        left: impl Fn(usize) -> Option<DiffSignature>,
-        right: impl Fn(usize) -> Option<DiffSignature>,
-    ) -> Self {
         let matching = &result.matching;
-        let signatures = (matching.unmatched_left().into_iter().filter_map(left))
-            .chain(matching.unmatched_right().into_iter().filter_map(right))
-            .collect();
-        DiffSet { signatures }
+        let signatures = |trace: &Trace, unmatched: Vec<usize>| {
+            let keyed = KeyedTrace::build(trace);
+            (unmatched.into_iter())
+                .filter_map(|idx| {
+                    let entry = trace.entries.get(idx)?;
+                    Some(DiffSignature::of_keyed(&keyed, idx, entry))
+                })
+                .collect::<Vec<_>>()
+        };
+        (signatures(left, matching.unmatched_left()).into_iter())
+            .chain(signatures(right, matching.unmatched_right()))
+            .collect()
     }
 
     /// Inserts a signature.
     pub fn insert(&mut self, signature: DiffSignature) {
-        self.signatures.insert(signature);
+        if let Err(at) = self.signatures.binary_search(&signature) {
+            self.signatures.insert(at, signature);
+        }
     }
 
     /// Number of distinct differences.
@@ -164,48 +244,259 @@ impl DiffSet {
 
     /// Membership test.
     pub fn contains(&self, signature: &DiffSignature) -> bool {
-        self.signatures.contains(signature)
+        self.signatures.binary_search(signature).is_ok()
     }
 
     /// Set difference `self − other`.
     pub fn subtract(&self, other: &DiffSet) -> DiffSet {
-        DiffSet {
-            signatures: self
-                .signatures
-                .difference(&other.signatures)
-                .cloned()
-                .collect(),
-        }
+        self.merge(other, false)
     }
 
     /// Set intersection `self ∩ other`.
     pub fn intersect(&self, other: &DiffSet) -> DiffSet {
-        DiffSet {
-            signatures: self
-                .signatures
-                .intersection(&other.signatures)
-                .cloned()
-                .collect(),
-        }
+        self.merge(other, true)
     }
 
-    /// Iterates over the signatures in the set (arbitrary order).
+    /// The signatures of `self` that are in `other` (`common`) or not in it, by one
+    /// merge of the two ordered vectors.
+    fn merge(&self, other: &DiffSet, common: bool) -> DiffSet {
+        let mut theirs = other.signatures.iter().peekable();
+        let signatures = (self.signatures.iter())
+            .filter(|signature| {
+                while theirs.next_if(|t| t < signature).is_some() {}
+                (theirs.peek() == Some(signature)) == common
+            })
+            .cloned()
+            .collect();
+        DiffSet { signatures }
+    }
+
+    /// Iterates over the signatures in canonical order.
     pub fn iter(&self) -> impl Iterator<Item = &DiffSignature> {
         self.signatures.iter()
+    }
+
+    /// The signatures in canonical order.
+    pub fn as_slice(&self) -> &[DiffSignature] {
+        &self.signatures
     }
 }
 
 impl FromIterator<DiffSignature> for DiffSet {
     fn from_iter<T: IntoIterator<Item = DiffSignature>>(iter: T) -> Self {
-        DiffSet {
-            signatures: iter.into_iter().collect(),
-        }
+        let mut signatures: Vec<DiffSignature> = iter.into_iter().collect();
+        signatures.sort_unstable();
+        signatures.dedup();
+        DiffSet { signatures }
     }
 }
 
 impl Extend<DiffSignature> for DiffSet {
     fn extend<T: IntoIterator<Item = DiffSignature>>(&mut self, iter: T) {
         self.signatures.extend(iter);
+        self.signatures.sort_unstable();
+        self.signatures.dedup();
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Forces every signature hash to one value, so that every two signatures collide
+    /// and the hashed algebra rests on its field comparisons alone.
+    pub(crate) static CONSTANT_HASH: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// One difference of a [`HashedSet`]: entry `index` of side `side` of its
+/// [`SignatureSource`], with that entry's signature hash.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Hashed {
+    hash: u64,
+    side: usize,
+    index: usize,
+}
+
+/// A difference set of the analysis before any signature is built: distinct
+/// signatures named by entry, in [`SignatureSource::cmp`] order.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct HashedSet {
+    items: Vec<Hashed>,
+}
+
+/// The prepared sides one analysis reads signatures from. A [`HashedSet`] names each
+/// entry by the position of its side in this list.
+pub(crate) struct SignatureSource<'s, 'a> {
+    sides: &'s [DiffSide<'a>],
+}
+
+impl<'s, 'a> SignatureSource<'s, 'a> {
+    pub(crate) fn new(sides: &'s [DiffSide<'a>]) -> Self {
+        SignatureSource { sides }
+    }
+
+    /// The hashed name of entry `index` of side `side`; `None` when `index` is out of
+    /// range.
+    fn hashed(&self, side: usize, index: usize) -> Option<Hashed> {
+        let lean = self.sides[side].entries().get(index)?;
+        let key = self.sides[side].keyed().compact(index).hash;
+        #[cfg(test)]
+        if CONSTANT_HASH.get() {
+            return Some(Hashed {
+                hash: 0,
+                side,
+                index,
+            });
+        }
+        let context = (lean.method.index() as u64) << 32 | lean.active.class.index() as u64;
+        let mut hash = key ^ context.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        // The 64-bit finalizer of MurmurHash3.
+        hash ^= hash >> 33;
+        hash = hash.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        hash ^= hash >> 33;
+        hash = hash.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        hash ^= hash >> 33;
+        Some(Hashed { hash, side, index })
+    }
+
+    /// The order of a hashed set: by hash, then by the signature fields as symbol ids
+    /// and fingerprints, compared in place. Two items are equal only when their
+    /// signatures are, so a hash collision never merges two signatures, and a run of
+    /// colliding hashes still sorts and searches in logarithmic steps.
+    fn cmp(&self, a: &Hashed, b: &Hashed) -> Ordering {
+        a.hash.cmp(&b.hash).then_with(|| {
+            let (sa, sb) = (&self.sides[a.side], &self.sides[b.side]);
+            let (ka, kb) = (sa.keyed().compact(a.index), sb.keyed().compact(b.index));
+            let (ea, eb) = (&sa.entries()[a.index], &sb.entries()[b.index]);
+            (ka.kind, ka.name, ea.method, ea.active.class)
+                .cmp(&(kb.kind, kb.name, eb.method, eb.active.class))
+                .then_with(|| sa.keyed().operands_of(&ka).cmp(sb.keyed().operands_of(&kb)))
+        })
+    }
+
+    /// The difference set of one comparison: every unmatched entry of `result`, the
+    /// left ones from side `left` and the right ones from side `right`.
+    pub(crate) fn unmatched(
+        &self,
+        result: &TraceDiffResult,
+        left: usize,
+        right: usize,
+    ) -> HashedSet {
+        let matching = &result.matching;
+        let mut items: Vec<Hashed> = (matching.unmatched_left().into_iter())
+            .filter_map(|index| self.hashed(left, index))
+            .chain(
+                (matching.unmatched_right().into_iter())
+                    .filter_map(|index| self.hashed(right, index)),
+            )
+            .collect();
+        items.sort_unstable_by(|a, b| self.cmp(a, b));
+        items.dedup_by(|a, b| self.cmp(a, b).is_eq());
+        HashedSet { items }
+    }
+
+    /// `a − b`.
+    pub(crate) fn subtract(&self, a: &HashedSet, b: &HashedSet) -> HashedSet {
+        self.merge(a, b, false)
+    }
+
+    /// `a ∩ b`.
+    pub(crate) fn intersect(&self, a: &HashedSet, b: &HashedSet) -> HashedSet {
+        self.merge(a, b, true)
+    }
+
+    /// The items of `a` whose signature is in `b` (`common`) or not in it: one merge
+    /// of the two ordered sets.
+    fn merge(&self, a: &HashedSet, b: &HashedSet, common: bool) -> HashedSet {
+        let mut theirs = b.items.iter().peekable();
+        let items = (a.items.iter())
+            .filter(|item| {
+                while theirs
+                    .next_if(|other| self.cmp(other, item).is_lt())
+                    .is_some()
+                {}
+                theirs
+                    .peek()
+                    .is_some_and(|other| self.cmp(other, item).is_eq())
+                    == common
+            })
+            .copied()
+            .collect();
+        HashedSet { items }
+    }
+
+    /// Whether the signature of entry `index` of side `side` is in `set`: a binary
+    /// search.
+    pub(crate) fn contains(&self, set: &HashedSet, side: usize, index: usize) -> bool {
+        self.hashed(side, index).is_some_and(|probe| {
+            (set.items)
+                .binary_search_by(|item| self.cmp(item, &probe))
+                .is_ok()
+        })
+    }
+
+    /// The set's signatures, in canonical order.
+    pub(crate) fn materialize(&self, set: &HashedSet) -> DiffSet {
+        self.materialize_with_subset(set, &HashedSet::default()).0
+    }
+
+    /// `set`'s signatures and those of `subset`, each in canonical order. `subset` must
+    /// have been derived from `set` by [`subtract`](Self::subtract) and
+    /// [`intersect`](Self::intersect), which keep items in order, so its items are a
+    /// subsequence of `set`'s and its signatures are copies of theirs.
+    ///
+    /// Each entry's names are spelled once to sort by, and each signature is built
+    /// once, in its final place.
+    pub(crate) fn materialize_with_subset(
+        &self,
+        set: &HashedSet,
+        subset: &HashedSet,
+    ) -> (DiffSet, DiffSet) {
+        let spelled: Vec<Spelled<'a>> = (set.items.iter())
+            .map(|item| {
+                let side = &self.sides[item.side];
+                let key = side.keyed().compact(item.index);
+                let lean = &side.entries()[item.index];
+                let operands = side.keyed().operands_of(&key);
+                Spelled::new(key.kind, key.name, operands, lean.method, lean.active.class)
+            })
+            .collect();
+        // Sort positions, not the wide spellings. The items hold distinct signatures,
+        // so no two spellings are equal.
+        let mut order: Vec<usize> = (0..spelled.len()).collect();
+        order.sort_unstable_by(|&a, &b| spelled[a].cmp(&spelled[b]));
+
+        let mut in_subset = vec![false; set.items.len()];
+        let mut rest = subset.items.iter().peekable();
+        for (item, member) in set.items.iter().zip(&mut in_subset) {
+            *member = rest.next_if_eq(&item).is_some();
+        }
+        debug_assert!(
+            rest.peek().is_none(),
+            "not a subset of the materialized set"
+        );
+
+        let mut signatures = Vec::with_capacity(order.len());
+        let mut subset_signatures = Vec::with_capacity(subset.items.len());
+        for at in order {
+            let item = &set.items[at];
+            let side = &self.sides[item.side];
+            let lean = &side.entries()[item.index];
+            let signature = DiffSignature::from_key_context(
+                side.keyed(),
+                item.index,
+                lean.method,
+                lean.active.class,
+            );
+            if in_subset[at] {
+                subset_signatures.push(signature.clone());
+            }
+            signatures.push(signature);
+        }
+        (
+            DiffSet { signatures },
+            DiffSet {
+                signatures: subset_signatures,
+            },
+        )
     }
 }
 
@@ -289,6 +580,20 @@ mod tests {
         assert!(inter.contains(&DiffSignature::of(&entry("m", "x", 2))));
 
         assert!(DiffSet::new().is_empty());
+    }
+
+    #[test]
+    fn signatures_order_by_name_strings_not_symbol_ids() {
+        // The later string is interned first, so it holds the smaller symbol id.
+        let late = DiffSignature::of(&entry("m", "order-zz", 1));
+        let early = DiffSignature::of(&entry("m", "order-aa", 1));
+        assert!(late.name < early.name);
+        assert!(early < late);
+        let set: DiffSet = [late.clone(), early.clone(), late.clone()]
+            .into_iter()
+            .collect();
+        assert_eq!(set.as_slice(), [early.clone(), late.clone()]);
+        assert!(set.contains(&early) && set.contains(&late));
     }
 
     #[test]

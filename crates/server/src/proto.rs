@@ -15,11 +15,13 @@
 //! checksum mismatch).
 //!
 //! Results cross the wire in **canonical, process-independent form**: matchings as
-//! normalized index pairs, difference sequences as index lists, and
-//! [`DiffSignature`]s with their interned symbols spelled back out as strings
-//! ([`WireSignature`]) — the client re-interns them into its own process and obtains
-//! signatures equal to what a local analysis of the same traces would produce. The
-//! `remote_equivalence` integration suite pins exactly that.
+//! normalized index pairs, difference sequences as index lists, and [`DiffSignature`]s
+//! in their canonical set order, each interned symbol spelled out as its string. The
+//! encoder reads the strings straight from the symbols; the decoder interns them into
+//! the receiving process and obtains signatures equal to what a local analysis of the
+//! same traces would produce. Only clients decode responses, so the daemon never
+//! interns a response string. The `remote_equivalence` integration suite pins exactly
+//! that.
 
 use rprism::check::{rules, Diagnostic};
 use rprism::{
@@ -28,8 +30,12 @@ use rprism::{
 use rprism_diff::DiffSequence;
 use rprism_format::error::{FormatError, Result as FormatResult};
 use rprism_format::varint::{self, ByteSource as _};
-use rprism_regress::{DiffSet, DiffSignature};
+use rprism_regress::DiffSignature;
 use rprism_trace::{intern, EventKind, Symbol, ValueFingerprint};
+
+/// The wire form of a difference signature is the signature itself; the name stays
+/// for callers that spell the wire types.
+pub use rprism_regress::DiffSignature as WireSignature;
 
 /// The wire-protocol version; bumped on any message change. Every payload starts
 /// with this byte. Client and server ship in one binary, so encoders stamp it and
@@ -444,60 +450,6 @@ impl WireWatchEvent {
     }
 }
 
-/// A [`DiffSignature`] in wire form: every interned [`Symbol`] spelled out as its
-/// string, so the signature survives the process boundary. [`WireSignature::to_signature`]
-/// re-interns on the receiving side, producing a signature equal to what that process
-/// would derive locally from the same trace.
-///
-/// Signatures order by their fields in declaration order: `kind`, `name`, `operands`,
-/// `method`, `active_class`. That is the order of each set on the wire.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct WireSignature {
-    /// The event form.
-    pub kind: EventKind,
-    /// The field/method/class name the event mentions, if any.
-    pub name: Option<String>,
-    /// Class name and value fingerprint of every operand, in event order.
-    pub operands: Vec<(String, u64)>,
-    /// The enclosing method.
-    pub method: String,
-    /// The enclosing active-object class.
-    pub active_class: String,
-}
-
-impl WireSignature {
-    /// Spells out a local signature's symbols.
-    pub fn from_signature(signature: &DiffSignature) -> Self {
-        WireSignature {
-            kind: signature.kind,
-            name: signature.name.map(|s| s.as_str().to_owned()),
-            operands: signature
-                .operands
-                .iter()
-                .map(|&(class, fp)| (class.as_str().to_owned(), fp.0))
-                .collect(),
-            method: signature.method.as_str().to_owned(),
-            active_class: signature.active_class.as_str().to_owned(),
-        }
-    }
-
-    /// Re-interns the signature into this process.
-    pub fn to_signature(&self) -> DiffSignature {
-        DiffSignature {
-            kind: self.kind,
-            name: self.name.as_deref().map(intern),
-            operands: self
-                .operands
-                .iter()
-                .map(|(class, fp)| (intern(class), ValueFingerprint(*fp)))
-                .collect::<Vec<(Symbol, ValueFingerprint)>>()
-                .into(),
-            method: intern(&self.method),
-            active_class: intern(&self.active_class),
-        }
-    }
-}
-
 /// A [`RegressionReport`] in canonical wire form.
 #[derive(Clone, Debug, PartialEq)]
 pub struct WireReport {
@@ -505,14 +457,14 @@ pub struct WireReport {
     pub algorithm: String,
     /// The analysis mode that produced D.
     pub mode: AnalysisMode,
-    /// The suspected differences A.
-    pub suspected: Vec<WireSignature>,
-    /// The expected differences B.
-    pub expected: Vec<WireSignature>,
-    /// The regression differences C.
-    pub regression: Vec<WireSignature>,
-    /// The candidate causes D.
-    pub candidates: Vec<WireSignature>,
+    /// The suspected differences A, in canonical order.
+    pub suspected: Vec<DiffSignature>,
+    /// The expected differences B, in canonical order.
+    pub expected: Vec<DiffSignature>,
+    /// The regression differences C, in canonical order.
+    pub regression: Vec<DiffSignature>,
+    /// The candidate causes D, in canonical order.
+    pub candidates: Vec<DiffSignature>,
     /// Every suspected-comparison difference sequence with its regression verdict.
     pub sequences: Vec<(WireSequence, bool)>,
     /// Total compare operations across the three differencing runs.
@@ -524,22 +476,13 @@ pub struct WireReport {
 impl WireReport {
     /// Builds the wire form of a local report plus its rendering.
     pub fn from_report(report: &RegressionReport, rendered: String) -> Self {
-        let set = |s: &DiffSet| -> Vec<WireSignature> {
-            let mut signatures: Vec<WireSignature> =
-                s.iter().map(WireSignature::from_signature).collect();
-            // Deterministic wire order regardless of hash-set iteration. A set holds
-            // distinct signatures, so no two compare equal and the unstable sort is
-            // deterministic.
-            signatures.sort_unstable();
-            signatures
-        };
         WireReport {
             algorithm: report.algorithm.to_owned(),
             mode: report.mode,
-            suspected: set(&report.suspected),
-            expected: set(&report.expected),
-            regression: set(&report.regression),
-            candidates: set(&report.candidates),
+            suspected: report.suspected.as_slice().to_vec(),
+            expected: report.expected.as_slice().to_vec(),
+            regression: report.regression.as_slice().to_vec(),
+            candidates: report.candidates.as_slice().to_vec(),
             sequences: report
                 .sequences
                 .iter()
@@ -553,15 +496,6 @@ impl WireReport {
             compare_ops: report.compare_ops,
             rendered,
         }
-    }
-
-    /// One of the four sets re-interned into a local [`DiffSet`].
-    pub fn set_local(signatures: &[WireSignature]) -> DiffSet {
-        let mut set = DiffSet::new();
-        for signature in signatures {
-            set.insert(signature.to_signature());
-        }
-        set
     }
 
     /// The regression-related verdicts, in sequence order.
@@ -666,6 +600,11 @@ impl<'a> Dec<'a> {
     }
 
     fn bytes(&mut self) -> FormatResult<Vec<u8>> {
+        self.slice().map(<[u8]>::to_vec)
+    }
+
+    /// A length-prefixed field, borrowed from the payload.
+    fn slice(&mut self) -> FormatResult<&'a [u8]> {
         let len = self.u64()?;
         let len = usize::try_from(len).map_err(|_| self.corrupt("length overflows usize"))?;
         let end = self
@@ -673,13 +612,19 @@ impl<'a> Dec<'a> {
             .checked_add(len)
             .filter(|&end| end <= self.bytes.len())
             .ok_or_else(|| self.corrupt(format!("field of {len} bytes overruns the message")))?;
-        let out = self.bytes[self.pos..end].to_vec();
+        let out = &self.bytes[self.pos..end];
         self.pos = end;
         Ok(out)
     }
 
     fn str(&mut self) -> FormatResult<String> {
-        String::from_utf8(self.bytes()?).map_err(|_| self.corrupt("string is not valid UTF-8"))
+        self.str_ref().map(str::to_owned)
+    }
+
+    /// A string field, borrowed from the payload.
+    fn str_ref(&mut self) -> FormatResult<&'a str> {
+        let bytes = self.slice()?;
+        std::str::from_utf8(bytes).map_err(|_| self.corrupt("string is not valid UTF-8"))
     }
 
     fn u64s(&mut self) -> FormatResult<Vec<u64>> {
@@ -689,6 +634,11 @@ impl<'a> Dec<'a> {
             out.push(self.u64()?);
         }
         Ok(out)
+    }
+
+    /// The number of undecoded bytes.
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
     }
 
     /// `true` while undecoded bytes remain — the gate for trailing-optional fields
@@ -984,56 +934,96 @@ fn get_diff(dec: &mut Dec<'_>) -> FormatResult<WireDiff> {
     })
 }
 
-fn put_signature(buf: &mut Vec<u8>, signature: &WireSignature) {
+fn put_signature(buf: &mut Vec<u8>, signature: &DiffSignature) {
     buf.push(kind_byte(signature.kind));
-    match &signature.name {
+    match signature.name {
         None => buf.push(0),
         Some(name) => {
             buf.push(1);
-            put_str(buf, name);
+            put_str(buf, name.as_str());
         }
     }
     put_u64(buf, signature.operands.len() as u64);
-    for (class, fp) in &signature.operands {
-        put_str(buf, class);
-        put_u64(buf, *fp);
+    for &(class, fp) in signature.operands.iter() {
+        put_str(buf, class.as_str());
+        put_u64(buf, fp.0);
     }
-    put_str(buf, &signature.method);
-    put_str(buf, &signature.active_class);
+    put_str(buf, signature.method.as_str());
+    put_str(buf, signature.active_class.as_str());
 }
 
-fn get_signature(dec: &mut Dec<'_>) -> FormatResult<WireSignature> {
+/// The names one message has already interned, by their bytes. A report spells the
+/// same few class, method and field names over and over; a repeat is one byte
+/// comparison instead of a UTF-8 check and an interner lookup.
+struct Names<'a> {
+    slots: [Option<(&'a [u8], Symbol)>; 128],
+}
+
+impl<'a> Names<'a> {
+    fn new() -> Self {
+        Names { slots: [None; 128] }
+    }
+
+    /// A string field interned into this process.
+    fn symbol(&mut self, dec: &mut Dec<'a>) -> FormatResult<Symbol> {
+        let bytes = dec.slice()?;
+        let edge = |byte: Option<&u8>| usize::from(byte.copied().unwrap_or(0));
+        let hash = bytes.len() * 31 + edge(bytes.first()) * 7 + edge(bytes.last());
+        let slot = &mut self.slots[hash % 128];
+        if let Some((seen, symbol)) = *slot {
+            if seen == bytes {
+                return Ok(symbol);
+            }
+        }
+        let s = std::str::from_utf8(bytes).map_err(|_| dec.corrupt("string is not valid UTF-8"))?;
+        let symbol = intern(s);
+        *slot = Some((bytes, symbol));
+        Ok(symbol)
+    }
+}
+
+fn get_signature<'a>(dec: &mut Dec<'a>, names: &mut Names<'a>) -> FormatResult<DiffSignature> {
     let kind_raw = dec.u8()?;
     let kind = byte_kind(kind_raw, dec)?;
-    let name = if dec.bool()? { Some(dec.str()?) } else { None };
+    let name = if dec.bool()? {
+        Some(names.symbol(dec)?)
+    } else {
+        None
+    };
     let operand_count = dec.u64()?;
-    let mut operands = Vec::new();
+    // Each operand takes at least two bytes, which bounds an honest count.
+    let bound = dec.remaining() / 2;
+    let mut operands =
+        Vec::with_capacity(usize::try_from(operand_count).map_or(bound, |n| n.min(bound)));
     for _ in 0..operand_count {
-        let class = dec.str()?;
+        let class = names.symbol(dec)?;
         let fp = dec.u64()?;
-        operands.push((class, fp));
+        operands.push((class, ValueFingerprint(fp)));
     }
-    Ok(WireSignature {
+    Ok(DiffSignature {
         kind,
         name,
-        operands,
-        method: dec.str()?,
-        active_class: dec.str()?,
+        operands: operands.into(),
+        method: names.symbol(dec)?,
+        active_class: names.symbol(dec)?,
     })
 }
 
-fn put_signatures(buf: &mut Vec<u8>, signatures: &[WireSignature]) {
+fn put_signatures(buf: &mut Vec<u8>, signatures: &[DiffSignature]) {
     put_u64(buf, signatures.len() as u64);
     for signature in signatures {
         put_signature(buf, signature);
     }
 }
 
-fn get_signatures(dec: &mut Dec<'_>) -> FormatResult<Vec<WireSignature>> {
+fn get_signatures<'a>(
+    dec: &mut Dec<'a>,
+    names: &mut Names<'a>,
+) -> FormatResult<Vec<DiffSignature>> {
     let count = dec.u64()?;
     let mut out = Vec::new();
     for _ in 0..count {
-        out.push(get_signature(dec)?);
+        out.push(get_signature(dec, names)?);
     }
     Ok(out)
 }
@@ -1376,10 +1366,11 @@ impl Response {
                 let mode_raw = dec.u8()?;
                 let mode = byte_mode(mode_raw, &dec)?
                     .ok_or_else(|| dec.corrupt("report mode cannot be the default marker"))?;
-                let suspected = get_signatures(&mut dec)?;
-                let expected = get_signatures(&mut dec)?;
-                let regression = get_signatures(&mut dec)?;
-                let candidates = get_signatures(&mut dec)?;
+                let mut names = Names::new();
+                let suspected = get_signatures(&mut dec, &mut names)?;
+                let expected = get_signatures(&mut dec, &mut names)?;
+                let regression = get_signatures(&mut dec, &mut names)?;
+                let candidates = get_signatures(&mut dec, &mut names)?;
                 let sequence_count = dec.u64()?;
                 let mut sequences = Vec::new();
                 for _ in 0..sequence_count {
@@ -1459,6 +1450,7 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rprism_regress::DiffSet;
 
     fn round_trip_request(request: Request) {
         let decoded = Request::decode(&request.encode()).unwrap();
@@ -1631,12 +1623,16 @@ mod tests {
         round_trip_response(Response::AnalyzeOk(WireReport {
             algorithm: "views".into(),
             mode: AnalysisMode::Intersect,
-            suspected: vec![WireSignature {
+            suspected: vec![DiffSignature {
                 kind: EventKind::Set,
-                name: Some("field".into()),
-                operands: vec![("C".into(), 0xfeed), ("Int".into(), 2)],
-                method: "m".into(),
-                active_class: "App".into(),
+                name: Some(intern("field")),
+                operands: vec![
+                    (intern("C"), ValueFingerprint(0xfeed)),
+                    (intern("Int"), ValueFingerprint(2)),
+                ]
+                .into(),
+                method: intern("m"),
+                active_class: intern("App"),
             }],
             expected: vec![],
             regression: vec![],
@@ -2002,11 +1998,11 @@ mod tests {
             )
             .unwrap();
         let diff = engine.diff(&old, &new).unwrap();
-        let set =
-            DiffSet::from_diff_keyed(&diff, old.trace(), new.trace(), old.keyed(), new.keyed());
+        let set = DiffSet::from_diff(&diff, old.trace(), new.trace());
         assert!(!set.is_empty());
-        let wire: Vec<WireSignature> = set.iter().map(WireSignature::from_signature).collect();
-        let back = WireReport::set_local(&wire);
-        assert_eq!(back, set);
+        let mut frame = Vec::new();
+        put_signatures(&mut frame, set.as_slice());
+        let back = get_signatures(&mut Dec::new(&frame), &mut Names::new()).unwrap();
+        assert_eq!(back, set.as_slice());
     }
 }

@@ -613,6 +613,28 @@ pub fn racy_interleaving(rng: &mut Rng, entries: usize) -> Trace {
     rebuild_named("racy-interleaving", mutated)
 }
 
+/// A copy of `trace` with sparse edits spread over it: about one entry in sixteen
+/// dropped, one duplicated and one swapped with its predecessor. Entries keep their
+/// ids, so the copy diffs against the original like a nearby version of it.
+pub fn mutated(rng: &mut Rng, trace: &Trace) -> Trace {
+    let mut out = Trace::new(trace.meta.clone());
+    for entry in &trace.entries {
+        match rng.usize(0, 16) {
+            0 => {}
+            1 => {
+                out.entries.push(entry.clone());
+                out.entries.push(entry.clone());
+            }
+            2 if !out.entries.is_empty() => {
+                let last = out.entries.len() - 1;
+                out.entries.insert(last, entry.clone());
+            }
+            _ => out.entries.push(entry.clone()),
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

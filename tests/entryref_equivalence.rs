@@ -21,7 +21,7 @@ use std::path::Path;
 use rprism::{Engine, PreparedTrace, RegressionInput, RegressionReport, TraceDiffResult};
 use rprism_check::check_trace;
 use rprism_format::{trace_from_bytes, trace_to_bytes, Encoding};
-use rprism_trace::testgen::{arbitrary_trace, fuzz_seed, GenProfile, Rng};
+use rprism_trace::testgen::{arbitrary_trace, fuzz_seed, mutated, GenProfile, Rng};
 use rprism_trace::{EntryBatch, Event, KeyedTrace, LeanTrace, ThreadId, Trace};
 use rprism_views::ViewWeb;
 
@@ -232,27 +232,6 @@ fn watching_corpus_pairs_at_any_chunking_gives_the_batch_diff() {
         let new = files.iter().find(|f| f.name == new_name).unwrap();
         assert_watch_matches_batch(&engine, old, new);
     }
-}
-
-/// A copy of `trace` with sparse edits spread over it: dropped, duplicated and
-/// swapped-neighbour entries.
-fn mutated(rng: &mut Rng, trace: &Trace) -> Trace {
-    let mut out = Trace::new(trace.meta.clone());
-    for entry in &trace.entries {
-        match rng.usize(0, 16) {
-            0 => {}
-            1 => {
-                out.entries.push(entry.clone());
-                out.entries.push(entry.clone());
-            }
-            2 if !out.entries.is_empty() => {
-                let last = out.entries.len() - 1;
-                out.entries.insert(last, entry.clone());
-            }
-            _ => out.entries.push(entry.clone()),
-        }
-    }
-    out
 }
 
 fn assert_same_diff(context: &str, full: &TraceDiffResult, streamed: &TraceDiffResult) {

@@ -3,17 +3,19 @@
 //! The process-global interner never frees a string, so what enters it is a
 //! process-lifetime cost. Symbol-level ingest interns a string only where it names a
 //! class, method, field or init class, the first time a stream mentions it; printed
-//! values are dropped at the decoder.
+//! values are dropped at the decoder. A client decoding a remote analysis interns the
+//! names its signatures spell, and nothing when the process already holds them.
 //!
 //! One test in its own binary: `interned_count` is process-global, so a concurrent
 //! test interning names would move it.
 
 use std::collections::BTreeSet;
 
-use rprism::Engine;
+use rprism::{Engine, RegressionInput};
 use rprism_check::Checker;
 use rprism_format::{trace_to_bytes, Encoding, TailBatch, TailDecoder};
 use rprism_lang::{FieldName, MethodName};
+use rprism_server::proto::{Response, WireReport};
 use rprism_trace::intern::{intern, interned_count};
 use rprism_trace::{
     CreationSeq, EntryBatch, EntryId, Event, Loc, ObjRep, StackFrame, StackSnapshot, ThreadId,
@@ -157,4 +159,25 @@ fn ingest_interns_each_name_once_and_no_printed_value() {
             "{tag} interned a printed value"
         );
     }
+
+    // Decode of a remote analysis whose names this process already interned: nothing.
+    let (trace, _) = fresh_trace("analyze");
+    let other = engine
+        .load_prepared_reader(binary(&trace).as_slice())
+        .unwrap();
+    let input = RegressionInput::new(old.clone(), other, old.clone(), old.clone());
+    let report = engine.analyze(&input).unwrap();
+    assert!(
+        !report.candidates.is_empty(),
+        "the analysis must report signatures"
+    );
+    let rendered = engine.render_report(&report, &input);
+    let frame = Response::AnalyzeOk(WireReport::from_report(&report, rendered)).encode();
+    let before = interned_count();
+    let Response::AnalyzeOk(decoded) = Response::decode(&frame).unwrap() else {
+        panic!("an AnalyzeOk frame decodes to AnalyzeOk");
+    };
+    assert_eq!(interned_count(), before, "decoding interned a string");
+    assert_eq!(decoded.suspected, report.suspected.as_slice());
+    assert_eq!(decoded.candidates, report.candidates.as_slice());
 }
