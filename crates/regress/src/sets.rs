@@ -381,16 +381,47 @@ impl<'s, 'a> SignatureSource<'s, 'a> {
         right: usize,
     ) -> HashedSet {
         let matching = &result.matching;
-        let mut items: Vec<Hashed> = (matching.unmatched_left().into_iter())
+        let items: Vec<Hashed> = (matching.unmatched_left().into_iter())
             .filter_map(|index| self.hashed(left, index))
             .chain(
                 (matching.unmatched_right().into_iter())
                     .filter_map(|index| self.hashed(right, index)),
             )
             .collect();
-        items.sort_unstable_by(|a, b| self.cmp(a, b));
+        let mut items = self.sorted(items);
         items.dedup_by(|a, b| self.cmp(a, b).is_eq());
         HashedSet { items }
+    }
+
+    /// `items` in [`cmp`](Self::cmp) order. The hashes are uniform, so one counting
+    /// pass on their top bits spreads `n` items over about `n` buckets in hash order,
+    /// and only items that share a bucket are compared. Crafted hashes that share one
+    /// cost a comparison sort of that bucket.
+    fn sorted(&self, items: Vec<Hashed>) -> Vec<Hashed> {
+        let bits = items.len().max(2).next_power_of_two().trailing_zeros();
+        let bucket = |item: &Hashed| (item.hash >> (64 - bits)) as usize;
+        // Bucket ends, then, after the scatter, bucket starts.
+        let mut bounds = vec![0usize; 1 << bits];
+        for item in &items {
+            bounds[bucket(item)] += 1;
+        }
+        let mut end = 0;
+        for bound in &mut bounds {
+            end += *bound;
+            *bound = end;
+        }
+        // Every slot of the copy is overwritten by the scatter.
+        let mut sorted = items.clone();
+        for item in items.iter().rev() {
+            let b = &mut bounds[bucket(item)];
+            *b -= 1;
+            sorted[*b] = *item;
+        }
+        for (b, &start) in bounds.iter().enumerate() {
+            let end = bounds.get(b + 1).copied().unwrap_or(sorted.len());
+            sorted[start..end].sort_unstable_by(|x, y| self.cmp(x, y));
+        }
+        sorted
     }
 
     /// `a − b`.
