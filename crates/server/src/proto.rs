@@ -618,13 +618,10 @@ impl<'a> Dec<'a> {
     }
 
     fn str(&mut self) -> FormatResult<String> {
-        self.str_ref().map(str::to_owned)
-    }
-
-    /// A string field, borrowed from the payload.
-    fn str_ref(&mut self) -> FormatResult<&'a str> {
         let bytes = self.slice()?;
-        std::str::from_utf8(bytes).map_err(|_| self.corrupt("string is not valid UTF-8"))
+        let s =
+            std::str::from_utf8(bytes).map_err(|_| self.corrupt("string is not valid UTF-8"))?;
+        Ok(s.to_owned())
     }
 
     fn u64s(&mut self) -> FormatResult<Vec<u64>> {
