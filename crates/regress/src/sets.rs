@@ -102,12 +102,9 @@ impl DiffSignature {
 
 /// The fields of a signature with its names spelled out. The derived order — kind,
 /// name (absent first), operands, method, active-object class — is the canonical
-/// order of signatures; `prefix` only decides most comparisons early.
+/// order of signatures.
 #[derive(PartialEq, Eq, PartialOrd, Ord)]
 struct Spelled<'a> {
-    /// Kind, name presence and the name's first fourteen bytes, big-endian: ordered
-    /// like (kind, name) wherever two prefixes differ.
-    prefix: u128,
     kind: EventKind,
     name: Option<&'static str>,
     operands: SpelledOperands<'a>,
@@ -123,18 +120,9 @@ impl<'a> Spelled<'a> {
         method: Symbol,
         active_class: Symbol,
     ) -> Self {
-        let name = name.map(Symbol::as_str);
-        let mut prefix = [0u8; 16];
-        prefix[0] = kind as u8;
-        if let Some(name) = name {
-            prefix[1] = 1;
-            let len = name.len().min(14);
-            prefix[2..2 + len].copy_from_slice(&name.as_bytes()[..len]);
-        }
         Spelled {
-            prefix: u128::from_be_bytes(prefix),
             kind,
-            name,
+            name: name.map(Symbol::as_str),
             operands: SpelledOperands(operands),
             method: method.as_str(),
             active_class: active_class.as_str(),
