@@ -237,25 +237,13 @@ impl DiffSet {
 
     /// Set difference `self − other`.
     pub fn subtract(&self, other: &DiffSet) -> DiffSet {
-        self.merge(other, false)
+        let signatures = merge(&self.signatures, &other.signatures, false, Ord::cmp);
+        DiffSet { signatures }
     }
 
     /// Set intersection `self ∩ other`.
     pub fn intersect(&self, other: &DiffSet) -> DiffSet {
-        self.merge(other, true)
-    }
-
-    /// The signatures of `self` that are in `other` (`common`) or not in it, by one
-    /// merge of the two ordered vectors.
-    fn merge(&self, other: &DiffSet, common: bool) -> DiffSet {
-        let mut theirs = other.signatures.iter().peekable();
-        let signatures = (self.signatures.iter())
-            .filter(|signature| {
-                while theirs.next_if(|t| t < signature).is_some() {}
-                (theirs.peek() == Some(signature)) == common
-            })
-            .cloned()
-            .collect();
+        let signatures = merge(&self.signatures, &other.signatures, true, Ord::cmp);
         DiffSet { signatures }
     }
 
@@ -285,6 +273,19 @@ impl Extend<DiffSignature> for DiffSet {
         self.signatures.sort_unstable();
         self.signatures.dedup();
     }
+}
+
+/// The elements of `a` that are in `b` (`common`) or not in it: one merge of two
+/// vectors sorted and deduplicated by `cmp`.
+fn merge<T: Clone>(a: &[T], b: &[T], common: bool, cmp: impl Fn(&T, &T) -> Ordering) -> Vec<T> {
+    let mut theirs = b.iter().peekable();
+    (a.iter())
+        .filter(|item| {
+            while theirs.next_if(|other| cmp(other, item).is_lt()).is_some() {}
+            theirs.peek().is_some_and(|other| cmp(other, item).is_eq()) == common
+        })
+        .cloned()
+        .collect()
 }
 
 #[cfg(test)]
@@ -369,76 +370,27 @@ impl<'s, 'a> SignatureSource<'s, 'a> {
         right: usize,
     ) -> HashedSet {
         let matching = &result.matching;
-        let items: Vec<Hashed> = (matching.unmatched_left().into_iter())
+        let mut items: Vec<Hashed> = (matching.unmatched_left().into_iter())
             .filter_map(|index| self.hashed(left, index))
             .chain(
                 (matching.unmatched_right().into_iter())
                     .filter_map(|index| self.hashed(right, index)),
             )
             .collect();
-        let mut items = self.sorted(items);
+        items.sort_unstable_by(|x, y| self.cmp(x, y));
         items.dedup_by(|a, b| self.cmp(a, b).is_eq());
         HashedSet { items }
     }
 
-    /// `items` in [`cmp`](Self::cmp) order. The hashes are uniform, so one counting
-    /// pass on their top bits spreads `n` items over about `n` buckets in hash order,
-    /// and only items that share a bucket are compared. Crafted hashes that share one
-    /// cost a comparison sort of that bucket.
-    fn sorted(&self, items: Vec<Hashed>) -> Vec<Hashed> {
-        let bits = items.len().max(2).next_power_of_two().trailing_zeros();
-        let bucket = |item: &Hashed| (item.hash >> (64 - bits)) as usize;
-        // Bucket ends, then, after the scatter, bucket starts.
-        let mut bounds = vec![0usize; 1 << bits];
-        for item in &items {
-            bounds[bucket(item)] += 1;
-        }
-        let mut end = 0;
-        for bound in &mut bounds {
-            end += *bound;
-            *bound = end;
-        }
-        // Every slot of the copy is overwritten by the scatter.
-        let mut sorted = items.clone();
-        for item in items.iter().rev() {
-            let b = &mut bounds[bucket(item)];
-            *b -= 1;
-            sorted[*b] = *item;
-        }
-        for (b, &start) in bounds.iter().enumerate() {
-            let end = bounds.get(b + 1).copied().unwrap_or(sorted.len());
-            sorted[start..end].sort_unstable_by(|x, y| self.cmp(x, y));
-        }
-        sorted
-    }
-
     /// `a − b`.
     pub(crate) fn subtract(&self, a: &HashedSet, b: &HashedSet) -> HashedSet {
-        self.merge(a, b, false)
+        let items = merge(&a.items, &b.items, false, |x, y| self.cmp(x, y));
+        HashedSet { items }
     }
 
     /// `a ∩ b`.
     pub(crate) fn intersect(&self, a: &HashedSet, b: &HashedSet) -> HashedSet {
-        self.merge(a, b, true)
-    }
-
-    /// The items of `a` whose signature is in `b` (`common`) or not in it: one merge
-    /// of the two ordered sets.
-    fn merge(&self, a: &HashedSet, b: &HashedSet, common: bool) -> HashedSet {
-        let mut theirs = b.items.iter().peekable();
-        let items = (a.items.iter())
-            .filter(|item| {
-                while theirs
-                    .next_if(|other| self.cmp(other, item).is_lt())
-                    .is_some()
-                {}
-                theirs
-                    .peek()
-                    .is_some_and(|other| self.cmp(other, item).is_eq())
-                    == common
-            })
-            .copied()
-            .collect();
+        let items = merge(&a.items, &b.items, true, |x, y| self.cmp(x, y));
         HashedSet { items }
     }
 

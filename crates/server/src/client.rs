@@ -412,6 +412,11 @@ impl Client {
     /// new-passing). `max_sequences` bounds how many regression-related sequences the
     /// server renders into the textual report.
     ///
+    /// The report's signatures hold [`Symbol`](rprism_trace::Symbol)s of this process:
+    /// every distinct name a server sends is interned and kept for the life of the
+    /// process, so a client that talks to many servers, or to an untrusted one, grows
+    /// by every name it receives.
+    ///
     /// # Errors
     ///
     /// Returns [`ServerError::Remote`] for unknown hashes or a failed analysis.

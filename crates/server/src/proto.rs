@@ -209,7 +209,9 @@ pub enum Response {
     },
     /// The result of a [`Request::Diff`].
     DiffOk(WireDiff),
-    /// The result of a [`Request::Analyze`].
+    /// The result of a [`Request::Analyze`]. Decoding it interns every class, method
+    /// and field name of its signatures into the process-global interner, which never
+    /// frees a string: a long-lived client keeps every distinct name it is sent.
     AnalyzeOk(WireReport),
     /// The result of a [`Request::Check`]: the full structured [`CheckReport`], not a
     /// rendering — the client renders locally with the same code a local check uses,
@@ -618,10 +620,18 @@ impl<'a> Dec<'a> {
     }
 
     fn str(&mut self) -> FormatResult<String> {
+        self.str_ref().map(str::to_owned)
+    }
+
+    /// A string field, borrowed from the payload.
+    fn str_ref(&mut self) -> FormatResult<&'a str> {
         let bytes = self.slice()?;
-        let s =
-            std::str::from_utf8(bytes).map_err(|_| self.corrupt("string is not valid UTF-8"))?;
-        Ok(s.to_owned())
+        std::str::from_utf8(bytes).map_err(|_| self.corrupt("string is not valid UTF-8"))
+    }
+
+    /// A string field interned into this process (see the module docs).
+    fn symbol(&mut self) -> FormatResult<Symbol> {
+        self.str_ref().map(intern)
     }
 
     fn u64s(&mut self) -> FormatResult<Vec<u64>> {
@@ -949,41 +959,11 @@ fn put_signature(buf: &mut Vec<u8>, signature: &DiffSignature) {
     put_str(buf, signature.active_class.as_str());
 }
 
-/// The names one message has already interned, by their bytes. A report spells the
-/// same few class, method and field names over and over; a repeat is one byte
-/// comparison instead of a UTF-8 check and an interner lookup.
-struct Names<'a> {
-    slots: [Option<(&'a [u8], Symbol)>; 128],
-}
-
-impl<'a> Names<'a> {
-    fn new() -> Self {
-        Names { slots: [None; 128] }
-    }
-
-    /// A string field interned into this process.
-    fn symbol(&mut self, dec: &mut Dec<'a>) -> FormatResult<Symbol> {
-        let bytes = dec.slice()?;
-        let edge = |byte: Option<&u8>| usize::from(byte.copied().unwrap_or(0));
-        let hash = bytes.len() * 31 + edge(bytes.first()) * 7 + edge(bytes.last());
-        let slot = &mut self.slots[hash % 128];
-        if let Some((seen, symbol)) = *slot {
-            if seen == bytes {
-                return Ok(symbol);
-            }
-        }
-        let s = std::str::from_utf8(bytes).map_err(|_| dec.corrupt("string is not valid UTF-8"))?;
-        let symbol = intern(s);
-        *slot = Some((bytes, symbol));
-        Ok(symbol)
-    }
-}
-
-fn get_signature<'a>(dec: &mut Dec<'a>, names: &mut Names<'a>) -> FormatResult<DiffSignature> {
+fn get_signature(dec: &mut Dec<'_>) -> FormatResult<DiffSignature> {
     let kind_raw = dec.u8()?;
     let kind = byte_kind(kind_raw, dec)?;
     let name = if dec.bool()? {
-        Some(names.symbol(dec)?)
+        Some(dec.symbol()?)
     } else {
         None
     };
@@ -993,7 +973,7 @@ fn get_signature<'a>(dec: &mut Dec<'a>, names: &mut Names<'a>) -> FormatResult<D
     let mut operands =
         Vec::with_capacity(usize::try_from(operand_count).map_or(bound, |n| n.min(bound)));
     for _ in 0..operand_count {
-        let class = names.symbol(dec)?;
+        let class = dec.symbol()?;
         let fp = dec.u64()?;
         operands.push((class, ValueFingerprint(fp)));
     }
@@ -1001,8 +981,8 @@ fn get_signature<'a>(dec: &mut Dec<'a>, names: &mut Names<'a>) -> FormatResult<D
         kind,
         name,
         operands: operands.into(),
-        method: names.symbol(dec)?,
-        active_class: names.symbol(dec)?,
+        method: dec.symbol()?,
+        active_class: dec.symbol()?,
     })
 }
 
@@ -1013,14 +993,11 @@ fn put_signatures(buf: &mut Vec<u8>, signatures: &[DiffSignature]) {
     }
 }
 
-fn get_signatures<'a>(
-    dec: &mut Dec<'a>,
-    names: &mut Names<'a>,
-) -> FormatResult<Vec<DiffSignature>> {
+fn get_signatures(dec: &mut Dec<'_>) -> FormatResult<Vec<DiffSignature>> {
     let count = dec.u64()?;
     let mut out = Vec::new();
     for _ in 0..count {
-        out.push(get_signature(dec, names)?);
+        out.push(get_signature(dec)?);
     }
     Ok(out)
 }
@@ -1330,6 +1307,10 @@ impl Response {
 
     /// Decodes a frame payload into a response.
     ///
+    /// An [`AnalyzeOk`](Response::AnalyzeOk) interns the distinct names of its
+    /// signatures into this process for good (see the variant); no other response
+    /// interns anything.
+    ///
     /// # Errors
     ///
     /// Returns [`FormatError`] on a version mismatch, unknown tag, or malformed field.
@@ -1363,11 +1344,10 @@ impl Response {
                 let mode_raw = dec.u8()?;
                 let mode = byte_mode(mode_raw, &dec)?
                     .ok_or_else(|| dec.corrupt("report mode cannot be the default marker"))?;
-                let mut names = Names::new();
-                let suspected = get_signatures(&mut dec, &mut names)?;
-                let expected = get_signatures(&mut dec, &mut names)?;
-                let regression = get_signatures(&mut dec, &mut names)?;
-                let candidates = get_signatures(&mut dec, &mut names)?;
+                let suspected = get_signatures(&mut dec)?;
+                let expected = get_signatures(&mut dec)?;
+                let regression = get_signatures(&mut dec)?;
+                let candidates = get_signatures(&mut dec)?;
                 let sequence_count = dec.u64()?;
                 let mut sequences = Vec::new();
                 for _ in 0..sequence_count {
@@ -1999,7 +1979,7 @@ mod tests {
         assert!(!set.is_empty());
         let mut frame = Vec::new();
         put_signatures(&mut frame, set.as_slice());
-        let back = get_signatures(&mut Dec::new(&frame), &mut Names::new()).unwrap();
+        let back = get_signatures(&mut Dec::new(&frame)).unwrap();
         assert_eq!(back, set.as_slice());
     }
 }

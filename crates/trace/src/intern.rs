@@ -17,11 +17,6 @@
 //! ever holds a pair the map returned, and interned strings are never removed. The
 //! cache slot comes from a cheap unkeyed hash; the map keeps std's keyed SipHash, since
 //! it sees names from untrusted uploads and must resist hash flooding.
-//!
-//! [`resolve`] has the same kind of per-thread cache, direct-mapped by symbol id, so
-//! spelling a symbol back out — rendering, the wire, ordering signatures by name —
-//! takes no lock once the thread has resolved it. A symbol's string never changes, so
-//! a slot can only ever hold a correct pair.
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -64,15 +59,12 @@ fn interner() -> &'static RwLock<InternerInner> {
     })
 }
 
-/// Slots in each thread's lookup caches (a power of two).
+/// Slots in each thread's lookup cache (a power of two).
 const CACHE_SLOTS: usize = 256;
 
 thread_local! {
     /// The per-thread cache in front of the global map (see the module docs).
     static CACHE: [Cell<Option<(&'static str, Symbol)>>; CACHE_SLOTS] =
-        const { [const { Cell::new(None) }; CACHE_SLOTS] };
-    /// The per-thread cache in front of [`resolve`], direct-mapped by symbol id.
-    static RESOLVED: [Cell<Option<(Symbol, &'static str)>>; CACHE_SLOTS] =
         const { [const { Cell::new(None) }; CACHE_SLOTS] };
 }
 
@@ -131,17 +123,8 @@ fn intern_global(s: &str) -> (&'static str, Symbol) {
 ///
 /// Panics if the symbol did not come from [`intern`] in this process.
 pub fn resolve(sym: Symbol) -> &'static str {
-    RESOLVED.with(|cache| {
-        let slot = &cache[sym.index() & (CACHE_SLOTS - 1)];
-        if let Some((cached, s)) = slot.get() {
-            if cached == sym {
-                return s;
-            }
-        }
-        let s = interner().read().expect("interner poisoned").strings[sym.index()];
-        slot.set(Some((sym, s)));
-        s
-    })
+    let inner = interner().read().expect("interner poisoned");
+    inner.strings[sym.index()]
 }
 
 /// Number of distinct strings interned so far (diagnostics / capacity planning).

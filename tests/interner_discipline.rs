@@ -4,7 +4,8 @@
 //! process-lifetime cost. Symbol-level ingest interns a string only where it names a
 //! class, method, field or init class, the first time a stream mentions it; printed
 //! values are dropped at the decoder. A client decoding a remote analysis interns the
-//! names its signatures spell, and nothing when the process already holds them.
+//! names its signatures spell, each once, and nothing when the process already holds
+//! them.
 //!
 //! One test in its own binary: `interned_count` is process-global, so a concurrent
 //! test interning names would move it.
@@ -180,4 +181,47 @@ fn ingest_interns_each_name_once_and_no_printed_value() {
     assert_eq!(interned_count(), before, "decoding interned a string");
     assert_eq!(decoded.suspected, report.suspected.as_slice());
     assert_eq!(decoded.candidates, report.candidates.as_slice());
+
+    // Decode of a report whose names this process has never seen: the same frame with
+    // every "analyze" name respelled "decoded" (same length, so every length prefix
+    // still holds). It interns each respelled name once and nothing else — at most
+    // the distinct names of the frame — and a second decode interns nothing.
+    let mut frame_names = BTreeSet::new();
+    for signature in [
+        &report.suspected,
+        &report.expected,
+        &report.regression,
+        &report.candidates,
+    ]
+    .into_iter()
+    .flat_map(|set| set.iter())
+    {
+        frame_names.extend(signature.name_str());
+        frame_names.extend(signature.operands.iter().map(|(class, _)| class.as_str()));
+        frame_names.insert(signature.method.as_str());
+        frame_names.insert(signature.active_class.as_str());
+    }
+    let unseen = frame_names.iter().filter(|n| n.contains("analyze")).count();
+    assert!(unseen > 0, "the report must name the analyze trace");
+    let mut respelled = frame;
+    for at in 0..respelled.len().saturating_sub(6) {
+        if &respelled[at..at + 7] == b"analyze" {
+            respelled[at..at + 7].copy_from_slice(b"decoded");
+        }
+    }
+    let before = interned_count();
+    Response::decode(&respelled).unwrap();
+    let grown = interned_count() - before;
+    assert!(
+        grown <= frame_names.len(),
+        "decoding interned {grown} strings for {} distinct names",
+        frame_names.len()
+    );
+    assert_eq!(
+        grown, unseen,
+        "decoding interned more than the unseen names"
+    );
+    let again = interned_count();
+    Response::decode(&respelled).unwrap();
+    assert_eq!(interned_count(), again, "a second decode interned strings");
 }
