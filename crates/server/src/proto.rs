@@ -1771,11 +1771,10 @@ mod tests {
         }
     }
 
-    /// The encoded `AnalyzeOk` frame of every case study: default engine, streamed
-    /// handles, no rendering.
-    fn case_study_analyze_frames() -> Vec<(String, Vec<u8>)> {
+    /// The four roles of every case study as streamed handles of the default engine,
+    /// with the scenario's analysis mode.
+    fn case_study_inputs(engine: &rprism::Engine) -> Vec<(String, rprism::RegressionInput)> {
         use rprism_format::{trace_to_bytes, Encoding};
-        let engine = rprism::Engine::new();
         rprism_workloads::casestudies::all()
             .into_iter()
             .map(|scenario| {
@@ -1786,12 +1785,56 @@ mod tests {
                 });
                 let input =
                     rprism::RegressionInput::new(a, b, c, d).with_mode(scenario.analysis_mode());
+                (scenario.name, input)
+            })
+            .collect()
+    }
+
+    /// The suspected-pair diff of every case study in wire form, without a rendering.
+    fn case_study_diffs() -> Vec<(String, WireDiff)> {
+        let engine = rprism::Engine::new();
+        case_study_inputs(&engine)
+            .into_iter()
+            .map(|(name, input)| {
+                let diff = engine
+                    .diff(&input.old_regressing, &input.new_regressing)
+                    .unwrap();
+                (name, WireDiff::from_result(&diff, String::new()))
+            })
+            .collect()
+    }
+
+    /// The encoded `AnalyzeOk` frame of every case study: default engine, streamed
+    /// handles, no rendering.
+    fn case_study_analyze_frames() -> Vec<(String, Vec<u8>)> {
+        let engine = rprism::Engine::new();
+        case_study_inputs(&engine)
+            .into_iter()
+            .map(|(name, input)| {
                 let report = engine.analyze(&input).unwrap();
                 let frame =
                     Response::AnalyzeOk(WireReport::from_report(&report, String::new())).encode();
-                (scenario.name, frame)
+                (name, frame)
             })
             .collect()
+    }
+
+    /// Checks each frame's length and FNV-64 against `pinned`, and that decoding a
+    /// frame and encoding it again gives the same bytes.
+    fn assert_frames_pinned(frames: &[(String, Vec<u8>)], pinned: &[(&str, usize, u64)]) {
+        let got: Vec<(&str, usize, u64)> = frames
+            .iter()
+            .map(|(name, frame)| {
+                let mut digest = rprism_format::Fnv64::new();
+                digest.update(frame);
+                (name.as_str(), frame.len(), digest.finish())
+            })
+            .collect();
+        assert_eq!(got, pinned);
+        for (name, frame) in frames {
+            let decoded = Response::decode(frame).unwrap();
+            assert_eq!(&decoded.encode(), frame, "{name}: decode re-encodes");
+        }
     }
 
     #[test]
@@ -1802,20 +1845,50 @@ mod tests {
             ("xalan-1802", 50324, 0xf485_92ff_9ad6_cc7d),
             ("derby-1633", 10119, 0xbe01_47d5_0a20_f870),
         ];
-        let frames = case_study_analyze_frames();
-        let got: Vec<(&str, usize, u64)> = frames
-            .iter()
-            .map(|(name, frame)| {
-                let mut digest = rprism_format::Fnv64::new();
-                digest.update(frame);
-                (name.as_str(), frame.len(), digest.finish())
-            })
+        assert_frames_pinned(&case_study_analyze_frames(), &pinned);
+    }
+
+    #[test]
+    fn case_study_diff_and_watch_done_frames_are_pinned_byte_for_byte() {
+        let diffs = case_study_diffs();
+        let frames: Vec<(String, Vec<u8>)> = (diffs.iter())
+            .map(|(name, diff)| (name.clone(), Response::DiffOk(diff.clone()).encode()))
             .collect();
-        assert_eq!(got, pinned);
-        for (name, frame) in &frames {
-            let decoded = Response::decode(frame).unwrap();
-            assert_eq!(&decoded.encode(), frame, "{name}: decode re-encodes");
-        }
+        let pinned: [(&str, usize, u64); 4] = [
+            ("daikon", 1276, 0xbd4e_57c8_e2b1_f534),
+            ("xalan-1725", 422, 0x6106_8ada_bc6d_2fde),
+            ("xalan-1802", 1085, 0x6ee8_5400_4ae3_5a73),
+            ("derby-1633", 661, 0x1c9c_4ac5_1ce9_fbc3),
+        ];
+        assert_frames_pinned(&frames, &pinned);
+
+        // One WatchDone with every event kind and the daikon diff.
+        let watch_done = Response::WatchDone {
+            events: vec![
+                WireWatchEvent::Match { left: 0, right: 0 },
+                WireWatchEvent::Difference {
+                    left: vec![1, 2],
+                    right: vec![],
+                },
+                WireWatchEvent::Match {
+                    left: 300,
+                    right: 129,
+                },
+                WireWatchEvent::Invalidate {
+                    left: 300,
+                    right: 129,
+                },
+                WireWatchEvent::Difference {
+                    left: vec![],
+                    right: vec![1, 128, 70_000],
+                },
+            ],
+            diff: diffs[0].1.clone(),
+        };
+        assert_frames_pinned(
+            &[("watch-done".to_owned(), watch_done.encode())],
+            &[("watch-done", 1304, 0x1620_e0f6_9a24_79e6)],
+        );
     }
 
     #[test]
