@@ -172,7 +172,7 @@ pub struct AlgoRow {
 fn algo_row(report: &RegressionReport, quality: &QualityMetrics) -> AlgoRow {
     AlgoRow {
         num_diffs: report.suspected.len(),
-        diff_seqs: report.sequences.len(),
+        diff_seqs: report.suspected_diff.sequences.len(),
         regression_seqs: report.num_regression_sequences(),
         false_pos: quality.false_positives,
         false_neg: quality.false_negatives,

@@ -166,9 +166,6 @@ fn analysis_set_sizes_are_stable_across_runs() {
         assert_eq!(a.regression.len(), b.regression.len(), "{}", scenario.name);
         assert_eq!(a.candidates.len(), b.candidates.len(), "{}", scenario.name);
         assert_eq!(a.compare_ops, b.compare_ops, "{}", scenario.name);
-        let verdicts = |r: &rprism_regress::RegressionReport| -> Vec<bool> {
-            r.sequences.iter().map(|s| s.regression_related).collect()
-        };
-        assert_eq!(verdicts(&a), verdicts(&b), "{}", scenario.name);
+        assert_eq!(a.verdicts, b.verdicts, "{}", scenario.name);
     }
 }

@@ -53,11 +53,10 @@ use crate::ingest::{prepare_in_memory, stream_prepare, BATCH_ENTRIES};
 use crate::watch::Watch;
 use crate::{Error, Result};
 
-/// Default number of trace pairs kept in the pair-level correlation cache before
+/// Number of trace pairs kept in the pair-level correlation cache before
 /// least-recently-used eviction kicks in. Bounds a long-lived engine's memory when it
 /// diffs an unbounded stream of trace pairs; 128 pairs comfortably covers a whole
-/// case-study batch. Tunable per engine via
-/// [`EngineBuilder::correlation_cache_capacity`].
+/// case-study batch.
 const CORRELATION_CACHE_CAP: usize = 128;
 
 /// One cached pair: the correlation as built (oriented `left_id → right`), plus the
@@ -111,27 +110,17 @@ type CorrelationKey = (u64, u64);
 /// recomputing it. Eviction is least-recently-used: a hot pair re-touched between
 /// batches survives churn that would have evicted it under FIFO. In-flight users of
 /// an evicted slot keep their `Arc` and finish undisturbed.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct CorrelationCache {
     map: HashMap<CorrelationKey, Arc<CorrelationSlot>>,
     /// LRU order: least recently used at the front.
     order: VecDeque<CorrelationKey>,
-    capacity: usize,
     /// How many correlations this session actually built (cache-efficiency metric;
     /// flips are transposes, not builds).
     builds: u64,
 }
 
 impl CorrelationCache {
-    fn new(capacity: usize) -> Self {
-        CorrelationCache {
-            map: HashMap::new(),
-            order: VecDeque::new(),
-            capacity: capacity.max(1),
-            builds: 0,
-        }
-    }
-
     fn canonical(key: CorrelationKey) -> CorrelationKey {
         (key.0.min(key.1), key.0.max(key.1))
     }
@@ -151,7 +140,7 @@ impl CorrelationCache {
             self.touch(key);
             return slot;
         }
-        while self.order.len() >= self.capacity {
+        while self.order.len() >= CORRELATION_CACHE_CAP {
             if let Some(evicted) = self.order.pop_front() {
                 self.map.remove(&evicted);
             }
@@ -490,7 +479,6 @@ impl Engine {
             render: RenderOptions::default(),
             ingest_check: None,
             obs: Obs::disabled(),
-            correlation_cache_capacity: CORRELATION_CACHE_CAP,
         }
     }
 
@@ -902,7 +890,6 @@ pub struct EngineBuilder {
     render: RenderOptions,
     ingest_check: Option<IngestCheck>,
     obs: Obs,
-    correlation_cache_capacity: usize,
 }
 
 impl EngineBuilder {
@@ -961,14 +948,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Number of trace pairs the session's correlation cache retains (default 128,
-    /// minimum 1; least-recently-used eviction). Raise it for long-lived services that
-    /// keep many hot pairs, lower it to bound memory under heavy pair churn.
-    pub fn correlation_cache_capacity(mut self, capacity: usize) -> Self {
-        self.correlation_cache_capacity = capacity;
-        self
-    }
-
     /// The observability domain the engine records pipeline spans (`engine.load`,
     /// `pipeline.scan`) and ingest phase timers (`pipeline.decode` / `pipeline.key` /
     /// `pipeline.web`) into. Defaults to the disabled observer, under which every
@@ -987,9 +966,7 @@ impl EngineBuilder {
             render: self.render,
             ingest_check: self.ingest_check,
             obs: self.obs,
-            correlations: Arc::new(Mutex::new(CorrelationCache::new(
-                self.correlation_cache_capacity,
-            ))),
+            correlations: Arc::default(),
         }
     }
 }
@@ -1407,7 +1384,7 @@ mod tests {
 
     #[test]
     fn correlation_cache_evicts_least_recently_used_not_oldest() {
-        let engine = Engine::builder().correlation_cache_capacity(2).build();
+        let engine = Engine::new();
         let a = engine
             .trace_source(&regression_sources(32, 20), "a")
             .unwrap();
@@ -1426,18 +1403,32 @@ mod tests {
         engine.diff(&a, &b).unwrap(); // touch {ab}: no build, ab now most recent
         assert_eq!(engine.correlation_builds(), 2);
 
-        engine.diff(&a, &d).unwrap(); // build 3: evicts {ac} (LRU), not {ab} (FIFO would)
-        assert_eq!(engine.correlation_builds(), 3);
-        assert_eq!(engine.cached_correlations(), 2);
+        // Fill the cache with pairs of tiny handles (every handle has its own id):
+        // {ac} is now least recently used, {ab} the oldest entry but the second least
+        // recently used.
+        let tiny = Trace::named("tiny");
+        let fillers: Vec<PreparedTrace> = (2..CORRELATION_CACHE_CAP)
+            .map(|_| PreparedTrace::new(tiny.clone()))
+            .collect();
+        for filler in &fillers {
+            engine.diff(&a, filler).unwrap();
+        }
+        let full = engine.correlation_builds();
+        assert_eq!(full, CORRELATION_CACHE_CAP as u64);
+        assert_eq!(engine.cached_correlations(), CORRELATION_CACHE_CAP);
+
+        engine.diff(&a, &d).unwrap(); // evicts {ac} (LRU), not {ab} (FIFO would)
+        assert_eq!(engine.correlation_builds(), full + 1);
+        assert_eq!(engine.cached_correlations(), CORRELATION_CACHE_CAP);
 
         engine.diff(&a, &b).unwrap(); // still cached under LRU
         assert_eq!(
             engine.correlation_builds(),
-            3,
+            full + 1,
             "the re-touched hot pair must survive the eviction"
         );
         engine.diff(&a, &c).unwrap(); // evicted, rebuilt
-        assert_eq!(engine.correlation_builds(), 4);
+        assert_eq!(engine.correlation_builds(), full + 2);
     }
 
     #[test]

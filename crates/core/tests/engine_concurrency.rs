@@ -99,17 +99,10 @@ fn n_threads_hammering_one_engine_share_every_cached_artifact() {
                         assert_eq!(report.regression, reference_report.regression);
                         assert_eq!(report.candidates, reference_report.candidates);
                         assert_eq!(report.compare_ops, reference_report.compare_ops);
-                        let verdicts: Vec<bool> = report
-                            .sequences
-                            .iter()
-                            .map(|v| v.regression_related)
-                            .collect();
-                        let reference_verdicts: Vec<bool> = reference_report
-                            .sequences
-                            .iter()
-                            .map(|v| v.regression_related)
-                            .collect();
-                        assert_eq!(verdicts, reference_verdicts, "verdict drift under load");
+                        assert_eq!(
+                            report.verdicts, reference_report.verdicts,
+                            "verdict drift under load"
+                        );
                     }
                 }
             });

@@ -96,37 +96,16 @@ pub fn lcs_diff(
     right: &Trace,
     options: &LcsDiffOptions,
 ) -> Result<TraceDiffResult, DiffError> {
-    let left_keyed = KeyedTrace::build(left);
-    let right_keyed = KeyedTrace::build(right);
-    lcs_diff_keyed(left, right, &left_keyed, &right_keyed, options)
+    lcs_diff_prepared(&KeyedTrace::build(left), &KeyedTrace::build(right), options)
 }
 
 /// The precomputed-key entry point of the LCS baseline: the caller supplies the
 /// [`KeyedTrace`]s (built once per trace per session), so repeated comparisons of the
-/// same trace skip the key build. This is the backend `rprism::Engine` uses when the
-/// baseline algorithm is selected; the cost model still charges the keyed bytes to this
-/// run's working set, keeping its accounting identical to [`lcs_diff`].
-///
-/// # Errors
-///
-/// Returns [`DiffError::OutOfMemory`] when the quadratic table would exceed the memory
-/// budget (only with `linear_space: false`).
-pub fn lcs_diff_keyed(
-    left: &Trace,
-    right: &Trace,
-    left_keyed: &KeyedTrace,
-    right_keyed: &KeyedTrace,
-    options: &LcsDiffOptions,
-) -> Result<TraceDiffResult, DiffError> {
-    debug_assert_eq!(left.len(), left_keyed.len());
-    debug_assert_eq!(right.len(), right_keyed.len());
-    lcs_diff_prepared(left_keyed, right_keyed, options)
-}
-
-/// [`lcs_diff_keyed`] without the traces: the baseline only consumes the precomputed
-/// keys (entry counts included), so prepared callers — streaming ingestion in
-/// particular, which never materializes a full trace — can run it from a
-/// [`KeyedTrace`] pair alone.
+/// same trace skip the key build. The baseline only consumes the keys (entry counts
+/// included), so prepared callers — streaming ingestion in particular, which never
+/// materializes a full trace — run it from a [`KeyedTrace`] pair alone. This is the
+/// backend `rprism::Engine` uses when the baseline algorithm is selected; the cost
+/// model charges the keyed bytes to this run's working set, as [`lcs_diff`] does.
 ///
 /// # Errors
 ///

@@ -25,7 +25,7 @@
 //! entry points directly:
 //!
 //! ```
-//! use rprism_diff::{lcs_diff_keyed, views_diff_sides, DiffSide, LcsDiffOptions, ViewsDiffOptions};
+//! use rprism_diff::{lcs_diff_prepared, views_diff_sides, DiffSide, LcsDiffOptions, ViewsDiffOptions};
 //! use rprism_lang::parser::parse_program;
 //! use rprism_trace::{KeyedTrace, LeanTrace, TraceMeta};
 //! use rprism_views::ViewWeb;
@@ -48,7 +48,7 @@
 //!     &DiffSide::lean(&new_lean, &new_keyed, &new_web),
 //!     &options,
 //! );
-//! let lcs = lcs_diff_keyed(&old, &new, &old_keyed, &new_keyed, &LcsDiffOptions::default())?;
+//! let lcs = lcs_diff_prepared(&old_keyed, &new_keyed, &LcsDiffOptions::default())?;
 //! assert!(views.num_differences() > 0);
 //! assert!(views.num_differences() <= lcs.num_differences());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -70,9 +70,7 @@ pub use anchored::{
 };
 pub use cost::{CostMeter, CostStats, DiffError, MemoryBudget};
 pub use lcs::{lcs_bitparallel, lcs_dp, lcs_hirschberg, lcs_length, MAX_BITPARALLEL_CLASSES};
-pub use lcs_diff::{
-    lcs_diff, lcs_diff_keyed, lcs_diff_prepared, LcsDiffOptions, LcsDiffOptionsBuilder,
-};
+pub use lcs_diff::{lcs_diff, lcs_diff_prepared, LcsDiffOptions, LcsDiffOptionsBuilder};
 pub use matching::{DiffKind, DiffSequence, Matching};
 pub use result::TraceDiffResult;
 pub use session::{DiffSession, ProvisionalEvent, SessionFinish};

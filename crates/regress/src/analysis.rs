@@ -15,7 +15,8 @@
 //!
 //! Finally, the difference sequences of the suspected comparison are classified: a
 //! sequence is reported as regression-related when it contains at least one difference
-//! whose signature survives into D.
+//! whose signature survives into D. The report holds each sequence once, in its
+//! `suspected_diff`, and one verdict flag per sequence beside it.
 //!
 //! The algebra runs on signature hashes over the prepared sides (see [`crate::sets`]):
 //! A, B and C are hashed sets of unmatched entries, D is computed by merges, and each
@@ -82,16 +83,6 @@ pub enum AnalysisMode {
     SubtractRegressionSet,
 }
 
-/// One difference sequence of the suspected comparison, classified by the analysis.
-#[derive(Clone, Debug)]
-pub struct SequenceVerdict {
-    /// The sequence (indices into the suspected comparison's traces).
-    pub sequence: DiffSequence,
-    /// `true` when the analysis considers the sequence regression-related (it contains a
-    /// difference that survives into D).
-    pub regression_related: bool,
-}
-
 /// The complete output of one regression-cause analysis run.
 #[derive(Clone, Debug)]
 pub struct RegressionReport {
@@ -108,17 +99,18 @@ pub struct RegressionReport {
     /// The analysis mode that produced D.
     pub mode: AnalysisMode,
     /// The raw differencing result of the suspected comparison (old vs new, regressing
-    /// test) — the semantic diff the developer ultimately inspects.
+    /// test) — the semantic diff the developer ultimately inspects. Its `sequences`
+    /// are the sequences the analysis classifies.
     pub suspected_diff: TraceDiffResult,
-    /// Every difference sequence of the suspected comparison with its verdict.
-    pub sequences: Vec<SequenceVerdict>,
+    /// One verdict per sequence of `suspected_diff.sequences`, in the same order:
+    /// `true` when the sequence is regression-related (it contains a difference that
+    /// survives into D).
+    pub verdicts: Vec<bool>,
     /// Total wall-clock time of the three differencing runs plus the set algebra.
     ///
     /// Artifact preparation (keys, webs) is *excluded*: those are built once per trace,
     /// when its handle is made, and amortized across every query, so charging them
-    /// to one analysis would misstate both. (Before the `Engine` redesign the one-shot
-    /// `analyze` folded its per-call preparation into this figure; timings recorded
-    /// across that boundary are not directly comparable.)
+    /// to one analysis would misstate both.
     pub analysis_time: Duration,
     /// Sum of compare operations across the three differencing runs.
     pub compare_ops: u64,
@@ -128,20 +120,16 @@ pub struct RegressionReport {
 
 impl RegressionReport {
     /// The difference sequences reported to the developer as regression-related.
-    pub fn regression_sequences(&self) -> Vec<&SequenceVerdict> {
-        self.sequences
-            .iter()
-            .filter(|s| s.regression_related)
-            .collect()
+    pub fn regression_sequences(&self) -> impl Iterator<Item = &DiffSequence> {
+        (self.suspected_diff.sequences.iter())
+            .zip(&self.verdicts)
+            .filter_map(|(sequence, &related)| related.then_some(sequence))
     }
 
     /// Number of regression-related difference sequences (the paper's "Regression Diff.
     /// Seqs." column).
     pub fn num_regression_sequences(&self) -> usize {
-        self.sequences
-            .iter()
-            .filter(|s| s.regression_related)
-            .count()
+        self.verdicts.iter().filter(|&&related| related).count()
     }
 
     /// The size of the reported output relative to the executed trace, as a percentage —
@@ -150,11 +138,7 @@ impl RegressionReport {
         if total_entries == 0 {
             return 0.0;
         }
-        let reported: usize = self
-            .regression_sequences()
-            .iter()
-            .map(|s| s.sequence.len())
-            .sum();
+        let reported: usize = self.regression_sequences().map(DiffSequence::len).sum();
         reported as f64 / total_entries as f64 * 100.0
     }
 }
@@ -262,16 +246,10 @@ pub fn analyze_prepared_with(
     };
 
     // Classify the suspected comparison's difference sequences against D.
-    let sequences = suspected_diff
-        .sequences
-        .iter()
+    let verdicts = (suspected_diff.sequences.iter())
         .map(|sequence| {
-            let related = (sequence.left.iter()).any(|&i| source.contains(&candidates, OLD_REG, i))
-                || (sequence.right.iter()).any(|&i| source.contains(&candidates, NEW_REG, i));
-            SequenceVerdict {
-                sequence: sequence.clone(),
-                regression_related: related,
-            }
+            (sequence.left.iter()).any(|&i| source.contains(&candidates, OLD_REG, i))
+                || (sequence.right.iter()).any(|&i| source.contains(&candidates, NEW_REG, i))
         })
         .collect();
 
@@ -294,7 +272,7 @@ pub fn analyze_prepared_with(
         candidates,
         mode,
         suspected_diff,
-        sequences,
+        verdicts,
         analysis_time: start.elapsed(),
         compare_ops,
         peak_bytes,
@@ -437,7 +415,7 @@ pub(crate) mod tests {
             AnalysisMode::Intersect,
         )
         .unwrap();
-        assert!(report.num_regression_sequences() <= report.sequences.len());
+        assert!(report.num_regression_sequences() <= report.suspected_diff.sequences.len());
         assert!(report.num_regression_sequences() >= 1);
         assert!(report.reported_fraction_of_trace(10_000) < 100.0);
     }
@@ -493,7 +471,11 @@ pub(crate) mod tests {
         .unwrap();
         // (A − B) − C never contains anything that Intersect-mode D contains together with
         // C; sanity-check the algebra: D_subtract ∩ C = ∅.
-        assert!(report.candidates.intersect(&report.regression).is_empty());
+        let regression = report.regression.as_slice();
+        assert!(report
+            .candidates
+            .iter()
+            .all(|signature| regression.binary_search(signature).is_err()));
         assert_eq!(report.mode, AnalysisMode::SubtractRegressionSet);
     }
 }

@@ -21,7 +21,7 @@ mod sets_differential;
 
 pub use analysis::{
     analyze_prepared, analyze_prepared_with, AnalysisComparison, AnalysisMode, DiffAlgorithm,
-    PreparedInput, RegressionReport, SequenceVerdict,
+    PreparedInput, RegressionReport,
 };
 pub use metrics::{accuracy, evaluate, speedup, GroundTruth, QualityMetrics};
 pub use report::{render_report, render_report_with, RenderOptions};

@@ -59,29 +59,17 @@ pub fn evaluate(
     ground_truth: &GroundTruth,
 ) -> QualityMetrics {
     let mut metrics = QualityMetrics {
-        total_sequences: report.sequences.len(),
+        total_sequences: report.suspected_diff.sequences.len(),
         ..QualityMetrics::default()
     };
 
     let mut covered = vec![false; ground_truth.markers.len()];
-    for verdict in &report.sequences {
-        if !verdict.regression_related {
-            continue;
-        }
+    for sequence in report.regression_sequences() {
         metrics.reported_sequences += 1;
         let mut touches_truth = false;
-        let rendered: Vec<String> = verdict
-            .sequence
-            .left
-            .iter()
+        let rendered: Vec<String> = (sequence.left.iter())
             .filter_map(|i| old_regressing.entries.get(*i))
-            .chain(
-                verdict
-                    .sequence
-                    .right
-                    .iter()
-                    .filter_map(|i| new_regressing.entries.get(*i)),
-            )
+            .chain((sequence.right.iter()).filter_map(|i| new_regressing.entries.get(*i)))
             .map(|e| e.render())
             .collect();
         for text in &rendered {

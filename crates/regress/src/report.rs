@@ -69,7 +69,7 @@ pub fn render_report_with(
     ));
     out.push_str(&format!(
         "  difference sequences: {} total, {} regression-related\n",
-        report.sequences.len(),
+        report.suspected_diff.sequences.len(),
         report.num_regression_sequences()
     ));
     out.push_str(&format!(
@@ -80,8 +80,9 @@ pub fn render_report_with(
     ));
 
     let mut shown = 0usize;
-    for (i, verdict) in report.sequences.iter().enumerate() {
-        if !verdict.regression_related {
+    let classified = report.suspected_diff.sequences.iter().zip(&report.verdicts);
+    for (i, (sequence, &related)) in classified.enumerate() {
+        if !related {
             continue;
         }
         if shown >= options.max_regression_sequences {
@@ -92,10 +93,10 @@ pub fn render_report_with(
         out.push_str(&format!(
             "  candidate sequence #{} ({} entries)\n",
             i + 1,
-            verdict.sequence.len()
+            sequence.len()
         ));
         let mut printed = 0usize;
-        for idx in &verdict.sequence.left {
+        for idx in &sequence.left {
             if printed >= options.max_entries_per_sequence {
                 break;
             }
@@ -104,7 +105,7 @@ pub fn render_report_with(
                 printed += 1;
             }
         }
-        for idx in &verdict.sequence.right {
+        for idx in &sequence.right {
             if printed >= options.max_entries_per_sequence {
                 break;
             }
@@ -116,11 +117,7 @@ pub fn render_report_with(
     }
 
     if options.list_unrelated_sequences {
-        let unrelated = report
-            .sequences
-            .iter()
-            .filter(|v| !v.regression_related)
-            .count();
+        let unrelated = report.suspected_diff.sequences.len() - report.num_regression_sequences();
         out.push_str(&format!(
             "\n  {unrelated} difference sequences judged unrelated to the regression\n"
         ));

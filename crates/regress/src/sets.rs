@@ -21,17 +21,19 @@
 //! merges two signatures, and colliding hashes — even crafted ones — cost logarithmic
 //! steps, not a scan.
 //!
-//! **Canonical order.** A [`DiffSet`] — the form a report returns and the wire carries
-//! — is a sorted, deduplicated vector in the canonical order of [`DiffSignature`]'s
-//! `Ord`: kind, then name, operands (class, fingerprint), method and active-object class
-//! compared by their strings, so the order does not depend on the process that interned
-//! them.
+//! This is the only set algebra. A [`DiffSet`] — the form a report returns and the
+//! wire carries — is read-only: the analysis builds each of its four sets once, by
+//! materializing a hashed set, and no caller subtracts, intersects or inserts into
+//! one.
+//!
+//! **Canonical order.** A [`DiffSet`] is a sorted, deduplicated vector in the canonical
+//! order of [`DiffSignature`]'s `Ord`: kind, then name, operands (class, fingerprint),
+//! method and active-object class compared by their strings, so the order does not
+//! depend on the process that interned them.
 
 use std::cmp::Ordering;
 
-use rprism_trace::{
-    intern, EntryBatch, EventKind, KeyedTrace, OperandId, Symbol, Trace, TraceEntry,
-};
+use rprism_trace::{EventKind, KeyedTrace, OperandId, Symbol};
 
 use rprism_diff::{DiffSide, TraceDiffResult};
 
@@ -56,28 +58,9 @@ pub struct DiffSignature {
 }
 
 impl DiffSignature {
-    /// Builds the signature of a trace entry (non-keyed path: interns on the fly).
-    pub fn of(entry: &TraceEntry) -> Self {
-        let mut keyed = KeyedTrace::default();
-        EntryBatch::visit(std::slice::from_ref(entry), |entry| keyed.push(entry));
-        Self::of_keyed(&keyed, 0, entry)
-    }
-
-    /// Builds the signature of entry `index` from its precomputed key: no
-    /// re-canonicalization, just copies of interned ids.
-    pub fn of_keyed(keyed: &KeyedTrace, index: usize, entry: &TraceEntry) -> Self {
-        Self::from_key_context(
-            keyed,
-            index,
-            intern(entry.method.as_str()),
-            intern(&entry.active.class),
-        )
-    }
-
-    /// Builds the signature of entry `index` from its precomputed key plus already
-    /// interned context symbols — the form lean (streamed) traces provide, where the
-    /// full entry no longer exists. Equal to [`DiffSignature::of_keyed`] whenever the
-    /// symbols intern the entry's method name and active-object class.
+    /// Builds the signature of entry `index` from its precomputed key plus the
+    /// interned symbols of the entry's method name and active-object class — the
+    /// context a [`LeanTrace`](rprism_trace::LeanTrace) entry carries.
     pub fn from_key_context(
         keyed: &KeyedTrace,
         index: usize,
@@ -183,43 +166,14 @@ impl PartialOrd for DiffSignature {
 }
 
 /// A set of semantic differences (one of the paper's sets A, B, C or D): distinct
-/// signatures in canonical order.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// signatures in canonical order. Read-only: an analysis builds it once, when it
+/// materializes the set it reports.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DiffSet {
     signatures: Vec<DiffSignature>,
 }
 
 impl DiffSet {
-    /// An empty set.
-    pub fn new() -> Self {
-        DiffSet::default()
-    }
-
-    /// Builds the difference set of a trace comparison: the signatures of every unmatched
-    /// entry on either side.
-    pub fn from_diff(result: &TraceDiffResult, left: &Trace, right: &Trace) -> Self {
-        let matching = &result.matching;
-        let signatures = |trace: &Trace, unmatched: Vec<usize>| {
-            let keyed = KeyedTrace::build(trace);
-            (unmatched.into_iter())
-                .filter_map(|idx| {
-                    let entry = trace.entries.get(idx)?;
-                    Some(DiffSignature::of_keyed(&keyed, idx, entry))
-                })
-                .collect::<Vec<_>>()
-        };
-        (signatures(left, matching.unmatched_left()).into_iter())
-            .chain(signatures(right, matching.unmatched_right()))
-            .collect()
-    }
-
-    /// Inserts a signature.
-    pub fn insert(&mut self, signature: DiffSignature) {
-        if let Err(at) = self.signatures.binary_search(&signature) {
-            self.signatures.insert(at, signature);
-        }
-    }
-
     /// Number of distinct differences.
     pub fn len(&self) -> usize {
         self.signatures.len()
@@ -228,23 +182,6 @@ impl DiffSet {
     /// Returns `true` when the set is empty.
     pub fn is_empty(&self) -> bool {
         self.signatures.is_empty()
-    }
-
-    /// Membership test.
-    pub fn contains(&self, signature: &DiffSignature) -> bool {
-        self.signatures.binary_search(signature).is_ok()
-    }
-
-    /// Set difference `self − other`.
-    pub fn subtract(&self, other: &DiffSet) -> DiffSet {
-        let signatures = merge(&self.signatures, &other.signatures, false, Ord::cmp);
-        DiffSet { signatures }
-    }
-
-    /// Set intersection `self ∩ other`.
-    pub fn intersect(&self, other: &DiffSet) -> DiffSet {
-        let signatures = merge(&self.signatures, &other.signatures, true, Ord::cmp);
-        DiffSet { signatures }
     }
 
     /// Iterates over the signatures in canonical order.
@@ -256,36 +193,6 @@ impl DiffSet {
     pub fn as_slice(&self) -> &[DiffSignature] {
         &self.signatures
     }
-}
-
-impl FromIterator<DiffSignature> for DiffSet {
-    fn from_iter<T: IntoIterator<Item = DiffSignature>>(iter: T) -> Self {
-        let mut signatures: Vec<DiffSignature> = iter.into_iter().collect();
-        signatures.sort_unstable();
-        signatures.dedup();
-        DiffSet { signatures }
-    }
-}
-
-impl Extend<DiffSignature> for DiffSet {
-    fn extend<T: IntoIterator<Item = DiffSignature>>(&mut self, iter: T) {
-        self.signatures.extend(iter);
-        self.signatures.sort_unstable();
-        self.signatures.dedup();
-    }
-}
-
-/// The elements of `a` that are in `b` (`common`) or not in it: one merge of two
-/// vectors sorted and deduplicated by `cmp`.
-fn merge<T: Clone>(a: &[T], b: &[T], common: bool, cmp: impl Fn(&T, &T) -> Ordering) -> Vec<T> {
-    let mut theirs = b.iter().peekable();
-    (a.iter())
-        .filter(|item| {
-            while theirs.next_if(|other| cmp(other, item).is_lt()).is_some() {}
-            theirs.peek().is_some_and(|other| cmp(other, item).is_eq()) == common
-        })
-        .cloned()
-        .collect()
 }
 
 #[cfg(test)]
@@ -384,13 +291,31 @@ impl<'s, 'a> SignatureSource<'s, 'a> {
 
     /// `a − b`.
     pub(crate) fn subtract(&self, a: &HashedSet, b: &HashedSet) -> HashedSet {
-        let items = merge(&a.items, &b.items, false, |x, y| self.cmp(x, y));
-        HashedSet { items }
+        self.merge(a, b, false)
     }
 
     /// `a ∩ b`.
     pub(crate) fn intersect(&self, a: &HashedSet, b: &HashedSet) -> HashedSet {
-        let items = merge(&a.items, &b.items, true, |x, y| self.cmp(x, y));
+        self.merge(a, b, true)
+    }
+
+    /// The items of `a` that are in `b` (`common`) or not in it: one merge of two
+    /// sets in [`cmp`](Self::cmp) order, which keeps `a`'s order.
+    fn merge(&self, a: &HashedSet, b: &HashedSet, common: bool) -> HashedSet {
+        let mut theirs = b.items.iter().peekable();
+        let items = (a.items.iter())
+            .filter(|item| {
+                while theirs
+                    .next_if(|other| self.cmp(other, item).is_lt())
+                    .is_some()
+                {}
+                theirs
+                    .peek()
+                    .is_some_and(|other| self.cmp(other, item).is_eq())
+                    == common
+            })
+            .copied()
+            .collect();
         HashedSet { items }
     }
 
@@ -474,8 +399,12 @@ impl<'s, 'a> SignatureSource<'s, 'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rprism_diff::{CostStats, Matching};
     use rprism_lang::{FieldName, MethodName};
-    use rprism_trace::{CreationSeq, EntryId, Event, Loc, ObjRep, ThreadId};
+    use rprism_trace::{
+        intern, CreationSeq, EntryId, Event, LeanTrace, Loc, ObjRep, ThreadId, Trace, TraceEntry,
+    };
+    use rprism_views::ViewWeb;
 
     fn entry(method: &str, field: &str, value: i64) -> TraceEntry {
         TraceEntry::new(
@@ -491,36 +420,77 @@ mod tests {
         )
     }
 
-    #[test]
-    fn signatures_identify_semantic_content_and_context() {
-        assert_eq!(
-            DiffSignature::of(&entry("config", "_min", 32)),
-            DiffSignature::of(&entry("config", "_min", 32))
-        );
-        assert_ne!(
-            DiffSignature::of(&entry("config", "_min", 32)),
-            DiffSignature::of(&entry("config", "_min", 1))
-        );
-        assert_ne!(
-            DiffSignature::of(&entry("config", "_min", 32)),
-            DiffSignature::of(&entry("other", "_min", 32))
-        );
+    fn trace_of(entries: &[TraceEntry]) -> Trace {
+        let mut trace = Trace::named("sig");
+        for entry in entries {
+            trace.push(entry.clone());
+        }
+        trace
+    }
+
+    /// The signature of every entry, built from its key.
+    fn signatures(entries: &[TraceEntry]) -> Vec<DiffSignature> {
+        let trace = trace_of(entries);
+        let keyed = KeyedTrace::build(&trace);
+        (trace.iter().enumerate())
+            .map(|(i, e)| {
+                DiffSignature::from_key_context(
+                    &keyed,
+                    i,
+                    intern(e.method.as_str()),
+                    intern(&e.active.class),
+                )
+            })
+            .collect()
+    }
+
+    /// Runs `test` over a [`SignatureSource`] with one side per element of `traces`.
+    fn with_source<R>(traces: &[Vec<TraceEntry>], test: impl FnOnce(&SignatureSource) -> R) -> R {
+        let artifacts: Vec<_> = (traces.iter().map(|entries| trace_of(entries)))
+            .map(|t| {
+                (
+                    LeanTrace::build(&t),
+                    KeyedTrace::build(&t),
+                    ViewWeb::build(&t),
+                )
+            })
+            .collect();
+        let sides: Vec<DiffSide<'_>> = (artifacts.iter())
+            .map(|(lean, keyed, web)| DiffSide::lean(lean, keyed, web))
+            .collect();
+        test(&SignatureSource::new(&sides))
+    }
+
+    /// The hashed set of every entry of side `side`: the difference set of a
+    /// comparison that matched none of them.
+    fn whole(source: &SignatureSource<'_, '_>, side: usize) -> HashedSet {
+        let len = source.sides[side].entries().len();
+        let nothing_matched = TraceDiffResult {
+            matching: Matching::from_pairs(len, 0, Vec::new()),
+            sequences: Vec::new(),
+            cost: CostStats::default(),
+            elapsed: std::time::Duration::ZERO,
+            algorithm: "none",
+        };
+        source.unmatched(&nothing_matched, side, side)
     }
 
     #[test]
-    fn keyed_and_unkeyed_signatures_agree() {
-        let mut trace = Trace::named("sig");
-        trace.push(entry("config", "_min", 32));
-        trace.push(entry("emit", "_max", 7));
-        let keyed = KeyedTrace::build(&trace);
-        for (i, e) in trace.iter().enumerate() {
-            assert_eq!(DiffSignature::of(e), DiffSignature::of_keyed(&keyed, i, e));
-        }
+    fn signatures_identify_semantic_content_and_context() {
+        let s = signatures(&[
+            entry("config", "_min", 32),
+            entry("config", "_min", 32),
+            entry("config", "_min", 1),
+            entry("other", "_min", 32),
+        ]);
+        assert_eq!(s[0], s[1]);
+        assert_ne!(s[0], s[2]);
+        assert_ne!(s[0], s[3]);
     }
 
     #[test]
     fn signature_names_resolve() {
-        let sig = DiffSignature::of(&entry("config", "_min", 32));
+        let sig = &signatures(&[entry("config", "_min", 32)])[0];
         assert_eq!(sig.name_str(), Some("_min"));
         assert_eq!(sig.method.as_str(), "config");
         assert_eq!(sig.active_class.as_str(), "SP");
@@ -528,50 +498,46 @@ mod tests {
 
     #[test]
     fn set_algebra_behaves_like_sets() {
-        let a: DiffSet = [
-            DiffSignature::of(&entry("m", "x", 1)),
-            DiffSignature::of(&entry("m", "x", 2)),
-            DiffSignature::of(&entry("m", "x", 3)),
-        ]
-        .into_iter()
-        .collect();
-        let b: DiffSet = [
-            DiffSignature::of(&entry("m", "x", 2)),
-            DiffSignature::of(&entry("m", "x", 9)),
-        ]
-        .into_iter()
-        .collect();
+        let x = |v| entry("m", "x", v);
+        with_source(
+            &[vec![x(1), x(2), x(3)], vec![x(2), x(9)], vec![]],
+            |source| {
+                let (a, b) = (whole(source, 0), whole(source, 1));
 
-        let a_minus_b = a.subtract(&b);
-        assert_eq!(a_minus_b.len(), 2);
-        assert!(!a_minus_b.contains(&DiffSignature::of(&entry("m", "x", 2))));
+                let a_minus_b = source.subtract(&a, &b);
+                assert_eq!(a_minus_b.items.len(), 2);
+                assert!(!source.contains(&a_minus_b, 0, 1), "x = 2 is in B");
+                assert!(source.contains(&a_minus_b, 0, 0) && source.contains(&a_minus_b, 0, 2));
 
-        let inter = a.intersect(&b);
-        assert_eq!(inter.len(), 1);
-        assert!(inter.contains(&DiffSignature::of(&entry("m", "x", 2))));
+                let inter = source.intersect(&a, &b);
+                assert_eq!(inter.items.len(), 1);
+                assert!(source.contains(&inter, 0, 1) && source.contains(&inter, 1, 0));
+                assert_eq!(source.materialize(&inter).as_slice(), &signatures(&[x(2)]));
 
-        assert!(DiffSet::new().is_empty());
+                assert!(source.materialize(&whole(source, 2)).is_empty());
+            },
+        );
     }
 
     #[test]
     fn signatures_order_by_name_strings_not_symbol_ids() {
         // The later string is interned first, so it holds the smaller symbol id.
-        let late = DiffSignature::of(&entry("m", "order-zz", 1));
-        let early = DiffSignature::of(&entry("m", "order-aa", 1));
-        assert!(late.name < early.name);
-        assert!(early < late);
-        let set: DiffSet = [late.clone(), early.clone(), late.clone()]
-            .into_iter()
-            .collect();
-        assert_eq!(set.as_slice(), [early.clone(), late.clone()]);
-        assert!(set.contains(&early) && set.contains(&late));
+        let (late, early) = (entry("m", "order-zz", 1), entry("m", "order-aa", 1));
+        let s = signatures(&[late.clone(), early.clone()]);
+        assert!(s[0].name < s[1].name);
+        assert!(s[1] < s[0]);
+        let set = with_source(&[vec![late.clone(), early, late]], |source| {
+            source.materialize(&whole(source, 0))
+        });
+        assert_eq!(set.as_slice(), [s[1].clone(), s[0].clone()]);
     }
 
     #[test]
     fn duplicate_signatures_collapse() {
-        let mut s = DiffSet::new();
-        s.insert(DiffSignature::of(&entry("m", "x", 1)));
-        s.insert(DiffSignature::of(&entry("m", "x", 1)));
-        assert_eq!(s.len(), 1);
+        let x = entry("m", "x", 1);
+        let set = with_source(&[vec![x.clone(), x]], |source| {
+            source.materialize(&whole(source, 0))
+        });
+        assert_eq!(set.len(), 1);
     }
 }

@@ -125,12 +125,7 @@ fn assert_matches_reference(
     ] {
         assert_same_set(&format!("{context}: set {name}"), got, want);
     }
-    let got: Vec<bool> = report
-        .sequences
-        .iter()
-        .map(|v| v.regression_related)
-        .collect();
-    assert_eq!(got, verdicts, "{context}: verdicts");
+    assert_eq!(report.verdicts, verdicts, "{context}: verdicts");
     report
 }
 

@@ -55,7 +55,7 @@ mod server;
 pub use client::{Client, PutOutcome, RetryPolicy};
 pub use fs::{FaultyFs, RepoFs, StdFs};
 pub use proto::{WireAlgorithm, WireWatchEvent};
-pub use repo::{RepoOptions, RepoStats, TraceRepo, DEFAULT_CACHE_BUDGET};
+pub use repo::{RepoOptions, TraceRepo, DEFAULT_CACHE_BUDGET};
 pub use server::{Conn, Server, ServerConfig};
 
 /// Errors of the server stack: transport, protocol, storage and analysis failures.

@@ -22,6 +22,13 @@
 //! same traces would produce. Only clients decode responses, so the daemon never
 //! interns a response string. The `remote_equivalence` integration suite pins exactly
 //! that.
+//!
+//! A result type that exists locally is also its wire type: [`WireDiff`] and
+//! [`WireReport`] hold [`DiffSequence`]s and [`DiffSignature`]s themselves, and
+//! [`WireStats`] is what the repository's `stats` returns. Sequence indices encode as
+//! varints; decoding one that does not fit `usize` is an error, and every list is
+//! reserved no larger than the bytes left can hold. [`WireWatchEvent`] is the one
+//! mirror type left, a `u64`-indexed copy of [`ProvisionalEvent`].
 
 use rprism::check::{rules, Diagnostic};
 use rprism::{
@@ -306,8 +313,8 @@ pub struct WireDiff {
     pub right_len: u64,
     /// The normalized similarity pairs of the matching (ascending left index).
     pub pairs: Vec<(u64, u64)>,
-    /// The difference sequences.
-    pub sequences: Vec<WireSequence>,
+    /// The difference sequences, exactly as the local result holds them.
+    pub sequences: Vec<DiffSequence>,
     /// Deterministic compare-operation count of the run.
     pub compare_ops: u64,
     /// Number of differing entries.
@@ -329,23 +336,11 @@ impl WireDiff {
                 .iter()
                 .map(|&(l, r)| (l as u64, r as u64))
                 .collect(),
-            sequences: result
-                .sequences
-                .iter()
-                .map(WireSequence::from_sequence)
-                .collect(),
+            sequences: result.sequences.clone(),
             compare_ops: result.cost.compare_ops,
             num_differences: result.num_differences() as u64,
             rendered,
         }
-    }
-
-    /// The sequences as local [`DiffSequence`] values (for equivalence checks).
-    pub fn sequences_local(&self) -> Vec<DiffSequence> {
-        self.sequences
-            .iter()
-            .map(WireSequence::to_sequence)
-            .collect()
     }
 
     /// The matching pairs as `usize` tuples, as
@@ -360,31 +355,6 @@ impl WireDiff {
     /// Number of difference sequences.
     pub fn num_sequences(&self) -> usize {
         self.sequences.len()
-    }
-}
-
-/// A [`DiffSequence`] in wire form.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WireSequence {
-    /// Unmatched left-trace indices, ascending.
-    pub left: Vec<u64>,
-    /// Unmatched right-trace indices, ascending.
-    pub right: Vec<u64>,
-}
-
-impl WireSequence {
-    fn from_sequence(sequence: &DiffSequence) -> Self {
-        WireSequence {
-            left: sequence.left.iter().map(|&i| i as u64).collect(),
-            right: sequence.right.iter().map(|&i| i as u64).collect(),
-        }
-    }
-
-    fn to_sequence(&self) -> DiffSequence {
-        DiffSequence {
-            left: self.left.iter().map(|&i| i as usize).collect(),
-            right: self.right.iter().map(|&i| i as usize).collect(),
-        }
     }
 }
 
@@ -468,7 +438,7 @@ pub struct WireReport {
     /// The candidate causes D, in canonical order.
     pub candidates: Vec<DiffSignature>,
     /// Every suspected-comparison difference sequence with its regression verdict.
-    pub sequences: Vec<(WireSequence, bool)>,
+    pub sequences: Vec<(DiffSequence, bool)>,
     /// Total compare operations across the three differencing runs.
     pub compare_ops: u64,
     /// The server-rendered textual report.
@@ -485,15 +455,8 @@ impl WireReport {
             expected: report.expected.as_slice().to_vec(),
             regression: report.regression.as_slice().to_vec(),
             candidates: report.candidates.as_slice().to_vec(),
-            sequences: report
-                .sequences
-                .iter()
-                .map(|v| {
-                    (
-                        WireSequence::from_sequence(&v.sequence),
-                        v.regression_related,
-                    )
-                })
+            sequences: (report.suspected_diff.sequences.iter().cloned())
+                .zip(report.verdicts.iter().copied())
                 .collect(),
             compare_ops: report.compare_ops,
             rendered,
@@ -506,7 +469,10 @@ impl WireReport {
     }
 }
 
-/// A repository/cache statistics snapshot in wire form.
+/// A repository/cache statistics snapshot: what [`TraceRepo::stats`] returns, with
+/// `requests_served` set by the server.
+///
+/// [`TraceRepo::stats`]: crate::TraceRepo::stats
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WireStats {
     /// Number of stored blobs.
@@ -636,7 +602,7 @@ impl<'a> Dec<'a> {
 
     fn u64s(&mut self) -> FormatResult<Vec<u64>> {
         let count = self.u64()?;
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.capacity(count, 1));
         for _ in 0..count {
             out.push(self.u64()?);
         }
@@ -646,6 +612,14 @@ impl<'a> Dec<'a> {
     /// The number of undecoded bytes.
     fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
+    }
+
+    /// The capacity to reserve for `count` items that take at least `min_bytes`
+    /// each: the count, bounded by what the undecoded bytes can hold, so a forged
+    /// count cannot reserve more than the message carries.
+    fn capacity(&self, count: u64, min_bytes: usize) -> usize {
+        let bound = self.remaining() / min_bytes;
+        usize::try_from(count).map_or(bound, |n| n.min(bound))
     }
 
     /// `true` while undecoded bytes remain — the gate for trailing-optional fields
@@ -877,21 +851,33 @@ fn get_watch_events(dec: &mut Dec<'_>) -> FormatResult<Vec<WireWatchEvent>> {
     Ok(out)
 }
 
-fn put_sequence(buf: &mut Vec<u8>, sequence: &WireSequence) {
-    put_u64(buf, sequence.left.len() as u64);
-    for &i in &sequence.left {
-        put_u64(buf, i);
-    }
-    put_u64(buf, sequence.right.len() as u64);
-    for &i in &sequence.right {
-        put_u64(buf, i);
+fn put_indices(buf: &mut Vec<u8>, indices: &[usize]) {
+    put_u64(buf, indices.len() as u64);
+    for &i in indices {
+        put_u64(buf, i as u64);
     }
 }
 
-fn get_sequence(dec: &mut Dec<'_>) -> FormatResult<WireSequence> {
-    Ok(WireSequence {
-        left: dec.u64s()?,
-        right: dec.u64s()?,
+/// A count-prefixed list of entry indices; an index that does not fit `usize` is a
+/// decode error.
+fn get_indices(dec: &mut Dec<'_>) -> FormatResult<Vec<usize>> {
+    let count = dec.u64()?;
+    let mut out = Vec::with_capacity(dec.capacity(count, 1));
+    for _ in 0..count {
+        out.push(get_usize(dec)?);
+    }
+    Ok(out)
+}
+
+fn put_sequence(buf: &mut Vec<u8>, sequence: &DiffSequence) {
+    put_indices(buf, &sequence.left);
+    put_indices(buf, &sequence.right);
+}
+
+fn get_sequence(dec: &mut Dec<'_>) -> FormatResult<DiffSequence> {
+    Ok(DiffSequence {
+        left: get_indices(dec)?,
+        right: get_indices(dec)?,
     })
 }
 
@@ -918,14 +904,15 @@ fn get_diff(dec: &mut Dec<'_>) -> FormatResult<WireDiff> {
     let left_len = dec.u64()?;
     let right_len = dec.u64()?;
     let pair_count = dec.u64()?;
-    let mut pairs = Vec::new();
+    let mut pairs = Vec::with_capacity(dec.capacity(pair_count, 2));
     for _ in 0..pair_count {
         let l = dec.u64()?;
         let r = dec.u64()?;
         pairs.push((l, r));
     }
     let sequence_count = dec.u64()?;
-    let mut sequences = Vec::new();
+    // Each sequence takes at least its two counts.
+    let mut sequences = Vec::with_capacity(dec.capacity(sequence_count, 2));
     for _ in 0..sequence_count {
         sequences.push(get_sequence(dec)?);
     }
@@ -968,10 +955,8 @@ fn get_signature(dec: &mut Dec<'_>) -> FormatResult<DiffSignature> {
         None
     };
     let operand_count = dec.u64()?;
-    // Each operand takes at least two bytes, which bounds an honest count.
-    let bound = dec.remaining() / 2;
-    let mut operands =
-        Vec::with_capacity(usize::try_from(operand_count).map_or(bound, |n| n.min(bound)));
+    // Each operand takes at least two bytes: a class length and a fingerprint.
+    let mut operands = Vec::with_capacity(dec.capacity(operand_count, 2));
     for _ in 0..operand_count {
         let class = dec.symbol()?;
         let fp = dec.u64()?;
@@ -995,7 +980,9 @@ fn put_signatures(buf: &mut Vec<u8>, signatures: &[DiffSignature]) {
 
 fn get_signatures(dec: &mut Dec<'_>) -> FormatResult<Vec<DiffSignature>> {
     let count = dec.u64()?;
-    let mut out = Vec::new();
+    // Each signature takes at least five bytes: kind, name flag, operand count,
+    // method and class lengths.
+    let mut out = Vec::with_capacity(dec.capacity(count, 5));
     for _ in 0..count {
         out.push(get_signature(dec)?);
     }
@@ -1349,7 +1336,8 @@ impl Response {
                 let regression = get_signatures(&mut dec)?;
                 let candidates = get_signatures(&mut dec)?;
                 let sequence_count = dec.u64()?;
-                let mut sequences = Vec::new();
+                // Each sequence takes at least its two counts and its verdict byte.
+                let mut sequences = Vec::with_capacity(dec.capacity(sequence_count, 3));
                 for _ in 0..sequence_count {
                     let sequence = get_sequence(&mut dec)?;
                     let related = dec.bool()?;
@@ -1427,7 +1415,6 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rprism_regress::DiffSet;
 
     fn round_trip_request(request: Request) {
         let decoded = Request::decode(&request.encode()).unwrap();
@@ -1589,7 +1576,7 @@ mod tests {
             left_len: 10,
             right_len: 11,
             pairs: vec![(0, 0), (2, 3)],
-            sequences: vec![WireSequence {
+            sequences: vec![DiffSequence {
                 left: vec![1],
                 right: vec![1, 2],
             }],
@@ -1615,7 +1602,7 @@ mod tests {
             regression: vec![],
             candidates: vec![],
             sequences: vec![(
-                WireSequence {
+                DiffSequence {
                     left: vec![],
                     right: vec![4],
                 },
@@ -1731,6 +1718,16 @@ mod tests {
         .encode();
         put.truncate(10);
         assert!(Request::decode(&put).is_err());
+        // Forged pair, sequence and index counts are refused without reserving for
+        // them.
+        for counts in [[u64::MAX, 0, 0], [0, u64::MAX, 0], [0, 1, u64::MAX]] {
+            let mut diff = vec![PROTO_VERSION, TAG_DIFF_OK];
+            put_str(&mut diff, "views");
+            for value in [9, 9].into_iter().chain(counts) {
+                put_u64(&mut diff, value);
+            }
+            assert!(Response::decode(&diff).is_err());
+        }
         // A request is not a response and vice versa.
         assert!(Response::decode(&Request::List.encode()).is_err());
         assert!(Request::decode(&Response::ShutdownOk.encode()).is_err());
@@ -2007,26 +2004,25 @@ mod tests {
             report.suspected.len() > 1,
             "the scenario must differ in several entries"
         );
-        // The same sets, each refilled in one insertion order and in its reverse.
+        // The same sets, each refilled in one insertion order and in its reverse and
+        // put in canonical order.
         let refilled = |reverse: bool| {
-            let refill = |set: &DiffSet| {
-                let mut signatures: Vec<DiffSignature> = set.iter().cloned().collect();
+            let mut wire = WireReport::from_report(&report, String::new());
+            for set in [
+                &mut wire.suspected,
+                &mut wire.expected,
+                &mut wire.regression,
+                &mut wire.candidates,
+            ] {
                 if reverse {
-                    signatures.reverse();
+                    set.reverse();
                 }
-                let mut out = DiffSet::new();
-                for signature in signatures {
-                    out.insert(signature);
-                }
-                out
-            };
-            let mut copy = report.clone();
-            copy.suspected = refill(&report.suspected);
-            copy.expected = refill(&report.expected);
-            copy.regression = refill(&report.regression);
-            copy.candidates = refill(&report.candidates);
-            Response::AnalyzeOk(WireReport::from_report(&copy, String::new())).encode()
+                set.sort();
+            }
+            Response::AnalyzeOk(wire).encode()
         };
+        let as_reported = Response::AnalyzeOk(WireReport::from_report(&report, String::new()));
+        assert_eq!(refilled(false), as_reported.encode());
         assert_eq!(refilled(false), refilled(true));
     }
 
@@ -2047,8 +2043,9 @@ mod tests {
                 "new",
             )
             .unwrap();
-        let diff = engine.diff(&old, &new).unwrap();
-        let set = DiffSet::from_diff(&diff, old.trace(), new.trace());
+        // The suspected set A of old vs new: every unmatched entry's signature.
+        let input = rprism::RegressionInput::new(old.clone(), new.clone(), old, new);
+        let set = engine.analyze(&input).unwrap().suspected;
         assert!(!set.is_empty());
         let mut frame = Vec::new();
         put_signatures(&mut frame, set.as_slice());

@@ -14,7 +14,7 @@
 //! rename is the commit point, so a crash at any instant leaves either no trace of
 //! the put or a fully durable blob, never a half-written file under a valid blob
 //! name. Startup recovery finishes what crashes started: orphaned `.tmp` staging
-//! files are swept (and counted in [`RepoStats::orphans_removed`]), and any blob
+//! files are swept (and counted in [`WireStats::orphans_removed`]), and any blob
 //! that fails content verification — at startup *or* later when read back — is
 //! moved into `quarantine/` rather than taking the repository down; requests for a
 //! quarantined hash answer with [`ServerError::CorruptTrace`], and re-uploading the
@@ -34,10 +34,12 @@
 //! One deliberate slack: evicting a handle does not purge the engine's pair-level
 //! correlation cache, so correlations of evicted handles linger until LRU churn
 //! pushes them out. That lingering set is hard-bounded by the engine's correlation
-//! capacity (128 pairs by default, tunable via
-//! [`EngineBuilder::correlation_cache_capacity`](rprism::EngineBuilder::correlation_cache_capacity)),
-//! so it adds a bounded constant on top of the byte budget rather than growing with
-//! repository churn.
+//! capacity (128 pairs), so it adds a bounded constant on top of the byte budget
+//! rather than growing with repository churn.
+//!
+//! [`TraceRepo::stats`] answers in the wire's own [`WireStats`]: the server sends
+//! the snapshot as it is, after setting the one figure only it knows,
+//! `requests_served`.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::{Path, PathBuf};
@@ -49,7 +51,7 @@ use rprism_format::content_summary;
 use rprism_obs::{Counter, Gauge, Obs};
 
 use crate::fs::{RepoFs, StdFs};
-use crate::proto::RepoEntry;
+use crate::proto::{RepoEntry, WireStats};
 use crate::{Result, ServerError};
 
 /// Default prepared-cache byte budget (256 MiB of blob-weight).
@@ -114,7 +116,7 @@ struct PreparedCache {
     in_flight: std::collections::HashSet<u64>,
     /// Hit/miss/eviction counters, registered in the repository's observability
     /// domain (`cache.hits` / `cache.misses` / `cache.evictions`): the registry is
-    /// the single source of truth, and [`RepoStats`] reads these same cells.
+    /// the single source of truth, and [`TraceRepo::stats`] reads these same cells.
     hits: Counter,
     misses: Counter,
     evictions: Counter,
@@ -127,37 +129,6 @@ impl PreparedCache {
         }
         self.order.push_back(hash);
     }
-}
-
-/// A point-in-time statistics snapshot of the repository.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RepoStats {
-    /// Number of stored blobs.
-    pub blobs: u64,
-    /// Total on-disk blob bytes.
-    pub blob_bytes: u64,
-    /// Prepared handles currently cached.
-    pub prepared_cached: u64,
-    /// Current cache weight against the byte budget.
-    pub prepared_cached_bytes: u64,
-    /// The configured byte budget.
-    pub cache_budget_bytes: u64,
-    /// Cache hits since startup.
-    pub prepared_hits: u64,
-    /// Cache misses (streaming loads) since startup.
-    pub prepared_misses: u64,
-    /// Handles evicted by the budget since startup.
-    pub evictions: u64,
-    /// Uploads deduplicated against existing content since startup.
-    pub dedup_hits: u64,
-    /// Orphaned `.tmp` staging files swept by startup recovery.
-    pub orphans_removed: u64,
-    /// Blobs moved to `quarantine/` after failing content verification (at
-    /// startup or when read back).
-    pub quarantined: u64,
-    /// Watermark-triggered cache shrinks ([`TraceRepo::shrink_cache`]) since
-    /// startup.
-    pub cache_shrinks: u64,
 }
 
 /// The content-addressed trace store shared by every server worker.
@@ -195,30 +166,17 @@ pub struct TraceRepo {
 }
 
 impl TraceRepo {
-    /// Opens a repository over an **existing, writable** directory with default
-    /// options (durable puts, [`StdFs`]), scanning — and content-verifying — the
-    /// blobs already in it. The engine is the analysis session every request
-    /// shares; its prepared-pair correlation cache is what makes repeated remote
-    /// diffs cheap.
+    /// Opens a repository over an **existing, writable** directory, scanning — and
+    /// content-verifying — the blobs already in it. The engine is the analysis
+    /// session every request shares; its prepared-pair correlation cache is what
+    /// makes repeated remote diffs cheap. [`RepoOptions`] sets the cache budget,
+    /// the durability toggle and a pluggable [`RepoFs`] for fault injection.
     ///
     /// # Errors
     ///
     /// Returns [`ServerError::Repo`] when the directory is missing, not a
     /// directory, or not writable. Corrupt or misnamed blobs do **not** fail the
-    /// open — they are quarantined (see [`RepoOptions`] and the module docs).
-    pub fn open(dir: impl AsRef<Path>, engine: Engine, cache_budget: u64) -> Result<Self> {
-        Self::open_with(
-            dir,
-            engine,
-            RepoOptions {
-                cache_budget,
-                ..RepoOptions::default()
-            },
-        )
-    }
-
-    /// [`TraceRepo::open`] with explicit [`RepoOptions`] (durability toggle and a
-    /// pluggable [`RepoFs`] for fault injection).
+    /// open — they are quarantined (see the module docs).
     pub fn open_with(dir: impl AsRef<Path>, engine: Engine, options: RepoOptions) -> Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         let fs = options.fs;
@@ -610,11 +568,12 @@ impl TraceRepo {
     }
 
     /// A statistics snapshot. Counters come straight off the registry cells the
-    /// repository increments (one source of truth), and the point-in-time gauges
-    /// (`repo.blobs` / `repo.blob_bytes` / `cache.prepared` / `cache.weight_bytes`)
-    /// are refreshed here so a metrics scrape that snapshots after calling this
-    /// sees the same figures.
-    pub fn stats(&self) -> RepoStats {
+    /// repository increments (one source of truth), the correlation figures off the
+    /// engine, and the point-in-time gauges (`repo.blobs` / `repo.blob_bytes` /
+    /// `cache.prepared` / `cache.weight_bytes`) are refreshed here so a metrics
+    /// scrape that snapshots after calling this sees the same figures.
+    /// `requests_served` is left 0: the server counts requests and sets it.
+    pub fn stats(&self) -> WireStats {
         let (blobs, blob_bytes) = {
             let index = self.index.lock().expect("repo index poisoned");
             (
@@ -636,7 +595,7 @@ impl TraceRepo {
         self.blob_bytes_gauge.set(blob_bytes as i64);
         self.prepared_gauge.set(prepared_cached as i64);
         self.cache_weight_gauge.set(prepared_cached_bytes as i64);
-        RepoStats {
+        WireStats {
             blobs,
             blob_bytes,
             prepared_cached,
@@ -646,6 +605,9 @@ impl TraceRepo {
             prepared_misses: misses,
             evictions,
             dedup_hits: self.dedup_hits.get(),
+            requests_served: 0,
+            correlation_builds: self.engine.correlation_builds(),
+            cached_correlations: self.engine.cached_correlations() as u64,
             orphans_removed: self.orphans_removed.get(),
             quarantined: self.quarantined.get(),
             cache_shrinks: self.cache_shrinks.get(),
@@ -688,7 +650,7 @@ mod tests {
     #[test]
     fn put_deduplicates_across_encodings_and_survives_reopen() {
         let dir = temp_repo("dedup");
-        let repo = TraceRepo::open(&dir, Engine::new(), DEFAULT_CACHE_BUDGET).unwrap();
+        let repo = TraceRepo::open_with(&dir, Engine::new(), RepoOptions::default()).unwrap();
 
         let mut rng = Rng::new(0xabc);
         let trace = arbitrary_trace(&mut rng, 80);
@@ -715,7 +677,7 @@ mod tests {
 
         // Reopening rebuilds the index from the blobs themselves.
         drop(repo);
-        let reopened = TraceRepo::open(&dir, Engine::new(), DEFAULT_CACHE_BUDGET).unwrap();
+        let reopened = TraceRepo::open_with(&dir, Engine::new(), RepoOptions::default()).unwrap();
         assert_eq!(reopened.stats().blobs, 2);
         assert_eq!(reopened.get_bytes(hash).unwrap(), binary);
         assert!(matches!(
@@ -728,7 +690,7 @@ mod tests {
     #[test]
     fn corrupt_uploads_are_rejected_without_storing() {
         let dir = temp_repo("corrupt");
-        let repo = TraceRepo::open(&dir, Engine::new(), DEFAULT_CACHE_BUDGET).unwrap();
+        let repo = TraceRepo::open_with(&dir, Engine::new(), RepoOptions::default()).unwrap();
         let mut bytes = sample_bytes(7, 30, Encoding::Binary);
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff;
@@ -747,14 +709,14 @@ mod tests {
             std::process::id()
         ));
         assert!(matches!(
-            TraceRepo::open(&missing, Engine::new(), DEFAULT_CACHE_BUDGET),
+            TraceRepo::open_with(&missing, Engine::new(), RepoOptions::default()),
             Err(ServerError::Repo(_))
         ));
         // A path that exists but is a file, not a directory.
         let file = std::env::temp_dir().join(format!("rprism-repo-file-{}", std::process::id()));
         std::fs::write(&file, b"not a directory").unwrap();
         assert!(matches!(
-            TraceRepo::open(&file, Engine::new(), DEFAULT_CACHE_BUDGET),
+            TraceRepo::open_with(&file, Engine::new(), RepoOptions::default()),
             Err(ServerError::Repo(_))
         ));
         std::fs::remove_file(&file).ok();
@@ -767,7 +729,7 @@ mod tests {
         // undecodable, one valid but misnamed.
         let good = sample_bytes(0x51, 50, Encoding::Binary);
         let good_hash = {
-            let repo = TraceRepo::open(&dir, Engine::new(), DEFAULT_CACHE_BUDGET).unwrap();
+            let repo = TraceRepo::open_with(&dir, Engine::new(), RepoOptions::default()).unwrap();
             repo.put_bytes(&good).unwrap().0
         };
         std::fs::write(dir.join("deadbeefdeadbeef-3.tmp"), b"half a blob").unwrap();
@@ -775,7 +737,7 @@ mod tests {
         let misnamed = sample_bytes(0x52, 20, Encoding::Binary);
         std::fs::write(dir.join("00000000000000aa.trace"), &misnamed).unwrap();
 
-        let repo = TraceRepo::open(&dir, Engine::new(), DEFAULT_CACHE_BUDGET).unwrap();
+        let repo = TraceRepo::open_with(&dir, Engine::new(), RepoOptions::default()).unwrap();
         let stats = repo.stats();
         assert_eq!(stats.blobs, 1, "only the intact blob survives");
         assert_eq!(stats.orphans_removed, 1);
@@ -801,7 +763,7 @@ mod tests {
             sample_bytes(0x83, 50, Encoding::Binary),
         ];
         let (damaged, listed, blob_bytes) = {
-            let repo = TraceRepo::open(&dir, Engine::new(), DEFAULT_CACHE_BUDGET).unwrap();
+            let repo = TraceRepo::open_with(&dir, Engine::new(), RepoOptions::default()).unwrap();
             let hashes = uploads
                 .each_ref()
                 .map(|bytes| repo.put_bytes(bytes).unwrap().0);
@@ -815,7 +777,7 @@ mod tests {
         bytes[mid] ^= 0x01;
         std::fs::write(&blob, &bytes).unwrap();
 
-        let repo = TraceRepo::open(&dir, Engine::new(), DEFAULT_CACHE_BUDGET).unwrap();
+        let repo = TraceRepo::open_with(&dir, Engine::new(), RepoOptions::default()).unwrap();
         let survivors: Vec<RepoEntry> = listed.into_iter().filter(|e| e.hash != damaged).collect();
         assert_eq!(
             repo.list(),
@@ -834,7 +796,7 @@ mod tests {
     #[test]
     fn runtime_corruption_is_quarantined_and_healed_by_reupload() {
         let dir = temp_repo("heal");
-        let repo = TraceRepo::open(&dir, Engine::new(), DEFAULT_CACHE_BUDGET).unwrap();
+        let repo = TraceRepo::open_with(&dir, Engine::new(), RepoOptions::default()).unwrap();
         let bytes = sample_bytes(0x53, 40, Encoding::Binary);
         let (hash, _, _) = repo.put_bytes(&bytes).unwrap();
         // Scribble over the blob behind the repository's back.
@@ -862,7 +824,7 @@ mod tests {
     #[test]
     fn shrink_cache_degrades_to_restreaming_never_refuses() {
         let dir = temp_repo("shrink");
-        let repo = TraceRepo::open(&dir, Engine::new(), DEFAULT_CACHE_BUDGET).unwrap();
+        let repo = TraceRepo::open_with(&dir, Engine::new(), RepoOptions::default()).unwrap();
         let hashes: Vec<u64> = (0..2)
             .map(|i| {
                 repo.put_bytes(&sample_bytes(0x60 + i, 40, Encoding::Binary))
@@ -944,7 +906,7 @@ mod tests {
         }
         // The torn put cleans its own staging file; even if a crash had prevented
         // that, reopen sweeps anything left and the retry converges.
-        let repo = TraceRepo::open(&dir, Engine::new(), DEFAULT_CACHE_BUDGET).unwrap();
+        let repo = TraceRepo::open_with(&dir, Engine::new(), RepoOptions::default()).unwrap();
         let (hash, deduped, _) = repo.put_bytes(&bytes).unwrap();
         assert!(!deduped);
         assert_eq!(repo.get_bytes(hash).unwrap(), bytes);
@@ -961,7 +923,15 @@ mod tests {
         let sizes: Vec<u64> = blobs.iter().map(|b| b.len() as u64).collect();
         let total: u64 = sizes.iter().sum();
         let budget = total - sizes.iter().min().unwrap() / 2;
-        let repo = TraceRepo::open(&dir, Engine::new(), budget).unwrap();
+        let repo = TraceRepo::open_with(
+            &dir,
+            Engine::new(),
+            RepoOptions {
+                cache_budget: budget,
+                ..RepoOptions::default()
+            },
+        )
+        .unwrap();
         let hashes: Vec<u64> = blobs.iter().map(|b| repo.put_bytes(b).unwrap().0).collect();
 
         repo.prepared(hashes[0]).unwrap();

@@ -619,26 +619,10 @@ impl Worker {
                 }
                 Ok(response)
             }
-            Request::Stats => {
-                let repo = self.repo.stats();
-                Ok(Response::StatsOk(WireStats {
-                    blobs: repo.blobs,
-                    blob_bytes: repo.blob_bytes,
-                    prepared_cached: repo.prepared_cached,
-                    prepared_cached_bytes: repo.prepared_cached_bytes,
-                    cache_budget_bytes: repo.cache_budget_bytes,
-                    prepared_hits: repo.prepared_hits,
-                    prepared_misses: repo.prepared_misses,
-                    evictions: repo.evictions,
-                    dedup_hits: repo.dedup_hits,
-                    requests_served: self.requests_served.get(),
-                    correlation_builds: engine.correlation_builds(),
-                    cached_correlations: engine.cached_correlations() as u64,
-                    orphans_removed: repo.orphans_removed,
-                    quarantined: repo.quarantined,
-                    cache_shrinks: repo.cache_shrinks,
-                }))
-            }
+            Request::Stats => Ok(Response::StatsOk(WireStats {
+                requests_served: self.requests_served.get(),
+                ..self.repo.stats()
+            })),
             Request::Metrics => {
                 // Refresh the point-in-time gauges (repo.blobs, cache.weight_bytes,
                 // …) so the scrape reflects the repository as of this request.

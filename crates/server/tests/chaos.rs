@@ -32,8 +32,7 @@ use rprism_format::frame::{frame_to_bytes, read_frame};
 use rprism_format::{trace_to_bytes, Encoding};
 use rprism_server::proto::{Request, Response};
 use rprism_server::{
-    Client, FaultyFs, RepoOptions, RetryPolicy, Server, ServerConfig, ServerError, StdFs,
-    TraceRepo, DEFAULT_CACHE_BUDGET,
+    Client, FaultyFs, RepoOptions, RetryPolicy, Server, ServerConfig, ServerError, StdFs, TraceRepo,
 };
 use rprism_trace::testgen::{arbitrary_trace, Rng};
 
@@ -120,7 +119,7 @@ fn kill_point_sweep_leaves_zero_torn_state_after_restart() {
 
             // Restart on a clean filesystem. The repository must come up with
             // exactly the committed blobs, all complete and re-derivable.
-            let repo = TraceRepo::open(&dir, Engine::new(), DEFAULT_CACHE_BUDGET).unwrap();
+            let repo = TraceRepo::open_with(&dir, Engine::new(), RepoOptions::default()).unwrap();
             let stats = repo.stats();
             assert_eq!(
                 stats.blobs,
@@ -172,7 +171,7 @@ fn server_quarantines_precorrupted_blobs_and_stays_up() {
     let bytes = sample_bytes(0x2000, 50);
     let keep = sample_bytes(0x2001, 30);
     let (hash, keep_hash) = {
-        let repo = TraceRepo::open(&dir, Engine::new(), DEFAULT_CACHE_BUDGET).unwrap();
+        let repo = TraceRepo::open_with(&dir, Engine::new(), RepoOptions::default()).unwrap();
         (
             repo.put_bytes(&bytes).unwrap().0,
             repo.put_bytes(&keep).unwrap().0,

@@ -81,7 +81,7 @@ fn full_request_vocabulary_round_trips() {
         )
         .unwrap();
     assert_eq!(remote.pairs_local(), local.matching.normalized_pairs());
-    assert_eq!(remote.sequences_local(), local.sequences);
+    assert_eq!(remote.sequences, local.sequences);
     assert_eq!(remote.compare_ops, local.cost.compare_ops);
     assert!(!remote.rendered.is_empty());
 

@@ -192,9 +192,8 @@ mod tests {
         let reported: Vec<String> = outcome
             .report
             .regression_sequences()
-            .iter()
-            .flat_map(|v| {
-                v.sequence
+            .flat_map(|sequence| {
+                sequence
                     .right
                     .iter()
                     .filter_map(|i| outcome.traces.traces.new_regressing.entries.get(*i))

@@ -202,7 +202,10 @@ mod tests {
         );
         // The analysis discards at least some unrelated difference sequences relative to
         // the raw suspected diff.
-        assert!(outcome.report.num_regression_sequences() <= outcome.report.sequences.len(),);
+        assert!(
+            outcome.report.num_regression_sequences()
+                <= outcome.report.suspected_diff.sequences.len()
+        );
     }
 
     #[test]

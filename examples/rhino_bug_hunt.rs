@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             bug.mutation.cause.label(),
             bug.mutation.class,
             bug.mutation.method,
-            report.sequences.len(),
+            report.suspected_diff.sequences.len(),
             report.num_regression_sequences(),
             quality.false_positives,
             quality.false_negatives,

@@ -70,8 +70,7 @@ fn xalan_1725_cause_lies_in_the_code_generator() {
     let mentions_codegen = outcome
         .report
         .regression_sequences()
-        .iter()
-        .flat_map(|v| v.sequence.right.iter())
+        .flat_map(|sequence| sequence.right.iter())
         .filter_map(|i| outcome.traces.traces.new_regressing.entries.get(*i))
         .any(|e| e.render().contains("checkAttributesUnique") || e.render().contains("Instr"));
     assert!(mentions_codegen, "code-generation cause not reported");

@@ -49,10 +49,7 @@ fn assert_same_report(name: &str, a: &RegressionReport, b: &RegressionReport) {
     assert_eq!(a.compare_ops, b.compare_ops, "{name}: compare ops diverged");
     assert_eq!(a.peak_bytes, b.peak_bytes, "{name}: peak bytes diverged");
     assert_same_diff(name, &a.suspected_diff, &b.suspected_diff);
-    let verdicts = |r: &RegressionReport| -> Vec<bool> {
-        r.sequences.iter().map(|s| s.regression_related).collect()
-    };
-    assert_eq!(verdicts(a), verdicts(b), "{name}: verdicts diverged");
+    assert_eq!(a.verdicts, b.verdicts, "{name}: verdicts diverged");
 }
 
 #[test]

@@ -258,11 +258,10 @@ fn assert_same_report(context: &str, full: &RegressionReport, streamed: &Regress
         "{context}: compare ops"
     );
     let verdicts = |report: &RegressionReport| {
-        report
-            .sequences
-            .iter()
-            .map(|v| (v.sequence.clone(), v.regression_related))
-            .collect::<Vec<_>>()
+        (
+            report.suspected_diff.sequences.clone(),
+            report.verdicts.clone(),
+        )
     };
     assert_eq!(verdicts(full), verdicts(streamed), "{context}: verdicts");
 }

@@ -3,15 +3,39 @@
 //! — same matchings, same difference signatures, same deterministic cost-meter compare
 //! counts — on all four §5.2 case studies, under both encodings.
 
-use rprism::{Engine, PreparedTrace};
+use rprism::{Engine, PreparedTrace, TraceDiffResult};
 use rprism_format::{read_trace_path, Encoding};
-use rprism_regress::DiffSet;
+use rprism_regress::DiffSignature;
 use rprism_workloads::casestudies;
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("rprism-rtd-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// The distinct signatures of every unmatched entry of `diff`, in canonical order.
+fn signatures(diff: &TraceDiffResult, l: &PreparedTrace, r: &PreparedTrace) -> Vec<DiffSignature> {
+    let unmatched = [
+        (l, diff.matching.unmatched_left()),
+        (r, diff.matching.unmatched_right()),
+    ];
+    let mut out: Vec<DiffSignature> = (unmatched.into_iter())
+        .flat_map(|(handle, indices)| {
+            let lean = handle.lean().unwrap().entries();
+            (indices.into_iter()).map(move |i| {
+                DiffSignature::from_key_context(
+                    handle.keyed(),
+                    i,
+                    lean[i].method,
+                    lean[i].active.class,
+                )
+            })
+        })
+        .collect();
+    out.sort();
+    out.dedup();
+    out
 }
 
 #[test]
@@ -45,12 +69,12 @@ fn loaded_traces_diff_identically_to_originals() {
                 scenario.name
             );
             // Same signatures: the canonical trace-independent difference identities.
-            let original_set = DiffSet::from_diff(
+            let original_set = signatures(
                 &original,
-                traces.traces.old_regressing.trace(),
-                traces.traces.new_regressing.trace(),
+                &traces.traces.old_regressing,
+                &traces.traces.new_regressing,
             );
-            let loaded_set = DiffSet::from_diff(&loaded, loaded_old.trace(), loaded_new.trace());
+            let loaded_set = signatures(&loaded, &loaded_old, &loaded_new);
             assert_eq!(
                 original_set, loaded_set,
                 "{} ({encoding}): DiffSignatures diverged",
@@ -109,16 +133,8 @@ fn loaded_traces_analyze_identically_to_originals() {
             scenario.name
         );
         assert_eq!(
-            original
-                .sequences
-                .iter()
-                .map(|s| (s.sequence.clone(), s.regression_related))
-                .collect::<Vec<_>>(),
-            from_disk
-                .sequences
-                .iter()
-                .map(|s| (s.sequence.clone(), s.regression_related))
-                .collect::<Vec<_>>(),
+            (&original.suspected_diff.sequences, &original.verdicts),
+            (&from_disk.suspected_diff.sequences, &from_disk.verdicts),
             "{}: sequence verdicts diverged",
             scenario.name
         );

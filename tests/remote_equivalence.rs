@@ -5,40 +5,74 @@
 //! protocol, the content-addressed repository and the shared server engine add
 //! nothing and lose nothing.
 //!
-//! A second, seeded case runs `remote analyze` on generated quadruples — every
-//! `GenProfile` at 40 and 300 entries, a base trace plus mutated copies, under both
-//! analysis modes — against a local `Engine::analyze`: the four sets, every verdict,
-//! the compare count and the rendered report apart from its timing line. The generator
-//! is seeded from the clock and the seed is printed; `RPRISM_FUZZ_SEED=<n>` replays a
+//! Two seeded cases run on generated traces — every `GenProfile` at 40 and 300
+//! entries. One runs `remote analyze` on quadruples of a base trace plus mutated
+//! copies, under both analysis modes, against a local `Engine::analyze`: the four
+//! sets, every verdict, the compare count and the rendered report apart from its
+//! timing line. The other runs `remote diff` under each diff family on a base trace
+//! against a mutated copy and against an independent trace, against a local
+//! `Engine::diff` (pairs, sequences, compare count, difference count and rendering),
+//! and `remote check` of each trace against a local `check_reader`. The generator is
+//! seeded from the clock and the seed is printed; `RPRISM_FUZZ_SEED=<n>` replays a
 //! run.
 
+use std::path::PathBuf;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
-use rprism::{AnalysisMode, Encoding, Engine, PreparedTrace, RegressionInput, RenderOptions};
+use rprism::{
+    AnalysisMode, AnchoredDiffOptions, DiffAlgorithm, Encoding, Engine, LcsDiffOptions,
+    PreparedTrace, RegressionInput, RenderOptions, ViewsDiffOptions,
+};
 use rprism_format::trace_to_bytes;
-use rprism_server::{Client, Server, ServerConfig};
+use rprism_server::{Client, Server, ServerConfig, WireAlgorithm};
 use rprism_trace::testgen::{fuzz_seed, mutated, GenProfile, Rng};
 use rprism_workloads::casestudies;
 
 const TIMEOUT: Duration = Duration::from_secs(120);
 
+/// A daemon over a fresh repository in a temporary directory, and a client of it.
+struct Daemon {
+    dir: PathBuf,
+    running: JoinHandle<()>,
+    client: Client,
+}
+
+impl Daemon {
+    fn start(tag: &str) -> Daemon {
+        let dir = std::env::temp_dir().join(format!("rprism-remote-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let server = Server::bind(ServerConfig::new("127.0.0.1:0", &dir)).unwrap();
+        let addr = server.local_addr().unwrap().to_string();
+        let running = std::thread::spawn(move || server.run().unwrap());
+        let client = Client::connect(&addr, TIMEOUT).unwrap();
+        Daemon {
+            dir,
+            running,
+            client,
+        }
+    }
+
+    fn stop(mut self) {
+        self.client.shutdown().unwrap();
+        self.running.join().unwrap();
+        std::fs::remove_dir_all(&self.dir).ok();
+    }
+}
+
 #[test]
 fn remote_diff_and_analyze_match_the_local_engine_on_all_case_studies() {
-    let dir = std::env::temp_dir().join(format!("rprism-remote-eq-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let repo = dir.join("repo");
-    std::fs::create_dir_all(&repo).unwrap();
-
-    let server = Server::bind(ServerConfig::new("127.0.0.1:0", &repo)).unwrap();
-    let addr = server.local_addr().unwrap().to_string();
-    let running = std::thread::spawn(move || server.run().unwrap());
-    let mut client = Client::connect(&addr, TIMEOUT).unwrap();
+    let mut daemon = Daemon::start("eq");
+    let client = &mut daemon.client;
 
     // One local session across the whole test, mirroring the server's one engine.
     let engine = Engine::new();
 
     for encoding in [Encoding::Binary, Encoding::Jsonl] {
-        let export_dir = dir.join(format!("traces-{encoding}"));
+        // The repository scanned its directory when it opened; exports beside its
+        // blobs are not part of it.
+        let export_dir = daemon.dir.join(format!("traces-{encoding}"));
         std::fs::create_dir_all(&export_dir).unwrap();
         for scenario in casestudies::all() {
             let traces = scenario.trace_all().unwrap();
@@ -81,8 +115,7 @@ fn remote_diff_and_analyze_match_the_local_engine_on_all_case_studies() {
                 scenario.name
             );
             assert_eq!(
-                remote.sequences_local(),
-                local_diff.sequences,
+                remote.sequences, local_diff.sequences,
                 "{} ({encoding}): remote difference sequences diverged",
                 scenario.name
             );
@@ -119,14 +152,9 @@ fn remote_diff_and_analyze_match_the_local_engine_on_all_case_studies() {
                     scenario.name
                 );
             }
-            let local_verdicts: Vec<bool> = local_report
-                .sequences
-                .iter()
-                .map(|v| v.regression_related)
-                .collect();
             assert_eq!(
                 remote_report.verdicts(),
-                local_verdicts,
+                local_report.verdicts,
                 "{} ({encoding}): sequence verdicts diverged",
                 scenario.name
             );
@@ -139,10 +167,7 @@ fn remote_diff_and_analyze_match_the_local_engine_on_all_case_studies() {
     let stats = client.stats().unwrap();
     assert_eq!(stats.blobs, 16, "4 scenarios x 4 roles, deduplicated");
     assert_eq!(stats.dedup_hits, 16);
-
-    client.shutdown().unwrap();
-    running.join().unwrap();
-    std::fs::remove_dir_all(&dir).ok();
+    daemon.stop();
 }
 
 /// A rendered report without its timing line, which differs run to run.
@@ -156,13 +181,8 @@ fn untimed(rendered: &str) -> String {
 #[test]
 fn remote_analyze_matches_the_local_engine_on_generated_quadruples() {
     const MAX_SEQUENCES: u64 = 5;
-    let dir = std::env::temp_dir().join(format!("rprism-remote-gen-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let server = Server::bind(ServerConfig::new("127.0.0.1:0", &dir)).unwrap();
-    let addr = server.local_addr().unwrap().to_string();
-    let running = std::thread::spawn(move || server.run().unwrap());
-    let mut client = Client::connect(&addr, TIMEOUT).unwrap();
+    let mut daemon = Daemon::start("gen");
+    let client = &mut daemon.client;
     let engine = Engine::builder()
         .render_options(RenderOptions {
             max_regression_sequences: MAX_SEQUENCES as usize,
@@ -211,12 +231,7 @@ fn remote_analyze_matches_the_local_engine_on_generated_quadruples() {
                         "{context}: set {which}"
                     );
                 }
-                let verdicts: Vec<bool> = report
-                    .sequences
-                    .iter()
-                    .map(|v| v.regression_related)
-                    .collect();
-                assert_eq!(remote.verdicts(), verdicts, "{context}: verdicts");
+                assert_eq!(remote.verdicts(), report.verdicts, "{context}: verdicts");
                 assert_eq!(
                     remote.compare_ops, report.compare_ops,
                     "{context}: compare ops"
@@ -229,8 +244,85 @@ fn remote_analyze_matches_the_local_engine_on_generated_quadruples() {
             }
         }
     }
+    daemon.stop();
+}
 
-    client.shutdown().unwrap();
-    running.join().unwrap();
-    std::fs::remove_dir_all(&dir).ok();
+#[test]
+fn remote_diff_and_check_match_the_local_engine_on_generated_traces() {
+    const MAX_SEQUENCES: u64 = 5;
+    let mut daemon = Daemon::start("gen-diff");
+    let client = &mut daemon.client;
+    let engine = Engine::new();
+    let algorithms = [
+        (
+            WireAlgorithm::Views,
+            DiffAlgorithm::Views(ViewsDiffOptions::default()),
+        ),
+        (
+            WireAlgorithm::Lcs,
+            DiffAlgorithm::Lcs(LcsDiffOptions::default()),
+        ),
+        (
+            WireAlgorithm::Anchored,
+            DiffAlgorithm::Anchored(AnchoredDiffOptions::default()),
+        ),
+    ];
+
+    let mut rng = Rng::new(fuzz_seed() ^ 0xd1ff_c4ec);
+    for &profile in GenProfile::ALL {
+        for entries in [40, 300] {
+            let base = profile.generate(&mut rng, entries);
+            let traces = [
+                mutated(&mut rng, &base),
+                profile.generate(&mut rng, entries),
+                base,
+            ];
+            let mut hashes = [0u64; 3];
+            let mut local = Vec::new();
+            for (slot, trace) in hashes.iter_mut().zip(&traces) {
+                let bytes = trace_to_bytes(trace, Encoding::Binary).unwrap();
+                local.push(engine.load_prepared_reader(bytes.as_slice()).unwrap());
+                let want = engine.check_reader(bytes.as_slice()).unwrap();
+                *slot = client.put_bytes(bytes).unwrap().hash;
+                assert_eq!(
+                    client.check(*slot, &[]).unwrap(),
+                    want,
+                    "{profile}-{entries} trace {}: check report",
+                    local.len() - 1
+                );
+            }
+            // The base (last) against its mutated copy and against an independent trace.
+            for (other, kind) in [(0, "mutated"), (1, "independent")] {
+                for (wire, algorithm) in &algorithms {
+                    let context = format!("{profile}-{entries} {kind} {}", algorithm.label());
+                    let remote = client
+                        .diff_with_algorithm(hashes[2], hashes[other], MAX_SEQUENCES, Some(*wire))
+                        .unwrap();
+                    let (left, right) = (&local[2], &local[other]);
+                    let want = engine.diff_with_algorithm(left, right, algorithm).unwrap();
+                    let pairs: Vec<(u64, u64)> = (want.matching.normalized_pairs().iter())
+                        .map(|&(l, r)| (l as u64, r as u64))
+                        .collect();
+                    assert_eq!(remote.pairs, pairs, "{context}: pairs");
+                    assert_eq!(remote.sequences, want.sequences, "{context}: sequences");
+                    assert_eq!(
+                        remote.compare_ops, want.cost.compare_ops,
+                        "{context}: compare ops"
+                    );
+                    assert_eq!(
+                        remote.num_differences,
+                        want.num_differences() as u64,
+                        "{context}: differences"
+                    );
+                    let rendered = want.render_with(
+                        MAX_SEQUENCES as usize,
+                        |i| left.describe_entry(i),
+                        |i| right.describe_entry(i),
+                    );
+                    assert_eq!(remote.rendered, rendered, "{context}: rendered");
+                }
+            }
+        }
+    }
+    daemon.stop();
 }

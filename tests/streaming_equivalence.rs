@@ -94,16 +94,7 @@ fn streamed_handles_match_load_then_prepare_on_all_case_studies() {
                     );
                     assert_eq!(full_report.compare_ops, streamed_report.compare_ops);
                     assert_eq!(
-                        full_report
-                            .sequences
-                            .iter()
-                            .map(|s| s.regression_related)
-                            .collect::<Vec<_>>(),
-                        streamed_report
-                            .sequences
-                            .iter()
-                            .map(|s| s.regression_related)
-                            .collect::<Vec<_>>(),
+                        full_report.verdicts, streamed_report.verdicts,
                         "{} ({encoding}, workers={workers}): sequence verdicts diverged",
                         scenario.name
                     );
