@@ -3,39 +3,14 @@
 //! — same matchings, same difference signatures, same deterministic cost-meter compare
 //! counts — on all four §5.2 case studies, under both encodings.
 
-use rprism::{Engine, PreparedTrace, TraceDiffResult};
+use rprism::{Engine, PreparedTrace, RegressionInput};
 use rprism_format::{read_trace_path, Encoding};
-use rprism_regress::DiffSignature;
 use rprism_workloads::casestudies;
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("rprism-rtd-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
-}
-
-/// The distinct signatures of every unmatched entry of `diff`, in canonical order.
-fn signatures(diff: &TraceDiffResult, l: &PreparedTrace, r: &PreparedTrace) -> Vec<DiffSignature> {
-    let unmatched = [
-        (l, diff.matching.unmatched_left()),
-        (r, diff.matching.unmatched_right()),
-    ];
-    let mut out: Vec<DiffSignature> = (unmatched.into_iter())
-        .flat_map(|(handle, indices)| {
-            let lean = handle.lean().unwrap().entries();
-            (indices.into_iter()).map(move |i| {
-                DiffSignature::from_key_context(
-                    handle.keyed(),
-                    i,
-                    lean[i].method,
-                    lean[i].active.class,
-                )
-            })
-        })
-        .collect();
-    out.sort();
-    out.dedup();
-    out
 }
 
 #[test]
@@ -68,13 +43,16 @@ fn loaded_traces_diff_identically_to_originals() {
                 "{} ({encoding}): difference sequences diverged",
                 scenario.name
             );
-            // Same signatures: the canonical trace-independent difference identities.
-            let original_set = signatures(
-                &original,
-                &traces.traces.old_regressing,
-                &traces.traces.new_regressing,
-            );
-            let loaded_set = signatures(&loaded, &loaded_old, &loaded_new);
+            // Same signatures: the canonical trace-independent difference identities of
+            // the pair's unmatched entries, i.e. the suspected set A of the pair.
+            let signatures = |old: &PreparedTrace, new: &PreparedTrace| {
+                let input =
+                    RegressionInput::new(old.clone(), new.clone(), old.clone(), new.clone());
+                engine.analyze(&input).unwrap().suspected
+            };
+            let original_set =
+                signatures(&traces.traces.old_regressing, &traces.traces.new_regressing);
+            let loaded_set = signatures(&loaded_old, &loaded_new);
             assert_eq!(
                 original_set, loaded_set,
                 "{} ({encoding}): DiffSignatures diverged",
@@ -104,7 +82,7 @@ fn loaded_traces_analyze_identically_to_originals() {
             .iter()
             .map(|p| PreparedTrace::new(read_trace_path(p).unwrap()))
             .collect();
-        let loaded_input = rprism::RegressionInput::new(
+        let loaded_input = RegressionInput::new(
             loaded[0].clone(),
             loaded[1].clone(),
             loaded[2].clone(),

@@ -253,20 +253,6 @@ fn remote_diff_and_check_match_the_local_engine_on_generated_traces() {
     let mut daemon = Daemon::start("gen-diff");
     let client = &mut daemon.client;
     let engine = Engine::new();
-    let algorithms = [
-        (
-            WireAlgorithm::Views,
-            DiffAlgorithm::Views(ViewsDiffOptions::default()),
-        ),
-        (
-            WireAlgorithm::Lcs,
-            DiffAlgorithm::Lcs(LcsDiffOptions::default()),
-        ),
-        (
-            WireAlgorithm::Anchored,
-            DiffAlgorithm::Anchored(AnchoredDiffOptions::default()),
-        ),
-    ];
 
     let mut rng = Rng::new(fuzz_seed() ^ 0xd1ff_c4ec);
     for &profile in GenProfile::ALL {
@@ -293,10 +279,21 @@ fn remote_diff_and_check_match_the_local_engine_on_generated_traces() {
             }
             // The base (last) against its mutated copy and against an independent trace.
             for (other, kind) in [(0, "mutated"), (1, "independent")] {
-                for (wire, algorithm) in &algorithms {
+                for wire in [
+                    WireAlgorithm::Views,
+                    WireAlgorithm::Lcs,
+                    WireAlgorithm::Anchored,
+                ] {
+                    let algorithm = &match wire {
+                        WireAlgorithm::Views => DiffAlgorithm::Views(ViewsDiffOptions::default()),
+                        WireAlgorithm::Lcs => DiffAlgorithm::Lcs(LcsDiffOptions::default()),
+                        WireAlgorithm::Anchored => {
+                            DiffAlgorithm::Anchored(AnchoredDiffOptions::default())
+                        }
+                    };
                     let context = format!("{profile}-{entries} {kind} {}", algorithm.label());
                     let remote = client
-                        .diff_with_algorithm(hashes[2], hashes[other], MAX_SEQUENCES, Some(*wire))
+                        .diff_with_algorithm(hashes[2], hashes[other], MAX_SEQUENCES, Some(wire))
                         .unwrap();
                     let (left, right) = (&local[2], &local[other]);
                     let want = engine.diff_with_algorithm(left, right, algorithm).unwrap();
