@@ -914,6 +914,79 @@ mod tests {
     }
 
     #[test]
+    fn a_cold_stampede_on_one_hash_loads_it_exactly_once() {
+        use std::sync::Barrier;
+
+        let dir = temp_repo("stampede");
+        let repo = TraceRepo::open_with(&dir, Engine::new(), RepoOptions::default()).unwrap();
+        let (hash, _, _) = repo
+            .put_bytes(&sample_bytes(0xa0, 200, Encoding::Binary))
+            .unwrap();
+        let before = repo.stats().prepared_misses;
+
+        const THREADS: usize = 8;
+        let barrier = Barrier::new(THREADS);
+        let handles: Vec<PreparedTrace> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        repo.prepared(hash).unwrap()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+
+        let stats = repo.stats();
+        assert_eq!(
+            stats.prepared_misses,
+            before + 1,
+            "one load for eight callers"
+        );
+        assert_eq!(stats.prepared_hits + 1, THREADS as u64);
+        for handle in &handles {
+            assert!(std::ptr::eq(handle.keyed(), handles[0].keyed()));
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_transient_load_failure_caches_nothing_and_the_next_call_loads() {
+        use crate::fs::{FaultyFs, StdFs};
+        use rprism_format::fault::{Fault, FaultPlan};
+
+        let dir = temp_repo("transient");
+        // The first blob open after the put fails; every later one succeeds.
+        let plan = FaultPlan::new().fail_at("fs:open", 0, Fault::Error(std::io::ErrorKind::Other));
+        let options = RepoOptions {
+            fs: Arc::new(FaultyFs::new(StdFs, plan)),
+            ..RepoOptions::default()
+        };
+        let repo = TraceRepo::open_with(&dir, Engine::new(), options).unwrap();
+        let (hash, _, _) = repo
+            .put_bytes(&sample_bytes(0xa1, 40, Encoding::Binary))
+            .unwrap();
+
+        assert!(matches!(repo.prepared(hash), Err(ServerError::Io(_))));
+        let stats = repo.stats();
+        assert_eq!(
+            repo.list().len(),
+            1,
+            "a transient failure keeps the blob listed"
+        );
+        assert_eq!(stats.quarantined, 0);
+        assert_eq!(stats.prepared_cached, 0);
+        assert_eq!(stats.prepared_misses, 1);
+
+        repo.prepared(hash).expect("the next call loads the blob");
+        let stats = repo.stats();
+        assert_eq!(stats.prepared_misses, 2);
+        assert_eq!(stats.prepared_cached, 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn lru_budget_evicts_handles_but_never_blobs() {
         let dir = temp_repo("lru");
         let blobs: Vec<Vec<u8>> = (0..3)
