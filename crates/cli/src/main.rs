@@ -313,21 +313,6 @@ fn load(engine: &Engine, path: &str, full: bool) -> Result<PreparedTrace, String
     .map_err(|e| format!("cannot load {path}: {e}"))
 }
 
-/// Renders a semantic diff, sourcing entry lines from the handles so streamed inputs
-/// (which hold no full entries) render compact context lines instead of failing.
-fn render_diff(
-    result: &rprism::TraceDiffResult,
-    left: &PreparedTrace,
-    right: &PreparedTrace,
-    max_sequences: usize,
-) -> String {
-    result.render_with(
-        max_sequences,
-        |idx| left.describe_entry(idx),
-        |idx| right.describe_entry(idx),
-    )
-}
-
 fn gen(args: &Args) -> Result<(), String> {
     args.reject_unknown(&["--out", "--entries", "--seed", "--profile", "--encoding"])?;
     if !args.positional.is_empty() {
@@ -568,7 +553,7 @@ fn diff(args: &Args) -> Result<(), String> {
             result.algorithm,
         );
         if !args.switch("--quiet") {
-            print!("{}", render_diff(result, left, right, max_seqs));
+            print!("{}", engine.render_diff(result, left, right, max_seqs));
         }
     }
     Ok(())

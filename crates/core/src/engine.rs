@@ -18,17 +18,21 @@
 //! On top of the per-trace artifacts, the engine keeps a session-level *pair* cache:
 //! the view [`Correlation`] of two prepared traces is built on their first diff and
 //! reused by every repeat, so re-differencing the same pair skips straight to the
-//! lock-step scan (the `prepared_reuse_speedup` metric of `BENCH_2.json`).
+//! lock-step scan (the `prepared_reuse_speedup` metric of `BENCH_2.json`). The cache is
+//! a [`SharedCache`] keyed on the unordered handle pair: one build per pair, even under
+//! a concurrent cold stampede, serves both diff directions (the other one as the exact
+//! transpose), and at most [`CORRELATION_CACHE_CAP`] pairs stay, least recently used
+//! evicted first.
 //!
 //! Batch entry points ([`Engine::diff_many`], [`Engine::analyze_many`]) fan independent
 //! jobs out over [`rprism_trace::par`]; results come back in input order
 //! and each job carries its own deterministic cost meter, so batch runs are
 //! reproducible down to the compare-operation counts.
 
-use std::collections::{HashMap, VecDeque};
+use std::convert::Infallible;
 use std::io::BufReader;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use rprism_check::{CheckConfig, CheckReport, Checker, Severity};
 use rprism_diff::{
@@ -49,6 +53,7 @@ use rprism_vm::{run_traced, RunOutcome, RuntimeError, VmConfig};
 
 use rprism_obs::Obs;
 
+use crate::cache::{CacheOutcome, SharedCache};
 use crate::ingest::{prepare_in_memory, stream_prepare, BATCH_ENTRIES};
 use crate::watch::Watch;
 use crate::{Error, Result};
@@ -86,71 +91,11 @@ impl CachedCorrelation {
     }
 }
 
-/// The shared build cell of one trace pair. Handing threads an `Arc` of the slot (and
-/// building through [`OnceLock::get_or_init`] *outside* the cache lock) gives every
-/// pair exactly one build even under a concurrent cold stampede: the first thread to
-/// reach the cell builds, the other N−1 block on that cell only — not on the cache —
-/// and are served the finished build. Other pairs build concurrently, undisturbed.
-#[derive(Debug, Default)]
-struct CorrelationSlot {
-    cell: OnceLock<CachedCorrelation>,
-}
-
 /// Cache key of one pair-level artifact: the two handles' process-unique ids as an
-/// unordered pair. A correlation is built from the two view webs alone and reads no
+/// **unordered** pair (ids are never reused, so a dropped handle can never alias a
+/// cached entry). A correlation is built from the two view webs alone and reads no
 /// [`ViewsDiffOptions`], so every views option set shares the pair's one build.
 type CorrelationKey = (u64, u64);
-
-/// Bounded session cache of pair-level artifacts, keyed by the two handles'
-/// process-unique ids as an **unordered** pair (ids are never reused, so a dropped
-/// handle can never alias a cached entry). Each pair holds one correlation build — in
-/// the orientation of its first query — and serves the opposite orientation as an
-/// exact transpose, so `diff(a, b)` after `diff(b, a)` (or an `analyze` whose
-/// comparisons run opposite to earlier diffs) reuses the same build instead of
-/// recomputing it. Eviction is least-recently-used: a hot pair re-touched between
-/// batches survives churn that would have evicted it under FIFO. In-flight users of
-/// an evicted slot keep their `Arc` and finish undisturbed.
-#[derive(Debug, Default)]
-struct CorrelationCache {
-    map: HashMap<CorrelationKey, Arc<CorrelationSlot>>,
-    /// LRU order: least recently used at the front.
-    order: VecDeque<CorrelationKey>,
-    /// How many correlations this session actually built (cache-efficiency metric;
-    /// flips are transposes, not builds).
-    builds: u64,
-}
-
-impl CorrelationCache {
-    fn canonical(key: CorrelationKey) -> CorrelationKey {
-        (key.0.min(key.1), key.0.max(key.1))
-    }
-
-    fn touch(&mut self, key: CorrelationKey) {
-        if let Some(pos) = self.order.iter().position(|k| *k == key) {
-            self.order.remove(pos);
-        }
-        self.order.push_back(key);
-    }
-
-    /// The build slot of the unordered pair, inserting an empty one — and evicting
-    /// least-recently-used keys past the capacity — on first touch.
-    fn slot(&mut self, key: CorrelationKey) -> Arc<CorrelationSlot> {
-        if let Some(slot) = self.map.get(&key) {
-            let slot = Arc::clone(slot);
-            self.touch(key);
-            return slot;
-        }
-        while self.order.len() >= CORRELATION_CACHE_CAP {
-            if let Some(evicted) = self.order.pop_front() {
-                self.map.remove(&evicted);
-            }
-        }
-        let slot = Arc::new(CorrelationSlot::default());
-        self.order.push_back(key);
-        self.map.insert(key, Arc::clone(&slot));
-        slot
-    }
-}
 
 /// A cheaply-clonable handle to a trace plus its analysis artifacts.
 ///
@@ -440,9 +385,12 @@ pub struct Engine {
     /// default.
     obs: Obs,
     /// Session cache of pair-level artifacts: one view [`Correlation`] per unordered
-    /// handle pair (flipped on opposite-orientation lookups). Shared by engine clones;
-    /// bounded by least-recently-used eviction.
-    correlations: Arc<Mutex<CorrelationCache>>,
+    /// handle pair, built in the orientation of the pair's first query and transposed
+    /// for the other. Weight 1 per pair, so at most [`CORRELATION_CACHE_CAP`] pairs
+    /// stay, least recently used evicted first. Shared by engine clones.
+    correlations: Arc<SharedCache<CorrelationKey, Arc<CachedCorrelation>>>,
+    /// How many correlations this session built (flips are transposes, not builds).
+    correlation_builds: Arc<AtomicU64>,
 }
 
 // Compile-time pin of the concurrency contract the server stack (and every embedder
@@ -766,6 +714,23 @@ impl Engine {
         )
     }
 
+    /// Renders a semantic diff of `left` and `right`, at most `max_sequences` difference
+    /// sequences. Entry lines come from the handles: full handles render complete
+    /// entries, streamed handles compact context lines from their lean artifacts.
+    pub fn render_diff(
+        &self,
+        result: &TraceDiffResult,
+        left: &PreparedTrace,
+        right: &PreparedTrace,
+        max_sequences: usize,
+    ) -> String {
+        result.render_with(
+            max_sequences,
+            |idx| left.describe_entry(idx),
+            |idx| right.describe_entry(idx),
+        )
+    }
+
     /// The pair's view correlation, from the session cache or built (and cached) now.
     ///
     /// The cache is keyed on the **unordered** handle pair: the first query of a pair
@@ -776,38 +741,32 @@ impl Engine {
     /// Correlation is a cross-execution heuristic whose greedy construction is not
     /// orientation-invariant; sharing one build across both directions of a pair is the
     /// point — `analyze` after a reversed `diff` reuses it instead of deriving a
-    /// possibly different one. A racing double build inserts identical content; the
-    /// first insert wins and both callers share it.
+    /// possibly different one. A concurrent cold stampede on one pair builds it once
+    /// (the cache is single-flight) without holding up any other pair.
     fn correlation_for(&self, left: &PreparedTrace, right: &PreparedTrace) -> Arc<Correlation> {
-        let key = (left.inner.id, right.inner.id);
-        let left_views = left.web().total_views();
-        let slot = self
-            .correlations
-            .lock()
-            .expect("cache poisoned")
-            .slot(CorrelationCache::canonical(key));
-        // Build outside the lock: correlation construction is the expensive part, and
-        // the per-pair slot already serializes a concurrent cold stampede on *this*
-        // pair (one build, N−1 waiters) without holding up any other pair.
-        let mut built_here = false;
-        let cached = slot.cell.get_or_init(|| {
-            built_here = true;
-            CachedCorrelation {
-                built_left_id: key.0,
-                built: Arc::new(Correlation::build(left.web(), right.web())),
-                flipped: OnceLock::new(),
-            }
-        });
-        if built_here {
-            self.correlations.lock().expect("cache poisoned").builds += 1;
+        let (left_id, right_id) = (left.inner.id, right.inner.id);
+        let key = (left_id.min(right_id), left_id.max(right_id));
+        let Ok((cached, outcome)) = self.correlations.get_or_try_insert_with(
+            key,
+            1,
+            || -> std::result::Result<_, Infallible> {
+                Ok(Arc::new(CachedCorrelation {
+                    built_left_id: left_id,
+                    built: Arc::new(Correlation::build(left.web(), right.web())),
+                    flipped: OnceLock::new(),
+                }))
+            },
+        );
+        if let CacheOutcome::Built { .. } = outcome {
+            self.correlation_builds.fetch_add(1, Ordering::Relaxed);
         }
-        cached.oriented(key.0, left_views)
+        cached.oriented(left_id, left.web().total_views())
     }
 
     /// Number of trace pairs whose view correlation is currently cached in this session
     /// (engine clones share the cache; least-recently-used eviction caps it).
     pub fn cached_correlations(&self) -> usize {
-        self.correlations.lock().expect("cache poisoned").map.len()
+        self.correlations.len()
     }
 
     /// Number of view correlations this session actually built (flipped-orientation
@@ -815,7 +774,7 @@ impl Engine {
     /// the cache-efficiency metric: repeats, reversed diffs and analyze-after-diff of
     /// the same pair all leave it unchanged.
     pub fn correlation_builds(&self) -> u64 {
-        self.correlations.lock().expect("cache poisoned").builds
+        self.correlation_builds.load(Ordering::Relaxed)
     }
 
     fn diff_with(
@@ -966,7 +925,8 @@ impl EngineBuilder {
             render: self.render,
             ingest_check: self.ingest_check,
             obs: self.obs,
-            correlations: Arc::default(),
+            correlations: Arc::new(SharedCache::new(CORRELATION_CACHE_CAP as u64)),
+            correlation_builds: Arc::default(),
         }
     }
 }

@@ -71,10 +71,12 @@ pub use rprism_trace as trace;
 pub use rprism_views as views;
 pub use rprism_vm as vm;
 
+mod cache;
 mod engine;
 mod ingest;
 mod watch;
 
+pub use cache::{CacheOutcome, SharedCache};
 pub use engine::{Engine, EngineBuilder, PreparedTrace, RegressionInput};
 pub use ingest::BATCH_ENTRIES;
 pub use watch::{Watch, WatchOutcome};

@@ -23,13 +23,20 @@
 //! these invariants.
 //!
 //! Above the blobs sits the hot cache: [`PreparedTrace`] handles produced by
-//! [`Engine::load_prepared_reader`]'s bounded-memory streaming pipeline, keyed by
-//! content hash and bounded by a **byte budget** with least-recently-used eviction. The
-//! weight of a handle is its blob's on-disk size — a deliberate proxy for the prepared
-//! artifacts' footprint that is cheap, deterministic, and proportional to the trace.
-//! Eviction drops handles only; blobs are never deleted, and an evicted trace simply
-//! streams back in on its next use. Handles are `Arc`s, so evicting one that an
-//! in-flight request is using is safe — the request keeps its clone alive.
+//! [`Engine::load_prepared_reader`]'s bounded-memory streaming pipeline, held in a
+//! [`SharedCache`] keyed by content hash and bounded by a **byte budget** with
+//! least-recently-used eviction. The weight of a handle is its blob's on-disk size — a
+//! deliberate proxy for the prepared artifacts' footprint that is cheap,
+//! deterministic, and proportional to the trace. Eviction drops handles only; blobs
+//! are never deleted, and an evicted trace simply streams back in on its next use.
+//! Handles are `Arc`s, so evicting one that an in-flight request is using is safe —
+//! the request keeps its clone alive.
+//!
+//! Loads are **single-flight**: concurrent cold requests for one hash stream its blob
+//! once, and the others wait for that load (`cache.stampede_waits`) and count as
+//! hits. A failed load caches nothing; the next request retries it.
+//! [`TraceRepo::shrink_cache`] is the memory-pressure valve: it evicts handles down
+//! to a target weight, so reads degrade to re-streaming and are never refused.
 //!
 //! One deliberate slack: evicting a handle does not purge the engine's pair-level
 //! correlation cache, so correlations of evicted handles linger until LRU churn
@@ -41,12 +48,12 @@
 //! the snapshot as it is, after setting the one figure only it knows,
 //! `requests_served`.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 
-use rprism::{Engine, PreparedTrace};
+use rprism::{CacheOutcome, Engine, PreparedTrace, SharedCache};
 use rprism_format::content_summary;
 use rprism_obs::{Counter, Gauge, Obs};
 
@@ -101,36 +108,6 @@ struct BlobInfo {
     bytes: u64,
 }
 
-#[derive(Debug, Default)]
-struct PreparedCache {
-    /// Hash → hot handle. Handles are cheap `Arc` clones of what requests borrow.
-    handles: HashMap<u64, PreparedTrace>,
-    /// LRU order, least recently used at the front.
-    order: VecDeque<u64>,
-    /// Sum of the cached handles' weights (blob bytes).
-    weight: u64,
-    /// Hashes some worker is currently streaming in (single-flight guard: concurrent
-    /// cold misses of one trace wait for the first load instead of each re-streaming
-    /// the blob — N identical loads would multiply both wall time and the transient
-    /// O(artifacts) heap).
-    in_flight: std::collections::HashSet<u64>,
-    /// Hit/miss/eviction counters, registered in the repository's observability
-    /// domain (`cache.hits` / `cache.misses` / `cache.evictions`): the registry is
-    /// the single source of truth, and [`TraceRepo::stats`] reads these same cells.
-    hits: Counter,
-    misses: Counter,
-    evictions: Counter,
-}
-
-impl PreparedCache {
-    fn touch(&mut self, hash: u64) {
-        if let Some(pos) = self.order.iter().position(|&h| h == hash) {
-            self.order.remove(pos);
-        }
-        self.order.push_back(hash);
-    }
-}
-
 /// The content-addressed trace store shared by every server worker.
 #[derive(Debug)]
 pub struct TraceRepo {
@@ -140,14 +117,17 @@ pub struct TraceRepo {
     durable: bool,
     cache_budget: u64,
     index: Mutex<BTreeMap<u64, BlobInfo>>,
-    cache: Mutex<PreparedCache>,
-    /// Wakes waiters of the single-flight guard when an in-flight load finishes.
-    load_done: Condvar,
+    /// Hash → hot handle, weighted by the blob's bytes.
+    cache: SharedCache<u64, PreparedTrace>,
     /// The observability domain repository spans (`repo.put` / `repo.get` /
     /// `repo.load`) record into.
     obs: Obs,
     /// Registered counters (`repo.*` / `cache.*` names). [`TraceRepo::stats`]
     /// reads these same cells — the registry is the single source of truth.
+    hits: Counter,
+    /// One per load attempt, failed or not.
+    misses: Counter,
+    evictions: Counter,
     dedup_hits: Counter,
     orphans_removed: Counter,
     quarantined: Counter,
@@ -261,21 +241,18 @@ impl TraceRepo {
         } else {
             engine
         };
-        let cache = PreparedCache {
-            hits: obs.counter("cache.hits"),
-            misses: obs.counter("cache.misses"),
-            evictions: obs.counter("cache.evictions"),
-            ..PreparedCache::default()
-        };
+        let cache_budget = options.cache_budget.max(1);
         let repo = TraceRepo {
             dir,
             engine,
             fs,
             durable: options.durable,
-            cache_budget: options.cache_budget.max(1),
+            cache_budget,
             index: Mutex::new(index),
-            cache: Mutex::new(cache),
-            load_done: Condvar::new(),
+            cache: SharedCache::new(cache_budget),
+            hits: obs.counter("cache.hits"),
+            misses: obs.counter("cache.misses"),
+            evictions: obs.counter("cache.evictions"),
             dedup_hits: obs.counter("repo.dedup_hits"),
             orphans_removed: obs.counter("repo.orphans_removed"),
             quarantined: obs.counter("repo.quarantined"),
@@ -430,88 +407,46 @@ impl TraceRepo {
                 .map(|info| info.bytes)
                 .ok_or(ServerError::UnknownTrace { hash })?
         };
-        // Hit, or claim the single-flight load of this hash. Concurrent cold misses
-        // of one trace wait here for the claiming worker instead of each streaming
-        // the blob; if that load *fails*, a waiter wakes with the hash neither cached
-        // nor in flight and becomes the next claimant (a transient failure is retried
-        // by the next request, not broadcast to all waiters).
-        {
-            let mut cache = self.cache.lock().expect("prepared cache poisoned");
-            loop {
-                if let Some(handle) = cache.handles.get(&hash).cloned() {
-                    cache.hits.inc();
-                    cache.touch(hash);
-                    return Ok(handle);
+        // Concurrent cold misses of one trace wait for the first caller's load
+        // instead of each streaming the blob. A failed load caches nothing, and the
+        // next caller retries it.
+        let (handle, outcome) = self.cache.get_or_try_insert_with(hash, weight, || {
+            self.misses.inc();
+            let load_span = self.obs.span("repo.load");
+            let loaded = self
+                .engine
+                .load_prepared_reader(self.fs.open_read(&self.blob_path(hash))?);
+            drop(load_span);
+            match loaded {
+                Ok(handle) => Ok(handle),
+                // Plain I/O errors (disk hiccup, injected fault) are transient: the
+                // blob stays, and the next request retries the load.
+                Err(rprism::Error::Format(rprism_format::FormatError::Io(io))) => {
+                    Err(ServerError::Io(io))
                 }
-                if cache.in_flight.insert(hash) {
-                    break;
+                // An unreadable byte (bad magic, failed checksum, truncation) means
+                // the blob on disk no longer matches what verification admitted:
+                // quarantine it and drop the entry rather than erroring forever —
+                // the structured `CorruptTrace` answer tells the client a re-upload
+                // heals it.
+                Err(rprism::Error::Format(_)) => {
+                    self.index
+                        .lock()
+                        .expect("repo index poisoned")
+                        .remove(&hash);
+                    self.quarantine(&self.blob_path(hash));
+                    Err(ServerError::CorruptTrace { hash })
                 }
+                Err(e) => Err(e.into()),
+            }
+        })?;
+        match outcome {
+            CacheOutcome::Hit => self.hits.inc(),
+            CacheOutcome::Waited => {
                 self.stampede_waits.inc();
-                cache = self.load_done.wait(cache).expect("prepared cache poisoned");
+                self.hits.inc();
             }
-        }
-        // Stream outside the lock — this is the expensive part.
-        let load_span = self.obs.span("repo.load");
-        let loaded = self
-            .fs
-            .open_read(&self.blob_path(hash))
-            .map_err(|e| rprism::Error::Format(rprism_format::FormatError::Io(e)))
-            .and_then(|input| self.engine.load_prepared_reader(input));
-        drop(load_span);
-        let mut cache = self.cache.lock().expect("prepared cache poisoned");
-        cache.in_flight.remove(&hash);
-        self.load_done.notify_all();
-        cache.misses.inc();
-        let handle = match loaded {
-            Ok(handle) => handle,
-            // An unreadable byte (bad magic, failed checksum, truncation) means the
-            // blob on disk no longer matches what verification admitted: quarantine
-            // it and drop the entry rather than erroring forever — the structured
-            // `CorruptTrace` answer tells the client a re-upload heals it. Plain
-            // I/O errors (disk hiccup, injected fault) are transient: the blob
-            // stays, and the next request retries the load.
-            Err(rprism::Error::Format(e)) => {
-                drop(cache);
-                return Err(match e {
-                    rprism_format::FormatError::Io(io) => ServerError::Io(io),
-                    _ => {
-                        self.index
-                            .lock()
-                            .expect("repo index poisoned")
-                            .remove(&hash);
-                        self.quarantine(&self.blob_path(hash));
-                        ServerError::CorruptTrace { hash }
-                    }
-                });
-            }
-            Err(e) => return Err(e.into()),
-        };
-        cache.handles.insert(hash, handle.clone());
-        cache.order.push_back(hash);
-        cache.weight += weight;
-        // Evict least-recently-used down to the budget, always keeping the handle
-        // just inserted (evicting it immediately would make an over-budget trace
-        // reload on every request for no memory win — the in-flight request holds it
-        // alive anyway).
-        while cache.weight > self.cache_budget && cache.order.len() > 1 {
-            let Some(evicted) = cache.order.pop_front() else {
-                break;
-            };
-            if evicted == hash {
-                cache.order.push_back(hash);
-                continue;
-            }
-            if cache.handles.remove(&evicted).is_some() {
-                cache.evictions.inc();
-                let evicted_weight = self
-                    .index
-                    .lock()
-                    .expect("repo index poisoned")
-                    .get(&evicted)
-                    .map(|info| info.bytes)
-                    .unwrap_or(0);
-                cache.weight = cache.weight.saturating_sub(evicted_weight);
-            }
+            CacheOutcome::Built { evicted } => self.evictions.add(evicted as u64),
         }
         Ok(handle)
     }
@@ -522,31 +457,9 @@ impl TraceRepo {
     /// blobs (a latency cost), they are never refused. In-flight requests keep
     /// their `Arc` clones alive, so shrinking is always safe.
     pub fn shrink_cache(&self, target_bytes: u64) -> u64 {
-        let mut cache = self.cache.lock().expect("prepared cache poisoned");
-        let mut evicted = 0u64;
-        while cache.weight > target_bytes {
-            let Some(victim) = cache.order.pop_front() else {
-                break;
-            };
-            if cache.handles.remove(&victim).is_some() {
-                evicted += 1;
-                cache.evictions.inc();
-                let weight = self
-                    .index
-                    .lock()
-                    .expect("repo index poisoned")
-                    .get(&victim)
-                    .map(|info| info.bytes)
-                    .unwrap_or(0);
-                cache.weight = cache.weight.saturating_sub(weight);
-            }
-        }
-        if cache.handles.is_empty() {
-            // A victim quarantined after caching has no index weight to subtract;
-            // an empty cache weighs nothing by definition.
-            cache.weight = 0;
-        }
+        let evicted = self.cache.shrink_to(target_bytes) as u64;
         if evicted > 0 {
+            self.evictions.add(evicted);
             self.cache_shrinks.inc();
         }
         evicted
@@ -581,16 +494,8 @@ impl TraceRepo {
                 index.values().map(|info| info.bytes).sum(),
             )
         };
-        let (prepared_cached, prepared_cached_bytes, hits, misses, evictions) = {
-            let cache = self.cache.lock().expect("prepared cache poisoned");
-            (
-                cache.handles.len() as u64,
-                cache.weight,
-                cache.hits.get(),
-                cache.misses.get(),
-                cache.evictions.get(),
-            )
-        };
+        let prepared_cached = self.cache.len() as u64;
+        let prepared_cached_bytes = self.cache.weight();
         self.blobs_gauge.set(blobs as i64);
         self.blob_bytes_gauge.set(blob_bytes as i64);
         self.prepared_gauge.set(prepared_cached as i64);
@@ -601,9 +506,9 @@ impl TraceRepo {
             prepared_cached,
             prepared_cached_bytes,
             cache_budget_bytes: self.cache_budget,
-            prepared_hits: hits,
-            prepared_misses: misses,
-            evictions,
+            prepared_hits: self.hits.get(),
+            prepared_misses: self.misses.get(),
+            evictions: self.evictions.get(),
             dedup_hits: self.dedup_hits.get(),
             requests_served: 0,
             correlation_builds: self.engine.correlation_builds(),

@@ -540,7 +540,7 @@ impl Worker {
                         engine.diff_with_algorithm(&left, &right, &algorithm_for(wire))?
                     }
                 };
-                let rendered = render_diff(&result, &left, &right, max_sequences as usize);
+                let rendered = engine.render_diff(&result, &left, &right, max_sequences as usize);
                 Ok(Response::DiffOk(WireDiff::from_result(&result, rendered)))
             }
             Request::Analyze {
@@ -707,7 +707,7 @@ impl Worker {
         }
         let outcome = session.finish()?;
         events.extend(outcome.events.iter().map(WireWatchEvent::from_event));
-        let rendered = render_diff(
+        let rendered = engine.render_diff(
             &outcome.result,
             &state.old,
             &outcome.new_trace,
@@ -765,19 +765,6 @@ fn write_response<C: Conn>(stream: &mut C, response: &Response) -> Result<()> {
     stream.write_all(&frame)?;
     stream.flush()?;
     Ok(())
-}
-
-fn render_diff(
-    result: &rprism::TraceDiffResult,
-    left: &PreparedTrace,
-    right: &PreparedTrace,
-    max_sequences: usize,
-) -> String {
-    result.render_with(
-        max_sequences,
-        |idx| left.describe_entry(idx),
-        |idx| right.describe_entry(idx),
-    )
 }
 
 #[cfg(test)]
