@@ -1,26 +1,20 @@
-//! [`SharedCache`]: the bounded, single-flight LRU behind every shared artifact.
+//! [`SharedCache`]: the bounded, single-flight LRU behind every shared artifact — the
+//! [`Engine`](crate::Engine)'s pair correlations (§3.3, built once and reused by the
+//! three §4.1 comparisons; weight 1 each) and a daemon's prepared handles (weighted by
+//! blob bytes).
 //!
-//! The paper builds the view correlation of a trace pair once (§3.3), and its §4.1
-//! analysis reuses it across three comparisons; a daemon keeps prepared handles hot so
-//! that repeated requests skip the load. Both reuses go through this one type: the
-//! [`Engine`](crate::Engine)'s pair correlations (weight 1 each, a count cap) and the
-//! server repository's prepared handles (weighted by blob bytes, a byte budget).
-//!
-//! * **Single flight.** Concurrent misses on one key run `build` exactly once. The
-//!   first caller claims the key and builds outside the map lock; later callers block
-//!   on that key's build only and are served its value. A build that fails (or
-//!   panics) caches nothing, and the next waiter claims the key and builds.
+//! * **Single flight.** Concurrent misses on one key run `build` once, outside the map
+//!   lock; the other callers block on that key only and are served its value. A build
+//!   that fails (or panics) caches nothing, and the next waiter builds.
 //! * **Weight.** An entry counts toward the budget, and can be evicted, only once its
 //!   value exists. After each insert, least-recently-used entries are evicted until
-//!   the total weight fits the budget. The entry just built is never evicted, so a
-//!   single entry over the budget stays until a later insert or
-//!   [`shrink_to`](SharedCache::shrink_to) pushes it out.
-//! * **Recency** is a use tick per entry, indexed by an ordered map: a hit re-stamps
-//!   its entry in O(log n) and never scans.
+//!   the weight fits the budget; the entry just built is never evicted.
+//! * **Recency** is a use tick per entry, indexed by an ordered map, so a hit costs
+//!   O(log n) and never scans.
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// How [`SharedCache::get_or_try_insert_with`] served its value.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -56,21 +50,16 @@ struct State<K, V> {
 
 #[derive(Debug)]
 enum Slot<V> {
-    Ready { value: V, weight: u64, used: u64 },
-    Building(Arc<Flight>),
+    Ready {
+        value: V,
+        weight: u64,
+        used: u64,
+    },
+    /// A build in progress; its waiters block until the builder lets go of the key.
+    Building(Arc<OnceLock<()>>),
 }
 
-/// One build in progress; its waiters block on `done` until the builder lets go.
-#[derive(Debug, Default)]
-struct Flight {
-    done: Mutex<bool>,
-    finished: Condvar,
-}
-
-impl<K, V> State<K, V>
-where
-    K: Hash + Eq + Clone,
-{
+impl<K: Hash + Eq, V> State<K, V> {
     /// Evicts least-recently-used built entries until the weight is at most `target`,
     /// leaving at least `keep` of them; returns how many were evicted.
     fn evict_to(&mut self, target: u64, keep: usize) -> usize {
@@ -86,11 +75,7 @@ where
     }
 }
 
-impl<K, V> SharedCache<K, V>
-where
-    K: Hash + Eq + Clone,
-    V: Clone,
-{
+impl<K: Hash + Eq + Clone, V: Clone> SharedCache<K, V> {
     /// An empty cache whose built entries may weigh `budget` in total.
     pub fn new(budget: u64) -> Self {
         SharedCache {
@@ -104,10 +89,8 @@ where
         }
     }
 
-    // The lock never spans a build, so a panic elsewhere cannot leave the state
-    // half-updated: a poisoned lock is taken as it is.
     fn lock(&self) -> MutexGuard<'_, State<K, V>> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+        self.state.lock().expect("shared cache poisoned")
     }
 
     /// The value cached under `key`, or the value `build` returns, cached under `key`
@@ -119,7 +102,7 @@ where
         weight: u64,
         build: impl FnOnce() -> Result<V, E>,
     ) -> Result<(V, CacheOutcome), E> {
-        let mut waited = false;
+        let mut outcome = CacheOutcome::Hit;
         let flight = loop {
             let mut guard = self.lock();
             let state = &mut *guard;
@@ -129,27 +112,16 @@ where
                     state.tick += 1;
                     *used = state.tick;
                     state.recency.insert(state.tick, key);
-                    let outcome = if waited {
-                        CacheOutcome::Waited
-                    } else {
-                        CacheOutcome::Hit
-                    };
                     return Ok((value.clone(), outcome));
                 }
                 Some(Slot::Building(flight)) => {
                     let flight = Arc::clone(flight);
                     drop(guard);
-                    waited = true;
-                    let mut done = flight.done.lock().unwrap_or_else(PoisonError::into_inner);
-                    while !*done {
-                        done = flight
-                            .finished
-                            .wait(done)
-                            .unwrap_or_else(PoisonError::into_inner);
-                    }
+                    outcome = CacheOutcome::Waited;
+                    flight.wait();
                 }
                 None => {
-                    let flight = Arc::new(Flight::default());
+                    let flight = Arc::new(OnceLock::new());
                     state
                         .slots
                         .insert(key.clone(), Slot::Building(Arc::clone(&flight)));
@@ -157,11 +129,7 @@ where
                 }
             }
         };
-        let claim = Claim {
-            cache: self,
-            key: &key,
-            flight,
-        };
+        let claim = Claim(self, &key, flight);
         let value = build()?;
         let mut guard = self.lock();
         let state = &mut *guard;
@@ -204,94 +172,58 @@ where
     }
 }
 
-/// A claimed key. Dropping it ends the claim however the build went: a key still
-/// marked as building (the build failed or panicked) is forgotten, and every waiter
-/// wakes to look again.
-struct Claim<'a, K: Hash + Eq + Clone, V: Clone> {
-    cache: &'a SharedCache<K, V>,
-    key: &'a K,
-    flight: Arc<Flight>,
-}
+/// A claimed key: the cache, the key and its build's flight. Dropping it ends the
+/// claim however the build went: a key still marked as building (the build failed or
+/// panicked) is forgotten, and every waiter wakes to look again.
+struct Claim<'a, K: Hash + Eq + Clone, V: Clone>(&'a SharedCache<K, V>, &'a K, Arc<OnceLock<()>>);
 
 impl<K: Hash + Eq + Clone, V: Clone> Drop for Claim<'_, K, V> {
     fn drop(&mut self) {
-        let mut state = self.cache.lock();
-        if matches!(state.slots.get(self.key), Some(Slot::Building(f)) if Arc::ptr_eq(f, &self.flight))
-        {
-            state.slots.remove(self.key);
+        let Claim(cache, key, flight) = self;
+        // A drop must not panic, and a poisoned state has already failed its users.
+        let mut state = cache.state.lock().unwrap_or_else(PoisonError::into_inner);
+        if matches!(state.slots.get(*key), Some(Slot::Building(f)) if Arc::ptr_eq(f, flight)) {
+            state.slots.remove(*key);
         }
         drop(state);
-        *self
-            .flight
-            .done
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = true;
-        self.flight.finished.notify_all();
+        flight.set(()).ok();
     }
 }
 
 #[cfg(test)]
 mod tests {
-    //! `SharedCache` ≡ a naive model: a `Vec` of `(key, weight)` in recency order,
-    //! driven by the same seeded stream of lookups (some over the budget on their own,
-    //! some failing to build) and shrinks. After every operation the resident keys in
-    //! recency order, the total weight and every reported outcome must agree — which
-    //! pins the eviction order too. The seed is printed; `RPRISM_FUZZ_SEED=<n>`
-    //! replays a run.
+    //! `SharedCache` ≡ a naive `Vec` model, over seeded lookups (some over the budget
+    //! alone, some failing to build) and shrinks. After every operation the resident
+    //! keys in recency order (hence the eviction order), the weight and every outcome
+    //! must agree. The seed is printed; `RPRISM_FUZZ_SEED=<n>` replays a run.
 
     use super::*;
     use rprism_trace::testgen::{fuzz_seed, Rng};
 
-    struct Model {
-        budget: u64,
-        /// Least recently used first.
-        entries: Vec<(u32, u64)>,
-    }
+    /// The reference: `(key, weight)` pairs, least recently used first.
+    struct Model(Vec<(u32, u64)>);
 
     impl Model {
         fn weight(&self) -> u64 {
-            self.entries.iter().map(|&(_, w)| w).sum()
+            self.0.iter().map(|&(_, weight)| weight).sum()
         }
 
-        /// `None` for a miss whose build fails.
-        fn get(&mut self, key: u32, weight: u64, fails: bool) -> Option<CacheOutcome> {
-            if let Some(pos) = self.entries.iter().position(|&(k, _)| k == key) {
-                let entry = self.entries.remove(pos);
-                self.entries.push(entry);
-                return Some(CacheOutcome::Hit);
+        fn evict(&mut self, target: u64, keep: usize) -> usize {
+            let before = self.0.len();
+            while self.weight() > target && self.0.len() > keep {
+                self.0.remove(0);
             }
-            if fails {
-                return None;
-            }
-            self.entries.push((key, weight));
-            let mut evicted = 0;
-            while self.weight() > self.budget && self.entries.len() > 1 {
-                self.entries.remove(0);
-                evicted += 1;
-            }
-            Some(CacheOutcome::Built { evicted })
-        }
-
-        fn shrink(&mut self, target: u64) -> usize {
-            let mut evicted = 0;
-            while self.weight() > target && !self.entries.is_empty() {
-                self.entries.remove(0);
-                evicted += 1;
-            }
-            evicted
+            before - self.0.len()
         }
     }
 
     fn resident(cache: &SharedCache<u32, u64>) -> Vec<(u32, u64)> {
         let state = cache.lock();
-        state
-            .recency
-            .values()
-            .map(|key| match &state.slots[key] {
-                Slot::Ready { weight, .. } => (*key, *weight),
-                Slot::Building(_) => panic!("a finished build left {key} building"),
-            })
-            .collect()
+        let weight_of = |key| match state.slots[key] {
+            Slot::Ready { weight, .. } => weight,
+            Slot::Building(_) => panic!("a finished build left {key} building"),
+        };
+        state.recency.values().map(|k| (*k, weight_of(k))).collect()
     }
 
     #[test]
@@ -299,77 +231,63 @@ mod tests {
         let mut rng = Rng::new(fuzz_seed() ^ 0xcac4_e5ed);
         for round in 0..200 {
             let budget = rng.range(1, 64);
-            let keys = rng.range(2, 24) as u32;
+            let keys = rng.range(2, 24);
             let cache = SharedCache::new(budget);
-            let mut model = Model {
-                budget,
-                entries: Vec::new(),
-            };
+            let mut model = Model(Vec::new());
             for op in 0..rng.usize(1, 120) {
+                let at = format!("round {round}, op {op}");
                 if rng.range(0, 10) == 0 {
                     let target = rng.range(0, budget + 1);
-                    assert_eq!(
-                        cache.shrink_to(target),
-                        model.shrink(target),
-                        "round {round} op {op}"
-                    );
+                    assert_eq!(cache.shrink_to(target), model.evict(target, 0), "{at}");
                 } else {
-                    let key = rng.range(0, u64::from(keys)) as u32;
+                    let key = rng.range(0, keys) as u32;
                     // Now and then a single entry weighs more than the whole budget.
                     let weight = rng.range(0, budget + budget / 2 + 2);
                     let fails = rng.range(0, 6) == 0;
+                    let expected = match model.0.iter().position(|&(k, _)| k == key) {
+                        Some(pos) => {
+                            model.0[pos..].rotate_left(1);
+                            Ok(CacheOutcome::Hit)
+                        }
+                        None if fails => Err(()),
+                        None => {
+                            model.0.push((key, weight));
+                            let evicted = model.evict(budget, 1);
+                            Ok(CacheOutcome::Built { evicted })
+                        }
+                    };
                     let mut built = false;
                     let got = cache.get_or_try_insert_with(key, weight, || {
                         built = true;
-                        if fails {
-                            Err(())
-                        } else {
-                            Ok(u64::from(key) * 7)
-                        }
+                        (!fails).then_some(u64::from(key) * 7).ok_or(())
                     });
-                    let expected = model.get(key, weight, fails);
-                    match (got, expected) {
-                        (Ok((value, outcome)), Some(want)) => {
-                            assert_eq!(value, u64::from(key) * 7);
-                            assert_eq!(outcome, want, "round {round} op {op} key {key}");
-                        }
-                        (Err(()), None) => {}
-                        (got, want) => {
-                            panic!("round {round} op {op} key {key}: {got:?} vs model {want:?}")
-                        }
-                    }
-                    assert_eq!(built, expected != Some(CacheOutcome::Hit));
+                    assert_eq!(got, expected.map(|o| (u64::from(key) * 7, o)), "{at}");
+                    assert_eq!(built, expected != Ok(CacheOutcome::Hit), "{at}");
                 }
-                assert_eq!(resident(&cache), model.entries, "round {round} op {op}");
-                assert_eq!(cache.weight(), model.weight(), "round {round} op {op}");
-                assert_eq!(cache.len(), model.entries.len());
+                assert_eq!(resident(&cache), model.0, "{at}");
+                assert_eq!(cache.weight(), model.weight(), "{at}");
+                assert_eq!(cache.len(), model.0.len(), "{at}");
             }
         }
     }
 
     #[test]
     fn a_failed_build_leaves_the_key_to_the_next_waiter() {
-        use std::sync::Barrier;
-
-        let cache: SharedCache<u32, u64> = SharedCache::new(10);
+        let cache = SharedCache::new(10);
         let builds = std::sync::atomic::AtomicUsize::new(0);
-        let barrier = Barrier::new(4);
-        let results: Vec<Result<(u64, CacheOutcome), ()>> = std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..4)
-                .map(|_| {
-                    scope.spawn(|| {
-                        barrier.wait();
-                        cache.get_or_try_insert_with(1, 1, || {
-                            // The first build fails; the one after it succeeds.
-                            if builds.fetch_add(1, std::sync::atomic::Ordering::SeqCst) == 0 {
-                                Err(())
-                            } else {
-                                Ok(9)
-                            }
-                        })
-                    })
+        let barrier = std::sync::Barrier::new(4);
+        let results: Vec<_> = std::thread::scope(|scope| {
+            let lookup = || {
+                barrier.wait();
+                // The first build fails; the one after it succeeds.
+                cache.get_or_try_insert_with(1u32, 1, || {
+                    match builds.fetch_add(1, std::sync::atomic::Ordering::SeqCst) {
+                        0 => Err(()),
+                        _ => Ok(9u64),
+                    }
                 })
-                .collect();
+            };
+            let workers: Vec<_> = (0..4).map(|_| scope.spawn(lookup)).collect();
             workers.into_iter().map(|w| w.join().unwrap()).collect()
         });
         assert_eq!(

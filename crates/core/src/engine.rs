@@ -18,10 +18,8 @@
 //! On top of the per-trace artifacts, the engine keeps a session-level *pair* cache:
 //! the view [`Correlation`] of two prepared traces is built on their first diff and
 //! reused by every repeat, so re-differencing the same pair skips straight to the
-//! lock-step scan (the `prepared_reuse_speedup` metric of `BENCH_2.json`). The cache is
-//! a [`SharedCache`] keyed on the unordered handle pair: one build per pair, even under
-//! a concurrent cold stampede, serves both diff directions (the other one as the exact
-//! transpose), and at most [`CORRELATION_CACHE_CAP`] pairs stay, least recently used
+//! lock-step scan (the `prepared_reuse_speedup` metric of `BENCH_2.json`). It is a
+//! [`SharedCache`] of at most [`CORRELATION_CACHE_CAP`] pairs, least recently used
 //! evicted first.
 //!
 //! Batch entry points ([`Engine::diff_many`], [`Engine::analyze_many`]) fan independent
@@ -385,9 +383,7 @@ pub struct Engine {
     /// default.
     obs: Obs,
     /// Session cache of pair-level artifacts: one view [`Correlation`] per unordered
-    /// handle pair, built in the orientation of the pair's first query and transposed
-    /// for the other. Weight 1 per pair, so at most [`CORRELATION_CACHE_CAP`] pairs
-    /// stay, least recently used evicted first. Shared by engine clones.
+    /// handle pair, weight 1 each. Shared by engine clones.
     correlations: Arc<SharedCache<CorrelationKey, Arc<CachedCorrelation>>>,
     /// How many correlations this session built (flips are transposes, not builds).
     correlation_builds: Arc<AtomicU64>,
@@ -714,9 +710,9 @@ impl Engine {
         )
     }
 
-    /// Renders a semantic diff of `left` and `right`, at most `max_sequences` difference
-    /// sequences. Entry lines come from the handles: full handles render complete
-    /// entries, streamed handles compact context lines from their lean artifacts.
+    /// Renders at most `max_sequences` difference sequences of a diff of `left` and
+    /// `right`: complete entry lines from full handles, compact context lines from
+    /// streamed ones.
     pub fn render_diff(
         &self,
         result: &TraceDiffResult,
@@ -733,30 +729,23 @@ impl Engine {
 
     /// The pair's view correlation, from the session cache or built (and cached) now.
     ///
-    /// The cache is keyed on the **unordered** handle pair: the first query of a pair
-    /// builds the correlation in *its* orientation (so a cold diff matches the one-shot
-    /// `views_diff_sides` path exactly — the equivalence `tests/engine_equivalence.rs`
-    /// pins down), and the opposite orientation is then served as the exact transpose
-    /// of that build.
-    /// Correlation is a cross-execution heuristic whose greedy construction is not
-    /// orientation-invariant; sharing one build across both directions of a pair is the
-    /// point — `analyze` after a reversed `diff` reuses it instead of deriving a
-    /// possibly different one. A concurrent cold stampede on one pair builds it once
-    /// (the cache is single-flight) without holding up any other pair.
+    /// The cache is keyed on the **unordered** handle pair, and a concurrent cold
+    /// stampede on a pair builds it once. The first query of a pair builds the
+    /// correlation in *its* orientation (so a cold diff matches the one-shot
+    /// `views_diff_sides` path exactly, as `tests/engine_equivalence.rs` pins), and the
+    /// other orientation is served as the exact transpose of that build. Correlation is
+    /// a greedy heuristic that is not orientation-invariant, so `analyze` after a
+    /// reversed `diff` reuses the one build instead of deriving a different one.
     fn correlation_for(&self, left: &PreparedTrace, right: &PreparedTrace) -> Arc<Correlation> {
         let (left_id, right_id) = (left.inner.id, right.inner.id);
         let key = (left_id.min(right_id), left_id.max(right_id));
-        let Ok((cached, outcome)) = self.correlations.get_or_try_insert_with(
-            key,
-            1,
-            || -> std::result::Result<_, Infallible> {
-                Ok(Arc::new(CachedCorrelation {
-                    built_left_id: left_id,
-                    built: Arc::new(Correlation::build(left.web(), right.web())),
-                    flipped: OnceLock::new(),
-                }))
-            },
-        );
+        let Ok((cached, outcome)) = self.correlations.get_or_try_insert_with(key, 1, || {
+            Ok::<_, Infallible>(Arc::new(CachedCorrelation {
+                built_left_id: left_id,
+                built: Arc::new(Correlation::build(left.web(), right.web())),
+                flipped: OnceLock::new(),
+            }))
+        });
         if let CacheOutcome::Built { .. } = outcome {
             self.correlation_builds.fetch_add(1, Ordering::Relaxed);
         }

@@ -22,21 +22,16 @@
 //! (see [`crate::fs`]) so the chaos suite can kill a put at each step and prove
 //! these invariants.
 //!
-//! Above the blobs sits the hot cache: [`PreparedTrace`] handles produced by
-//! [`Engine::load_prepared_reader`]'s bounded-memory streaming pipeline, held in a
-//! [`SharedCache`] keyed by content hash and bounded by a **byte budget** with
-//! least-recently-used eviction. The weight of a handle is its blob's on-disk size — a
-//! deliberate proxy for the prepared artifacts' footprint that is cheap,
-//! deterministic, and proportional to the trace. Eviction drops handles only; blobs
-//! are never deleted, and an evicted trace simply streams back in on its next use.
-//! Handles are `Arc`s, so evicting one that an in-flight request is using is safe —
-//! the request keeps its clone alive.
-//!
-//! Loads are **single-flight**: concurrent cold requests for one hash stream its blob
-//! once, and the others wait for that load (`cache.stampede_waits`) and count as
-//! hits. A failed load caches nothing; the next request retries it.
-//! [`TraceRepo::shrink_cache`] is the memory-pressure valve: it evicts handles down
-//! to a target weight, so reads degrade to re-streaming and are never refused.
+//! Above the blobs sits the hot cache: a [`SharedCache`] of the [`PreparedTrace`]
+//! handles [`Engine::load_prepared_reader`] streams in, keyed by content hash and
+//! bounded by a **byte budget** with least-recently-used eviction. A handle weighs its
+//! blob's on-disk size: a cheap, deterministic proxy proportional to the trace.
+//! Eviction drops handles only; an evicted trace streams back in from its blob on its
+//! next use, and a request using an evicted handle keeps its `Arc` clone alive. Loads
+//! are **single-flight**: concurrent cold requests for one hash stream its blob once,
+//! and the others wait (`cache.stampede_waits`) and count as hits. A failed load caches
+//! nothing. [`TraceRepo::shrink_cache`] evicts under memory pressure, so reads degrade
+//! to re-streaming and are never refused.
 //!
 //! One deliberate slack: evicting a handle does not purge the engine's pair-level
 //! correlation cache, so correlations of evicted handles linger until LRU churn
@@ -407,9 +402,6 @@ impl TraceRepo {
                 .map(|info| info.bytes)
                 .ok_or(ServerError::UnknownTrace { hash })?
         };
-        // Concurrent cold misses of one trace wait for the first caller's load
-        // instead of each streaming the blob. A failed load caches nothing, and the
-        // next caller retries it.
         let (handle, outcome) = self.cache.get_or_try_insert_with(hash, weight, || {
             self.misses.inc();
             let load_span = self.obs.span("repo.load");
@@ -847,7 +839,7 @@ mod tests {
         assert_eq!(
             stats.prepared_misses,
             before + 1,
-            "one load for eight callers"
+            "one load for all callers"
         );
         assert_eq!(stats.prepared_hits + 1, THREADS as u64);
         for handle in &handles {
@@ -874,20 +866,20 @@ mod tests {
             .unwrap();
 
         assert!(matches!(repo.prepared(hash), Err(ServerError::Io(_))));
+        assert_eq!(repo.list().len(), 1, "the blob stays listed");
         let stats = repo.stats();
         assert_eq!(
-            repo.list().len(),
-            1,
-            "a transient failure keeps the blob listed"
+            (
+                stats.quarantined,
+                stats.prepared_cached,
+                stats.prepared_misses
+            ),
+            (0, 0, 1)
         );
-        assert_eq!(stats.quarantined, 0);
-        assert_eq!(stats.prepared_cached, 0);
-        assert_eq!(stats.prepared_misses, 1);
 
         repo.prepared(hash).expect("the next call loads the blob");
         let stats = repo.stats();
-        assert_eq!(stats.prepared_misses, 2);
-        assert_eq!(stats.prepared_cached, 1);
+        assert_eq!((stats.prepared_cached, stats.prepared_misses), (1, 2));
         std::fs::remove_dir_all(&dir).ok();
     }
 
