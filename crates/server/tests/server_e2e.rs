@@ -371,7 +371,7 @@ fn graceful_shutdown_drains_in_flight_requests() {
 
     let addr_text = addr.to_string();
     let (ready_tx, ready_rx) = std::sync::mpsc::channel();
-    let in_flight = std::thread::spawn(move || {
+    let pending_diff = std::thread::spawn(move || {
         let mut client = Client::connect(&addr_text, TIMEOUT).unwrap();
         // A first round trip proves a worker owns this connection, so the diff below
         // is genuinely in flight when the shutdown lands.
@@ -386,7 +386,7 @@ fn graceful_shutdown_drains_in_flight_requests() {
     uploader.shutdown().unwrap();
 
     // The in-flight diff must complete with a full response, not be cut off.
-    let diff = in_flight.join().unwrap().unwrap();
+    let diff = pending_diff.join().unwrap().unwrap();
     assert!(diff.left_len == 6000 && diff.right_len == 6000);
     server.join().unwrap();
 
