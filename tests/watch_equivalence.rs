@@ -5,12 +5,15 @@
 //! `TailDecoder` fed the serialized trace in byte-level chunks under both on-disk
 //! encodings, its batches pushed with [`rprism::Watch::push_batch`]. The provisional
 //! event stream is checked for the monotonic invalidation rule throughout: a retracted
-//! pair is never re-reported as a match, not even by the final reconciliation.
+//! pair is never re-reported as a match, not even by the final reconciliation. The
+//! daemon-shaped stream itself (64 KiB binary chunks) is pinned event for event by
+//! count and digest.
 
 use std::collections::HashSet;
 
-use rprism::{Encoding, Engine, ProvisionalEvent, TraceDiffResult};
+use rprism::{Encoding, Engine, PreparedTrace, ProvisionalEvent, TraceDiffResult};
 use rprism_format::trace_to_bytes;
+use rprism_trace::testgen::{mutated, GenProfile, Rng};
 use rprism_workloads::casestudies;
 
 mod common;
@@ -124,3 +127,84 @@ fn tailed_watch_over_both_encodings_matches_the_batch_differ() {
         }
     }
 }
+
+/// FNV-1a over a canonical byte form of an event stream: a tag per event, then every
+/// index as a little-endian `u64` (a `Difference` writes its two lengths first).
+fn event_digest(events: &[ProvisionalEvent]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for &byte in bytes {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    let word = |n: usize| (n as u64).to_le_bytes();
+    for event in events {
+        match event {
+            ProvisionalEvent::Match { left, right } => {
+                eat(&[0]);
+                eat(&word(*left));
+                eat(&word(*right));
+            }
+            ProvisionalEvent::Invalidate { left, right } => {
+                eat(&[1]);
+                eat(&word(*left));
+                eat(&word(*right));
+            }
+            ProvisionalEvent::Difference { left, right } => {
+                eat(&[2]);
+                eat(&word(left.len()));
+                eat(&word(right.len()));
+                left.iter().chain(right).for_each(|&k| eat(&word(k)));
+            }
+        }
+    }
+    hash
+}
+
+/// The daemon's event stream, event for event: the new side of each case study, and
+/// of one generated near-copy pair, streams as 64 KiB binary chunks through the tail
+/// decoder; the push events and the final reconciliation events are counted and
+/// hashed together. A change to the session's bookkeeping that reorders, drops or adds
+/// a single event moves these pins.
+#[test]
+fn the_daemon_shaped_event_stream_is_pinned() {
+    let engine = Engine::new();
+    let mut pairs: Vec<(String, PreparedTrace, PreparedTrace)> = Vec::new();
+    for scenario in casestudies::all() {
+        let traces = scenario.trace_all().unwrap();
+        let [old, new, ..] = traces.handles();
+        pairs.push((scenario.name.to_string(), old.clone(), new.clone()));
+    }
+    let mut rng = Rng::new(0x5eed_2500);
+    let old = GenProfile::WellFormed.generate(&mut rng, 2400);
+    let new = mutated(&mut rng, &old);
+    pairs.push((
+        "well-formed-2400".into(),
+        PreparedTrace::new(old),
+        PreparedTrace::new(new),
+    ));
+
+    let mut got: Vec<(String, usize, u64)> = Vec::new();
+    for (name, old, new) in &pairs {
+        let bytes = trace_to_bytes(new.trace(), Encoding::Binary).unwrap();
+        let mut events = Vec::new();
+        let outcome = tail_watch(&engine, old, &bytes, 64 * 1024, &mut events);
+        events.extend(outcome.events);
+        got.push((name.clone(), events.len(), event_digest(&events)));
+    }
+    let pinned: Vec<(String, usize, u64)> = PINNED_STREAMS
+        .iter()
+        .map(|&(name, count, digest)| (name.to_string(), count, digest))
+        .collect();
+    assert_eq!(got, pinned, "the watch's event stream moved");
+}
+
+/// `(pair, event count, event_digest)` of [`the_daemon_shaped_event_stream_is_pinned`].
+const PINNED_STREAMS: &[(&str, usize, u64)] = &[
+    ("daikon", 333, 12825436917434587024),
+    ("xalan-1725", 119, 664004704890554419),
+    ("xalan-1802", 136, 5375657741981392611),
+    ("derby-1633", 188, 1440518072691484089),
+    ("well-formed-2400", 3362, 17896461190488948486),
+];
