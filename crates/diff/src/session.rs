@@ -8,19 +8,46 @@
 //!
 //! * the lock-step scan of one correlated thread-view pair (paper §3.3, Fig. 12) is an
 //!   explicit cursor pair (`PairScan`) that can stop at any step and resume when the
-//!   right side has grown;
+//!   right side has grown; it carries its matched pairs, its cost meter and its
+//!   scratch buffers with it;
 //! * [`DiffSession::push_batch`] appends a batch of new-trace entries (incrementally
 //!   extending the right side's [`SideArtifacts`] — the same fold streaming ingestion
 //!   runs), advances every pair as far as the data allows, and
 //!   returns the [`ProvisionalEvent`]s that advance produced;
-//! * [`DiffSession::finish`] runs the scan to completion against the final view
-//!   correlation and returns a [`TraceDiffResult`] **identical** (matching, sequences,
-//!   compare counts) to the batch differ over the same two traces, however the chunks
-//!   were sliced.
+//! * [`DiffSession::finish`] resumes every confirmed pair from its suspended cursors
+//!   and runs it to completion against the final view correlation, re-scanning from
+//!   the start only the pairs it cannot confirm. It returns a [`TraceDiffResult`]
+//!   **identical** (matching, sequences, compare counts) to the batch differ over the
+//!   same two traces, however the chunks were sliced.
 //!
 //! The batch differ itself is re-expressed over the same machine: `views_diff_sides*`
-//! call `scan_sides`, which drives one `PairScan` per correlated thread pair to
-//! completion. There is exactly one scan implementation.
+//! run one fresh `PairScan` per correlated thread pair to completion through
+//! `complete_scans`, the same call that completes a session's suspended scans. There is
+//! exactly one scan implementation.
+//!
+//! # Confirmation, and compare accounting
+//!
+//! A head match depends only on the two entries, and a mismatch step is taken only once
+//! its exploration can no longer change shape as the right side grows (see below). The
+//! one input a taken step reads that can still change is the view correlation: each
+//! push re-derives it over the webs as they stand, and the step's secondary-view
+//! exploration reads its thread pairing and its object-view verdicts
+//! (`Correlation::object_verdict`) for every entry pair in the Δ-neighbourhood. A pair
+//! is therefore **confirmed** when its thread pairing survived and every mismatch step
+//! it took explores the same secondary view pairs, centred on the same entries, under
+//! the final correlation. Each pair logs its taken steps (cursor and explored list);
+//! whenever a push's correlation gives any verdict differently from the previous
+//! push's, the log is recomputed under the new correlation without running the
+//! windowed LCS, and a pair whose list differs is marked unconfirmed for good. The last
+//! push's correlation is the final one (`finish` adds no entries), so `finish` reuses
+//! it: a confirmed pair resumes, an unconfirmed one scans again from cursor 0, and the
+//! pairs merge in `thread_pairs()` order exactly as the batch differ merges them.
+//!
+//! Compare operations are counted once: each pair keeps its own meter across pushes,
+//! and a scan that suspends at a mismatch remembers that its heads were already
+//! compared, so resuming takes the step without comparing (and counting) them again.
+//! A resumed pair's meter therefore equals a batch run's over the same pair; a
+//! re-scanned pair starts a fresh one.
 //!
 //! # Provisional events and the monotonic invalidation rule
 //!
@@ -38,30 +65,29 @@
 //!   change shape with further growth; otherwise the pair suspends until the next push
 //!   or [`DiffSession::finish`];
 //! * when the correlation revises a thread pairing, retracts that pair's provisional
-//!   matches with [`ProvisionalEvent::Invalidate`] and records them in a tombstone set.
+//!   matches with [`ProvisionalEvent::Invalidate`] and tombstones them.
 //!
-//! The tombstone set is the **monotonic invalidation rule**: once a `(left, right)`
-//! pair has been invalidated it is never emitted as a match again — not by a later
-//! push, and not by the reconciliation events of `finish`. The event stream is
-//! advisory; the `finish` result is authoritative and may contain a tombstoned pair
-//! (it then simply appears without a fresh `Match` event). Equivalence and
+//! Tombstoning is the **monotonic invalidation rule**: once a `(left, right)` pair has
+//! been invalidated it is never emitted as a match again — not by a later push, and not
+//! by the reconciliation events of `finish`. The event stream is advisory; the `finish`
+//! result is authoritative and may contain a tombstoned pair (it then simply appears
+//! without a fresh `Match` event). Every reported pair is kept per left entry (a
+//! [`Ledger`]), so deduplication and reconciliation hash nothing. Equivalence and
 //! monotonicity are pinned by the workspace `watch_equivalence` suite.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::BTreeSet;
+use std::sync::Mutex;
+use std::time::Instant;
 
 use rprism_trace::{par, EntryBatch, ThreadId, TraceMeta};
-use rprism_views::{Correlation, ViewKind};
+use rprism_views::{Correlation, ViewId, ViewKind, ViewWeb};
 
 use crate::cost::CostMeter;
 use crate::matching::Matching;
 use crate::result::TraceDiffResult;
 use crate::views_diff::{
-    views_diff_sides_correlated, DiffSide, Differ, Scratch, SideArtifacts, ViewsDiffOptions,
+    views_diff_sides_from, DiffSide, Differ, Linked, Scratch, SideArtifacts, ViewsDiffOptions,
 };
-
-/// Observer of skipped (divergent-looking) regions during a scan step — the raw
-/// material of [`ProvisionalEvent::Difference`].
-type SkipObserver<'a> = &'a mut dyn FnMut(&[usize], &[usize]);
 
 /// One tentative observation emitted while a new trace streams in.
 ///
@@ -97,11 +123,36 @@ pub enum ProvisionalEvent {
 
 /// The suspendable lock-step scan over one pair of correlated thread views: the
 /// `(i, j)` cursor pair of the paper's Fig. 12 rules, made explicit so a scan can stop
-/// mid-pair and resume after the right view has grown.
-#[derive(Clone, Copy, Debug, Default)]
+/// mid-pair and resume after the right view has grown, together with everything the
+/// scan has accumulated so far.
+#[derive(Debug, Default)]
 pub(crate) struct PairScan {
     i: usize,
     j: usize,
+    /// The heads at `(i, j)` were compared, and differ, before the scan suspended.
+    head_differs: bool,
+    /// Matched pairs in discovery order, duplicates included.
+    matched: Vec<(usize, usize)>,
+    meter: CostMeter,
+    scratch: Scratch<'static>,
+}
+
+/// One correlated thread-view pair's scan, ready to run to completion: the two thread
+/// views and the scan's state (fresh, or suspended by a session).
+pub(crate) type PairTask<'a> = (&'a [usize], &'a [usize], PairScan);
+
+/// What a provisional run records beyond its matches: its taken mismatch steps, for
+/// confirmation, and the regions it skipped, the raw material of
+/// [`ProvisionalEvent::Difference`].
+#[derive(Debug, Default)]
+struct RunLog {
+    /// Taken mismatch steps: cursors `(i, j)` and the end of the step's explored list
+    /// in `linked`.
+    steps: Vec<(usize, usize, usize)>,
+    linked: Vec<Linked>,
+    /// Regions skipped by the latest run, as view positions `(i, a, j, b)`:
+    /// `lv[i..i + a]` and `rv[j..j + b]`.
+    skips: Vec<(usize, usize, usize, usize)>,
 }
 
 impl PairScan {
@@ -109,56 +160,69 @@ impl PairScan {
     /// is final and the pair runs to exhaustion — this is the batch differ's inner
     /// loop. Without it, a mismatch step is only taken when its exploration is fully
     /// covered by the entries seen so far (see [`mismatch_is_stable`]); otherwise the
-    /// pair suspends with its cursors intact.
-    ///
-    /// `on_skip` observes the regions skipped while locating the next correspondence
-    /// (the raw material of [`ProvisionalEvent::Difference`]); matched pairs are
-    /// appended to `matched` in discovery order, duplicates included.
-    #[allow(clippy::too_many_arguments)]
+    /// pair suspends with its cursors intact. `log`, when given, records every taken
+    /// mismatch step and skipped region.
     fn run<'a>(
         &mut self,
         differ: &Differ<'a>,
         lv: &[usize],
         rv: &[usize],
         complete: bool,
-        matched: &mut Vec<(usize, usize)>,
-        meter: &mut CostMeter,
+        log: Option<&mut RunLog>,
+    ) {
+        let mut scratch = std::mem::take(&mut self.scratch).rebind();
+        self.advance(differ, lv, rv, complete, &mut scratch, log);
+        self.scratch = scratch.rebind();
+    }
+
+    fn advance<'a>(
+        &mut self,
+        differ: &Differ<'a>,
+        lv: &[usize],
+        rv: &[usize],
+        complete: bool,
         scratch: &mut Scratch<'a>,
-        mut on_skip: Option<SkipObserver<'_>>,
+        mut log: Option<&mut RunLog>,
     ) {
         while self.i < lv.len() && self.j < rv.len() {
-            meter.count_compares(1);
-            if differ.entries_eq(lv[self.i], rv[self.j]) {
-                // STEP-VIEW-MATCH
-                matched.push((lv[self.i], rv[self.j]));
-                self.i += 1;
-                self.j += 1;
-                continue;
+            if !self.head_differs {
+                self.meter.count_compares(1);
+                if differ.entries_eq(lv[self.i], rv[self.j]) {
+                    // STEP-VIEW-MATCH
+                    self.matched.push((lv[self.i], rv[self.j]));
+                    self.i += 1;
+                    self.j += 1;
+                    continue;
+                }
             }
             if !complete && !mismatch_is_stable(differ, rv, self.j) {
                 // The mismatch exploration could still change shape as the right side
                 // grows; suspend with the cursors parked on this step.
+                self.head_differs = true;
                 return;
             }
+            self.head_differs = false;
             // STEP-VIEW-NOMATCH: explore linked secondary views near the mismatch …
-            differ.explore_secondary_views(lv, rv, self.i, self.j, matched, meter, scratch);
+            differ.explore_secondary_views(
+                lv,
+                rv,
+                self.i,
+                self.j,
+                &mut self.matched,
+                &mut self.meter,
+                scratch,
+            );
             // … then skip to the next point of correspondence in the thread views.
-            match differ.next_correspondence(lv, rv, self.i, self.j, meter) {
-                Some((a, b)) => {
-                    if let Some(skip) = on_skip.as_deref_mut() {
-                        skip(&lv[self.i..self.i + a], &rv[self.j..self.j + b]);
-                    }
-                    self.i += a;
-                    self.j += b;
-                }
-                None => {
-                    if let Some(skip) = on_skip.as_deref_mut() {
-                        skip(&lv[self.i..=self.i], &rv[self.j..=self.j]);
-                    }
-                    self.i += 1;
-                    self.j += 1;
-                }
+            let (a, b) = differ
+                .next_correspondence(lv, rv, self.i, self.j, &mut self.meter)
+                .unwrap_or((1, 1));
+            if let Some(log) = log.as_deref_mut() {
+                log.linked.extend_from_slice(scratch.explored());
+                log.steps.push((self.i, self.j, log.linked.len()));
+                log.skips.push((self.i, a, self.j, b));
             }
+            self.i += a;
+            self.j += b;
         }
     }
 }
@@ -197,67 +261,219 @@ fn mismatch_is_stable(differ: &Differ<'_>, rv: &[usize], j: usize) -> bool {
     true
 }
 
-/// The complete scan over every correlated thread-view pair — the single lock-step
-/// scan implementation behind both the batch `views_diff_sides*` entry points and
-/// [`DiffSession::finish`]. Thread pairs are independent, so they fan out over
-/// [`par::map_ordered`]; each pair's pairs and cost meter are merged in pair order,
-/// so the result is the same whether or not the pairs ran concurrently.
-pub(crate) fn scan_sides(
-    left: &DiffSide<'_>,
-    right: &DiffSide<'_>,
+/// The correlated thread-view pairs of two sides, in `thread_pairs()` order (left
+/// thread ascending): both thread ids and both views' entries. Pairs whose thread has
+/// no view on one side are skipped.
+fn thread_views<'a>(
+    left: &DiffSide<'a>,
+    right: &DiffSide<'a>,
     correlation: &Correlation,
-    options: &ViewsDiffOptions,
-    meter: &mut CostMeter,
-) -> Matching {
-    let differ = Differ {
-        left: *left,
-        right: *right,
-        correlation,
-        options,
-    };
-
-    // Collect the correlated thread-view pairs up front; each pair is independent.
-    let pairs: Vec<(&[usize], &[usize])> = correlation
+) -> Vec<(ThreadId, ThreadId, &'a [usize], &'a [usize])> {
+    correlation
         .thread_pairs()
         .into_iter()
         .filter_map(|(lt, rt)| {
             let lv = left.web.thread_view_entries(lt)?;
             let rv = right.web.thread_view_entries(rt)?;
-            Some((lv, rv))
+            Some((lt, rt, lv, rv))
         })
-        .collect();
+        .collect()
+}
 
-    let scans = par::map_ordered(&pairs, |&(lv, rv)| {
-        let mut pair_matched = Vec::new();
-        let mut pair_meter = CostMeter::new();
-        PairScan::default().run(
-            &differ,
-            lv,
-            rv,
-            true,
-            &mut pair_matched,
-            &mut pair_meter,
-            &mut Scratch::default(),
-            None,
-        );
-        (pair_matched, pair_meter)
+/// One fresh scan per correlated thread-view pair: the batch differ's tasks.
+pub(crate) fn fresh_scans<'a>(
+    left: &DiffSide<'a>,
+    right: &DiffSide<'a>,
+    correlation: &Correlation,
+) -> Vec<PairTask<'a>> {
+    thread_views(left, right, correlation)
+        .into_iter()
+        .map(|(_, _, lv, rv)| (lv, rv, PairScan::default()))
+        .collect()
+}
+
+/// Runs every pair's scan to completion — the single lock-step scan behind both the
+/// batch `views_diff_sides*` entry points and [`DiffSession::finish`]. Thread pairs are
+/// independent, so they fan out over [`par::map_ordered`]; each pair's pairs and cost
+/// meter are merged in task order, so the result is the same whether or not the pairs
+/// ran concurrently.
+pub(crate) fn complete_scans(
+    differ: &Differ<'_>,
+    scans: Vec<PairTask<'_>>,
+    meter: &mut CostMeter,
+) -> Matching {
+    // Each slot is locked once, by the one worker that runs its scan.
+    let slots: Vec<_> = scans
+        .into_iter()
+        .map(|(lv, rv, scan)| (lv, rv, Mutex::new(scan)))
+        .collect();
+    let done = par::map_ordered(&slots, |(lv, rv, slot)| {
+        let mut scan = std::mem::take(&mut *slot.lock().expect("scan slot poisoned"));
+        scan.run(differ, lv, rv, true, None);
+        (scan.matched, scan.meter)
     });
     let mut matched = Vec::new();
-    for (pair_matched, pair_meter) in scans {
+    for (pair_matched, pair_meter) in done {
         matched.extend(pair_matched);
         meter.merge(&pair_meter);
     }
-    Matching::from_pairs(left.len(), right.len(), matched)
+    Matching::from_pairs(differ.left.len(), differ.right.len(), matched)
 }
 
 /// Per-pair incremental state: which right thread the left thread is currently paired
-/// with, the suspended scan cursors, and the provisional pairs this pairing has
+/// with, the suspended scan, its log, and the provisional pairs this pairing has
 /// emitted (retracted wholesale if the pairing is revised).
 #[derive(Debug)]
 struct PairState {
+    left: ThreadId,
     right: ThreadId,
     scan: PairScan,
-    contributed: Vec<(usize, usize)>,
+    log: RunLog,
+    /// Every logged step explores the same view pairs under the latest correlation.
+    confirmed: bool,
+    /// How many of `scan.matched` have been turned into events.
+    reported: usize,
+    /// Ledger nodes of the `Match` events this pairing emitted.
+    contributed: Vec<u32>,
+}
+
+impl PairState {
+    fn new(left: ThreadId, right: ThreadId) -> Self {
+        PairState {
+            left,
+            right,
+            scan: PairScan::default(),
+            log: RunLog::default(),
+            confirmed: true,
+            reported: 0,
+            contributed: Vec::new(),
+        }
+    }
+
+    /// Whether every logged step explores the same view pairs, centred on the same
+    /// entries, under `differ`'s correlation. `buf` is scratch.
+    fn steps_hold(
+        &self,
+        differ: &Differ<'_>,
+        lv: &[usize],
+        rv: &[usize],
+        buf: &mut Vec<Linked>,
+    ) -> bool {
+        let mut start = 0;
+        self.log.steps.iter().all(|&(i, j, end)| {
+            differ.linked_views(lv, rv, i, j, &mut CostMeter::new(), buf);
+            let held = buf[..] == self.log.linked[start..end];
+            start = end;
+            held
+        })
+    }
+}
+
+/// Sentinel for "no node" in a [`Ledger`] list.
+const NIL: u32 = u32::MAX;
+
+/// Every pair the event stream has reported as a `Match`, kept per left entry: one
+/// list of nodes per left index, threaded through one node vector. A pair is reported
+/// at most once; retracting it tombstones its node, and a tombstoned pair is never
+/// reported again (the monotonic invalidation rule). Lookups walk one left entry's
+/// list, which rarely holds more than one node; nothing is hashed.
+#[derive(Debug, Default)]
+struct Ledger {
+    /// Per left entry, its latest node (or [`NIL`]).
+    heads: Vec<u32>,
+    nodes: Vec<Reported>,
+}
+
+/// One reported pair of a [`Ledger`].
+#[derive(Debug)]
+struct Reported {
+    left: usize,
+    right: usize,
+    retracted: bool,
+    /// The left entry's previous node (or [`NIL`]).
+    next: u32,
+}
+
+impl Ledger {
+    /// Makes room for left entries `0..len`.
+    fn cover(&mut self, len: usize) {
+        if self.heads.len() < len {
+            self.heads.resize(len, NIL);
+        }
+    }
+
+    /// The nodes of one left entry, newest first.
+    fn nodes_of(&self, left: usize) -> impl Iterator<Item = &Reported> {
+        let head = self.heads.get(left).copied().unwrap_or(NIL);
+        std::iter::successors((head != NIL).then(|| &self.nodes[head as usize]), |node| {
+            (node.next != NIL).then(|| &self.nodes[node.next as usize])
+        })
+    }
+
+    /// Records a `Match` of `(left, right)` unless the pair was ever reported (or
+    /// retracted); returns the new node. `left` must be covered.
+    fn report(&mut self, left: usize, right: usize) -> Option<u32> {
+        if self.nodes_of(left).any(|node| node.right == right) {
+            return None;
+        }
+        let at = u32::try_from(self.nodes.len()).expect("fewer than 2^32 reported pairs");
+        self.nodes.push(Reported {
+            left,
+            right,
+            retracted: false,
+            next: self.heads[left],
+        });
+        self.heads[left] = at;
+        Some(at)
+    }
+
+    /// Tombstones a reported pair; returns it.
+    fn retract(&mut self, at: u32) -> (usize, usize) {
+        let node = &mut self.nodes[at as usize];
+        node.retracted = true;
+        (node.left, node.right)
+    }
+
+    /// The events that reconcile the stream with `verdict` (sorted, deduplicated
+    /// pairs): `Match` for every verdict pair never reported, then `Invalidate` for
+    /// every reported, unretracted pair the verdict lacks, each group ascending. One
+    /// pass over the left entries, each entry's verdict row beside its nodes.
+    fn reconcile(&self, verdict: &[(usize, usize)]) -> Vec<ProvisionalEvent> {
+        let mut events = Vec::new();
+        let mut dropped = Vec::new();
+        let mut rest = verdict;
+        let rows = self.heads.len().max(verdict.last().map_or(0, |p| p.0 + 1));
+        for left in 0..rows {
+            let (row, tail) = rest.split_at(rest.iter().take_while(|p| p.0 == left).count());
+            rest = tail;
+            for &(left, right) in row {
+                if !self.nodes_of(left).any(|node| node.right == right) {
+                    events.push(ProvisionalEvent::Match { left, right });
+                }
+            }
+            let first = dropped.len();
+            dropped.extend(
+                self.nodes_of(left)
+                    .filter(|node| !node.retracted && !row.iter().any(|p| p.1 == node.right))
+                    .map(|node| (left, node.right)),
+            );
+            dropped[first..].sort_unstable();
+        }
+        events.extend(
+            dropped
+                .into_iter()
+                .map(|(left, right)| ProvisionalEvent::Invalidate { left, right }),
+        );
+        events
+    }
+}
+
+/// Whether two correlations over the same left web give every verdict alike: the same
+/// thread pairing and the same correlated right view for every left object view.
+fn same_verdicts(a: &Correlation, b: &Correlation, left: &ViewWeb) -> bool {
+    a.threads == b.threads
+        && (0..left.total_views() as u32)
+            .all(|id| a.object_target(ViewId(id)) == b.object_target(ViewId(id)))
 }
 
 /// Everything [`DiffSession::finish`] produces: the authoritative verdict, the final
@@ -288,13 +504,14 @@ pub struct SessionFinish {
 pub struct DiffSession {
     options: ViewsDiffOptions,
     artifacts: SideArtifacts,
-    pairs: HashMap<ThreadId, PairState>,
-    /// Pairs currently believed matched (drives `Match` dedup and finish reconciliation).
-    emitted: HashSet<(usize, usize)>,
-    /// Pairs retracted once and never to be re-emitted (the monotonic invalidation rule).
-    tombstones: HashSet<(usize, usize)>,
+    /// The latest push's correlation (`None` before the first push).
+    correlation: Option<Correlation>,
+    /// One state per correlated thread-view pair, in `thread_pairs()` order.
+    pairs: Vec<PairState>,
+    /// Every pair reported as a `Match`, and which of those were retracted.
+    ledger: Ledger,
     /// Difference regions already reported, keyed by their boundary.
-    seen_differences: HashSet<(usize, usize, usize, usize)>,
+    seen_differences: BTreeSet<(usize, usize, usize, usize)>,
 }
 
 impl DiffSession {
@@ -303,10 +520,10 @@ impl DiffSession {
         DiffSession {
             options,
             artifacts: SideArtifacts::new(meta),
-            pairs: HashMap::new(),
-            emitted: HashSet::new(),
-            tombstones: HashSet::new(),
-            seen_differences: HashSet::new(),
+            correlation: None,
+            pairs: Vec::new(),
+            ledger: Ledger::default(),
+            seen_differences: BTreeSet::new(),
         }
     }
 
@@ -324,120 +541,112 @@ impl DiffSession {
     }
 
     /// One incremental pass: re-derive the (provisional) correlation over the webs as
-    /// they stand, retract pairs whose thread pairing was revised, and advance every
-    /// pair's suspended scan as far as the data allows.
+    /// they stand, retract pairs whose thread pairing was revised, re-check the logged
+    /// steps if any verdict changed, and advance every pair's suspended scan as far as
+    /// the data allows.
     fn provisional_scan(&mut self, left: &DiffSide<'_>) -> Vec<ProvisionalEvent> {
         // Re-correlation runs on every push: too frequent to be worth a thread.
         let right = self.artifacts.side();
         let correlation = par::inline(|| Correlation::build(left.web(), right.web()));
+        let changed = self
+            .correlation
+            .as_ref()
+            .is_some_and(|previous| !same_verdicts(previous, &correlation, left.web()));
+        let current = thread_views(left, &right, &correlation);
         let mut events = Vec::new();
+        self.ledger.cover(left.len());
 
         // Retract state for revised or vanished thread pairings.
-        let current = correlation.thread_pairs();
-        let assigned: HashMap<ThreadId, ThreadId> = current.iter().copied().collect();
-        let stale: Vec<ThreadId> = self
-            .pairs
-            .iter()
-            .filter(|(lt, state)| assigned.get(lt) != Some(&state.right))
-            .map(|(lt, _)| *lt)
-            .collect();
-        for lt in stale {
-            let state = self.pairs.remove(&lt).expect("stale pair state present");
-            for (l, r) in state.contributed {
-                if self.tombstones.insert((l, r)) {
-                    self.emitted.remove(&(l, r));
-                    events.push(ProvisionalEvent::Invalidate { left: l, right: r });
-                }
+        let mut kept = Vec::with_capacity(self.pairs.len());
+        for state in std::mem::take(&mut self.pairs) {
+            let paired = current
+                .binary_search_by_key(&state.left, |pair| pair.0)
+                .is_ok_and(|k| current[k].1 == state.right);
+            if paired {
+                kept.push(state);
+                continue;
+            }
+            for &at in &state.contributed {
+                let (left, right) = self.ledger.retract(at);
+                events.push(ProvisionalEvent::Invalidate { left, right });
             }
         }
 
-        // Advance every correlated pair; the provisional meter is scratch (the
-        // authoritative cost accounting is recomputed wholesale by `finish`).
-        for (lt, rt) in current {
-            let Some(lv) = left.web().thread_view_entries(lt) else {
-                continue;
-            };
-            let Some(rv) = right.web().thread_view_entries(rt) else {
-                continue;
-            };
-            let state = self.pairs.entry(lt).or_insert_with(|| PairState {
-                right: rt,
-                scan: PairScan::default(),
-                contributed: Vec::new(),
-            });
-            let differ = Differ {
-                left: *left,
-                right,
-                correlation: &correlation,
-                options: &self.options,
-            };
-            let mut matched = Vec::new();
-            let mut meter = CostMeter::new();
-            let mut scratch = Scratch::default();
-            let mut skips: Vec<(Vec<usize>, Vec<usize>)> = Vec::new();
-            state.scan.run(
-                &differ,
-                lv,
-                rv,
-                false,
-                &mut matched,
-                &mut meter,
-                &mut scratch,
-                Some(&mut |l: &[usize], r: &[usize]| skips.push((l.to_vec(), r.to_vec()))),
-            );
-            for &(l, r) in &matched {
-                if self.tombstones.contains(&(l, r)) || !self.emitted.insert((l, r)) {
-                    continue;
+        // Advance every correlated pair, in `thread_pairs()` order.
+        let differ = Differ {
+            left: *left,
+            right,
+            correlation: &correlation,
+            options: &self.options,
+        };
+        let mut kept = kept.into_iter().peekable();
+        let mut buf = Vec::new();
+        for (lt, rt, lv, rv) in current {
+            let mut state = match kept.next_if(|state| state.left == lt) {
+                Some(mut state) => {
+                    if changed && state.confirmed {
+                        state.confirmed = state.steps_hold(&differ, lv, rv, &mut buf);
+                    }
+                    state
                 }
-                state.contributed.push((l, r));
-                events.push(ProvisionalEvent::Match { left: l, right: r });
+                None => PairState::new(lt, rt),
+            };
+            state.scan.run(&differ, lv, rv, false, Some(&mut state.log));
+            let fresh = &state.scan.matched[state.reported..];
+            events.reserve(fresh.len());
+            for &(l, r) in fresh {
+                if let Some(at) = self.ledger.report(l, r) {
+                    state.contributed.push(at);
+                    events.push(ProvisionalEvent::Match { left: l, right: r });
+                }
             }
-            for (lvec, rvec) in skips {
+            state.reported = state.scan.matched.len();
+            for (i, a, j, b) in state.log.skips.drain(..) {
+                let (lskip, rskip) = (&lv[i..i + a], &rv[j..j + b]);
                 let key = (
-                    lvec.first().copied().unwrap_or(usize::MAX),
-                    lvec.len(),
-                    rvec.first().copied().unwrap_or(usize::MAX),
-                    rvec.len(),
+                    lskip.first().copied().unwrap_or(usize::MAX),
+                    a,
+                    rskip.first().copied().unwrap_or(usize::MAX),
+                    b,
                 );
                 if self.seen_differences.insert(key) {
                     events.push(ProvisionalEvent::Difference {
-                        left: lvec,
-                        right: rvec,
+                        left: lskip.to_vec(),
+                        right: rskip.to_vec(),
                     });
                 }
             }
+            self.pairs.push(state);
         }
+        self.correlation = Some(correlation);
         events
     }
 
-    /// Declares the new trace complete: builds the final correlation over both full
-    /// webs and runs the scan to completion. The result is identical to the batch
-    /// differ over the same sides; the events reconcile the provisional stream with it
-    /// (respecting the tombstone set — see the module docs).
+    /// Declares the new trace complete: resumes every confirmed pair from its suspended
+    /// cursors, re-scans the others from the start, and runs all of them to completion
+    /// under the final correlation. The result is identical to the batch differ over
+    /// the same sides; the events reconcile the provisional stream with it (respecting
+    /// the tombstones — see the module docs).
     pub fn finish(self, left: &DiffSide<'_>) -> SessionFinish {
+        let start = Instant::now();
         let right = self.artifacts.side();
-        let correlation = Correlation::build(left.web(), right.web());
-        let result = views_diff_sides_correlated(left, &right, &correlation, &self.options);
-
-        // The matching's pairs are sorted: the `Match` group comes out in order, and a
-        // provisional pair is looked up in the verdict by binary search.
-        let final_pairs = result.matching.normalized_pairs();
-        let mut events: Vec<ProvisionalEvent> = final_pairs
-            .iter()
-            .filter(|pair| !self.emitted.contains(pair) && !self.tombstones.contains(pair))
-            .map(|&(left, right)| ProvisionalEvent::Match { left, right })
+        // The latest push built its correlation over these same webs.
+        let correlation = self
+            .correlation
+            .unwrap_or_else(|| Correlation::build(left.web(), right.web()));
+        let mut states = self.pairs.into_iter().peekable();
+        let scans: Vec<PairTask<'_>> = thread_views(left, &right, &correlation)
+            .into_iter()
+            .map(|(lt, rt, lv, rv)| {
+                let resumed = states
+                    .next_if(|state| state.left == lt)
+                    .filter(|state| state.confirmed && state.right == rt);
+                (lv, rv, resumed.map(|state| state.scan).unwrap_or_default())
+            })
             .collect();
-        let mut stale: Vec<(usize, usize)> = self
-            .emitted
-            .iter()
-            .copied()
-            .filter(|p| final_pairs.binary_search(p).is_err())
-            .collect();
-        stale.sort_unstable();
-        for (l, r) in stale {
-            events.push(ProvisionalEvent::Invalidate { left: l, right: r });
-        }
+        let result = views_diff_sides_from(start, left, &right, &correlation, &self.options, scans);
 
+        let events = self.ledger.reconcile(result.matching.normalized_pairs());
         SessionFinish {
             result,
             events,
@@ -452,10 +661,12 @@ impl DiffSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::views_diff::views_diff_sides_correlated;
     use rprism_lang::parser::parse_program;
     use rprism_trace::{KeyedTrace, LeanTrace, Trace};
     use rprism_views::ViewWeb;
     use rprism_vm::{run_traced, VmConfig};
+    use std::collections::HashSet;
 
     fn trace_of(src: &str, name: &str) -> Trace {
         let program = parse_program(src).unwrap();

@@ -28,7 +28,8 @@
 //! bit-parallel kernel's class masks, row bit-vectors and traceback pairs, and the
 //! first-seen list of explored view pairs — are cleared and reused by every
 //! exploration, and the windowed LCS emits its pairs straight into the scan's match
-//! list. Both properties are enforced by counting-allocator tests
+//! list. A watched pair's scan keeps its scratch across pushes; only the key slices,
+//! which borrow the growing side's keys, start afresh with each push. Both properties are enforced by counting-allocator tests
 //! (`tests/no_alloc_hot_path.rs`). The kernel's DP fallback, taken by windows of more
 //! than 64 key classes, still allocates its table per call. Thread-view pairs are
 //! independent, so they fan out over [`rprism_trace::par`]; each pair keeps its own
@@ -250,7 +251,8 @@ pub fn views_diff_sides(
     // everything it derives, keeping its timings comparable with the seed baseline's.
     let start = Instant::now();
     let correlation = Correlation::build(left.web, right.web);
-    views_diff_sides_from(start, left, right, &correlation, options)
+    let scans = crate::session::fresh_scans(left, right, &correlation);
+    views_diff_sides_from(start, left, right, &correlation, options, scans)
 }
 
 /// [`views_diff_sides`] with the pair's view [`Correlation`] supplied by the caller.
@@ -263,25 +265,36 @@ pub fn views_diff_sides_correlated(
     correlation: &Correlation,
     options: &ViewsDiffOptions,
 ) -> TraceDiffResult {
-    views_diff_sides_from(Instant::now(), left, right, correlation, options)
+    let scans = crate::session::fresh_scans(left, right, correlation);
+    views_diff_sides_from(Instant::now(), left, right, correlation, options, scans)
 }
 
-/// Shared body of [`views_diff_sides`] / [`views_diff_sides_correlated`]; `start`
-/// anchors the result's `elapsed` so each public entry point times exactly the work it
-/// performs. The lock-step scan itself lives in [`crate::session::scan_sides`] — the
-/// single implementation shared with the incremental [`crate::DiffSession`].
-fn views_diff_sides_from(
+/// Shared body of [`views_diff_sides`] / [`views_diff_sides_correlated`] and
+/// [`DiffSession::finish`](crate::DiffSession::finish): runs every correlated thread
+/// pair's scan — fresh, or resumed from where a session suspended it — to completion.
+/// `start` anchors the result's `elapsed` so each public entry point times exactly the
+/// work it performs. The lock-step scan itself lives in
+/// [`crate::session::complete_scans`] — the single implementation shared with the
+/// incremental [`crate::DiffSession`].
+pub(crate) fn views_diff_sides_from(
     start: Instant,
     left: &DiffSide<'_>,
     right: &DiffSide<'_>,
     correlation: &Correlation,
     options: &ViewsDiffOptions,
+    scans: Vec<crate::session::PairTask<'_>>,
 ) -> TraceDiffResult {
     let mut meter = CostMeter::new();
 
     meter.allocate(keyed_bytes(left.keyed) + keyed_bytes(right.keyed));
 
-    let matching = crate::session::scan_sides(left, right, correlation, options, &mut meter);
+    let differ = Differ {
+        left: *left,
+        right: *right,
+        correlation,
+        options,
+    };
+    let matching = crate::session::complete_scans(&differ, scans, &mut meter);
 
     let sequences = matching.difference_sequences();
     TraceDiffResult {
@@ -299,15 +312,43 @@ fn keyed_bytes(keyed: &KeyedTrace) -> u64 {
 
 /// Reusable buffers of one thread-pair scan, so the mismatch exploration allocates
 /// nothing after warm-up.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub(crate) struct Scratch<'a> {
-    /// The correlated view pairs one exploration has already compared, in first-seen
-    /// order. At most `4·(2Δ+1)²` entries (one per view kind and neighbourhood pair), so
-    /// a linear probe beats hashing at the default Δ.
-    explored: Vec<(ViewId, ViewId)>,
+    /// The correlated view pairs one exploration compares, in first-seen order. At
+    /// most `4·(2Δ+1)²` entries (one per view kind and neighbourhood pair), so a linear
+    /// probe beats hashing at the default Δ.
+    explored: Vec<Linked>,
     lkeys: Vec<KeyRef<'a>>,
     rkeys: Vec<KeyRef<'a>>,
     lcs: LcsScratch,
+}
+
+impl Scratch<'_> {
+    /// The same buffers under another lifetime. Only the window key slices borrow a
+    /// side's keys, and those start empty again; the rest keeps its capacity. A
+    /// session's scan keeps its scratch across pushes this way while the watched
+    /// side's keys grow.
+    pub(crate) fn rebind<'b>(self) -> Scratch<'b> {
+        Scratch {
+            explored: self.explored,
+            lkeys: Vec::new(),
+            rkeys: Vec::new(),
+            lcs: self.lcs,
+        }
+    }
+
+    /// The view pairs the latest mismatch step explored.
+    pub(crate) fn explored(&self) -> &[Linked] {
+        &self.explored
+    }
+}
+
+/// One correlated secondary view pair a mismatch step compares, with the base entries
+/// its two `±window` windows are centred on (the entries it was first seen at).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Linked {
+    views: (ViewId, ViewId),
+    at: (usize, usize),
 }
 
 /// The per-comparison machinery of one differencing run: both sides, their view
@@ -378,8 +419,32 @@ impl<'a> Differ<'a> {
         meter: &mut CostMeter,
         scratch: &mut Scratch<'a>,
     ) {
+        self.linked_views(lv, rv, i, j, meter, &mut scratch.explored);
+        for k in 0..scratch.explored.len() {
+            let Linked {
+                views: (lid, rid),
+                at: (left_idx, right_idx),
+            } = scratch.explored[k];
+            self.windowed_secondary_lcs(lid, rid, left_idx, right_idx, matched, meter, scratch);
+        }
+    }
+
+    /// The secondary view pairs the mismatch step at `(i, j)` explores: every pair of
+    /// correlated views (`X_τ`, Fig. 9) of entries within Δ of the two positions, once,
+    /// in first-seen order, with the entries it was first seen at. One compare is
+    /// counted per neighbourhood pair and view kind. This is the only part of a
+    /// mismatch step that reads the [`Correlation`].
+    pub(crate) fn linked_views(
+        &self,
+        lv: &[usize],
+        rv: &[usize],
+        i: usize,
+        j: usize,
+        meter: &mut CostMeter,
+        linked: &mut Vec<Linked>,
+    ) {
         let delta = self.options.delta as i64;
-        scratch.explored.clear();
+        linked.clear();
 
         for da in -delta..=delta {
             let li = i as i64 + da;
@@ -413,16 +478,16 @@ impl<'a> Differ<'a> {
                         }
                         None => None,
                     };
-                    let Some((lid, rid)) = pair else {
+                    let Some(views) = pair else {
                         continue;
                     };
-                    if scratch.explored.contains(&(lid, rid)) {
+                    if linked.iter().any(|seen| seen.views == views) {
                         continue;
                     }
-                    scratch.explored.push((lid, rid));
-                    self.windowed_secondary_lcs(
-                        lid, rid, left_idx, right_idx, matched, meter, scratch,
-                    );
+                    linked.push(Linked {
+                        views,
+                        at: (left_idx, right_idx),
+                    });
                 }
             }
         }
