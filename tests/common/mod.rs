@@ -1,5 +1,7 @@
 //! Helpers shared by the workspace test binaries (`mod common;` in each).
 
+use std::collections::HashSet;
+
 use rprism::{Engine, PreparedTrace, ProvisionalEvent, WatchOutcome, BATCH_ENTRIES};
 use rprism_format::{TailBatch, TailDecoder};
 use rprism_trace::EntryBatch;
@@ -42,4 +44,28 @@ pub fn tail_watch(
         events.extend(watch.push_batch(&batch).unwrap());
     }
     watch.finish().unwrap()
+}
+
+/// Checks the monotonic invalidation rule over the full event stream (pushes and the
+/// final reconciliation concatenated), and returns the surviving matched pairs.
+pub fn assert_monotone(context: &str, events: &[ProvisionalEvent]) -> HashSet<(usize, usize)> {
+    let mut retracted: HashSet<(usize, usize)> = HashSet::new();
+    let mut surviving: HashSet<(usize, usize)> = HashSet::new();
+    for event in events {
+        match *event {
+            ProvisionalEvent::Match { left, right } => {
+                assert!(
+                    !retracted.contains(&(left, right)),
+                    "{context}: pair ({left}, {right}) re-matched after retraction"
+                );
+                surviving.insert((left, right));
+            }
+            ProvisionalEvent::Invalidate { left, right } => {
+                retracted.insert((left, right));
+                surviving.remove(&(left, right));
+            }
+            ProvisionalEvent::Difference { .. } => {}
+        }
+    }
+    surviving
 }

@@ -17,7 +17,7 @@ use rprism_trace::testgen::{mutated, GenProfile, Rng};
 use rprism_workloads::casestudies;
 
 mod common;
-use common::tail_watch;
+use common::{assert_monotone, tail_watch};
 
 /// Entry-chunk boundaries exercised by the push-driven test; `usize::MAX` stands for
 /// "the whole trace in one push".
@@ -42,30 +42,6 @@ fn assert_same_verdict(context: &str, watched: &TraceDiffResult, batch: &TraceDi
         batch.num_differences(),
         "{context}: verdicts diverged"
     );
-}
-
-/// Checks the monotonic invalidation rule over the full event stream (pushes and the
-/// final reconciliation concatenated), and returns the surviving matched pairs.
-fn assert_monotone(context: &str, events: &[ProvisionalEvent]) -> HashSet<(usize, usize)> {
-    let mut retracted: HashSet<(usize, usize)> = HashSet::new();
-    let mut surviving: HashSet<(usize, usize)> = HashSet::new();
-    for event in events {
-        match *event {
-            ProvisionalEvent::Match { left, right } => {
-                assert!(
-                    !retracted.contains(&(left, right)),
-                    "{context}: pair ({left}, {right}) re-matched after retraction"
-                );
-                surviving.insert((left, right));
-            }
-            ProvisionalEvent::Invalidate { left, right } => {
-                retracted.insert((left, right));
-                surviving.remove(&(left, right));
-            }
-            ProvisionalEvent::Difference { .. } => {}
-        }
-    }
-    surviving
 }
 
 #[test]
