@@ -537,7 +537,7 @@ impl Engine {
             .ingest_check
             .as_ref()
             .map(|gate| (Checker::with_config(gate.config.clone()), gate.deny));
-        Watch::new(old.clone(), meta, session, gate)
+        Watch::new(old.clone(), meta, session, gate, self.obs.clone())
     }
 
     /// Runs the `rprism-check` static analysis over a serialized trace in one
@@ -1285,6 +1285,36 @@ mod tests {
         assert!(!detached.obs().is_enabled());
         detached.diff(&la, &lb).unwrap();
         assert_eq!(detached.correlation_builds(), engine.correlation_builds());
+    }
+
+    #[test]
+    fn observed_watches_record_push_and_finish_spans() {
+        let obs = rprism_obs::Obs::enabled();
+        let engine = Engine::builder().obs(obs.clone()).build();
+        let old = engine
+            .trace_source(&regression_sources(32, 20), "old")
+            .unwrap();
+        let new = engine
+            .trace_source(&regression_sources(1, 20), "new")
+            .unwrap();
+        let mut watch = engine.watch(&old, new.trace().meta.clone());
+        let chunks = new.trace().entries.chunks(16);
+        let pushes = chunks.len() as u64;
+        for chunk in chunks {
+            watch.push_entries(chunk).unwrap();
+        }
+        watch.finish().unwrap();
+
+        let snapshot = obs.snapshot();
+        for (span, count) in [("watch.push", pushes), ("watch.finish", 1)] {
+            let Some(crate::obs::MetricValue::Histogram(h)) = snapshot.get(span) else {
+                panic!("missing histogram {span}");
+            };
+            assert_eq!(h.count, count, "{span} observed per call");
+        }
+        let names: Vec<&str> = obs.recent_spans().iter().map(|s| s.name).collect();
+        assert!(names.contains(&"watch.push"));
+        assert!(names.contains(&"watch.finish"));
     }
 
     #[test]

@@ -16,9 +16,14 @@
 //! [`TailDecoder`](rprism_format::TailDecoder) takes the bytes in any chunks, names the
 //! trace once its header has arrived, and yields [`EntryBatch`]es for
 //! [`Watch::push_batch`] — the daemon's watch loop.
+//!
+//! Every push records a `watch.push` span and the finish a `watch.finish` span in the
+//! engine's [`Obs`], so a daemon's metrics and self-trace split a streamed upload into
+//! its incremental scans and its final verdict.
 
 use rprism_check::{Checker, Severity};
 use rprism_diff::{DiffSession, ProvisionalEvent, TraceDiffResult};
+use rprism_obs::Obs;
 use rprism_trace::{EntryBatch, TraceEntry, TraceMeta};
 
 use crate::{Error, PreparedTrace, Result};
@@ -34,6 +39,9 @@ pub struct Watch {
     session: DiffSession,
     name: String,
     gate: Option<(Checker, Severity)>,
+    /// The engine's observability domain: every push records a `watch.push` span and
+    /// the finish a `watch.finish` span.
+    obs: Obs,
 }
 
 /// Everything a finished watch produces.
@@ -56,12 +64,14 @@ impl Watch {
         meta: TraceMeta,
         session: DiffSession,
         gate: Option<(Checker, Severity)>,
+        obs: Obs,
     ) -> Self {
         Watch {
             old,
             session,
             name: meta.name,
             gate,
+            obs,
         }
     }
 
@@ -92,6 +102,7 @@ impl Watch {
     ///
     /// Exactly [`Watch::push_entries`]'s.
     pub fn push_batch(&mut self, batch: &EntryBatch) -> Result<Vec<ProvisionalEvent>> {
+        let _push = self.obs.span("watch.push");
         if let Some((mut checker, deny)) = self.gate.take() {
             batch.iter().for_each(|entry| checker.observe(entry));
             if checker.raised_at_least(deny) > 0 {
@@ -113,6 +124,7 @@ impl Watch {
     /// the deny threshold (mirroring the batch
     /// [`Engine::load_prepared_reader`](crate::Engine::load_prepared_reader) gate).
     pub fn finish(self) -> Result<WatchOutcome> {
+        let _finish = self.obs.span("watch.finish");
         if let Some((checker, deny)) = self.gate {
             let mut report = checker.finish();
             report.trace_name = self.name.clone();
