@@ -72,7 +72,7 @@
 //! by the reconciliation events of `finish`. The event stream is advisory; the `finish`
 //! result is authoritative and may contain a tombstoned pair (it then simply appears
 //! without a fresh `Match` event). Every reported pair is kept per left entry (a
-//! [`Ledger`]), so deduplication and reconciliation hash nothing. Equivalence and
+//! `Ledger`), so deduplication and reconciliation hash nothing. Equivalence and
 //! monotonicity are pinned by the workspace `watch_equivalence` suite.
 
 use std::collections::BTreeSet;
