@@ -296,18 +296,11 @@ fn split_object(new: &Trace) -> Trace {
     let Some(&(victim, _)) = active.iter().max_by_key(|&&(loc, count)| (count, loc)) else {
         return with_values(new);
     };
-    let fresh = Loc(new
-        .entries
-        .iter()
-        .flat_map(|e| e.active.loc)
-        .map(|l| l.0)
-        .max()
-        .unwrap()
-        + 1);
+    // Far above every location the generators hand out.
+    let fresh = Loc(1 << 40);
     let middle = new.len() / 2;
     let mut out = Trace::new(new.meta.clone());
-    for (k, entry) in with_values(new).entries.into_iter().enumerate() {
-        let mut entry = entry;
+    for (k, mut entry) in with_values(new).entries.into_iter().enumerate() {
         for rep in objects_mut(&mut entry) {
             if rep.loc != Some(victim) {
                 continue;
@@ -316,12 +309,8 @@ fn split_object(new: &Trace) -> Trace {
             *rep = if k < middle {
                 valued(victim, &rep.class, seq, "split")
             } else {
-                valued(
-                    fresh,
-                    &rep.class,
-                    CreationSeq(seq.0 + 1000),
-                    &victim.0.to_string(),
-                )
+                let value = victim.0.to_string();
+                valued(fresh, &rep.class, CreationSeq(seq.0 + 1000), &value)
             };
         }
         out.push(entry);
