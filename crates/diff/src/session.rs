@@ -656,7 +656,7 @@ impl DiffSession {
 }
 
 /// Suspends and resumes a *batch* diff: drives the same machine as
-/// [`scan_sides`] but with an explicit entry budget per call — the "very large batch
+/// [`complete_scans`] but with an explicit entry budget per call — the "very large batch
 /// diff" form of resumability, exercised by the session unit tests below.
 #[cfg(test)]
 mod tests {
