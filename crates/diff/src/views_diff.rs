@@ -373,9 +373,8 @@ impl<'a> Differ<'a> {
 
     /// The per-entry correlation function `X_τ(γ_L, γ_R)` of Fig. 9 over lean contexts:
     /// the pair of correlated view ids of type `kind` the two entries belong to, or
-    /// `None` when their views of that type do not correlate. This reads exactly the
-    /// information `rprism_views::correlate_entry_views` reads from full entries
-    /// (thread ids; object correlation identities for the uncorrelated-view fallback).
+    /// `None` when their views of that type do not correlate. It reads thread ids, and
+    /// object correlation identities for the uncorrelated-view fallback.
     fn correlate_at(
         &self,
         kind: ViewKind,

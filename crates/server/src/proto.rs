@@ -3,9 +3,7 @@
 //! Every message travels as one frame ([`rprism_format::frame`]): a canonical LEB128
 //! length prefix, the payload, and the FNV-64 checksum of the payload — the varint and
 //! checksum machinery of the on-disk trace format, reused on the wire. Inside a frame,
-//! the payload opens with the protocol version byte and a message tag, followed by the
-//! message fields in the same primitive vocabulary the binary trace encoding uses
-//! (varints, length-prefixed UTF-8 strings, length-prefixed byte blobs).
+//! the payload is the protocol version byte followed by the message.
 //!
 //! The protocol is a strict request/response alternation per connection: the client
 //! writes one request frame, the server answers with exactly one response frame, and
@@ -13,6 +11,42 @@
 //! an undecodable frame or message is answered with [`Response::Error`] (and the
 //! connection closed when the stream itself can no longer be trusted, e.g. after a
 //! checksum mismatch).
+//!
+//! # How a message is described
+//!
+//! Every wire type is described once, and that one description both writes and reads
+//! it: a private `Wire` trait, implemented once per type.
+//!
+//! - The primitives are those of the binary trace encoding. A `u64` or `usize` is a
+//!   LEB128 varint; a `usize` that does not fit is a decode error. A `bool` is one
+//!   byte, 0 or 1, and any other byte is an error. Byte blobs and UTF-8 strings are
+//!   length-prefixed; a string is validated where it lies in the payload, then copied
+//!   once. A symbol travels as its string.
+//! - A list is its count, then its items; a pair is its two halves.
+//! - Every struct and tagged enum is one entry of a single `wire!` table, which
+//!   defines the protocol's own types in this module. A struct is its fields in
+//!   declaration order. An enum is its variant's tag byte (the `= tag` of each
+//!   variant), then that variant's fields. The byte enums ([`EventKind`],
+//!   [`WireAlgorithm`], [`Severity`]) are enums whose variants carry nothing.
+//!   Reordering a field or a variant's fields changes the bytes.
+//!
+//! Four fields have a form of their own, each written in one place:
+//!
+//! - The algorithm override of [`Request::Diff`] and [`Request::Analyze`] is
+//!   *trailing-optional*: it is absent when `None`, so a request without one ends
+//!   after its last other field, and it is read exactly when bytes remain.
+//! - A request's [`AnalysisMode`] override is one byte, with 0 for the engine default;
+//!   a report's mode refuses 0.
+//! - A diagnostic's rule id is mapped back through the static rule registry; an
+//!   unknown id is a decode error.
+//! - [`Response::Busy`]'s `u32` is a varint that must fit.
+//!
+//! Decoding reserves no list larger than the bytes left can hold. Each type knows the
+//! fewest bytes it encodes to, and a list's count is bounded by the undecoded bytes
+//! divided by that minimum, so a forged count cannot make a small message reserve a
+//! large buffer.
+//!
+//! # Canonical results
 //!
 //! Results cross the wire in **canonical, process-independent form**: matchings as
 //! normalized index pairs, difference sequences as index lists, and [`DiffSignature`]s
@@ -25,10 +59,8 @@
 //!
 //! A result type that exists locally is also its wire type: [`WireDiff`] and
 //! [`WireReport`] hold [`DiffSequence`]s and [`DiffSignature`]s themselves, and
-//! [`WireStats`] is what the repository's `stats` returns. Sequence indices encode as
-//! varints; decoding one that does not fit `usize` is an error, and every list is
-//! reserved no larger than the bytes left can hold. [`WireWatchEvent`] is the one
-//! mirror type left, a `u64`-indexed copy of [`ProvisionalEvent`].
+//! [`WireStats`] is what the repository's `stats` returns. [`WireWatchEvent`] is the
+//! one mirror type left, a `u64`-indexed copy of [`ProvisionalEvent`].
 
 use rprism::check::{rules, Diagnostic};
 use rprism::{
@@ -51,276 +83,460 @@ pub use rprism_regress::DiffSignature as WireSignature;
 /// while keeping the connection open.
 pub const PROTO_VERSION: u8 = 5;
 
-const TAG_PUT: u8 = 0x01;
-const TAG_GET: u8 = 0x02;
-const TAG_LIST: u8 = 0x03;
-const TAG_DIFF: u8 = 0x04;
-const TAG_ANALYZE: u8 = 0x05;
-const TAG_STATS: u8 = 0x06;
-const TAG_SHUTDOWN: u8 = 0x07;
-const TAG_CHECK: u8 = 0x08;
-const TAG_WATCH_START: u8 = 0x09;
-const TAG_PUT_STREAM: u8 = 0x0a;
-const TAG_METRICS: u8 = 0x0b;
-const TAG_OBS_TRACE: u8 = 0x0c;
+/// A type with one wire form: `put` writes it and `get` reads it back.
+///
+/// The impls a list's items pass through (varints, pairs, lists and every `wire!`
+/// entry) are `#[inline]`: as calls between codegen units, a 10K-pair `DiffOk`
+/// decodes at half the speed.
+trait Wire: Sized {
+    /// The fewest bytes one encoded value takes; bounds a list's reservation.
+    const MIN: usize;
 
-const TAG_PUT_OK: u8 = 0x81;
-const TAG_GET_OK: u8 = 0x82;
-const TAG_LIST_OK: u8 = 0x83;
-const TAG_DIFF_OK: u8 = 0x84;
-const TAG_ANALYZE_OK: u8 = 0x85;
-const TAG_STATS_OK: u8 = 0x86;
-const TAG_SHUTDOWN_OK: u8 = 0x87;
-const TAG_CHECK_OK: u8 = 0x88;
-const TAG_WATCH_STARTED: u8 = 0x89;
-const TAG_WATCH_EVENT: u8 = 0x8a;
-const TAG_WATCH_DONE: u8 = 0x8b;
-const TAG_CHECK_DENIED: u8 = 0x8c;
-const TAG_METRICS_OK: u8 = 0x8d;
-const TAG_OBS_TRACE_OK: u8 = 0x8e;
-const TAG_BUSY: u8 = 0xfd;
-const TAG_CORRUPT: u8 = 0xfe;
-const TAG_ERROR: u8 = 0xff;
+    fn put(&self, buf: &mut Vec<u8>);
 
-/// The differencing algorithm a [`Request::Diff`] / [`Request::Analyze`] asks the
-/// server to use. The server applies its configured options for the chosen family;
-/// only the algorithm itself travels on the wire.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WireAlgorithm {
-    /// Views-based differencing (§3.3) — the server default.
-    Views,
-    /// The quadratic LCS baseline (§3.2).
-    Lcs,
-    /// Anchor-based (patience/histogram) differencing: near-linear on huge traces,
-    /// verdict-equivalent to the exact modes but matchings may legitimately differ.
-    Anchored,
+    fn get(dec: &mut Dec<'_>) -> FormatResult<Self>;
 }
 
-/// One client request.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Request {
-    /// Store a serialized trace (either encoding); the server replies with its
-    /// content hash and whether it was already present.
-    Put {
-        /// The serialized trace bytes, exactly as they would sit in a file.
-        bytes: Vec<u8>,
-    },
-    /// Fetch the stored blob of a content hash.
-    Get {
-        /// The content hash ([`rprism_format::content_hash`]) of the trace.
-        hash: u64,
-    },
-    /// List the repository's traces.
-    List,
-    /// Semantically difference two stored traces.
-    Diff {
-        /// Content hash of the left (old) trace.
-        left: u64,
-        /// Content hash of the right (new) trace.
-        right: u64,
-        /// How many difference sequences the server renders into the textual report.
-        max_sequences: u64,
-        /// Differencing-algorithm override (`None` uses the server engine's default).
-        ///
-        /// Encoded as an *optional trailing byte*: a request without an override ends
-        /// after `max_sequences`. The frame carries [`PROTO_VERSION`] either way; a
-        /// peer of another version is refused with
-        /// [`FormatError::UnsupportedVersion`].
-        algorithm: Option<WireAlgorithm>,
-    },
-    /// Run the §4.1 regression-cause analysis over four stored traces.
-    Analyze {
-        /// Content hash of the old-version, regressing-test trace.
-        old_regressing: u64,
-        /// Content hash of the new-version, regressing-test trace.
-        new_regressing: u64,
-        /// Content hash of the old-version, passing-test trace.
-        old_passing: u64,
-        /// Content hash of the new-version, passing-test trace.
-        new_passing: u64,
-        /// Analysis-mode override (`None` uses the server engine's default).
-        mode: Option<AnalysisMode>,
-        /// How many regression-related sequences the server renders into the textual
-        /// report.
-        max_sequences: u64,
-        /// Differencing-algorithm override, trailing-optional exactly as in
-        /// [`Request::Diff`].
-        algorithm: Option<WireAlgorithm>,
-    },
-    /// Run the `rprism-check` static analysis over a stored trace.
-    Check {
-        /// The content hash of the trace to check.
-        hash: u64,
-        /// Per-rule severity overrides (`rule id → severity`), applied in order on
-        /// top of the rule defaults — the wire form of
-        /// [`CheckConfig::overrides`](rprism::CheckConfig::overrides).
-        overrides: Vec<(String, Severity)>,
-    },
-    /// Open a live watch against a stored trace: the connection enters watch mode,
-    /// and subsequent [`Request::PutStream`] chunks carry the growing new trace. The
-    /// strict one-request/one-response alternation is preserved — every chunk is
-    /// individually acknowledged.
-    WatchStart {
-        /// Content hash of the stored old (left) trace to diff against.
-        old: u64,
-        /// How many difference sequences the server renders into the final report.
-        max_sequences: u64,
-    },
-    /// One chunk of the watched trace's serialized bytes (either encoding), cut at
-    /// **arbitrary** byte boundaries — mid-record, mid-varint, even mid-header. The
-    /// server resumes decoding exactly where the previous chunk stopped. Only valid
-    /// after [`Request::WatchStart`] on the same connection.
-    PutStream {
-        /// The next serialized bytes, appended to everything sent before.
-        bytes: Vec<u8>,
-        /// `true` on the final chunk: the server drains its decoder with strict
-        /// end-of-input semantics and answers [`Response::WatchDone`].
-        last: bool,
-    },
-    /// Repository and cache statistics.
-    Stats,
-    /// The server's metrics rendered in the Prometheus text exposition format.
-    /// Rendering happens server-side from one consistent snapshot, so what a client
-    /// prints is byte-identical to what the server saw.
-    Metrics,
-    /// The server's own recent execution — its pipeline/repo/request spans plus a
-    /// metric snapshot — serialized as a canonical binary trace blob. The blob loads
-    /// like any stored trace: `rprism check`, `rprism diff`,
-    /// `Engine::load_prepared_reader` all accept it.
-    ObsTrace,
-    /// Gracefully stop the daemon: in-flight requests drain, then the listener exits.
-    Shutdown,
+/// Derives each listed type's [`Wire`] impl from one description of it (see the
+/// module docs): a struct is its fields in order; an enum is a tag byte, then the
+/// variant's fields in order, and an unknown tag is refused as `unknown <what>
+/// <tag>`. A `pub` item is also defined here, attributes and docs included; an
+/// `impl` item is defined elsewhere. A tuple variant names its one field.
+macro_rules! wire {
+    () => {};
+    (
+        $(#[$attr:meta])*
+        pub struct $s:ident { $($(#[$fattr:meta])* pub $f:ident: $t:ty),* $(,)? }
+        $($rest:tt)*
+    ) => {
+        $(#[$attr])*
+        pub struct $s { $($(#[$fattr])* pub $f: $t),* }
+        wire!(impl struct $s { $($f: $t),* } $($rest)*);
+    };
+    (impl struct $s:ident { $($f:ident: $t:ty),* $(,)? } $($rest:tt)*) => {
+        impl Wire for $s {
+            const MIN: usize = 0 $(+ <$t as Wire>::MIN)*;
+
+            #[inline]
+            fn put(&self, buf: &mut Vec<u8>) {
+                let $s { $($f),* } = self;
+                $($f.put(buf);)*
+            }
+
+            #[inline]
+            fn get(dec: &mut Dec<'_>) -> FormatResult<Self> {
+                Ok($s { $($f: <$t as Wire>::get(dec)?),* })
+            }
+        }
+        wire!($($rest)*);
+    };
+    (
+        $(#[$attr:meta])*
+        pub enum $e:ident $what:literal {
+            $($(#[$vattr:meta])* $v:ident
+                $(($b:ident: $bt:ty))?
+                $({ $($(#[$fattr:meta])* $f:ident: $t:ty),* $(,)? })?
+            = $tag:literal),* $(,)?
+        }
+        $($rest:tt)*
+    ) => {
+        $(#[$attr])*
+        pub enum $e { $($(#[$vattr])* $v $(($bt))? $({ $($(#[$fattr])* $f: $t),* })?),* }
+        wire!(impl enum $e $what { $($v $(($b: $bt))? $({ $($f: $t),* })? = $tag),* } $($rest)*);
+    };
+    (
+        impl enum $e:ident $what:literal {
+            $($v:ident $(($b:ident: $bt:ty))? $({ $($f:ident: $t:ty),* $(,)? })? = $tag:literal),*
+            $(,)?
+        }
+        $($rest:tt)*
+    ) => {
+        impl Wire for $e {
+            /// The tag byte.
+            const MIN: usize = 1;
+
+            #[inline]
+            fn put(&self, buf: &mut Vec<u8>) {
+                match self {
+                    $($e::$v $(($b))? $({ $($f),* })? => {
+                        buf.push($tag);
+                        $($b.put(buf);)?
+                        $($($f.put(buf);)*)?
+                    })*
+                }
+            }
+
+            #[inline]
+            fn get(dec: &mut Dec<'_>) -> FormatResult<Self> {
+                Ok(match dec.u8()? {
+                    $($tag => $e::$v
+                        $((<$bt as Wire>::get(dec)?))?
+                        $({ $($f: <$t as Wire>::get(dec)?),* })?,)*
+                    other => return Err(dec.unknown($what, other)),
+                })
+            }
+        }
+        wire!($($rest)*);
+    };
 }
 
-/// One server response.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Response {
-    /// Outcome of a [`Request::Put`].
-    PutOk {
-        /// The trace's content hash — the key for every later request.
-        hash: u64,
-        /// `true` when the repository already held this content (nothing was written).
-        deduped: bool,
-        /// Number of entries in the trace.
-        entries: u64,
-    },
-    /// The stored blob bytes of a [`Request::Get`].
-    GetOk {
-        /// The blob exactly as stored.
-        bytes: Vec<u8>,
-    },
-    /// The repository listing of a [`Request::List`].
-    ListOk {
-        /// One row per stored trace.
-        entries: Vec<RepoEntry>,
-    },
-    /// The result of a [`Request::Diff`].
-    DiffOk(WireDiff),
-    /// The result of a [`Request::Analyze`]. Decoding it interns every class, method
-    /// and field name of its signatures into the process-global interner, which never
-    /// frees a string: a long-lived client keeps every distinct name it is sent.
-    AnalyzeOk(WireReport),
-    /// The result of a [`Request::Check`]: the full structured [`CheckReport`], not a
-    /// rendering — the client renders locally with the same code a local check uses,
-    /// so `rprism remote check` output is byte-identical to `rprism check` over the same blob. Diagnostic rule ids are
-    /// spelled out as strings on the wire and mapped back through the static rule
-    /// registry on decode (an unknown id is a decode error).
-    CheckOk(Box<CheckReport>),
-    /// Acknowledges a [`Request::WatchStart`]: the old trace is loaded and the
-    /// connection is in watch mode.
-    WatchStarted,
-    /// Acknowledges a non-final [`Request::PutStream`] chunk with the provisional
-    /// events the chunk produced (possibly none — e.g. the chunk ended mid-record).
-    WatchEvent {
-        /// Provisional events, in emission order.
-        events: Vec<WireWatchEvent>,
-    },
-    /// Answers the final [`Request::PutStream`] chunk: the reconciliation events the
-    /// finish produced plus the authoritative diff, byte-identical to a
-    /// [`Request::Diff`] of the same pair.
-    WatchDone {
-        /// Final reconciliation events (authoritative pairs never reported
-        /// provisionally, then retractions of provisional pairs the verdict dropped).
-        events: Vec<WireWatchEvent>,
-        /// The authoritative diff, rendered with the watch's `max_sequences`.
-        diff: WireDiff,
-    },
-    /// The server's ingest check denied the watched trace mid-stream: the full
-    /// structured report travels back, the watch is torn down, and the connection
-    /// stays open. Unlike [`Response::Error`], the client can render the diagnostics
-    /// exactly as a local denied check would.
-    CheckDenied(Box<CheckReport>),
-    /// The statistics snapshot of a [`Request::Stats`].
-    StatsOk(WireStats),
-    /// The Prometheus text exposition of a [`Request::Metrics`].
-    MetricsOk {
-        /// The rendered exposition, exactly as the server would serve it.
-        text: String,
-    },
-    /// The serialized self-trace of a [`Request::ObsTrace`].
-    ObsTraceOk {
-        /// The canonical binary `.rtr` bytes of the server's self-trace.
-        bytes: Vec<u8>,
-    },
-    /// Acknowledges a [`Request::Shutdown`]; the daemon stops accepting connections.
-    ShutdownOk,
-    /// The server is saturated and shed this connection before serving any request;
-    /// the connection closes after this frame. Clients with a retry policy back off
-    /// at least the hinted delay and reconnect.
-    Busy {
-        /// Server-suggested minimum backoff before retrying.
-        retry_after_ms: u32,
-    },
-    /// The named blob failed verification when read back and was quarantined. The
-    /// repository stays up, and re-uploading the trace heals the entry — unlike
-    /// [`Response::Error`], this failure names the hash so clients can do exactly
-    /// that.
-    Corrupt {
-        /// The content hash whose blob was quarantined.
-        hash: u64,
-        /// Human-readable detail.
+wire! {
+    /// The differencing algorithm a [`Request::Diff`] / [`Request::Analyze`] asks the
+    /// server to use. The server applies its configured options for the chosen family;
+    /// only the algorithm itself travels on the wire.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub enum WireAlgorithm "diff algorithm" {
+        /// Views-based differencing (§3.3) — the server default.
+        Views = 1,
+        /// The quadratic LCS baseline (§3.2).
+        Lcs = 2,
+        /// Anchor-based (patience/histogram) differencing: near-linear on huge traces,
+        /// verdict-equivalent to the exact modes but matchings may legitimately differ.
+        Anchored = 3,
+    }
+
+    /// One client request.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum Request "request tag" {
+        /// Store a serialized trace (either encoding); the server replies with its
+        /// content hash and whether it was already present.
+        Put {
+            /// The serialized trace bytes, exactly as they would sit in a file.
+            bytes: Vec<u8>,
+        } = 0x01,
+        /// Fetch the stored blob of a content hash.
+        Get {
+            /// The content hash ([`rprism_format::content_hash`]) of the trace.
+            hash: u64,
+        } = 0x02,
+        /// List the repository's traces.
+        List = 0x03,
+        /// Semantically difference two stored traces.
+        Diff {
+            /// Content hash of the left (old) trace.
+            left: u64,
+            /// Content hash of the right (new) trace.
+            right: u64,
+            /// How many difference sequences the server renders into the textual report.
+            max_sequences: u64,
+            /// Differencing-algorithm override (`None` uses the server engine's default).
+            ///
+            /// Encoded as an *optional trailing byte*: a request without an override ends
+            /// after `max_sequences`. The frame carries [`PROTO_VERSION`] either way; a
+            /// peer of another version is refused with
+            /// [`FormatError::UnsupportedVersion`].
+            algorithm: Option<WireAlgorithm>,
+        } = 0x04,
+        /// Run the §4.1 regression-cause analysis over four stored traces.
+        Analyze {
+            /// Content hash of the old-version, regressing-test trace.
+            old_regressing: u64,
+            /// Content hash of the new-version, regressing-test trace.
+            new_regressing: u64,
+            /// Content hash of the old-version, passing-test trace.
+            old_passing: u64,
+            /// Content hash of the new-version, passing-test trace.
+            new_passing: u64,
+            /// Analysis-mode override (`None` uses the server engine's default).
+            mode: Option<AnalysisMode>,
+            /// How many regression-related sequences the server renders into the textual
+            /// report.
+            max_sequences: u64,
+            /// Differencing-algorithm override, trailing-optional exactly as in
+            /// [`Request::Diff`].
+            algorithm: Option<WireAlgorithm>,
+        } = 0x05,
+        /// Run the `rprism-check` static analysis over a stored trace.
+        Check {
+            /// The content hash of the trace to check.
+            hash: u64,
+            /// Per-rule severity overrides (`rule id → severity`), applied in order on
+            /// top of the rule defaults — the wire form of
+            /// [`CheckConfig::overrides`](rprism::CheckConfig::overrides).
+            overrides: Vec<(String, Severity)>,
+        } = 0x08,
+        /// Open a live watch against a stored trace: the connection enters watch mode,
+        /// and subsequent [`Request::PutStream`] chunks carry the growing new trace. The
+        /// strict one-request/one-response alternation is preserved — every chunk is
+        /// individually acknowledged.
+        WatchStart {
+            /// Content hash of the stored old (left) trace to diff against.
+            old: u64,
+            /// How many difference sequences the server renders into the final report.
+            max_sequences: u64,
+        } = 0x09,
+        /// One chunk of the watched trace's serialized bytes (either encoding), cut at
+        /// **arbitrary** byte boundaries — mid-record, mid-varint, even mid-header. The
+        /// server resumes decoding exactly where the previous chunk stopped. Only valid
+        /// after [`Request::WatchStart`] on the same connection.
+        PutStream {
+            /// The next serialized bytes, appended to everything sent before.
+            bytes: Vec<u8>,
+            /// `true` on the final chunk: the server drains its decoder with strict
+            /// end-of-input semantics and answers [`Response::WatchDone`].
+            last: bool,
+        } = 0x0a,
+        /// Repository and cache statistics.
+        Stats = 0x06,
+        /// The server's metrics rendered in the Prometheus text exposition format.
+        /// Rendering happens server-side from one consistent snapshot, so what a client
+        /// prints is byte-identical to what the server saw.
+        Metrics = 0x0b,
+        /// The server's own recent execution — its pipeline/repo/request spans plus a
+        /// metric snapshot — serialized as a canonical binary trace blob. The blob loads
+        /// like any stored trace: `rprism check`, `rprism diff`,
+        /// `Engine::load_prepared_reader` all accept it.
+        ObsTrace = 0x0c,
+        /// Gracefully stop the daemon: in-flight requests drain, then the listener exits.
+        Shutdown = 0x07,
+    }
+
+    /// One server response.
+    #[derive(Clone, Debug, PartialEq)]
+    pub enum Response "response tag" {
+        /// Outcome of a [`Request::Put`].
+        PutOk {
+            /// The trace's content hash — the key for every later request.
+            hash: u64,
+            /// `true` when the repository already held this content (nothing was written).
+            deduped: bool,
+            /// Number of entries in the trace.
+            entries: u64,
+        } = 0x81,
+        /// The stored blob bytes of a [`Request::Get`].
+        GetOk {
+            /// The blob exactly as stored.
+            bytes: Vec<u8>,
+        } = 0x82,
+        /// The repository listing of a [`Request::List`].
+        ListOk {
+            /// One row per stored trace.
+            entries: Vec<RepoEntry>,
+        } = 0x83,
+        /// The result of a [`Request::Diff`].
+        DiffOk(diff: WireDiff) = 0x84,
+        /// The result of a [`Request::Analyze`]. Decoding it interns every class, method
+        /// and field name of its signatures into the process-global interner, which never
+        /// frees a string: a long-lived client keeps every distinct name it is sent.
+        AnalyzeOk(report: WireReport) = 0x85,
+        /// The result of a [`Request::Check`]: the full structured [`CheckReport`], not a
+        /// rendering — the client renders locally with the same code a local check uses,
+        /// so `rprism remote check` output is byte-identical to `rprism check` over the
+        /// same blob. Diagnostic rule ids are spelled out as strings on the wire and
+        /// mapped back through the static rule registry on decode (an unknown id is a
+        /// decode error).
+        CheckOk(report: Box<CheckReport>) = 0x88,
+        /// Acknowledges a [`Request::WatchStart`]: the old trace is loaded and the
+        /// connection is in watch mode.
+        WatchStarted = 0x89,
+        /// Acknowledges a non-final [`Request::PutStream`] chunk with the provisional
+        /// events the chunk produced (possibly none — e.g. the chunk ended mid-record).
+        WatchEvent {
+            /// Provisional events, in emission order.
+            events: Vec<WireWatchEvent>,
+        } = 0x8a,
+        /// Answers the final [`Request::PutStream`] chunk: the reconciliation events the
+        /// finish produced plus the authoritative diff, byte-identical to a
+        /// [`Request::Diff`] of the same pair.
+        WatchDone {
+            /// Final reconciliation events (authoritative pairs never reported
+            /// provisionally, then retractions of provisional pairs the verdict dropped).
+            events: Vec<WireWatchEvent>,
+            /// The authoritative diff, rendered with the watch's `max_sequences`.
+            diff: WireDiff,
+        } = 0x8b,
+        /// The server's ingest check denied the watched trace mid-stream: the full
+        /// structured report travels back, the watch is torn down, and the connection
+        /// stays open. Unlike [`Response::Error`], the client can render the diagnostics
+        /// exactly as a local denied check would.
+        CheckDenied(report: Box<CheckReport>) = 0x8c,
+        /// The statistics snapshot of a [`Request::Stats`].
+        StatsOk(stats: WireStats) = 0x86,
+        /// The Prometheus text exposition of a [`Request::Metrics`].
+        MetricsOk {
+            /// The rendered exposition, exactly as the server would serve it.
+            text: String,
+        } = 0x8d,
+        /// The serialized self-trace of a [`Request::ObsTrace`].
+        ObsTraceOk {
+            /// The canonical binary `.rtr` bytes of the server's self-trace.
+            bytes: Vec<u8>,
+        } = 0x8e,
+        /// Acknowledges a [`Request::Shutdown`]; the daemon stops accepting connections.
+        ShutdownOk = 0x87,
+        /// The server is saturated and shed this connection before serving any request;
+        /// the connection closes after this frame. Clients with a retry policy back off
+        /// at least the hinted delay and reconnect.
+        Busy {
+            /// Server-suggested minimum backoff before retrying.
+            retry_after_ms: u32,
+        } = 0xfd,
+        /// The named blob failed verification when read back and was quarantined. The
+        /// repository stays up, and re-uploading the trace heals the entry — unlike
+        /// [`Response::Error`], this failure names the hash so clients can do exactly
+        /// that.
+        Corrupt {
+            /// The content hash whose blob was quarantined.
+            hash: u64,
+            /// Human-readable detail.
+            message: String,
+        } = 0xfe,
+        /// The request failed; the connection stays open unless the transport itself is
+        /// compromised.
+        Error {
+            /// Human-readable failure description.
+            message: String,
+        } = 0xff,
+    }
+
+    /// One repository listing row.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct RepoEntry {
+        /// Content hash (the repository key).
+        pub hash: u64,
+        /// The trace's `meta.name`.
+        pub name: String,
+        /// Number of entries.
+        pub entries: u64,
+        /// On-disk blob size in bytes.
+        pub bytes: u64,
+    }
+
+    /// A [`TraceDiffResult`] in canonical wire form.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct WireDiff {
+        /// The differencing algorithm label (`"views"`, `"lcs"`).
+        pub algorithm: String,
+        /// Entry count of the left trace.
+        pub left_len: u64,
+        /// Entry count of the right trace.
+        pub right_len: u64,
+        /// The normalized similarity pairs of the matching (ascending left index).
+        pub pairs: Vec<(u64, u64)>,
+        /// The difference sequences, exactly as the local result holds them.
+        pub sequences: Vec<DiffSequence>,
+        /// Deterministic compare-operation count of the run.
+        pub compare_ops: u64,
+        /// Number of differing entries.
+        pub num_differences: u64,
+        /// The server-rendered textual diff (bounded by the request's `max_sequences`).
+        pub rendered: String,
+    }
+
+    /// A [`ProvisionalEvent`] in wire form.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum WireWatchEvent "watch event kind" {
+        /// The pair entered the provisional similarity set.
+        Match {
+            /// Old-trace entry index.
+            left: u64,
+            /// New-trace entry index.
+            right: u64,
+        } = 1,
+        /// A previously emitted pair was retracted.
+        Invalidate {
+            /// Old-trace entry index.
+            left: u64,
+            /// New-trace entry index.
+            right: u64,
+        } = 2,
+        /// A provisionally divergent region; either side may be empty, never both.
+        Difference {
+            /// Skipped old-trace entry indices.
+            left: Vec<u64>,
+            /// Skipped new-trace entry indices.
+            right: Vec<u64>,
+        } = 3,
+    }
+
+    /// A [`RegressionReport`] in canonical wire form.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct WireReport {
+        /// The differencing algorithm label.
+        pub algorithm: String,
+        /// The analysis mode that produced D.
+        pub mode: AnalysisMode,
+        /// The suspected differences A, in canonical order.
+        pub suspected: Vec<DiffSignature>,
+        /// The expected differences B, in canonical order.
+        pub expected: Vec<DiffSignature>,
+        /// The regression differences C, in canonical order.
+        pub regression: Vec<DiffSignature>,
+        /// The candidate causes D, in canonical order.
+        pub candidates: Vec<DiffSignature>,
+        /// Every suspected-comparison difference sequence with its regression verdict.
+        pub sequences: Vec<(DiffSequence, bool)>,
+        /// Total compare operations across the three differencing runs.
+        pub compare_ops: u64,
+        /// The server-rendered textual report.
+        pub rendered: String,
+    }
+
+    /// A repository/cache statistics snapshot: what [`TraceRepo::stats`] returns, with
+    /// `requests_served` set by the server.
+    ///
+    /// [`TraceRepo::stats`]: crate::TraceRepo::stats
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct WireStats {
+        /// Number of stored blobs.
+        pub blobs: u64,
+        /// Total on-disk blob bytes.
+        pub blob_bytes: u64,
+        /// Prepared handles currently cached.
+        pub prepared_cached: u64,
+        /// Weight of the cached handles against the byte budget.
+        pub prepared_cached_bytes: u64,
+        /// The configured prepared-cache byte budget.
+        pub cache_budget_bytes: u64,
+        /// Prepared-cache hits since startup.
+        pub prepared_hits: u64,
+        /// Prepared-cache misses (streaming loads) since startup.
+        pub prepared_misses: u64,
+        /// Prepared handles evicted by the byte budget since startup.
+        pub evictions: u64,
+        /// Uploads deduplicated against existing content since startup.
+        pub dedup_hits: u64,
+        /// Requests served since startup (all kinds).
+        pub requests_served: u64,
+        /// View correlations the shared engine actually built.
+        pub correlation_builds: u64,
+        /// Trace pairs currently in the engine's correlation cache.
+        pub cached_correlations: u64,
+        /// Orphaned staging files swept by startup recovery.
+        pub orphans_removed: u64,
+        /// Blobs quarantined after failing content verification.
+        pub quarantined: u64,
+        /// Watermark-triggered prepared-cache shrinks.
+        pub cache_shrinks: u64,
+    }
+
+    // Types of other crates: their wire form only.
+    impl struct DiffSequence { left: Vec<usize>, right: Vec<usize> }
+    impl struct DiffSignature {
+        kind: EventKind,
+        name: Option<Symbol>,
+        operands: Box<[(Symbol, ValueFingerprint)]>,
+        method: Symbol,
+        active_class: Symbol,
+    }
+    impl struct Diagnostic {
+        rule_id: &'static str,
+        severity: Severity,
+        entry_index: usize,
         message: String,
-    },
-    /// The request failed; the connection stays open unless the transport itself is
-    /// compromised.
-    Error {
-        /// Human-readable failure description.
-        message: String,
-    },
-}
-
-/// One repository listing row.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RepoEntry {
-    /// Content hash (the repository key).
-    pub hash: u64,
-    /// The trace's `meta.name`.
-    pub name: String,
-    /// Number of entries.
-    pub entries: u64,
-    /// On-disk blob size in bytes.
-    pub bytes: u64,
-}
-
-/// A [`TraceDiffResult`] in canonical wire form.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WireDiff {
-    /// The differencing algorithm label (`"views"`, `"lcs"`).
-    pub algorithm: String,
-    /// Entry count of the left trace.
-    pub left_len: u64,
-    /// Entry count of the right trace.
-    pub right_len: u64,
-    /// The normalized similarity pairs of the matching (ascending left index).
-    pub pairs: Vec<(u64, u64)>,
-    /// The difference sequences, exactly as the local result holds them.
-    pub sequences: Vec<DiffSequence>,
-    /// Deterministic compare-operation count of the run.
-    pub compare_ops: u64,
-    /// Number of differing entries.
-    pub num_differences: u64,
-    /// The server-rendered textual diff (bounded by the request's `max_sequences`).
-    pub rendered: String,
+        related_entries: Vec<usize>,
+    }
+    impl struct CheckReport {
+        trace_name: String,
+        entries: usize,
+        threads: usize,
+        suppressed: usize,
+        diagnostics: Vec<Diagnostic>,
+    }
+    impl enum EventKind "event kind" {
+        Get = 1, Set = 2, Call = 3, Return = 4, Init = 5, Fork = 6, End = 7,
+    }
+    impl enum Severity "severity" { Info = 1, Warning = 2, Error = 3 }
 }
 
 impl WireDiff {
@@ -356,32 +572,6 @@ impl WireDiff {
     pub fn num_sequences(&self) -> usize {
         self.sequences.len()
     }
-}
-
-/// A [`ProvisionalEvent`] in wire form.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum WireWatchEvent {
-    /// The pair entered the provisional similarity set.
-    Match {
-        /// Old-trace entry index.
-        left: u64,
-        /// New-trace entry index.
-        right: u64,
-    },
-    /// A previously emitted pair was retracted.
-    Invalidate {
-        /// Old-trace entry index.
-        left: u64,
-        /// New-trace entry index.
-        right: u64,
-    },
-    /// A provisionally divergent region; either side may be empty, never both.
-    Difference {
-        /// Skipped old-trace entry indices.
-        left: Vec<u64>,
-        /// Skipped new-trace entry indices.
-        right: Vec<u64>,
-    },
 }
 
 impl WireWatchEvent {
@@ -422,29 +612,6 @@ impl WireWatchEvent {
     }
 }
 
-/// A [`RegressionReport`] in canonical wire form.
-#[derive(Clone, Debug, PartialEq)]
-pub struct WireReport {
-    /// The differencing algorithm label.
-    pub algorithm: String,
-    /// The analysis mode that produced D.
-    pub mode: AnalysisMode,
-    /// The suspected differences A, in canonical order.
-    pub suspected: Vec<DiffSignature>,
-    /// The expected differences B, in canonical order.
-    pub expected: Vec<DiffSignature>,
-    /// The regression differences C, in canonical order.
-    pub regression: Vec<DiffSignature>,
-    /// The candidate causes D, in canonical order.
-    pub candidates: Vec<DiffSignature>,
-    /// Every suspected-comparison difference sequence with its regression verdict.
-    pub sequences: Vec<(DiffSequence, bool)>,
-    /// Total compare operations across the three differencing runs.
-    pub compare_ops: u64,
-    /// The server-rendered textual report.
-    pub rendered: String,
-}
-
 impl WireReport {
     /// Builds the wire form of a local report plus its rendering.
     pub fn from_report(report: &RegressionReport, rendered: String) -> Self {
@@ -469,60 +636,9 @@ impl WireReport {
     }
 }
 
-/// A repository/cache statistics snapshot: what [`TraceRepo::stats`] returns, with
-/// `requests_served` set by the server.
-///
-/// [`TraceRepo::stats`]: crate::TraceRepo::stats
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WireStats {
-    /// Number of stored blobs.
-    pub blobs: u64,
-    /// Total on-disk blob bytes.
-    pub blob_bytes: u64,
-    /// Prepared handles currently cached.
-    pub prepared_cached: u64,
-    /// Weight of the cached handles against the byte budget.
-    pub prepared_cached_bytes: u64,
-    /// The configured prepared-cache byte budget.
-    pub cache_budget_bytes: u64,
-    /// Prepared-cache hits since startup.
-    pub prepared_hits: u64,
-    /// Prepared-cache misses (streaming loads) since startup.
-    pub prepared_misses: u64,
-    /// Prepared handles evicted by the byte budget since startup.
-    pub evictions: u64,
-    /// Uploads deduplicated against existing content since startup.
-    pub dedup_hits: u64,
-    /// Requests served since startup (all kinds).
-    pub requests_served: u64,
-    /// View correlations the shared engine actually built.
-    pub correlation_builds: u64,
-    /// Trace pairs currently in the engine's correlation cache.
-    pub cached_correlations: u64,
-    /// Orphaned staging files swept by startup recovery.
-    pub orphans_removed: u64,
-    /// Blobs quarantined after failing content verification.
-    pub quarantined: u64,
-    /// Watermark-triggered prepared-cache shrinks.
-    pub cache_shrinks: u64,
-}
-
 // ---------------------------------------------------------------------------
-// Primitive encode/decode
+// The codec
 // ---------------------------------------------------------------------------
-
-fn put_u64(buf: &mut Vec<u8>, value: u64) {
-    varint::write_u64(buf, value);
-}
-
-fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
-    put_u64(buf, bytes.len() as u64);
-    buf.extend_from_slice(bytes);
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_bytes(buf, s.as_bytes());
-}
 
 /// A cursor over a message payload; all errors are [`FormatError::Corrupt`] with the
 /// byte offset inside the payload.
@@ -543,6 +659,7 @@ impl<'a> Dec<'a> {
         }
     }
 
+    #[inline]
     fn u8(&mut self) -> FormatResult<u8> {
         let byte = *self
             .bytes
@@ -552,28 +669,15 @@ impl<'a> Dec<'a> {
         Ok(byte)
     }
 
-    fn u64(&mut self) -> FormatResult<u64> {
-        let mut source = varint::SliceSource::new(&self.bytes[self.pos..], self.pos as u64);
-        let value = varint::read_u64(&mut source)?;
-        self.pos = source.offset() as usize;
-        Ok(value)
-    }
-
-    fn bool(&mut self) -> FormatResult<bool> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(self.corrupt(format!("invalid boolean byte {other:#04x}"))),
-        }
-    }
-
-    fn bytes(&mut self) -> FormatResult<Vec<u8>> {
-        self.slice().map(<[u8]>::to_vec)
+    /// The error for a tag byte no variant of `what` carries.
+    #[cold]
+    fn unknown(&self, what: &str, tag: u8) -> FormatError {
+        self.corrupt(format!("unknown {what} {tag:#04x}"))
     }
 
     /// A length-prefixed field, borrowed from the payload.
     fn slice(&mut self) -> FormatResult<&'a [u8]> {
-        let len = self.u64()?;
+        let len = u64::get(self)?;
         let len = usize::try_from(len).map_err(|_| self.corrupt("length overflows usize"))?;
         let end = self
             .pos
@@ -585,48 +689,18 @@ impl<'a> Dec<'a> {
         Ok(out)
     }
 
-    fn str(&mut self) -> FormatResult<String> {
-        self.str_ref().map(str::to_owned)
-    }
-
     /// A string field, borrowed from the payload.
-    fn str_ref(&mut self) -> FormatResult<&'a str> {
+    fn str(&mut self) -> FormatResult<&'a str> {
         let bytes = self.slice()?;
         std::str::from_utf8(bytes).map_err(|_| self.corrupt("string is not valid UTF-8"))
-    }
-
-    /// A string field interned into this process (see the module docs).
-    fn symbol(&mut self) -> FormatResult<Symbol> {
-        self.str_ref().map(intern)
-    }
-
-    fn u64s(&mut self) -> FormatResult<Vec<u64>> {
-        let count = self.u64()?;
-        let mut out = Vec::with_capacity(self.capacity(count, 1));
-        for _ in 0..count {
-            out.push(self.u64()?);
-        }
-        Ok(out)
-    }
-
-    /// The number of undecoded bytes.
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
     }
 
     /// The capacity to reserve for `count` items that take at least `min_bytes`
     /// each: the count, bounded by what the undecoded bytes can hold, so a forged
     /// count cannot reserve more than the message carries.
     fn capacity(&self, count: u64, min_bytes: usize) -> usize {
-        let bound = self.remaining() / min_bytes;
+        let bound = (self.bytes.len() - self.pos) / min_bytes.max(1);
         usize::try_from(count).map_or(bound, |n| n.min(bound))
-    }
-
-    /// `true` while undecoded bytes remain — the gate for trailing-optional fields
-    /// (read the field iff a newer client appended it; [`Dec::finish`] still rejects
-    /// anything left over after every decoder ran).
-    fn has_remaining(&self) -> bool {
-        self.pos < self.bytes.len()
     }
 
     fn finish(&self) -> FormatResult<()> {
@@ -640,360 +714,291 @@ impl<'a> Dec<'a> {
     }
 }
 
-fn kind_byte(kind: EventKind) -> u8 {
-    match kind {
-        EventKind::Get => 1,
-        EventKind::Set => 2,
-        EventKind::Call => 3,
-        EventKind::Return => 4,
-        EventKind::Init => 5,
-        EventKind::Fork => 6,
-        EventKind::End => 7,
+fn len_prefixed(buf: &mut Vec<u8>, bytes: &[u8]) {
+    bytes.len().put(buf);
+    buf.extend_from_slice(bytes);
+}
+
+impl Wire for u64 {
+    const MIN: usize = 1;
+
+    #[inline]
+    fn put(&self, buf: &mut Vec<u8>) {
+        varint::write_u64(buf, *self);
+    }
+
+    #[inline]
+    fn get(dec: &mut Dec<'_>) -> FormatResult<Self> {
+        let mut source = varint::SliceSource::new(&dec.bytes[dec.pos..], dec.pos as u64);
+        let value = varint::read_u64(&mut source)?;
+        dec.pos = source.offset() as usize;
+        Ok(value)
     }
 }
 
-fn byte_kind(byte: u8, dec: &Dec<'_>) -> FormatResult<EventKind> {
-    Ok(match byte {
-        1 => EventKind::Get,
-        2 => EventKind::Set,
-        3 => EventKind::Call,
-        4 => EventKind::Return,
-        5 => EventKind::Init,
-        6 => EventKind::Fork,
-        7 => EventKind::End,
-        other => return Err(dec.corrupt(format!("unknown event kind {other:#04x}"))),
-    })
-}
+impl Wire for usize {
+    const MIN: usize = 1;
 
-fn mode_byte(mode: Option<AnalysisMode>) -> u8 {
-    match mode {
-        None => 0,
-        Some(AnalysisMode::Intersect) => 1,
-        Some(AnalysisMode::SubtractRegressionSet) => 2,
+    fn put(&self, buf: &mut Vec<u8>) {
+        (*self as u64).put(buf);
+    }
+
+    fn get(dec: &mut Dec<'_>) -> FormatResult<Self> {
+        let value = u64::get(dec)?;
+        usize::try_from(value).map_err(|_| dec.corrupt("count overflows usize"))
     }
 }
 
-fn byte_mode(byte: u8, dec: &Dec<'_>) -> FormatResult<Option<AnalysisMode>> {
-    Ok(match byte {
-        0 => None,
-        1 => Some(AnalysisMode::Intersect),
-        2 => Some(AnalysisMode::SubtractRegressionSet),
-        other => return Err(dec.corrupt(format!("unknown analysis mode {other:#04x}"))),
-    })
-}
+/// Busy's retry hint, a varint that must fit.
+impl Wire for u32 {
+    const MIN: usize = 1;
 
-fn algorithm_byte(algorithm: WireAlgorithm) -> u8 {
-    match algorithm {
-        WireAlgorithm::Views => 1,
-        WireAlgorithm::Lcs => 2,
-        WireAlgorithm::Anchored => 3,
+    fn put(&self, buf: &mut Vec<u8>) {
+        u64::from(*self).put(buf);
+    }
+
+    fn get(dec: &mut Dec<'_>) -> FormatResult<Self> {
+        let value = u64::get(dec)?;
+        u32::try_from(value).map_err(|_| dec.corrupt("retry_after_ms overflows u32"))
     }
 }
 
-fn byte_algorithm(byte: u8, dec: &Dec<'_>) -> FormatResult<WireAlgorithm> {
-    Ok(match byte {
-        1 => WireAlgorithm::Views,
-        2 => WireAlgorithm::Lcs,
-        3 => WireAlgorithm::Anchored,
-        other => return Err(dec.corrupt(format!("unknown diff algorithm {other:#04x}"))),
-    })
-}
+impl Wire for bool {
+    const MIN: usize = 1;
 
-fn severity_byte(severity: Severity) -> u8 {
-    match severity {
-        Severity::Info => 1,
-        Severity::Warning => 2,
-        Severity::Error => 3,
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.push(u8::from(*self));
     }
-}
 
-fn byte_severity(byte: u8, dec: &Dec<'_>) -> FormatResult<Severity> {
-    Ok(match byte {
-        1 => Severity::Info,
-        2 => Severity::Warning,
-        3 => Severity::Error,
-        other => return Err(dec.corrupt(format!("unknown severity {other:#04x}"))),
-    })
-}
-
-fn put_overrides(buf: &mut Vec<u8>, overrides: &[(String, Severity)]) {
-    put_u64(buf, overrides.len() as u64);
-    for (rule, severity) in overrides {
-        put_str(buf, rule);
-        buf.push(severity_byte(*severity));
-    }
-}
-
-fn get_overrides(dec: &mut Dec<'_>) -> FormatResult<Vec<(String, Severity)>> {
-    let count = dec.u64()?;
-    let mut out = Vec::new();
-    for _ in 0..count {
-        let rule = dec.str()?;
-        let severity_raw = dec.u8()?;
-        out.push((rule, byte_severity(severity_raw, dec)?));
-    }
-    Ok(out)
-}
-
-fn put_check_report(buf: &mut Vec<u8>, report: &CheckReport) {
-    put_str(buf, &report.trace_name);
-    put_u64(buf, report.entries as u64);
-    put_u64(buf, report.threads as u64);
-    put_u64(buf, report.suppressed as u64);
-    put_u64(buf, report.diagnostics.len() as u64);
-    for diagnostic in &report.diagnostics {
-        put_str(buf, diagnostic.rule_id);
-        buf.push(severity_byte(diagnostic.severity));
-        put_u64(buf, diagnostic.entry_index as u64);
-        put_str(buf, &diagnostic.message);
-        put_u64(buf, diagnostic.related_entries.len() as u64);
-        for &related in &diagnostic.related_entries {
-            put_u64(buf, related as u64);
+    fn get(dec: &mut Dec<'_>) -> FormatResult<Self> {
+        match dec.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(dec.corrupt(format!("invalid boolean byte {other:#04x}"))),
         }
     }
 }
 
-fn get_usize(dec: &mut Dec<'_>) -> FormatResult<usize> {
-    let value = dec.u64()?;
-    usize::try_from(value).map_err(|_| dec.corrupt("count overflows usize"))
+/// A byte blob, length-prefixed.
+impl Wire for Vec<u8> {
+    const MIN: usize = 1;
+
+    fn put(&self, buf: &mut Vec<u8>) {
+        len_prefixed(buf, self);
+    }
+
+    fn get(dec: &mut Dec<'_>) -> FormatResult<Self> {
+        dec.slice().map(<[u8]>::to_vec)
+    }
 }
 
-fn get_check_report(dec: &mut Dec<'_>) -> FormatResult<CheckReport> {
-    let trace_name = dec.str()?;
-    let entries = get_usize(dec)?;
-    let threads = get_usize(dec)?;
-    let suppressed = get_usize(dec)?;
-    let count = dec.u64()?;
-    let mut diagnostics = Vec::new();
-    for _ in 0..count {
-        let rule_id = dec.str()?;
-        // Rule ids live in the static registry; mapping the wire string back
-        // through it both validates the id and recovers the `&'static str` the
-        // diagnostic model carries.
-        let rule_id = rules::rule(&rule_id)
-            .ok_or_else(|| dec.corrupt(format!("unknown rule id {rule_id:?}")))?
-            .id;
-        let severity_raw = dec.u8()?;
-        let severity = byte_severity(severity_raw, dec)?;
-        let entry_index = get_usize(dec)?;
-        let message = dec.str()?;
-        let related_count = dec.u64()?;
-        let mut related_entries = Vec::new();
-        for _ in 0..related_count {
-            related_entries.push(get_usize(dec)?);
+/// UTF-8, length-prefixed; decoding validates the borrowed bytes, then copies once.
+impl Wire for String {
+    const MIN: usize = 1;
+
+    fn put(&self, buf: &mut Vec<u8>) {
+        len_prefixed(buf, self.as_bytes());
+    }
+
+    fn get(dec: &mut Dec<'_>) -> FormatResult<Self> {
+        dec.str().map(str::to_owned)
+    }
+}
+
+/// A symbol travels as its string and is interned only when decoded (see the module
+/// docs).
+impl Wire for Symbol {
+    const MIN: usize = 1;
+
+    fn put(&self, buf: &mut Vec<u8>) {
+        len_prefixed(buf, self.as_str().as_bytes());
+    }
+
+    fn get(dec: &mut Dec<'_>) -> FormatResult<Self> {
+        dec.str().map(intern)
+    }
+}
+
+/// A rule id, the wire's one static string: mapped back through the rule registry,
+/// which validates it and recovers the `&'static str` a [`Diagnostic`] carries.
+impl Wire for &'static str {
+    const MIN: usize = 1;
+
+    fn put(&self, buf: &mut Vec<u8>) {
+        len_prefixed(buf, self.as_bytes());
+    }
+
+    fn get(dec: &mut Dec<'_>) -> FormatResult<Self> {
+        let id = dec.str()?;
+        Ok(rules::rule(id)
+            .ok_or_else(|| dec.corrupt(format!("unknown rule id {id:?}")))?
+            .id)
+    }
+}
+
+impl Wire for ValueFingerprint {
+    const MIN: usize = 1;
+
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.0.put(buf);
+    }
+
+    fn get(dec: &mut Dec<'_>) -> FormatResult<Self> {
+        u64::get(dec).map(ValueFingerprint)
+    }
+}
+
+/// A list: its count, then its items.
+impl<T: Wire> Wire for Vec<T> {
+    const MIN: usize = 1;
+
+    #[inline]
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.len().put(buf);
+        for item in self {
+            item.put(buf);
         }
-        diagnostics.push(Diagnostic {
-            rule_id,
-            severity,
-            entry_index,
-            message,
-            related_entries,
+    }
+
+    #[inline]
+    fn get(dec: &mut Dec<'_>) -> FormatResult<Self> {
+        let count = u64::get(dec)?;
+        let mut out = Vec::with_capacity(dec.capacity(count, T::MIN));
+        for _ in 0..count {
+            out.push(T::get(dec)?);
+        }
+        Ok(out)
+    }
+}
+
+impl<T: Wire> Wire for Box<[T]> {
+    const MIN: usize = 1;
+
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.len().put(buf);
+        for item in self.iter() {
+            item.put(buf);
+        }
+    }
+
+    fn get(dec: &mut Dec<'_>) -> FormatResult<Self> {
+        Vec::get(dec).map(Vec::into_boxed_slice)
+    }
+}
+
+impl<T: Wire> Wire for Box<T> {
+    const MIN: usize = T::MIN;
+
+    fn put(&self, buf: &mut Vec<u8>) {
+        (**self).put(buf);
+    }
+
+    fn get(dec: &mut Dec<'_>) -> FormatResult<Self> {
+        T::get(dec).map(Box::new)
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    const MIN: usize = A::MIN + B::MIN;
+
+    #[inline]
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.0.put(buf);
+        self.1.put(buf);
+    }
+
+    #[inline]
+    fn get(dec: &mut Dec<'_>) -> FormatResult<Self> {
+        Ok((A::get(dec)?, B::get(dec)?))
+    }
+}
+
+/// An optional name: a strict 0/1 flag, then the symbol when present.
+impl Wire for Option<Symbol> {
+    const MIN: usize = 1;
+
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.is_some().put(buf);
+        if let Some(symbol) = self {
+            symbol.put(buf);
+        }
+    }
+
+    fn get(dec: &mut Dec<'_>) -> FormatResult<Self> {
+        Ok(if bool::get(dec)? {
+            Some(Symbol::get(dec)?)
+        } else {
+            None
+        })
+    }
+}
+
+/// A request's analysis-mode override: one byte, 0 for the engine default.
+impl Wire for Option<AnalysisMode> {
+    const MIN: usize = 1;
+
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.push(match self {
+            None => 0,
+            Some(AnalysisMode::Intersect) => 1,
+            Some(AnalysisMode::SubtractRegressionSet) => 2,
         });
     }
-    Ok(CheckReport {
-        trace_name,
-        entries,
-        threads,
-        suppressed,
-        diagnostics,
-    })
+
+    fn get(dec: &mut Dec<'_>) -> FormatResult<Self> {
+        Ok(match dec.u8()? {
+            0 => None,
+            1 => Some(AnalysisMode::Intersect),
+            2 => Some(AnalysisMode::SubtractRegressionSet),
+            other => return Err(dec.unknown("analysis mode", other)),
+        })
+    }
 }
 
-fn put_watch_events(buf: &mut Vec<u8>, events: &[WireWatchEvent]) {
-    put_u64(buf, events.len() as u64);
-    for event in events {
-        match event {
-            WireWatchEvent::Match { left, right } => {
-                buf.push(1);
-                put_u64(buf, *left);
-                put_u64(buf, *right);
-            }
-            WireWatchEvent::Invalidate { left, right } => {
-                buf.push(2);
-                put_u64(buf, *left);
-                put_u64(buf, *right);
-            }
-            WireWatchEvent::Difference { left, right } => {
-                buf.push(3);
-                put_u64(buf, left.len() as u64);
-                for &i in left {
-                    put_u64(buf, i);
-                }
-                put_u64(buf, right.len() as u64);
-                for &i in right {
-                    put_u64(buf, i);
-                }
-            }
+/// A report's analysis mode: the override's byte, which may not be the default marker.
+impl Wire for AnalysisMode {
+    const MIN: usize = 1;
+
+    fn put(&self, buf: &mut Vec<u8>) {
+        Some(*self).put(buf);
+    }
+
+    fn get(dec: &mut Dec<'_>) -> FormatResult<Self> {
+        Option::get(dec)?.ok_or_else(|| dec.corrupt("report mode cannot be the default marker"))
+    }
+}
+
+/// The algorithm override, trailing-optional: absent when `None`, so a request
+/// without one ends after its last field, and read exactly when bytes remain. Only
+/// ever the last field of a message.
+impl Wire for Option<WireAlgorithm> {
+    const MIN: usize = 0;
+
+    fn put(&self, buf: &mut Vec<u8>) {
+        if let Some(algorithm) = self {
+            algorithm.put(buf);
+        }
+    }
+
+    fn get(dec: &mut Dec<'_>) -> FormatResult<Self> {
+        if dec.pos < dec.bytes.len() {
+            WireAlgorithm::get(dec).map(Some)
+        } else {
+            Ok(None)
         }
     }
 }
 
-fn get_watch_events(dec: &mut Dec<'_>) -> FormatResult<Vec<WireWatchEvent>> {
-    let count = dec.u64()?;
-    let mut out = Vec::new();
-    for _ in 0..count {
-        out.push(match dec.u8()? {
-            1 => WireWatchEvent::Match {
-                left: dec.u64()?,
-                right: dec.u64()?,
-            },
-            2 => WireWatchEvent::Invalidate {
-                left: dec.u64()?,
-                right: dec.u64()?,
-            },
-            3 => WireWatchEvent::Difference {
-                left: dec.u64s()?,
-                right: dec.u64s()?,
-            },
-            other => return Err(dec.corrupt(format!("unknown watch event kind {other:#04x}"))),
-        });
-    }
-    Ok(out)
+/// A message's payload: the version byte, then the message.
+fn to_payload(message: &impl Wire) -> Vec<u8> {
+    let mut buf = vec![PROTO_VERSION];
+    message.put(&mut buf);
+    buf
 }
 
-fn put_indices(buf: &mut Vec<u8>, indices: &[usize]) {
-    put_u64(buf, indices.len() as u64);
-    for &i in indices {
-        put_u64(buf, i as u64);
-    }
-}
-
-/// A count-prefixed list of entry indices; an index that does not fit `usize` is a
-/// decode error.
-fn get_indices(dec: &mut Dec<'_>) -> FormatResult<Vec<usize>> {
-    let count = dec.u64()?;
-    let mut out = Vec::with_capacity(dec.capacity(count, 1));
-    for _ in 0..count {
-        out.push(get_usize(dec)?);
-    }
-    Ok(out)
-}
-
-fn put_sequence(buf: &mut Vec<u8>, sequence: &DiffSequence) {
-    put_indices(buf, &sequence.left);
-    put_indices(buf, &sequence.right);
-}
-
-fn get_sequence(dec: &mut Dec<'_>) -> FormatResult<DiffSequence> {
-    Ok(DiffSequence {
-        left: get_indices(dec)?,
-        right: get_indices(dec)?,
-    })
-}
-
-fn put_diff(buf: &mut Vec<u8>, diff: &WireDiff) {
-    put_str(buf, &diff.algorithm);
-    put_u64(buf, diff.left_len);
-    put_u64(buf, diff.right_len);
-    put_u64(buf, diff.pairs.len() as u64);
-    for &(l, r) in &diff.pairs {
-        put_u64(buf, l);
-        put_u64(buf, r);
-    }
-    put_u64(buf, diff.sequences.len() as u64);
-    for sequence in &diff.sequences {
-        put_sequence(buf, sequence);
-    }
-    put_u64(buf, diff.compare_ops);
-    put_u64(buf, diff.num_differences);
-    put_str(buf, &diff.rendered);
-}
-
-fn get_diff(dec: &mut Dec<'_>) -> FormatResult<WireDiff> {
-    let algorithm = dec.str()?;
-    let left_len = dec.u64()?;
-    let right_len = dec.u64()?;
-    let pair_count = dec.u64()?;
-    let mut pairs = Vec::with_capacity(dec.capacity(pair_count, 2));
-    for _ in 0..pair_count {
-        let l = dec.u64()?;
-        let r = dec.u64()?;
-        pairs.push((l, r));
-    }
-    let sequence_count = dec.u64()?;
-    // Each sequence takes at least its two counts.
-    let mut sequences = Vec::with_capacity(dec.capacity(sequence_count, 2));
-    for _ in 0..sequence_count {
-        sequences.push(get_sequence(dec)?);
-    }
-    Ok(WireDiff {
-        algorithm,
-        left_len,
-        right_len,
-        pairs,
-        sequences,
-        compare_ops: dec.u64()?,
-        num_differences: dec.u64()?,
-        rendered: dec.str()?,
-    })
-}
-
-fn put_signature(buf: &mut Vec<u8>, signature: &DiffSignature) {
-    buf.push(kind_byte(signature.kind));
-    match signature.name {
-        None => buf.push(0),
-        Some(name) => {
-            buf.push(1);
-            put_str(buf, name.as_str());
-        }
-    }
-    put_u64(buf, signature.operands.len() as u64);
-    for &(class, fp) in signature.operands.iter() {
-        put_str(buf, class.as_str());
-        put_u64(buf, fp.0);
-    }
-    put_str(buf, signature.method.as_str());
-    put_str(buf, signature.active_class.as_str());
-}
-
-fn get_signature(dec: &mut Dec<'_>) -> FormatResult<DiffSignature> {
-    let kind_raw = dec.u8()?;
-    let kind = byte_kind(kind_raw, dec)?;
-    let name = if dec.bool()? {
-        Some(dec.symbol()?)
-    } else {
-        None
-    };
-    let operand_count = dec.u64()?;
-    // Each operand takes at least two bytes: a class length and a fingerprint.
-    let mut operands = Vec::with_capacity(dec.capacity(operand_count, 2));
-    for _ in 0..operand_count {
-        let class = dec.symbol()?;
-        let fp = dec.u64()?;
-        operands.push((class, ValueFingerprint(fp)));
-    }
-    Ok(DiffSignature {
-        kind,
-        name,
-        operands: operands.into(),
-        method: dec.symbol()?,
-        active_class: dec.symbol()?,
-    })
-}
-
-fn put_signatures(buf: &mut Vec<u8>, signatures: &[DiffSignature]) {
-    put_u64(buf, signatures.len() as u64);
-    for signature in signatures {
-        put_signature(buf, signature);
-    }
-}
-
-fn get_signatures(dec: &mut Dec<'_>) -> FormatResult<Vec<DiffSignature>> {
-    let count = dec.u64()?;
-    // Each signature takes at least five bytes: kind, name flag, operand count,
-    // method and class lengths.
-    let mut out = Vec::with_capacity(dec.capacity(count, 5));
-    for _ in 0..count {
-        out.push(get_signature(dec)?);
-    }
-    Ok(out)
-}
-
-fn header(tag: u8) -> Vec<u8> {
-    vec![PROTO_VERSION, tag]
-}
-
-fn open(bytes: &[u8]) -> FormatResult<(u8, Dec<'_>)> {
+/// Reads a whole payload as one message; a foreign version byte or a byte left over
+/// is an error.
+fn from_payload<M: Wire>(bytes: &[u8]) -> FormatResult<M> {
     let mut dec = Dec::new(bytes);
     let version = dec.u8()?;
     if version != PROTO_VERSION {
@@ -1002,84 +1007,15 @@ fn open(bytes: &[u8]) -> FormatResult<(u8, Dec<'_>)> {
             supported: u16::from(PROTO_VERSION),
         });
     }
-    Ok((dec.u8()?, dec))
+    let message = M::get(&mut dec)?;
+    dec.finish()?;
+    Ok(message)
 }
 
 impl Request {
     /// Serializes the request into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        match self {
-            Request::Put { bytes } => {
-                let mut buf = header(TAG_PUT);
-                put_bytes(&mut buf, bytes);
-                buf
-            }
-            Request::Get { hash } => {
-                let mut buf = header(TAG_GET);
-                put_u64(&mut buf, *hash);
-                buf
-            }
-            Request::List => header(TAG_LIST),
-            Request::Diff {
-                left,
-                right,
-                max_sequences,
-                algorithm,
-            } => {
-                let mut buf = header(TAG_DIFF);
-                put_u64(&mut buf, *left);
-                put_u64(&mut buf, *right);
-                put_u64(&mut buf, *max_sequences);
-                // Trailing-optional: absent means "server default" and reproduces the
-                // pre-override frame byte for byte.
-                if let Some(algorithm) = algorithm {
-                    buf.push(algorithm_byte(*algorithm));
-                }
-                buf
-            }
-            Request::Analyze {
-                old_regressing,
-                new_regressing,
-                old_passing,
-                new_passing,
-                mode,
-                max_sequences,
-                algorithm,
-            } => {
-                let mut buf = header(TAG_ANALYZE);
-                for hash in [old_regressing, new_regressing, old_passing, new_passing] {
-                    put_u64(&mut buf, *hash);
-                }
-                buf.push(mode_byte(*mode));
-                put_u64(&mut buf, *max_sequences);
-                if let Some(algorithm) = algorithm {
-                    buf.push(algorithm_byte(*algorithm));
-                }
-                buf
-            }
-            Request::Check { hash, overrides } => {
-                let mut buf = header(TAG_CHECK);
-                put_u64(&mut buf, *hash);
-                put_overrides(&mut buf, overrides);
-                buf
-            }
-            Request::WatchStart { old, max_sequences } => {
-                let mut buf = header(TAG_WATCH_START);
-                put_u64(&mut buf, *old);
-                put_u64(&mut buf, *max_sequences);
-                buf
-            }
-            Request::PutStream { bytes, last } => {
-                let mut buf = header(TAG_PUT_STREAM);
-                put_bytes(&mut buf, bytes);
-                buf.push(u8::from(*last));
-                buf
-            }
-            Request::Stats => header(TAG_STATS),
-            Request::Metrics => header(TAG_METRICS),
-            Request::ObsTrace => header(TAG_OBS_TRACE),
-            Request::Shutdown => header(TAG_SHUTDOWN),
-        }
+        to_payload(self)
     }
 
     /// Decodes a frame payload into a request.
@@ -1089,207 +1025,14 @@ impl Request {
     /// Returns [`FormatError`] on a version mismatch, unknown tag, or malformed field
     /// — the server answers these with a structured error frame.
     pub fn decode(bytes: &[u8]) -> FormatResult<Request> {
-        let (tag, mut dec) = open(bytes)?;
-        let request = match tag {
-            TAG_PUT => Request::Put {
-                bytes: dec.bytes()?,
-            },
-            TAG_GET => Request::Get { hash: dec.u64()? },
-            TAG_LIST => Request::List,
-            TAG_DIFF => {
-                let left = dec.u64()?;
-                let right = dec.u64()?;
-                let max_sequences = dec.u64()?;
-                let algorithm = if dec.has_remaining() {
-                    let raw = dec.u8()?;
-                    Some(byte_algorithm(raw, &dec)?)
-                } else {
-                    None
-                };
-                Request::Diff {
-                    left,
-                    right,
-                    max_sequences,
-                    algorithm,
-                }
-            }
-            TAG_ANALYZE => {
-                let old_regressing = dec.u64()?;
-                let new_regressing = dec.u64()?;
-                let old_passing = dec.u64()?;
-                let new_passing = dec.u64()?;
-                let mode_raw = dec.u8()?;
-                let mode = byte_mode(mode_raw, &dec)?;
-                let max_sequences = dec.u64()?;
-                let algorithm = if dec.has_remaining() {
-                    let raw = dec.u8()?;
-                    Some(byte_algorithm(raw, &dec)?)
-                } else {
-                    None
-                };
-                Request::Analyze {
-                    old_regressing,
-                    new_regressing,
-                    old_passing,
-                    new_passing,
-                    mode,
-                    max_sequences,
-                    algorithm,
-                }
-            }
-            TAG_CHECK => Request::Check {
-                hash: dec.u64()?,
-                overrides: get_overrides(&mut dec)?,
-            },
-            TAG_WATCH_START => Request::WatchStart {
-                old: dec.u64()?,
-                max_sequences: dec.u64()?,
-            },
-            TAG_PUT_STREAM => Request::PutStream {
-                bytes: dec.bytes()?,
-                last: dec.bool()?,
-            },
-            TAG_STATS => Request::Stats,
-            TAG_METRICS => Request::Metrics,
-            TAG_OBS_TRACE => Request::ObsTrace,
-            TAG_SHUTDOWN => Request::Shutdown,
-            other => return Err(dec.corrupt(format!("unknown request tag {other:#04x}"))),
-        };
-        dec.finish()?;
-        Ok(request)
+        from_payload(bytes)
     }
 }
 
 impl Response {
     /// Serializes the response into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        match self {
-            Response::PutOk {
-                hash,
-                deduped,
-                entries,
-            } => {
-                let mut buf = header(TAG_PUT_OK);
-                put_u64(&mut buf, *hash);
-                buf.push(u8::from(*deduped));
-                put_u64(&mut buf, *entries);
-                buf
-            }
-            Response::GetOk { bytes } => {
-                let mut buf = header(TAG_GET_OK);
-                put_bytes(&mut buf, bytes);
-                buf
-            }
-            Response::ListOk { entries } => {
-                let mut buf = header(TAG_LIST_OK);
-                put_u64(&mut buf, entries.len() as u64);
-                for entry in entries {
-                    put_u64(&mut buf, entry.hash);
-                    put_str(&mut buf, &entry.name);
-                    put_u64(&mut buf, entry.entries);
-                    put_u64(&mut buf, entry.bytes);
-                }
-                buf
-            }
-            Response::DiffOk(diff) => {
-                let mut buf = header(TAG_DIFF_OK);
-                put_diff(&mut buf, diff);
-                buf
-            }
-            Response::AnalyzeOk(report) => {
-                let mut buf = header(TAG_ANALYZE_OK);
-                put_str(&mut buf, &report.algorithm);
-                buf.push(mode_byte(Some(report.mode)));
-                for set in [
-                    &report.suspected,
-                    &report.expected,
-                    &report.regression,
-                    &report.candidates,
-                ] {
-                    put_signatures(&mut buf, set);
-                }
-                put_u64(&mut buf, report.sequences.len() as u64);
-                for (sequence, related) in &report.sequences {
-                    put_sequence(&mut buf, sequence);
-                    buf.push(u8::from(*related));
-                }
-                put_u64(&mut buf, report.compare_ops);
-                put_str(&mut buf, &report.rendered);
-                buf
-            }
-            Response::CheckOk(report) => {
-                let mut buf = header(TAG_CHECK_OK);
-                put_check_report(&mut buf, report);
-                buf
-            }
-            Response::WatchStarted => header(TAG_WATCH_STARTED),
-            Response::WatchEvent { events } => {
-                let mut buf = header(TAG_WATCH_EVENT);
-                put_watch_events(&mut buf, events);
-                buf
-            }
-            Response::WatchDone { events, diff } => {
-                let mut buf = header(TAG_WATCH_DONE);
-                put_watch_events(&mut buf, events);
-                put_diff(&mut buf, diff);
-                buf
-            }
-            Response::CheckDenied(report) => {
-                let mut buf = header(TAG_CHECK_DENIED);
-                put_check_report(&mut buf, report);
-                buf
-            }
-            Response::StatsOk(stats) => {
-                let mut buf = header(TAG_STATS_OK);
-                for value in [
-                    stats.blobs,
-                    stats.blob_bytes,
-                    stats.prepared_cached,
-                    stats.prepared_cached_bytes,
-                    stats.cache_budget_bytes,
-                    stats.prepared_hits,
-                    stats.prepared_misses,
-                    stats.evictions,
-                    stats.dedup_hits,
-                    stats.requests_served,
-                    stats.correlation_builds,
-                    stats.cached_correlations,
-                    stats.orphans_removed,
-                    stats.quarantined,
-                    stats.cache_shrinks,
-                ] {
-                    put_u64(&mut buf, value);
-                }
-                buf
-            }
-            Response::MetricsOk { text } => {
-                let mut buf = header(TAG_METRICS_OK);
-                put_str(&mut buf, text);
-                buf
-            }
-            Response::ObsTraceOk { bytes } => {
-                let mut buf = header(TAG_OBS_TRACE_OK);
-                put_bytes(&mut buf, bytes);
-                buf
-            }
-            Response::ShutdownOk => header(TAG_SHUTDOWN_OK),
-            Response::Busy { retry_after_ms } => {
-                let mut buf = header(TAG_BUSY);
-                put_u64(&mut buf, u64::from(*retry_after_ms));
-                buf
-            }
-            Response::Corrupt { hash, message } => {
-                let mut buf = header(TAG_CORRUPT);
-                put_u64(&mut buf, *hash);
-                put_str(&mut buf, message);
-                buf
-            }
-            Response::Error { message } => {
-                let mut buf = header(TAG_ERROR);
-                put_str(&mut buf, message);
-                buf
-            }
-        }
+        to_payload(self)
     }
 
     /// Decodes a frame payload into a response.
@@ -1302,113 +1045,7 @@ impl Response {
     ///
     /// Returns [`FormatError`] on a version mismatch, unknown tag, or malformed field.
     pub fn decode(bytes: &[u8]) -> FormatResult<Response> {
-        let (tag, mut dec) = open(bytes)?;
-        let response = match tag {
-            TAG_PUT_OK => Response::PutOk {
-                hash: dec.u64()?,
-                deduped: dec.bool()?,
-                entries: dec.u64()?,
-            },
-            TAG_GET_OK => Response::GetOk {
-                bytes: dec.bytes()?,
-            },
-            TAG_LIST_OK => {
-                let count = dec.u64()?;
-                let mut entries = Vec::new();
-                for _ in 0..count {
-                    entries.push(RepoEntry {
-                        hash: dec.u64()?,
-                        name: dec.str()?,
-                        entries: dec.u64()?,
-                        bytes: dec.u64()?,
-                    });
-                }
-                Response::ListOk { entries }
-            }
-            TAG_DIFF_OK => Response::DiffOk(get_diff(&mut dec)?),
-            TAG_ANALYZE_OK => {
-                let algorithm = dec.str()?;
-                let mode_raw = dec.u8()?;
-                let mode = byte_mode(mode_raw, &dec)?
-                    .ok_or_else(|| dec.corrupt("report mode cannot be the default marker"))?;
-                let suspected = get_signatures(&mut dec)?;
-                let expected = get_signatures(&mut dec)?;
-                let regression = get_signatures(&mut dec)?;
-                let candidates = get_signatures(&mut dec)?;
-                let sequence_count = dec.u64()?;
-                // Each sequence takes at least its two counts and its verdict byte.
-                let mut sequences = Vec::with_capacity(dec.capacity(sequence_count, 3));
-                for _ in 0..sequence_count {
-                    let sequence = get_sequence(&mut dec)?;
-                    let related = dec.bool()?;
-                    sequences.push((sequence, related));
-                }
-                Response::AnalyzeOk(WireReport {
-                    algorithm,
-                    mode,
-                    suspected,
-                    expected,
-                    regression,
-                    candidates,
-                    sequences,
-                    compare_ops: dec.u64()?,
-                    rendered: dec.str()?,
-                })
-            }
-            TAG_CHECK_OK => Response::CheckOk(Box::new(get_check_report(&mut dec)?)),
-            TAG_WATCH_STARTED => Response::WatchStarted,
-            TAG_WATCH_EVENT => Response::WatchEvent {
-                events: get_watch_events(&mut dec)?,
-            },
-            TAG_WATCH_DONE => {
-                let events = get_watch_events(&mut dec)?;
-                let diff = get_diff(&mut dec)?;
-                Response::WatchDone { events, diff }
-            }
-            TAG_CHECK_DENIED => Response::CheckDenied(Box::new(get_check_report(&mut dec)?)),
-            TAG_STATS_OK => {
-                let mut values = [0u64; 15];
-                for value in &mut values {
-                    *value = dec.u64()?;
-                }
-                Response::StatsOk(WireStats {
-                    blobs: values[0],
-                    blob_bytes: values[1],
-                    prepared_cached: values[2],
-                    prepared_cached_bytes: values[3],
-                    cache_budget_bytes: values[4],
-                    prepared_hits: values[5],
-                    prepared_misses: values[6],
-                    evictions: values[7],
-                    dedup_hits: values[8],
-                    requests_served: values[9],
-                    correlation_builds: values[10],
-                    cached_correlations: values[11],
-                    orphans_removed: values[12],
-                    quarantined: values[13],
-                    cache_shrinks: values[14],
-                })
-            }
-            TAG_METRICS_OK => Response::MetricsOk { text: dec.str()? },
-            TAG_OBS_TRACE_OK => Response::ObsTraceOk {
-                bytes: dec.bytes()?,
-            },
-            TAG_SHUTDOWN_OK => Response::ShutdownOk,
-            TAG_BUSY => Response::Busy {
-                retry_after_ms: u32::try_from(dec.u64()?)
-                    .map_err(|_| dec.corrupt("retry_after_ms overflows u32"))?,
-            },
-            TAG_CORRUPT => Response::Corrupt {
-                hash: dec.u64()?,
-                message: dec.str()?,
-            },
-            TAG_ERROR => Response::Error {
-                message: dec.str()?,
-            },
-            other => return Err(dec.corrupt(format!("unknown response tag {other:#04x}"))),
-        };
-        dec.finish()?;
-        Ok(response)
+        from_payload(bytes)
     }
 }
 
@@ -1506,7 +1143,7 @@ mod tests {
         // request without an override must emit exactly that legacy frame.
         let mut legacy_diff = vec![PROTO_VERSION, 0x04];
         for value in [7u64, 9, 3] {
-            put_u64(&mut legacy_diff, value);
+            u64::put(&value, &mut legacy_diff);
         }
         assert_eq!(
             Request::decode(&legacy_diff).unwrap(),
@@ -1530,10 +1167,10 @@ mod tests {
 
         let mut legacy_analyze = vec![PROTO_VERSION, 0x05];
         for hash in [1u64, 2, 3, 4] {
-            put_u64(&mut legacy_analyze, hash);
+            u64::put(&hash, &mut legacy_analyze);
         }
         legacy_analyze.push(0); // mode: engine default
-        put_u64(&mut legacy_analyze, 6);
+        u64::put(&6, &mut legacy_analyze);
         assert_eq!(
             Request::decode(&legacy_analyze).unwrap(),
             Request::Analyze {
@@ -1704,13 +1341,13 @@ mod tests {
         assert!(Request::decode(&[]).is_err());
         // Wrong protocol version.
         assert!(matches!(
-            Request::decode(&[99, TAG_LIST]),
+            Request::decode(&[99, 0x03]),
             Err(FormatError::UnsupportedVersion { found: 99, .. })
         ));
         // Unknown tag.
         assert!(Request::decode(&[PROTO_VERSION, 0x7f]).is_err());
         // Trailing garbage.
-        assert!(Request::decode(&[PROTO_VERSION, TAG_LIST, 0x00]).is_err());
+        assert!(Request::decode(&[PROTO_VERSION, 0x03, 0x00]).is_err());
         // Truncated field.
         let mut put = Request::Put {
             bytes: vec![1; 100],
@@ -1718,15 +1355,53 @@ mod tests {
         .encode();
         put.truncate(10);
         assert!(Request::decode(&put).is_err());
-        // Forged pair, sequence and index counts are refused without reserving for
-        // them.
-        for counts in [[u64::MAX, 0, 0], [0, u64::MAX, 0], [0, 1, u64::MAX]] {
-            let mut diff = vec![PROTO_VERSION, TAG_DIFF_OK];
-            put_str(&mut diff, "views");
-            for value in [9, 9].into_iter().chain(counts) {
-                put_u64(&mut diff, value);
+        // A forged count on any list is refused without reserving for it. Each case
+        // is a whole message around one list's count: with count 0 it decodes, with
+        // `u64::MAX` it is an error.
+        let varints = |values: &[u64]| {
+            let mut buf = Vec::new();
+            values.iter().for_each(|value| value.put(&mut buf));
+            buf
+        };
+        let text = |s: &str| {
+            let mut buf = Vec::new();
+            s.to_owned().put(&mut buf);
+            buf
+        };
+        let diff = |before: &[u64], after: &[u64]| {
+            let tail = [varints(after), varints(&[0, 0]), text("")].concat();
+            (
+                0x84,
+                [text("views"), varints(&[9, 9]), varints(before)].concat(),
+                tail,
+            )
+        };
+        let report = [text("t"), varints(&[1, 1, 0])].concat();
+        let diagnostic = [text("end-stack"), vec![2], varints(&[0]), text("m")].concat();
+        let related = [report.clone(), varints(&[1]), diagnostic].concat();
+        let cases = [
+            ("DiffOk pairs", diff(&[], &[0])),
+            ("DiffOk sequences", diff(&[0], &[])),
+            ("a sequence's indices", diff(&[0, 1], &[0])),
+            ("ListOk entries", (0x83, vec![], vec![])),
+            ("Check overrides", (0x08, varints(&[42]), vec![])),
+            ("CheckOk diagnostics", (0x88, report, vec![])),
+            ("a diagnostic's related entries", (0x88, related, vec![])),
+            ("WatchEvent events", (0x8a, vec![], vec![])),
+            ("Difference left", (0x8a, vec![1, 3], varints(&[0]))),
+            ("Difference right", (0x8a, vec![1, 3, 0], vec![])),
+        ];
+        for (list, (tag, before, after)) in cases {
+            for count in [0, u64::MAX] {
+                let frame = [vec![PROTO_VERSION, tag], before.clone()].concat();
+                let frame = [frame, varints(&[count]), after.clone()].concat();
+                let decoded = if tag < 0x80 {
+                    Request::decode(&frame).map(drop)
+                } else {
+                    Response::decode(&frame).map(drop)
+                };
+                assert_eq!(decoded.is_ok(), count == 0, "{list}, count {count}");
             }
-            assert!(Response::decode(&diff).is_err());
         }
         // A request is not a response and vice versa.
         assert!(Response::decode(&Request::List.encode()).is_err());
@@ -1738,13 +1413,13 @@ mod tests {
         // Hand-built frames of the current version decode to the expected messages,
         // and the encoders emit exactly these bytes.
         let mut get = vec![PROTO_VERSION, 0x02];
-        put_u64(&mut get, 0xfeed);
+        u64::put(&0xfeed, &mut get);
         let mut check = vec![PROTO_VERSION, 0x08];
-        put_u64(&mut check, 42);
-        put_u64(&mut check, 0); // no overrides
+        u64::put(&42, &mut check);
+        u64::put(&0, &mut check); // no overrides
         let mut watch = vec![PROTO_VERSION, 0x09];
-        put_u64(&mut watch, 7);
-        put_u64(&mut watch, 3);
+        u64::put(&7, &mut watch);
+        u64::put(&3, &mut watch);
         for (frame, request) in [
             (get, Request::Get { hash: 0xfeed }),
             (vec![PROTO_VERSION, 0x06], Request::Stats),
@@ -1913,7 +1588,7 @@ mod tests {
         };
         let mut expected = vec![PROTO_VERSION, 0x86];
         for value in 1u64..=15 {
-            put_u64(&mut expected, value);
+            u64::put(&value, &mut expected);
         }
         assert_eq!(Response::StatsOk(stats).encode(), expected);
     }
@@ -2048,8 +1723,8 @@ mod tests {
         let set = engine.analyze(&input).unwrap().suspected;
         assert!(!set.is_empty());
         let mut frame = Vec::new();
-        put_signatures(&mut frame, set.as_slice());
-        let back = get_signatures(&mut Dec::new(&frame)).unwrap();
+        set.as_slice().to_vec().put(&mut frame);
+        let back = Vec::<DiffSignature>::get(&mut Dec::new(&frame)).unwrap();
         assert_eq!(back, set.as_slice());
     }
 }

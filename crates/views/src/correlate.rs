@@ -10,7 +10,7 @@
 //!   signatures are equal.
 //! * **Target / active objects** (`X_TO`, `X_AO`) — two object views correlate when their
 //!   objects' value representations are equal, or their class-specific creation sequence
-//!   numbers are equal (see [`ObjRep::correlates_with`]).
+//!   numbers are equal (see [`ObjRep::correlates_with`](rprism_trace::ObjRep::correlates_with)).
 //!
 //! The correlation is materialized *dense*: object-view correspondences are stored as a
 //! `Vec<u32>` indexed by left [`ViewId`], so the per-entry correlation test on the diff
@@ -28,7 +28,7 @@ use std::collections::HashMap;
 
 use rprism_trace::par;
 use rprism_trace::stack::ancestry_similarity;
-use rprism_trace::{ObjRep, ThreadId, TraceEntry};
+use rprism_trace::ThreadId;
 
 use crate::view::{ViewKind, ViewName};
 use crate::web::{ViewId, ViewWeb};
@@ -85,7 +85,7 @@ impl Correlation {
     /// The pre-built object-correlation verdict for a left/right view pair:
     /// `Some(true|false)` when the left view appears in the dense map, `None` when it
     /// does not (callers fall back to the direct object heuristic on the entries'
-    /// representations — [`correlate_entry_views`] does exactly that).
+    /// correlation identities, as the views scan's `correlate_at` does).
     pub fn object_verdict(&self, left: ViewId, right: ViewId) -> Option<bool> {
         self.has_object_entry(left)
             .then(|| self.object_target(left) == Some(right))
@@ -254,62 +254,6 @@ pub fn correlate_objects(
         .collect()
 }
 
-/// The per-entry correlation function `X_τ(γ_L, γ_R)` of Fig. 9: given one entry from each
-/// trace (identified by base-trace index), returns the pair of correlated view ids of type
-/// `kind` that the two entries belong to, or `None` when their views of that type do not
-/// correlate.
-///
-/// This is the hot-path form: memberships resolve each entry's view in O(1) and the
-/// correlation verdict is an integer comparison. The entries themselves are only consulted
-/// for the direct object-correlation fallback (views absent from the pre-built
-/// correlation, e.g. objects created in only one version).
-#[allow(clippy::too_many_arguments)]
-pub fn correlate_entry_views(
-    kind: ViewKind,
-    correlation: &Correlation,
-    left_web: &ViewWeb,
-    right_web: &ViewWeb,
-    left_index: usize,
-    right_index: usize,
-    left_entry: &TraceEntry,
-    right_entry: &TraceEntry,
-) -> Option<(ViewId, ViewId)> {
-    let l = left_web.entry_view(left_index, kind)?;
-    let r = right_web.entry_view(right_index, kind)?;
-    let correlated = match kind {
-        ViewKind::Thread => correlation.threads.get(&left_entry.tid) == Some(&right_entry.tid),
-        ViewKind::Method => {
-            // Signatures are interned: equal fully qualified names ⇔ equal view keys.
-            left_web.view_by_id(l).key == right_web.view_by_id(r).key
-        }
-        ViewKind::TargetObject => object_pair_correlates(
-            correlation,
-            l,
-            r,
-            left_entry.event.target_object()?,
-            right_entry.event.target_object()?,
-        ),
-        ViewKind::ActiveObject => {
-            object_pair_correlates(correlation, l, r, &left_entry.active, &right_entry.active)
-        }
-    };
-    correlated.then_some((l, r))
-}
-
-fn object_pair_correlates(
-    correlation: &Correlation,
-    left: ViewId,
-    right: ViewId,
-    left_obj: &ObjRep,
-    right_obj: &ObjRep,
-) -> bool {
-    // Views not present in the pre-built correlation (e.g. objects created only in one
-    // version) fall back to the direct object-correlation heuristic.
-    correlation
-        .object_verdict(left, right)
-        .unwrap_or_else(|| left_obj.correlates_with(right_obj))
-}
-
 /// The context-sensitive correlation relaxation of §5.
 pub mod relaxed {
     /// Decides whether two views should be correlated *contextually*: their entries lie at
@@ -432,39 +376,6 @@ mod tests {
                 corr.object_pairs(&lw, &rw, kind).into_iter().collect();
             assert_eq!(by_name, by_id);
         }
-    }
-
-    #[test]
-    fn entry_level_method_correlation_requires_equal_signature() {
-        let lt = trace_of(LEFT, "L");
-        let rt = trace_of(RIGHT, "R");
-        let (lw, rw) = (ViewWeb::build(&lt), ViewWeb::build(&rt));
-        let corr = Correlation::build(&lw, &rw);
-
-        // Pick one entry executing inside SP.set from each side.
-        let (li, l_entry) = lt
-            .iter()
-            .enumerate()
-            .find(|(_, e)| e.method.as_str() == "set")
-            .expect("left set entry");
-        let (ri, r_entry) = rt
-            .iter()
-            .enumerate()
-            .find(|(_, e)| e.method.as_str() == "set")
-            .expect("right set entry");
-        let pair =
-            correlate_entry_views(ViewKind::Method, &corr, &lw, &rw, li, ri, l_entry, r_entry);
-        assert!(pair.is_some());
-
-        let (mi, r_main) = rt
-            .iter()
-            .enumerate()
-            .find(|(_, e)| e.method.as_str() == "<main>")
-            .expect("right main entry");
-        assert!(
-            correlate_entry_views(ViewKind::Method, &corr, &lw, &rw, li, mi, l_entry, r_main)
-                .is_none()
-        );
     }
 
     #[test]

@@ -33,8 +33,6 @@ pub mod correlate;
 pub mod view;
 pub mod web;
 
-pub use correlate::{
-    correlate_entry_views, correlate_objects, correlate_objects_ids, correlate_threads, Correlation,
-};
+pub use correlate::{correlate_objects, correlate_objects_ids, correlate_threads, Correlation};
 pub use view::{view_names, ObjectId, View, ViewKey, ViewKind, ViewName};
 pub use web::{EntryViews, ViewCounts, ViewId, ViewWeb};
