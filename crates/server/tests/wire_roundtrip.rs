@@ -1,8 +1,9 @@
 //! Seeded round trips of every wire message: the reference semantics of the codec.
 //!
 //! The generator draws every [`Request`] and [`Response`] variant, every
-//! [`WireWatchEvent`] kind, `None` and `Some` overrides, empty and non-empty lists and
-//! `u64::MAX` fields. For each message the suite asserts that
+//! [`WireWatchEvent`] kind, every algorithm, analysis mode and severity, `None` and
+//! `Some` overrides, empty and non-empty lists and `u64::MAX` fields. For each message
+//! the suite asserts that
 //!
 //! - decoding the encoding gives the message back, and encoding that decode gives the
 //!   same bytes;
@@ -118,14 +119,14 @@ struct Draw {
     round: usize,
     /// Round-robin cursor over the watch-event kinds, so every kind is drawn.
     event_kind: usize,
-    seen: BTreeSet<&'static str>,
+    seen: BTreeSet<String>,
 }
 
 impl Draw {
     fn u64(&mut self) -> u64 {
         match self.rng.usize(0, 6) {
             0 => {
-                self.seen.insert("u64::MAX");
+                self.seen.insert("u64::MAX".into());
                 u64::MAX
             }
             1 => 0,
@@ -145,10 +146,10 @@ impl Draw {
 
     fn len(&mut self) -> usize {
         if self.round.is_multiple_of(2) {
-            self.seen.insert("empty list");
+            self.seen.insert("empty list".into());
             0
         } else {
-            self.seen.insert("non-empty list");
+            self.seen.insert("non-empty list".into());
             self.rng.usize(1, 4)
         }
     }
@@ -160,7 +161,7 @@ impl Draw {
 
     fn some(&mut self) -> bool {
         let some = !self.round.is_multiple_of(4);
-        self.seen.insert(if some { "Some" } else { "None" });
+        self.seen.insert(if some { "Some" } else { "None" }.into());
         some
     }
 
@@ -173,25 +174,35 @@ impl Draw {
         (0..len).map(|_| *self.rng.pick(CHARS)).collect()
     }
 
+    /// Views, Lcs and Anchored in turn, four rounds each.
     fn algorithm(&mut self) -> Option<WireAlgorithm> {
         let all = [
             WireAlgorithm::Views,
             WireAlgorithm::Lcs,
             WireAlgorithm::Anchored,
         ];
-        self.some().then(|| *self.rng.pick(&all))
+        let algorithm = all[self.round / 4 % all.len()];
+        self.some().then(|| self.saw(algorithm))
     }
 
     fn mode(&mut self) -> AnalysisMode {
-        *self
+        let mode = *self
             .rng
-            .pick(&[AnalysisMode::Intersect, AnalysisMode::SubtractRegressionSet])
+            .pick(&[AnalysisMode::Intersect, AnalysisMode::SubtractRegressionSet]);
+        self.saw(mode)
     }
 
     fn severity(&mut self) -> Severity {
-        *self
+        let severity = *self
             .rng
-            .pick(&[Severity::Info, Severity::Warning, Severity::Error])
+            .pick(&[Severity::Info, Severity::Warning, Severity::Error]);
+        self.saw(severity)
+    }
+
+    /// Records a drawn value by its `Debug` name.
+    fn saw<T: std::fmt::Debug>(&mut self, value: T) -> T {
+        self.seen.insert(format!("{value:?}"));
+        value
     }
 
     fn indices(&mut self) -> Vec<usize> {
@@ -280,21 +291,21 @@ impl Draw {
             d.event_kind = (d.event_kind + 1) % 3;
             match d.event_kind {
                 0 => {
-                    d.seen.insert("event Match");
+                    d.seen.insert("event Match".into());
                     WireWatchEvent::Match {
                         left: d.u64(),
                         right: d.u64(),
                     }
                 }
                 1 => {
-                    d.seen.insert("event Invalidate");
+                    d.seen.insert("event Invalidate".into());
                     WireWatchEvent::Invalidate {
                         left: d.u64(),
                         right: d.u64(),
                     }
                 }
                 _ => {
-                    d.seen.insert("event Difference");
+                    d.seen.insert("event Difference".into());
                     WireWatchEvent::Difference {
                         left: d.list(Self::u64),
                         right: d.list(Self::u64),
@@ -336,7 +347,7 @@ impl Draw {
             },
             "PutStream" => Request::PutStream {
                 bytes: self.bytes(),
-                last: self.bool(),
+                last: self.round % 4 < 2,
             },
             "Stats" => Request::Stats,
             "Metrics" => Request::Metrics,
@@ -544,6 +555,14 @@ fn seeded_messages_round_trip_and_refuse_cuts_and_extra_bytes() {
         "event Match",
         "event Invalidate",
         "event Difference",
+        "Views",
+        "Lcs",
+        "Anchored",
+        "Intersect",
+        "SubtractRegressionSet",
+        "Info",
+        "Warning",
+        "Error",
     ] {
         assert!(draw.seen.contains(shape), "seed {seed}: never drew {shape}");
     }
