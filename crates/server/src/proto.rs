@@ -1053,6 +1053,89 @@ impl Response {
 mod tests {
     use super::*;
 
+    fn round_trip_request(request: Request) {
+        let decoded = Request::decode(&request.encode()).unwrap();
+        assert_eq!(decoded, request);
+    }
+
+    fn round_trip_response(response: Response) {
+        let decoded = Response::decode(&response.encode()).unwrap();
+        assert_eq!(decoded, response);
+    }
+
+    #[test]
+    fn requests_round_trip() {
+        round_trip_request(Request::Put {
+            bytes: b"blob".to_vec(),
+        });
+        round_trip_request(Request::Get { hash: 0xdead_beef });
+        round_trip_request(Request::List);
+        round_trip_request(Request::Diff {
+            left: 1,
+            right: u64::MAX,
+            max_sequences: 5,
+            algorithm: None,
+        });
+        for algorithm in [
+            WireAlgorithm::Views,
+            WireAlgorithm::Lcs,
+            WireAlgorithm::Anchored,
+        ] {
+            round_trip_request(Request::Diff {
+                left: 1,
+                right: u64::MAX,
+                max_sequences: 5,
+                algorithm: Some(algorithm),
+            });
+        }
+        round_trip_request(Request::Analyze {
+            old_regressing: 1,
+            new_regressing: 2,
+            old_passing: 3,
+            new_passing: 4,
+            mode: Some(AnalysisMode::SubtractRegressionSet),
+            max_sequences: 5,
+            algorithm: Some(WireAlgorithm::Anchored),
+        });
+        round_trip_request(Request::Analyze {
+            old_regressing: 1,
+            new_regressing: 2,
+            old_passing: 3,
+            new_passing: 4,
+            mode: None,
+            max_sequences: 10,
+            algorithm: None,
+        });
+        round_trip_request(Request::Check {
+            hash: 7,
+            overrides: vec![],
+        });
+        round_trip_request(Request::Check {
+            hash: 0xfeed,
+            overrides: vec![
+                ("data-race".to_owned(), Severity::Error),
+                ("unclosed-call".to_owned(), Severity::Warning),
+                ("use-after-death".to_owned(), Severity::Info),
+            ],
+        });
+        round_trip_request(Request::WatchStart {
+            old: 0xdead_beef,
+            max_sequences: 12,
+        });
+        round_trip_request(Request::PutStream {
+            bytes: vec![0x00, 0xff, 0x7f],
+            last: false,
+        });
+        round_trip_request(Request::PutStream {
+            bytes: vec![],
+            last: true,
+        });
+        round_trip_request(Request::Stats);
+        round_trip_request(Request::Metrics);
+        round_trip_request(Request::ObsTrace);
+        round_trip_request(Request::Shutdown);
+    }
+
     #[test]
     fn pre_override_diff_and_analyze_frames_still_decode() {
         // The algorithm override is a trailing-optional byte: frames hand-built the
@@ -1105,6 +1188,152 @@ mod tests {
         let mut bad = legacy_diff.clone();
         bad.push(9);
         assert!(Request::decode(&bad).is_err());
+    }
+
+    #[test]
+    fn responses_round_trip() {
+        round_trip_response(Response::PutOk {
+            hash: 42,
+            deduped: true,
+            entries: 7,
+        });
+        round_trip_response(Response::GetOk {
+            bytes: vec![1, 2, 3],
+        });
+        round_trip_response(Response::ListOk {
+            entries: vec![RepoEntry {
+                hash: 9,
+                name: "daikon".into(),
+                entries: 120,
+                bytes: 4096,
+            }],
+        });
+        round_trip_response(Response::DiffOk(WireDiff {
+            algorithm: "views".into(),
+            left_len: 10,
+            right_len: 11,
+            pairs: vec![(0, 0), (2, 3)],
+            sequences: vec![DiffSequence {
+                left: vec![1],
+                right: vec![1, 2],
+            }],
+            compare_ops: 999,
+            num_differences: 3,
+            rendered: "semantic diff…".into(),
+        }));
+        round_trip_response(Response::AnalyzeOk(WireReport {
+            algorithm: "views".into(),
+            mode: AnalysisMode::Intersect,
+            suspected: vec![DiffSignature {
+                kind: EventKind::Set,
+                name: Some(intern("field")),
+                operands: vec![
+                    (intern("C"), ValueFingerprint(0xfeed)),
+                    (intern("Int"), ValueFingerprint(2)),
+                ]
+                .into(),
+                method: intern("m"),
+                active_class: intern("App"),
+            }],
+            expected: vec![],
+            regression: vec![],
+            candidates: vec![],
+            sequences: vec![(
+                DiffSequence {
+                    left: vec![],
+                    right: vec![4],
+                },
+                true,
+            )],
+            compare_ops: 123,
+            rendered: "report".into(),
+        }));
+        round_trip_response(Response::CheckOk(Box::new(CheckReport {
+            trace_name: "daikon".into(),
+            entries: 120,
+            threads: 2,
+            suppressed: 1,
+            diagnostics: vec![Diagnostic {
+                rule_id: rules::rule("data-race").unwrap().id,
+                severity: Severity::Warning,
+                entry_index: 17,
+                message: "write/write conflict".into(),
+                related_entries: vec![3, 9],
+            }],
+        })));
+        round_trip_response(Response::CheckOk(Box::default()));
+        round_trip_response(Response::StatsOk(WireStats {
+            blobs: 1,
+            blob_bytes: 2,
+            prepared_cached: 3,
+            prepared_cached_bytes: 4,
+            cache_budget_bytes: 5,
+            prepared_hits: 6,
+            prepared_misses: 7,
+            evictions: 8,
+            dedup_hits: 9,
+            requests_served: 10,
+            correlation_builds: 11,
+            cached_correlations: 12,
+            orphans_removed: 13,
+            quarantined: 14,
+            cache_shrinks: 15,
+        }));
+        round_trip_response(Response::WatchStarted);
+        round_trip_response(Response::WatchEvent { events: vec![] });
+        round_trip_response(Response::WatchEvent {
+            events: vec![
+                WireWatchEvent::Match { left: 0, right: 0 },
+                WireWatchEvent::Invalidate { left: 3, right: 4 },
+                WireWatchEvent::Difference {
+                    left: vec![5, 6],
+                    right: vec![],
+                },
+            ],
+        });
+        round_trip_response(Response::WatchDone {
+            events: vec![WireWatchEvent::Match { left: 9, right: 9 }],
+            diff: WireDiff {
+                algorithm: "views".into(),
+                left_len: 10,
+                right_len: 10,
+                pairs: vec![(0, 0)],
+                sequences: vec![],
+                compare_ops: 77,
+                num_differences: 0,
+                rendered: "no differences\n".into(),
+            },
+        });
+        round_trip_response(Response::CheckDenied(Box::new(CheckReport {
+            trace_name: "denied".into(),
+            entries: 5,
+            threads: 1,
+            suppressed: 0,
+            diagnostics: vec![Diagnostic {
+                rule_id: rules::rule("data-race").unwrap().id,
+                severity: Severity::Error,
+                entry_index: 2,
+                message: "boom".into(),
+                related_entries: vec![0],
+            }],
+        })));
+        round_trip_response(Response::MetricsOk {
+            text: "# TYPE rprism_cache_hits counter\nrprism_cache_hits 3\n".into(),
+        });
+        round_trip_response(Response::ObsTraceOk {
+            bytes: vec![0x52, 0x54, 0x52, 0x00],
+        });
+        round_trip_response(Response::ShutdownOk);
+        round_trip_response(Response::Busy {
+            retry_after_ms: 250,
+        });
+        round_trip_response(Response::Corrupt {
+            hash: 0xfeed_f00d,
+            message: "checksum mismatch".into(),
+        });
+        round_trip_response(Response::Error {
+            message: "nope".into(),
+        });
     }
 
     #[test]
