@@ -223,17 +223,6 @@ impl Checker {
         }
     }
 
-    /// Number of diagnostics raised **so far** at or above `floor` — the mid-stream
-    /// view behind incremental deny gates (a live watch aborting on the first denied
-    /// diagnostic instead of after the stream ends). [`Checker::finish`] can still add
-    /// end-of-trace diagnostics on top, so a zero here is provisional, never final.
-    pub fn raised_at_least(&self, floor: Severity) -> usize {
-        self.diagnostics
-            .iter()
-            .filter(|d| d.severity >= floor)
-            .count()
-    }
-
     fn report(
         &mut self,
         rule_id: &'static str,

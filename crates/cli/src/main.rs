@@ -134,9 +134,7 @@ usage:
       prints, byte-identical to `remote diff` of the same pair. --follow keeps
       tailing a file that is still being written, polling every --poll-ms
       (default 200) until it stops growing for --idle-ms (default 5000); without
-      it the watch ends at the first end-of-file. A server with an ingest check
-      (`--deny` on serve is a future hook; engines configured with
-      check_on_ingest) aborts the watch mid-stream on a denied diagnostic.
+      it the watch ends at the first end-of-file.
   rprism remote stats --addr <host:port>
       Repository/cache statistics of the daemon.
   rprism remote metrics --addr <host:port> [--watch] [--interval-ms <ms>]
@@ -390,12 +388,11 @@ fn check(args: &Args) -> Result<ExitCode, String> {
         return Err("check expects at least one trace file".into());
     }
     let (config, deny, json) = check_options(args)?;
-    let engine = Engine::builder()
-        .check_on_ingest(config, rprism::Severity::Error)
-        .build();
+    let engine = Engine::new();
     let mut denied = 0usize;
     for path in &args.positional {
-        let report = match open(path).and_then(|file| engine.check_reader(file)) {
+        let checked = open(path).and_then(|file| engine.check_reader_with(file, config.clone()));
+        let report = match checked {
             Ok(report) => report,
             Err(e) => {
                 // Exit code 2 is pinned to "could not read or decode a trace".
@@ -987,23 +984,15 @@ fn remote_watch(args: &Args) -> Result<(), String> {
         .watch_start(old_hash, max_seqs as u64)
         .map_err(|e| format!("cannot start watch: {e}"))?;
 
-    // Deliver one chunk and render the provisional events it produced. An ingest
-    // denial tears the watch down server-side; render the report like a local
-    // `check` would and stop.
+    // Deliver one chunk and render the provisional events it produced.
     let push = |client: &mut rprism_server::Client, bytes: Vec<u8>| -> Result<(), String> {
-        match client.watch_chunk(bytes) {
-            Ok(events) => {
-                if !quiet {
-                    print_watch_events(&events);
-                }
-                Ok(())
-            }
-            Err(rprism_server::ServerError::CheckDenied(report)) => {
-                print_report(&report, false);
-                Err("watch denied by the server's ingest check".into())
-            }
-            Err(e) => Err(format!("watch failed: {e}")),
+        let events = client
+            .watch_chunk(bytes)
+            .map_err(|e| format!("watch failed: {e}"))?;
+        if !quiet {
+            print_watch_events(&events);
         }
+        Ok(())
     };
 
     if source.as_str() == "-" {
@@ -1043,14 +1032,9 @@ fn remote_watch(args: &Args) -> Result<(), String> {
         }
     }
 
-    let (events, diff) = match client.watch_finish(Vec::new()) {
-        Ok(done) => done,
-        Err(rprism_server::ServerError::CheckDenied(report)) => {
-            print_report(&report, false);
-            return Err("watch denied by the server's ingest check".into());
-        }
-        Err(e) => return Err(format!("watch failed: {e}")),
-    };
+    let (events, diff) = client
+        .watch_finish(Vec::new())
+        .map_err(|e| format!("watch failed: {e}"))?;
     if !quiet {
         print_watch_events(&events);
     }

@@ -4,12 +4,12 @@
 //! The paper's pipeline (trace → views → diff → regression sets) is inherently
 //! multi-query: the §4.1 analysis runs three diffs over four traces, and the case studies
 //! re-difference the same traces under many option settings. An [`Engine`] is the session
-//! object that owns the configuration (differencing algorithm and options, tracing
-//! config, analysis mode, render options) and hands out [`PreparedTrace`] handles whose
-//! derived artifacts — the [`LeanTrace`] context, the [`KeyedTrace`] of interned event
-//! keys and the [`ViewWeb`] — are built **once per trace**, in one fold when the handle
-//! is made, and shared (via `Arc`) across every diff, correlation and regression
-//! analysis that touches the trace.
+//! object that owns the configuration (differencing algorithm and options, analysis
+//! mode, render options) and hands out [`PreparedTrace`] handles whose derived
+//! artifacts — the [`LeanTrace`] context, the [`KeyedTrace`] of interned event keys
+//! and the [`ViewWeb`] — are built **once per trace**, in one fold when the handle is
+//! made, and shared (via `Arc`) across every diff, correlation and regression analysis
+//! that touches the trace.
 //!
 //! Symbols inside those artifacts come from the process-global interner
 //! ([`rprism_trace::intern`]), so handles prepared by the same engine — or even by
@@ -32,7 +32,7 @@ use std::io::BufReader;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use rprism_check::{CheckConfig, CheckReport, Checker, Severity};
+use rprism_check::{CheckConfig, CheckReport, Checker};
 use rprism_diff::{
     anchored_diff_prepared, lcs_diff_prepared, views_diff_sides_correlated, AnchoredDiffOptions,
     DiffError, DiffSession, DiffSide, LcsDiffOptions, SideArtifacts, TraceDiffResult,
@@ -54,7 +54,7 @@ use rprism_obs::Obs;
 use crate::cache::{CacheOutcome, SharedCache};
 use crate::ingest::{prepare_in_memory, stream_prepare, BATCH_ENTRIES};
 use crate::watch::Watch;
-use crate::{Error, Result};
+use crate::Result;
 
 /// Number of trace pairs kept in the pair-level correlation cache before
 /// least-recently-used eviction kicks in. Bounds a long-lived engine's memory when it
@@ -248,11 +248,6 @@ impl PreparedTrace {
         self.inner.run_error.as_ref()
     }
 
-    /// Returns `true` when the traced run finished without a runtime error.
-    pub fn succeeded(&self) -> bool {
-        self.inner.run_error.is_none()
-    }
-
     /// The precomputed event keys of the trace, shared by all clones.
     pub fn keyed(&self) -> &KeyedTrace {
         self.side().keyed()
@@ -339,15 +334,6 @@ impl RegressionInput {
     }
 }
 
-/// The ingest-gate configuration of [`EngineBuilder::check_on_ingest`]: every loaded
-/// trace is run through the `rprism-check` streaming checker, and diagnostics at or
-/// above `deny` reject the load with [`Error::Check`].
-#[derive(Clone, Debug)]
-struct IngestCheck {
-    config: CheckConfig,
-    deny: Severity,
-}
-
 /// The session object of the public API: configuration plus prepared-artifact reuse.
 ///
 /// Build one with [`Engine::builder`] (or [`Engine::new`] for the defaults), prepare
@@ -373,11 +359,9 @@ struct IngestCheck {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Engine {
-    vm_config: VmConfig,
     algorithm: DiffAlgorithm,
     mode: AnalysisMode,
     render: RenderOptions,
-    ingest_check: Option<IngestCheck>,
     /// The observability domain pipeline spans and phase timers record into
     /// ([`EngineBuilder::obs`] / [`Engine::with_obs`]); disabled (free and inert) by
     /// default.
@@ -417,11 +401,9 @@ impl Engine {
     /// Starts configuring an engine.
     pub fn builder() -> EngineBuilder {
         EngineBuilder {
-            vm_config: VmConfig::default(),
             algorithm: DiffAlgorithm::Views(ViewsDiffOptions::default()),
             mode: AnalysisMode::default(),
             render: RenderOptions::default(),
-            ingest_check: None,
             obs: Obs::disabled(),
         }
     }
@@ -451,11 +433,6 @@ impl Engine {
         self.mode
     }
 
-    /// The configured tracing configuration.
-    pub fn vm_config(&self) -> &VmConfig {
-        &self.vm_config
-    }
-
     /// The configured report render options.
     pub fn render_options(&self) -> &RenderOptions {
         &self.render
@@ -476,34 +453,17 @@ impl Engine {
     /// [`PreparedTrace::new`] over [`rprism_format::read_trace`] when the entries
     /// themselves are needed.
     ///
-    /// With an ingest gate ([`EngineBuilder::check_on_ingest`]) the checker rides the
-    /// same pass and a denied diagnostic rejects the load with [`Error::Check`]. A
-    /// failed load leaves the engine untouched and reusable: partial artifacts are
+    /// A failed load leaves the engine untouched and reusable: partial artifacts are
     /// dropped, no cache entry is created.
     ///
     /// # Errors
     ///
     /// Returns [`crate::Error::Format`] when the stream is empty, truncated, corrupt,
-    /// or uses an unsupported format version, and [`crate::Error::Check`] when the
-    /// ingest gate denies the trace.
+    /// or uses an unsupported format version.
     pub fn load_prepared_reader(&self, input: impl std::io::Read) -> Result<PreparedTrace> {
         let _load = self.obs.span("engine.load");
         let reader = TraceReader::new(BufReader::new(input))?;
-        let (artifacts, phases) = match &self.ingest_check {
-            None => stream_prepare(reader, |_| {})?,
-            Some(gate) => {
-                // The checker rides the ingest pass as its entry observer: one decode,
-                // both the artifacts and the report, same memory bound.
-                let mut checker = Checker::with_config(gate.config.clone());
-                let (artifacts, phases) = stream_prepare(reader, |entry| checker.observe(entry))?;
-                let mut report = checker.finish();
-                report.trace_name = artifacts.lean().meta.name.clone();
-                if report.count_at_least(gate.deny) > 0 {
-                    return Err(Error::Check(Box::new(report)));
-                }
-                (artifacts, phases)
-            }
-        };
+        let (artifacts, phases) = stream_prepare(reader)?;
         self.obs.phase("pipeline.decode", phases.decode);
         self.obs.phase("pipeline.key", phases.key);
         self.obs.phase("pipeline.web", phases.web);
@@ -519,10 +479,7 @@ impl Engine {
     ///
     /// The watch always diffs under the views semantics (the only incremental
     /// algorithm): the engine's views options when its algorithm is
-    /// [`DiffAlgorithm::Views`], the default views options otherwise. When the engine
-    /// has an ingest gate ([`EngineBuilder::check_on_ingest`]), every pushed entry
-    /// streams through the checker and a denied diagnostic aborts the watch
-    /// mid-stream with [`crate::Error::Check`].
+    /// [`DiffAlgorithm::Views`], the default views options otherwise.
     ///
     /// `meta` identifies the watched trace; for a serialized stream it is the header a
     /// [`rprism_format::TailDecoder`] decodes first, and the decoder's batches feed
@@ -532,20 +489,15 @@ impl Engine {
             DiffAlgorithm::Views(options) => options.clone(),
             _ => ViewsDiffOptions::default(),
         };
-        let session = DiffSession::new(meta.clone(), options);
-        let gate = self
-            .ingest_check
-            .as_ref()
-            .map(|gate| (Checker::with_config(gate.config.clone()), gate.deny));
-        Watch::new(old.clone(), meta, session, gate, self.obs.clone())
+        let session = DiffSession::new(meta, options);
+        Watch::new(old.clone(), session, self.obs.clone())
     }
 
     /// Runs the `rprism-check` static analysis over a serialized trace in one
     /// bounded-memory streaming pass — the bytes (a file, a repository blob, a network
     /// upload) are decoded entry by entry straight into the checker's fold, never
-    /// materializing the trace. The engine's [`EngineBuilder::check_on_ingest`] rule
-    /// configuration (severity overrides) applies when set; the report is returned
-    /// regardless of its severity — callers decide what to deny. An in-memory
+    /// materializing the trace. The default rule configuration applies; the report is
+    /// returned regardless of its severity — callers decide what to deny. An in-memory
     /// [`Trace`] is checked with [`rprism_check::check_trace`].
     ///
     /// # Errors
@@ -553,13 +505,12 @@ impl Engine {
     /// Returns [`crate::Error::Format`] when the stream is empty, truncated, corrupt,
     /// or uses an unsupported format version.
     pub fn check_reader(&self, input: impl std::io::Read) -> Result<CheckReport> {
-        let config = self.ingest_check.as_ref().map(|gate| gate.config.clone());
-        self.check_reader_with(input, config.unwrap_or_default())
+        self.check_reader_with(input, CheckConfig::default())
     }
 
     /// [`Engine::check_reader`] under an explicit rule configuration instead of the
-    /// engine's own — for callers (like the trace-repository server) that apply
-    /// per-request severity overrides over one shared engine.
+    /// default one — for callers (like the CLI's `check` and the trace-repository
+    /// server) that apply per-request severity overrides over one shared engine.
     ///
     /// # Errors
     ///
@@ -581,17 +532,13 @@ impl Engine {
         Ok(report)
     }
 
-    /// Traces a parsed program under the engine's tracing configuration.
+    /// Traces a parsed program under the default tracing configuration.
     ///
     /// # Errors
     ///
     /// Returns [`crate::Error::Lang`] when the program fails validation.
     pub fn trace(&self, program: &Program, label: &str) -> Result<PreparedTrace> {
-        let outcome = run_traced(
-            program,
-            TraceMeta::new(label, "", ""),
-            self.vm_config.clone(),
-        )?;
+        let outcome = run_traced(program, TraceMeta::new(label, "", ""), VmConfig::default())?;
         Ok(PreparedTrace::from_outcome(outcome))
     }
 
@@ -832,21 +779,13 @@ impl Engine {
 /// Configures and builds an [`Engine`].
 #[derive(Clone, Debug)]
 pub struct EngineBuilder {
-    vm_config: VmConfig,
     algorithm: DiffAlgorithm,
     mode: AnalysisMode,
     render: RenderOptions,
-    ingest_check: Option<IngestCheck>,
     obs: Obs,
 }
 
 impl EngineBuilder {
-    /// Tracing configuration used by [`Engine::trace`] / [`Engine::trace_source`].
-    pub fn vm_config(mut self, config: VmConfig) -> Self {
-        self.vm_config = config;
-        self
-    }
-
     /// The differencing algorithm (and its options) used by every diff and analysis.
     pub fn algorithm(mut self, algorithm: DiffAlgorithm) -> Self {
         self.algorithm = algorithm;
@@ -883,19 +822,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Gates every streamed trace load behind the `rprism-check` static analysis:
-    /// after this, [`Engine::load_prepared_reader`] and [`Engine::watch`] run the
-    /// streaming checker over the decoded entries (sharing the ingest pass — no second
-    /// decode) and reject traces with diagnostics at or above `deny` with
-    /// [`Error::Check`]. Traced program runs ([`Engine::trace`]) and in-memory
-    /// handles ([`PreparedTrace::new`]) are not gated — the VM emits well-formed traces
-    /// by construction; the gate is for externally captured input. The same rule
-    /// configuration applies to [`Engine::check_reader`].
-    pub fn check_on_ingest(mut self, config: CheckConfig, deny: Severity) -> Self {
-        self.ingest_check = Some(IngestCheck { config, deny });
-        self
-    }
-
     /// The observability domain the engine records pipeline spans (`engine.load`,
     /// `pipeline.scan`) and ingest phase timers (`pipeline.decode` / `pipeline.key` /
     /// `pipeline.web`) into. Defaults to the disabled observer, under which every
@@ -908,11 +834,9 @@ impl EngineBuilder {
     /// Finishes the builder.
     pub fn build(self) -> Engine {
         Engine {
-            vm_config: self.vm_config,
             algorithm: self.algorithm,
             mode: self.mode,
             render: self.render,
-            ingest_check: self.ingest_check,
             obs: self.obs,
             correlations: Arc::new(SharedCache::new(CORRELATION_CACHE_CAP as u64)),
             correlation_builds: Arc::default(),
@@ -969,7 +893,7 @@ mod tests {
     fn trace_source_produces_a_prepared_trace() {
         let engine = Engine::new();
         let prepared = engine.trace_source(SRC, "demo").unwrap();
-        assert!(prepared.succeeded());
+        assert!(prepared.run_error().is_none());
         assert!(prepared.trace().len() >= 10);
         // Every artifact is built when the handle is made.
         assert_eq!(prepared.keyed().len(), prepared.len());
@@ -1465,56 +1389,6 @@ mod tests {
             engine.check_reader(&bytes[..bytes.len() / 2]),
             Err(Error::Format(_))
         ));
-    }
-
-    #[test]
-    fn check_on_ingest_gates_both_load_paths() {
-        // The two streamed load paths: a reader load and a live watch.
-        let plain = Engine::new();
-        let gated = Engine::builder()
-            .check_on_ingest(CheckConfig::default(), Severity::Error)
-            .build();
-        let watch_of = |engine: &Engine, old: &PreparedTrace, new: &Trace| -> Result<()> {
-            let mut watch = engine.watch(old, new.meta.clone());
-            watch.push_entries(&new.entries)?;
-            watch.finish().map(|_| ())
-        };
-
-        let good = plain
-            .trace_source(&regression_sources(32, 20), "ok")
-            .unwrap();
-        let good_bytes = trace_to_bytes(good.trace(), Encoding::Binary).unwrap();
-        assert!(gated.load_prepared_reader(&good_bytes[..]).is_ok());
-        assert!(watch_of(&gated, &good, good.trace()).is_ok());
-
-        let bad = rprism_check::fixtures::violating("define-before-use");
-        let bad_bytes = trace_to_bytes(&bad, Encoding::Binary).unwrap();
-        // The ungated engine loads the ill-formed trace without complaint …
-        assert!(plain.load_prepared_reader(&bad_bytes[..]).is_ok());
-        assert!(watch_of(&plain, &good, &bad).is_ok());
-        // … the gated one rejects it on both paths, with the report attached.
-        for result in [
-            gated.load_prepared_reader(&bad_bytes[..]).map(|_| ()),
-            watch_of(&gated, &good, &bad),
-        ] {
-            match result {
-                Err(Error::Check(report)) => {
-                    assert_eq!(report.diagnostics[0].rule_id, "define-before-use");
-                    assert!(!report.trace_name.is_empty());
-                }
-                other => panic!("expected Error::Check, got {other:?}"),
-            }
-        }
-        // Raising the deny floor above the diagnostics admits the trace again.
-        let lenient = Engine::builder()
-            .check_on_ingest(
-                CheckConfig::default()
-                    .with_severity("define-before-use", Severity::Info)
-                    .unwrap(),
-                Severity::Warning,
-            )
-            .build();
-        assert!(lenient.load_prepared_reader(&bad_bytes[..]).is_ok());
     }
 
     #[test]

@@ -48,7 +48,7 @@ use std::time::{Duration, Instant};
 
 use rprism_diff::SideArtifacts;
 use rprism_format::{FormatError, TraceReader};
-use rprism_trace::{EntryBatch, EntryRef, Trace};
+use rprism_trace::{EntryBatch, Trace};
 
 /// Entries per batch: the number of decoded entries alive at any instant of a
 /// streamed load.
@@ -68,10 +68,7 @@ pub(crate) struct PhaseTimes {
 }
 
 /// Drives a [`TraceReader`] to completion, building the artifacts in one
-/// bounded-memory pass. `observe` is called once for every decoded entry, in entry
-/// order, before the entry is pushed: this is how the `rprism-check` streaming
-/// checker behind `EngineBuilder::check_on_ingest` sees every entry without a second
-/// decode. It borrows each entry transiently and must not retain it.
+/// bounded-memory pass.
 ///
 /// # Errors
 ///
@@ -81,7 +78,6 @@ pub(crate) struct PhaseTimes {
 /// name strings (see the module docs).
 pub(crate) fn stream_prepare<R: BufRead>(
     mut reader: TraceReader<R>,
-    mut observe: impl FnMut(EntryRef<'_>),
 ) -> Result<(SideArtifacts, PhaseTimes), FormatError> {
     let mut artifacts = SideArtifacts::new(reader.meta().clone());
     let mut batch = EntryBatch::new();
@@ -93,7 +89,6 @@ pub(crate) fn stream_prepare<R: BufRead>(
         if n == 0 {
             return Ok((artifacts, times));
         }
-        batch.iter().for_each(&mut observe);
         let pushed = artifacts.push_batch(&batch);
         times.key += pushed.key;
         times.web += pushed.web;
@@ -121,7 +116,7 @@ mod tests {
 
     fn streamed(bytes: &[u8]) -> Result<SideArtifacts, FormatError> {
         let reader = TraceReader::new(BufReader::new(bytes)).unwrap();
-        stream_prepare(reader, |_| {}).map(|(artifacts, _)| artifacts)
+        stream_prepare(reader).map(|(artifacts, _)| artifacts)
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! linear-time views-based trace differencing, and regression-cause analysis.
 //!
 //! This crate is the user-facing facade. The entry point is the session-oriented
-//! [`Engine`]: it owns the configuration (differencing algorithm and options, tracing
-//! config, analysis mode) and hands out [`PreparedTrace`] handles whose derived
+//! [`Engine`]: it owns the configuration (differencing algorithm and options, analysis
+//! mode) and hands out [`PreparedTrace`] handles whose derived
 //! artifacts — the lean per-entry context, interned event keys and the view web — are
 //! built in one pass when the handle is made and shared across every diff, batch run
 //! and regression analysis:
@@ -105,10 +105,6 @@ pub enum Error {
     /// Loading or storing a serialized trace failed (I/O, truncation, corruption, or an
     /// unsupported format version).
     Format(rprism_format::FormatError),
-    /// A loaded trace was rejected by the ingest-time static analysis
-    /// ([`EngineBuilder::check_on_ingest`]): the report carries every diagnostic the
-    /// checker raised, including those below the deny threshold.
-    Check(Box<rprism_check::CheckReport>),
 }
 
 /// The crate-wide result alias.
@@ -121,15 +117,6 @@ impl std::fmt::Display for Error {
             Error::Diff(e) => write!(f, "differencing error: {e}"),
             Error::Vm(e) => write!(f, "runtime error: {e}"),
             Error::Format(e) => write!(f, "trace format error: {e}"),
-            Error::Check(report) => {
-                let (errors, warnings, infos) = report.counts();
-                write!(
-                    f,
-                    "trace '{}' rejected by the ingest check: {errors} error(s), \
-                     {warnings} warning(s), {infos} info(s)",
-                    report.trace_name
-                )
-            }
         }
     }
 }

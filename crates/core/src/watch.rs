@@ -2,14 +2,12 @@
 //! *new* trace that is still being produced.
 //!
 //! [`Watch`] is the engine-level wrapper around [`rprism_diff::DiffSession`]: it owns a
-//! clone of the old handle, feeds every arriving entry through the optional ingest checker
-//! ([`crate::EngineBuilder::check_on_ingest`]), and folds key derivation, web extension
-//! and the suspended lock-step scan into each push — the new trace is never
-//! materialized. [`Watch::finish`] produces the authoritative verdict, byte-identical
-//! (matching, difference sequences, compare counts) to
-//! [`Engine::diff`](crate::Engine::diff) of the same two traces, plus a streamed
-//! [`PreparedTrace`] handle for the watched side so reports render exactly like the
-//! batch path's.
+//! clone of the old handle and folds key derivation, web extension and the suspended
+//! lock-step scan into each push — the new trace is never materialized.
+//! [`Watch::finish`] produces the authoritative verdict, byte-identical (matching,
+//! difference sequences, compare counts) to [`Engine::diff`](crate::Engine::diff) of
+//! the same two traces, plus a streamed [`PreparedTrace`] handle for the watched side
+//! so reports render exactly like the batch path's.
 //!
 //! Construction goes through [`Engine::watch`](crate::Engine::watch); the caller pushes
 //! entries as they arrive. For a serialized stream that is still growing, a
@@ -21,12 +19,11 @@
 //! engine's [`Obs`], so a daemon's metrics and self-trace split a streamed upload into
 //! its incremental scans and its final verdict.
 
-use rprism_check::{Checker, Severity};
 use rprism_diff::{DiffSession, ProvisionalEvent, TraceDiffResult};
 use rprism_obs::Obs;
-use rprism_trace::{EntryBatch, TraceEntry, TraceMeta};
+use rprism_trace::{EntryBatch, TraceEntry};
 
-use crate::{Error, PreparedTrace, Result};
+use crate::{PreparedTrace, Result};
 
 /// An in-progress live diff: push new-trace entries as they arrive, collect
 /// provisional events, then [`finish`](Watch::finish) for the authoritative verdict.
@@ -37,8 +34,6 @@ use crate::{Error, PreparedTrace, Result};
 pub struct Watch {
     old: PreparedTrace,
     session: DiffSession,
-    name: String,
-    gate: Option<(Checker, Severity)>,
     /// The engine's observability domain: every push records a `watch.push` span and
     /// the finish a `watch.finish` span.
     obs: Obs,
@@ -59,20 +54,8 @@ pub struct WatchOutcome {
 }
 
 impl Watch {
-    pub(crate) fn new(
-        old: PreparedTrace,
-        meta: TraceMeta,
-        session: DiffSession,
-        gate: Option<(Checker, Severity)>,
-        obs: Obs,
-    ) -> Self {
-        Watch {
-            old,
-            session,
-            name: meta.name,
-            gate,
-            obs,
-        }
+    pub(crate) fn new(old: PreparedTrace, session: DiffSession, obs: Obs) -> Self {
+        Watch { old, session, obs }
     }
 
     /// Number of new-trace entries consumed so far.
@@ -86,10 +69,8 @@ impl Watch {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Check`] as soon as the ingest gate's streaming checker raises
-    /// a diagnostic at or above the deny threshold — the watch aborts mid-stream
-    /// instead of diffing a trace the session is configured to reject. The report
-    /// carries every diagnostic raised up to that point.
+    /// None: every pushed entry is accepted. The `Result` keeps the engine's shape
+    /// for its streaming entry points.
     pub fn push_entries(&mut self, entries: &[TraceEntry]) -> Result<Vec<ProvisionalEvent>> {
         self.push_batch(&EntryBatch::of(entries))
     }
@@ -103,35 +84,17 @@ impl Watch {
     /// Exactly [`Watch::push_entries`]'s.
     pub fn push_batch(&mut self, batch: &EntryBatch) -> Result<Vec<ProvisionalEvent>> {
         let _push = self.obs.span("watch.push");
-        if let Some((mut checker, deny)) = self.gate.take() {
-            batch.iter().for_each(|entry| checker.observe(entry));
-            if checker.raised_at_least(deny) > 0 {
-                let mut report = checker.finish();
-                report.trace_name = self.name.clone();
-                return Err(Error::Check(Box::new(report)));
-            }
-            self.gate = Some((checker, deny));
-        }
         Ok(self.session.push_batch(&self.old.side(), batch))
     }
 
-    /// Ends the stream: runs the checker's end-of-trace rules, then computes the
-    /// authoritative verdict over the accumulated artifacts.
+    /// Ends the stream: computes the authoritative verdict over the accumulated
+    /// artifacts.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Check`] when the ingest gate's end-of-trace diagnostics reach
-    /// the deny threshold (mirroring the batch
-    /// [`Engine::load_prepared_reader`](crate::Engine::load_prepared_reader) gate).
+    /// None, as for [`Watch::push_entries`].
     pub fn finish(self) -> Result<WatchOutcome> {
         let _finish = self.obs.span("watch.finish");
-        if let Some((checker, deny)) = self.gate {
-            let mut report = checker.finish();
-            report.trace_name = self.name.clone();
-            if report.count_at_least(deny) > 0 {
-                return Err(Error::Check(Box::new(report)));
-            }
-        }
         let finish = self.session.finish(&self.old.side());
         Ok(WatchOutcome {
             result: finish.result,

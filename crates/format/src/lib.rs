@@ -305,7 +305,7 @@ impl<R: BufRead> TraceReader<R> {
     /// error — the partial record's bytes are retained and decoding resumes on the
     /// next call once the underlying source has more data. Corruption remains a hard
     /// error. When the caller decides the source has stopped growing, it switches to
-    /// [`Self::next_entry`] / [`Self::read_batch`], which apply each encoding's strict
+    /// [`Self::next_entry`] / [`Self::read_refs`], which apply each encoding's strict
     /// end-of-stream semantics to whatever remains.
     pub fn next_entry_tail(&mut self) -> Result<TailEntry> {
         match self {
@@ -314,26 +314,7 @@ impl<R: BufRead> TraceReader<R> {
         }
     }
 
-    /// Decodes up to `max` further entries into `out` (which is cleared first),
-    /// returning how many arrived — `0` only after the verified end of the stream.
-    /// This is the batch-granular form streaming consumers use to amortize per-entry
-    /// dispatch while still holding only `max` decoded entries at a time.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first decode error; entries decoded before it remain in `out`.
-    pub fn read_batch(&mut self, out: &mut Vec<TraceEntry>, max: usize) -> Result<usize> {
-        out.clear();
-        while out.len() < max {
-            match self.next_entry()? {
-                Some(entry) => out.push(entry),
-                None => break,
-            }
-        }
-        Ok(out.len())
-    }
-
-    /// The tail-mode form of [`Self::read_batch`]: decodes up to `max` entries into
+    /// The tail-mode form of [`Self::next_entry`]: decodes up to `max` entries into
     /// `out` (cleared first) from a stream that may still be growing. An input that
     /// ends mid-record yields whatever complete entries preceded the cut and then the
     /// [`TailBatch::Pending`] state instead of a truncation error; calling again after
@@ -356,7 +337,7 @@ impl<R: BufRead> TraceReader<R> {
     ///
     /// # Errors
     ///
-    /// Exactly [`Self::read_batch`]'s.
+    /// Propagates the first decode error.
     pub fn read_refs(&mut self, out: &mut EntryBatch, max: usize) -> Result<usize> {
         out.clear();
         self.append_refs(out, max)
@@ -733,8 +714,8 @@ mod tests {
     }
 
     #[test]
-    fn strict_read_batch_truncation_does_not_poison_a_binary_reader() {
-        // The latent batch-reader edge case: `read_batch` on a file that ends
+    fn strict_truncation_does_not_poison_a_binary_reader() {
+        // The latent strict-reader edge case: `next_entry` on a file that ends
         // mid-record used to consume the partial record irrecoverably, so retrying
         // after the file grew mis-decoded from the middle of a record. Now the error
         // is still reported (strict mode) but the reader stays at the last record
@@ -746,24 +727,17 @@ mod tests {
         queue.borrow_mut().extend(bytes[..cut].iter().copied());
         let mut reader = TraceReader::new(BufReader::new(GrowingSource(queue.clone()))).unwrap();
         let mut got = Vec::new();
-        let mut batch = Vec::new();
         loop {
-            match reader.read_batch(&mut batch, 8) {
-                Ok(0) => panic!("stream must not end cleanly without a footer"),
-                Ok(_) => got.append(&mut batch),
-                Err(FormatError::Truncated { .. }) => {
-                    got.append(&mut batch); // entries decoded before the cut survive
-                    break;
-                }
+            match reader.next_entry() {
+                Ok(None) => panic!("stream must not end cleanly without a footer"),
+                Ok(Some(entry)) => got.push(entry),
+                Err(FormatError::Truncated { .. }) => break,
                 Err(e) => panic!("unexpected error: {e}"),
             }
         }
         queue.borrow_mut().extend(bytes[cut..].iter().copied());
-        loop {
-            match reader.read_batch(&mut batch, 8).unwrap() {
-                0 => break,
-                _ => got.append(&mut batch),
-            }
+        while let Some(entry) = reader.next_entry().unwrap() {
+            got.push(entry);
         }
         assert_eq!(got.len(), trace.len());
         for (a, b) in got.iter().zip(trace.iter()) {

@@ -166,18 +166,6 @@ impl Obs {
         }
     }
 
-    /// How many span records the ring has evicted so far.
-    pub fn spans_dropped(&self) -> u64 {
-        match &self.inner {
-            Some(inner) => inner
-                .ring
-                .lock()
-                .expect("span ring lock poisoned")
-                .dropped(),
-            None => 0,
-        }
-    }
-
     /// Serializes this observer's recent execution (the span ring plus a metric
     /// snapshot) as a well-formed trace — see [`selftrace::build_self_trace`].
     pub fn self_trace(&self, name: &str) -> rprism_trace::Trace {

@@ -28,13 +28,11 @@ pub struct SpanRecord {
 }
 
 /// The bounded ring of recent [`SpanRecord`]s: completed spans push at the tail and
-/// evict at the head once `capacity` is reached. Eviction count is kept so renderers
-/// can say how much history was dropped.
+/// evict at the head once `capacity` is reached.
 #[derive(Debug)]
 pub(crate) struct SpanRing {
     records: VecDeque<SpanRecord>,
     capacity: usize,
-    dropped: u64,
 }
 
 impl SpanRing {
@@ -42,24 +40,18 @@ impl SpanRing {
         SpanRing {
             records: VecDeque::with_capacity(capacity.min(1024)),
             capacity: capacity.max(1),
-            dropped: 0,
         }
     }
 
     pub(crate) fn push(&mut self, record: SpanRecord) {
         if self.records.len() == self.capacity {
             self.records.pop_front();
-            self.dropped += 1;
         }
         self.records.push_back(record);
     }
 
     pub(crate) fn records(&self) -> Vec<SpanRecord> {
         self.records.iter().copied().collect()
-    }
-
-    pub(crate) fn dropped(&self) -> u64 {
-        self.dropped
     }
 }
 
@@ -115,7 +107,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ring_is_bounded_and_counts_drops() {
+    fn ring_is_bounded_and_keeps_the_newest_spans() {
         let mut ring = SpanRing::new(2);
         for i in 0..5u64 {
             ring.push(SpanRecord {
@@ -129,7 +121,6 @@ mod tests {
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].start_us, 3);
         assert_eq!(records[1].start_us, 4);
-        assert_eq!(ring.dropped(), 3);
     }
 
     #[test]

@@ -310,7 +310,6 @@ impl Client {
                 Err(ServerError::Busy { retry_after_ms })
             }
             Response::Corrupt { hash, .. } => Err(ServerError::CorruptTrace { hash }),
-            Response::CheckDenied(report) => Err(ServerError::CheckDenied(report)),
             other => Ok(other),
         })
     }
@@ -504,9 +503,8 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Returns [`ServerError::CheckDenied`] when the server's ingest check denies
-    /// the trace mid-stream (the watch is torn down), [`ServerError::Remote`] when
-    /// no watch is active, and transport errors as [`ServerError::Io`].
+    /// Returns [`ServerError::Remote`] when no watch is active, and transport errors
+    /// as [`ServerError::Io`].
     pub fn watch_chunk(&mut self, bytes: Vec<u8>) -> Result<Vec<WireWatchEvent>> {
         match self.call(&Request::PutStream { bytes, last: false })? {
             Response::WatchEvent { events } => Ok(events),

@@ -93,10 +93,6 @@ pub enum ServerError {
         /// Server-suggested minimum backoff before retrying.
         retry_after_ms: u32,
     },
-    /// The server's ingest check denied the watched trace; the watch was torn down.
-    /// The full structured report is here for rendering — the same diagnostics a
-    /// local denied check would print.
-    CheckDenied(Box<rprism::CheckReport>),
 }
 
 impl std::fmt::Display for ServerError {
@@ -119,12 +115,6 @@ impl std::fmt::Display for ServerError {
             ServerError::Busy { retry_after_ms } => {
                 write!(f, "server busy; retry after {retry_after_ms} ms")
             }
-            ServerError::CheckDenied(report) => write!(
-                f,
-                "watch denied by the server's ingest check: {} diagnostic(s) on {:?}",
-                report.diagnostics.len(),
-                report.trace_name
-            ),
         }
     }
 }

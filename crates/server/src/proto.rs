@@ -345,11 +345,8 @@ wire! {
             /// The authoritative diff, rendered with the watch's `max_sequences`.
             diff: WireDiff,
         } = 0x8b,
-        /// The server's ingest check denied the watched trace mid-stream: the full
-        /// structured report travels back, the watch is torn down, and the connection
-        /// stays open. Unlike [`Response::Error`], the client can render the diagnostics
-        /// exactly as a local denied check would.
-        CheckDenied(report: Box<CheckReport>) = 0x8c,
+        // Tag 0x8c is retired: it answered a watch denied by an ingest-time check,
+        // which no longer exists. Never reuse it.
         /// The statistics snapshot of a [`Request::Stats`].
         StatsOk(stats: WireStats) = 0x86,
         /// The Prometheus text exposition of a [`Request::Metrics`].
@@ -1304,19 +1301,6 @@ mod tests {
                 rendered: "no differences\n".into(),
             },
         });
-        round_trip_response(Response::CheckDenied(Box::new(CheckReport {
-            trace_name: "denied".into(),
-            entries: 5,
-            threads: 1,
-            suppressed: 0,
-            diagnostics: vec![Diagnostic {
-                rule_id: rules::rule("data-race").unwrap().id,
-                severity: Severity::Error,
-                entry_index: 2,
-                message: "boom".into(),
-                related_entries: vec![0],
-            }],
-        })));
         round_trip_response(Response::MetricsOk {
             text: "# TYPE rprism_cache_hits counter\nrprism_cache_hits 3\n".into(),
         });

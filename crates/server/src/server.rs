@@ -492,9 +492,7 @@ impl Worker {
 
     /// Executes one request. Every failure becomes a structured response frame:
     /// a quarantined blob answers [`Response::Corrupt`] (the hash-bearing variant
-    /// clients heal by re-uploading), a watch denied by the ingest check answers
-    /// [`Response::CheckDenied`] with the full report, everything else
-    /// [`Response::Error`].
+    /// clients heal by re-uploading), everything else [`Response::Error`].
     fn handle(&self, request: Request, watch: &mut Option<WatchState>) -> Response {
         match self.try_handle(request, watch) {
             Ok(response) => response,
@@ -502,7 +500,6 @@ impl Worker {
                 hash,
                 message: e.to_string(),
             },
-            Err(ServerError::Engine(rprism::Error::Check(report))) => Response::CheckDenied(report),
             Err(e) => Response::Error {
                 message: e.to_string(),
             },
@@ -611,7 +608,7 @@ impl Worker {
                         "PutStream without an active watch (send WatchStart first)".into(),
                     )
                 })?;
-                // Errors (decode failures, check denials) leave the state dropped, so
+                // Errors (decode failures) leave the state dropped, so
                 // later chunks fail structurally instead of feeding a dead session.
                 let response = self.fold_chunk(&mut state, &bytes, last)?;
                 if !last {
@@ -1016,67 +1013,6 @@ mod tests {
             "got {responses:?}"
         );
         assert!(matches!(&responses[1], Response::ListOk { .. }));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn ingest_check_denies_a_watch_mid_stream_with_the_structured_report() {
-        let dir = temp_repo("watch-denied");
-        let engine = Engine::builder()
-            .check_on_ingest(rprism::CheckConfig::default(), rprism::Severity::Error)
-            .build();
-        let worker = worker_with(&dir, engine, Obs::enabled());
-        let (old, _) = evolution_pair(worker.repo.engine());
-        let old_bytes =
-            rprism_format::trace_to_bytes(old.trace(), rprism_format::Encoding::Binary).unwrap();
-        let (old_hash, _, _) = worker.repo.put_bytes(&old_bytes).unwrap();
-        let bad = rprism_check::fixtures::violating("define-before-use");
-        let bad_bytes =
-            rprism_format::trace_to_bytes(&bad, rprism_format::Encoding::Binary).unwrap();
-
-        // The whole ill-formed trace arrives in one NON-last chunk: the denial must
-        // come back on that chunk — mid-stream, before any end-of-upload — and tear
-        // the watch down, so the next chunk is refused structurally.
-        let mut input = framed(
-            &Request::WatchStart {
-                old: old_hash,
-                max_sequences: 4,
-            }
-            .encode(),
-        );
-        input.extend(framed(
-            &Request::PutStream {
-                bytes: bad_bytes,
-                last: false,
-            }
-            .encode(),
-        ));
-        input.extend(framed(
-            &Request::PutStream {
-                bytes: vec![],
-                last: true,
-            }
-            .encode(),
-        ));
-        let mut conn = MemConn::new(input);
-        worker.serve_connection(&mut conn);
-        let responses = conn.responses();
-        assert_eq!(responses.len(), 3, "got {responses:?}");
-        assert!(matches!(&responses[0], Response::WatchStarted));
-        match &responses[1] {
-            Response::CheckDenied(report) => {
-                assert!(report
-                    .diagnostics
-                    .iter()
-                    .any(|d| d.rule_id == "define-before-use"));
-            }
-            other => panic!("expected CheckDenied, got {other:?}"),
-        }
-        assert!(
-            matches!(&responses[2], Response::Error { message }
-                if message.contains("without an active watch")),
-            "got {responses:?}"
-        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -544,49 +544,3 @@ fn live_socket_watch_streams_events_and_matches_remote_diff() {
     server.join().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
-
-#[test]
-fn live_socket_watch_is_denied_mid_stream_by_the_ingest_check() {
-    let dir = temp_repo("watch-deny");
-    let mut config = ServerConfig::new("127.0.0.1:0", &dir);
-    config.engine = Engine::builder()
-        .check_on_ingest(rprism::CheckConfig::default(), rprism::Severity::Error)
-        .build();
-    let server = Server::bind(config).unwrap();
-    let addr = server.local_addr().unwrap();
-    let handle = std::thread::spawn(move || server.run().unwrap());
-    let mut client = Client::connect(&addr.to_string(), TIMEOUT).unwrap();
-
-    let engine = Engine::new();
-    let (old, _) = evolution_pair(&engine);
-    let old_hash = client
-        .put_bytes(trace_to_bytes(old.trace(), Encoding::Binary).unwrap())
-        .unwrap()
-        .hash;
-
-    // The whole ill-formed trace goes out in one NON-final chunk: the denial must
-    // arrive mid-stream, before any end-of-upload, as the structured report frame.
-    let bad = rprism_check::fixtures::violating("define-before-use");
-    let bad_bytes = trace_to_bytes(&bad, Encoding::Binary).unwrap();
-    client.watch_start(old_hash, 5).unwrap();
-    match client.watch_chunk(bad_bytes) {
-        Err(ServerError::CheckDenied(report)) => {
-            assert!(report
-                .diagnostics
-                .iter()
-                .any(|d| d.rule_id == "define-before-use"));
-        }
-        other => panic!("expected a mid-stream check denial, got {other:?}"),
-    }
-
-    // The watch is torn down but the connection survives for ordinary requests.
-    assert!(matches!(
-        client.watch_chunk(vec![0u8; 4]),
-        Err(ServerError::Remote(message)) if message.contains("without an active watch")
-    ));
-    assert_eq!(client.list().unwrap().len(), 1);
-
-    client.shutdown().unwrap();
-    handle.join().unwrap();
-    std::fs::remove_dir_all(&dir).ok();
-}

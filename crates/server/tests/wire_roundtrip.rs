@@ -47,7 +47,7 @@ const REQUESTS: [&str; 12] = [
     "Shutdown",
 ];
 
-const RESPONSES: [&str; 17] = [
+const RESPONSES: [&str; 16] = [
     "PutOk",
     "GetOk",
     "ListOk",
@@ -57,7 +57,6 @@ const RESPONSES: [&str; 17] = [
     "WatchStarted",
     "WatchEvent",
     "WatchDone",
-    "CheckDenied",
     "StatsOk",
     "MetricsOk",
     "ObsTraceOk",
@@ -97,7 +96,6 @@ fn response_name(response: &Response) -> &'static str {
         Response::WatchStarted => "WatchStarted",
         Response::WatchEvent { .. } => "WatchEvent",
         Response::WatchDone { .. } => "WatchDone",
-        Response::CheckDenied(_) => "CheckDenied",
         Response::StatsOk(_) => "StatsOk",
         Response::MetricsOk { .. } => "MetricsOk",
         Response::ObsTraceOk { .. } => "ObsTraceOk",
@@ -386,7 +384,6 @@ impl Draw {
                 events: self.events(),
                 diff: self.diff(),
             },
-            "CheckDenied" => Response::CheckDenied(self.check_report()),
             "StatsOk" => {
                 let mut v = [0u64; 15];
                 v.iter_mut().for_each(|x| *x = self.u64());

@@ -6,6 +6,7 @@
 //! name/value pools are used deliberately so that generated events collide often — the
 //! hard case for equality, interning and correlation.
 
+use std::ops::Range;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use rprism_lang::{FieldName, MethodName};
@@ -69,6 +70,53 @@ impl Rng {
     /// Picks one element of a slice.
     pub fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         &items[self.usize(0, items.len())]
+    }
+
+    /// A uniform sample from `[range.start, range.end)`: an integer by the modulo
+    /// reduction of [`Rng::range`], an `f64` from the top 53 bits of one draw.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the range is empty.
+    pub fn gen_range<T: SampleRange>(&mut self, range: Range<T>) -> T {
+        T::sample(self, range)
+    }
+
+    /// Returns `true` with probability `p`.
+    pub fn gen_bool(&mut self, p: f64) -> bool {
+        self.unit() < p
+    }
+
+    /// A uniform `f64` in `[0, 1)` from the top 53 bits of one draw.
+    fn unit(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
+/// Types [`Rng::gen_range`] samples from a half-open range.
+pub trait SampleRange: Sized {
+    /// Draws one uniform sample from `[range.start, range.end)`.
+    fn sample(rng: &mut Rng, range: Range<Self>) -> Self;
+}
+
+macro_rules! impl_int_sample {
+    ($($t:ty),*) => {$(
+        impl SampleRange for $t {
+            fn sample(rng: &mut Rng, range: Range<Self>) -> Self {
+                assert!(range.end > range.start, "empty sample range");
+                let span = range.end.wrapping_sub(range.start) as u64;
+                range.start + (rng.next_u64() % span) as $t
+            }
+        }
+    )*};
+}
+
+impl_int_sample!(usize, i64);
+
+impl SampleRange for f64 {
+    fn sample(rng: &mut Rng, range: Range<Self>) -> Self {
+        assert!(range.end > range.start, "empty sample range");
+        range.start + rng.unit() * (range.end - range.start)
     }
 }
 
@@ -655,6 +703,33 @@ mod tests {
             let v = rng.range(3, 9);
             assert!((3..9).contains(&v));
         }
+    }
+
+    #[test]
+    fn same_seed_same_stream() {
+        let mut a = Rng::new(9);
+        let mut b = Rng::new(9);
+        for _ in 0..50 {
+            assert_eq!(a.gen_range(0usize..100), b.gen_range(0usize..100));
+        }
+    }
+
+    #[test]
+    fn ranges_are_respected() {
+        let mut rng = Rng::new(3);
+        for _ in 0..500 {
+            let v = rng.gen_range(2i64..5);
+            assert!((2..5).contains(&v));
+            let f = rng.gen_range(0.0..2.5);
+            assert!((0.0..2.5).contains(&f));
+        }
+    }
+
+    #[test]
+    fn gen_bool_respects_extremes() {
+        let mut rng = Rng::new(4);
+        assert!((0..100).all(|_| !rng.gen_bool(0.0)));
+        assert!((0..100).all(|_| rng.gen_bool(1.0)));
     }
 
     #[test]

@@ -110,26 +110,6 @@ impl Correlation {
         Correlation { threads, objects }
     }
 
-    /// The correlated object-view pairs of one kind, as display names (diagnostics and
-    /// tests; the hot path uses [`Correlation::object_target`]).
-    pub fn object_pairs(
-        &self,
-        left: &ViewWeb,
-        right: &ViewWeb,
-        kind: ViewKind,
-    ) -> Vec<(ViewName, ViewName)> {
-        let mut pairs = Vec::new();
-        for (id, view) in left.views_with_ids() {
-            if view.key.kind() != kind {
-                continue;
-            }
-            if let Some(rid) = self.object_target(id) {
-                pairs.push((view.name.clone(), right.view_by_id(rid).name.clone()));
-            }
-        }
-        pairs
-    }
-
     /// The correlated pairs of thread views, left thread first, main thread pair first.
     pub fn thread_pairs(&self) -> Vec<(ThreadId, ThreadId)> {
         let mut pairs: Vec<(ThreadId, ThreadId)> =
@@ -296,6 +276,22 @@ mod tests {
         .trace
     }
 
+    /// The correlated object-view pairs of one kind, as display names.
+    fn object_pairs(
+        corr: &Correlation,
+        left: &ViewWeb,
+        right: &ViewWeb,
+        kind: ViewKind,
+    ) -> Vec<(ViewName, ViewName)> {
+        left.views_with_ids()
+            .filter(|(_, view)| view.key.kind() == kind)
+            .filter_map(|(id, view)| {
+                let rid = corr.object_target(id)?;
+                Some((view.name.clone(), right.view_by_id(rid).name.clone()))
+            })
+            .collect()
+    }
+
     const LEFT: &str = r#"
         class Range extends Object { Int min; Int max; }
         class SP extends Object {
@@ -338,7 +334,7 @@ mod tests {
         let (lt, rt) = (trace_of(LEFT, "L"), trace_of(RIGHT, "R"));
         let (lw, rw) = (ViewWeb::build(&lt), ViewWeb::build(&rt));
         let corr = Correlation::build(&lw, &rw);
-        let pairs = corr.object_pairs(&lw, &rw, ViewKind::TargetObject);
+        let pairs = object_pairs(&corr, &lw, &rw, ViewKind::TargetObject);
         assert!(!pairs.is_empty());
         for (l, r) in &pairs {
             let lrep = lw.view(l).unwrap().representative.unwrap();
@@ -356,7 +352,7 @@ mod tests {
         let rt = trace_of(LEFT, "L2");
         let (lw, rw) = (ViewWeb::build(&lt), ViewWeb::build(&rt));
         let corr = Correlation::build(&lw, &rw);
-        let pairs = corr.object_pairs(&lw, &rw, ViewKind::TargetObject);
+        let pairs = object_pairs(&corr, &lw, &rw, ViewKind::TargetObject);
         assert_eq!(pairs.len(), lw.views_of_kind(ViewKind::TargetObject).len());
         // Right-side views are matched at most once.
         let mut rights: Vec<&ViewName> = pairs.iter().map(|(_, r)| r).collect();
@@ -373,7 +369,7 @@ mod tests {
         for kind in [ViewKind::TargetObject, ViewKind::ActiveObject] {
             let by_name = correlate_objects(&lw, &rw, kind);
             let by_id: HashMap<ViewName, ViewName> =
-                corr.object_pairs(&lw, &rw, kind).into_iter().collect();
+                object_pairs(&corr, &lw, &rw, kind).into_iter().collect();
             assert_eq!(by_name, by_id);
         }
     }

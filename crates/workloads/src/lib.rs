@@ -24,7 +24,6 @@ pub mod corpus;
 pub mod mutate;
 pub mod myfaces;
 pub mod rhino;
-pub mod rngcompat;
 pub mod scenario;
 
 pub use corpus::{check_corpus, corpus_files, write_corpus, CorpusFile};

@@ -7,7 +7,7 @@
 //! (5.8 %) and typos (24.2 %). This module implements one mutation operator per root-cause
 //! category over the core-calculus AST.
 
-use crate::rngcompat::StdRng;
+use rprism_trace::testgen::Rng;
 
 use rprism_lang::ast::{BinOp, Lit, Program, Term};
 use rprism_lang::FieldName;
@@ -41,7 +41,7 @@ impl RootCause {
     ];
 
     /// Samples a category according to the paper's distribution.
-    pub fn sample(rng: &mut StdRng) -> RootCause {
+    pub fn sample(rng: &mut Rng) -> RootCause {
         let total: f64 = Self::WEIGHTED.iter().map(|(_, w)| w).sum();
         let mut x = rng.gen_range(0.0..total);
         for (cause, weight) in Self::WEIGHTED {
@@ -82,11 +82,7 @@ pub struct MutationOutcome {
 /// Applies one mutation of the given category to the program (in place).
 ///
 /// Returns `None` when the program offers no applicable mutation site for the category.
-pub fn inject(
-    program: &mut Program,
-    cause: RootCause,
-    rng: &mut StdRng,
-) -> Option<MutationOutcome> {
+pub fn inject(program: &mut Program, cause: RootCause, rng: &mut Rng) -> Option<MutationOutcome> {
     if cause == RootCause::MissingFeature {
         return inject_missing_feature(program, rng);
     }
@@ -144,7 +140,7 @@ pub fn inject(
 }
 
 /// Removes a statement-position method call from some method body ("missing feature").
-fn inject_missing_feature(program: &mut Program, rng: &mut StdRng) -> Option<MutationOutcome> {
+fn inject_missing_feature(program: &mut Program, rng: &mut Rng) -> Option<MutationOutcome> {
     // Candidate sites: top-level call statements in method bodies that are not the final
     // (return-value) term, so removal cannot change a method's result type.
     let mut sites: Vec<(usize, usize, usize)> = Vec::new();
@@ -225,7 +221,7 @@ fn apply_at_site(
     remaining: &mut usize,
     description: &mut Option<String>,
     class_fields: &[FieldName],
-    rng: &mut StdRng,
+    rng: &mut Rng,
 ) {
     if description.is_some() {
         return;
@@ -316,7 +312,7 @@ fn mutate_term(
     term: &mut Term,
     cause: RootCause,
     class_fields: &[FieldName],
-    rng: &mut StdRng,
+    rng: &mut Rng,
 ) -> String {
     match cause {
         RootCause::MissingFeature => {
@@ -459,8 +455,8 @@ mod tests {
         }
     "#;
 
-    fn rng(seed: u64) -> StdRng {
-        StdRng::seed_from_u64(seed)
+    fn rng(seed: u64) -> Rng {
+        Rng::new(seed)
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! agreeing with the original on the passing input (the paper "ensured that each injected
 //! regression caused the test case associated with the bug to fail").
 
-use crate::rngcompat::StdRng;
+use rprism_trace::testgen::Rng;
 
 use rprism_lang::ast::{Program, Term};
 use rprism_lang::build::*;
@@ -60,7 +60,7 @@ pub struct InjectedBug {
 
 /// Generates the base (correct) engine program for the given configuration. The returned
 /// program has an empty `main`; drivers are attached per test case.
-pub fn base_program(config: &RhinoConfig, rng: &mut StdRng) -> Program {
+pub fn base_program(config: &RhinoConfig, rng: &mut Rng) -> Program {
     let modules = config.modules.max(2);
     let mut builder = ProgramBuilder::new().class_def(sys_class_def());
 
@@ -224,7 +224,7 @@ pub fn driver_main(config: &RhinoConfig, mode: i64, iterations: usize) -> Vec<Te
 /// Returns `None` when no regressing mutation could be found within the configured number
 /// of attempts (rare; callers typically move on to the next seed).
 pub fn generate_bug(config: &RhinoConfig) -> Option<InjectedBug> {
-    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut rng = Rng::new(config.seed);
     let base = base_program(config, &mut rng);
     let regressing_main = driver_main(config, 0, config.script_length);
     let passing_main = driver_main(config, 1, config.script_length.max(4) / 2);
@@ -319,8 +319,8 @@ mod tests {
     #[test]
     fn base_program_is_well_formed_and_deterministic() {
         let cfg = small_config(5);
-        let mut r1 = StdRng::seed_from_u64(cfg.seed);
-        let mut r2 = StdRng::seed_from_u64(cfg.seed);
+        let mut r1 = Rng::new(cfg.seed);
+        let mut r2 = Rng::new(cfg.seed);
         let p1 = base_program(&cfg, &mut r1);
         let p2 = base_program(&cfg, &mut r2);
         assert_eq!(p1, p2);

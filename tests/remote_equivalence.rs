@@ -12,17 +12,19 @@
 //! timing line. The other runs `remote diff` under each diff family on a base trace
 //! against a mutated copy and against an independent trace, against a local
 //! `Engine::diff` (pairs, sequences, compare count, difference count and rendering),
-//! and `remote check` of each trace against a local `check_reader`. The generator is
-//! seeded from the clock and the seed is printed; `RPRISM_FUZZ_SEED=<n>` replays a
-//! run.
+//! and `remote check` of each trace against a local `check_reader` — once under the
+//! default rules and once under a seeded random set of severity overrides, against
+//! `check_reader_with`. The generator is seeded from the clock and the seed is
+//! printed; `RPRISM_FUZZ_SEED=<n>` replays a run.
 
 use std::path::PathBuf;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use rprism::check::RULES;
 use rprism::{
-    AnalysisMode, AnchoredDiffOptions, DiffAlgorithm, Encoding, Engine, LcsDiffOptions,
-    PreparedTrace, RegressionInput, RenderOptions, ViewsDiffOptions,
+    AnalysisMode, AnchoredDiffOptions, CheckConfig, DiffAlgorithm, Encoding, Engine,
+    LcsDiffOptions, PreparedTrace, RegressionInput, RenderOptions, Severity, ViewsDiffOptions,
 };
 use rprism_format::trace_to_bytes;
 use rprism_server::{Client, Server, ServerConfig, WireAlgorithm};
@@ -254,7 +256,10 @@ fn remote_diff_and_check_match_the_local_engine_on_generated_traces() {
     let client = &mut daemon.client;
     let engine = Engine::new();
 
-    let mut rng = Rng::new(fuzz_seed() ^ 0xd1ff_c4ec);
+    let seed = fuzz_seed();
+    let mut rng = Rng::new(seed ^ 0xd1ff_c4ec);
+    // Overrides draw from their own stream, so the traces stay those of the seed.
+    let mut override_rng = Rng::new(seed ^ 0x5e7e_0c4e);
     for &profile in GenProfile::ALL {
         for entries in [40, 300] {
             let base = profile.generate(&mut rng, entries);
@@ -269,11 +274,30 @@ fn remote_diff_and_check_match_the_local_engine_on_generated_traces() {
                 let bytes = trace_to_bytes(trace, Encoding::Binary).unwrap();
                 local.push(engine.load_prepared_reader(bytes.as_slice()).unwrap());
                 let want = engine.check_reader(bytes.as_slice()).unwrap();
+                let overrides: Vec<(String, Severity)> = (0..override_rng.usize(1, 5))
+                    .map(|_| {
+                        let rule = override_rng.pick(RULES).id.to_owned();
+                        (rule, *override_rng.pick(&Severity::ALL))
+                    })
+                    .collect();
+                let config = overrides
+                    .iter()
+                    .try_fold(CheckConfig::default(), |config, (rule, severity)| {
+                        config.with_severity(rule, *severity)
+                    })
+                    .unwrap();
+                let want_overridden = engine.check_reader_with(bytes.as_slice(), config).unwrap();
                 *slot = client.put_bytes(bytes).unwrap().hash;
                 assert_eq!(
                     client.check(*slot, &[]).unwrap(),
                     want,
                     "{profile}-{entries} trace {}: check report",
+                    local.len() - 1
+                );
+                assert_eq!(
+                    client.check(*slot, &overrides).unwrap(),
+                    want_overridden,
+                    "{profile}-{entries} trace {}: check report under {overrides:?}",
                     local.len() - 1
                 );
             }
