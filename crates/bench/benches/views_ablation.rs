@@ -43,17 +43,26 @@ fn main() {
         ("default", ViewsDiffOptions::default()),
         (
             "no_secondary",
-            ViewsDiffOptions::builder().delta(0).window(0).build(),
+            ViewsDiffOptions {
+                delta: 0,
+                window: 0,
+                ..Default::default()
+            },
         ),
         (
             "wide",
-            ViewsDiffOptions::builder().delta(4).window(16).build(),
+            ViewsDiffOptions {
+                delta: 4,
+                window: 16,
+                ..Default::default()
+            },
         ),
         (
             "strict_correlation",
-            ViewsDiffOptions::builder()
-                .relaxed_correlation(false)
-                .build(),
+            ViewsDiffOptions {
+                relaxed_correlation: false,
+                ..Default::default()
+            },
         ),
     ];
     let run = |options: &ViewsDiffOptions| views_diff_sides(&old.side(), &new.side(), options);

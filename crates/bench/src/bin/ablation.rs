@@ -26,25 +26,41 @@ fn main() {
         ("default (Δ=2, δ=8, relaxed)", ViewsDiffOptions::default()),
         (
             "no secondary views (Δ=0, δ=0)",
-            ViewsDiffOptions::builder().delta(0).window(0).build(),
+            ViewsDiffOptions {
+                delta: 0,
+                window: 0,
+                ..Default::default()
+            },
         ),
         (
             "narrow windows (Δ=1, δ=2)",
-            ViewsDiffOptions::builder().delta(1).window(2).build(),
+            ViewsDiffOptions {
+                delta: 1,
+                window: 2,
+                ..Default::default()
+            },
         ),
         (
             "wide windows (Δ=4, δ=16)",
-            ViewsDiffOptions::builder().delta(4).window(16).build(),
+            ViewsDiffOptions {
+                delta: 4,
+                window: 16,
+                ..Default::default()
+            },
         ),
         (
             "no relaxed correlation",
-            ViewsDiffOptions::builder()
-                .relaxed_correlation(false)
-                .build(),
+            ViewsDiffOptions {
+                relaxed_correlation: false,
+                ..Default::default()
+            },
         ),
         (
             "short scan-ahead (16)",
-            ViewsDiffOptions::builder().max_scan_ahead(16).build(),
+            ViewsDiffOptions {
+                max_scan_ahead: 16,
+                ..Default::default()
+            },
         ),
     ];
 

@@ -30,12 +30,10 @@ fn main() {
     // event keys are derived once and shared between the two runs.
     let views_engine = Engine::new();
     let lcs_engine = Engine::builder()
-        .lcs_baseline(
-            LcsDiffOptions::builder()
-                .memory_budget(lcs_budget)
-                .linear_space(false)
-                .build(),
-        )
+        .lcs_baseline(LcsDiffOptions {
+            memory_budget: lcs_budget,
+            linear_space: false,
+        })
         .build();
 
     for bug in &dataset {

@@ -263,7 +263,10 @@ fn measure_anchored_scaling(samples: usize) -> AnchoredMeasured {
         lcs_diff(
             &base,
             &new,
-            &LcsDiffOptions::builder().linear_space(true).build(),
+            &LcsDiffOptions {
+                linear_space: true,
+                ..Default::default()
+            },
         )
         .expect("linear-space LCS fits in memory")
     });

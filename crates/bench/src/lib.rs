@@ -201,12 +201,10 @@ pub fn table1_row(scenario: &Scenario, lcs_budget: MemoryBudget) -> Table1Row {
     let views_quality = quality_of(scenario, &traces, &views_report);
 
     let lcs_engine = Engine::builder()
-        .lcs_baseline(
-            LcsDiffOptions::builder()
-                .memory_budget(lcs_budget)
-                .linear_space(false)
-                .build(),
-        )
+        .lcs_baseline(LcsDiffOptions {
+            memory_budget: lcs_budget,
+            linear_space: false,
+        })
         .build();
     let lcs_result = lcs_engine.analyze(&traces.traces);
     let (lcs, speedup) = match lcs_result {

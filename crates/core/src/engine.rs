@@ -1096,11 +1096,10 @@ mod tests {
         assert_eq!(engine.cached_correlations(), 1);
 
         // Same pair, different views options: the one entry serves it.
-        let strict = DiffAlgorithm::Views(
-            ViewsDiffOptions::builder()
-                .relaxed_correlation(false)
-                .build(),
-        );
+        let strict = DiffAlgorithm::Views(ViewsDiffOptions {
+            relaxed_correlation: false,
+            ..Default::default()
+        });
         let shared = engine.diff_with_algorithm(&a, &b, &strict).unwrap();
         assert_eq!(engine.correlation_builds(), 1);
         assert_eq!(engine.cached_correlations(), 1);

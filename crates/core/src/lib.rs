@@ -83,9 +83,8 @@ pub use watch::{Watch, WatchOutcome};
 // The vocabulary types an Engine user needs, re-exported at the crate root.
 pub use rprism_check::{CheckConfig, CheckReport, Severity};
 pub use rprism_diff::{
-    AnchoredDiffOptions, AnchoredDiffOptionsBuilder, DiffSession, LcsDiffOptions,
-    LcsDiffOptionsBuilder, ProvisionalEvent, TraceDiffResult, ViewsDiffOptions,
-    ViewsDiffOptionsBuilder,
+    AnchoredDiffOptions, DiffSession, LcsDiffOptions, ProvisionalEvent, TraceDiffResult,
+    ViewsDiffOptions,
 };
 pub use rprism_format::{Encoding, FormatError};
 pub use rprism_obs::Obs;

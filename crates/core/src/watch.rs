@@ -72,19 +72,15 @@ impl Watch {
     /// None: every pushed entry is accepted. The `Result` keeps the engine's shape
     /// for its streaming entry points.
     pub fn push_entries(&mut self, entries: &[TraceEntry]) -> Result<Vec<ProvisionalEvent>> {
-        self.push_batch(&EntryBatch::of(entries))
+        Ok(self.push_batch(&EntryBatch::of(entries)))
     }
 
     /// [`Watch::push_entries`] for a batch already at the level of symbols — what
     /// [`TraceReader::read_refs_tail`](rprism_format::TraceReader::read_refs_tail) and
     /// the server's tail decoder produce.
-    ///
-    /// # Errors
-    ///
-    /// Exactly [`Watch::push_entries`]'s.
-    pub fn push_batch(&mut self, batch: &EntryBatch) -> Result<Vec<ProvisionalEvent>> {
+    pub fn push_batch(&mut self, batch: &EntryBatch) -> Vec<ProvisionalEvent> {
         let _push = self.obs.span("watch.push");
-        Ok(self.session.push_batch(&self.old.side(), batch))
+        self.session.push_batch(&self.old.side(), batch)
     }
 
     /// Ends the stream: computes the authoritative verdict over the accumulated

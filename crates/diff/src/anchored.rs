@@ -33,11 +33,15 @@ use crate::result::TraceDiffResult;
 
 /// Configuration of the anchor-based differencer.
 ///
-/// The struct is `#[non_exhaustive]`: construct it with [`AnchoredDiffOptions::default`]
-/// or through [`AnchoredDiffOptions::builder`]. Individual fields remain public for
-/// reading and in-place mutation.
+/// Plain data: set the fields that differ from the defaults and take the rest from
+/// [`AnchoredDiffOptions::default`].
+///
+/// ```
+/// use rprism_diff::AnchoredDiffOptions;
+/// let options = AnchoredDiffOptions { max_segment: 256, ..Default::default() };
+/// assert_eq!(options.max_depth, 32);
+/// ```
 #[derive(Clone, Debug)]
-#[non_exhaustive]
 pub struct AnchoredDiffOptions {
     /// Recursion depth of the anchor discovery. Each level either strips, anchors, or
     /// splits at a common key near the range midpoint (so the recursion halves the
@@ -59,52 +63,6 @@ impl Default for AnchoredDiffOptions {
             max_segment: 512,
             segment_budget: MemoryBudget::bytes(256 << 20),
         }
-    }
-}
-
-impl AnchoredDiffOptions {
-    /// Starts a builder seeded with the default configuration.
-    ///
-    /// ```
-    /// use rprism_diff::AnchoredDiffOptions;
-    /// let options = AnchoredDiffOptions::builder().max_segment(256).build();
-    /// assert_eq!(options.max_segment, 256);
-    /// ```
-    pub fn builder() -> AnchoredDiffOptionsBuilder {
-        AnchoredDiffOptionsBuilder {
-            options: AnchoredDiffOptions::default(),
-        }
-    }
-}
-
-/// Builder for [`AnchoredDiffOptions`].
-#[derive(Clone, Debug)]
-pub struct AnchoredDiffOptionsBuilder {
-    options: AnchoredDiffOptions,
-}
-
-impl AnchoredDiffOptionsBuilder {
-    /// Recursion depth of the anchor discovery.
-    pub fn max_depth(mut self, depth: usize) -> Self {
-        self.options.max_depth = depth;
-        self
-    }
-
-    /// Cell-product threshold below which a range is diffed exactly without anchoring.
-    pub fn max_segment(mut self, max_segment: usize) -> Self {
-        self.options.max_segment = max_segment;
-        self
-    }
-
-    /// Working-set cap per leaf segment (Hirschberg fallback beyond it).
-    pub fn segment_budget(mut self, budget: MemoryBudget) -> Self {
-        self.options.segment_budget = budget;
-        self
-    }
-
-    /// Finishes the builder.
-    pub fn build(self) -> AnchoredDiffOptions {
-        self.options
     }
 }
 
@@ -523,7 +481,10 @@ mod tests {
         let kb = KeyedTrace::build(&b);
         // Force the anchoring machinery (not just prefix/suffix stripping) even on
         // these tiny traces.
-        let options = AnchoredDiffOptions::builder().max_segment(1).build();
+        let options = AnchoredDiffOptions {
+            max_segment: 1,
+            ..Default::default()
+        };
         let result = anchored_diff_prepared(&ka, &kb, &options);
         let pairs = result.matching.normalized_pairs();
         for w in pairs.windows(2) {
@@ -543,7 +504,10 @@ mod tests {
         let b = trace_of(&BASE.replace("sp.config(32)", "sp.config(1)"), "new");
         let ka = KeyedTrace::build(&a);
         let kb = KeyedTrace::build(&b);
-        let options = AnchoredDiffOptions::builder().max_segment(1).build();
+        let options = AnchoredDiffOptions {
+            max_segment: 1,
+            ..Default::default()
+        };
         let rp = par::with_workers(4, || anchored_diff_prepared(&ka, &kb, &options));
         let rs = par::inline(|| anchored_diff_prepared(&ka, &kb, &options));
         assert_eq!(
@@ -560,9 +524,10 @@ mod tests {
         let b = trace_of(&BASE.replace("sp.config(32)", "sp.config(1)"), "new");
         let ka = KeyedTrace::build(&a);
         let kb = KeyedTrace::build(&b);
-        let options = AnchoredDiffOptions::builder()
-            .segment_budget(MemoryBudget::bytes(1))
-            .build();
+        let options = AnchoredDiffOptions {
+            segment_budget: MemoryBudget::bytes(1),
+            ..Default::default()
+        };
         let result = anchored_diff_prepared(&ka, &kb, &options);
         assert!(result.num_similar() > 0);
     }

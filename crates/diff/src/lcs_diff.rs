@@ -19,11 +19,15 @@ use crate::result::TraceDiffResult;
 
 /// Configuration of the LCS-based trace differencer.
 ///
-/// The struct is `#[non_exhaustive]`: construct it with [`LcsDiffOptions::default`] or
-/// through [`LcsDiffOptions::builder`]. Individual fields remain public for reading and
-/// in-place mutation.
+/// Plain data: set the fields that differ from the defaults and take the rest from
+/// [`LcsDiffOptions::default`].
+///
+/// ```
+/// use rprism_diff::{LcsDiffOptions, MemoryBudget};
+/// let options = LcsDiffOptions { memory_budget: MemoryBudget::gib(2), ..Default::default() };
+/// assert!(!options.linear_space);
+/// ```
 #[derive(Clone, Debug)]
-#[non_exhaustive]
 pub struct LcsDiffOptions {
     /// Memory budget for the quadratic table; the paper's baseline fails on long traces,
     /// and a finite budget reproduces that failure mode.
@@ -39,49 +43,6 @@ impl Default for LcsDiffOptions {
             memory_budget: MemoryBudget::unlimited(),
             linear_space: false,
         }
-    }
-}
-
-impl LcsDiffOptions {
-    /// Starts a builder seeded with the default configuration.
-    ///
-    /// ```
-    /// use rprism_diff::{LcsDiffOptions, MemoryBudget};
-    /// let options = LcsDiffOptions::builder()
-    ///     .memory_budget(MemoryBudget::gib(2))
-    ///     .linear_space(false)
-    ///     .build();
-    /// assert!(!options.linear_space);
-    /// ```
-    pub fn builder() -> LcsDiffOptionsBuilder {
-        LcsDiffOptionsBuilder {
-            options: LcsDiffOptions::default(),
-        }
-    }
-}
-
-/// Builder for [`LcsDiffOptions`].
-#[derive(Clone, Debug)]
-pub struct LcsDiffOptionsBuilder {
-    options: LcsDiffOptions,
-}
-
-impl LcsDiffOptionsBuilder {
-    /// Memory budget for the quadratic DP table (the paper's baseline failure mode).
-    pub fn memory_budget(mut self, budget: MemoryBudget) -> Self {
-        self.options.memory_budget = budget;
-        self
-    }
-
-    /// Use Hirschberg's linear-space variant instead of the full table.
-    pub fn linear_space(mut self, linear: bool) -> Self {
-        self.options.linear_space = linear;
-        self
-    }
-
-    /// Finishes the builder.
-    pub fn build(self) -> LcsDiffOptions {
-        self.options
     }
 }
 
@@ -206,9 +167,10 @@ mod tests {
     #[test]
     fn memory_budget_failure_is_reported() {
         let a = trace_of(BASE, "a");
-        let opts = LcsDiffOptions::builder()
-            .memory_budget(MemoryBudget::bytes(16))
-            .build();
+        let opts = LcsDiffOptions {
+            memory_budget: MemoryBudget::bytes(16),
+            ..Default::default()
+        };
         // With identical traces the prefix optimization avoids the table entirely, so
         // force a difference in the first entry by comparing against a different program.
         let c = trace_of(&BASE.replace("new SP(null)", "new SP(new Range(0,0))"), "c");
@@ -224,10 +186,10 @@ mod tests {
         let lin = lcs_diff(
             &a,
             &b,
-            &LcsDiffOptions::builder()
-                .memory_budget(MemoryBudget::bytes(1))
-                .linear_space(true)
-                .build(),
+            &LcsDiffOptions {
+                memory_budget: MemoryBudget::bytes(1),
+                linear_space: true,
+            },
         )
         .unwrap();
         assert_eq!(quad.num_similar(), lin.num_similar());

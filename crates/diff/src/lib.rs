@@ -42,7 +42,7 @@
 //! let (old_web, new_web) = (ViewWeb::build(&old), ViewWeb::build(&new));
 //! let (old_lean, new_lean) = (LeanTrace::build(&old), LeanTrace::build(&new));
 //!
-//! let options = ViewsDiffOptions::builder().delta(2).window(8).build();
+//! let options = ViewsDiffOptions { delta: 2, window: 8, ..Default::default() };
 //! let views = views_diff_sides(
 //!     &DiffSide::lean(&old_lean, &old_keyed, &old_web),
 //!     &DiffSide::lean(&new_lean, &new_keyed, &new_web),
@@ -65,16 +65,14 @@ pub mod result;
 pub mod session;
 pub mod views_diff;
 
-pub use anchored::{
-    anchored_diff, anchored_diff_prepared, AnchoredDiffOptions, AnchoredDiffOptionsBuilder,
-};
+pub use anchored::{anchored_diff, anchored_diff_prepared, AnchoredDiffOptions};
 pub use cost::{CostMeter, CostStats, DiffError, MemoryBudget};
 pub use lcs::{lcs_bitparallel, lcs_dp, lcs_hirschberg, lcs_length, MAX_BITPARALLEL_CLASSES};
-pub use lcs_diff::{lcs_diff, lcs_diff_prepared, LcsDiffOptions, LcsDiffOptionsBuilder};
+pub use lcs_diff::{lcs_diff, lcs_diff_prepared, LcsDiffOptions};
 pub use matching::{DiffKind, DiffSequence, Matching};
 pub use result::TraceDiffResult;
 pub use session::{DiffSession, ProvisionalEvent, SessionFinish};
 pub use views_diff::{
     views_diff_sides, views_diff_sides_correlated, DiffSide, PushTimes, SideArtifacts,
-    ViewsDiffOptions, ViewsDiffOptionsBuilder,
+    ViewsDiffOptions,
 };

@@ -236,7 +236,10 @@ fn anchored_matchings_are_valid_and_bounded_by_exact_lcs() {
         let lk = KeyedTrace::build(&left);
         let rk = KeyedTrace::build(&right);
         // max_segment 1 forces real anchoring even at these sizes.
-        let options = AnchoredDiffOptions::builder().max_segment(1).build();
+        let options = AnchoredDiffOptions {
+            max_segment: 1,
+            ..Default::default()
+        };
         let anchored = anchored_diff_prepared(&lk, &rk, &options);
         let pairs = anchored.matching.normalized_pairs();
         for w in pairs.windows(2) {

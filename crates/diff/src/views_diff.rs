@@ -47,11 +47,15 @@ use crate::result::TraceDiffResult;
 
 /// Configuration of the views-based differencer.
 ///
-/// The struct is `#[non_exhaustive]`: construct it with [`ViewsDiffOptions::default`] or
-/// through [`ViewsDiffOptions::builder`], so that future knobs can be added without
-/// breaking callers. Individual fields remain public for reading and in-place mutation.
+/// Plain data: set the fields that differ from the defaults and take the rest from
+/// [`ViewsDiffOptions::default`].
+///
+/// ```
+/// use rprism_diff::ViewsDiffOptions;
+/// let options = ViewsDiffOptions { delta: 0, window: 0, ..Default::default() };
+/// assert!(options.relaxed_correlation);
+/// ```
 #[derive(Clone, Debug)]
-#[non_exhaustive]
 pub struct ViewsDiffOptions {
     /// Δ — how many positions around the current mismatch (in thread-view coordinates) are
     /// examined when looking for correlated secondary views (the exploration radius of
@@ -77,59 +81,6 @@ impl Default for ViewsDiffOptions {
             max_scan_ahead: 96,
             relaxed_correlation: true,
         }
-    }
-}
-
-impl ViewsDiffOptions {
-    /// Starts a builder seeded with the default configuration.
-    ///
-    /// ```
-    /// use rprism_diff::ViewsDiffOptions;
-    /// let options = ViewsDiffOptions::builder().delta(2).build();
-    /// assert_eq!(options.delta, 2);
-    /// ```
-    pub fn builder() -> ViewsDiffOptionsBuilder {
-        ViewsDiffOptionsBuilder {
-            options: ViewsDiffOptions::default(),
-        }
-    }
-}
-
-/// Builder for [`ViewsDiffOptions`]; every knob defaults to the paper's evaluation
-/// configuration.
-#[derive(Clone, Debug)]
-pub struct ViewsDiffOptionsBuilder {
-    options: ViewsDiffOptions,
-}
-
-impl ViewsDiffOptionsBuilder {
-    /// Δ — the secondary-view exploration radius around a mismatch (§3.3).
-    pub fn delta(mut self, delta: usize) -> Self {
-        self.options.delta = delta;
-        self
-    }
-
-    /// δ — the half-width of the windowed secondary-view LCS (§3.3).
-    pub fn window(mut self, window: usize) -> Self {
-        self.options.window = window;
-        self
-    }
-
-    /// Bound on the post-mismatch forward scan for the next point of correspondence.
-    pub fn max_scan_ahead(mut self, max_scan_ahead: usize) -> Self {
-        self.options.max_scan_ahead = max_scan_ahead;
-        self
-    }
-
-    /// Toggle the §5 context-sensitive correlation relaxation.
-    pub fn relaxed_correlation(mut self, relaxed: bool) -> Self {
-        self.options.relaxed_correlation = relaxed;
-        self
-    }
-
-    /// Finishes the builder.
-    pub fn build(self) -> ViewsDiffOptions {
-        self.options
     }
 }
 
@@ -821,12 +772,12 @@ mod tests {
         let narrow = fresh_views_diff(
             &a,
             &b,
-            &ViewsDiffOptions::builder()
-                .delta(0)
-                .window(1)
-                .max_scan_ahead(4)
-                .relaxed_correlation(false)
-                .build(),
+            &ViewsDiffOptions {
+                delta: 0,
+                window: 1,
+                max_scan_ahead: 4,
+                relaxed_correlation: false,
+            },
         );
         let wide = fresh_views_diff(&a, &b, &ViewsDiffOptions::default());
         assert!(wide.cost.compare_ops >= narrow.cost.compare_ops);

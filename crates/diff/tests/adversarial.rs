@@ -79,7 +79,10 @@ fn balanced_fallback_splits_stay_subquadratic_without_unique_keys() {
     let exact = lcs_diff(
         &base,
         &mutated,
-        &LcsDiffOptions::builder().linear_space(true).build(),
+        &LcsDiffOptions {
+            linear_space: true,
+            ..Default::default()
+        },
     )
     .expect("exact baseline failed");
     let anchored = anchored_diff(&base, &mutated, &AnchoredDiffOptions::default());
@@ -161,7 +164,10 @@ fn hostile_gen_profiles_never_panic_any_backend() {
         let anchored = anchored_diff(
             &left,
             &right,
-            &AnchoredDiffOptions::builder().max_segment(8).build(),
+            &AnchoredDiffOptions {
+                max_segment: 8,
+                ..Default::default()
+            },
         );
         assert_eq!(anchored.algorithm, "anchored");
         assert_valid_alignment(&anchored, &left, &right, &format!("{context} (anchored)"));

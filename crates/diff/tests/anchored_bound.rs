@@ -60,10 +60,11 @@ fn anchored_matching_never_beats_the_exact_count() {
                     mutated(&mut rng, &base)
                 };
                 let (left, right) = (KeyedTrace::build(&base), KeyedTrace::build(&other));
-                let forced = AnchoredDiffOptions::builder()
-                    .max_depth(rng.usize(0, 8))
-                    .max_segment(rng.usize(1, 32))
-                    .build();
+                let forced = AnchoredDiffOptions {
+                    max_depth: rng.usize(0, 8),
+                    max_segment: rng.usize(1, 32),
+                    ..Default::default()
+                };
                 for options in [AnchoredDiffOptions::default(), forced] {
                     let context = format!(
                         "{profile}-{entries} {} (max_depth {}, max_segment {})",

@@ -54,19 +54,21 @@
 //! byte for byte the writer's encoding of the trace it decodes to, and its FNV-1a 64
 //! is the trace's content hash ([`crate::content_hash`]) with no re-encode.
 //!
-//! # Reading: one decoder, one id-level walk
+//! # Reading: one walk, three sinks
 //!
-//! [`BinaryTraceReader`] reads the record grammar two ways, through the same private
-//! primitives (`read_varint`, `lookup`, `read_string`, `read_footer`, …) and in the
-//! same order, so both report every damage with the same error:
+//! [`BinaryTraceReader`] reads the record grammar in one place: the id-level walk
+//! (`walk_*`) and its record loop, which commits each complete record and rolls back
+//! one the input runs dry in. The walk checks every tag, id, varint and the footer,
+//! builds nothing, and hands each string id and object representation, as ids, to a
+//! *sink* that decides what the stream becomes. Every read, owned or not, strict or
+//! tail, is this walk with one of three sinks, so all report damage alike:
 //!
-//! * the **decoder** (`read_*`, behind [`BinaryTraceReader::next_entry`]) builds owned
-//!   [`TraceEntry`]s — the `--full` path, and the oracle the other is tested against;
-//! * the **id-level walk** (`walk_*`) builds nothing itself. It hands each string id
-//!   and each object representation, as ids, to a *sink*. There are two sinks. The
-//!   validate sink builds nothing and tracks the canonical layout below
-//!   (`content_summary` hashes a canonical upload from its own bytes). The
-//!   [`EntryBatch`] sink ([`BinaryTraceReader::read_refs`]) resolves ids to
+//! * the **owned-entry sink** ([`BinaryTraceReader::read_batch_tail`], behind
+//!   [`BinaryTraceReader::next_entry`], [`crate::trace_from_bytes`] and `--full`)
+//!   builds [`TraceEntry`]s. Method and field names are made once per id;
+//! * the **validate sink** builds nothing and tracks the canonical layout above
+//!   (`content_summary` hashes a canonical upload from its own bytes);
+//! * the [`EntryBatch`] **sink** ([`BinaryTraceReader::read_refs`]) resolves ids to
 //!   [`Symbol`]s through a lazy per-stream table — an id in a name position (class,
 //!   method, field, init class) is interned on its first mention, a printed string
 //!   never — and is what ingest, check and watch consume.
@@ -91,7 +93,7 @@ use rprism_trace::{
 
 use crate::error::{FormatError, Result};
 use crate::varint::{self, ByteSource as _, SliceSource};
-use crate::{TailBatch, TailEntry};
+use crate::TailBatch;
 
 /// The four magic bytes opening every binary trace.
 pub const MAGIC: [u8; 4] = *b"RPTR";
@@ -347,17 +349,17 @@ impl<W: Write> BinaryTraceWriter<W> {
     }
 }
 
-/// Streaming reader of the binary encoding: one entry is decoded (and handed out) at a
-/// time; memory use is bounded by the string table, one input chunk and one record.
+/// Streaming reader of the binary encoding: entries are decoded a batch at a time;
+/// memory use is bounded by the string table, one input chunk and the batch.
 ///
 /// The string table is **file-local** (`Vec<Box<str>>`), deliberately not the
 /// process-global interner: interned strings are leaked for the process lifetime, so
 /// routing untrusted input through the interner would let a single adversarial or
 /// corrupt file (whose checksum is only verified at the footer) permanently grow
-/// process memory. [`Self::next_entry`] and validation never intern. Only
-/// [`Self::read_refs`] does, and only names, once per id (see the module docs): the
-/// streaming ingest that calls it accepts that a stream failing late leaves the names
-/// read so far behind.
+/// process memory. Owned reads ([`Self::next_entry`], [`Self::read_batch_tail`]) and
+/// validation never intern. Only [`Self::read_refs`] does, and only names, once per id
+/// (see the module docs): the streaming ingest that calls it accepts that a stream
+/// failing late leaves the names read so far behind.
 ///
 /// Input is read a chunk at a time into a byte window. Decoding indexes the window
 /// directly; the bytes of the record being decoded stay in it until the record is
@@ -380,12 +382,8 @@ pub struct BinaryTraceReader<R: Read> {
     meta: TraceMeta,
     /// File-local string id → string (dropped with the reader).
     strings: Vec<Box<str>>,
-    /// Lazily built per-id name values, so repeated mentions share one `Arc` each.
-    methods: Vec<Option<MethodName>>,
-    fields: Vec<Option<FieldName>>,
-    /// Lazily interned per-id symbols for [`Self::read_refs_tail`]: each id in a name
-    /// position is interned on its first mention and never again.
-    symbols: Vec<Option<Symbol>>,
+    /// What the sinks built from string ids, kept between batches.
+    names: Names,
     entries_read: u64,
     done: bool,
     /// Where the last incomplete read ran dry, for strict-mode truncation reports.
@@ -422,9 +420,7 @@ impl<R: Read> BinaryTraceReader<R> {
             hash: Fnv64::new(),
             meta: TraceMeta::default(),
             strings: Vec::new(),
-            methods: Vec::new(),
-            fields: Vec::new(),
-            symbols: Vec::new(),
+            names: Names::default(),
             entries_read: 0,
             done: false,
             dry_offset: 0,
@@ -520,9 +516,6 @@ impl<R: Read> BinaryTraceReader<R> {
     fn restore(&mut self, cp: Checkpoint) {
         self.pos = self.start;
         self.strings.truncate(cp.strings);
-        self.methods.truncate(cp.strings);
-        self.fields.truncate(cp.strings);
-        self.symbols.truncate(cp.strings);
         self.entries_read = cp.entries_read;
     }
 
@@ -601,165 +594,6 @@ impl<R: Read> BinaryTraceReader<R> {
         }
     }
 
-    fn lookup_str(&self, id: u64) -> Result<&str> {
-        Ok(&self.strings[self.lookup(id)?])
-    }
-
-    fn method_name(&mut self, id: u64) -> Result<MethodName> {
-        let index = self.lookup(id)?;
-        let strings = &self.strings;
-        Ok(self.methods[index]
-            .get_or_insert_with(|| MethodName::new(&strings[index]))
-            .clone())
-    }
-
-    fn field_name(&mut self, id: u64) -> Result<FieldName> {
-        let index = self.lookup(id)?;
-        let strings = &self.strings;
-        Ok(self.fields[index]
-            .get_or_insert_with(|| FieldName::new(&strings[index]))
-            .clone())
-    }
-
-    fn read_objrep(&mut self) -> Result<ObjRep> {
-        let start = self.offset();
-        let Some(flags) = self.read_optional_byte()? else {
-            return Err(FormatError::Truncated {
-                offset: self.offset(),
-            });
-        };
-        if flags & !(OBJ_HAS_LOC | OBJ_HAS_SEQ) != 0 {
-            return Err(FormatError::Corrupt {
-                offset: start,
-                detail: format!("unknown object representation flags {flags:#04x}"),
-            });
-        }
-        let class_id = self.read_varint()?;
-        let class = self.lookup_str(class_id)?.to_owned();
-        let fingerprint = ValueFingerprint(self.read_varint()?);
-        let printed_id = self.read_varint()?;
-        let printed = self.lookup_str(printed_id)?.to_owned();
-        let loc = if flags & OBJ_HAS_LOC != 0 {
-            Some(Loc(self.read_varint()?))
-        } else {
-            None
-        };
-        let creation_seq = if flags & OBJ_HAS_SEQ != 0 {
-            Some(CreationSeq(self.read_varint()?))
-        } else {
-            None
-        };
-        Ok(ObjRep {
-            loc,
-            class,
-            fingerprint,
-            printed,
-            creation_seq,
-        })
-    }
-
-    fn read_snapshot(&mut self) -> Result<StackSnapshot> {
-        let count = self.read_varint()?;
-        let mut frames = Vec::new();
-        for _ in 0..count {
-            let method = self.read_varint()?;
-            let method = self.method_name(method)?;
-            let caller = self.read_objrep()?;
-            let callee = self.read_objrep()?;
-            frames.push(StackFrame::new(method, caller, callee));
-        }
-        Ok(StackSnapshot::new(frames))
-    }
-
-    fn read_event(&mut self) -> Result<Event> {
-        let start = self.offset();
-        let Some(kind) = self.read_optional_byte()? else {
-            return Err(FormatError::Truncated {
-                offset: self.offset(),
-            });
-        };
-        Ok(match kind {
-            KIND_GET | KIND_SET => {
-                let target = self.read_objrep()?;
-                let field = self.read_varint()?;
-                let field = self.field_name(field)?;
-                let value = self.read_objrep()?;
-                if kind == KIND_GET {
-                    Event::Get {
-                        target,
-                        field,
-                        value,
-                    }
-                } else {
-                    Event::Set {
-                        target,
-                        field,
-                        value,
-                    }
-                }
-            }
-            KIND_CALL => {
-                let target = self.read_objrep()?;
-                let method = self.read_varint()?;
-                let method = self.method_name(method)?;
-                let argc = self.read_varint()?;
-                let mut args = Vec::new();
-                for _ in 0..argc {
-                    args.push(self.read_objrep()?);
-                }
-                Event::Call {
-                    target,
-                    method,
-                    args,
-                }
-            }
-            KIND_RETURN => {
-                let target = self.read_objrep()?;
-                let method = self.read_varint()?;
-                let method = self.method_name(method)?;
-                let value = self.read_objrep()?;
-                Event::Return {
-                    target,
-                    method,
-                    value,
-                }
-            }
-            KIND_INIT => {
-                let class = self.read_varint()?;
-                let class = self.lookup_str(class)?.to_owned();
-                let argc = self.read_varint()?;
-                let mut args = Vec::new();
-                for _ in 0..argc {
-                    args.push(self.read_objrep()?);
-                }
-                let result = self.read_objrep()?;
-                Event::Init {
-                    class,
-                    args,
-                    result,
-                }
-            }
-            KIND_FORK => {
-                let child = ThreadId(self.read_varint()?);
-                let depth = self.read_varint()?;
-                let mut parentage = Vec::new();
-                for _ in 0..depth {
-                    parentage.push(self.read_snapshot()?);
-                }
-                Event::Fork { child, parentage }
-            }
-            KIND_END => Event::End {
-                stack: self.read_snapshot()?,
-            },
-            other => {
-                return Err(FormatError::Corrupt {
-                    offset: start,
-                    detail: format!("unknown event kind {other:#04x}"),
-                })
-            }
-        })
-    }
-
     fn read_footer(&mut self) -> Result<()> {
         let footer_offset = self.offset() - 1;
         let declared = self.read_varint()?;
@@ -796,100 +630,46 @@ impl<R: Read> BinaryTraceReader<R> {
         Ok(())
     }
 
-    /// Reads the body of a `sym` record: defines the next string id.
-    fn read_sym(&mut self) -> Result<()> {
-        let s = self.read_string()?.into_boxed_str();
-        self.strings.push(s);
-        self.methods.push(None);
-        self.fields.push(None);
-        Ok(())
-    }
-
-    /// Decodes one record starting at the current boundary. `Ok(None)` means no tag
-    /// byte is available right now.
-    fn read_record(&mut self) -> Result<Option<Record>> {
-        let Some(tag) = self.read_optional_byte()? else {
-            return Ok(None);
-        };
-        match tag {
-            TAG_SYM => {
-                self.read_sym()?;
-                Ok(Some(Record::Sym))
-            }
-            TAG_ENTRY => {
-                let tid = ThreadId(self.read_varint()?);
-                let method = self.read_varint()?;
-                let method = self.method_name(method)?;
-                let active = self.read_objrep()?;
-                let event = self.read_event()?;
-                let eid = EntryId(self.entries_read);
-                self.entries_read += 1;
-                Ok(Some(Record::Entry(TraceEntry::new(
-                    eid, tid, method, active, event,
-                ))))
-            }
-            TAG_END => {
-                self.read_footer()?;
-                Ok(Some(Record::End))
-            }
-            other => Err(FormatError::Corrupt {
-                offset: self.offset() - 1,
-                detail: format!("unknown record tag {other:#04x}"),
-            }),
-        }
-    }
-
-    /// Decodes the next entry, treating a stream that currently ends mid-record (or at
-    /// a record boundary without a footer) as the resumable [`TailEntry::Pending`]
-    /// state: the partial record's bytes are retained and re-decoded on the next call,
-    /// so the reader keeps working once the underlying source has grown. Corruption
-    /// (bad tags, checksum mismatches, invalid ids) remains a hard error.
-    pub fn next_entry_tail(&mut self) -> Result<TailEntry> {
-        if self.done {
-            return Ok(TailEntry::End);
-        }
-        loop {
-            let cp = self.checkpoint();
-            match self.read_record() {
-                Ok(Some(Record::Sym)) => self.commit(),
-                Ok(Some(Record::Entry(entry))) => {
-                    self.commit();
-                    return Ok(TailEntry::Entry(entry));
-                }
-                Ok(Some(Record::End)) => {
-                    self.commit();
-                    return Ok(TailEntry::End);
-                }
-                Ok(None) => {
-                    self.dry_offset = self.offset();
-                    self.restore(cp);
-                    return Ok(TailEntry::Pending);
-                }
-                Err(FormatError::Truncated { offset }) => {
-                    self.dry_offset = offset;
-                    self.restore(cp);
-                    return Ok(TailEntry::Pending);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
     /// Decodes the next entry, or returns `Ok(None)` after a verified footer.
     ///
     /// The entry's id is its position in the stream, matching the
     /// [`Trace`](rprism_trace::Trace) invariant. A stream that ends without a verified
     /// footer reports [`FormatError::Truncated`] — but the reader is *not* poisoned:
     /// the incomplete record's bytes are retained, so calling again after the
-    /// underlying source has grown resumes cleanly (see [`Self::next_entry_tail`]).
+    /// underlying source has grown resumes cleanly (see [`Self::read_batch_tail`]).
+    /// Each call sets up a batch of one; read many entries with the batch forms.
     pub fn next_entry(&mut self) -> Result<Option<TraceEntry>> {
-        match self.next_entry_tail()? {
-            TailEntry::Entry(entry) => Ok(Some(entry)),
-            TailEntry::End => Ok(None),
-            TailEntry::Pending => Err(FormatError::Truncated {
-                offset: self.dry_offset,
-            }),
-        }
+        let mut out = Vec::with_capacity(1);
+        self.read_batch(&mut out, 1)?;
+        Ok(out.pop())
+    }
+
+    /// Decodes up to `max` further entries into `out` (appending) off a stream that
+    /// may still be growing: the id-level walk with the owned-entry sink. A stream
+    /// that currently ends mid-record (or at a record boundary without a footer)
+    /// yields the entries before the cut, then [`TailBatch::Pending`] with the partial
+    /// record retained and re-decoded on the next call, so the reader keeps working
+    /// once the underlying source has grown. Corruption (bad tags, checksum
+    /// mismatches, invalid ids) remains a hard error.
+    pub fn read_batch_tail(&mut self, out: &mut Vec<TraceEntry>, max: usize) -> Result<TailBatch> {
+        let mut sink = EntrySink {
+            out,
+            names: std::mem::take(&mut self.names),
+            operands: Vec::new(),
+            stacks: Vec::new(),
+            frames: Vec::new(),
+        };
+        let outcome = self.records_into(&mut sink, max);
+        self.names = sink.names;
+        outcome
+    }
+
+    /// The strict form of [`Self::read_batch_tail`]: returns how many entries
+    /// arrived, `0` only after a verified footer, and reports truncation where the
+    /// input runs dry.
+    pub(crate) fn read_batch(&mut self, out: &mut Vec<TraceEntry>, max: usize) -> Result<usize> {
+        let outcome = self.read_batch_tail(out, max)?;
+        self.strict(outcome)
     }
 
     /// Decodes up to `max` further entries into `batch` (appending) at the level of
@@ -899,73 +679,30 @@ impl<R: Read> BinaryTraceReader<R> {
     /// interned on its first mention in the stream and resolved from a per-stream
     /// table after that. Printed strings are never interned.
     ///
-    /// The tail semantics are [`Self::next_entry_tail`]'s: a stream that currently
-    /// ends mid-record yields the entries before the cut, then [`TailBatch::Pending`]
-    /// with the partial record retained. Errors are exactly the decoder's.
+    /// The tail semantics and the errors are [`Self::read_batch_tail`]'s.
     pub fn read_refs_tail(&mut self, batch: &mut EntryBatch, max: usize) -> Result<TailBatch> {
         let mut sink = RefSink {
             batch,
-            symbols: std::mem::take(&mut self.symbols),
+            names: std::mem::take(&mut self.names),
             frames: Vec::new(),
         };
-        let outcome = self.refs_into(&mut sink, max);
-        self.symbols = sink.symbols;
+        let outcome = self.records_into(&mut sink, max);
+        self.names = sink.names;
         outcome
     }
 
     /// The strict form of [`Self::read_refs_tail`], as [`Self::next_entry`] is of
-    /// [`Self::next_entry_tail`]: returns how many entries arrived, `0` only after a
+    /// [`Self::read_batch_tail`]: returns how many entries arrived, `0` only after a
     /// verified footer, and reports truncation where the input runs dry.
     pub fn read_refs(&mut self, batch: &mut EntryBatch, max: usize) -> Result<usize> {
-        match self.read_refs_tail(batch, max)? {
-            TailBatch::Entries(n) => Ok(n),
-            TailBatch::End => Ok(0),
-            TailBatch::Pending => Err(FormatError::Truncated {
-                offset: self.dry_offset,
-            }),
-        }
-    }
-
-    fn refs_into(&mut self, sink: &mut RefSink<'_>, max: usize) -> Result<TailBatch> {
-        let mut read = 0;
-        while read < max && !self.done {
-            let cp = self.checkpoint();
-            let dry_offset = match self.walk_record(sink) {
-                Ok(Some(record)) => {
-                    self.commit();
-                    if let Record::Entry(()) = record {
-                        read += 1;
-                    }
-                    continue;
-                }
-                Ok(None) => self.offset(),
-                Err(FormatError::Truncated { offset }) => offset,
-                Err(e) => {
-                    sink.batch.discard_open();
-                    return Err(e);
-                }
-            };
-            self.dry_offset = dry_offset;
-            self.restore(cp);
-            sink.symbols.truncate(cp.strings);
-            sink.batch.discard_open();
-            return Ok(if read == 0 {
-                TailBatch::Pending
-            } else {
-                TailBatch::Entries(read)
-            });
-        }
-        Ok(if read == 0 && self.done {
-            TailBatch::End
-        } else {
-            TailBatch::Entries(read)
-        })
+        let outcome = self.read_refs_tail(batch, max)?;
+        self.strict(outcome)
     }
 
     /// Validates the rest of the stream without decoding it: the id-level walk with
     /// the layout sink, which builds nothing — no [`ObjRep`], no names, no argument
-    /// lists. Every check of the decoder runs, so a damaged stream fails with exactly
-    /// the error [`Self::next_entry`] would report.
+    /// lists. The walk is the one every read runs, so a damaged stream fails with
+    /// exactly the error [`Self::next_entry`] would report.
     ///
     /// Returns the entry count and, when the stream has the canonical layout (see the
     /// module docs), the FNV-1a 64 of the whole stream, checksum field included: the
@@ -976,23 +713,13 @@ impl<R: Read> BinaryTraceReader<R> {
             mentioned: 0,
             canonical: true,
         };
-        loop {
-            match self.walk_record(&mut layout)? {
-                None => {
-                    return Err(FormatError::Truncated {
-                        offset: self.offset(),
-                    })
-                }
-                Some(Record::End) => {
-                    self.commit();
-                    layout.canonical &= layout.mentioned == self.strings.len();
-                    let hash = (layout.canonical && self.strings_are_distinct())
-                        .then(|| self.hash.finish());
-                    return Ok((self.entries_read, hash));
-                }
-                Some(_) => self.commit(),
-            }
+        while !self.done {
+            let outcome = self.records_into(&mut layout, usize::MAX)?;
+            self.strict(outcome)?;
         }
+        layout.canonical &= layout.mentioned == self.strings.len();
+        let hash = (layout.canonical && self.strings_are_distinct()).then(|| self.hash.finish());
+        Ok((self.entries_read, hash))
     }
 
     /// Canonical layout rule 1: no string is defined twice. Sorted rather than hashed,
@@ -1003,17 +730,60 @@ impl<R: Read> BinaryTraceReader<R> {
         sorted.windows(2).all(|pair| pair[0] != pair[1])
     }
 
-    /// The id-level walk of one record starting at the current boundary: the record
-    /// grammar read through the decoder's primitives, in the decoder's order, with
-    /// every string id and object representation handed to `sink` instead of being
-    /// built. `Ok(None)` means no tag byte is available right now.
-    fn walk_record<S: Sink>(&mut self, sink: &mut S) -> Result<Option<Record<()>>> {
+    /// Turns a tail read's outcome into the strict one: a stream that ran dry before
+    /// its verified footer is truncated where it ran dry.
+    fn strict(&self, outcome: TailBatch) -> Result<usize> {
+        match outcome {
+            TailBatch::Entries(n) => Ok(n),
+            TailBatch::End => Ok(0),
+            TailBatch::Pending => Err(FormatError::Truncated {
+                offset: self.dry_offset,
+            }),
+        }
+    }
+
+    /// The record loop behind every read: walks records into `sink`, committing each
+    /// complete one, until `max` entries have arrived or the footer is verified. A
+    /// record the input runs dry in is rolled back, in the reader and in the sink,
+    /// and ends the batch as [`TailBatch::Pending`] (or with the entries before it).
+    fn records_into<S: Sink>(&mut self, sink: &mut S, max: usize) -> Result<TailBatch> {
+        let mut read = 0;
+        while read < max && !self.done {
+            let cp = self.checkpoint();
+            let dry_offset = match self.walk_record(sink) {
+                Ok(Some(record)) => {
+                    self.commit();
+                    if let Record::Entry = record {
+                        read += 1;
+                    }
+                    continue;
+                }
+                Ok(None) => self.offset(),
+                Err(FormatError::Truncated { offset }) => offset,
+                Err(e) => {
+                    sink.rollback(cp.strings);
+                    return Err(e);
+                }
+            };
+            self.dry_offset = dry_offset;
+            self.restore(cp);
+            sink.rollback(cp.strings);
+            return Ok(TailBatch::after(read, true, false));
+        }
+        Ok(TailBatch::after(read, false, self.done))
+    }
+
+    /// The id-level walk of one record starting at the current boundary: every string
+    /// id and object representation is handed to `sink` instead of being built.
+    /// `Ok(None)` means no tag byte is available right now.
+    fn walk_record<S: Sink>(&mut self, sink: &mut S) -> Result<Option<Record>> {
         let Some(tag) = self.read_optional_byte()? else {
             return Ok(None);
         };
         match tag {
             TAG_SYM => {
-                self.read_sym()?;
+                let s = self.read_string()?.into_boxed_str();
+                self.strings.push(s);
                 Ok(Some(Record::Sym))
             }
             TAG_ENTRY => {
@@ -1034,7 +804,7 @@ impl<R: Read> BinaryTraceReader<R> {
                     },
                 );
                 self.entries_read += 1;
-                Ok(Some(Record::Entry(())))
+                Ok(Some(Record::Entry))
             }
             TAG_END => {
                 self.read_footer()?;
@@ -1055,7 +825,7 @@ impl<R: Read> BinaryTraceReader<R> {
         Ok(index)
     }
 
-    /// [`Self::read_objrep`] at the level of ids.
+    /// One `objrep` at the level of ids.
     fn walk_objrep<S: Sink>(&mut self, sink: &mut S) -> Result<RawObj> {
         let start = self.offset();
         let Some(flags) = self.read_optional_byte()? else {
@@ -1098,16 +868,7 @@ impl<R: Read> BinaryTraceReader<R> {
         Ok(())
     }
 
-    /// A counted list of event operands (call and init arguments).
-    fn walk_operands<S: Sink>(&mut self, sink: &mut S) -> Result<()> {
-        let count = self.read_varint()?;
-        for _ in 0..count {
-            self.walk_operand(sink)?;
-        }
-        Ok(())
-    }
-
-    /// [`Self::read_snapshot`] at the level of ids.
+    /// One `snapshot`, frame by frame.
     fn walk_snapshot<S: Sink>(&mut self, sink: &mut S) -> Result<()> {
         let count = self.read_varint()?;
         for _ in 0..count {
@@ -1120,8 +881,8 @@ impl<R: Read> BinaryTraceReader<R> {
         Ok(())
     }
 
-    /// [`Self::read_event`] at the level of ids: the operands go to `sink` in
-    /// [`Event::operands`] order; returns the kind, the named id and a fork's child.
+    /// One `event`: the operands go to `sink` in [`Event::operands`] order, the stack
+    /// snapshots in stream order; returns the kind, the named id and a fork's child.
     fn walk_event<S: Sink>(
         &mut self,
         sink: &mut S,
@@ -1147,12 +908,16 @@ impl<R: Read> BinaryTraceReader<R> {
             KIND_CALL => {
                 self.walk_operand(sink)?;
                 let name = self.walk_id(sink)?;
-                self.walk_operands(sink)?;
+                for _ in 0..self.read_varint()? {
+                    self.walk_operand(sink)?;
+                }
                 (EventKind::Call, Some(name), None)
             }
             KIND_INIT => {
                 let name = self.walk_id(sink)?;
-                self.walk_operands(sink)?;
+                for _ in 0..self.read_varint()? {
+                    self.walk_operand(sink)?;
+                }
                 self.walk_operand(sink)?;
                 (EventKind::Init, Some(name), None)
             }
@@ -1200,19 +965,30 @@ struct RawEntry {
     child: Option<ThreadId>,
 }
 
-/// What the id-level walk reports, in stream order. `strings` is the stream's
-/// string table as it stands.
+/// One record of the binary stream, as the walk reports it.
+enum Record {
+    Sym,
+    Entry,
+    End,
+}
+
+/// What the id-level walk reports, in stream order; a sink overrides what it uses.
+/// `strings` is the stream's string table as it stands.
 trait Sink {
     /// A string id was mentioned (every mention, in stream order).
-    fn mention(&mut self, index: usize);
+    fn mention(&mut self, _index: usize) {}
     /// One event operand, in [`Event::operands`] order.
-    fn operand(&mut self, strings: &[Box<str>], obj: RawObj);
+    fn operand(&mut self, _strings: &[Box<str>], _obj: RawObj) {}
     /// One frame of the stack snapshot being walked.
-    fn frame(&mut self, strings: &[Box<str>], method: usize, caller: RawObj, callee: RawObj);
+    fn frame(&mut self, _strings: &[Box<str>], _method: usize, _caller: RawObj, _callee: RawObj) {}
     /// The stack snapshot being walked is complete.
-    fn snapshot(&mut self);
+    fn snapshot(&mut self) {}
     /// The entry is complete.
     fn entry(&mut self, strings: &[Box<str>], entry: RawEntry);
+    /// The record being walked is abandoned, the string table cut back to its first
+    /// `strings` ids, and the batch ends: drop what outlives the sink and was built
+    /// from the record or from a dropped id.
+    fn rollback(&mut self, _strings: usize) {}
 }
 
 /// The validate sink: builds nothing, tracks the canonical layout.
@@ -1234,16 +1010,81 @@ impl Sink for Layout {
         }
     }
 
-    fn operand(&mut self, _: &[Box<str>], _: RawObj) {}
-
-    fn frame(&mut self, _: &[Box<str>], _: usize, _: RawObj, _: RawObj) {}
-
-    fn snapshot(&mut self) {}
-
     /// Canonical layout rule 3: after every entry, every defined string was mentioned.
     fn entry(&mut self, strings: &[Box<str>], _: RawEntry) {
         self.canonical &= self.mentioned == strings.len();
     }
+}
+
+/// What the building sinks make from string ids, once per id on its first mention:
+/// the [`EntryBatch`] sink's symbols and the owned-entry sink's method and field
+/// names. The reader keeps them between batches.
+#[derive(Default)]
+struct Names {
+    symbols: Vec<Option<Symbol>>,
+    methods: Vec<Option<MethodName>>,
+    fields: Vec<Option<FieldName>>,
+}
+
+impl Names {
+    fn symbol(&mut self, strings: &[Box<str>], index: usize) -> Symbol {
+        named(&mut self.symbols, strings, index, intern)
+    }
+
+    fn method(&mut self, strings: &[Box<str>], index: usize) -> MethodName {
+        named(&mut self.methods, strings, index, |s| MethodName::new(s))
+    }
+
+    fn field(&mut self, strings: &[Box<str>], index: usize) -> FieldName {
+        named(&mut self.fields, strings, index, |s| FieldName::new(s))
+    }
+
+    fn truncate(&mut self, strings: usize) {
+        self.symbols.truncate(strings);
+        self.methods.truncate(strings);
+        self.fields.truncate(strings);
+    }
+}
+
+/// The value of string id `index` in `table`, made from its string on first use.
+fn named<T: Clone>(
+    table: &mut Vec<Option<T>>,
+    strings: &[Box<str>],
+    index: usize,
+    make: impl FnOnce(&str) -> T,
+) -> T {
+    if index >= table.len() {
+        table.resize(strings.len(), None);
+    }
+    table[index]
+        .get_or_insert_with(|| make(&strings[index]))
+        .clone()
+}
+
+/// The owned [`ObjRep`] of an id-level object.
+fn owned_objrep(strings: &[Box<str>], obj: RawObj) -> ObjRep {
+    ObjRep {
+        loc: obj.loc,
+        class: String::from(&*strings[obj.class]),
+        fingerprint: obj.fingerprint,
+        printed: String::from(&*strings[obj.printed]),
+        creation_seq: obj.creation_seq,
+    }
+}
+
+/// The owned [`StackFrame`] of an id-level frame.
+fn owned_frame(
+    names: &mut Names,
+    strings: &[Box<str>],
+    method: usize,
+    caller: RawObj,
+    callee: RawObj,
+) -> StackFrame {
+    StackFrame::new(
+        names.method(strings, method),
+        owned_objrep(strings, caller),
+        owned_objrep(strings, callee),
+    )
 }
 
 /// The [`EntryBatch`] sink: resolves name ids to symbols through the stream's lazy
@@ -1251,22 +1092,15 @@ impl Sink for Layout {
 /// thread events copy strings, into owned [`StackSnapshot`]s.
 struct RefSink<'a> {
     batch: &'a mut EntryBatch,
-    symbols: Vec<Option<Symbol>>,
+    names: Names,
     frames: Vec<StackFrame>,
 }
 
 impl RefSink<'_> {
-    fn symbol(&mut self, strings: &[Box<str>], index: usize) -> Symbol {
-        if index >= self.symbols.len() {
-            self.symbols.resize(strings.len(), None);
-        }
-        *self.symbols[index].get_or_insert_with(|| intern(&strings[index]))
-    }
-
     fn obj_at(&mut self, strings: &[Box<str>], obj: RawObj) -> ObjAt {
         ObjAt {
             ident: ObjIdent {
-                class: self.symbol(strings, obj.class),
+                class: self.names.symbol(strings, obj.class),
                 fingerprint: obj.fingerprint,
                 creation_seq: obj.creation_seq,
             },
@@ -1275,35 +1109,19 @@ impl RefSink<'_> {
     }
 }
 
-/// The owned [`ObjRep`] of an id-level object (stack snapshot frames only).
-fn owned_objrep(strings: &[Box<str>], obj: RawObj) -> ObjRep {
-    ObjRep {
-        loc: obj.loc,
-        class: strings[obj.class].to_string(),
-        fingerprint: obj.fingerprint,
-        printed: strings[obj.printed].to_string(),
-        creation_seq: obj.creation_seq,
-    }
-}
-
 impl Sink for RefSink<'_> {
-    fn mention(&mut self, _: usize) {}
-
     fn operand(&mut self, strings: &[Box<str>], obj: RawObj) {
         let operand = self.obj_at(strings, obj);
         self.batch.push_operand(operand);
     }
 
     fn frame(&mut self, strings: &[Box<str>], method: usize, caller: RawObj, callee: RawObj) {
-        self.frames.push(StackFrame::new(
-            MethodName::new(&*strings[method]),
-            owned_objrep(strings, caller),
-            owned_objrep(strings, callee),
-        ));
+        let frame = owned_frame(&mut self.names, strings, method, caller, callee);
+        self.frames.push(frame);
     }
 
     fn snapshot(&mut self) {
-        let frames = std::mem::take(&mut self.frames);
+        let frames = self.frames.drain(..).collect();
         self.batch.push_stack(StackSnapshot::new(frames));
     }
 
@@ -1311,25 +1129,120 @@ impl Sink for RefSink<'_> {
         let head = EntryHead {
             eid: entry.eid,
             tid: entry.tid,
-            method: self.symbol(strings, entry.method),
+            method: self.names.symbol(strings, entry.method),
             active: self.obj_at(strings, entry.active),
             kind: entry.kind,
-            name: entry.name.map(|name| self.symbol(strings, name)),
+            name: entry.name.map(|name| self.names.symbol(strings, name)),
             child: entry.child,
         };
         self.batch.close_entry(head);
     }
+
+    fn rollback(&mut self, strings: usize) {
+        self.names.truncate(strings);
+        self.batch.discard_open();
+    }
 }
 
-/// One record of the binary stream: a decoded entry ([`BinaryTraceReader::read_record`])
-/// or `()` for the id-level walk ([`BinaryTraceReader::walk_record`]).
-// The Entry payload is moved straight out to the caller; boxing it would cost an
-// allocation per decoded entry on the ingest hot path.
-#[allow(clippy::large_enum_variant)]
-enum Record<T = TraceEntry> {
-    Sym,
-    Entry(T),
-    End,
+/// The owned-entry sink: builds each [`TraceEntry`] from the operands and stack
+/// snapshots the walk handed over, resolving method and field names through the
+/// stream's lazy per-id tables. Every other string is copied out of the table.
+struct EntrySink<'a> {
+    out: &'a mut Vec<TraceEntry>,
+    names: Names,
+    /// The open entry's operands, in [`Event::operands`] order.
+    operands: Vec<ObjRep>,
+    /// The open entry's stack snapshots.
+    stacks: Vec<StackSnapshot>,
+    /// The open snapshot's frames.
+    frames: Vec<StackFrame>,
+}
+
+impl EntrySink<'_> {
+    fn operand(&mut self) -> ObjRep {
+        self.operands
+            .pop()
+            .expect("the walk hands over every operand")
+    }
+}
+
+impl Sink for EntrySink<'_> {
+    fn operand(&mut self, strings: &[Box<str>], obj: RawObj) {
+        self.operands.push(owned_objrep(strings, obj));
+    }
+
+    fn frame(&mut self, strings: &[Box<str>], method: usize, caller: RawObj, callee: RawObj) {
+        let frame = owned_frame(&mut self.names, strings, method, caller, callee);
+        self.frames.push(frame);
+    }
+
+    fn snapshot(&mut self) {
+        let frames = self.frames.drain(..).collect();
+        self.stacks.push(StackSnapshot::new(frames));
+    }
+
+    fn entry(&mut self, strings: &[Box<str>], entry: RawEntry) {
+        let event = match (entry.kind, entry.name) {
+            (EventKind::Get | EventKind::Set, Some(name)) => {
+                let value = self.operand();
+                let target = self.operand();
+                let field = self.names.field(strings, name);
+                if entry.kind == EventKind::Get {
+                    Event::Get {
+                        target,
+                        field,
+                        value,
+                    }
+                } else {
+                    Event::Set {
+                        target,
+                        field,
+                        value,
+                    }
+                }
+            }
+            (EventKind::Call, Some(name)) => {
+                let args = self.operands.drain(1..).collect();
+                Event::Call {
+                    target: self.operand(),
+                    method: self.names.method(strings, name),
+                    args,
+                }
+            }
+            (EventKind::Return, Some(name)) => {
+                let value = self.operand();
+                Event::Return {
+                    target: self.operand(),
+                    method: self.names.method(strings, name),
+                    value,
+                }
+            }
+            (EventKind::Init, Some(name)) => {
+                let result = self.operand();
+                Event::Init {
+                    class: String::from(&*strings[name]),
+                    args: self.operands.drain(..).collect(),
+                    result,
+                }
+            }
+            (EventKind::Fork, _) => Event::Fork {
+                child: entry.child.expect("the walk gives every fork its child"),
+                parentage: self.stacks.drain(..).collect(),
+            },
+            (EventKind::End, _) => Event::End {
+                stack: self.stacks.pop().expect("the walk hands over the stack"),
+            },
+            _ => unreachable!("the walk names every get, set, call, return and init"),
+        };
+        let method = self.names.method(strings, entry.method);
+        let active = owned_objrep(strings, entry.active);
+        self.out
+            .push(TraceEntry::new(entry.eid, entry.tid, method, active, event));
+    }
+
+    fn rollback(&mut self, strings: usize) {
+        self.names.truncate(strings);
+    }
 }
 
 #[cfg(test)]

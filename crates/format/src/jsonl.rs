@@ -46,7 +46,7 @@ use rprism_trace::{
 
 use crate::error::{FormatError, Result};
 use crate::json::{self, Json};
-use crate::TailEntry;
+use crate::TailBatch;
 
 /// The JSONL schema version this crate reads and writes (kept in lock step with the
 /// binary [`FORMAT_VERSION`](crate::binary::FORMAT_VERSION)).
@@ -588,31 +588,32 @@ impl<R: BufRead> JsonlTraceReader<R> {
         }
     }
 
-    /// Parses the next entry off a *growing* stream: only complete (newline-terminated)
-    /// lines are consumed, so an input that currently ends mid-line reports the
-    /// resumable [`TailEntry::Pending`] state with the partial bytes retained for the
-    /// next call. Because a trailer-less JSONL stream ends implicitly, `Pending` is
-    /// also what a finished-but-trailerless stream looks like — the caller decides
-    /// when the source has stopped growing and switches to [`Self::next_entry`],
-    /// which applies the strict end-of-input semantics (unterminated-final-line grace
-    /// included) to whatever remains.
-    pub fn next_entry_tail(&mut self) -> Result<TailEntry> {
-        if self.done {
-            return Ok(TailEntry::End);
-        }
-        let Some(line) = self.next_line_mode(true)? else {
-            return Ok(TailEntry::Pending);
-        };
-        match self.parse_entry_line(&line)? {
-            Some(entry) => Ok(TailEntry::Entry(entry)),
-            None => {
+    /// Parses up to `max` further entries into `out` (appending) off a *growing*
+    /// stream: only complete (newline-terminated) lines are consumed, so an input that
+    /// currently ends mid-line reports the resumable [`TailBatch::Pending`] state
+    /// with the partial bytes retained for the next call. Because a trailer-less JSONL
+    /// stream ends implicitly, `Pending` is also what a finished-but-trailerless
+    /// stream looks like — the caller decides when the source has stopped growing and
+    /// switches to [`Self::next_entry`], which applies the strict end-of-input
+    /// semantics (unterminated-final-line grace included) to whatever remains.
+    pub fn read_batch_tail(&mut self, out: &mut Vec<TraceEntry>, max: usize) -> Result<TailBatch> {
+        let mut read = 0;
+        while read < max && !self.done {
+            let Some(line) = self.next_line_mode(true)? else {
+                return Ok(TailBatch::after(read, true, false));
+            };
+            match self.parse_entry_line(&line)? {
+                Some(entry) => {
+                    out.push(entry);
+                    read += 1;
+                }
                 // Trailer seen: the trace is complete. The strict after-trailer
                 // content check happens when (and if) the caller drains the stream
                 // strictly; a growing source has nothing after the trailer yet.
-                self.done = true;
-                Ok(TailEntry::End)
+                None => self.done = true,
             }
         }
+        Ok(TailBatch::after(read, false, self.done))
     }
 }
 

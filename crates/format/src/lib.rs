@@ -23,11 +23,11 @@
 //!
 //! ## Streaming
 //!
-//! [`TraceWriter`] and [`TraceReader`] process one entry at a time: the writer pushes
-//! each entry straight to the underlying `Write`, the reader hands out each decoded
-//! entry before looking at the next record. Neither ever materializes more than one
-//! entry beyond the [`Trace`] the caller is building, so arbitrarily long traces stream
-//! through bounded memory (plus the string table).
+//! [`TraceWriter`] pushes each entry straight to the underlying `Write`, and
+//! [`TraceReader`] hands out decoded entries a bounded batch at a time, as owned
+//! [`TraceEntry`]s or as an [`EntryBatch`] of symbols. Neither ever materializes more
+//! than one batch beyond the [`Trace`] the caller is building, so arbitrarily long
+//! traces stream through bounded memory (plus the string table).
 //!
 //! ## Errors
 //!
@@ -87,34 +87,32 @@ pub use jsonl::{JsonlTraceReader, JsonlTraceWriter, JSONL_VERSION};
 pub use tail::TailDecoder;
 
 /// The UTF-8 byte-order mark a stream may open with; it is not part of the trace.
-const BOM: [u8; 3] = [0xef, 0xbb, 0xbf];
+pub(crate) const BOM: [u8; 3] = [0xef, 0xbb, 0xbf];
 
-/// One step of reading a trace stream that may still be growing (see
-/// [`TraceReader::next_entry_tail`]).
-// The Entry payload is moved straight out to the caller; boxing it would cost an
-// allocation per decoded entry on the ingest hot path.
-#[allow(clippy::large_enum_variant)]
-#[derive(Clone, Debug, PartialEq)]
-pub enum TailEntry {
-    /// A fully decoded entry.
-    Entry(TraceEntry),
-    /// The stream currently ends mid-record (or at a record boundary without a
-    /// verified end). Not an error: the partial bytes are retained, and calling again
-    /// after the source has grown resumes exactly where decoding left off.
-    Pending,
-    /// The verified end of the trace (binary footer / JSONL trailer).
-    End,
-}
-
-/// Outcome of one [`TraceReader::read_batch_tail`] call over a growing stream.
+/// Outcome of one tail-mode batch read over a growing stream
+/// ([`TraceReader::read_batch_tail`], [`TraceReader::read_refs_tail`] and the
+/// per-encoding readers' forms).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TailBatch {
-    /// This many entries were decoded into the output batch (always non-zero).
+    /// This many entries were decoded into the output batch (non-zero unless the
+    /// call asked for none).
     Entries(usize),
     /// No complete entry is available right now; try again after the source grows.
     Pending,
     /// The verified end of the trace was reached with no further entries.
     End,
+}
+
+impl TailBatch {
+    /// The outcome of a batch of `read` entries that stopped where the input ran dry
+    /// (`dry`), at the verified end (`done`), or at its size limit.
+    pub(crate) fn after(read: usize, dry: bool, done: bool) -> Self {
+        match read {
+            0 if dry => TailBatch::Pending,
+            0 if done => TailBatch::End,
+            n => TailBatch::Entries(n),
+        }
+    }
 }
 
 /// The two on-disk encodings of a trace.
@@ -300,25 +298,14 @@ impl<R: BufRead> TraceReader<R> {
         }
     }
 
-    /// Decodes the next entry off a stream that may still be growing: an input that
-    /// currently ends mid-record is the resumable [`TailEntry::Pending`] state, not an
-    /// error — the partial record's bytes are retained and decoding resumes on the
-    /// next call once the underlying source has more data. Corruption remains a hard
-    /// error. When the caller decides the source has stopped growing, it switches to
-    /// [`Self::next_entry`] / [`Self::read_refs`], which apply each encoding's strict
-    /// end-of-stream semantics to whatever remains.
-    pub fn next_entry_tail(&mut self) -> Result<TailEntry> {
-        match self {
-            TraceReader::Binary(r) => r.next_entry_tail(),
-            TraceReader::Jsonl(r) => r.next_entry_tail(),
-        }
-    }
-
-    /// The tail-mode form of [`Self::next_entry`]: decodes up to `max` entries into
-    /// `out` (cleared first) from a stream that may still be growing. An input that
-    /// ends mid-record yields whatever complete entries preceded the cut and then the
-    /// [`TailBatch::Pending`] state instead of a truncation error; calling again after
-    /// the source grows resumes exactly where decoding stopped.
+    /// Decodes up to `max` entries into `out` (cleared first) from a stream that may
+    /// still be growing. An input that ends mid-record yields whatever complete
+    /// entries preceded the cut and then the [`TailBatch::Pending`] state instead of a
+    /// truncation error: the partial record's bytes are retained, and calling again
+    /// after the source grows resumes exactly where decoding stopped. When the caller
+    /// decides the source has stopped growing, it switches to [`Self::next_entry`] /
+    /// [`Self::read_refs`], which apply each encoding's strict end-of-stream
+    /// semantics to whatever remains.
     ///
     /// # Errors
     ///
@@ -326,7 +313,28 @@ impl<R: BufRead> TraceReader<R> {
     /// schema violations); running out of bytes is never an error in this mode.
     pub fn read_batch_tail(&mut self, out: &mut Vec<TraceEntry>, max: usize) -> Result<TailBatch> {
         out.clear();
-        self.fill_tail(max, |entry| out.push(entry))
+        match self {
+            TraceReader::Binary(r) => r.read_batch_tail(out, max),
+            TraceReader::Jsonl(r) => r.read_batch_tail(out, max),
+        }
+    }
+
+    /// Decodes up to `max` further entries into `out` (appending) under the strict
+    /// end-of-stream semantics, returning how many arrived, `0` only after the
+    /// verified end of the stream.
+    pub(crate) fn append_batch(&mut self, out: &mut Vec<TraceEntry>, max: usize) -> Result<usize> {
+        match self {
+            TraceReader::Binary(r) => r.read_batch(out, max),
+            TraceReader::Jsonl(r) => {
+                let mut read = 0;
+                while read < max {
+                    let Some(entry) = r.next_entry()? else { break };
+                    out.push(entry);
+                    read += 1;
+                }
+                Ok(read)
+            }
+        }
     }
 
     /// Decodes up to `max` further entries into `out` (cleared first) at the level of
@@ -345,18 +353,13 @@ impl<R: BufRead> TraceReader<R> {
 
     /// [`Self::read_refs`] without clearing `out` first.
     pub(crate) fn append_refs(&mut self, out: &mut EntryBatch, max: usize) -> Result<usize> {
-        match self {
-            TraceReader::Binary(r) => r.read_refs(out, max),
-            TraceReader::Jsonl(r) => {
-                let mut read = 0;
-                while read < max {
-                    let Some(entry) = r.next_entry()? else { break };
-                    out.push(&entry);
-                    read += 1;
-                }
-                Ok(read)
-            }
+        if let TraceReader::Binary(r) = self {
+            return r.read_refs(out, max);
         }
+        let mut entries = Vec::new();
+        let read = self.append_batch(&mut entries, max)?;
+        entries.iter().for_each(|entry| out.push(entry));
+        Ok(read)
     }
 
     /// The tail-mode form of [`Self::read_refs`], with [`Self::read_batch_tail`]'s
@@ -367,34 +370,24 @@ impl<R: BufRead> TraceReader<R> {
     /// Exactly [`Self::read_batch_tail`]'s.
     pub fn read_refs_tail(&mut self, out: &mut EntryBatch, max: usize) -> Result<TailBatch> {
         out.clear();
-        match self {
-            TraceReader::Binary(r) => r.read_refs_tail(out, max),
-            TraceReader::Jsonl(_) => self.fill_tail(max, |entry| out.push(&entry)),
+        if let TraceReader::Binary(r) = self {
+            return r.read_refs_tail(out, max);
         }
-    }
-
-    /// Hands up to `max` tail-decoded entries to `put`.
-    fn fill_tail(&mut self, max: usize, mut put: impl FnMut(TraceEntry)) -> Result<TailBatch> {
-        let mut read = 0;
-        while read < max {
-            match self.next_entry_tail()? {
-                TailEntry::Entry(entry) => {
-                    put(entry);
-                    read += 1;
-                }
-                TailEntry::Pending if read == 0 => return Ok(TailBatch::Pending),
-                TailEntry::End if read == 0 => return Ok(TailBatch::End),
-                TailEntry::Pending | TailEntry::End => break,
-            }
-        }
-        Ok(TailBatch::Entries(read))
+        let mut entries = Vec::new();
+        let outcome = self.read_batch_tail(&mut entries, max)?;
+        entries.iter().for_each(|entry| out.push(entry));
+        Ok(outcome)
     }
 
     /// Reads all remaining entries into a [`Trace`], validating the stream end.
     pub fn into_trace(mut self) -> Result<Trace> {
         let mut trace = Trace::new(self.meta().clone());
-        while let Some(entry) = self.next_entry()? {
-            trace.push(entry);
+        while self.append_batch(&mut trace.entries, usize::MAX)? > 0 {}
+        // Entry ids are stream positions: renumber past entries a caller already took.
+        if let Some(taken) = trace.entries.first().map(|entry| entry.eid.0) {
+            for entry in &mut trace.entries {
+                entry.eid.0 -= taken;
+            }
         }
         Ok(trace)
     }
@@ -486,11 +479,11 @@ impl Write for HashSink {
 /// The input itself picks how the hash is computed:
 ///
 /// * **Binary in the canonical layout** (see [`binary`]) — every stream
-///   [`BinaryTraceWriter`] produced — *is* its canonical encoding. One validating
-///   walk over the bytes runs every check the decoder runs, without building an
-///   entry, and the hash is the FNV-1a 64 of the stream itself.
+///   [`BinaryTraceWriter`] produced — *is* its canonical encoding. One pass of the
+///   walk every binary read runs checks the bytes without building an entry, and
+///   the hash is the FNV-1a 64 of the stream itself.
 /// * **Anything else** — JSONL, or binary laid out differently (a string defined
-///   early, twice, or never used) — is decoded one entry at a time and each entry is
+///   early, twice, or never used) — is decoded a batch at a time and each entry is
 ///   re-encoded into the hash; the trace is never materialized.
 ///
 /// A leading UTF-8 byte-order mark is not part of the trace: a stream hashes like its
@@ -543,9 +536,12 @@ fn reencoded_summary(input: &[u8]) -> Result<ContentSummary> {
     let encoding = reader.encoding();
     let mut writer = TraceWriter::new(HashSink { hash: Fnv64::new() }, &meta, Encoding::Binary)?;
     let mut entries = 0u64;
-    while let Some(entry) = reader.next_entry()? {
-        writer.write_entry(&entry)?;
-        entries += 1;
+    let mut batch = Vec::new();
+    while reader.append_batch(&mut batch, 256)? > 0 {
+        for entry in batch.drain(..) {
+            writer.write_entry(&entry)?;
+            entries += 1;
+        }
     }
     let sink = writer.finish()?;
     Ok(ContentSummary {

@@ -32,7 +32,7 @@ use std::sync::{Arc, Mutex};
 use rprism_trace::{EntryBatch, TraceEntry, TraceMeta};
 
 use crate::error::{FormatError, Result};
-use crate::{ChainedReader, Encoding, TailBatch, TraceReader, MAGIC};
+use crate::{ChainedReader, Encoding, TailBatch, TraceReader, BOM, MAGIC};
 
 /// The byte queue shared between [`TailDecoder::push_bytes`] and the inner reader.
 type SharedBytes = Arc<Mutex<VecDeque<u8>>>;
@@ -127,7 +127,6 @@ impl TailDecoder {
     /// "wait"; JSONL headers are exactly one non-blank line, so construction waits for
     /// a newline (otherwise a half-written header line would be misparsed).
     fn header_could_be_complete(&self) -> bool {
-        const BOM: [u8; 3] = [0xef, 0xbb, 0xbf];
         let content = self
             .stash
             .strip_prefix(BOM.as_slice())
@@ -207,9 +206,7 @@ impl TailDecoder {
     /// stream too short to even parse a header reports what `TraceReader::new` would.
     pub fn finish(&mut self, out: &mut Vec<TraceEntry>) -> Result<()> {
         let mut reader = self.strict_reader()?;
-        while let Some(entry) = reader.next_entry()? {
-            out.push(entry);
-        }
+        while reader.append_batch(out, usize::MAX)? > 0 {}
         Ok(())
     }
 

@@ -670,7 +670,7 @@ impl Worker {
             {
                 TailBatch::Entries(_) => {
                     let session = state.watch.as_mut().expect("session exists past header");
-                    for event in session.push_batch(&batch)? {
+                    for event in session.push_batch(&batch) {
                         events.push(WireWatchEvent::from_event(&event));
                     }
                 }
@@ -698,7 +698,7 @@ impl Worker {
         }
         let mut session = state.watch.take().expect("session exists at finish");
         if !batch.is_empty() {
-            for event in session.push_batch(&batch)? {
+            for event in session.push_batch(&batch) {
                 events.push(WireWatchEvent::from_event(&event));
             }
         }

@@ -31,7 +31,7 @@ pub fn tail_watch(
             }
             match decoder.read_refs(&mut batch, BATCH_ENTRIES).unwrap() {
                 TailBatch::Entries(_) => {
-                    events.extend(watch.as_mut().unwrap().push_batch(&batch).unwrap());
+                    events.extend(watch.as_mut().unwrap().push_batch(&batch));
                 }
                 TailBatch::Pending | TailBatch::End => break,
             }
@@ -41,7 +41,7 @@ pub fn tail_watch(
     decoder.finish_refs(&mut batch).unwrap();
     let mut watch = watch.unwrap_or_else(|| engine.watch(old, decoder.meta().unwrap().clone()));
     if !batch.is_empty() {
-        events.extend(watch.push_batch(&batch).unwrap());
+        events.extend(watch.push_batch(&batch));
     }
     watch.finish().unwrap()
 }

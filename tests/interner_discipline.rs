@@ -112,11 +112,11 @@ fn watch_bytes(engine: &Engine, old: &rprism::PreparedTrace, bytes: &[u8]) {
     decoder.push_bytes(bytes).unwrap();
     let mut watch = engine.watch(old, decoder.meta().unwrap().clone());
     while let TailBatch::Entries(_) = decoder.read_refs(&mut batch, 256).unwrap() {
-        watch.push_batch(&batch).unwrap();
+        watch.push_batch(&batch);
     }
     batch.clear();
     decoder.finish_refs(&mut batch).unwrap();
-    watch.push_batch(&batch).unwrap();
+    watch.push_batch(&batch);
     watch.finish().unwrap();
 }
 
