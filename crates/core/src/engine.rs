@@ -28,7 +28,6 @@
 //! reproducible down to the compare-operation counts.
 
 use std::convert::Infallible;
-use std::io::BufReader;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -462,7 +461,7 @@ impl Engine {
     /// or uses an unsupported format version.
     pub fn load_prepared_reader(&self, input: impl std::io::Read) -> Result<PreparedTrace> {
         let _load = self.obs.span("engine.load");
-        let reader = TraceReader::new(BufReader::new(input))?;
+        let reader = TraceReader::new(input)?;
         let (artifacts, phases) = stream_prepare(reader)?;
         self.obs.phase("pipeline.decode", phases.decode);
         self.obs.phase("pipeline.key", phases.key);
@@ -521,7 +520,7 @@ impl Engine {
         input: impl std::io::Read,
         config: CheckConfig,
     ) -> Result<CheckReport> {
-        let mut reader = TraceReader::new(BufReader::new(input))?;
+        let mut reader = TraceReader::new(input)?;
         let mut checker = Checker::with_config(config);
         let mut batch = EntryBatch::new();
         while reader.read_refs(&mut batch, BATCH_ENTRIES)? > 0 {

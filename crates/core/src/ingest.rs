@@ -43,7 +43,7 @@
 //! [`ViewWeb`]: rprism_views::ViewWeb
 //! [`ViewWeb::build`]: rprism_views::ViewWeb::build
 
-use std::io::BufRead;
+use std::io::Read;
 use std::time::{Duration, Instant};
 
 use rprism_diff::SideArtifacts;
@@ -76,7 +76,7 @@ pub(crate) struct PhaseTimes {
 /// checksum mismatch, …). Nothing is retained on error — the partial artifacts are
 /// dropped with the call frame, so a failed ingest leaves no residue beyond interned
 /// name strings (see the module docs).
-pub(crate) fn stream_prepare<R: BufRead>(
+pub(crate) fn stream_prepare<R: Read>(
     mut reader: TraceReader<R>,
 ) -> Result<(SideArtifacts, PhaseTimes), FormatError> {
     let mut artifacts = SideArtifacts::new(reader.meta().clone());

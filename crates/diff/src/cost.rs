@@ -139,17 +139,6 @@ pub struct CostStats {
     pub peak_bytes: u64,
 }
 
-impl CostStats {
-    /// The speedup of this run relative to `baseline`, measured — as in the paper — as the
-    /// ratio of compare operations (baseline / this).
-    pub fn speedup_vs(&self, baseline: &CostStats) -> f64 {
-        if self.compare_ops == 0 {
-            return f64::INFINITY;
-        }
-        baseline.compare_ops as f64 / self.compare_ops as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,22 +161,6 @@ mod tests {
         assert!(matches!(b.check(1001), Err(DiffError::OutOfMemory { .. })));
         assert!(MemoryBudget::unlimited().check(u64::MAX).is_ok());
         assert_eq!(MemoryBudget::gib(2).max_bytes, Some(2 * 1024 * 1024 * 1024));
-    }
-
-    #[test]
-    fn speedup_is_a_ratio_of_compare_ops() {
-        let fast = CostStats {
-            compare_ops: 10,
-            peak_bytes: 0,
-        };
-        let slow = CostStats {
-            compare_ops: 1000,
-            peak_bytes: 0,
-        };
-        assert_eq!(fast.speedup_vs(&slow), 100.0);
-        assert!(slow.speedup_vs(&fast) < 1.0);
-        let zero = CostStats::default();
-        assert!(zero.speedup_vs(&slow).is_infinite());
     }
 
     #[test]

@@ -93,6 +93,7 @@ use rprism_trace::{
 
 use crate::error::{FormatError, Result};
 use crate::varint::{self, ByteSource as _, SliceSource};
+use crate::window::Window;
 use crate::TailBatch;
 
 /// The four magic bytes opening every binary trace.
@@ -361,22 +362,13 @@ impl<W: Write> BinaryTraceWriter<W> {
 /// (see the module docs): the streaming ingest that calls it accepts that a stream
 /// failing late leaves the names read so far behind.
 ///
-/// Input is read a chunk at a time into a byte window. Decoding indexes the window
-/// directly; the bytes of the record being decoded stay in it until the record is
-/// complete, so a record cut short by the current end of input can be re-decoded
-/// after the source grows (a tailed file or a byte stream that ends mid-record is a
-/// *state*, not necessarily an error).
+/// Input is read into the crate's byte window, which sniffing and a
+/// [`crate::TailDecoder`]'s pushes feed directly. Decoding indexes the window; the
+/// bytes of the record being decoded stay in it until the record is complete, so a
+/// record cut short by the current end of input is re-decoded after the source grows
+/// (a tailed file or a byte stream that ends mid-record is a *state*, not an error).
 pub struct BinaryTraceReader<R: Read> {
-    input: R,
-    /// The byte window: `buf[start..pos]` is the record being decoded and
-    /// `buf[pos..end]` is read ahead. Everything before `start` is committed and
-    /// already in `hash`; `buf[end..]` is room for the next read.
-    buf: Vec<u8>,
-    start: usize,
-    pos: usize,
-    end: usize,
-    /// Absolute stream offset of `buf[0]`.
-    base: u64,
+    pub(crate) window: Window<R>,
     /// FNV-1a 64 of every committed byte.
     hash: Fnv64,
     meta: TraceMeta,
@@ -391,17 +383,13 @@ pub struct BinaryTraceReader<R: Read> {
 }
 
 /// Rollback point for one record decode: the table state a partial decode may have
-/// mutated. The record's bytes stay in the window, so restoring rewinds `pos` to
-/// `start` to serve the same bytes again.
+/// mutated. The record's bytes stay in the window, so restoring rewinds it to serve
+/// the same bytes again.
 #[derive(Clone, Copy)]
 struct Checkpoint {
     strings: usize,
     entries_read: u64,
 }
-
-/// The least room one [`BinaryTraceReader::fill`] offers the input: one read of a
-/// default-sized `BufReader`.
-const CHUNK: usize = 8 * 1024;
 
 /// The most bytes [`varint::read_u64`] examines before it decides: ten payload bytes
 /// plus the eleventh that proves an encoding overlong.
@@ -410,13 +398,13 @@ const VARINT_WINDOW: usize = 11;
 impl<R: Read> BinaryTraceReader<R> {
     /// Opens a binary trace stream, parsing and validating the header.
     pub fn new(input: R) -> Result<Self> {
+        Self::from_window(Window::new(input))
+    }
+
+    /// Opens the binary trace stream at the start of `window`.
+    pub(crate) fn from_window(window: Window<R>) -> Result<Self> {
         let mut reader = BinaryTraceReader {
-            input,
-            buf: Vec::new(),
-            start: 0,
-            pos: 0,
-            end: 0,
-            base: 0,
+            window,
             hash: Fnv64::new(),
             meta: TraceMeta::default(),
             strings: Vec::new(),
@@ -425,22 +413,18 @@ impl<R: Read> BinaryTraceReader<R> {
             done: false,
             dry_offset: 0,
         };
-        let mut magic = [0u8; 4];
-        reader.read_raw(&mut magic)?;
+        let magic = reader.read_array()?;
         if magic != MAGIC {
             return Err(FormatError::BadMagic { found: magic });
         }
-        let mut word = [0u8; 2];
-        reader.read_raw(&mut word)?;
-        let version = u16::from_le_bytes(word);
+        let version = u16::from_le_bytes(reader.read_array()?);
         if version != FORMAT_VERSION {
             return Err(FormatError::UnsupportedVersion {
                 found: version,
                 supported: FORMAT_VERSION,
             });
         }
-        reader.read_raw(&mut word)?;
-        let flags = u16::from_le_bytes(word);
+        let flags = u16::from_le_bytes(reader.read_array()?);
         if flags != 0 {
             return Err(FormatError::Corrupt {
                 offset: 6,
@@ -460,50 +444,6 @@ impl<R: Read> BinaryTraceReader<R> {
         &self.meta
     }
 
-    /// Absolute offset of the next byte to decode.
-    fn offset(&self) -> u64 {
-        self.base + self.pos as u64
-    }
-
-    /// Reads one chunk from the input onto the end of the window, first moving the
-    /// uncommitted bytes to the front. Returns the number of bytes read; `0` means the
-    /// input has no byte *right now* — a clean end for a complete stream, a wait
-    /// state for a growing one.
-    fn fill(&mut self) -> Result<usize> {
-        if self.start > 0 {
-            self.buf.copy_within(self.start..self.end, 0);
-            self.base += self.start as u64;
-            self.pos -= self.start;
-            self.end -= self.start;
-            self.start = 0;
-        }
-        if self.buf.len() - self.end < CHUNK {
-            self.buf.resize(self.end + CHUNK, 0);
-        }
-        loop {
-            match self.input.read(&mut self.buf[self.end..]) {
-                Ok(n) => {
-                    self.end += n;
-                    return Ok(n);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(FormatError::Io(e)),
-            }
-        }
-    }
-
-    /// Makes `n` bytes available at `pos` if the input can supply them; `false` when
-    /// it runs dry first. The window only ever grows by bytes actually read, so a
-    /// forged length cannot trigger a huge allocation.
-    fn ensure(&mut self, n: usize) -> Result<bool> {
-        while self.end - self.pos < n {
-            if self.fill()? == 0 {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    }
-
     fn checkpoint(&self) -> Checkpoint {
         Checkpoint {
             strings: self.strings.len(),
@@ -514,7 +454,7 @@ impl<R: Read> BinaryTraceReader<R> {
     /// Rewinds to `cp`: decode state rolls back and the record's bytes are served
     /// again on the next attempt.
     fn restore(&mut self, cp: Checkpoint) {
-        self.pos = self.start;
+        self.window.restore();
         self.strings.truncate(cp.strings);
         self.entries_read = cp.entries_read;
     }
@@ -522,45 +462,26 @@ impl<R: Read> BinaryTraceReader<R> {
     /// Declares the decoded record consumed for good: its bytes go into the running
     /// checksum and the stream is at a record boundary again.
     fn commit(&mut self) {
-        self.hash.update(&self.buf[self.start..self.pos]);
-        self.start = self.pos;
+        self.hash.update(self.window.commit());
     }
 
-    /// Consumes the next `n` bytes, or reports truncation where the input runs dry.
-    fn take(&mut self, n: usize) -> Result<&[u8]> {
-        if !self.ensure(n)? {
-            return Err(FormatError::Truncated {
-                offset: self.base + self.end as u64,
-            });
-        }
-        self.pos += n;
-        Ok(&self.buf[self.pos - n..self.pos])
-    }
-
-    /// Reads exactly `out.len()` bytes.
-    fn read_raw(&mut self, out: &mut [u8]) -> Result<()> {
-        out.copy_from_slice(self.take(out.len())?);
-        Ok(())
-    }
-
-    /// Reads one byte, or `None` at a clean end of input.
-    fn read_optional_byte(&mut self) -> Result<Option<u8>> {
-        if self.pos == self.end && self.fill()? == 0 {
-            return Ok(None);
-        }
-        let b = self.buf[self.pos];
-        self.pos += 1;
-        Ok(Some(b))
+    /// Reads exactly `N` bytes.
+    fn read_array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        Ok(self
+            .window
+            .take(N)?
+            .try_into()
+            .expect("`take` returns N bytes"))
     }
 
     fn read_varint(&mut self) -> Result<u64> {
         // With the whole varint (or everything the input has) in the window, decoding
         // the slice gives the same value, error and offset as decoding the stream.
-        self.ensure(VARINT_WINDOW)?;
-        let base = self.offset();
-        let mut src = SliceSource::new(&self.buf[self.pos..self.end], base);
+        self.window.ensure(VARINT_WINDOW)?;
+        let base = self.window.offset();
+        let mut src = SliceSource::new(self.window.ahead(), base);
         let value = varint::read_u64(&mut src);
-        self.pos += (src.offset() - base) as usize;
+        self.window.advance((src.offset() - base) as usize);
         value
     }
 
@@ -568,9 +489,9 @@ impl<R: Read> BinaryTraceReader<R> {
     /// anything is allocated, so a forged length runs the input dry and reports
     /// truncation instead.
     fn read_string(&mut self) -> Result<String> {
-        let start = self.offset();
-        let len = self.read_varint()?;
-        let bytes = self.take(usize::try_from(len).unwrap_or(usize::MAX))?;
+        let start = self.window.offset();
+        let len = usize::try_from(self.read_varint()?).unwrap_or(usize::MAX);
+        let bytes = self.window.take(len)?;
         let s = std::str::from_utf8(bytes).map_err(|_| FormatError::Corrupt {
             offset: start,
             detail: "string is not valid UTF-8".into(),
@@ -585,7 +506,7 @@ impl<R: Read> BinaryTraceReader<R> {
             Ok(index)
         } else {
             Err(FormatError::Corrupt {
-                offset: self.offset(),
+                offset: self.window.offset(),
                 detail: format!(
                     "string id {id} out of range (table has {} entries)",
                     self.strings.len()
@@ -595,7 +516,7 @@ impl<R: Read> BinaryTraceReader<R> {
     }
 
     fn read_footer(&mut self) -> Result<()> {
-        let footer_offset = self.offset() - 1;
+        let footer_offset = self.window.offset() - 1;
         let declared = self.read_varint()?;
         if declared != self.entries_read {
             return Err(FormatError::Corrupt {
@@ -609,20 +530,18 @@ impl<R: Read> BinaryTraceReader<R> {
         // The checksum covers every byte before its own field: the committed stream
         // plus this record's bytes so far.
         let mut pending = self.hash;
-        pending.update(&self.buf[self.start..self.pos]);
+        pending.update(self.window.pending());
         let computed = pending.finish();
-        let mut checksum = [0u8; 8];
-        self.read_raw(&mut checksum)?;
-        let expected = u64::from_le_bytes(checksum);
+        let expected = u64::from_le_bytes(self.read_array()?);
         if expected != computed {
             return Err(FormatError::ChecksumMismatch {
                 expected,
                 found: computed,
             });
         }
-        if self.read_optional_byte()?.is_some() {
+        if self.window.next_byte()?.is_some() {
             return Err(FormatError::Corrupt {
-                offset: self.offset() - 1,
+                offset: self.window.offset() - 1,
                 detail: "trailing bytes after the trace footer".into(),
             });
         }
@@ -758,7 +677,7 @@ impl<R: Read> BinaryTraceReader<R> {
                     }
                     continue;
                 }
-                Ok(None) => self.offset(),
+                Ok(None) => self.window.offset(),
                 Err(FormatError::Truncated { offset }) => offset,
                 Err(e) => {
                     sink.rollback(cp.strings);
@@ -777,7 +696,7 @@ impl<R: Read> BinaryTraceReader<R> {
     /// id and object representation is handed to `sink` instead of being built.
     /// `Ok(None)` means no tag byte is available right now.
     fn walk_record<S: Sink>(&mut self, sink: &mut S) -> Result<Option<Record>> {
-        let Some(tag) = self.read_optional_byte()? else {
+        let Some(tag) = self.window.next_byte()? else {
             return Ok(None);
         };
         match tag {
@@ -811,7 +730,7 @@ impl<R: Read> BinaryTraceReader<R> {
                 Ok(Some(Record::End))
             }
             other => Err(FormatError::Corrupt {
-                offset: self.offset() - 1,
+                offset: self.window.offset() - 1,
                 detail: format!("unknown record tag {other:#04x}"),
             }),
         }
@@ -827,10 +746,10 @@ impl<R: Read> BinaryTraceReader<R> {
 
     /// One `objrep` at the level of ids.
     fn walk_objrep<S: Sink>(&mut self, sink: &mut S) -> Result<RawObj> {
-        let start = self.offset();
-        let Some(flags) = self.read_optional_byte()? else {
+        let start = self.window.offset();
+        let Some(flags) = self.window.next_byte()? else {
             return Err(FormatError::Truncated {
-                offset: self.offset(),
+                offset: self.window.offset(),
             });
         };
         if flags & !(OBJ_HAS_LOC | OBJ_HAS_SEQ) != 0 {
@@ -887,10 +806,10 @@ impl<R: Read> BinaryTraceReader<R> {
         &mut self,
         sink: &mut S,
     ) -> Result<(EventKind, Option<usize>, Option<ThreadId>)> {
-        let start = self.offset();
-        let Some(kind) = self.read_optional_byte()? else {
+        let start = self.window.offset();
+        let Some(kind) = self.window.next_byte()? else {
             return Err(FormatError::Truncated {
-                offset: self.offset(),
+                offset: self.window.offset(),
             });
         };
         Ok(match kind {
@@ -1248,6 +1167,7 @@ impl Sink for EntrySink<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::window::CHUNK;
     use rprism_trace::testgen::{arbitrary_entry, Rng};
     use rprism_trace::Trace;
 
@@ -1384,46 +1304,56 @@ mod tests {
     /// minus one, exactly, plus one.
     const STEPS: [usize; 4] = [1, CHUNK - 1, CHUNK, CHUNK + 1];
 
+    /// Both encodings of [`trace_with_a_record_larger_than_a_chunk`]: in JSONL the
+    /// long printed string makes one line wider than a refill.
+    fn window_boundary_inputs() -> (Trace, [(crate::Encoding, Vec<u8>); 2]) {
+        let trace = trace_with_a_record_larger_than_a_chunk();
+        let inputs = [crate::Encoding::Binary, crate::Encoding::Jsonl]
+            .map(|encoding| (encoding, crate::trace_to_bytes(&trace, encoding).unwrap()));
+        (trace, inputs)
+    }
+
     #[test]
     fn short_reads_at_the_window_boundaries_decode_identically() {
-        let trace = trace_with_a_record_larger_than_a_chunk();
-        let bytes = encode(&trace);
-        let expected = crate::trace_from_bytes(&bytes).unwrap();
-        assert_eq!(expected, trace);
-        for step in STEPS {
-            let mut r = BinaryTraceReader::new(ShortReads {
-                bytes: &bytes,
-                step,
-            })
-            .unwrap();
-            let mut got = Trace::new(r.meta().clone());
-            while let Some(entry) = r.next_entry().unwrap() {
-                got.push(entry);
+        let (trace, inputs) = window_boundary_inputs();
+        for (encoding, bytes) in inputs {
+            let expected = crate::trace_from_bytes(&bytes).unwrap();
+            assert_eq!(expected, trace, "{encoding}");
+            for step in STEPS {
+                let input = std::io::BufReader::new(ShortReads {
+                    bytes: &bytes,
+                    step,
+                });
+                let r = crate::TraceReader::new(input).unwrap();
+                assert_eq!(r.encoding(), encoding);
+                let got = r.into_trace().unwrap();
+                assert_eq!(got, expected, "{encoding}, read size {step}");
             }
-            assert_eq!(got, expected, "read size {step}");
         }
     }
 
     #[test]
     fn tail_decoder_drip_feed_at_the_window_boundaries_decodes_identically() {
-        let trace = trace_with_a_record_larger_than_a_chunk();
-        let bytes = encode(&trace);
-        let expected = crate::trace_from_bytes(&bytes).unwrap();
-        for step in STEPS {
-            let mut decoder = crate::TailDecoder::new();
-            let mut got = Vec::new();
-            let mut batch = Vec::new();
-            for piece in bytes.chunks(step) {
-                decoder.push_bytes(piece).unwrap();
-                while let crate::TailBatch::Entries(_) = decoder.read_batch(&mut batch, 16).unwrap()
-                {
-                    got.append(&mut batch);
+        let (_, inputs) = window_boundary_inputs();
+        for (encoding, bytes) in inputs {
+            let expected = crate::trace_from_bytes(&bytes).unwrap();
+            for step in STEPS {
+                let mut decoder = crate::TailDecoder::new();
+                let mut got = Vec::new();
+                let mut batch = Vec::new();
+                for piece in bytes.chunks(step) {
+                    decoder.push_bytes(piece).unwrap();
+                    while let crate::TailBatch::Entries(_) =
+                        decoder.read_batch(&mut batch, 16).unwrap()
+                    {
+                        got.append(&mut batch);
+                    }
                 }
-            }
-            decoder.finish(&mut got).unwrap();
-            assert_eq!(got.len(), expected.len(), "chunk size {step}");
-            for (a, b) in got.iter().zip(expected.iter()) {
-                assert_eq!(a, b, "chunk size {step}");
+                decoder.finish(&mut got).unwrap();
+                assert_eq!(got.len(), expected.len(), "{encoding}, chunk size {step}");
+                for (a, b) in got.iter().zip(expected.iter()) {
+                    assert_eq!(a, b, "{encoding}, chunk size {step}");
+                }
             }
         }
     }

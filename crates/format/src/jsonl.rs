@@ -36,7 +36,7 @@
 //! instead of decoding to something else.
 
 use std::fmt::Write as _;
-use std::io::{BufRead, Write};
+use std::io::{Read, Write};
 
 use rprism_lang::{FieldName, MethodName};
 use rprism_trace::{
@@ -46,6 +46,7 @@ use rprism_trace::{
 
 use crate::error::{FormatError, Result};
 use crate::json::{self, Json};
+use crate::window::Window;
 use crate::TailBatch;
 
 /// The JSONL schema version this crate reads and writes (kept in lock step with the
@@ -243,28 +244,36 @@ impl<W: Write> JsonlTraceWriter<W> {
 // ---------------------------------------------------------------------------
 
 /// Streaming reader of the JSONL encoding: one line is parsed (and handed out) at a
-/// time.
-pub struct JsonlTraceReader<R: BufRead> {
-    input: R,
+/// time. Lines are found in the crate's byte window, the one the binary reader walks:
+/// a line longer than one refill grows the window, and a partial line stays in it
+/// until its newline arrives.
+pub struct JsonlTraceReader<R: Read> {
+    pub(crate) window: Window<R>,
     meta: TraceMeta,
     line_no: u64,
     entries_read: u64,
-    buffer: Vec<u8>,
+    /// Bytes of the open line, from the window's decode position, that hold no newline.
+    scanned: usize,
     done: bool,
 }
 
-impl<R: BufRead> JsonlTraceReader<R> {
+impl<R: Read> JsonlTraceReader<R> {
     /// Opens a JSONL trace stream, parsing and validating the header line.
     pub fn new(input: R) -> Result<Self> {
+        Self::from_window(Window::new(input))
+    }
+
+    /// Opens the JSONL trace stream at the start of `window`.
+    pub(crate) fn from_window(window: Window<R>) -> Result<Self> {
         let mut reader = JsonlTraceReader {
-            input,
+            window,
             meta: TraceMeta::default(),
             line_no: 0,
             entries_read: 0,
-            buffer: Vec::new(),
+            scanned: 0,
             done: false,
         };
-        let Some(header) = reader.next_line()? else {
+        let Some(header) = reader.next_line(false)? else {
             return Err(reader.err("missing header line"));
         };
         // Accept a UTF-8 byte-order mark in front of hand-authored files (the unified
@@ -305,76 +314,50 @@ impl<R: BufRead> JsonlTraceReader<R> {
         }
     }
 
-    /// The next non-blank line, or `None` at end of input. Windows-authored files use
-    /// CRLF line endings, so the trailing `\r` left by line splitting is stripped
-    /// before parsing — explicitly, ahead of the general whitespace trim, so the
-    /// guarantee survives any future change to how lines are cleaned up (the CRLF
-    /// regression tests pin it under both the direct and the sniffing reader).
-    ///
-    /// Lines are assembled through a `fill_buf`/`consume` loop rather than
-    /// `BufRead::read_line`: `read_line` truncates its buffer when the underlying
-    /// reader fails, so a signal-interrupted (`EINTR`) read mid-line would silently
-    /// drop the bytes already consumed. This loop retries `Interrupted` with nothing
-    /// lost (the fault-injection suite pins that).
-    fn next_line(&mut self) -> Result<Option<String>> {
-        self.next_line_mode(false)
-    }
-
-    /// The line-assembly loop behind both read modes. `self.buffer` persists partial
-    /// lines across calls: in tail mode an input that runs dry mid-line returns
-    /// `Ok(None)` with the partial bytes retained, and the next call picks up where
-    /// the writer left off. In strict mode end-of-input ends the stream — with the
+    /// The next non-blank line, or `None` if there is none: the line loop behind both
+    /// read modes. It scans the window for a newline and refills it until one
+    /// arrives. In tail mode an input that runs dry mid-line returns `Ok(None)` with
+    /// the partial line left in the window, and the next call resumes the scan where
+    /// it stopped. In strict mode end-of-input ends the stream — with the
     /// hand-authoring grace that a final unterminated line still counts as a line.
-    fn next_line_mode(&mut self, tail: bool) -> Result<Option<String>> {
+    ///
+    /// Windows-authored files use CRLF line endings, so the trailing `\r` left by
+    /// line splitting is stripped before parsing — explicitly, ahead of the general
+    /// whitespace trim, so the guarantee survives any future change to how lines are
+    /// cleaned up (the CRLF regression tests pin it under both the direct and the
+    /// sniffing reader).
+    fn next_line(&mut self, tail: bool) -> Result<Option<String>> {
         loop {
-            let mut complete = false;
-            loop {
-                let available = match self.input.fill_buf() {
-                    Ok(available) => available,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(FormatError::Io(e)),
-                };
-                if available.is_empty() {
-                    break; // end of input (possibly ending a final unterminated line)
+            let complete = loop {
+                let ahead = self.window.ahead();
+                if let Some(i) = ahead[self.scanned..].iter().position(|&b| b == b'\n') {
+                    break Some(self.scanned + i + 1);
                 }
-                match available.iter().position(|&b| b == b'\n') {
-                    Some(i) => {
-                        self.buffer.extend_from_slice(&available[..=i]);
-                        self.input.consume(i + 1);
-                        complete = true;
-                        break;
-                    }
-                    None => {
-                        let n = available.len();
-                        self.buffer.extend_from_slice(available);
-                        self.input.consume(n);
-                    }
+                self.scanned = ahead.len();
+                if self.window.fill()? == 0 {
+                    break None; // end of input (possibly ending a final unterminated line)
                 }
-            }
-            if !complete {
-                if tail {
-                    // Mid-line as of now (or between lines): keep whatever arrived
-                    // buffered and report that no complete line is available yet.
-                    return Ok(None);
-                }
-                if self.buffer.is_empty() {
-                    return Ok(None);
-                }
-                // Unterminated final line: fall through and take it as a line.
-            }
+            };
+            let len = match complete {
+                Some(len) => len,
+                // Mid-line as of now (or between lines): no complete line yet.
+                None if tail || self.scanned == 0 => return Ok(None),
+                // Unterminated final line: take it as a line.
+                None => self.scanned,
+            };
+            self.scanned = 0;
             self.line_no += 1;
-            let text = std::str::from_utf8(&self.buffer).map_err(|_| FormatError::Json {
-                line: self.line_no,
-                detail: "line is not valid UTF-8".into(),
-            })?;
+            let text = std::str::from_utf8(&self.window.ahead()[..len])
+                .map_err(|_| self.err("line is not valid UTF-8"))?;
             let line = text.trim_end_matches(['\r', '\n']).trim();
             let line = (!line.is_empty()).then(|| line.to_owned());
-            self.buffer.clear();
+            self.window.advance(len);
+            self.window.commit();
             match line {
                 Some(line) => return Ok(Some(line)),
                 // A blank grace line at end of input ends the stream; a blank
                 // terminated line is simply skipped.
-                None if !complete => return Ok(None),
+                None if complete.is_none() => return Ok(None),
                 None => {}
             }
         }
@@ -571,7 +554,7 @@ impl<R: BufRead> JsonlTraceReader<R> {
         if self.done {
             return Ok(None);
         }
-        let Some(line) = self.next_line()? else {
+        let Some(line) = self.next_line(false)? else {
             // Hand-authored files may omit the trailer; end of input ends the trace.
             self.done = true;
             return Ok(None);
@@ -579,7 +562,7 @@ impl<R: BufRead> JsonlTraceReader<R> {
         match self.parse_entry_line(&line)? {
             Some(entry) => Ok(Some(entry)),
             None => {
-                if self.next_line()?.is_some() {
+                if self.next_line(false)?.is_some() {
                     return Err(self.err("content after the trailer line"));
                 }
                 self.done = true;
@@ -599,7 +582,7 @@ impl<R: BufRead> JsonlTraceReader<R> {
     pub fn read_batch_tail(&mut self, out: &mut Vec<TraceEntry>, max: usize) -> Result<TailBatch> {
         let mut read = 0;
         while read < max && !self.done {
-            let Some(line) = self.next_line_mode(true)? else {
+            let Some(line) = self.next_line(true)? else {
                 return Ok(TailBatch::after(read, true, false));
             };
             match self.parse_entry_line(&line)? {

@@ -74,9 +74,10 @@ pub mod json;
 pub mod jsonl;
 pub mod tail;
 pub mod varint;
+mod window;
 
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 
 use rprism_trace::{EntryBatch, Trace, TraceEntry, TraceMeta};
@@ -85,6 +86,8 @@ pub use binary::{BinaryTraceReader, BinaryTraceWriter, Fnv64, FORMAT_VERSION, MA
 pub use error::{FormatError, Result};
 pub use jsonl::{JsonlTraceReader, JsonlTraceWriter, JSONL_VERSION};
 pub use tail::TailDecoder;
+
+use window::Window;
 
 /// The UTF-8 byte-order mark a stream may open with; it is not part of the trace.
 pub(crate) const BOM: [u8; 3] = [0xef, 0xbb, 0xbf];
@@ -206,14 +209,14 @@ impl<W: Write> TraceWriter<W> {
 
 /// A streaming trace reader over either encoding, produced by [`TraceReader::new`]
 /// (content sniffing) or the per-encoding constructors.
-pub enum TraceReader<R: BufRead> {
+pub enum TraceReader<R: Read> {
     /// Reading the binary encoding.
     Binary(BinaryTraceReader<R>),
     /// Reading the JSONL encoding.
     Jsonl(JsonlTraceReader<R>),
 }
 
-impl<R: BufRead> TraceReader<R> {
+impl<R: Read> TraceReader<R> {
     /// Opens a trace stream, sniffing the encoding from its first bytes.
     ///
     /// A UTF-8 byte-order mark is accepted and stripped first (text editors and
@@ -229,27 +232,18 @@ impl<R: BufRead> TraceReader<R> {
     ///
     /// Returns a [`FormatError`] when the stream is empty, ends inside a binary
     /// header, or the header of the sniffed encoding is invalid.
-    pub fn new(mut input: R) -> Result<TraceReader<ChainedReader<R>>> {
-        // Peek enough bytes to see a BOM plus the four magic bytes.
-        let mut head = Vec::with_capacity(BOM.len() + MAGIC.len());
-        let mut eof = false;
-        while head.len() < BOM.len() + MAGIC.len() {
-            let mut byte = [0u8; 1];
-            match input.read(&mut byte) {
-                Ok(0) => {
-                    eof = true;
-                    break;
-                }
-                Ok(_) => head.push(byte[0]),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(FormatError::Io(e)),
-            }
+    pub fn new(input: R) -> Result<Self> {
+        Self::sniff(Window::new(input))
+    }
+
+    /// [`Self::new`] over a window that may already hold the stream's first bytes. A
+    /// BOM is stepped past: offsets and checksums count from the byte after it.
+    pub(crate) fn sniff(mut window: Window<R>) -> Result<Self> {
+        window.ensure(BOM.len() + MAGIC.len())?;
+        if window.ahead().starts_with(&BOM) {
+            window.skip_prefix(BOM.len());
         }
-        if head.starts_with(&BOM) {
-            // Offsets and checksums are computed over the post-BOM content; the BOM is
-            // an encoding artifact, not part of the trace.
-            head.drain(..BOM.len());
-        }
+        let head = window.ahead();
         if head.is_empty() {
             return Err(FormatError::Corrupt {
                 offset: 0,
@@ -258,20 +252,26 @@ impl<R: BufRead> TraceReader<R> {
                     .into(),
             });
         }
-        let is_binary = head.starts_with(&MAGIC);
-        if !is_binary && eof && head.len() < MAGIC.len() && MAGIC.starts_with(&head) {
+        if head.len() < MAGIC.len() && MAGIC.starts_with(head) {
             // The whole stream is a strict prefix of the binary magic: a truncated
             // binary trace, not a JSONL document.
             return Err(FormatError::Truncated {
                 offset: head.len() as u64,
             });
         }
-        let rejoined = BufReader::new(std::io::Cursor::new(head).chain(input));
-        Ok(if is_binary {
-            TraceReader::Binary(BinaryTraceReader::new(rejoined)?)
+        Ok(if head.starts_with(&MAGIC) {
+            TraceReader::Binary(BinaryTraceReader::from_window(window)?)
         } else {
-            TraceReader::Jsonl(JsonlTraceReader::new(rejoined)?)
+            TraceReader::Jsonl(JsonlTraceReader::from_window(window)?)
         })
+    }
+
+    /// Appends received bytes to the reader's window, as if its input had read them.
+    pub(crate) fn push(&mut self, bytes: &[u8]) {
+        match self {
+            TraceReader::Binary(r) => r.window.push(bytes),
+            TraceReader::Jsonl(r) => r.window.push(bytes),
+        }
     }
 
     /// The trace metadata from the stream header.
@@ -393,10 +393,6 @@ impl<R: BufRead> TraceReader<R> {
     }
 }
 
-/// The buffered rejoined stream produced by [`TraceReader::new`]'s sniffing (the peeked
-/// head bytes chained back in front of the rest of the input).
-pub type ChainedReader<R> = BufReader<std::io::Chain<std::io::Cursor<Vec<u8>>, R>>;
-
 /// Serializes a whole trace to a `Write` in the given encoding.
 pub fn write_trace(trace: &Trace, out: impl Write, encoding: Encoding) -> Result<()> {
     let mut writer = TraceWriter::new(out, &trace.meta, encoding)?;
@@ -424,7 +420,7 @@ pub fn trace_to_bytes(trace: &Trace, encoding: Encoding) -> Result<Vec<u8>> {
 
 /// Deserializes a whole trace from a reader, sniffing the encoding.
 pub fn read_trace(input: impl Read) -> Result<Trace> {
-    TraceReader::new(BufReader::new(input))?.into_trace()
+    TraceReader::new(input)?.into_trace()
 }
 
 /// Deserializes a whole trace from a file, sniffing the encoding.
@@ -531,7 +527,7 @@ pub fn content_summary(bytes: &[u8]) -> Result<ContentSummary> {
 /// [`content_summary`] by decoding every entry and re-encoding it canonically into
 /// the hash: the path for JSONL and non-canonical binary input.
 fn reencoded_summary(input: &[u8]) -> Result<ContentSummary> {
-    let mut reader = TraceReader::new(BufReader::new(input))?;
+    let mut reader = TraceReader::new(input)?;
     let meta = reader.meta().clone();
     let encoding = reader.encoding();
     let mut writer = TraceWriter::new(HashSink { hash: Fnv64::new() }, &meta, Encoding::Binary)?;
@@ -556,6 +552,7 @@ fn reencoded_summary(input: &[u8]) -> Result<ContentSummary> {
 mod tests {
     use super::*;
     use rprism_trace::testgen::{arbitrary_entry, Rng};
+    use std::io::BufReader;
 
     fn sample_trace(seed: u64, len: usize) -> Trace {
         let mut rng = Rng::new(seed);

@@ -21,71 +21,41 @@
 //!    stream still pending reports truncation; a JSONL stream gets the
 //!    unterminated-final-line grace and its implicit trailer-less end.
 //!
-//! Bytes move in slices, never one at a time: a chunk is appended to a shared queue
-//! in one copy, and each read of the inner reader takes as much of the queue as its
-//! window has room for in one copy out.
+//! The decoder owns a [`TraceReader`] whose input is always dry: a pushed chunk is
+//! copied once, onto the end of that reader's byte window, and decoding reads it
+//! there. The bytes of a record (or JSONL line) cut short by the current end of the
+//! stream stay in the window until the rest arrives.
 
-use std::collections::VecDeque;
-use std::io::{BufReader, Read};
-use std::sync::{Arc, Mutex};
+use std::io::Empty;
 
 use rprism_trace::{EntryBatch, TraceEntry, TraceMeta};
 
 use crate::error::{FormatError, Result};
-use crate::{ChainedReader, Encoding, TailBatch, TraceReader, BOM, MAGIC};
-
-/// The byte queue shared between [`TailDecoder::push_bytes`] and the inner reader.
-type SharedBytes = Arc<Mutex<VecDeque<u8>>>;
-
-/// A `Read` over the shared queue: returns whatever bytes are queued, and `Ok(0)` when
-/// the queue is currently empty — which the tail-aware readers treat as "no data right
-/// now", not end-of-stream.
-pub struct QueueReader {
-    queue: SharedBytes,
-}
-
-impl Read for QueueReader {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        // std's `Read for VecDeque<u8>` copies out of the queue's front slice and
-        // drains what it copied.
-        self.queue.lock().expect("tail queue poisoned").read(buf)
-    }
-}
+use crate::window::Window;
+use crate::{TailBatch, TraceReader, BOM, MAGIC};
 
 /// See the module docs.
+#[derive(Default)]
 pub struct TailDecoder {
     /// Bytes received before the header could be parsed.
     stash: Vec<u8>,
-    inner: Option<Inner>,
-    /// The header metadata, kept past [`TailDecoder::finish`] (which consumes the
-    /// inner reader) so a receiver that only saw the header at finish time — a tiny
-    /// stream that never left the stash — can still identify the trace.
-    finished_meta: Option<TraceMeta>,
-}
-
-struct Inner {
-    queue: SharedBytes,
-    reader: TraceReader<ChainedReader<BufReader<QueueReader>>>,
+    /// The reader, once the header has parsed; pushed bytes go onto its window.
+    reader: Option<TraceReader<Empty>>,
 }
 
 impl TailDecoder {
     /// A decoder with no bytes yet.
     pub fn new() -> Self {
-        TailDecoder {
-            stash: Vec::new(),
-            inner: None,
-            finished_meta: None,
-        }
+        TailDecoder::default()
     }
 
     /// Appends one chunk of the incoming stream. Returns `Ok(())` while the stream is
     /// well-formed so far; header-level damage (bad magic, unsupported version, a
     /// malformed JSONL header line) surfaces here as soon as it is decidable.
     pub fn push_bytes(&mut self, bytes: &[u8]) -> Result<()> {
-        match &self.inner {
-            Some(inner) => {
-                let mut queue = inner.queue.lock().expect("tail queue poisoned");
-                queue.extend(bytes);
+        match &mut self.reader {
+            Some(reader) => {
+                reader.push(bytes);
                 Ok(())
             }
             None => {
@@ -95,31 +65,30 @@ impl TailDecoder {
         }
     }
 
-    /// Attempts to construct the inner reader from the stash. Insufficient data is not
-    /// an error — the decoder simply stays in the stashing state.
+    /// Attempts to construct the reader from the stash. Insufficient data is not an
+    /// error — the decoder simply stays in the stashing state.
     fn try_open(&mut self) -> Result<()> {
         if !self.header_could_be_complete() {
             return Ok(());
         }
-        let queue: SharedBytes = Arc::new(Mutex::new(VecDeque::new()));
-        {
-            let mut q = queue.lock().expect("tail queue poisoned");
-            q.extend(&self.stash);
-        }
-        match TraceReader::new(BufReader::new(QueueReader {
-            queue: Arc::clone(&queue),
-        })) {
+        match TraceReader::sniff(self.stash_window()) {
             Ok(reader) => {
                 self.stash.clear();
-                self.inner = Some(Inner { queue, reader });
+                self.reader = Some(reader);
                 Ok(())
             }
             // The header itself is still arriving: keep stashing. (The abandoned
-            // queue and reader are dropped; the stash still holds every byte.)
+            // reader is dropped; the stash still holds every byte.)
             Err(FormatError::Truncated { .. }) => Ok(()),
-            Err(FormatError::Corrupt { offset: 0, .. }) if self.stash.is_empty() => Ok(()),
             Err(e) => Err(e),
         }
+    }
+
+    /// A window holding the stashed bytes over an input that is always dry.
+    fn stash_window(&self) -> Window<Empty> {
+        let mut window = Window::new(std::io::empty());
+        window.push(&self.stash);
+        window
     }
 
     /// Whether the stash plausibly contains a complete header. Binary headers are
@@ -139,31 +108,16 @@ impl TailDecoder {
             // header is incomplete, which `try_open` treats as "wait".
             return true;
         }
-        // JSONL: wait until a complete non-blank line has arrived.
-        content
-            .split(|&b| b == b'\n')
-            .next_back()
-            .map(|last| content.len() - last.len())
-            .map(|complete| {
-                content[..complete]
-                    .split(|&b| b == b'\n')
-                    .any(|line| line.iter().any(|b| !b.is_ascii_whitespace()))
-            })
-            .unwrap_or(false)
+        // JSONL: wait until a complete non-blank line has arrived, i.e. until the
+        // bytes up to the last newline hold more than whitespace.
+        let lines = content.iter().rposition(|&b| b == b'\n').unwrap_or(0);
+        content[..lines].iter().any(|b| !b.is_ascii_whitespace())
     }
 
     /// The stream's metadata, once enough bytes have arrived to parse the header
     /// (still available after [`TailDecoder::finish`]).
     pub fn meta(&self) -> Option<&TraceMeta> {
-        self.inner
-            .as_ref()
-            .map(|inner| inner.reader.meta())
-            .or(self.finished_meta.as_ref())
-    }
-
-    /// The sniffed encoding, once the header has parsed.
-    pub fn encoding(&self) -> Option<Encoding> {
-        self.inner.as_ref().map(|inner| inner.reader.encoding())
+        self.reader.as_ref().map(TraceReader::meta)
     }
 
     /// Decodes up to `max` currently-available entries into `out` (cleared first).
@@ -174,8 +128,8 @@ impl TailDecoder {
     /// Propagates corruption (never plain lack of bytes).
     pub fn read_batch(&mut self, out: &mut Vec<TraceEntry>, max: usize) -> Result<TailBatch> {
         out.clear();
-        match &mut self.inner {
-            Some(inner) => inner.reader.read_batch_tail(out, max),
+        match &mut self.reader {
+            Some(reader) => reader.read_batch_tail(out, max),
             None => Ok(TailBatch::Pending),
         }
     }
@@ -189,8 +143,8 @@ impl TailDecoder {
     /// Exactly [`Self::read_batch`]'s.
     pub fn read_refs(&mut self, out: &mut EntryBatch, max: usize) -> Result<TailBatch> {
         out.clear();
-        match &mut self.inner {
-            Some(inner) => inner.reader.read_refs_tail(out, max),
+        match &mut self.reader {
+            Some(reader) => reader.read_refs_tail(out, max),
             None => Ok(TailBatch::Pending),
         }
     }
@@ -205,7 +159,7 @@ impl TailDecoder {
     /// stream applies the unterminated-final-line grace and the trailer checks; a
     /// stream too short to even parse a header reports what `TraceReader::new` would.
     pub fn finish(&mut self, out: &mut Vec<TraceEntry>) -> Result<()> {
-        let mut reader = self.strict_reader()?;
+        let reader = self.strict_reader()?;
         while reader.append_batch(out, usize::MAX)? > 0 {}
         Ok(())
     }
@@ -217,40 +171,30 @@ impl TailDecoder {
     ///
     /// Exactly [`Self::finish`]'s.
     pub fn finish_refs(&mut self, out: &mut EntryBatch) -> Result<()> {
-        let mut reader = self.strict_reader()?;
+        let reader = self.strict_reader()?;
         while reader.append_refs(out, usize::MAX)? > 0 {}
         Ok(())
     }
 
-    /// Takes the reader [`Self::finish`] drains under strict end-of-stream semantics,
-    /// keeping its metadata.
-    fn strict_reader(&mut self) -> Result<TraceReader<ChainedReader<BufReader<QueueReader>>>> {
-        let reader = match self.inner.take() {
-            Some(inner) => inner.reader,
-            None => {
-                // The header never opened in tail mode (e.g. an unterminated JSONL
-                // header line, or a binary header cut short). Strict semantics decide:
-                // parse the stash as a complete stream — a truncated binary header
-                // errors here, a graced JSONL fragment reads through.
-                let queue = Arc::new(Mutex::new(VecDeque::from(std::mem::take(&mut self.stash))));
-                TraceReader::new(BufReader::new(QueueReader { queue }))?
-            }
-        };
-        self.finished_meta = Some(reader.meta().clone());
-        Ok(reader)
-    }
-}
-
-impl Default for TailDecoder {
-    fn default() -> Self {
-        TailDecoder::new()
+    /// The reader [`Self::finish`] drains under strict end-of-stream semantics. When
+    /// the header never opened in tail mode (e.g. an unterminated JSONL header line,
+    /// or a binary header cut short), strict semantics decide: the stash is parsed as
+    /// a complete stream — a truncated binary header errors here, a graced JSONL
+    /// fragment reads through. The reader stays, so [`Self::meta`] still answers.
+    fn strict_reader(&mut self) -> Result<&mut TraceReader<Empty>> {
+        if self.reader.is_none() {
+            let window = self.stash_window();
+            self.stash = Vec::new();
+            self.reader = Some(TraceReader::sniff(window)?);
+        }
+        Ok(self.reader.as_mut().expect("opened above"))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace_to_bytes;
+    use crate::{trace_to_bytes, Encoding};
     use rprism_trace::testgen::{arbitrary_entry, Rng};
     use rprism_trace::Trace;
 
@@ -286,8 +230,12 @@ mod tests {
         let trace = sample_trace(3, 60);
         for encoding in [Encoding::Binary, Encoding::Jsonl] {
             let bytes = trace_to_bytes(&trace, encoding).unwrap();
-            for chunk in [1, 7, 64, bytes.len()] {
-                drip_feed(&bytes, chunk, &trace);
+            // Behind a byte-order mark too, which chunks of 1 and 2 bytes split.
+            let with_bom = [BOM.as_slice(), &bytes].concat();
+            for bytes in [bytes, with_bom] {
+                for chunk in [1, 2, 7, 64, bytes.len()] {
+                    drip_feed(&bytes, chunk, &trace);
+                }
             }
         }
     }

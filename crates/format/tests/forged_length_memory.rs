@@ -83,8 +83,8 @@ fn forged_stream() -> Vec<u8> {
 #[test]
 fn a_forged_string_length_is_truncation_not_an_allocation() {
     let bytes = forged_stream();
-    // Buffers of the reader stack: the sniffing `BufReader`s and the binary reader's
-    // window, each a few kilobytes. Nothing here scales with the declared length.
+    // The one buffer of the reader stack is the byte window, a few kilobytes. Nothing
+    // here scales with the declared length.
     const BOUND: usize = 64 * 1024;
 
     let (result, peak) = peak_growth(|| trace_from_bytes(&bytes));

@@ -131,16 +131,6 @@ impl RegressionReport {
     pub fn num_regression_sequences(&self) -> usize {
         self.verdicts.iter().filter(|&&related| related).count()
     }
-
-    /// The size of the reported output relative to the executed trace, as a percentage —
-    /// the metric the paper uses to compare against dynamic slicing (§6).
-    pub fn reported_fraction_of_trace(&self, total_entries: usize) -> f64 {
-        if total_entries == 0 {
-            return 0.0;
-        }
-        let reported: usize = self.regression_sequences().map(DiffSequence::len).sum();
-        reported as f64 / total_entries as f64 * 100.0
-    }
 }
 
 /// Which of the three §4.1 comparisons is being differenced — passed to the pluggable
@@ -417,7 +407,6 @@ pub(crate) mod tests {
         .unwrap();
         assert!(report.num_regression_sequences() <= report.suspected_diff.sequences.len());
         assert!(report.num_regression_sequences() >= 1);
-        assert!(report.reported_fraction_of_trace(10_000) < 100.0);
     }
 
     #[test]

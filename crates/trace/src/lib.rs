@@ -12,8 +12,7 @@
 //!   correlation bases used by the analyses;
 //! * [`stack`] — call stacks `s(m, θ, θ')` and stack snapshots recorded by `fork`/`end`
 //!   events (thread parentage);
-//! * [`trace`] — trace containers, including segmented storage mimicking RPrism's
-//!   "smart trace segmentation" (§5);
+//! * [`trace`] — trace containers;
 //! * [`batch`] — [`EntryBatch`] / [`EntryRef`]: entries reduced to interned names,
 //!   object identities and locations, the one form every artifact builder consumes;
 //! * [`eq`] — the event-equality relation `=e` on which all differencing is built;
@@ -55,4 +54,4 @@ pub use keyed::{CompactEventKey, KeyRef, KeyedTrace, OperandId};
 pub use lean::{LeanEntry, LeanTrace, ObjIdent};
 pub use objrep::{CreationSeq, Loc, ObjRep, ValueFingerprint, ValueRepr};
 pub use stack::{StackFrame, StackSnapshot};
-pub use trace::{SegmentedTrace, Trace, TraceMeta};
+pub use trace::{Trace, TraceMeta};

@@ -238,11 +238,6 @@ impl ObjRep {
         }
     }
 
-    /// Returns `true` when this representation denotes a heap object (it has a location).
-    pub fn is_heap_object(&self) -> bool {
-        self.loc.is_some()
-    }
-
     /// The "underlying primitive value" identity of this representation, used by event
     /// equality (`=e`): class name plus fingerprint. Locations are deliberately excluded.
     pub fn value_identity(&self) -> (&str, ValueFingerprint) {
@@ -400,9 +395,11 @@ mod tests {
 
     #[test]
     fn null_and_prims_have_no_location() {
-        assert!(!ObjRep::null().is_heap_object());
-        assert!(!ObjRep::prim("Int", "5").is_heap_object());
-        assert!(ObjRep::opaque_object(Loc(0), "X", CreationSeq(0)).is_heap_object());
+        assert!(ObjRep::null().loc.is_none());
+        assert!(ObjRep::prim("Int", "5").loc.is_none());
+        assert!(ObjRep::opaque_object(Loc(0), "X", CreationSeq(0))
+            .loc
+            .is_some());
     }
 
     #[test]

@@ -1,13 +1,8 @@
 //! Trace containers.
 //!
 //! A [`Trace`] is a named sequence of [`TraceEntry`]s (the paper's `π = γ1 . … . γn`).
-//! [`SegmentedTrace`] mirrors RPrism's "smart trace segmentation" (§5): during tracing of
-//! long-running programs, entries are accumulated into bounded segments which are sealed
-//! (in the real system, offloaded to disk) once full, keeping the tracing memory bounded;
-//! the analysis later walks the segments in order as one logical trace.
 
 use crate::entry::{EntryId, ThreadId, TraceEntry};
-use crate::eq::event_eq;
 
 /// Metadata identifying a trace: which program version produced it and under which test
 /// case, mirroring the paper's `π^L` / `π^R` superscript naming.
@@ -134,11 +129,6 @@ impl Trace {
         &self.entries[lo..hi]
     }
 
-    /// Counts entries `=e`-equal to the given entry (used by tests and statistics).
-    pub fn count_matching(&self, entry: &TraceEntry) -> usize {
-        self.entries.iter().filter(|e| event_eq(e, entry)).count()
-    }
-
     /// A rough estimate of the in-memory size of the trace in bytes, used by the memory
     /// cost model of the differencing benchmarks.
     pub fn estimated_bytes(&self) -> usize {
@@ -161,94 +151,6 @@ impl<'a> IntoIterator for &'a Trace {
 
     fn into_iter(self) -> Self::IntoIter {
         self.entries.iter()
-    }
-}
-
-/// A segment-at-a-time trace store mirroring RPrism's smart trace segmentation (§5).
-///
-/// Entries are pushed into an open segment; when the segment reaches the configured
-/// capacity it is *sealed*. In the paper's implementation sealed segments are serialized
-/// to disk and their memory reclaimed; here sealing simply moves the segment into the
-/// sealed list (and the benchmarks account for its bytes separately), which preserves the
-/// behaviourally relevant property: the set of entries available to the *online* part of
-/// the system at any instant is bounded by the segment capacity.
-#[derive(Clone, Debug)]
-pub struct SegmentedTrace {
-    meta: TraceMeta,
-    segment_capacity: usize,
-    sealed: Vec<Vec<TraceEntry>>,
-    open: Vec<TraceEntry>,
-    next_eid: u64,
-}
-
-impl SegmentedTrace {
-    /// Creates a segmented trace with the given per-segment entry capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `segment_capacity` is zero.
-    pub fn new(meta: TraceMeta, segment_capacity: usize) -> Self {
-        assert!(segment_capacity > 0, "segment capacity must be positive");
-        SegmentedTrace {
-            meta,
-            segment_capacity,
-            sealed: Vec::new(),
-            open: Vec::new(),
-            next_eid: 0,
-        }
-    }
-
-    /// Appends an entry, sealing the open segment first if it is full.
-    pub fn push(&mut self, mut entry: TraceEntry) -> EntryId {
-        if self.open.len() >= self.segment_capacity {
-            self.seal();
-        }
-        let eid = EntryId(self.next_eid);
-        self.next_eid += 1;
-        entry.eid = eid;
-        self.open.push(entry);
-        eid
-    }
-
-    /// Seals the currently open segment (no-op when it is empty).
-    pub fn seal(&mut self) {
-        if !self.open.is_empty() {
-            let segment = std::mem::take(&mut self.open);
-            self.sealed.push(segment);
-        }
-    }
-
-    /// Total number of entries across all segments.
-    pub fn len(&self) -> usize {
-        self.next_eid as usize
-    }
-
-    /// Returns `true` when no entries have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.next_eid == 0
-    }
-
-    /// Number of sealed segments.
-    pub fn sealed_segments(&self) -> usize {
-        self.sealed.len()
-    }
-
-    /// The number of entries currently held in the open (in-memory) segment — the
-    /// quantity the segmentation scheme keeps bounded.
-    pub fn open_len(&self) -> usize {
-        self.open.len()
-    }
-
-    /// Finalizes the store into a single logical [`Trace`] for offline analysis.
-    pub fn into_trace(mut self) -> Trace {
-        self.seal();
-        let mut trace = Trace::new(self.meta);
-        for segment in self.sealed {
-            for entry in segment {
-                trace.push(entry);
-            }
-        }
-        trace
     }
 }
 
@@ -305,38 +207,6 @@ mod tests {
         t.push(set_entry(0, "x", 1));
         t.push(set_entry(1, "x", 1));
         assert_eq!(t.thread_ids(), vec![ThreadId(0), ThreadId(2), ThreadId(1)]);
-    }
-
-    #[test]
-    fn count_matching_uses_event_equality() {
-        let mut t = Trace::named("count");
-        t.push(set_entry(0, "x", 1));
-        t.push(set_entry(1, "x", 1));
-        t.push(set_entry(0, "x", 2));
-        assert_eq!(t.count_matching(&set_entry(9, "x", 1)), 2);
-    }
-
-    #[test]
-    fn segmented_trace_bounds_open_segment() {
-        let mut st = SegmentedTrace::new(TraceMeta::new("seg", "v1", "t1"), 3);
-        for i in 0..10 {
-            st.push(set_entry(0, "x", i));
-            assert!(st.open_len() <= 3, "open segment exceeded capacity");
-        }
-        assert_eq!(st.len(), 10);
-        assert_eq!(st.sealed_segments(), 3);
-        let trace = st.into_trace();
-        assert_eq!(trace.len(), 10);
-        // Entry ids are consecutive after finalization.
-        for (i, e) in trace.iter().enumerate() {
-            assert_eq!(e.eid.index(), i);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "segment capacity")]
-    fn zero_capacity_segments_rejected() {
-        let _ = SegmentedTrace::new(TraceMeta::default(), 0);
     }
 
     #[test]

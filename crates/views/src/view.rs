@@ -14,7 +14,7 @@
 //! The mapping functions compute, for a given trace entry, the name of the view of each
 //! type the entry belongs to (or `None`, e.g. thread events have no target object view).
 
-use rprism_trace::{intern, CreationSeq, EntryRef, Loc, ObjIdent, Symbol, ThreadId, TraceEntry};
+use rprism_trace::{intern, EntryRef, Loc, ObjIdent, Symbol, ThreadId, TraceEntry};
 
 /// The four view types of the paper.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -277,20 +277,13 @@ impl View {
         let hi = (position + delta + 1).min(self.entries.len());
         &self.entries[lo..hi]
     }
-
-    /// The class + creation sequence identity of the object this view is about, when that
-    /// is derivable (object views only).
-    pub fn object_identity(&self) -> Option<(&str, CreationSeq)> {
-        let rep = self.representative?;
-        Some((rep.class.as_str(), rep.creation_seq?))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rprism_lang::{FieldName, MethodName};
-    use rprism_trace::{EntryId, Event, ObjRep, StackSnapshot};
+    use rprism_trace::{CreationSeq, EntryId, Event, ObjRep, StackSnapshot};
 
     fn obj(class: &str, loc: u64, seq: u64) -> ObjRep {
         ObjRep::opaque_object(Loc(loc), class, CreationSeq(seq))
@@ -391,18 +384,5 @@ mod tests {
             "CM:SP.run"
         );
         assert_eq!(ViewKind::TargetObject.label(), "TO");
-    }
-
-    #[test]
-    fn object_identity_requires_representative() {
-        let mut v = View {
-            name: ViewName::TargetObject(ObjectId(Loc(5))),
-            key: ViewKey::TargetObject(ObjectId(Loc(5))),
-            entries: vec![0],
-            representative: Some(ObjIdent::of(&obj("NUM", 5, 3))),
-        };
-        assert_eq!(v.object_identity(), Some(("NUM", CreationSeq(3))));
-        v.representative = None;
-        assert_eq!(v.object_identity(), None);
     }
 }

@@ -16,8 +16,6 @@ pub struct VmConfig {
     pub max_steps: u64,
     /// Hard bound on iterations of any single `while` loop execution.
     pub max_loop_iterations: u64,
-    /// Per-segment capacity of the segmented trace store (§5 "smart trace segmentation").
-    pub segment_capacity: usize,
     /// The pointcut-like filter deciding which events are recorded.
     pub filter: TraceFilter,
     /// Classes whose value representation is forced to be opaque (identity-only objects).
@@ -40,7 +38,6 @@ impl Default for VmConfig {
             quantum: 16,
             max_steps: 20_000_000,
             max_loop_iterations: 1_000_000,
-            segment_capacity: 64 * 1024,
             filter: TraceFilter::record_all(),
             opaque_classes: HashSet::new(),
             value_repr_depth: 1,

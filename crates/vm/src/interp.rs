@@ -33,8 +33,7 @@ use rprism_lang::ast::{Lit, Program, Term};
 use rprism_lang::{ClassName, ClassTable, MethodName, VarName};
 use rprism_trace::EntryId;
 use rprism_trace::{
-    Event, ObjRep, SegmentedTrace, StackFrame, StackSnapshot, ThreadId, Trace, TraceEntry,
-    TraceMeta,
+    Event, ObjRep, StackFrame, StackSnapshot, ThreadId, Trace, TraceEntry, TraceMeta,
 };
 
 use crate::config::{RunStats, VmConfig};
@@ -112,7 +111,7 @@ pub fn run_validated(
     let inner = Arc::new(VmInner {
         state: Mutex::new(Shared {
             heap: Heap::new(config.opaque_classes.clone(), config.value_repr_depth),
-            trace: SegmentedTrace::new(meta, config.segment_capacity),
+            trace: Trace::new(meta),
             output: Vec::new(),
             ring: vec![ThreadId::MAIN],
             turn: 0,
@@ -146,8 +145,7 @@ pub fn run_validated(
     }
 
     let mut st = inner.state.lock().expect("vm state poisoned");
-    let trace =
-        std::mem::replace(&mut st.trace, SegmentedTrace::new(TraceMeta::default(), 1)).into_trace();
+    let trace = std::mem::replace(&mut st.trace, Trace::new(TraceMeta::default()));
     let output = std::mem::take(&mut st.output);
     let stats = st.stats.clone();
     let child_error = st.child_errors.first().cloned();
@@ -189,7 +187,7 @@ type EvalResult = Result<Value, Flow>;
 
 struct Shared {
     heap: Heap,
-    trace: SegmentedTrace,
+    trace: Trace,
     output: Vec<String>,
     /// Runnable threads in round-robin order.
     ring: Vec<ThreadId>,

@@ -12,8 +12,7 @@
 //!
 //! In the paper the tracing layer is implemented by weaving AspectJ advice into JVM
 //! bytecode; here the interpreter *is* the instrumentation (see `DESIGN.md` for the
-//! substitution argument). The [`filter::TraceFilter`] plays the role of pointcuts, and
-//! [`rprism_trace::SegmentedTrace`] plays the role of smart trace segmentation.
+//! substitution argument). The [`filter::TraceFilter`] plays the role of pointcuts.
 //!
 //! ## Quickstart
 //!

@@ -93,11 +93,6 @@ impl Value {
             }),
         }
     }
-
-    /// Returns `true` when this value is a heap reference.
-    pub fn is_ref(&self) -> bool {
-        matches!(self, Value::Ref { .. })
-    }
 }
 
 /// Evaluates a binary primitive operation.

@@ -405,14 +405,6 @@ pub struct ScenarioOutcome {
     pub quality: rprism_regress::QualityMetrics,
 }
 
-/// Whether one of a scenario's traces is the largest; convenience for table harnesses.
-pub fn total_trace_entries(traces: &ScenarioTraces) -> usize {
-    traces.traces.old_regressing.len()
-        + traces.traces.new_regressing.len()
-        + traces.traces.old_passing.len()
-        + traces.traces.new_passing.len()
-}
-
 /// The number of entries of the suspected comparison (old vs new under the regressing
 /// test), the "Trace Entries" column of Table 1.
 pub fn suspected_trace_entries(traces: &ScenarioTraces) -> usize {
@@ -482,7 +474,6 @@ mod tests {
         let traces = s.trace_all().unwrap();
         assert!(traces.exhibits_regression());
         assert!(suspected_trace_entries(&traces) > 0);
-        assert!(total_trace_entries(&traces) > suspected_trace_entries(&traces));
         assert!(traces.tracing_seconds >= 0.0);
     }
 

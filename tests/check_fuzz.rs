@@ -51,7 +51,7 @@ fn single_byte_flips_are_a_report_or_a_structured_error() {
 #[test]
 fn injected_read_faults_surface_as_errors_not_panics() {
     let engine = Engine::new();
-    // A bigger trace than one BufReader fill, so the faulted later reads actually
+    // A bigger trace than one window fill, so the faulted later reads actually
     // happen (op 0 is the first fill; failing from op 1 hits the stream mid-body).
     let trace = GenProfile::WellFormed.generate(&mut Rng::new(0xbad), 2_000);
     let bytes = trace_to_bytes(&trace, Encoding::Binary).unwrap();
