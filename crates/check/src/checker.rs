@@ -12,11 +12,9 @@
 //! defect yields one diagnostic, not an avalanche. The negative fixtures in
 //! [`crate::fixtures`] and the mutation tests in the workspace suite pin this down.
 
-use std::collections::{HashMap, HashSet};
-
 use rprism_trace::{
-    intern, CreationSeq, EntryBatch, EntryRef, EventKind, Loc, ObjAt, StackSnapshot, Symbol,
-    ThreadId, Trace,
+    intern, CreationSeq, EntryBatch, EntryRef, EventKind, IntMap, IntSet, Loc, ObjAt,
+    StackSnapshot, Symbol, ThreadId, Trace,
 };
 
 use crate::diag::{CheckReport, Diagnostic, Severity};
@@ -167,16 +165,16 @@ pub struct Checker {
     diagnostics: Vec<Diagnostic>,
     suppressed: usize,
 
-    threads: HashMap<ThreadId, ThreadState>,
+    threads: IntMap<ThreadId, ThreadState>,
     thread_order: Vec<ThreadId>,
-    forked: HashMap<ThreadId, ForkInfo>,
+    forked: IntMap<ThreadId, ForkInfo>,
 
-    objects: HashMap<ObjKey, ObjState>,
-    by_loc: HashMap<Loc, ObjKey>,
-    class_last_seq: HashMap<Symbol, u64>,
-    undefined_reported: HashSet<ObjKey>,
+    objects: IntMap<ObjKey, ObjState>,
+    by_loc: IntMap<Loc, ObjKey>,
+    class_last_seq: IntMap<Symbol, u64>,
+    undefined_reported: IntSet<ObjKey>,
 
-    vars: HashMap<(ObjKey, Symbol), VarState>,
+    vars: IntMap<(ObjKey, Symbol), VarState>,
     clocks: Vec<Vec<u64>>,
     /// Clock slots handed out (at fork time) to threads with no entries yet.
     pending_slots: Vec<(ThreadId, usize)>,
@@ -206,14 +204,14 @@ impl Checker {
             index: 0,
             diagnostics: Vec::new(),
             suppressed: 0,
-            threads: HashMap::new(),
+            threads: IntMap::default(),
             thread_order: Vec::new(),
-            forked: HashMap::new(),
-            objects: HashMap::new(),
-            by_loc: HashMap::new(),
-            class_last_seq: HashMap::new(),
-            undefined_reported: HashSet::new(),
-            vars: HashMap::new(),
+            forked: IntMap::default(),
+            objects: IntMap::default(),
+            by_loc: IntMap::default(),
+            class_last_seq: IntMap::default(),
+            undefined_reported: IntSet::default(),
+            vars: IntMap::default(),
             clocks: Vec::new(),
             pending_slots: Vec::new(),
             eid_disorder_reported: false,

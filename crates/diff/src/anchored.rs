@@ -21,10 +21,9 @@
 //! Like the LCS baseline, anchoring consumes only the two [`KeyedTrace`]s — no view
 //! webs — so it composes with streaming ingestion's lean handles.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
-use rprism_trace::{par, KeyRef, KeyedTrace, Trace};
+use rprism_trace::{par, IntHashState, IntMap, KeyRef, KeyedTrace, Trace};
 
 use crate::cost::{CostMeter, DiffError, MemoryBudget};
 use crate::lcs::{lcs_bitparallel, lcs_hirschberg};
@@ -371,8 +370,9 @@ struct HistEntry {
     count: u32,
 }
 
-fn histogram(keys: &[KeyRef<'_>]) -> HashMap<u64, HistEntry> {
-    let mut hist: HashMap<u64, HistEntry> = HashMap::with_capacity(keys.len());
+fn histogram(keys: &[KeyRef<'_>]) -> IntMap<u64, HistEntry> {
+    let mut hist: IntMap<u64, HistEntry> =
+        IntMap::with_capacity_and_hasher(keys.len(), IntHashState::new());
     for key in keys {
         hist.entry(key.compact().hash)
             .and_modify(|e| e.count = e.count.saturating_add(1))
@@ -383,8 +383,9 @@ fn histogram(keys: &[KeyRef<'_>]) -> HashMap<u64, HistEntry> {
 
 /// Range-relative occurrence positions of every hash, in ascending order (a
 /// by-product of the forward scan), for nearest-occurrence split lookups.
-fn positions_by_hash(keys: &[KeyRef<'_>]) -> HashMap<u64, Vec<usize>> {
-    let mut map: HashMap<u64, Vec<usize>> = HashMap::with_capacity(keys.len());
+fn positions_by_hash(keys: &[KeyRef<'_>]) -> IntMap<u64, Vec<usize>> {
+    let mut map: IntMap<u64, Vec<usize>> =
+        IntMap::with_capacity_and_hasher(keys.len(), IntHashState::new());
     for (i, key) in keys.iter().enumerate() {
         map.entry(key.compact().hash).or_default().push(i);
     }

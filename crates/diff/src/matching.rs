@@ -37,12 +37,12 @@ impl Matching {
     /// Creates a matching over traces of the given lengths from a pair list in any
     /// order, duplicates allowed.
     ///
-    /// The sort is the stable, run-adaptive one: differs emit long ascending runs (a
-    /// lock-step scan's head matches, each window's LCS), which it merges in near-linear
-    /// time. Pairs are totally ordered, so the result is the same as any other sort's.
-    pub fn from_pairs(left_len: usize, right_len: usize, mut pairs: Vec<(usize, usize)>) -> Self {
-        pairs.sort();
-        pairs.dedup();
+    /// Normalizing is a counting sort, with no comparison sort of the whole list: one
+    /// pass counts the pairs per left index, one places each pair in its left index's
+    /// bucket, and each bucket's short list of right indices is sorted on its own.
+    /// Pairs whose left index is past `left_len` sort after all the others.
+    pub fn from_pairs(left_len: usize, right_len: usize, pairs: Vec<(usize, usize)>) -> Self {
+        let pairs = sorted_dedup(left_len, pairs);
         Matching {
             matched_left: IndexBits::of(left_len, pairs.iter().map(|&(l, _)| l)),
             matched_right: IndexBits::of(right_len, pairs.iter().map(|&(_, r)| r)),
@@ -143,6 +143,43 @@ impl Matching {
         }
         sequences
     }
+}
+
+/// `pairs` sorted by left index then right index and deduplicated, bucketed by left
+/// index over `0..left_len` (see [`Matching::from_pairs`]).
+fn sorted_dedup(left_len: usize, pairs: Vec<(usize, usize)>) -> Vec<(usize, usize)> {
+    // `ends[l + 1]` first counts bucket `l`; the prefix sum makes `ends[l]` where
+    // bucket `l` starts, and placing advances it to where the bucket ends.
+    let mut ends = vec![0usize; left_len + 1];
+    for &(l, _) in &pairs {
+        if l < left_len {
+            ends[l + 1] += 1;
+        }
+    }
+    for l in 1..=left_len {
+        ends[l] += ends[l - 1];
+    }
+    let mut sorted = vec![(0, 0); ends[left_len]];
+    let mut past = Vec::new();
+    for pair in pairs {
+        if pair.0 < left_len {
+            sorted[ends[pair.0]] = pair;
+            ends[pair.0] += 1;
+        } else {
+            past.push(pair);
+        }
+    }
+    let mut start = 0;
+    for &end in &ends[..left_len] {
+        if end - start > 1 {
+            sorted[start..end].sort_unstable();
+        }
+        start = end;
+    }
+    past.sort_unstable();
+    sorted.append(&mut past);
+    sorted.dedup();
+    sorted
 }
 
 /// A dense set of indices below a fixed length, one bit per index.

@@ -92,7 +92,7 @@ use rprism_trace::{
 };
 
 use crate::error::{FormatError, Result};
-use crate::varint::{self, ByteSource as _, SliceSource};
+use crate::varint;
 use crate::window::Window;
 use crate::TailBatch;
 
@@ -158,8 +158,9 @@ pub struct BinaryTraceWriter<W: Write> {
     out: W,
     hash: Fnv64,
     /// String → file-local string id, the deduplication table. It stays local to the
-    /// writer (and keyed with std's `RandomState`): the strings may come from an
-    /// unverified upload, which must not grow the process-global interner.
+    /// writer (and keyed with std's `RandomState`, by the hashing rule of
+    /// [`rprism_trace::inthash`]): the strings may come from an unverified upload,
+    /// which must not grow the process-global interner.
     string_ids: HashMap<Box<str>, u32>,
     entries: u64,
     scratch: Vec<u8>,
@@ -391,7 +392,7 @@ struct Checkpoint {
     entries_read: u64,
 }
 
-/// The most bytes [`varint::read_u64`] examines before it decides: ten payload bytes
+/// The most bytes [`varint::decode`] examines before it decides: ten payload bytes
 /// plus the eleventh that proves an encoding overlong.
 const VARINT_WINDOW: usize = 11;
 
@@ -474,15 +475,17 @@ impl<R: Read> BinaryTraceReader<R> {
             .expect("`take` returns N bytes"))
     }
 
+    #[inline]
     fn read_varint(&mut self) -> Result<u64> {
-        // With the whole varint (or everything the input has) in the window, decoding
-        // the slice gives the same value, error and offset as decoding the stream.
-        self.window.ensure(VARINT_WINDOW)?;
-        let base = self.window.offset();
-        let mut src = SliceSource::new(self.window.ahead(), base);
-        let value = varint::read_u64(&mut src);
-        self.window.advance((src.offset() - base) as usize);
-        value
+        // A one-byte varint already in the window needs no refill. Otherwise, with the
+        // whole varint (or everything the input has) in the window, decoding the slice
+        // gives the same value, error and offset as decoding the stream.
+        if !matches!(self.window.ahead().first(), Some(&byte) if byte < 0x80) {
+            self.window.ensure(VARINT_WINDOW)?;
+        }
+        let (value, len) = varint::decode(self.window.ahead(), self.window.offset())?;
+        self.window.advance(len);
+        Ok(value)
     }
 
     /// Reads a length-prefixed UTF-8 string. The bytes must be in the window before

@@ -23,8 +23,8 @@ pub trait ByteSource {
     fn offset(&self) -> u64;
 }
 
-/// A [`ByteSource`] over an in-memory slice (used by tests and the sniffing logic).
-pub struct SliceSource<'a> {
+/// A [`ByteSource`] over an in-memory slice: [`decode`]'s path for longer varints.
+struct SliceSource<'a> {
     bytes: &'a [u8],
     pos: usize,
     base: u64,
@@ -32,7 +32,7 @@ pub struct SliceSource<'a> {
 
 impl<'a> SliceSource<'a> {
     /// Wraps a slice whose first byte sits at absolute offset `base`.
-    pub fn new(bytes: &'a [u8], base: u64) -> Self {
+    fn new(bytes: &'a [u8], base: u64) -> Self {
         SliceSource {
             bytes,
             pos: 0,
@@ -71,6 +71,26 @@ pub fn write_u64(out: &mut Vec<u8>, mut value: u64) {
 /// The number of bytes [`write_u64`] produces for `value`.
 pub fn encoded_len(value: u64) -> usize {
     (64 - value.leading_zeros() as usize).max(1).div_ceil(7)
+}
+
+/// Decodes one LEB128 `u64` from the start of `bytes`, whose first byte sits at
+/// absolute offset `base`, and returns the value and the number of bytes it took.
+///
+/// A first byte below `0x80` is a whole canonical varint on its own and returns at
+/// once; every longer input goes through [`read_u64`], with its errors and offsets.
+#[inline]
+pub fn decode(bytes: &[u8], base: u64) -> Result<(u64, usize)> {
+    match bytes.first() {
+        Some(&byte) if byte < 0x80 => Ok((u64::from(byte), 1)),
+        _ => decode_long(bytes, base),
+    }
+}
+
+#[inline(never)]
+fn decode_long(bytes: &[u8], base: u64) -> Result<(u64, usize)> {
+    let mut src = SliceSource::new(bytes, base);
+    let value = read_u64(&mut src)?;
+    Ok((value, src.pos))
 }
 
 /// Reads one LEB128 `u64` from the source.
@@ -146,6 +166,24 @@ mod tests {
         for shift in 0..64 {
             round_trip(1u64 << shift);
             round_trip((1u64 << shift) - 1);
+        }
+    }
+
+    #[test]
+    fn decode_agrees_with_the_stream_decoder() {
+        let mut inputs: Vec<Vec<u8>> = (0..=0xffu8).map(|b| vec![b]).collect();
+        inputs.extend([vec![], vec![0x80, 0x00], vec![0x80; 11], vec![0xff; 10]]);
+        let mut max = Vec::new();
+        write_u64(&mut max, u64::MAX);
+        inputs.extend((0..=max.len()).map(|len| max[..len].to_vec()));
+        for input in inputs {
+            let mut src = SliceSource::new(&input, 7);
+            let stream = read_u64(&mut src).map(|v| (v, (src.offset() - 7) as usize));
+            assert_eq!(
+                format!("{:?}", decode(&input, 7)),
+                format!("{stream:?}"),
+                "{input:02x?}"
+            );
         }
     }
 

@@ -8,8 +8,18 @@
 //! * **Sniffing** — a UTF-8 BOM is accepted (and stripped) in front of both encodings,
 //!   a stream that ends inside the `RPTR` magic reports truncation rather than a JSONL
 //!   parse error, and an empty stream names the problem.
+//! * **Varint edge cases on both decoders** — every one-byte value, the overlong zero,
+//!   the ten-byte maximum, an eleven-byte run and every cut of a varint give the same
+//!   value, or the same error at the same offset, through the binary walk (strict,
+//!   and drip-fed one byte at a time) and through the wire's `Response::decode`.
 
-use rprism_format::{trace_from_bytes, trace_to_bytes, Encoding, FormatError};
+use std::io::Read;
+
+use rprism_format::{
+    read_trace, trace_from_bytes, trace_to_bytes, varint, Encoding, FormatError, TailBatch,
+    TailDecoder,
+};
+use rprism_server::proto::{Response, PROTO_VERSION};
 use rprism_trace::testgen::{arbitrary_trace, Rng};
 use rprism_trace::Trace;
 
@@ -155,5 +165,152 @@ fn empty_stream_has_a_dedicated_message() {
             assert!(detail.contains("empty"), "unexpected detail {detail:?}")
         }
         other => panic!("BOM-only stream: {other:?}"),
+    }
+}
+
+/// What decoding one varint gives, stated as the decoder's rules say.
+#[derive(Clone, Debug)]
+enum Expect {
+    Value(u64),
+    /// Corrupt at the varint's first byte, with this detail.
+    Corrupt(&'static str),
+    /// The input ends inside the varint.
+    Truncated,
+}
+
+/// Every edge case: each one-byte value, the overlong zero, the ten-byte maximum, an
+/// eleven-byte run, and the maximum cut after each of its bytes.
+fn varint_cases() -> Vec<(Vec<u8>, Expect)> {
+    let mut cases: Vec<(Vec<u8>, Expect)> = (0..=0x7fu8)
+        .map(|byte| (vec![byte], Expect::Value(u64::from(byte))))
+        .collect();
+    cases.push((
+        vec![0x80, 0x00],
+        Expect::Corrupt("non-canonical (overlong) varint"),
+    ));
+    let mut max = Vec::new();
+    varint::write_u64(&mut max, u64::MAX);
+    assert_eq!(max.len(), 10);
+    cases.push((max.clone(), Expect::Value(u64::MAX)));
+    cases.push((
+        vec![0x80; 11],
+        Expect::Corrupt("varint longer than 10 bytes"),
+    ));
+    for cut in 1..max.len() {
+        cases.push((max[..cut].to_vec(), Expect::Truncated));
+    }
+    cases.push((vec![0x80], Expect::Truncated));
+    cases
+}
+
+/// A reader that hands out one byte per `read`.
+struct OneByteReads<'a>(&'a [u8]);
+
+impl Read for OneByteReads<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let Some((&first, rest)) = self.0.split_first() else {
+            return Ok(0);
+        };
+        if buf.is_empty() {
+            return Ok(0);
+        }
+        buf[0] = first;
+        self.0 = rest;
+        Ok(1)
+    }
+}
+
+/// Pushes `bytes` one at a time, draining after each push, then finishes.
+fn drip_feed(bytes: &[u8]) -> Result<Trace, FormatError> {
+    let mut decoder = TailDecoder::new();
+    let mut entries = Vec::new();
+    let mut batch = Vec::new();
+    for byte in bytes {
+        decoder.push_bytes(std::slice::from_ref(byte))?;
+        while let TailBatch::Entries(_) = decoder.read_batch(&mut batch, usize::MAX)? {
+            entries.append(&mut batch);
+        }
+    }
+    decoder.finish(&mut entries)?;
+    let meta = decoder.meta().expect("header parsed").clone();
+    let mut trace = Trace::new(meta);
+    for entry in entries {
+        trace.push(entry);
+    }
+    Ok(trace)
+}
+
+#[test]
+fn varint_edge_cases_decode_alike_in_the_binary_walk() {
+    // Each case replaces the footer's entry count; a count that decodes shows its value
+    // in the entry-count check, and a good stream carries the repaired checksum.
+    let trace = sample(0x7a11, 12);
+    let bytes = trace_to_bytes(&trace, Encoding::Binary).unwrap();
+    let count_at = bytes.len() - 9;
+    assert_eq!(bytes[count_at], 12);
+    let entries = trace.len() as u64;
+    for (varint, expect) in varint_cases() {
+        let mut stream = bytes[..count_at].to_vec();
+        stream.extend_from_slice(&varint);
+        if !matches!(expect, Expect::Truncated) {
+            let checksum = fnv64(&stream);
+            stream.extend_from_slice(&checksum.to_le_bytes());
+        }
+        let expected = match expect {
+            Expect::Value(value) if value == entries => Ok(trace.clone()),
+            Expect::Value(value) => Err(FormatError::Corrupt {
+                offset: count_at as u64 - 1,
+                detail: format!("footer declares {value} entries but {entries} were read"),
+            }),
+            Expect::Corrupt(detail) => Err(FormatError::Corrupt {
+                offset: count_at as u64,
+                detail: detail.into(),
+            }),
+            Expect::Truncated => Err(FormatError::Truncated {
+                offset: stream.len() as u64,
+            }),
+        };
+        let expected = format!("{expected:?}");
+        for (path, decoded) in [
+            ("strict", trace_from_bytes(&stream)),
+            ("one-byte reads", read_trace(OneByteReads(&stream))),
+            ("one-byte pushes", drip_feed(&stream)),
+        ] {
+            assert_eq!(
+                format!("{decoded:?}"),
+                expected,
+                "{path}, varint {varint:02x?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn varint_edge_cases_decode_alike_on_the_wire() {
+    // `Response::Corrupt` starts with a `u64` varint (the hash), then a string.
+    let header = [PROTO_VERSION, 0xfe];
+    for (varint, expect) in varint_cases() {
+        let mut payload = [&header[..], &varint].concat();
+        if !matches!(expect, Expect::Truncated) {
+            payload.push(0x00);
+        }
+        let expected = match expect {
+            Expect::Value(hash) => Ok(Response::Corrupt {
+                hash,
+                message: String::new(),
+            }),
+            Expect::Corrupt(detail) => Err(FormatError::Corrupt {
+                offset: header.len() as u64,
+                detail: detail.into(),
+            }),
+            Expect::Truncated => Err(FormatError::Truncated {
+                offset: payload.len() as u64,
+            }),
+        };
+        assert_eq!(
+            format!("{:?}", Response::decode(&payload)),
+            format!("{expected:?}"),
+            "varint {varint:02x?}"
+        );
     }
 }

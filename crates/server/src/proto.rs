@@ -68,7 +68,7 @@ use rprism::{
 };
 use rprism_diff::DiffSequence;
 use rprism_format::error::{FormatError, Result as FormatResult};
-use rprism_format::varint::{self, ByteSource as _};
+use rprism_format::varint;
 use rprism_regress::DiffSignature;
 use rprism_trace::{intern, EventKind, Symbol, ValueFingerprint};
 
@@ -726,9 +726,8 @@ impl Wire for u64 {
 
     #[inline]
     fn get(dec: &mut Dec<'_>) -> FormatResult<Self> {
-        let mut source = varint::SliceSource::new(&dec.bytes[dec.pos..], dec.pos as u64);
-        let value = varint::read_u64(&mut source)?;
-        dec.pos = source.offset() as usize;
+        let (value, len) = varint::decode(&dec.bytes[dec.pos..], dec.pos as u64)?;
+        dec.pos += len;
         Ok(value)
     }
 }

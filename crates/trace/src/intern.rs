@@ -16,7 +16,8 @@
 //! the write lock. The global map stays the single source of truth: a cache slot only
 //! ever holds a pair the map returned, and interned strings are never removed. The
 //! cache slot comes from a cheap unkeyed hash; the map keeps std's keyed SipHash, since
-//! it sees names from untrusted uploads and must resist hash flooding.
+//! it sees names from untrusted uploads and must resist hash flooding (the hashing rule
+//! is stated in [`crate::inthash`]).
 
 use std::cell::Cell;
 use std::collections::HashMap;

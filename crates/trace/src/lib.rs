@@ -18,6 +18,8 @@
 //! * [`eq`] — the event-equality relation `=e` on which all differencing is built;
 //! * [`mod@intern`] — process-global string interning: names become dense `u32`
 //!   [`Symbol`]s that compare and hash as integers;
+//! * [`inthash`] — the hashing rule for maps keyed by trace data, and
+//!   [`IntHashState`], the keyed multiply hasher of the integer-keyed ones;
 //! * [`keyed`] — [`KeyedTrace`]: per-entry precomputed [`CompactEventKey`]s (interned
 //!   symbols + value fingerprints + a 64-bit content hash) that make `=e` on the diff
 //!   hot paths an allocation-free integer comparison;
@@ -37,6 +39,7 @@ pub mod entry;
 pub mod eq;
 pub mod event;
 pub mod intern;
+pub mod inthash;
 pub mod keyed;
 pub mod lean;
 pub mod objrep;
@@ -50,6 +53,7 @@ pub use entry::{EntryId, ThreadId, TraceEntry};
 pub use eq::{event_eq, events_eq, EventKey};
 pub use event::{Event, EventKind};
 pub use intern::{intern, resolve, Symbol};
+pub use inthash::{IntHashState, IntMap, IntSet};
 pub use keyed::{CompactEventKey, KeyRef, KeyedTrace, OperandId};
 pub use lean::{LeanEntry, LeanTrace, ObjIdent};
 pub use objrep::{CreationSeq, Loc, ObjRep, ValueFingerprint, ValueRepr};

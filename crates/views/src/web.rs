@@ -12,9 +12,7 @@
 //! indexings with no hashing and no `ViewName` clones. The name-keyed index is retained
 //! only as a lookup front door ([`ViewWeb::view`]); every hot path works on ids.
 
-use std::collections::HashMap;
-
-use rprism_trace::{EntryBatch, EntryRef, ObjIdent, StackSnapshot, ThreadId, Trace};
+use rprism_trace::{EntryBatch, EntryRef, IntMap, ObjIdent, StackSnapshot, ThreadId, Trace};
 
 use crate::view::{View, ViewKey, ViewKind, ViewName};
 
@@ -67,12 +65,12 @@ impl EntryViews {
 #[derive(Clone, Debug)]
 pub struct ViewWeb {
     views: Vec<View>,
-    index: HashMap<ViewKey, ViewId>,
+    index: IntMap<ViewKey, ViewId>,
     /// For each base-trace index, the ids of the views that entry belongs to.
     memberships: Vec<EntryViews>,
     /// For each thread, the spawn ancestry recorded by its `fork` event (empty for the
     /// main thread); used by thread-view correlation.
-    thread_ancestry: HashMap<ThreadId, Vec<StackSnapshot>>,
+    thread_ancestry: IntMap<ThreadId, Vec<StackSnapshot>>,
 }
 
 impl ViewWeb {
@@ -81,9 +79,9 @@ impl ViewWeb {
     pub fn empty() -> Self {
         let mut web = ViewWeb {
             views: Vec::new(),
-            index: HashMap::new(),
+            index: IntMap::default(),
             memberships: Vec::new(),
-            thread_ancestry: HashMap::new(),
+            thread_ancestry: IntMap::default(),
         };
         web.thread_ancestry.insert(ThreadId::MAIN, Vec::new());
         web

@@ -318,6 +318,78 @@ fn split_object(new: &Trace) -> Trace {
     out
 }
 
+/// `trace` with every location `l`, stack snapshots included, moved to `l << 32`: the
+/// same objects under keys that differ only in their high bits.
+fn shifted_locations(trace: &Trace) -> Trace {
+    let shift = |rep: &mut ObjRep| {
+        if let Some(loc) = &mut rep.loc {
+            assert!(loc.0 < 1 << 32, "location {loc} does not shift injectively");
+            loc.0 <<= 32;
+        }
+    };
+    let mut out = Trace::new(trace.meta.clone());
+    for entry in &trace.entries {
+        let mut entry = entry.clone();
+        objects_mut(&mut entry).into_iter().for_each(shift);
+        let snapshots = match &mut entry.event {
+            Event::Fork { parentage, .. } => parentage.iter_mut().collect(),
+            Event::End { stack } => vec![stack],
+            _ => Vec::new(),
+        };
+        for frame in snapshots.into_iter().flat_map(|s| s.frames.iter_mut()) {
+            shift(&mut frame.caller);
+            shift(&mut frame.callee);
+        }
+        out.push(entry);
+    }
+    out
+}
+
+/// Views and checks see locations only as keys: moving every location into the high
+/// bits (where a weak hash of the key loses them) changes no view count, no view's
+/// entries and no diagnostic, in the in-memory and the streamed build alike.
+#[test]
+fn views_and_checks_do_not_depend_on_the_key_layout() {
+    let engine = Engine::new();
+    let mut rng = Rng::new(fuzz_seed());
+    let mut traces: Vec<(String, Trace)> = GenProfile::ALL
+        .iter()
+        .map(|&profile| (profile.to_string(), profile.generate(&mut rng, 700)))
+        .collect();
+    traces.push(("arbitrary_trace".into(), arbitrary_trace(&mut rng, 300)));
+    let diagnostics = |trace: &Trace| -> Vec<(&'static str, usize, Vec<usize>)> {
+        check_trace(trace)
+            .diagnostics
+            .into_iter()
+            .map(|d| (d.rule_id, d.entry_index, d.related_entries))
+            .collect()
+    };
+    for (name, trace) in traces {
+        let shifted = shifted_locations(&trace);
+        let bytes = trace_to_bytes(&shifted, Encoding::Binary).unwrap();
+        let streamed = engine.load_prepared_reader(bytes.as_slice()).unwrap();
+        let web = ViewWeb::build(&trace);
+        for (path, other) in [
+            ("in-memory", &ViewWeb::build(&shifted)),
+            ("streamed", streamed.side().web()),
+        ] {
+            assert_eq!(
+                other.count_by_kind(),
+                web.count_by_kind(),
+                "{name} ({path}): view counts"
+            );
+            for ((id, view), (_, moved)) in web.views_with_ids().zip(other.views_with_ids()) {
+                assert_eq!(moved.entries, view.entries, "{name} ({path}): view {id:?}");
+            }
+        }
+        assert_eq!(
+            diagnostics(&shifted),
+            diagnostics(&trace),
+            "{name}: check diagnostics"
+        );
+    }
+}
+
 /// A near copy differs from its original in sparse, local edits, so its provisional
 /// scans take mismatch steps long before the stream ends. With valued objects and one
 /// object split mid-stream (see [`split_object`]), some of those steps are taken under
