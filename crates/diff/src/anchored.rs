@@ -2,13 +2,13 @@
 //!
 //! The exact differencers are quadratic in the differing middle; on 100k+-entry traces
 //! that is the dominant cost even with prefix/suffix stripping. This module trades the
-//! *identity* of the matching for near-linear behaviour on real traces: interned
-//! [`CompactEventKey`](rprism_trace::CompactEventKey) hashes that occur exactly once in
-//! both ranges are patience anchors — a longest increasing subsequence of them splits
-//! the problem into independent segments, recursively, with a histogram fallback
-//! (a balanced split at the common key nearest the range midpoint) when no unique
-//! key exists. Leaf segments small
-//! enough for the exact kernels are diffed exactly (bit-parallel with DP fallback, and
+//! *identity* of the matching for near-linear behaviour on real traces: interned key
+//! ids (the right side's translated into the left side's, see
+//! [`KeyedTrace::translate_into`]) that occur exactly once in both ranges are patience
+//! anchors — a longest increasing subsequence of them splits the problem into
+//! independent segments, recursively, with a histogram fallback (a balanced split at
+//! the common key nearest the range midpoint) when no unique key exists. Leaf segments
+//! small enough for the exact kernels are diffed exactly (bit-parallel with DP fallback, and
 //! Hirschberg when the per-segment memory budget is exceeded) and fan out over
 //! [`rprism_trace::par`].
 //!
@@ -23,10 +23,11 @@
 
 use std::time::Instant;
 
-use rprism_trace::{par, IntHashState, IntMap, KeyRef, KeyedTrace, Trace};
+use rprism_trace::{par, IntHashState, IntMap, KeyedTrace, Trace};
 
 use crate::cost::{CostMeter, DiffError, MemoryBudget};
 use crate::lcs::{lcs_bitparallel, lcs_hirschberg};
+use crate::lcs_diff::translated_ids;
 use crate::matching::Matching;
 use crate::result::TraceDiffResult;
 
@@ -91,15 +92,15 @@ pub fn anchored_diff_prepared(
     let start = Instant::now();
     let mut meter = CostMeter::new();
 
-    let lkeys: Vec<KeyRef<'_>> = (0..left_keyed.len()).map(|i| left_keyed.key(i)).collect();
-    let rkeys: Vec<KeyRef<'_>> = (0..right_keyed.len()).map(|i| right_keyed.key(i)).collect();
+    let lkeys = left_keyed.ids();
+    let rkeys = translated_ids(left_keyed, right_keyed);
     let key_bytes = left_keyed.estimated_bytes()
         + right_keyed.estimated_bytes()
-        + ((lkeys.len() + rkeys.len()) * std::mem::size_of::<KeyRef<'_>>()) as u64;
+        + (rkeys.len() * std::mem::size_of::<u32>()) as u64;
     meter.allocate(key_bytes);
 
     let mut anchoring = Anchoring {
-        lkeys: &lkeys,
+        lkeys,
         rkeys: &rkeys,
         options,
         pairs: Vec::new(),
@@ -124,7 +125,7 @@ pub fn anchored_diff_prepared(
     let leaves = par::map_ordered(&segments, |seg| {
         let mut leaf_meter = CostMeter::new();
         (
-            diff_segment(&lkeys, &rkeys, seg, options, &mut leaf_meter),
+            diff_segment(lkeys, &rkeys, seg, options, &mut leaf_meter),
             leaf_meter,
         )
     });
@@ -156,8 +157,8 @@ struct Segment {
 /// Diffs one leaf segment with the bit-parallel kernel, degrading to Hirschberg when
 /// the segment budget is exceeded, and returns its globally-indexed pairs.
 fn diff_segment(
-    lkeys: &[KeyRef<'_>],
-    rkeys: &[KeyRef<'_>],
+    lkeys: &[u32],
+    rkeys: &[u32],
     seg: &Segment,
     options: &AnchoredDiffOptions,
     meter: &mut CostMeter,
@@ -175,10 +176,10 @@ fn diff_segment(
     pairs
 }
 
-/// The recursive anchor discovery over index ranges of the two key sequences.
-struct Anchoring<'k, 'a> {
-    lkeys: &'k [KeyRef<'a>],
-    rkeys: &'k [KeyRef<'a>],
+/// The recursive anchor discovery over index ranges of the two key id sequences.
+struct Anchoring<'k> {
+    lkeys: &'k [u32],
+    rkeys: &'k [u32],
     options: &'k AnchoredDiffOptions,
     /// Directly matched pairs (stripped runs and verified anchors), global indices.
     pairs: Vec<(usize, usize)>,
@@ -186,7 +187,7 @@ struct Anchoring<'k, 'a> {
     segments: Vec<Segment>,
 }
 
-impl Anchoring<'_, '_> {
+impl Anchoring<'_> {
     fn recurse(
         &mut self,
         mut l0: usize,
@@ -230,25 +231,21 @@ impl Anchoring<'_, '_> {
         }
 
         // Left-range occurrence histogram and right-range sorted position lists over
-        // the interned key hashes: the former drives patience uniqueness checks, the
-        // latter both uniqueness checks and nearest-occurrence lookups for splits.
+        // the key ids: the former drives patience uniqueness checks, the latter both
+        // uniqueness checks and nearest-occurrence lookups for splits. Ids are equal
+        // exactly when keys are, so every position found is a true occurrence.
         let lhist = histogram(&self.lkeys[l0..l1]);
-        let rpos = positions_by_hash(&self.rkeys[r0..r1]);
+        let rpos = positions_by_id(&self.rkeys[r0..r1]);
 
-        // Patience anchors: keys unique in both ranges (verified by full key equality,
-        // so interned-hash collisions cannot fabricate an anchor), chained by a longest
-        // increasing subsequence of their right positions.
+        // Patience anchors: keys unique in both ranges (one compare counted per anchor,
+        // as checking its key), chained by a longest increasing subsequence of their
+        // right positions.
         let mut candidates: Vec<(usize, usize)> = Vec::new();
-        for (li, key) in self.lkeys[l0..l1].iter().enumerate() {
-            let hash = key.compact().hash;
-            if lhist.get(&hash).is_some_and(|e| e.count == 1) {
-                if let Some(ps) = rpos.get(&hash) {
-                    if ps.len() == 1 {
-                        meter.count_compares(1);
-                        if self.rkeys[r0 + ps[0]] == *key {
-                            candidates.push((l0 + li, r0 + ps[0]));
-                        }
-                    }
+        for (li, id) in self.lkeys[l0..l1].iter().enumerate() {
+            if lhist.get(id).is_some_and(|e| e.count == 1) {
+                if let Some(&[p]) = rpos.get(id).map(Vec::as_slice) {
+                    meter.count_compares(1);
+                    candidates.push((l0 + li, r0 + p));
                 }
             }
         }
@@ -266,11 +263,10 @@ impl Anchoring<'_, '_> {
         }
 
         // Histogram fallback: no unique common key in the ranges. Split near the *left
-        // midpoint* at an entry whose key also occurs on the right (verified by full
-        // key equality, so hash collisions cannot fabricate a split), pairing it with
-        // the verified right occurrence closest to the proportionally aligned
-        // position. The midpoint choice keeps the recursion balanced — splitting at a
-        // key's first occurrence can peel one tiny chunk per level, exhaust
+        // midpoint* at an entry whose key also occurs on the right, pairing it with
+        // the right occurrence closest to the proportionally aligned position. The
+        // midpoint choice keeps the recursion balanced — splitting at a key's first
+        // occurrence can peel one tiny chunk per level, exhaust
         // `max_depth`, and hand the quadratic leaf kernel a near-full-size segment.
         // Probing continues past the first common key until one lands within
         // `GOOD_SPLIT` of the proportional target (a key that is rare on the right can
@@ -293,21 +289,21 @@ impl Anchoring<'_, '_> {
                 break;
             }
             for li in [below, above].into_iter().flatten() {
-                let key = &self.lkeys[li];
-                let Some(ps) = rpos.get(&key.compact().hash) else {
+                let Some(ps) = rpos.get(&self.lkeys[li]) else {
                     continue;
                 };
                 probed += 1;
                 let target =
                     r0 + ((li - l0) as u128 * (r1 - r0) as u128 / (l1 - l0) as u128) as usize;
-                if let Some(ar) = nearest_verified(self.rkeys, r0, ps, target, key, meter) {
-                    let distance = ar.abs_diff(target);
-                    if best.is_none_or(|(b, _, _)| distance < b) {
-                        best = Some((distance, li, ar));
-                    }
-                    if distance <= GOOD_SPLIT {
-                        break 'probe;
-                    }
+                // One compare counted, as checking the occurrence's key.
+                meter.count_compares(1);
+                let ar = r0 + nearest(ps, target - r0);
+                let distance = ar.abs_diff(target);
+                if best.is_none_or(|(b, _, _)| distance < b) {
+                    best = Some((distance, li, ar));
+                }
+                if distance <= GOOD_SPLIT {
+                    break 'probe;
                 }
                 if probed >= PROBE_LIMIT {
                     break 'probe;
@@ -324,70 +320,42 @@ impl Anchoring<'_, '_> {
     }
 }
 
-/// Walks a hash's sorted range-relative occurrence list outward from the position
-/// nearest `target` (a global right index) and returns the first occurrence whose key
-/// actually equals `key` — filtering out cross-side hash collisions — as a global
-/// index.
-fn nearest_verified(
-    rkeys: &[KeyRef<'_>],
-    r0: usize,
-    positions: &[usize],
-    target: usize,
-    key: &KeyRef<'_>,
-    meter: &mut CostMeter,
-) -> Option<usize> {
-    let rel_target = target - r0;
-    let idx = positions.partition_point(|&p| p < rel_target);
-    let mut below = idx.checked_sub(1);
-    let mut above = (idx < positions.len()).then_some(idx);
-    while below.is_some() || above.is_some() {
-        let pick_below = match (below, above) {
-            (Some(b), Some(a)) => rel_target - positions[b] <= positions[a] - rel_target,
-            (Some(_), None) => true,
-            _ => false,
-        };
-        let k = if pick_below {
-            let b = below.expect("pick_below implies a below candidate");
-            below = b.checked_sub(1);
-            b
-        } else {
-            let a = above.expect("!pick_below implies an above candidate");
-            above = (a + 1 < positions.len()).then_some(a + 1);
-            a
-        };
-        meter.count_compares(1);
-        if rkeys[r0 + positions[k]] == *key {
-            return Some(r0 + positions[k]);
-        }
+/// The occurrence in a sorted, non-empty position list nearest `target`, the lower
+/// one on a tie.
+fn nearest(positions: &[usize], target: usize) -> usize {
+    let idx = positions.partition_point(|&p| p < target);
+    match (idx.checked_sub(1), positions.get(idx)) {
+        (Some(b), Some(&a)) if a - target < target - positions[b] => a,
+        (Some(b), _) => positions[b],
+        (None, _) => positions[idx],
     }
-    None
 }
 
-/// Occurrence summary of one hash within a range.
+/// Occurrence summary of one key id within a range.
 #[derive(Clone, Copy)]
 struct HistEntry {
     /// Occurrence count, saturating at `u32::MAX` (only "1" vs "more" matters).
     count: u32,
 }
 
-fn histogram(keys: &[KeyRef<'_>]) -> IntMap<u64, HistEntry> {
-    let mut hist: IntMap<u64, HistEntry> =
-        IntMap::with_capacity_and_hasher(keys.len(), IntHashState::new());
-    for key in keys {
-        hist.entry(key.compact().hash)
+fn histogram(ids: &[u32]) -> IntMap<u32, HistEntry> {
+    let mut hist: IntMap<u32, HistEntry> =
+        IntMap::with_capacity_and_hasher(ids.len(), IntHashState::new());
+    for &id in ids {
+        hist.entry(id)
             .and_modify(|e| e.count = e.count.saturating_add(1))
             .or_insert(HistEntry { count: 1 });
     }
     hist
 }
 
-/// Range-relative occurrence positions of every hash, in ascending order (a
+/// Range-relative occurrence positions of every key id, in ascending order (a
 /// by-product of the forward scan), for nearest-occurrence split lookups.
-fn positions_by_hash(keys: &[KeyRef<'_>]) -> IntMap<u64, Vec<usize>> {
-    let mut map: IntMap<u64, Vec<usize>> =
-        IntMap::with_capacity_and_hasher(keys.len(), IntHashState::new());
-    for (i, key) in keys.iter().enumerate() {
-        map.entry(key.compact().hash).or_default().push(i);
+fn positions_by_id(ids: &[u32]) -> IntMap<u32, Vec<usize>> {
+    let mut map: IntMap<u32, Vec<usize>> =
+        IntMap::with_capacity_and_hasher(ids.len(), IntHashState::new());
+    for (i, &id) in ids.iter().enumerate() {
+        map.entry(id).or_default().push(i);
     }
     map
 }

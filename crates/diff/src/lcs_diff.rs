@@ -1,8 +1,9 @@
 //! LCS-based trace differencing (the paper's §3.2 baseline).
 //!
 //! Entries of the two traces are reduced to precomputed interned keys (a
-//! [`KeyedTrace`] holding the information `=e` compares) and an LCS over the two key
-//! sequences determines the similarity set Π. The two weaknesses the paper identifies —
+//! [`KeyedTrace`] holding the information `=e` compares), the right side's key ids are
+//! translated into the left side's, and an LCS over the two id sequences determines the
+//! similarity set Π. The two weaknesses the paper identifies —
 //! blind long-distance correlation of common values and Θ(n²) cost — are inherent to this
 //! baseline and are exactly what the views-based differencer (see [`crate::views_diff_sides`])
 //! addresses; the keyed representation merely makes each of the Θ(n²) comparisons an
@@ -10,7 +11,7 @@
 
 use std::time::Instant;
 
-use rprism_trace::{KeyRef, KeyedTrace, Trace};
+use rprism_trace::{KeyedTrace, Trace};
 
 use crate::cost::{CostMeter, DiffError, MemoryBudget};
 use crate::lcs::{lcs_dp, lcs_hirschberg};
@@ -80,18 +81,18 @@ pub fn lcs_diff_prepared(
     let start = Instant::now();
     let mut meter = CostMeter::new();
 
-    let left_keys: Vec<KeyRef<'_>> = (0..left_keyed.len()).map(|i| left_keyed.key(i)).collect();
-    let right_keys: Vec<KeyRef<'_>> = (0..right_keyed.len()).map(|i| right_keyed.key(i)).collect();
+    let left_ids = left_keyed.ids();
+    let right_ids = translated_ids(left_keyed, right_keyed);
     meter.allocate(
         left_keyed.estimated_bytes()
             + right_keyed.estimated_bytes()
-            + ((left_keys.len() + right_keys.len()) * std::mem::size_of::<KeyRef<'_>>()) as u64,
+            + (right_ids.len() * std::mem::size_of::<u32>()) as u64,
     );
 
     let pairs = if options.linear_space {
-        lcs_hirschberg(&left_keys, &right_keys, &mut meter)
+        lcs_hirschberg(left_ids, &right_ids, &mut meter)
     } else {
-        lcs_dp(&left_keys, &right_keys, &mut meter, options.memory_budget)?
+        lcs_dp(left_ids, &right_ids, &mut meter, options.memory_budget)?
     };
 
     let matching = Matching::from_pairs(left_keyed.len(), right_keyed.len(), pairs);
@@ -103,6 +104,19 @@ pub fn lcs_diff_prepared(
         elapsed: start.elapsed(),
         algorithm: "lcs",
     })
+}
+
+/// Every entry's key id of `right`, translated into `left`'s id space
+/// ([`KeyedTrace::translate_into`]): equal to a left entry's id exactly when the two are
+/// `=e`-equal, and to another right entry's exactly when their keys are.
+pub(crate) fn translated_ids(left: &KeyedTrace, right: &KeyedTrace) -> Vec<u32> {
+    let mut translation = Vec::new();
+    left.translate_into(right, &mut translation);
+    right
+        .ids()
+        .iter()
+        .map(|&id| translation[id as usize])
+        .collect()
 }
 
 #[cfg(test)]

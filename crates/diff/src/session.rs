@@ -25,13 +25,25 @@
 //! `complete_scans`, the same call that completes a session's suspended scans. There is
 //! exactly one scan implementation.
 //!
+//! # Where `=e` is evaluated
+//!
+//! Keys are interned per trace (one `u32` id per entry; see [`rprism_trace::keyed`]).
+//! Each push translates the distinct keys its batch added into the old side's ids
+//! ([`KeyedTrace::translate_into`](rprism_trace::KeyedTrace::translate_into) extends the
+//! session's translation: one index lookup per new key). Every head compare and every
+//! window compare of the scan then compares the old entry's id with the new entry's
+//! translated id, and `finish` hands the same translation to the scans it completes.
+//!
 //! # Confirmation, and compare accounting
 //!
 //! A head match depends only on the two entries, and a mismatch step is taken only once
 //! its exploration can no longer change shape as the right side grows (see below). The
-//! one input a taken step reads that can still change is the view correlation: each
-//! push re-derives it over the webs as they stand, and the step's secondary-view
-//! exploration reads its thread pairing and its object-view verdicts
+//! one input a taken step reads that can still change is the view correlation. It is a
+//! pure function of the old web (fixed) and of the new web's thread and object views and
+//! spawn ancestries, so a push re-derives it only when its batch created such a view or
+//! recorded an ancestry ([`ViewWeb::correlation_generation`] moved), and otherwise keeps
+//! the previous push's correlation, whose verdicts then cannot have changed. The step's
+//! secondary-view exploration reads its thread pairing and its object-view verdicts
 //! (`Correlation::object_verdict`) for every entry pair in the Δ-neighbourhood. A pair
 //! is therefore **confirmed** when its thread pairing survived and every mismatch step
 //! it took explores the same secondary view pairs, centred on the same entries, under
@@ -134,7 +146,7 @@ pub(crate) struct PairScan {
     /// Matched pairs in discovery order, duplicates included.
     matched: Vec<(usize, usize)>,
     meter: CostMeter,
-    scratch: Scratch<'static>,
+    scratch: Scratch,
 }
 
 /// One correlated thread-view pair's scan, ready to run to completion: the two thread
@@ -162,26 +174,12 @@ impl PairScan {
     /// covered by the entries seen so far (see [`mismatch_is_stable`]); otherwise the
     /// pair suspends with its cursors intact. `log`, when given, records every taken
     /// mismatch step and skipped region.
-    fn run<'a>(
+    fn run(
         &mut self,
-        differ: &Differ<'a>,
+        differ: &Differ<'_>,
         lv: &[usize],
         rv: &[usize],
         complete: bool,
-        log: Option<&mut RunLog>,
-    ) {
-        let mut scratch = std::mem::take(&mut self.scratch).rebind();
-        self.advance(differ, lv, rv, complete, &mut scratch, log);
-        self.scratch = scratch.rebind();
-    }
-
-    fn advance<'a>(
-        &mut self,
-        differ: &Differ<'a>,
-        lv: &[usize],
-        rv: &[usize],
-        complete: bool,
-        scratch: &mut Scratch<'a>,
         mut log: Option<&mut RunLog>,
     ) {
         while self.i < lv.len() && self.j < rv.len() {
@@ -210,14 +208,14 @@ impl PairScan {
                 self.j,
                 &mut self.matched,
                 &mut self.meter,
-                scratch,
+                &mut self.scratch,
             );
             // … then skip to the next point of correspondence in the thread views.
             let (a, b) = differ
                 .next_correspondence(lv, rv, self.i, self.j, &mut self.meter)
                 .unwrap_or((1, 1));
             if let Some(log) = log.as_deref_mut() {
-                log.linked.extend_from_slice(scratch.explored());
+                log.linked.extend_from_slice(self.scratch.explored());
                 log.steps.push((self.i, self.j, log.linked.len()));
                 log.skips.push((self.i, a, self.j, b));
             }
@@ -504,8 +502,13 @@ pub struct SessionFinish {
 pub struct DiffSession {
     options: ViewsDiffOptions,
     artifacts: SideArtifacts,
-    /// The latest push's correlation (`None` before the first push).
-    correlation: Option<Correlation>,
+    /// The new side's key ids in the old side's id space, extended by every push.
+    translation: Vec<u32>,
+    /// The correlation of the latest push (`None` before the first push), and the new
+    /// side's [`ViewWeb::correlation_generation`] it was built at.
+    correlation: Option<(Correlation, u64)>,
+    /// How many correlations this session built.
+    builds: usize,
     /// One state per correlated thread-view pair, in `thread_pairs()` order.
     pairs: Vec<PairState>,
     /// Every pair reported as a `Match`, and which of those were retracted.
@@ -520,7 +523,9 @@ impl DiffSession {
         DiffSession {
             options,
             artifacts: SideArtifacts::new(meta),
+            translation: Vec::new(),
             correlation: None,
+            builds: 0,
             pairs: Vec::new(),
             ledger: Ledger::default(),
             seen_differences: BTreeSet::new(),
@@ -540,19 +545,33 @@ impl DiffSession {
         self.provisional_scan(left)
     }
 
-    /// One incremental pass: re-derive the (provisional) correlation over the webs as
-    /// they stand, retract pairs whose thread pairing was revised, re-check the logged
-    /// steps if any verdict changed, and advance every pair's suspended scan as far as
-    /// the data allows.
+    /// One incremental pass: translate the new keys, re-derive the (provisional)
+    /// correlation over the webs as they stand, retract pairs whose thread pairing was
+    /// revised, re-check the logged steps if any verdict changed, and advance every
+    /// pair's suspended scan as far as the data allows.
     fn provisional_scan(&mut self, left: &DiffSide<'_>) -> Vec<ProvisionalEvent> {
-        // Re-correlation runs on every push: too frequent to be worth a thread.
         let right = self.artifacts.side();
-        let correlation = par::inline(|| Correlation::build(left.web(), right.web()));
-        let changed = self
-            .correlation
-            .as_ref()
-            .is_some_and(|previous| !same_verdicts(previous, &correlation, left.web()));
-        let current = thread_views(left, &right, &correlation);
+        left.keyed()
+            .translate_into(right.keyed(), &mut self.translation);
+        // A correlation reads only what moves the right web's generation (the left web
+        // is fixed), so while it stands still the previous build is what a fresh one
+        // would give, and no verdict changed.
+        let generation = right.web().correlation_generation();
+        let changed = match &self.correlation {
+            Some((_, built_at)) if *built_at == generation => false,
+            previous => {
+                // Re-correlation runs on many pushes: too frequent to be worth a thread.
+                let correlation = par::inline(|| Correlation::build(left.web(), right.web()));
+                self.builds += 1;
+                let changed = previous.as_ref().is_some_and(|(previous, _)| {
+                    !same_verdicts(previous, &correlation, left.web())
+                });
+                self.correlation = Some((correlation, generation));
+                changed
+            }
+        };
+        let (correlation, _) = self.correlation.as_ref().expect("built above");
+        let current = thread_views(left, &right, correlation);
         let mut events = Vec::new();
         self.ledger.cover(left.len());
 
@@ -576,7 +595,8 @@ impl DiffSession {
         let differ = Differ {
             left: *left,
             right,
-            correlation: &correlation,
+            translation: &self.translation,
+            correlation,
             options: &self.options,
         };
         let mut kept = kept.into_iter().peekable();
@@ -618,7 +638,6 @@ impl DiffSession {
             }
             self.pairs.push(state);
         }
-        self.correlation = Some(correlation);
         events
     }
 
@@ -630,10 +649,11 @@ impl DiffSession {
     pub fn finish(self, left: &DiffSide<'_>) -> SessionFinish {
         let start = Instant::now();
         let right = self.artifacts.side();
-        // The latest push built its correlation over these same webs.
-        let correlation = self
-            .correlation
-            .unwrap_or_else(|| Correlation::build(left.web(), right.web()));
+        // The latest push translated every key and correlated these same webs.
+        let correlation = self.correlation.map_or_else(
+            || Correlation::build(left.web(), right.web()),
+            |(correlation, _)| correlation,
+        );
         let mut states = self.pairs.into_iter().peekable();
         let scans: Vec<PairTask<'_>> = thread_views(left, &right, &correlation)
             .into_iter()
@@ -644,7 +664,15 @@ impl DiffSession {
                 (lv, rv, resumed.map(|state| state.scan).unwrap_or_default())
             })
             .collect();
-        let result = views_diff_sides_from(start, left, &right, &correlation, &self.options, scans);
+        let result = views_diff_sides_from(
+            start,
+            left,
+            &right,
+            &self.translation,
+            &correlation,
+            &self.options,
+            scans,
+        );
 
         let events = self.ledger.reconcile(result.matching.normalized_pairs());
         SessionFinish {
@@ -800,6 +828,64 @@ mod tests {
                 .count();
         }
         assert!(pre_finish > 0, "no provisional matches before finish");
+    }
+
+    #[test]
+    fn a_kept_correlation_equals_a_fresh_build_at_every_push() {
+        use rprism_trace::testgen::{fuzz_seed, mutated, GenProfile, Rng};
+        let seed = fuzz_seed();
+        let mut rng = Rng::new(seed ^ 0xc0_1e1a);
+        let mut pairs = vec![(trace_of(OLD, "old"), trace_of(&new_src(), "new"))];
+        for &profile in GenProfile::ALL {
+            let original = profile.generate(&mut rng, 400);
+            let copy = mutated(&mut rng, &original);
+            pairs.push((original, copy));
+        }
+        for (old, new) in &pairs {
+            let (lean, keyed, web) = prepared(old);
+            let left = DiffSide::lean(&lean, &keyed, &web);
+            for chunk in [1, 3, 7, 64] {
+                let context = format!("{} (seed {seed}), chunk {chunk}", new.meta.name);
+                let mut session = DiffSession::new(new.meta.clone(), ViewsDiffOptions::default());
+                // The builds a push must make: one whenever the new web's generation
+                // moved, that is, the push created a thread or object view or recorded
+                // an ancestry.
+                let (mut grown, mut index, mut generation) = (ViewWeb::empty(), 0, None);
+                let mut builds = 0;
+                for (push, batch) in new.entries.chunks(chunk).enumerate() {
+                    session.push_batch(&left, &EntryBatch::of(batch));
+                    let (kept, _) = session.correlation.as_ref().unwrap();
+                    let fresh = Correlation::build(&web, session.artifacts.side().web());
+                    assert_eq!(*kept, fresh, "{context}, push {push}");
+                    EntryBatch::visit(batch, |entry| {
+                        grown.extend(index, entry);
+                        index += 1;
+                    });
+                    if generation != Some(grown.correlation_generation()) {
+                        generation = Some(grown.correlation_generation());
+                        builds += 1;
+                    }
+                }
+                assert_eq!(session.builds, builds, "{context}");
+            }
+        }
+        // Most pushes of a well-formed stream create no view.
+        let well_formed = GenProfile::ALL
+            .iter()
+            .position(|&p| p == GenProfile::WellFormed);
+        let (old, new) = &pairs[1 + well_formed.unwrap()];
+        let (lean, keyed, web) = prepared(old);
+        let left = DiffSide::lean(&lean, &keyed, &web);
+        let mut session = DiffSession::new(new.meta.clone(), ViewsDiffOptions::default());
+        let pushes = new.entries.chunks(7).len();
+        for batch in new.entries.chunks(7) {
+            session.push_batch(&left, &EntryBatch::of(batch));
+        }
+        assert!(
+            session.builds * 2 < pushes,
+            "{} builds over {pushes} pushes",
+            session.builds
+        );
     }
 
     #[test]

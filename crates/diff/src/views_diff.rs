@@ -19,17 +19,24 @@
 //!
 //! ## The keyed hot path
 //!
-//! Every `=e` comparison goes through a [`KeyedTrace`]: interned, precomputed
-//! [`CompactEventKey`](rprism_trace::CompactEventKey)s built once per trace. A comparison
-//! is a 64-bit hash check (plus an integer slice compare on hash equality) — no
-//! `EventKey` construction, no string traversal, and **zero heap allocation per
+//! Every `=e` comparison of the scan is one integer compare. Each side's [`KeyedTrace`]
+//! interns its keys when it is built: one `u32` key id per entry and a table of distinct
+//! keys. A diff first translates the right side's distinct keys into the left side's
+//! ids, once ([`KeyedTrace::translate_into`], O(distinct keys); a key the left side
+//! lacks gets an id of its own past the left side's table), and a
+//! [`DiffSession`](crate::DiffSession) extends that translation as pushes add keys.
+//! Then the head compare (`Differ::entries_eq`) and the windowed secondary LCS both
+//! compare the left entry's id with the right entry's translated id: the windows are
+//! `u32` slices in the left side's id space, so the bit-parallel kernel's class
+//! discovery and traceback compare integers too. No
+//! `EventKey` is built and no string traversed, and there is **zero heap allocation per
 //! comparison**. The mismatch step allocates nothing either once a thread-pair scan has
-//! warmed up: each scan keeps one `Scratch` whose buffers — the windows' key slices, the
+//! warmed up: each scan keeps one `Scratch` whose buffers — the windows' key ids, the
 //! bit-parallel kernel's class masks, row bit-vectors and traceback pairs, and the
 //! first-seen list of explored view pairs — are cleared and reused by every
 //! exploration, and the windowed LCS emits its pairs straight into the scan's match
-//! list. A watched pair's scan keeps its scratch across pushes; only the key slices,
-//! which borrow the growing side's keys, start afresh with each push. Both properties are enforced by counting-allocator tests
+//! list. A watched pair's scan keeps its scratch across pushes. Both properties are
+//! enforced by counting-allocator tests
 //! (`tests/no_alloc_hot_path.rs`). The kernel's DP fallback, taken by windows of more
 //! than 64 key classes, still allocates its table per call. Thread-view pairs are
 //! independent, so they fan out over [`rprism_trace::par`]; each pair keeps its own
@@ -37,7 +44,7 @@
 
 use std::time::{Duration, Instant};
 
-use rprism_trace::{EntryBatch, KeyRef, KeyedTrace, LeanEntry, LeanTrace, TraceMeta};
+use rprism_trace::{EntryBatch, KeyedTrace, LeanEntry, LeanTrace, TraceMeta};
 use rprism_views::correlate::relaxed::same_distance_from_anchor;
 use rprism_views::{Correlation, ViewId, ViewKind, ViewWeb};
 
@@ -202,8 +209,7 @@ pub fn views_diff_sides(
     // everything it derives, keeping its timings comparable with the seed baseline's.
     let start = Instant::now();
     let correlation = Correlation::build(left.web, right.web);
-    let scans = crate::session::fresh_scans(left, right, &correlation);
-    views_diff_sides_from(start, left, right, &correlation, options, scans)
+    fresh_diff(start, left, right, &correlation, options)
 }
 
 /// [`views_diff_sides`] with the pair's view [`Correlation`] supplied by the caller.
@@ -216,21 +222,45 @@ pub fn views_diff_sides_correlated(
     correlation: &Correlation,
     options: &ViewsDiffOptions,
 ) -> TraceDiffResult {
+    fresh_diff(Instant::now(), left, right, correlation, options)
+}
+
+/// The batch differ: translates the right side's keys, then runs one fresh scan per
+/// correlated thread pair.
+fn fresh_diff(
+    start: Instant,
+    left: &DiffSide<'_>,
+    right: &DiffSide<'_>,
+    correlation: &Correlation,
+    options: &ViewsDiffOptions,
+) -> TraceDiffResult {
+    let mut translation = Vec::new();
+    left.keyed.translate_into(right.keyed, &mut translation);
     let scans = crate::session::fresh_scans(left, right, correlation);
-    views_diff_sides_from(Instant::now(), left, right, correlation, options, scans)
+    views_diff_sides_from(
+        start,
+        left,
+        right,
+        &translation,
+        correlation,
+        options,
+        scans,
+    )
 }
 
 /// Shared body of [`views_diff_sides`] / [`views_diff_sides_correlated`] and
 /// [`DiffSession::finish`](crate::DiffSession::finish): runs every correlated thread
 /// pair's scan — fresh, or resumed from where a session suspended it — to completion.
 /// `start` anchors the result's `elapsed` so each public entry point times exactly the
-/// work it performs. The lock-step scan itself lives in
+/// work it performs. `translation` maps the right side's key ids to the left side's
+/// and covers every right key. The lock-step scan itself lives in
 /// [`crate::session::complete_scans`] — the single implementation shared with the
 /// incremental [`crate::DiffSession`].
 pub(crate) fn views_diff_sides_from(
     start: Instant,
     left: &DiffSide<'_>,
     right: &DiffSide<'_>,
+    translation: &[u32],
     correlation: &Correlation,
     options: &ViewsDiffOptions,
     scans: Vec<crate::session::PairTask<'_>>,
@@ -242,6 +272,7 @@ pub(crate) fn views_diff_sides_from(
     let differ = Differ {
         left: *left,
         right: *right,
+        translation,
         correlation,
         options,
     };
@@ -264,30 +295,18 @@ fn keyed_bytes(keyed: &KeyedTrace) -> u64 {
 /// Reusable buffers of one thread-pair scan, so the mismatch exploration allocates
 /// nothing after warm-up.
 #[derive(Debug, Default)]
-pub(crate) struct Scratch<'a> {
+pub(crate) struct Scratch {
     /// The correlated view pairs one exploration compares, in first-seen order. At
     /// most `4·(2Δ+1)²` entries (one per view kind and neighbourhood pair), so a linear
     /// probe beats hashing at the default Δ.
     explored: Vec<Linked>,
-    lkeys: Vec<KeyRef<'a>>,
-    rkeys: Vec<KeyRef<'a>>,
+    /// The two windows' key ids, both in the left side's id space.
+    lkeys: Vec<u32>,
+    rkeys: Vec<u32>,
     lcs: LcsScratch,
 }
 
-impl Scratch<'_> {
-    /// The same buffers under another lifetime. Only the window key slices borrow a
-    /// side's keys, and those start empty again; the rest keeps its capacity. A
-    /// session's scan keeps its scratch across pushes this way while the watched
-    /// side's keys grow.
-    pub(crate) fn rebind<'b>(self) -> Scratch<'b> {
-        Scratch {
-            explored: self.explored,
-            lkeys: Vec::new(),
-            rkeys: Vec::new(),
-            lcs: self.lcs,
-        }
-    }
-
+impl Scratch {
     /// The view pairs the latest mismatch step explored.
     pub(crate) fn explored(&self) -> &[Linked] {
         &self.explored
@@ -302,24 +321,32 @@ pub(crate) struct Linked {
     at: (usize, usize),
 }
 
-/// The per-comparison machinery of one differencing run: both sides, their view
-/// correlation, and the exploration options. The lock-step drive loop lives in
+/// The per-comparison machinery of one differencing run: both sides, the right side's
+/// key ids translated into the left side's, their view correlation, and the
+/// exploration options. The lock-step drive loop lives in
 /// [`crate::session::PairScan`]; this type supplies the three primitives it composes
 /// (`=e` head comparison, secondary-view exploration, post-mismatch scan-ahead).
 pub(crate) struct Differ<'a> {
     pub(crate) left: DiffSide<'a>,
     pub(crate) right: DiffSide<'a>,
+    /// Right key id → left key id ([`KeyedTrace::translate_into`]).
+    pub(crate) translation: &'a [u32],
     pub(crate) correlation: &'a Correlation,
     pub(crate) options: &'a ViewsDiffOptions,
 }
 
 impl<'a> Differ<'a> {
-    /// `=e` between base-trace entries by precomputed key: never allocates.
+    /// `=e` between base-trace entries: one compare of the left entry's key id with
+    /// the right entry's translated id.
     #[inline]
     pub(crate) fn entries_eq(&self, left_idx: usize, right_idx: usize) -> bool {
-        self.left
-            .keyed
-            .key_eq(left_idx, self.right.keyed, right_idx)
+        self.left.keyed.id(left_idx) == self.right_id(right_idx)
+    }
+
+    /// The key id of a right entry in the left side's id space.
+    #[inline]
+    fn right_id(&self, right_idx: usize) -> u32 {
+        self.translation[self.right.keyed.id(right_idx) as usize]
     }
 
     /// The per-entry correlation function `X_τ(γ_L, γ_R)` of Fig. 9 over lean contexts:
@@ -367,7 +394,7 @@ impl<'a> Differ<'a> {
         j: usize,
         matched: &mut Vec<(usize, usize)>,
         meter: &mut CostMeter,
-        scratch: &mut Scratch<'a>,
+        scratch: &mut Scratch,
     ) {
         self.linked_views(lv, rv, i, j, meter, &mut scratch.explored);
         for k in 0..scratch.explored.len() {
@@ -454,7 +481,7 @@ impl<'a> Differ<'a> {
         right_idx: usize,
         matched: &mut Vec<(usize, usize)>,
         meter: &mut CostMeter,
-        scratch: &mut Scratch<'a>,
+        scratch: &mut Scratch,
     ) {
         let lsec = self.left.web.view_by_id(left_view);
         let rsec = self.right.web.view_by_id(right_view);
@@ -468,10 +495,8 @@ impl<'a> Differ<'a> {
         scratch.rkeys.clear();
         scratch
             .lkeys
-            .extend(lwin.iter().map(|&x| self.left.keyed.key(x)));
-        scratch
-            .rkeys
-            .extend(rwin.iter().map(|&x| self.right.keyed.key(x)));
+            .extend(lwin.iter().map(|&x| self.left.keyed.id(x)));
+        scratch.rkeys.extend(rwin.iter().map(|&x| self.right_id(x)));
         // Windows are constant-sized, so the quadratic LCS here is O(1) per call. The
         // bit-parallel kernel returns the DP's pairs with the DP's compare accounting
         // (and falls back to the DP beyond 64 key classes), so the matching and every

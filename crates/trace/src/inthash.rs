@@ -81,7 +81,7 @@ pub struct IntHasher {
 
 /// The full 128-bit product of `a` and `b`, its halves folded together by XOR.
 #[inline]
-fn folded_multiply(a: u64, b: u64) -> u64 {
+pub(crate) fn folded_multiply(a: u64, b: u64) -> u64 {
     let product = u128::from(a) * u128::from(b);
     (product as u64) ^ ((product >> 64) as u64)
 }

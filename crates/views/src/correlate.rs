@@ -36,7 +36,7 @@ use crate::web::{ViewId, ViewWeb};
 const NO_MATCH: u32 = u32::MAX;
 
 /// A complete correlation between the views of two webs.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Correlation {
     /// Left thread → right thread.
     pub threads: HashMap<ThreadId, ThreadId>,

@@ -71,6 +71,9 @@ pub struct ViewWeb {
     /// For each thread, the spawn ancestry recorded by its `fork` event (empty for the
     /// main thread); used by thread-view correlation.
     thread_ancestry: IntMap<ThreadId, Vec<StackSnapshot>>,
+    /// How many times the web changed in a way a [`Correlation`](crate::Correlation)
+    /// reads; see [`ViewWeb::correlation_generation`].
+    generation: u64,
 }
 
 impl ViewWeb {
@@ -82,6 +85,7 @@ impl ViewWeb {
             index: IntMap::default(),
             memberships: Vec::new(),
             thread_ancestry: IntMap::default(),
+            generation: 0,
         };
         web.thread_ancestry.insert(ThreadId::MAIN, Vec::new());
         web
@@ -116,6 +120,7 @@ impl ViewWeb {
         );
         if let Some(child) = entry.child {
             self.thread_ancestry.insert(child, entry.parentage.to_vec());
+            self.generation += 1;
         }
         let mut membership = EntryViews::empty();
         for kind in ViewKind::ALL {
@@ -141,6 +146,9 @@ impl ViewWeb {
             representative: representative_for(key.kind(), entry),
         });
         self.index.insert(key, id);
+        if key.kind() != ViewKind::Method {
+            self.generation += 1;
+        }
         id
     }
 
@@ -225,6 +233,16 @@ impl ViewWeb {
     /// threads).
     pub fn thread_ancestry(&self, tid: ThreadId) -> Option<&[StackSnapshot]> {
         self.thread_ancestry.get(&tid).map(Vec::as_slice)
+    }
+
+    /// A counter of the changes that can move a [`Correlation`](crate::Correlation)
+    /// built over this web: a new thread or object view, or a recorded spawn ancestry.
+    /// Correlation reads nothing else (a view's representative is fixed when the view is
+    /// made, and method views are matched by signature during the scan), so while the
+    /// counter stands still, a correlation built over this web against one fixed other
+    /// web stays what a fresh build would give.
+    pub fn correlation_generation(&self) -> u64 {
+        self.generation
     }
 
     /// Total number of views.
